@@ -2,9 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"fairbench/internal/runner"
@@ -247,31 +244,7 @@ func TestGoldenRowsBiasCOMPAS(t *testing.T) {
 		}
 		golden[tc.kind] = rows
 	}
-	got, err := json.MarshalIndent(golden, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, '\n')
-	path := filepath.Join("testdata", "golden_compas_bias_seed42.json")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to regenerate)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("biased golden rows drifted from %s — injection or metrics changed.\n"+
-			"If the change is intended, regenerate with -update and justify the diff in review.\n%s",
-			path, goldenDiff(want, got))
-	}
+	checkGolden(t, "golden_compas_bias_seed42.json", golden)
 }
 
 // TestBiasedSourceHasNoProvenance: a biased grid's data must not carry

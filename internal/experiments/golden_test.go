@@ -39,12 +39,39 @@ func TestGoldenRowsCOMPAS(t *testing.T) {
 	for i := range rows {
 		rows[i].Seconds, rows[i].Overhead = 0, 0
 	}
-	got, err := json.MarshalIndent(rows, "", "  ")
+	checkGolden(t, "golden_compas_seed42.json", rows)
+}
+
+// TestGoldenRowsFig10Adult pins the model-sensitivity grid (Figure 10:
+// every pre- and post-processing approach × LR, SVM, kNN, RF and MLP) on
+// a small Adult slice at seed 42. Figure 7 only exercises logistic
+// regression; these 45 rows are what pin the other four model families'
+// kernels bit for bit.
+func TestGoldenRowsFig10Adult(t *testing.T) {
+	out, err := mustOpen(t, Spec{Experiment: "fig10", Dataset: "adult", N: 300, Seed: 42}).RunAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := out.Sensitivity
+	if len(rows) != len(DefaultSensitivityApproaches)*len(ModelNames) {
+		t.Fatalf("fig10 grid has %d rows, want %d", len(rows), len(DefaultSensitivityApproaches)*len(ModelNames))
+	}
+	for i := range rows {
+		rows[i].Row.Seconds, rows[i].Row.Overhead = 0, 0
+	}
+	checkGolden(t, "golden_fig10_adult_seed42.json", rows)
+}
+
+// checkGolden compares v's indented JSON encoding with testdata/name, or
+// rewrites the file under -update.
+func checkGolden(t *testing.T, name string, v any) {
+	t.Helper()
+	got, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	got = append(got, '\n')
-	path := filepath.Join("testdata", "golden_compas_seed42.json")
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -52,7 +79,7 @@ func TestGoldenRowsCOMPAS(t *testing.T) {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s (%d rows)", path, len(rows))
+		t.Logf("rewrote %s", path)
 		return
 	}
 	want, err := os.ReadFile(path)
