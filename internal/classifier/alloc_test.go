@@ -129,3 +129,40 @@ func TestFitAllocationBounds(t *testing.T) {
 		t.Fatalf("logreg fit allocates too much: %v allocs (want <= 16 fixed buffers)", long)
 	}
 }
+
+// TestForestFitAllocationBounds pins the presorted grower's allocations:
+// a forest fit allocates its per-forest buffers (columns, presorted
+// lists, scratch) once, and per tree only the tree's generator and its
+// exact-size node array — no node sorts or allocates.
+func TestForestFitAllocationBounds(t *testing.T) {
+	x, y := xorData(500, 2)
+	fit := func(trees int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			rf := &RandomForest{Trees: trees}
+			if err := rf.Fit(x, y, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	ten, twenty := fit(10), fit(20)
+	if perTree := (twenty - ten) / 10; perTree > 4 {
+		t.Fatalf("forest fit allocates %v times per tree, want <= 4 (generator + node array)", perTree)
+	}
+	if ten > 80 {
+		t.Fatalf("10-tree forest fit allocates %v times, want <= 80", ten)
+	}
+}
+
+// TestKNNPredictAllocatesNothing: a kNN query keeps its k candidates in
+// a typed heap on the stack, so at the paper's k = 33 it allocates
+// nothing.
+func TestKNNPredictAllocatesNothing(t *testing.T) {
+	x, y := linearlySeparable(500, 3)
+	k := NewKNN()
+	if err := k.Fit(x, y, nil); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { k.PredictProba(x[7]) }); allocs != 0 {
+		t.Fatalf("kNN PredictProba allocates %v times per query, want 0", allocs)
+	}
+}

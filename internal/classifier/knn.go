@@ -1,7 +1,5 @@
 package classifier
 
-import "container/heap"
-
 // KNN is a k-nearest-neighbors classifier using Euclidean distance. The
 // paper's model-sensitivity experiment uses k = 33 (Appendix F).
 type KNN struct {
@@ -28,7 +26,9 @@ func (k *KNN) Fit(x [][]float64, y []int, w []float64) error {
 }
 
 // neighborHeap is a max-heap on distance so the root is the farthest of
-// the current k candidates and can be evicted cheaply.
+// the current k candidates and can be evicted cheaply. Its sift-up and
+// sift-down are container/heap's up and down step for step, so exact
+// distance ties leave the same neighbours in the same slots.
 type neighborHeap []neighbor
 
 type neighbor struct {
@@ -36,20 +36,46 @@ type neighbor struct {
 	idx  int
 }
 
-func (h neighborHeap) Len() int            { return len(h) }
-func (h neighborHeap) Less(i, j int) bool  { return h[i].dist > h[j].dist }
-func (h neighborHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *neighborHeap) Push(x interface{}) { *h = append(*h, x.(neighbor)) }
-func (h *neighborHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+// up is container/heap's up with Less(i, j) = h[i].dist > h[j].dist.
+func (h neighborHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].dist > h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
 }
 
+// down is container/heap's down over the whole heap from the root, the
+// only position PredictProba replaces (heap.Fix's up from the root is a
+// no-op).
+func (h neighborHeap) down() {
+	i, n := 0, len(h)
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].dist > h[j1].dist {
+			j = j2 // right child
+		}
+		if !(h[j].dist > h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
+
+// stackNeighbors is how many neighbours PredictProba keeps on the stack;
+// larger K allocates the heap once per query.
+const stackNeighbors = 64
+
 // PredictProba returns the (weighted) fraction of positive labels among
-// the k nearest training points.
+// the k nearest training points. It allocates nothing for K <= 64.
 func (k *KNN) PredictProba(q []float64) float64 {
 	if len(k.x) == 0 {
 		return 0.5
@@ -61,14 +87,19 @@ func (k *KNN) PredictProba(q []float64) float64 {
 	if kk > len(k.x) {
 		kk = len(k.x)
 	}
-	h := make(neighborHeap, 0, kk)
+	var buf [stackNeighbors]neighbor
+	h := neighborHeap(buf[:0])
+	if kk > len(buf) {
+		h = make(neighborHeap, 0, kk)
+	}
 	for i, row := range k.x {
 		d := sqDist(row, q)
 		if len(h) < kk {
-			heap.Push(&h, neighbor{d, i})
+			h = append(h, neighbor{d, i})
+			h.up(len(h) - 1)
 		} else if d < h[0].dist {
 			h[0] = neighbor{d, i}
-			heap.Fix(&h, 0)
+			h.down()
 		}
 	}
 	var pos, tot float64

@@ -402,18 +402,12 @@ func (s *Server) start(r *run, resume bool) {
 	}()
 }
 
-// finish records a run's outcome and persists the output so a restart
-// serves it without recomputation.
+// finish persists a run's output so a restart serves it without
+// recomputation, releases its admission slot, and only then publishes
+// the terminal state: a client that reads done or failed and submits at
+// once must find the slot free.
 func (s *Server) finish(r *run, out *experiments.Output, rep *engine.Report, err error) {
-	r.mu.Lock()
-	r.finished = time.Now()
-	r.report = rep
-	if err != nil {
-		r.state = stateFailed
-		r.errMsg = err.Error()
-	} else {
-		r.state = stateDone
-		r.output = out
+	if err == nil {
 		if data, merr := json.Marshal(out); merr == nil {
 			if werr := store.WriteFileAtomic(filepath.Join(r.dir, outputFileName), data); werr != nil {
 				s.logf("serve: run %s: persisting output: %v", r.id, werr)
@@ -427,7 +421,6 @@ func (s *Server) finish(r *run, out *experiments.Output, rep *engine.Report, err
 			}
 		}
 	}
-	r.mu.Unlock()
 	s.mu.Lock()
 	s.active--
 	if err != nil {
@@ -452,6 +445,17 @@ func (s *Server) finish(r *run, out *experiments.Output, rep *engine.Report, err
 		}
 	}
 	s.mu.Unlock()
+	r.mu.Lock()
+	r.finished = time.Now()
+	r.report = rep
+	if err != nil {
+		r.state = stateFailed
+		r.errMsg = err.Error()
+	} else {
+		r.state = stateDone
+		r.output = out
+	}
+	r.mu.Unlock()
 	close(r.done)
 	if err != nil {
 		s.logf("serve: run %s failed: %v", r.id, err)

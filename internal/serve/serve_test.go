@@ -299,6 +299,74 @@ func TestSaturationReturns429(t *testing.T) {
 	}
 }
 
+// TestBackToBackSubmitsNeverSee429 is a closed-loop client at
+// MaxConcurrent=1: it submits distinct grids one after another, each as
+// soon as it has polled the previous run's status to done. The finished
+// run's slot must already be free by then, so no submission is rejected.
+func TestBackToBackSubmitsNeverSee429(t *testing.T) {
+	_, ts := newServer(t, Config{MaxConcurrent: 1})
+	rejected := 0
+	for seed := int64(20); seed < 26; seed++ {
+		spec := smallSpec()
+		spec.Seed = seed
+		code, st, _ := postSpec(t, ts, spec)
+		if code == http.StatusTooManyRequests {
+			rejected++
+			continue
+		}
+		if code != http.StatusAccepted {
+			t.Fatalf("seed %d: submit code %d", seed, code)
+		}
+		deadline := time.Now().Add(60 * time.Second)
+		for {
+			_, body, _ := get(t, ts.URL+"/runs/"+st.ID)
+			var cur runStatus
+			if err := json.Unmarshal([]byte(body), &cur); err != nil {
+				t.Fatalf("status %q: %v", body, err)
+			}
+			if cur.Status == string(stateDone) {
+				break
+			}
+			if cur.Status == string(stateFailed) || time.Now().After(deadline) {
+				t.Fatalf("seed %d: run ended as %+v", seed, cur)
+			}
+		}
+	}
+	if rejected != 0 {
+		t.Fatalf("%d back-to-back submissions got 429 after the previous run read done", rejected)
+	}
+}
+
+// TestFinishReleasesSlotBeforeDone pins the ordering behind the test
+// above without racing a client: while the server lock is held, finish
+// cannot release the run's slot, so the run must not yet read done.
+func TestFinishReleasesSlotBeforeDone(t *testing.T) {
+	s, _ := newServer(t, Config{MaxConcurrent: 1})
+	r := &run{id: "ordering", dir: t.TempDir(), spec: smallSpec(), done: make(chan struct{}), started: time.Now()}
+	s.mu.Lock()
+	s.registerLocked(r)
+	go s.finish(r, &experiments.Output{}, nil, nil)
+	for end := time.Now().Add(50 * time.Millisecond); time.Now().Before(end); {
+		r.mu.Lock()
+		state := r.state
+		r.mu.Unlock()
+		if state != stateRunning {
+			s.mu.Unlock()
+			t.Fatalf("run reads %s while it still holds its admission slot", state)
+		}
+	}
+	s.mu.Unlock()
+	<-r.done
+	s.mu.Lock()
+	active := s.active
+	s.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.state != stateDone || active != 0 {
+		t.Fatalf("after finish: state %s, %d active runs; want done and 0", r.state, active)
+	}
+}
+
 // TestDrainResumeMatchesSerial is the graceful-shutdown guarantee end to
 // end: drain a daemon mid-run, start a new one over the same state dir,
 // let ResumeInterrupted pick the run up, and require the final table to
