@@ -7,13 +7,16 @@ import (
 
 // batchSpecs is the batched-execution acceptance sweep: every experiment
 // driver (via equivalenceSpecs) plus the bias-injection axis, which
-// exercises batching over bias-materialized training slices.
+// exercises batching over bias-materialized training slices — for the
+// model sweep, every shared repair and base fit of a biased split.
 func batchSpecs() []Spec {
 	specs := equivalenceSpecs()
 	specs = append(specs,
 		Spec{Experiment: "fig7", Dataset: "german", N: 200, Seed: 5,
 			Bias: BiasUnder, BiasRate: 0.3, BiasRateNeg: 0.1},
 		Spec{Experiment: "fig7", Dataset: "compas", N: 300, Seed: 3,
+			Bias: BiasLabel, BiasRate: 0.2},
+		Spec{Experiment: "fig10", Dataset: "adult", N: 300, Seed: 11,
 			Bias: BiasLabel, BiasRate: 0.2},
 	)
 	return specs
@@ -25,7 +28,9 @@ func batchSpecs() []Spec {
 // byte-identical (timing fields aside) to computing every cell alone.
 // The per-cell reference calls Cell directly on a fresh grid, which never
 // arms a batch prepare, so each cell recomputes everything from its own
-// split exactly as the pre-batching engine did.
+// split exactly as the pre-batching engine did. The batched side runs on
+// four workers whatever the machine, so concurrent cells read each
+// shared artifact while others are still fitting on it.
 func TestBatchedMatchesPerCell(t *testing.T) {
 	for _, spec := range batchSpecs() {
 		spec := spec
@@ -46,7 +51,9 @@ func TestBatchedMatchesPerCell(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batched, err := mustOpen(t, spec).RunAll()
+			g := mustOpen(t, spec)
+			g.SetWorkers(4)
+			batched, err := g.RunAll()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -48,7 +48,22 @@ func TestGoldenRowsCOMPAS(t *testing.T) {
 // regression; these 45 rows are what pin the other four model families'
 // kernels bit for bit.
 func TestGoldenRowsFig10Adult(t *testing.T) {
-	out, err := mustOpen(t, Spec{Experiment: "fig10", Dataset: "adult", N: 300, Seed: 42}).RunAll()
+	checkFig10Golden(t, "adult", "golden_fig10_adult_seed42.json")
+}
+
+// TestGoldenRowsFig10German pins the same 45-cell grid on German, the
+// smallest benchmark: its few, mostly categorical attributes drive the
+// repairs and the tree and kNN kernels down paths Adult does not take.
+func TestGoldenRowsFig10German(t *testing.T) {
+	checkFig10Golden(t, "german", "golden_fig10_german_seed42.json")
+}
+
+// checkFig10Golden runs the full Figure 10 grid on n=300 tuples of the
+// dataset at seed 42 and compares its rows, timing zeroed, with the
+// golden file.
+func checkFig10Golden(t *testing.T, dataset, file string) {
+	t.Helper()
+	out, err := mustOpen(t, Spec{Experiment: "fig10", Dataset: dataset, N: 300, Seed: 42}).RunAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +74,7 @@ func TestGoldenRowsFig10Adult(t *testing.T) {
 	for i := range rows {
 		rows[i].Row.Seconds, rows[i].Row.Overhead = 0, 0
 	}
-	checkGolden(t, "golden_fig10_adult_seed42.json", rows)
+	checkGolden(t, file, rows)
 }
 
 // checkGolden compares v's indented JSON encoding with testdata/name, or
