@@ -368,9 +368,9 @@ func BenchmarkAblation_ReweighVsResample(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var a fair.Approach
 				if mode == "resample" {
-					a = preproc.NewKamCal(nil, 1)
+					a = preproc.NewKamCal("", 1)
 				} else {
-					a = preproc.NewKamCalWeighted(nil)
+					a = preproc.NewKamCalWeighted("")
 				}
 				if err := a.Fit(train); err != nil {
 					b.Fatal(err)

@@ -320,9 +320,7 @@ func NewApproach(name string, g *Graph, seed int64) (Approach, error) {
 // NewApproachWithModel is NewApproach with an explicit downstream model
 // family for pre- and post-processing ("LR", "SVM", "kNN", "RF", "MLP").
 func NewApproachWithModel(name, model string, g *Graph, seed int64) (Approach, error) {
-	return registry.New(name, registry.Config{
-		Graph: g, Factory: experiments.ModelFactory(model), Seed: seed,
-	})
+	return registry.New(name, registry.Config{Graph: g, Model: model, Seed: seed})
 }
 
 // Baseline returns the fairness-unaware logistic-regression classifier.

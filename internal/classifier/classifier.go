@@ -24,9 +24,25 @@ type Classifier interface {
 	PredictProba(x []float64) float64
 }
 
-// Factory builds fresh classifier instances; approaches use it so each
-// variant trains its own model.
-type Factory func() Classifier
+// New returns a fresh classifier of the named model family with the
+// paper's hyper-parameters: "SVM", "kNN", "RF" or "MLP"; any other name,
+// "LR" and "" included, gives logistic regression. Approaches name their
+// model rather than carry a constructor, so the name can key the
+// artifacts batched cells share.
+func New(model string) Classifier {
+	switch model {
+	case "SVM":
+		return NewSVM()
+	case "kNN":
+		return NewKNN()
+	case "RF":
+		return NewForest()
+	case "MLP":
+		return NewMLP()
+	default:
+		return NewLogistic()
+	}
+}
 
 // Predict thresholds PredictProba at 0.5.
 func Predict(c Classifier, x []float64) int {

@@ -18,6 +18,9 @@ import "sync"
 // arming the cache can never change grid output — only who computes it.
 type BatchCache struct {
 	entries sync.Map // comparable key -> *batchEntry
+	// sweep marks a model sweep: a batch whose cells differ only in their
+	// downstream model (see EnableBatchCache).
+	sweep bool
 }
 
 type batchEntry struct {
@@ -29,22 +32,40 @@ type batchEntry struct {
 // Do returns the memoized value for key, running build exactly once per
 // key across all concurrent callers. An error is memoized too: every
 // caller of a failed key observes the same error, matching what each
-// would have computed alone.
+// would have computed alone. A nil cache memoizes nothing: build runs on
+// every call, the per-cell behavior.
 func (c *BatchCache) Do(key any, build func() (any, error)) (any, error) {
+	if c == nil {
+		return build()
+	}
 	e, _ := c.entries.LoadOrStore(key, &batchEntry{})
 	be := e.(*batchEntry)
 	be.once.Do(func() { be.val, be.err = build() })
 	return be.val, be.err
 }
 
-// EnableBatchCache arms d with a batch cache. Idempotent and safe to call
+// EnableBatchCache arms d with a batch cache. sweep marks a model sweep,
+// a batch whose cells differ only in their downstream model: only there
+// is an artifact that does not depend on the model (a pre-processing
+// repair) worth keeping for the whole batch, since elsewhere it has one
+// consumer. Idempotent (the first arming wins) and safe to call
 // concurrently; intended for batch execution's per-batch prepare step,
 // alongside EnableDesignCache.
-func (d *Dataset) EnableBatchCache() {
-	d.batch.CompareAndSwap(nil, &BatchCache{})
+func (d *Dataset) EnableBatchCache(sweep bool) {
+	d.batch.CompareAndSwap(nil, &BatchCache{sweep: sweep})
 }
 
 // Batch returns the armed batch cache, or nil when the dataset is not
 // under batched execution — callers then compute per cell, the
 // historical behavior.
 func (d *Dataset) Batch() *BatchCache { return d.batch.Load() }
+
+// SweepBatch returns the armed batch cache when it was armed for a model
+// sweep, and nil otherwise — the cache for artifacts only a model sweep
+// reuses.
+func (d *Dataset) SweepBatch() *BatchCache {
+	if c := d.batch.Load(); c != nil && c.sweep {
+		return c
+	}
+	return nil
+}

@@ -37,8 +37,13 @@ func TestMain(m *testing.M) {
 		}
 		os.Exit(0)
 	case "hang":
+		// Write the pid beside the pidfile and rename it into place, so
+		// the parent's killer never reads an empty or partial pid.
 		pidfile := os.Getenv("HELPER_PIDFILE")
-		if err := os.WriteFile(pidfile, []byte(strconv.Itoa(os.Getpid())), 0o644); err != nil {
+		if err := os.WriteFile(pidfile+".tmp", []byte(strconv.Itoa(os.Getpid())), 0o644); err != nil {
+			os.Exit(1)
+		}
+		if err := os.Rename(pidfile+".tmp", pidfile); err != nil {
 			os.Exit(1)
 		}
 		time.Sleep(time.Minute) // the parent kills us long before this

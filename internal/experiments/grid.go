@@ -66,7 +66,8 @@ type Spec struct {
 	// dataset-parameterized drivers (fig7, fig15, cv); the fixed-dataset
 	// figures default to the paper's choice (fig9 → compas, rest → adult).
 	Dataset string `json:"dataset,omitempty"`
-	// N caps the generated dataset size (0 = the paper's full size).
+	// N caps the generated dataset size (0 = the paper's full size, and
+	// at most that size: see synth.PaperSize).
 	N int `json:"n,omitempty"`
 	// Seed is the experiment's global seed.
 	Seed int64 `json:"seed"`
@@ -74,13 +75,17 @@ type Spec struct {
 	// default). fig7/fig9/cv/fig22 always evaluate the full set and
 	// ignore this.
 	Names []string `json:"names,omitempty"`
-	// K is the cross-validation fold count (cv only; default 5).
+	// K is the cross-validation fold count (cv only; default 5; at most
+	// MaxAxis).
 	K int `json:"k,omitempty"`
-	// Runs is the random-fold count (fig22 only; default 10).
+	// Runs is the random-fold count (fig22 only; default 10; at most
+	// MaxAxis).
 	Runs int `json:"runs,omitempty"`
-	// Sizes are the training sizes (fig8rows, fig23; default depends on N).
+	// Sizes are the training sizes (fig8rows, fig23; default depends on N;
+	// at most MaxAxis of them).
 	Sizes []int `json:"sizes,omitempty"`
-	// AttrCounts are the attribute prefixes (fig8attrs; default 2,4,6,8,9).
+	// AttrCounts are the attribute prefixes (fig8attrs; default 2,4,6,8,9;
+	// at most MaxAxis of them).
 	AttrCounts []int `json:"attrCounts,omitempty"`
 	// SampleSize is the fig8attrs sample (default 8000, capped at N).
 	SampleSize int `json:"sampleSize,omitempty"`
@@ -103,6 +108,12 @@ type Spec struct {
 	// rate). Unused — and cleared by Normalize — for the other models.
 	BiasRateNeg float64 `json:"biasRateNeg,omitempty"`
 }
+
+// MaxAxis bounds every count a Spec sets on a grid axis: the approach
+// names, K, Runs, and the number of Sizes and AttrCounts. The paper's
+// largest is 10. Normalize rejects a spec above it, so a request cannot
+// make a process build an arbitrarily large grid.
+const MaxAxis = 100
 
 // Bias-model names Spec.Bias accepts.
 const (
@@ -194,10 +205,14 @@ func (s Spec) Normalize() (Spec, error) {
 	default:
 		return s, fmt.Errorf("experiments: unknown experiment %q", s.Experiment)
 	}
-	switch s.Dataset {
-	case "adult", "compas", "german":
-	default:
+	paper := synth.PaperSize(s.Dataset)
+	if paper == 0 {
 		return s, fmt.Errorf("experiments: unknown dataset %q", s.Dataset)
+	}
+	// Bounded before anything is synthesized: a spec may arrive from an
+	// untrusted request, and n alone sets how much data Open generates.
+	if s.N < 0 || s.N > paper {
+		return s, fmt.Errorf("experiments: n=%d outside [0,%d], the %s paper size (0 selects it)", s.N, paper, s.Dataset)
 	}
 	s.Bias = strings.ToLower(strings.TrimSpace(s.Bias))
 	switch s.Bias {
@@ -240,6 +255,20 @@ func (s Spec) Normalize() (Spec, error) {
 	}
 	if s.Experiment != "fig8attrs" {
 		s.AttrCounts, s.SampleSize = nil, 0
+	}
+	if len(s.Names) > MaxAxis || s.K > MaxAxis || s.Runs > MaxAxis || len(s.Sizes) > MaxAxis || len(s.AttrCounts) > MaxAxis {
+		return s, fmt.Errorf("experiments: %d names, k=%d, runs=%d, %d sizes, %d attrCounts: each must be at most %d",
+			len(s.Names), s.K, s.Runs, len(s.Sizes), len(s.AttrCounts), MaxAxis)
+	}
+	for _, vs := range [][]int{s.Sizes, s.AttrCounts} {
+		for _, v := range vs {
+			if v <= 0 {
+				return s, fmt.Errorf("experiments: sizes and attrCounts must be positive, got %d", v)
+			}
+		}
+	}
+	if s.SampleSize < 0 {
+		return s, fmt.Errorf("experiments: sampleSize=%d is negative", s.SampleSize)
 	}
 	switch s.Experiment {
 	case "cv":
@@ -606,7 +635,7 @@ func (g *Grid) Cell(i int) (Cell, error) {
 	case kindSens:
 		model, name := g.models[i/len(g.names)], g.names[i%len(g.names)]
 		a, err := registry.New(name, registry.Config{
-			Graph: g.graph, Factory: ModelFactory(model), Seed: g.seed,
+			Graph: g.graph, Model: model, Seed: g.seed,
 		})
 		if err != nil {
 			return Cell{}, err
@@ -653,9 +682,11 @@ func (g *Grid) Cell(i int) (Cell, error) {
 // A batch's Prepare arms the shared split's design and batch caches, so
 // cells fitting on it share the standardized design matrix and any other
 // artifact they derive identically (see dataset.BatchCache) instead of
-// each materializing its own. Arming is the only effect: every shared
-// value is bit-identical to what each cell would have computed alone, so
-// a batched run's output is byte-identical to the per-cell path.
+// each materializing its own. The sensitivity grid's batch is a model
+// sweep, so its cells also share each approach's repair. Arming is the
+// only effect: every shared value is bit-identical to what each cell
+// would have computed alone, so a batched run's output is byte-identical
+// to the per-cell path.
 func (g *Grid) Batches() []runner.Batch {
 	switch g.kind {
 	case kindSens:
@@ -663,7 +694,7 @@ func (g *Grid) Batches() []runner.Batch {
 		if len(g.slices) == 0 {
 			return nil
 		}
-		return []runner.Batch{{Start: 0, End: g.Len(), Prepare: armSplit(g.slices[0].train)}}
+		return []runner.Batch{{Start: 0, End: g.Len(), Prepare: armSplit(g.slices[0].train, true)}}
 	case kindScale:
 		cols := len(g.names) + 1
 		batches := make([]runner.Batch, len(g.scale))
@@ -677,7 +708,7 @@ func (g *Grid) Batches() []runner.Batch {
 			batches[si] = runner.Batch{
 				Start:   si * len(g.names),
 				End:     (si + 1) * len(g.names),
-				Prepare: armSplit(g.slices[si].train),
+				Prepare: armSplit(g.slices[si].train, false),
 			}
 		}
 		return batches
@@ -685,11 +716,12 @@ func (g *Grid) Batches() []runner.Batch {
 }
 
 // armSplit is the batch preparation step: it arms the shared training
-// split's caches so the batch's cells share one materialization.
-func armSplit(train *dataset.Dataset) func() error {
+// split's caches so the batch's cells share one materialization; sweep
+// marks a batch whose cells differ only in their model.
+func armSplit(train *dataset.Dataset, sweep bool) func() error {
 	return func() error {
 		train.EnableDesignCache()
-		train.EnableBatchCache()
+		train.EnableBatchCache(sweep)
 		return nil
 	}
 }

@@ -12,21 +12,10 @@ import (
 // experiment (Section 4.5, Appendix F).
 var ModelNames = []string{"LR", "SVM", "kNN", "RF", "MLP"}
 
-// ModelFactory returns the classifier factory for one model-family name
-// with the paper's hyper-parameters.
-func ModelFactory(name string) classifier.Factory {
-	switch name {
-	case "SVM":
-		return func() classifier.Classifier { return classifier.NewSVM() }
-	case "kNN":
-		return func() classifier.Classifier { return classifier.NewKNN() }
-	case "RF":
-		return func() classifier.Classifier { return classifier.NewForest() }
-	case "MLP":
-		return func() classifier.Classifier { return classifier.NewMLP() }
-	default:
-		return func() classifier.Classifier { return classifier.NewLogistic() }
-	}
+// ModelFactory returns a constructor for one model-family name (see
+// classifier.New).
+func ModelFactory(name string) func() classifier.Classifier {
+	return func() classifier.Classifier { return classifier.New(name) }
 }
 
 // SensitivityRow is one (approach, model) evaluation.
@@ -54,8 +43,9 @@ func ModelSensitivity(src *synth.Source, approaches []string, seed int64) ([]Sen
 }
 
 // sensitivityGrid builds the (model family × approach) grid; each cell
-// builds its own classifier factory so no state crosses goroutines or
-// processes.
+// builds its own approach and classifier from the model's name, so no
+// state crosses goroutines or processes except the read-only artifacts
+// its batch shares.
 func sensitivityGrid(src *synth.Source, approaches []string, seed int64) *Grid {
 	if approaches == nil {
 		approaches = DefaultSensitivityApproaches

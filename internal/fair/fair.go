@@ -84,6 +84,11 @@ type Repairer interface {
 // per-tuple prediction loops do), and must not mutate it.
 type TestTransformer interface {
 	TransformRow(x []float64, s int) []float64
+	// Fork returns a transformer that shares the receiver's fitted state,
+	// read-only, and owns fresh scratch. Cells that share one fitted
+	// repair each transform through their own fork, so they can predict
+	// concurrently; none calls TransformRow on the shared instance.
+	Fork() TestTransformer
 }
 
 // Baseline is the fairness-unaware logistic regression the paper overlays
@@ -94,7 +99,9 @@ type TestTransformer interface {
 // constructs its own approach (the runner's determinism contract), and
 // prediction loops within a cell are sequential.
 type Baseline struct {
-	Factory  classifier.Factory
+	// Model names the classifier family (see classifier.New; "" is
+	// logistic regression).
+	Model    string
 	IncludeS bool
 
 	clf    classifier.Classifier
@@ -103,9 +110,7 @@ type Baseline struct {
 }
 
 // NewBaseline returns the default LR baseline with S included.
-func NewBaseline() *Baseline {
-	return &Baseline{Factory: func() classifier.Classifier { return classifier.NewLogistic() }, IncludeS: true}
-}
+func NewBaseline() *Baseline { return &Baseline{IncludeS: true} }
 
 // Name implements Approach.
 func (b *Baseline) Name() string { return "LR" }
@@ -122,12 +127,9 @@ func (b *Baseline) Targets() []Metric { return nil }
 // same training split; the labels and weights are read straight from
 // train (standardization never touches them).
 func (b *Baseline) Fit(train *dataset.Dataset) error {
-	if b.Factory == nil {
-		b.Factory = func() classifier.Classifier { return classifier.NewLogistic() }
-	}
 	std, rows := train.StandardizedDesign(b.IncludeS)
 	b.std = std
-	b.clf = b.Factory()
+	b.clf = classifier.New(b.Model)
 	return b.clf.Fit(rows, train.Y, train.Weights)
 }
 
@@ -168,19 +170,24 @@ func (b *Baseline) Proba(x []float64, s int) float64 {
 
 // PreProcessed wraps a Repairer and a downstream classifier into a
 // complete pre-processing approach. Pre-processing is model-agnostic: the
-// Factory may build any classifier (Section 4.5 swaps it).
+// Model may name any classifier family (Section 4.5 swaps it).
 type PreProcessed struct {
 	ApproachName string
 	Target       []Metric
 	Mechanism    Repairer
-	Factory      classifier.Factory
+	// Model names the downstream classifier family (see classifier.New;
+	// "" is logistic regression).
+	Model string
 	// IncludeS controls whether the downstream model sees S. Approaches
 	// like Feld drop it (their repair makes X independent of S).
 	IncludeS bool
 
-	clf    classifier.Classifier
-	std    *dataset.Standardizer
-	rowBuf []float64
+	clf classifier.Classifier
+	std *dataset.Standardizer
+	// transform is this cell's fork of the fitted mechanism's test
+	// transform (nil when the mechanism has none).
+	transform TestTransformer
+	rowBuf    []float64
 }
 
 // Name implements Approach.
@@ -192,20 +199,64 @@ func (p *PreProcessed) Stage() Stage { return StagePre }
 // Targets implements Approach.
 func (p *PreProcessed) Targets() []Metric { return p.Target }
 
-// Fit repairs the training data and trains the downstream classifier.
-func (p *PreProcessed) Fit(train *dataset.Dataset) error {
-	if p.Factory == nil {
-		p.Factory = func() classifier.Classifier { return classifier.NewLogistic() }
+// repairKey identifies one shareable repair within a model-sweep batch.
+// A repair depends on the approach (its mechanism, configured alike in
+// every cell of a grid) and the training split, never on the downstream
+// model; IncludeS picks the design's columns.
+type repairKey struct {
+	approach string
+	includeS bool
+}
+
+// repairedDesign is the model-independent half of PreProcessed.Fit: the
+// fitted mechanism, the standardizer fitted on its repaired data, and the
+// standardized repaired design with its labels and weights. All of it is
+// read-only once built.
+type repairedDesign struct {
+	mech Repairer
+	std  *dataset.Standardizer
+	x    [][]float64
+	y    []int
+	w    []float64
+}
+
+// repairDesign repairs train with mech and standardizes the result —
+// exactly the computation every sharing cell would run alone, so the
+// memoized result is bit-identical to per-cell fitting.
+func repairDesign(mech Repairer, train *dataset.Dataset, includeS bool) (*repairedDesign, error) {
+	repaired, err := mech.Repair(train)
+	if err != nil {
+		return nil, err
 	}
-	repaired, err := p.Mechanism.Repair(train)
+	std := dataset.FitStandardizer(repaired)
+	work := repaired.Clone()
+	std.Apply(work)
+	return &repairedDesign{mech: mech, std: std, x: work.FeatureMatrix(includeS), y: work.Y, w: work.Weights}, nil
+}
+
+// Fit repairs the training data and trains the downstream classifier.
+//
+// When train is a model sweep's split (see dataset.EnableBatchCache), the
+// cells of one approach share one repair per (approach, IncludeS): the
+// first cell to arrive repairs with its own mechanism, and every cell
+// then fits only its own classifier on the shared design. Metric grids
+// repair per cell: each of their repairs has one consumer, so keeping it
+// for the whole batch would only cost memory.
+func (p *PreProcessed) Fit(train *dataset.Dataset) error {
+	v, err := train.SweepBatch().Do(repairKey{approach: p.ApproachName, includeS: p.IncludeS}, func() (any, error) {
+		return repairDesign(p.Mechanism, train, p.IncludeS)
+	})
 	if err != nil {
 		return fmt.Errorf("%s: repair: %w", p.ApproachName, err)
 	}
-	p.std = dataset.FitStandardizer(repaired)
-	work := repaired.Clone()
-	p.std.Apply(work)
-	p.clf = p.Factory()
-	if err := p.clf.Fit(work.FeatureMatrix(p.IncludeS), work.Y, work.Weights); err != nil {
+	r := v.(*repairedDesign)
+	p.std = r.std
+	p.transform = nil
+	if t, ok := r.mech.(TestTransformer); ok {
+		p.transform = t.Fork()
+	}
+	p.clf = classifier.New(p.Model)
+	if err := p.clf.Fit(r.x, r.y, r.w); err != nil {
 		return fmt.Errorf("%s: fit: %w", p.ApproachName, err)
 	}
 	return nil
@@ -236,8 +287,8 @@ func (p *PreProcessed) PredictOne(x []float64, s int) int {
 // observes (Section 4.2).
 func (p *PreProcessed) PredictIntervened(x []float64, sTrue, sInput int) int {
 	row := x
-	if t, ok := p.Mechanism.(TestTransformer); ok {
-		row = t.TransformRow(x, sTrue)
+	if p.transform != nil {
+		row = p.transform.TransformRow(x, sTrue)
 	}
 	// Copy into the instance scratch before standardizing: row may be the
 	// transformer's reusable buffer, and x itself must stay untouched.
@@ -272,9 +323,11 @@ type PostProcessed struct {
 	ApproachName string
 	Target       []Metric
 	Mechanism    Adjuster
-	Factory      classifier.Factory
-	IncludeS     bool
-	Seed         int64
+	// Model names the base classifier family (see classifier.New; "" is
+	// logistic regression).
+	Model    string
+	IncludeS bool
+	Seed     int64
 
 	base *Baseline
 }
@@ -288,18 +341,18 @@ func (p *PostProcessed) Stage() Stage { return StagePost }
 // Targets implements Approach.
 func (p *PostProcessed) Targets() []Metric { return p.Target }
 
-// postBaseKey identifies one shareable base fit within a batch: with the
-// default LR base (Factory nil), the base model, the held-out part, and
-// the probabilities over it are fully determined by (seed, includeS)
-// given the training split.
+// postBaseKey identifies one shareable base fit within a batch: the base
+// model, the held-out part, and the probabilities over it are fully
+// determined by (model, seed, includeS) given the training split.
 type postBaseKey struct {
+	model    string
 	seed     int64
 	includeS bool
 }
 
-// postBase is the shared artifact of one base fit: the fitted default-LR
-// Baseline (taken by value by each consumer), the held-out 30% part, and
-// the base's probabilities over it. All three are read-only once built.
+// postBase is the shared artifact of one base fit: the fitted Baseline
+// (taken by value by each consumer), the held-out 30% part, and the
+// base's probabilities over it. All three are read-only once built.
 type postBase struct {
 	base    Baseline
 	valPart *dataset.Dataset
@@ -309,11 +362,8 @@ type postBase struct {
 // fitPostBase performs the base-fit half of PostProcessed.Fit — exactly
 // the computation every sharing cell would run alone, so the memoized
 // result is bit-identical to per-cell fitting.
-func fitPostBase(train *dataset.Dataset, includeS bool, seed int64) (*postBase, error) {
-	b := &Baseline{
-		Factory:  func() classifier.Classifier { return classifier.NewLogistic() },
-		IncludeS: includeS,
-	}
+func fitPostBase(train *dataset.Dataset, model string, includeS bool, seed int64) (*postBase, error) {
+	b := &Baseline{Model: model, IncludeS: includeS}
 	fitPart, valPart := train.Split(0.7, rng.New(seed+977))
 	if err := b.Fit(fitPart); err != nil {
 		return nil, err
@@ -332,45 +382,25 @@ func fitPostBase(train *dataset.Dataset, includeS bool, seed int64) (*postBase, 
 // training-set confusion matrix is near-perfect and would mislead the
 // adjuster, which is exactly why post-processing methods fit on holdouts.
 //
-// Under batched grid execution (train's batch cache armed), cells that
-// use the default base share one base fit per (Seed, IncludeS): the
-// split, the fitted model, and the held-out probabilities are identical
-// across them, so only the adjuster differs per cell. Sharing is keyed
-// on Factory == nil because function values have no comparable identity;
-// explicit-factory cells always fit their own base.
+// Under batched grid execution (train's batch cache armed), cells share
+// one base fit per (Model, Seed, IncludeS): the split, the fitted model,
+// and the held-out probabilities are identical across them, so only the
+// adjuster differs per cell.
 func (p *PostProcessed) Fit(train *dataset.Dataset) error {
-	if bc := train.Batch(); bc != nil && p.Factory == nil {
-		v, err := bc.Do(postBaseKey{seed: p.Seed, includeS: p.IncludeS}, func() (any, error) {
-			return fitPostBase(train, p.IncludeS, p.Seed)
-		})
-		if err != nil {
-			return fmt.Errorf("%s: base fit: %w", p.ApproachName, err)
-		}
-		sh := v.(*postBase)
-		// Private Baseline copy per cell: the classifier and standardizer
-		// are read-only after fitting, but the prediction row buffer is
-		// per-instance scratch and must not be shared across cells.
-		b := sh.base
-		b.rowBuf = nil
-		p.base = &b
-		if err := p.Mechanism.FitAdjust(sh.valPart, sh.proba); err != nil {
-			return fmt.Errorf("%s: adjust fit: %w", p.ApproachName, err)
-		}
-		return nil
-	}
-	p.base = &Baseline{Factory: p.Factory, IncludeS: p.IncludeS}
-	if p.base.Factory == nil {
-		p.base.Factory = func() classifier.Classifier { return classifier.NewLogistic() }
-	}
-	fitPart, valPart := train.Split(0.7, rng.New(p.Seed+977))
-	if err := p.base.Fit(fitPart); err != nil {
+	v, err := train.Batch().Do(postBaseKey{model: p.Model, seed: p.Seed, includeS: p.IncludeS}, func() (any, error) {
+		return fitPostBase(train, p.Model, p.IncludeS, p.Seed)
+	})
+	if err != nil {
 		return fmt.Errorf("%s: base fit: %w", p.ApproachName, err)
 	}
-	proba := make([]float64, valPart.Len())
-	for i := range proba {
-		proba[i] = p.base.Proba(valPart.X[i], valPart.S[i])
-	}
-	if err := p.Mechanism.FitAdjust(valPart, proba); err != nil {
+	sh := v.(*postBase)
+	// Private Baseline copy per cell: the classifier and standardizer are
+	// read-only after fitting, but the prediction row buffer is
+	// per-instance scratch and must not be shared across cells.
+	b := sh.base
+	b.rowBuf = nil
+	p.base = &b
+	if err := p.Mechanism.FitAdjust(sh.valPart, sh.proba); err != nil {
 		return fmt.Errorf("%s: adjust fit: %w", p.ApproachName, err)
 	}
 	return nil

@@ -106,6 +106,8 @@ func (sTransformer) TransformRow(x []float64, s int) []float64 {
 	return out
 }
 
+func (t sTransformer) Fork() TestTransformer { return t }
+
 func TestPredictIntervenedUsesTrueGroupForTransform(t *testing.T) {
 	train, test := split(t)
 	p := &PreProcessed{
@@ -115,6 +117,9 @@ func TestPredictIntervenedUsesTrueGroupForTransform(t *testing.T) {
 	}
 	if err := p.Fit(train); err != nil {
 		t.Fatal(err)
+	}
+	if p.transform == nil {
+		t.Fatal("fitted pipeline dropped the mechanism's test transform")
 	}
 	// With S excluded from features and the transform pinned to sTrue,
 	// flipping sInput must never change the prediction.

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 
-	"fairbench/internal/classifier"
 	"fairbench/internal/dataset"
 	"fairbench/internal/fair"
 	"fairbench/internal/lp"
@@ -112,12 +111,12 @@ func (k *KamKar) AdjustedProba(p float64, s int) float64 {
 func (k *KamKar) Theta() float64 { return k.theta }
 
 // NewKamKar returns the evaluated Kam-Kar^dp approach.
-func NewKamKar(factory classifier.Factory, seed int64) fair.Approach {
+func NewKamKar(model string, seed int64) fair.Approach {
 	return &fair.PostProcessed{
 		ApproachName: "KamKar-DP",
 		Target:       []fair.Metric{fair.MetricDI},
 		Mechanism:    &KamKar{},
-		Factory:      factory,
+		Model:        model,
 		IncludeS:     true,
 		Seed:         seed,
 	}
@@ -220,12 +219,12 @@ func (h *Hardt) AdjustedProba(p float64, s int) float64 {
 func (h *Hardt) MixingRates() (alpha, beta [2]float64) { return h.alpha, h.beta }
 
 // NewHardt returns the evaluated Hardt^eo approach.
-func NewHardt(factory classifier.Factory, seed int64) fair.Approach {
+func NewHardt(model string, seed int64) fair.Approach {
 	return &fair.PostProcessed{
 		ApproachName: "Hardt-EO",
 		Target:       []fair.Metric{fair.MetricTPRB, fair.MetricTNRB},
 		Mechanism:    &Hardt{},
-		Factory:      factory,
+		Model:        model,
 		IncludeS:     true,
 		Seed:         seed,
 	}
@@ -304,12 +303,12 @@ func (pl *Pleiss) AdjustedProba(p float64, s int) float64 {
 func (pl *Pleiss) Alpha() float64 { return pl.alpha }
 
 // NewPleiss returns the evaluated Pleiss^eop approach.
-func NewPleiss(factory classifier.Factory, seed int64) fair.Approach {
+func NewPleiss(model string, seed int64) fair.Approach {
 	return &fair.PostProcessed{
 		ApproachName: "Pleiss-EOP",
 		Target:       []fair.Metric{fair.MetricTPRB},
 		Mechanism:    &Pleiss{},
-		Factory:      factory,
+		Model:        model,
 		IncludeS:     true,
 		Seed:         seed,
 	}

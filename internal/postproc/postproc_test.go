@@ -34,7 +34,7 @@ func TestKamKarImprovesDI(t *testing.T) {
 	b := fair.NewBaseline()
 	byhat := fitPredict(t, b, train, test)
 	base := metrics.DIStar(metrics.DisparateImpact(test, byhat))
-	a := NewKamKar(nil, 3)
+	a := NewKamKar("", 3)
 	yhat := fitPredict(t, a, train, test)
 	di := metrics.DIStar(metrics.DisparateImpact(test, yhat))
 	if di < base || di < 0.9 {
@@ -44,7 +44,7 @@ func TestKamKarImprovesDI(t *testing.T) {
 
 func TestKamKarThetaTuned(t *testing.T) {
 	train, _ := trainTest(t, 2000)
-	a := NewKamKar(nil, 3)
+	a := NewKamKar("", 3)
 	if err := a.Fit(train); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestHardtEqualizesOdds(t *testing.T) {
 	byhat := fitPredict(t, b, train, test)
 	baseTPRB := math.Abs(metrics.TPRBalance(test, byhat))
 	baseTNRB := math.Abs(metrics.TNRBalance(test, byhat))
-	a := NewHardt(nil, 5)
+	a := NewHardt("", 5)
 	yhat := fitPredict(t, a, train, test)
 	tprb := math.Abs(metrics.TPRBalance(test, yhat))
 	tnrb := math.Abs(metrics.TNRBalance(test, yhat))
@@ -81,7 +81,7 @@ func TestPleissShrinksTPRGap(t *testing.T) {
 	b := fair.NewBaseline()
 	byhat := fitPredict(t, b, train, test)
 	baseTPRB := math.Abs(metrics.TPRBalance(test, byhat))
-	a := NewPleiss(nil, 7)
+	a := NewPleiss("", 7)
 	yhat := fitPredict(t, a, train, test)
 	tprb := math.Abs(metrics.TPRBalance(test, yhat))
 	if tprb > baseTPRB+0.03 {
@@ -98,7 +98,7 @@ func TestPostProcessingViolatesID(t *testing.T) {
 	// the adjustment, so ID is substantially worse than for approaches
 	// that drop S.
 	train, test := trainTest(t, 3000)
-	a := NewKamKar(nil, 3)
+	a := NewKamKar("", 3)
 	fitPredict(t, a, train, test)
 	id := metrics.IndividualDiscrimination(test, a.(*fair.PostProcessed))
 	if id < 0.05 {
@@ -108,8 +108,8 @@ func TestPostProcessingViolatesID(t *testing.T) {
 
 func TestPredictReproducible(t *testing.T) {
 	train, test := trainTest(t, 2000)
-	a1 := NewHardt(nil, 9)
-	a2 := NewHardt(nil, 9)
+	a1 := NewHardt("", 9)
+	a2 := NewHardt("", 9)
 	y1 := fitPredict(t, a1, train, test)
 	y2 := fitPredict(t, a2, train, test)
 	for i := range y1 {
@@ -120,7 +120,7 @@ func TestPredictReproducible(t *testing.T) {
 }
 
 func TestStages(t *testing.T) {
-	for _, a := range []fair.Approach{NewKamKar(nil, 1), NewHardt(nil, 1), NewPleiss(nil, 1)} {
+	for _, a := range []fair.Approach{NewKamKar("", 1), NewHardt("", 1), NewPleiss("", 1)} {
 		if a.Stage() != fair.StagePost {
 			t.Fatalf("%s: stage %v", a.Name(), a.Stage())
 		}

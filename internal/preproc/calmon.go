@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 
-	"fairbench/internal/classifier"
 	"fairbench/internal/dataset"
 	"fairbench/internal/fair"
 	"fairbench/internal/optimize"
@@ -49,8 +48,8 @@ type Calmon struct {
 	origMean [2]float64
 
 	// Per-instance scratch reused by the repair-application and
-	// TransformRow hot loops (one Calmon instance serves one grid cell;
-	// predictions are sequential within a cell).
+	// TransformRow hot loops (each grid cell transforms through its own
+	// fork; predictions are sequential within a cell).
 	binScratch []int
 	rowScratch []float64
 	expScratch []float64
@@ -487,13 +486,21 @@ func (c *Calmon) TransformRow(x []float64, s int) []float64 {
 	return out
 }
 
+// Fork implements fair.TestTransformer: the fork shares the fitted
+// mapping and owns its bin, row and expectation scratch.
+func (c *Calmon) Fork() fair.TestTransformer {
+	f := *c
+	f.binScratch, f.rowScratch, f.expScratch = nil, nil, nil
+	return &f
+}
+
 // NewCalmon returns the evaluated Calmon^dp approach.
-func NewCalmon(factory classifier.Factory, seed int64) fair.Approach {
+func NewCalmon(model string, seed int64) fair.Approach {
 	return &fair.PreProcessed{
 		ApproachName: "Calmon-DP",
 		Target:       []fair.Metric{fair.MetricDI},
 		Mechanism:    &Calmon{Seed: seed},
-		Factory:      factory,
+		Model:        model,
 		IncludeS:     true,
 	}
 }

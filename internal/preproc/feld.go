@@ -3,7 +3,6 @@ package preproc
 import (
 	"sort"
 
-	"fairbench/internal/classifier"
 	"fairbench/internal/dataset"
 	"fairbench/internal/fair"
 	"fairbench/internal/stats"
@@ -26,8 +25,9 @@ type Feld struct {
 	// categorical attributes (left unrepaired, as in the reference
 	// implementation which targets ordinal features).
 	groupCols [][2][]float64
-	// rowScratch backs TransformRow's result between calls (one Feld
-	// instance serves one grid cell; predictions are sequential).
+	// rowScratch backs TransformRow's result between calls (each grid
+	// cell transforms through its own fork; its predictions are
+	// sequential).
 	rowScratch []float64
 }
 
@@ -108,13 +108,21 @@ func (f *Feld) TransformRow(x []float64, s int) []float64 {
 	return out
 }
 
+// Fork implements fair.TestTransformer: the fork shares the fitted
+// quantile maps and owns its row scratch.
+func (f *Feld) Fork() fair.TestTransformer {
+	c := *f
+	c.rowScratch = nil
+	return &c
+}
+
 // NewFeld returns the evaluated Feld^dp approach at full repair (λ=1).
-func NewFeld(factory classifier.Factory) fair.Approach {
+func NewFeld(model string) fair.Approach {
 	return &fair.PreProcessed{
 		ApproachName: "Feld-DP",
 		Target:       []fair.Metric{fair.MetricDI},
 		Mechanism:    &Feld{Lambda: 1},
-		Factory:      factory,
+		Model:        model,
 		IncludeS:     false, // Feld discards S when training (Section 4.2)
 	}
 }

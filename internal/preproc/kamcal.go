@@ -7,10 +7,19 @@
 package preproc
 
 import (
-	"fairbench/internal/classifier"
 	"fairbench/internal/dataset"
 	"fairbench/internal/fair"
 	"fairbench/internal/rng"
+)
+
+// The mechanisms that transform test data. A TransformRow without Fork
+// would not satisfy fair.TestTransformer, and PreProcessed would then
+// skip the test transform without a word; these assertions make it a
+// compile error instead.
+var (
+	_ fair.TestTransformer = (*Feld)(nil)
+	_ fair.TestTransformer = (*Calmon)(nil)
+	_ fair.TestTransformer = (*Madras)(nil)
 )
 
 // KamCal implements Kamiran & Calders' reweighing pre-processor targeting
@@ -71,24 +80,24 @@ func (k *KamCal) Repair(train *dataset.Dataset) (*dataset.Dataset, error) {
 }
 
 // NewKamCal returns the evaluated Kam-Cal^dp approach with the given
-// downstream classifier factory (nil = logistic regression).
-func NewKamCal(factory classifier.Factory, seed int64) fair.Approach {
+// downstream model family ("" = logistic regression).
+func NewKamCal(model string, seed int64) fair.Approach {
 	return &fair.PreProcessed{
 		ApproachName: "KamCal-DP",
 		Target:       []fair.Metric{fair.MetricDI},
 		Mechanism:    &KamCal{Resample: true, Seed: seed},
-		Factory:      factory,
+		Model:        model,
 		IncludeS:     true,
 	}
 }
 
 // NewKamCalWeighted returns the instance-weighting ablation variant.
-func NewKamCalWeighted(factory classifier.Factory) fair.Approach {
+func NewKamCalWeighted(model string) fair.Approach {
 	return &fair.PreProcessed{
 		ApproachName: "KamCal-DP-Weighted",
 		Target:       []fair.Metric{fair.MetricDI},
 		Mechanism:    &KamCal{Resample: false},
-		Factory:      factory,
+		Model:        model,
 		IncludeS:     true,
 	}
 }

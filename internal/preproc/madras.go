@@ -3,7 +3,6 @@ package preproc
 import (
 	"math"
 
-	"fairbench/internal/classifier"
 	"fairbench/internal/dataset"
 	"fairbench/internal/fair"
 	"fairbench/internal/matrix"
@@ -168,13 +167,20 @@ func (m *Madras) TransformRow(x []float64, _ int) []float64 {
 	return m.encode(x)
 }
 
+// Fork implements fair.TestTransformer: the fork shares the fitted
+// encoder (TransformRow keeps no scratch).
+func (m *Madras) Fork() fair.TestTransformer {
+	c := *m
+	return &c
+}
+
 // NewMadras returns the appendix's Madras^dp approach.
-func NewMadras(factory classifier.Factory, seed int64) fair.Approach {
+func NewMadras(model string, seed int64) fair.Approach {
 	return &fair.PreProcessed{
 		ApproachName: "Madras-DP",
 		Target:       []fair.Metric{fair.MetricDI},
 		Mechanism:    &Madras{Seed: seed},
-		Factory:      factory,
+		Model:        model,
 		IncludeS:     false,
 	}
 }

@@ -49,7 +49,7 @@ func TestMadrasImprovesDI(t *testing.T) {
 	byhat, _ := base.Predict(test)
 	baseDI := metrics.DIStar(metrics.DisparateImpact(test, byhat))
 
-	a := NewMadras(nil, 7)
+	a := NewMadras("", 7)
 	if err := a.Fit(train); err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 
-	"fairbench/internal/classifier"
 	"fairbench/internal/dataset"
 	"fairbench/internal/fair"
 	"fairbench/internal/nmf"
@@ -464,23 +463,23 @@ func topCorrelated(d *dataset.Dataset, cols []int, k int) []int {
 }
 
 // NewSalimiMaxSAT returns the evaluated Salimi^jf_MaxSAT approach.
-func NewSalimiMaxSAT(factory classifier.Factory, seed int64) fair.Approach {
+func NewSalimiMaxSAT(model string, seed int64) fair.Approach {
 	return &fair.PreProcessed{
 		ApproachName: "Salimi-JF-MaxSAT",
 		Target:       []fair.Metric{fair.MetricTE},
 		Mechanism:    &Salimi{Inadmissible: DefaultInadmissible, Seed: seed},
-		Factory:      factory,
+		Model:        model,
 		IncludeS:     true,
 	}
 }
 
 // NewSalimiMatFac returns the evaluated Salimi^jf_MatFac approach.
-func NewSalimiMatFac(factory classifier.Factory, seed int64) fair.Approach {
+func NewSalimiMatFac(model string, seed int64) fair.Approach {
 	return &fair.PreProcessed{
 		ApproachName: "Salimi-JF-MatFac",
 		Target:       []fair.Metric{fair.MetricTE},
 		Mechanism:    &Salimi{Inadmissible: DefaultInadmissible, UseMatFac: true, Seed: seed},
-		Factory:      factory,
+		Model:        model,
 		IncludeS:     true,
 	}
 }

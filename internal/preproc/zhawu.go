@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"fairbench/internal/causal"
-	"fairbench/internal/classifier"
 	"fairbench/internal/dataset"
 	"fairbench/internal/fair"
 )
@@ -150,23 +149,23 @@ func (z *ZhaWu) repairStratum(d *dataset.Dataset, idx []int, tol float64) {
 }
 
 // NewZhaWuPSF returns the evaluated Zha-Wu^psf approach.
-func NewZhaWuPSF(g *causal.Graph, factory classifier.Factory) fair.Approach {
+func NewZhaWuPSF(g *causal.Graph, model string) fair.Approach {
 	return &fair.PreProcessed{
 		ApproachName: "ZhaWu-PSF",
 		Target:       []fair.Metric{fair.MetricTE},
 		Mechanism:    &ZhaWu{Graph: g, PathSpecific: true},
-		Factory:      factory,
+		Model:        model,
 		IncludeS:     true,
 	}
 }
 
 // NewZhaWuDCE returns the evaluated Zha-Wu^dce approach.
-func NewZhaWuDCE(g *causal.Graph, factory classifier.Factory) fair.Approach {
+func NewZhaWuDCE(g *causal.Graph, model string) fair.Approach {
 	return &fair.PreProcessed{
 		ApproachName: "ZhaWu-DCE",
 		Target:       []fair.Metric{fair.MetricTE},
 		Mechanism:    &ZhaWu{Graph: g, PathSpecific: false},
-		Factory:      factory,
+		Model:        model,
 		IncludeS:     true,
 	}
 }

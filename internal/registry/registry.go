@@ -1,8 +1,8 @@
 // Package registry enumerates the 18 evaluated fair-classification
 // variants of the paper (Figure 5, rightmost column) and constructs them
 // with their paper hyper-parameters. Causal approaches receive the
-// dataset's causal graph; pre- and post-processing approaches receive a
-// downstream classifier factory (logistic regression unless the
+// dataset's causal graph; pre- and post-processing approaches receive the
+// name of their downstream model family (logistic regression unless the
 // model-sensitivity experiment swaps it).
 package registry
 
@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"fairbench/internal/causal"
-	"fairbench/internal/classifier"
 	"fairbench/internal/fair"
 	"fairbench/internal/inproc"
 	"fairbench/internal/postproc"
@@ -23,9 +22,9 @@ type Config struct {
 	// Graph is the dataset's causal model (required by the Zha-Wu
 	// variants; nil disables them).
 	Graph *causal.Graph
-	// Factory builds downstream classifiers for pre- and post-processing
-	// (nil = logistic regression).
-	Factory classifier.Factory
+	// Model names the downstream classifier family of pre- and
+	// post-processing (see classifier.New; "" = logistic regression).
+	Model string
 	// Seed drives every stochastic component.
 	Seed int64
 }
@@ -48,31 +47,29 @@ var ExtendedNames = []string{"Madras-DP", "Agarwal-DP", "Agarwal-EO"}
 func New(name string, cfg Config) (fair.Approach, error) {
 	switch name {
 	case "Madras-DP":
-		return preproc.NewMadras(cfg.Factory, cfg.Seed), nil
+		return preproc.NewMadras(cfg.Model, cfg.Seed), nil
 	case "Agarwal-DP":
 		return inproc.NewAgarwalDP(), nil
 	case "Agarwal-EO":
 		return inproc.NewAgarwalEO(), nil
 	case "LR":
 		b := fair.NewBaseline()
-		if cfg.Factory != nil {
-			b.Factory = cfg.Factory
-		}
+		b.Model = cfg.Model
 		return b, nil
 	case "KamCal-DP":
-		return preproc.NewKamCal(cfg.Factory, cfg.Seed), nil
+		return preproc.NewKamCal(cfg.Model, cfg.Seed), nil
 	case "Feld-DP":
-		return preproc.NewFeld(cfg.Factory), nil
+		return preproc.NewFeld(cfg.Model), nil
 	case "Calmon-DP":
-		return preproc.NewCalmon(cfg.Factory, cfg.Seed), nil
+		return preproc.NewCalmon(cfg.Model, cfg.Seed), nil
 	case "ZhaWu-PSF":
-		return preproc.NewZhaWuPSF(cfg.Graph, cfg.Factory), nil
+		return preproc.NewZhaWuPSF(cfg.Graph, cfg.Model), nil
 	case "ZhaWu-DCE":
-		return preproc.NewZhaWuDCE(cfg.Graph, cfg.Factory), nil
+		return preproc.NewZhaWuDCE(cfg.Graph, cfg.Model), nil
 	case "Salimi-JF-MaxSAT":
-		return preproc.NewSalimiMaxSAT(cfg.Factory, cfg.Seed), nil
+		return preproc.NewSalimiMaxSAT(cfg.Model, cfg.Seed), nil
 	case "Salimi-JF-MatFac":
-		return preproc.NewSalimiMatFac(cfg.Factory, cfg.Seed), nil
+		return preproc.NewSalimiMatFac(cfg.Model, cfg.Seed), nil
 	case "Zafar-DP-Fair":
 		return inproc.NewZafarDPFair(), nil
 	case "Zafar-DP-Acc":
@@ -90,11 +87,11 @@ func New(name string, cfg Config) (fair.Approach, error) {
 	case "Thomas-EO":
 		return inproc.NewThomasEO(cfg.Seed), nil
 	case "KamKar-DP":
-		return postproc.NewKamKar(cfg.Factory, cfg.Seed), nil
+		return postproc.NewKamKar(cfg.Model, cfg.Seed), nil
 	case "Hardt-EO":
-		return postproc.NewHardt(cfg.Factory, cfg.Seed), nil
+		return postproc.NewHardt(cfg.Model, cfg.Seed), nil
 	case "Pleiss-EOP":
-		return postproc.NewPleiss(cfg.Factory, cfg.Seed), nil
+		return postproc.NewPleiss(cfg.Model, cfg.Seed), nil
 	default:
 		return nil, fmt.Errorf("registry: unknown approach %q", name)
 	}

@@ -574,6 +574,18 @@ func TestRequestValidation(t *testing.T) {
 		t.Fatalf("unknown field: code %d", resp.StatusCode)
 	}
 
+	// A size beyond the dataset's paper size is refused before anything
+	// is synthesized.
+	resp, err = http.Post(ts.URL+"/runs", "application/json",
+		strings.NewReader(`{"experiment":"fig7","dataset":"german","n":1001,"seed":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("n above the paper size: code %d", resp.StatusCode)
+	}
+
 	code, _, _ := get(t, ts.URL+"/runs/nope")
 	if code != http.StatusNotFound {
 		t.Fatalf("unknown run status: code %d", code)

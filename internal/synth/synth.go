@@ -30,6 +30,22 @@ import (
 	"fairbench/internal/rng"
 )
 
+// PaperSize returns the paper size of the named benchmark ("adult",
+// "compas" or "german"), or 0 for any other name: the tuple count its
+// generator produces for n <= 0, and the largest n a grid spec may
+// request.
+func PaperSize(dataset string) int {
+	switch dataset {
+	case "adult":
+		return 45222
+	case "compas":
+		return 7214
+	case "german":
+		return 1000
+	}
+	return 0
+}
+
 // Source bundles a generated dataset with the causal graph it was sampled
 // from. The graph drives the causal fairness metrics and the causal
 // pre-processing approaches.
@@ -109,7 +125,7 @@ func clip(v, lo, hi float64) float64 {
 func Adult(n int, seed int64) *Source {
 	nArg := n // provenance records the cap argument (0 = paper size)
 	if n <= 0 {
-		n = 45222
+		n = PaperSize("adult")
 	}
 	g := rng.New(seed)
 	attrs := []dataset.Attr{
@@ -237,7 +253,7 @@ func adultGraph() *causal.Graph {
 func COMPAS(n int, seed int64) *Source {
 	nArg := n
 	if n <= 0 {
-		n = 7214
+		n = PaperSize("compas")
 	}
 	g := rng.New(seed)
 	attrs := []dataset.Attr{
@@ -292,7 +308,7 @@ func compasGraph() *causal.Graph {
 func German(n int, seed int64) *Source {
 	nArg := n
 	if n <= 0 {
-		n = 1000
+		n = PaperSize("german")
 	}
 	g := rng.New(seed)
 	attrs := []dataset.Attr{
