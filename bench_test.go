@@ -1,6 +1,7 @@
 package fairbench
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -12,7 +13,6 @@ import (
 	"fairbench/internal/preproc"
 	"fairbench/internal/registry"
 	"fairbench/internal/rng"
-	"fairbench/internal/runner"
 	"fairbench/internal/store"
 	"fairbench/internal/synth"
 )
@@ -47,13 +47,19 @@ func BenchmarkFig7_German(b *testing.B) { benchFig7(b, synth.German(benchGermanN
 // BENCH_parallel.json.
 
 func benchEvalAllWorkers(b *testing.B, workers int) {
-	src := synth.COMPAS(benchCompasN, 1)
-	runner.SetParallelism(workers)
-	defer runner.SetParallelism(0)
+	spec := GridSpec{Experiment: "fig7", Dataset: "compas", N: benchCompasN, Seed: 1}
+	if _, err := experiments.Open(spec); err != nil { // synthesize outside the timer
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.CorrectnessFairness(src, 1); err != nil {
+		g, err := experiments.Open(spec) // uncached: every cell computes
+		if err != nil {
+			b.Fatal(err)
+		}
+		g.SetWorkers(workers)
+		if _, err := g.RunAll(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -220,15 +226,14 @@ func BenchmarkShardMerge(b *testing.B) {
 
 var benchCacheSpec = GridSpec{Experiment: "fig7", Dataset: "german", N: 300, Seed: 1}
 
-// benchRunShardCached runs one cached shard against an explicit cache
-// directory — what the removed facade wrapper RunShardCached did, spelled
-// out on the internal API the engine path uses.
-func benchRunShardCached(spec GridSpec, dir string) (*ShardEnvelope, error) {
+// benchCachedShard runs the whole grid as one shard against an explicit
+// cache directory, on the internal API the engine path uses.
+func benchCachedShard(spec GridSpec, dir string) (*ShardEnvelope, error) {
 	s, err := store.Open(dir)
 	if err != nil {
 		return nil, err
 	}
-	return experiments.RunShardCached(spec, 0, 1, s)
+	return experiments.RunShardContext(context.Background(), spec, 0, 1, s, 0)
 }
 
 func BenchmarkRunShardCold(b *testing.B) {
@@ -237,7 +242,7 @@ func BenchmarkRunShardCold(b *testing.B) {
 		b.StopTimer()
 		dir := b.TempDir() // a fresh, empty cache every iteration
 		b.StartTimer()
-		if _, err := benchRunShardCached(benchCacheSpec, dir); err != nil {
+		if _, err := benchCachedShard(benchCacheSpec, dir); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -245,7 +250,7 @@ func BenchmarkRunShardCold(b *testing.B) {
 
 func BenchmarkRunShardWarm(b *testing.B) {
 	dir := b.TempDir()
-	env, err := benchRunShardCached(benchCacheSpec, dir) // populate
+	env, err := benchCachedShard(benchCacheSpec, dir) // populate
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -253,7 +258,7 @@ func BenchmarkRunShardWarm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env, err := benchRunShardCached(benchCacheSpec, dir)
+		env, err := benchCachedShard(benchCacheSpec, dir)
 		if err != nil {
 			b.Fatal(err)
 		}

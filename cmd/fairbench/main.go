@@ -17,19 +17,26 @@
 //	fairbench serve  -state DIR [-addr HOST:PORT]    benchmark-as-a-service daemon
 //	fairbench worker   -manifest M -shard I -out O   (spawned by dispatch/sched)
 //
-// -n caps the generated dataset size (0 = the paper's full size); smaller
-// values keep exploratory runs fast. -parallel N sets the experiment
+// Every figure command runs its grid (one per dataset for fig7, fig15
+// and cv under -dataset all; both grids for fig8) on the engine's
+// in-process backend — the grid a dispatched, scheduled, or served run
+// of the same flags merges into, so all of them print the same tables.
+//
+// -n caps the generated dataset size (0 = the paper's full size, and at
+// most that size: Adult 45222, COMPAS 7214, German 1000); smaller values
+// keep exploratory runs fast. -parallel N sets the experiment
 // worker-pool size (0 = GOMAXPROCS, 1 = serial): metric columns are
 // identical at any setting for a fixed seed, while the incidental
 // overhead column of the metric experiments reflects the selected
 // concurrency. The pure timing experiment (fig8) always measures with
 // one worker so its overhead curves stay contention-free.
 //
-// -cache DIR (any figure command, dispatch, or -shard run) installs the
-// on-disk result cache: cells already computed for the same grid
+// -cache DIR (any figure command, dispatch, sched, or -shard run) names
+// the on-disk result cache: cells already computed for the same grid
 // fingerprint, seed, and architecture are served from disk, so re-runs
 // only compute what is missing while printing byte-identical metric
-// columns.
+// columns. A figure command reports on stderr how many cells it
+// computed and how many the cache served.
 //
 // -bias MODEL -bias-rate R [-bias-rate-neg R] (any figure command,
 // dispatch, or sched) inject parameterized data bias into the training
@@ -57,7 +64,7 @@
 //	fairbench fig7 -dataset compas -shard 2/3 -out part2.json   # any host
 //	fairbench merge part0.json part1.json part2.json
 //
-// The merged tables are bit-identical (timing columns aside) to the
+// The merged tables are byte-identical (timing columns aside) to the
 // single-process run with the same flags, because the datasets are
 // synthesized from the seed: the (experiment, dataset, n, seed, …) spec
 // embedded in each envelope fully determines every grid cell. merge
@@ -142,8 +149,8 @@ var shardableCommands = map[string]string{
 	"cv": "cv", "fig22": "fig22", "fig23": "fig23",
 }
 
-// parallelism carries the parsed -parallel value into the engine-backed
-// commands as RunOptions.Parallelism (0 = one worker per CPU).
+// parallelism carries the parsed -parallel value into every grid
+// command as RunOptions.Parallelism (0 = one worker per CPU).
 var parallelism int
 
 func main() {
@@ -155,7 +162,7 @@ func main() {
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	datasetFlag := fs.String("dataset", "all", "adult|compas|german|all")
 	approachFlag := fs.String("approach", "", "approach name for eval (see list)")
-	nFlag := fs.Int("n", 0, "dataset size cap (0 = paper size)")
+	nFlag := fs.Int("n", 0, "dataset size cap, at most the paper size (0 = paper size: adult 45222, compas 7214, german 1000)")
 	kFlag := fs.Int("k", 5, "cross-validation folds")
 	runsFlag := fs.Int("runs", 10, "stability runs")
 	seedFlag := fs.Int64("seed", 1, "global seed")
@@ -187,14 +194,7 @@ func main() {
 	cpuProfFlag := fs.String("cpuprofile", "", "write a CPU profile of this command to the file (inspect with go tool pprof)")
 	memProfFlag := fs.String("memprofile", "", "write an allocation profile of this command to the file (inspect with go tool pprof)")
 	fs.Parse(os.Args[2:])
-	// -parallel feeds both pool knobs: RunOptions.Parallelism for the
-	// engine-backed commands, and the deprecated process-global default
-	// for the Source-based commands that predate the options struct.
 	parallelism = *parallelFlag
-	fairbench.SetParallelism(*parallelFlag)
-	if *cacheFlag != "" || *remoteStoreFlag != "" {
-		exitIf(fairbench.CacheRemote(*cacheFlag, *remoteStoreFlag))
-	}
 	exitIf(startProfiles(*cpuProfFlag, *memProfFlag))
 	bias := biasSpec{model: *biasFlag, rate: *biasRateFlag, rateNeg: *biasRateNegFlag}
 
@@ -233,25 +233,20 @@ func main() {
 	if *shardFlag != "" {
 		spec, err := specFor(cmd, *datasetFlag, *nFlag, *kFlag, *runsFlag, *gridFlag, *seedFlag, bias)
 		if err == nil {
-			// A -cache directory, if given, is already installed process-wide,
-			// so RunShard serves verified hits and records provenance.
-			err = cmdShard(spec, *shardFlag, *outFlag)
+			err = cmdShard(spec, *shardFlag, *outFlag, *cacheFlag, *remoteStoreFlag)
 		}
 		exit(err)
 	}
 
-	if bias.set() {
-		// Bias injection is a grid dimension, so a biased serial figure run
-		// routes through the same spec→engine path the dispatch/sched/serve
-		// backends use — its tables (titles included) are then byte-identical
-		// to the merged shards of the same spec.
-		if _, ok := shardableCommands[cmd]; ok || cmd == "fig8" {
-			exit(cmdBiasedFigure(cmd, *datasetFlag, *nFlag, *kFlag, *runsFlag, *gridFlag,
-				*seedFlag, bias, *outFlag))
-		}
-		if cmd != "dispatch" {
-			exit(fmt.Errorf("-bias/-bias-rate/-bias-rate-neg apply to figure, dispatch, and sched commands, not %q", cmd))
-		}
+	figure := func(c, ds, out string) error {
+		return cmdFigure(c, ds, *nFlag, *kFlag, *runsFlag, *gridFlag, *seedFlag, bias,
+			*cacheFlag, *remoteStoreFlag, out)
+	}
+	if _, ok := shardableCommands[cmd]; ok || cmd == "fig8" {
+		exit(figure(cmd, *datasetFlag, *outFlag))
+	}
+	if bias.set() && cmd != "dispatch" {
+		exit(fmt.Errorf("-bias/-bias-rate/-bias-rate-neg apply to figure, dispatch, and sched commands, not %q", cmd))
 	}
 
 	var err error
@@ -260,22 +255,6 @@ func main() {
 		err = cmdList()
 	case "eval":
 		err = cmdEval(*datasetFlag, *approachFlag, *nFlag, *seedFlag)
-	case "fig7":
-		err = cmdFig7(*datasetFlag, *nFlag, *seedFlag)
-	case "fig8":
-		err = cmdFig8(*nFlag, *seedFlag)
-	case "fig9":
-		err = cmdFig9(*nFlag, *seedFlag)
-	case "fig10":
-		err = cmdFig10(*nFlag, *seedFlag)
-	case "fig15":
-		err = cmdFig15(*datasetFlag, *nFlag, *seedFlag)
-	case "cv":
-		err = cmdCV(*datasetFlag, *nFlag, *kFlag, *seedFlag)
-	case "fig22":
-		err = cmdFig22(*nFlag, *runsFlag, *seedFlag)
-	case "fig23":
-		err = cmdFig23(*nFlag, *seedFlag)
 	case "merge":
 		err = cmdMerge(fs.Args(), *outFlag)
 	case "dispatch":
@@ -284,16 +263,8 @@ func main() {
 	case "resume":
 		err = cmdResume(*dirFlag, *procsFlag, *retriesFlag, *outFlag)
 	case "all":
-		for _, c := range []func() error{
-			func() error { return cmdFig7("all", *nFlag, *seedFlag) },
-			func() error { return cmdFig8(*nFlag, *seedFlag) },
-			func() error { return cmdFig9(*nFlag, *seedFlag) },
-			func() error { return cmdFig10(*nFlag, *seedFlag) },
-			func() error { return cmdCV("all", *nFlag, *kFlag, *seedFlag) },
-			func() error { return cmdFig22(*nFlag, *runsFlag, *seedFlag) },
-			func() error { return cmdFig23(*nFlag, *seedFlag) },
-		} {
-			if err = c(); err != nil {
+		for _, c := range []string{"fig7", "fig8", "fig9", "fig10", "cv", "fig22", "fig23"} {
+			if err = figure(c, "all", ""); err != nil {
 				break
 			}
 		}
@@ -378,6 +349,9 @@ func startProfiles(cpuPath, memPath string) error {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: fairbench <list|eval|fig7|fig8|fig9|fig10|fig15|cv|fig22|fig23|merge|all> [flags]
+       fairbench <figN|cv|all> [-dataset D] [-n N] [-seed S] [-parallel P]
+                 [-cache DIR] [-remote-store URL] [-out merged.json]
+                 run the figure's grids in process (n at most the paper size)
        fairbench <figN|cv> ... [-bias under|label -bias-rate R [-bias-rate-neg R]]
                  inject parameterized data bias (grid commands only)
        fairbench <figN|cv> ... -shard i/K [-out part.json] [-cache DIR]  run one grid shard
@@ -462,7 +436,7 @@ func cmdDispatch(exp, ds string, n, k, runs int, seed int64, bias biasSpec,
 	if err != nil {
 		return err
 	}
-	return renderRun(merged, rep, out)
+	return renderRun(merged, rep, nil, out)
 }
 
 func cmdResume(dir string, procs, retries int, out string) error {
@@ -477,7 +451,7 @@ func cmdResume(dir string, procs, retries int, out string) error {
 	if err != nil {
 		return err
 	}
-	return renderRun(merged, rep, out)
+	return renderRun(merged, rep, nil, out)
 }
 
 // cmdSched runs a grid across a pool of hosts and prints the merged
@@ -524,7 +498,7 @@ func cmdSched(exp, ds string, n, k, runs int, seed int64, bias biasSpec, dir, ca
 	if err != nil {
 		return err
 	}
-	return renderRun(merged, rep, out)
+	return renderRun(merged, rep, nil, out)
 }
 
 // cmdServe runs the benchmark-as-a-service daemon: grids submitted
@@ -647,17 +621,27 @@ func cmdFingerprint(exp, ds string, n, k, runs int, seed int64, bias biasSpec) e
 	return nil
 }
 
-// renderRun prints the merged tables, the backend's provenance summary
-// line (the e2e jobs assert on computed=0 and "fully cached" for warm
-// runs), and the optional JSON dump.
-func renderRun(merged *fairbench.GridOutput, rep *fairbench.RunReport, out string) error {
-	if err := renderOutput(merged); err != nil {
+// renderRun prints the merged tables (a fig9 result with its Δ tables
+// when clean, the Figure 7 rows of the same data, is given), the
+// backend's provenance summary line (the e2e jobs assert on computed=0
+// and "fully cached" for warm runs), and the optional JSON dump.
+func renderRun(merged *fairbench.GridOutput, rep *fairbench.RunReport, clean []fairbench.Row, out string) error {
+	var err error
+	if clean != nil {
+		err = report.RenderRobustness(os.Stdout, merged.Robustness, report.DatasetLabel(merged.Spec), clean)
+	} else {
+		err = renderOutput(merged)
+	}
+	if err != nil {
 		return err
 	}
 	switch {
 	case rep.ServedFromCache:
 		fmt.Fprintf(os.Stderr, "fairbench: run complete: grid fully cached — served from the result store, cells computed=0 cached=%d\n",
 			rep.CellsCached)
+	case rep.Backend == fairbench.BackendInproc:
+		fmt.Fprintf(os.Stderr, "fairbench: run complete: cells computed=%d cached=%d\n",
+			rep.CellsComputed, rep.CellsCached)
 	case rep.Dispatch != nil:
 		d := rep.Dispatch
 		fmt.Fprintf(os.Stderr, "fairbench: dispatch complete: %d shards (%d reused, %d ran), cells computed=%d cached=%d\n",
@@ -749,13 +733,14 @@ func specFor(cmd, ds string, n, k, runs int, grid string, seed int64, bias biasS
 	return bias.apply(spec), nil
 }
 
-// cmdBiasedFigure runs a figure command whose flags request bias
-// injection. It resolves each grid the command spans (datasets for
-// fig7/fig15/cv with -dataset all, both fig8 grids) to a spec and
-// executes it on the in-process engine backend — exactly the path a
-// dispatched or served run of the same spec merges into.
-func cmdBiasedFigure(cmd, ds string, n, k, runs int, grid string, seed int64,
-	bias biasSpec, out string) error {
+// cmdFigure runs a figure command. It resolves each grid the command
+// spans (the three datasets of fig7/fig15/cv under -dataset all, both
+// fig8 grids) to a spec and executes it on the in-process engine
+// backend — exactly the path a dispatched, scheduled or served run of
+// the same spec merges into. fig9 also runs the Figure 7 grid of the
+// same data for its "Δ vs clean training" tables.
+func cmdFigure(cmd, ds string, n, k, runs int, grid string, seed int64,
+	bias biasSpec, cache, remoteStore, out string) error {
 	datasets, grids := []string{ds}, []string{grid}
 	switch cmd {
 	case "fig7", "fig15", "cv":
@@ -770,19 +755,30 @@ func cmdBiasedFigure(cmd, ds string, n, k, runs int, grid string, seed int64,
 	}
 	ctx, stop := signalContext()
 	defer stop()
+	opts := fairbench.RunOptions{
+		Backend: fairbench.BackendInproc, Parallelism: parallelism,
+		CacheDir: cache, RemoteStore: remoteStore,
+	}
 	for _, d := range datasets {
 		for _, g := range grids {
 			spec, err := specFor(cmd, d, n, k, runs, g, seed, bias)
 			if err != nil {
 				return err
 			}
-			merged, rep, err := fairbench.Run(ctx, spec, fairbench.RunOptions{
-				Backend: fairbench.BackendInproc, Parallelism: parallelism,
-			})
+			merged, rep, err := fairbench.Run(ctx, spec, opts)
 			if err != nil {
 				return err
 			}
-			if err := renderRun(merged, rep, out); err != nil {
+			var clean []fairbench.Row
+			if cmd == "fig9" {
+				fig7 := bias.apply(fairbench.GridSpec{Experiment: "fig7", Dataset: merged.Spec.Dataset, N: n, Seed: seed})
+				cleanOut, _, err := fairbench.Run(ctx, fig7, opts)
+				if err != nil {
+					return err
+				}
+				clean = cleanOut.Rows
+			}
+			if err := renderRun(merged, rep, clean, out); err != nil {
 				return err
 			}
 			fmt.Println()
@@ -810,12 +806,21 @@ func parseShard(s string) (i, k int, err error) {
 	return i, k, nil
 }
 
-func cmdShard(spec fairbench.GridSpec, shardArg, out string) error {
+// cmdShard runs shard i/K of the spec's grid against the -cache /
+// -remote-store result store (none: every cell computes) and writes its
+// envelope.
+func cmdShard(spec fairbench.GridSpec, shardArg, out, cache, remoteStore string) error {
 	i, k, err := parseShard(shardArg)
 	if err != nil {
 		return err
 	}
-	env, err := fairbench.RunShard(spec, i, k)
+	s, err := store.OpenBackend(cache, remoteStore)
+	if err != nil {
+		return err
+	}
+	ctx, stop := signalContext()
+	defer stop()
+	env, err := experiments.RunShardContext(ctx, spec, i, k, s, parallelism)
 	if err != nil {
 		return err
 	}
@@ -918,10 +923,6 @@ func cmdList() error {
 	return nil
 }
 
-func rowsTable(title string, rows []fairbench.Row) *report.Table {
-	return report.RowsTable(title, rows)
-}
-
 func cmdEval(ds, approach string, n int, seed int64) error {
 	if approach == "" {
 		return fmt.Errorf("eval requires -approach (see 'fairbench list')")
@@ -940,166 +941,12 @@ func cmdEval(ds, approach string, n int, seed int64) error {
 		if err != nil {
 			return err
 		}
-		if err := rowsTable(src.Data.Name, []fairbench.Row{row}).Render(os.Stdout); err != nil {
+		if err := report.RowsTable(src.Data.Name, []fairbench.Row{row}).Render(os.Stdout); err != nil {
 			return err
 		}
 		fmt.Println()
 	}
 	return nil
-}
-
-func cmdFig7(ds string, n int, seed int64) error {
-	srcs, err := sources(ds, n, seed)
-	if err != nil {
-		return err
-	}
-	for _, src := range srcs {
-		rows, err := fairbench.RunCorrectnessFairness(src, seed)
-		if err != nil {
-			return err
-		}
-		title := fmt.Sprintf("Figure 7 — correctness & fairness on %s (|D|=%d)", src.Data.Name, src.Data.Len())
-		if err := rowsTable(title, rows).Render(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-	return nil
-}
-
-func cmdFig15(ds string, n int, seed int64) error {
-	srcs, err := sources(ds, n, seed)
-	if err != nil {
-		return err
-	}
-	for _, src := range srcs {
-		rows, err := experiments.Extensions(src, seed)
-		if err != nil {
-			return err
-		}
-		title := fmt.Sprintf("Figure 15 — appendix extensions on %s (|D|=%d)", src.Data.Name, src.Data.Len())
-		if err := rowsTable(title, rows).Render(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-	return nil
-}
-
-func cmdFig8(n int, seed int64) error {
-	src := fairbench.Adult(n, seed)
-	// The same defaults Spec normalization applies, so a sharded fig8 run
-	// materializes exactly this grid.
-	rowsBySize, err := fairbench.RunScalabilityRows(src, experiments.DefaultFig8Sizes(n), seed)
-	if err != nil {
-		return err
-	}
-	if err := scalabilityTable("Figure 8(a-c) — runtime overhead vs #data points (Adult)", "points", rowsBySize).Render(os.Stdout); err != nil {
-		return err
-	}
-	fmt.Println()
-	rowsByAttr, err := fairbench.RunScalabilityAttrs(src, experiments.DefaultFig8AttrCounts(), experiments.DefaultFig8Sample(n), seed)
-	if err != nil {
-		return err
-	}
-	if err := scalabilityTable("Figure 8(d-f) — runtime overhead vs #attributes (Adult)", "attrs", rowsByAttr).Render(os.Stdout); err != nil {
-		return err
-	}
-	fmt.Println()
-	return nil
-}
-
-func scalabilityTable(title, xlabel string, series map[string][]experiments.ScalabilityPoint) *report.Table {
-	return report.ScalabilityTable(title, xlabel, series)
-}
-
-func cmdFig9(n int, seed int64) error {
-	src := fairbench.COMPAS(n, seed)
-	clean, err := fairbench.RunCorrectnessFairness(src, seed)
-	if err != nil {
-		return err
-	}
-	results, err := fairbench.RunRobustness(src, seed)
-	if err != nil {
-		return err
-	}
-	for _, res := range results {
-		title := fmt.Sprintf("Figure 9 — robustness on COMPAS + %s", res.Template)
-		if err := rowsTable(title, res.Rows).Render(os.Stdout); err != nil {
-			return err
-		}
-		dt := &report.Table{
-			Title:   fmt.Sprintf("Δ vs clean training (%s)", res.Template),
-			Headers: []string{"approach", "accuracy drop", "target-fairness drop"},
-		}
-		for _, d := range experiments.Deltas(clean, res) {
-			dt.Add(d.Approach, report.F(d.AccuracyDrop), report.F(d.TargetFairDrop))
-		}
-		if err := dt.Render(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-	return nil
-}
-
-func cmdFig10(n int, seed int64) error {
-	src := fairbench.Adult(n, seed)
-	rows, err := fairbench.RunModelSensitivity(src, seed)
-	if err != nil {
-		return err
-	}
-	return renderSensitivity(rows, "Adult")
-}
-
-func renderSensitivity(rows []experiments.SensitivityRow, dataset string) error {
-	return report.RenderSensitivity(os.Stdout, rows, dataset)
-}
-
-func cmdCV(ds string, n, k int, seed int64) error {
-	srcs, err := sources(ds, n, seed)
-	if err != nil {
-		return err
-	}
-	for _, src := range srcs {
-		rows, err := fairbench.RunCrossValidation(src, k, seed)
-		if err != nil {
-			return err
-		}
-		title := fmt.Sprintf("Figures 16-18 — %d-fold cross validation on %s", k, src.Data.Name)
-		if err := rowsTable(title, rows).Render(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-	return nil
-}
-
-func cmdFig22(n, runs int, seed int64) error {
-	src := fairbench.Adult(n, seed)
-	rows, err := fairbench.RunStability(src, runs, seed)
-	if err != nil {
-		return err
-	}
-	return renderStability(rows, runs, "Adult")
-}
-
-func renderStability(rows []experiments.StabilityRow, runs int, dataset string) error {
-	return report.RenderStability(os.Stdout, rows, runs, dataset)
-}
-
-func cmdFig23(n int, seed int64) error {
-	src := fairbench.Adult(n, seed)
-	sizes := experiments.DefaultFig23Sizes(n)
-	series, err := fairbench.RunDataEfficiency(src, sizes, seed)
-	if err != nil {
-		return err
-	}
-	return renderEfficiency(series, sizes, "Adult")
-}
-
-func renderEfficiency(series map[string][]experiments.EfficiencyPoint, sizes []int, dataset string) error {
-	return report.RenderEfficiency(os.Stdout, series, sizes, dataset)
 }
 
 // jsonIndent renders the merged output for -out.

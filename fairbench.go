@@ -37,11 +37,12 @@
 //
 //	out, rep, err := fairbench.Run(ctx, spec, fairbench.RunOptions{Parallelism: 8})
 //
-// The fairbench CLI exposes the same knob as -parallel N, the deprecated
-// process-global SetParallelism remains for the driver functions that
-// take a Source rather than a GridSpec, and the benchmark suite tracks
-// the speedup (BenchmarkEvalAllSerial vs BenchmarkEvalAllParallel; see
-// scripts/bench.sh, which records both to BENCH_parallel.json).
+// The fairbench CLI exposes the same knob as -parallel N, and the
+// benchmark suite tracks the speedup (BenchmarkEvalAllSerial vs
+// BenchmarkEvalAllParallel; see scripts/bench.sh, which records both to
+// BENCH_parallel.json). The driver functions that take a Source rather
+// than a GridSpec (RunCorrectnessFairness and friends) always use one
+// worker per CPU.
 //
 // Cells are executed batch-at-a-time: cells sharing one dataset
 // materialization (same dataset slice, size, seed, and bias profile) are
@@ -76,16 +77,20 @@
 //
 // # Result caching and resumable dispatch
 //
-// CacheDir installs an on-disk result cache keyed by (grid fingerprint,
-// cell index, seed, GOARCH). Once installed, every grid execution path —
-// the driver functions on stock benchmark sources, RunShard, and the
-// dispatcher's workers — serves verified cache hits instead of
-// recomputing cells, and re-running any figure computes only the
-// cache-miss cells while staying byte-identical to a cold run:
+// RunOptions.CacheDir names an on-disk result cache keyed by (grid
+// fingerprint, cell index, seed, GOARCH); RunOptions.RemoteStore layers a
+// shared HTTP cache behind it. A Run given a cache serves verified cache
+// hits instead of recomputing cells on every backend — its own pool,
+// dispatch workers, and scheduled hosts — so re-running a grid computes
+// only the cache-miss cells while staying byte-identical to a cold run:
 //
-//	fairbench.CacheDir(".fairbench-cache")
-//	rows, _ := fairbench.RunCorrectnessFairness(src, 42) // cold: computes + caches
-//	rows, _ = fairbench.RunCorrectnessFairness(src, 42)  // warm: zero computations
+//	opts := fairbench.RunOptions{CacheDir: ".fairbench-cache"}
+//	out, rep, _ := fairbench.Run(ctx, spec, opts) // cold: computes + caches
+//	out, rep, _ = fairbench.Run(ctx, spec, opts)  // warm: rep.CellsComputed == 0
+//
+// RunReport.CacheStats carries the run's hit/miss/write counters;
+// CacheDiskUsage and CacheGC inspect and reclaim a cache directory. The
+// Source-based driver functions and RunShard never consult a cache.
 //
 // Giving Run a directory makes it dispatch the grid as worker
 // subprocesses and merge their envelopes; an interrupted (crashed,
@@ -141,11 +146,10 @@
 //	// ... interrupted ...
 //	out, rep, err = fairbench.ResumeRun(ctx, "run", fairbench.RunOptions{Procs: 4})
 //
-// Run and ResumeRun are the only whole-grid entry points — the
-// deprecated Dispatch/Resume/Sched/SchedResume/RunShardCached wrappers
-// they subsumed have been removed (the backend option structs remain as
-// the types inside RunReport). The `fairbench serve` command exposes the
-// same engine as a persistent HTTP service (see the README's "Serving"
+// Run and ResumeRun are the only whole-grid entry points that cache,
+// dispatch or schedule; the backend option structs remain as the types
+// inside RunReport. The `fairbench serve` command exposes the same
+// engine as a persistent HTTP service (see the README's "Serving"
 // section).
 //
 // See the examples/ directory for runnable programs.
@@ -153,8 +157,6 @@ package fairbench
 
 import (
 	"context"
-	"fmt"
-	"sync"
 
 	"fairbench/internal/causal"
 	"fairbench/internal/classifier"
@@ -167,7 +169,6 @@ import (
 	"fairbench/internal/metrics"
 	"fairbench/internal/registry"
 	"fairbench/internal/rng"
-	"fairbench/internal/runner"
 	"fairbench/internal/sched"
 	"fairbench/internal/shard"
 	"fairbench/internal/store"
@@ -217,9 +218,9 @@ type (
 	// DispatchReport records what a dispatched run did: shards reused vs
 	// executed, per-shard attempts, and the computed/cached cell split.
 	DispatchReport = dispatch.Report
-	// CacheCounters are the in-memory hit/miss/write/reject counters of
-	// the installed result cache (plus transport-error counts for
-	// remote-backed caches).
+	// CacheCounters are a result cache's in-memory hit/miss/write/reject
+	// counters (plus transport-error counts for remote-backed caches), as
+	// RunReport.CacheStats carries them for one run.
 	CacheCounters = store.Counters
 	// CacheBackend is a verified result cache: on-disk, remote HTTP, or
 	// tiered (disk in front of a shared remote). See store.Backend.
@@ -326,26 +327,6 @@ func NewApproachWithModel(name, model string, g *Graph, seed int64) (Approach, e
 // Baseline returns the fairness-unaware logistic-regression classifier.
 func Baseline() Approach { return fair.NewBaseline() }
 
-// SetParallelism sets the process-wide default worker count every
-// experiment driver uses for its job grid. n <= 0 restores the default,
-// GOMAXPROCS; 1 forces serial execution. Metric results are identical at
-// any setting for a fixed seed; the timing fields (Seconds, Overhead)
-// reflect the selected concurrency, so use 1 for contention-free runtime
-// studies. Safe to call concurrently with running experiments (in-flight
-// runs keep their pool).
-//
-// Deprecated: prefer RunOptions.Parallelism, which scopes the pool size
-// to one Run instead of mutating process-global state. SetParallelism
-// remains as the only knob for the Source-based driver functions
-// (RunCorrectnessFairness and friends), which carry no options struct.
-func SetParallelism(n int) { runner.SetParallelism(n) }
-
-// Parallelism reports the process-wide default worker count; a
-// RunOptions.Parallelism override is not reflected here.
-//
-// Deprecated: see SetParallelism.
-func Parallelism() int { return runner.Parallelism() }
-
 // PlanShards reports the contiguous job ranges a k-way split of the
 // spec's grid produces. The same plan is computed independently by every
 // RunShard call, so no coordination beyond (spec, i, k) is needed.
@@ -361,8 +342,10 @@ func PlanShards(spec GridSpec, k int) ([]ShardRange, error) {
 // (and the merging process) share one CPU architecture, since float
 // arithmetic differs across architectures (e.g. FMA contraction on
 // arm64). Envelopes record GOARCH and MergeShards enforces the match.
+// RunShard computes every cell of its shard; Run with
+// RunOptions.CacheDir is the cached path.
 func RunShard(spec GridSpec, i, k int) (*ShardEnvelope, error) {
-	return experiments.RunShard(spec, i, k)
+	return experiments.RunShardContext(context.Background(), spec, i, k, nil, 0)
 }
 
 // MergeShards validates a complete shard set and reassembles the
@@ -386,95 +369,24 @@ func DecodeShardEnvelope(data []byte) (*ShardEnvelope, error) {
 	return shard.Decode(data)
 }
 
-// activeCache tracks the handle CacheDir/CacheRemote installed, for the
-// stat/GC API. disk is the local tier (nil for a remote-only install),
-// the only backend with a directory to walk or collect.
-var activeCache = struct {
-	mu   sync.Mutex
-	s    store.Backend
-	disk *store.DiskStore
-}{}
-
-// CacheDir installs a process-wide on-disk result cache at dir (created
-// if missing), or removes the cache when dir is empty. While installed,
-// every grid execution path that has a fingerprint — the experiment
-// drivers on stock benchmark sources, RunShard, Dispatch workers —
-// consults it: cells cached under (grid fingerprint, cell index, seed,
-// GOARCH) are served from disk after integrity verification, and
-// freshly computed cells are written back atomically. Cached results are
-// byte-identical to recomputation on the same architecture; entries
-// never cross architectures or seeds. Note the cache also stores the
-// pure-timing (fig8) cells — resumability requires it — so clear it, or
-// run without one, to re-measure timings.
-func CacheDir(dir string) error {
-	return CacheRemote(dir, "")
-}
-
-// CacheRemote installs the process-wide result cache dir and remoteURL
-// select (see store.OpenBackend): a local on-disk cache, a shared
-// remote HTTP cache (`fairbench cachesrv` or a serve daemon's /cache
-// mount), or — with both set — a tiered store that reads local-first,
-// promotes remote hits, and writes computed cells through to the fleet.
-// Every read is verified (key fields + SHA-256) regardless of backend;
-// a remote outage degrades reads and writes to local-only rather than
-// failing the run. Both arguments empty removes the cache.
-func CacheRemote(dir, remoteURL string) error {
-	activeCache.mu.Lock()
-	defer activeCache.mu.Unlock()
-	b, err := store.OpenBackend(dir, remoteURL)
+// CacheDiskUsage walks the on-disk result cache at dir (created if
+// missing) and reports entry count, bytes, and distinct grid
+// fingerprints.
+func CacheDiskUsage(dir string) (CacheUsage, error) {
+	s, err := store.Open(dir)
 	if err != nil {
-		return err
-	}
-	activeCache.s = b
-	activeCache.disk = nil
-	if dir != "" {
-		// The local tier is what Stats/GC walk; OpenBackend built it as
-		// either the whole backend or the tiered front.
-		switch s := b.(type) {
-		case *store.DiskStore:
-			activeCache.disk = s
-		case *store.TieredStore:
-			activeCache.disk, _ = s.Local().(*store.DiskStore)
-		}
-	}
-	experiments.SetDefaultCache(b)
-	return nil
-}
-
-// CacheStats returns the installed cache's in-memory counters (zero
-// values when no cache is installed).
-func CacheStats() CacheCounters {
-	activeCache.mu.Lock()
-	s := activeCache.s
-	activeCache.mu.Unlock()
-	if s == nil {
-		return CacheCounters{}
-	}
-	return s.Counters()
-}
-
-// CacheDiskUsage walks the installed cache's local directory and reports
-// entry count, bytes, and distinct grid fingerprints. A remote-only
-// cache has no directory to walk and errors.
-func CacheDiskUsage() (CacheUsage, error) {
-	activeCache.mu.Lock()
-	s := activeCache.disk
-	activeCache.mu.Unlock()
-	if s == nil {
-		return CacheUsage{}, fmt.Errorf("fairbench: no on-disk cache installed (call CacheDir first)")
+		return CacheUsage{}, err
 	}
 	return s.Stats()
 }
 
-// CacheGC drops every cached grid except those the given specs
+// CacheGC drops every grid cached at dir except those the given specs
 // materialize, returning how many grids were removed. Pass the specs of
 // the figures still being iterated on; everything else is reclaimed.
-func CacheGC(keep ...GridSpec) (removed int, err error) {
-	activeCache.mu.Lock()
-	s := activeCache.disk
-	activeCache.mu.Unlock()
-	if s == nil {
-		return 0, fmt.Errorf("fairbench: no on-disk cache installed (call CacheDir first)")
+func CacheGC(dir string, keep ...GridSpec) (removed int, err error) {
+	s, err := store.Open(dir)
+	if err != nil {
+		return 0, err
 	}
 	inUse := map[string]bool{}
 	for _, spec := range keep {
@@ -516,8 +428,7 @@ func NewEngine(defaults RunOptions) *Engine { return engine.New(defaults) }
 // directory-backed runs left resumable via ResumeRun. With
 // opts.CacheDir set, a fully-cached grid is served entirely by the
 // calling process (RunReport.ServedFromCache: computed=0, no worker or
-// host touched). Run subsumed the removed Dispatch, Sched, and
-// RunShardCached entry points.
+// host touched).
 func Run(ctx context.Context, spec GridSpec, opts RunOptions) (*GridOutput, *RunReport, error) {
 	return defaultEngine.Run(ctx, spec, opts)
 }

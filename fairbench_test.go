@@ -1,6 +1,7 @@
 package fairbench
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -25,21 +26,16 @@ func TestFacadeQuickPath(t *testing.T) {
 }
 
 func TestFacadeParallelism(t *testing.T) {
-	defer SetParallelism(0)
-	SetParallelism(2)
-	if Parallelism() != 2 {
-		t.Fatalf("Parallelism() = %d after SetParallelism(2)", Parallelism())
+	spec := GridSpec{Experiment: "fig7", Dataset: "german", N: 200, Seed: 1}
+	run := func(workers int) []Row {
+		t.Helper()
+		out, _, err := Run(context.Background(), spec, RunOptions{Parallelism: workers})
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", workers, err)
+		}
+		return out.Rows
 	}
-	src := German(200, 1)
-	parallel, err := RunCorrectnessFairness(src, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetParallelism(1)
-	serial, err := RunCorrectnessFairness(src, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	parallel, serial := run(2), run(1)
 	if len(parallel) != len(serial) {
 		t.Fatalf("row counts: %d vs %d", len(parallel), len(serial))
 	}
@@ -49,10 +45,6 @@ func TestFacadeParallelism(t *testing.T) {
 			serial[i].Fair != parallel[i].Fair {
 			t.Fatalf("%s: parallel facade run diverges from serial", serial[i].Approach)
 		}
-	}
-	SetParallelism(0)
-	if Parallelism() < 1 {
-		t.Fatalf("default Parallelism() = %d", Parallelism())
 	}
 }
 

@@ -32,6 +32,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -109,7 +110,7 @@ type Options struct {
 	// Shards is the k of the k-way split. Defaults to Procs.
 	Shards int
 	// Procs caps how many worker subprocesses run concurrently.
-	// Defaults to the runner's parallelism (GOMAXPROCS unless overridden).
+	// Defaults to one per CPU (runtime.GOMAXPROCS(0)).
 	Procs int
 	// Retries is how many times a failed shard is re-spawned before the
 	// run gives up on it (0 = one attempt only). Other shards keep
@@ -208,7 +209,7 @@ func prepare(spec experiments.Spec, opts *Options) (*Manifest, string, error) {
 		return nil, "", fmt.Errorf("dispatch: no dispatch directory")
 	}
 	if opts.Procs <= 0 {
-		opts.Procs = runner.Parallelism()
+		opts.Procs = runtime.GOMAXPROCS(0)
 	}
 	if opts.Shards <= 0 {
 		opts.Shards = opts.Procs
@@ -323,7 +324,7 @@ func run(ctx context.Context, m *Manifest, manifestPath string, opts Options) (*
 		}
 	}
 	if opts.Procs <= 0 {
-		opts.Procs = runner.Parallelism()
+		opts.Procs = runtime.GOMAXPROCS(0)
 	}
 	spawn := opts.Spawn
 	if spawn == nil {
@@ -715,7 +716,7 @@ func workerEnvelope(m *Manifest, shardIdx int) ([]byte, error) {
 	if len(m.Ranges) > 0 {
 		env, err = experiments.RunShardPlanned(m.Spec, m.Ranges, shardIdx, cache)
 	} else {
-		env, err = experiments.RunShardCached(m.Spec, shardIdx, m.Shards, cache)
+		env, err = experiments.RunShardContext(context.Background(), m.Spec, shardIdx, m.Shards, cache, 0)
 	}
 	if err != nil {
 		return nil, err

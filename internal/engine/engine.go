@@ -3,10 +3,8 @@
 // experiment grid on any of the three execution backends — the
 // in-process worker pool, the subprocess dispatcher, or the multi-host
 // scheduler — selected by an options field rather than by calling three
-// different APIs. It exists to collapse the facade's accreted
-// Dispatch/Sched/RunShardCached entry points (each with overlapping
-// option structs) into one coordinator that the CLI and the serve
-// daemon share.
+// different APIs. It is the one coordinator every CLI figure command,
+// the dispatch and sched commands, and the serve daemon share.
 //
 // Unifying guarantees, regardless of backend:
 //
@@ -74,9 +72,7 @@ type RunOptions struct {
 	// Parallelism sizes the worker pool a single process uses for grid
 	// cells: the in-process backend's pool directly, the default for
 	// Procs on dispatch, and the default local host's slots on sched.
-	// Zero means one worker per CPU. This is the options-first
-	// replacement for the deprecated process-global
-	// fairbench.SetParallelism.
+	// Zero means one worker per CPU.
 	Parallelism int
 	// Retries is the per-shard re-spawn budget (dispatch) or the number
 	// of extra full rounds over the pool (sched).

@@ -4,9 +4,8 @@ import (
 	"bytes"
 	"testing"
 
-	"fairbench/internal/runner"
+	"fairbench/internal/dataset"
 	"fairbench/internal/shard"
-	"fairbench/internal/synth"
 )
 
 // biasSweepSpecs is the acceptance sweep: two bias kinds at three rates
@@ -73,6 +72,30 @@ func TestBiasSweepFingerprintsDisjoint(t *testing.T) {
 	}
 }
 
+// identicalData reports whether two datasets are bit-identical in everything
+// a grid cell can observe: labels, group membership and every feature.
+func identicalData(a, b *dataset.Dataset) bool {
+	if a.Len() != b.Len() || len(a.Attrs) != len(b.Attrs) {
+		return false
+	}
+	for i := range a.Y {
+		if a.Y[i] != b.Y[i] || a.S[i] != b.S[i] {
+			return false
+		}
+	}
+	for i := range a.X {
+		if len(a.X[i]) != len(b.X[i]) {
+			return false
+		}
+		for j := range a.X[i] {
+			if a.X[i][j] != b.X[i][j] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // TestBiasedOpenMaterializesIdenticalData is the determinism property
 // under the whole axis: injection is a pure function of the spec, so
 // every Open — in this process or any worker on any host — slices
@@ -85,8 +108,8 @@ func TestBiasedOpenMaterializesIdenticalData(t *testing.T) {
 			t.Fatalf("%s: %d vs %d slices", spec.Bias, len(a.slices), len(b.slices))
 		}
 		for i := range a.slices {
-			if !sameData(a.slices[i].train, b.slices[i].train) ||
-				!sameData(a.slices[i].test, b.slices[i].test) {
+			if !identicalData(a.slices[i].train, b.slices[i].train) ||
+				!identicalData(a.slices[i].test, b.slices[i].test) {
 				t.Fatalf("bias %s rate %g: slice %d differs between two Opens",
 					spec.Bias, spec.BiasRate, i)
 			}
@@ -117,7 +140,7 @@ func TestBiasedShardMergeMatchesSerial(t *testing.T) {
 			for _, k := range tc.shards {
 				envs := make([]*shard.Envelope, k)
 				for i := 0; i < k; i++ {
-					env, err := RunShard(spec, i, k)
+					env, err := shardWith(spec, i, k, nil)
 					if err != nil {
 						t.Fatalf("shard %d/%d: %v", i, k, err)
 					}
@@ -145,15 +168,16 @@ func TestBiasedShardMergeMatchesSerial(t *testing.T) {
 // leak into a biased grid's results (injection happens once in Open,
 // not per worker).
 func TestBiasedGridStableAcrossParallelism(t *testing.T) {
-	defer runner.SetParallelism(0)
 	spec := biasSweepSpecs()[0]
-	runner.SetParallelism(1)
-	serial, err := mustOpen(t, spec).RunAll()
+	g := mustOpen(t, spec)
+	g.SetWorkers(1)
+	serial, err := g.RunAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner.SetParallelism(4)
-	pooled, err := mustOpen(t, spec).RunAll()
+	g = mustOpen(t, spec)
+	g.SetWorkers(4)
+	pooled, err := g.RunAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +195,7 @@ func TestBiasCacheIsolation(t *testing.T) {
 		Bias: BiasLabel, BiasRate: 0.2}
 	s := openStore(t)
 
-	cold, err := RunShardCached(spec, 0, 1, s)
+	cold, err := shardWith(spec, 0, 1, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +203,7 @@ func TestBiasCacheIsolation(t *testing.T) {
 		t.Fatalf("cold run claims %d cached cells", len(cold.Cached))
 	}
 
-	warm, err := RunShardCached(spec, 0, 1, s)
+	warm, err := shardWith(spec, 0, 1, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +225,7 @@ func TestBiasCacheIsolation(t *testing.T) {
 	other := spec
 	other.BiasRate = 0.3
 	before := s.Counters()
-	env, err := RunShardCached(other, 0, 1, s)
+	env, err := shardWith(other, 0, 1, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,25 +269,4 @@ func TestGoldenRowsBiasCOMPAS(t *testing.T) {
 		golden[tc.kind] = rows
 	}
 	checkGolden(t, "golden_compas_bias_seed42.json", golden)
-}
-
-// TestBiasedSourceHasNoProvenance: a biased grid's data must not carry
-// stock (dataset, n, seed) provenance — the driver-level cache reroute
-// would otherwise serve clean-data results for biased data.
-func TestBiasedSourceHasNoProvenance(t *testing.T) {
-	clean := synth.German(200, 5)
-	if clean.Dataset == "" {
-		t.Fatal("stock source unexpectedly has no provenance")
-	}
-	ns, err := biasSweepSpecs()[0].Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := biasedSource(clean, ns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src.Dataset != "" || src.N != 0 || src.Seed != 0 {
-		t.Fatalf("biased source carries provenance Dataset=%q N=%d Seed=%d", src.Dataset, src.N, src.Seed)
-	}
 }

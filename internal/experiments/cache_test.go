@@ -9,7 +9,6 @@ import (
 
 	"fairbench/internal/shard"
 	"fairbench/internal/store"
-	"fairbench/internal/synth"
 )
 
 func openStore(t *testing.T) *store.DiskStore {
@@ -39,7 +38,7 @@ func TestWarmShardRunComputesNothing(t *testing.T) {
 		const k = 2
 		envs := make([]*shard.Envelope, k)
 		for i := 0; i < k; i++ {
-			env, err := RunShardCached(spec, i, k, s)
+			env, err := shardWith(spec, i, k, s)
 			if err != nil {
 				t.Fatalf("shard %d: %v", i, err)
 			}
@@ -101,7 +100,7 @@ func TestCorruptCacheEntryIsRecomputed(t *testing.T) {
 	spec := Spec{Experiment: "fig23", Dataset: "compas", N: 300, Seed: 6,
 		Sizes: []int{60, 120}, Names: []string{"LR", "KamCal-DP"}}
 	s := openStore(t)
-	cold, err := RunShardCached(spec, 0, 1, s)
+	cold, err := shardWith(spec, 0, 1, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +116,7 @@ func TestCorruptCacheEntryIsRecomputed(t *testing.T) {
 	if err != nil || !corrupted {
 		t.Fatalf("could not corrupt an entry: %v", err)
 	}
-	warm, err := RunShardCached(spec, 0, 1, s)
+	warm, err := shardWith(spec, 0, 1, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,90 +140,6 @@ func TestCorruptCacheEntryIsRecomputed(t *testing.T) {
 	}
 }
 
-// TestDriversConsultDefaultCache pins the Source-to-Spec reroute: with a
-// process-wide cache installed and a provenance-carrying source, a
-// second driver call is served entirely from the store, and the rows
-// match the uncached call byte for byte.
-func TestDriversConsultDefaultCache(t *testing.T) {
-	src := synth.German(200, 5)
-	uncached, err := CorrectnessFairness(src, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s := openStore(t)
-	SetDefaultCache(s)
-	defer SetDefaultCache(nil)
-
-	first, err := CorrectnessFairness(src, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := CorrectnessFairness(src, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := s.Counters()
-	if c.Writes == 0 {
-		t.Fatal("driver never wrote to the cache")
-	}
-	if c.Hits != c.Writes {
-		t.Fatalf("second call hit %d of %d cells", c.Hits, c.Writes)
-	}
-	for _, rows := range [][]Row{first, second} {
-		a := canonical(t, &Output{Rows: uncached})
-		b := canonical(t, &Output{Rows: rows})
-		if !bytes.Equal(a, b) {
-			t.Fatal("cached driver rows diverge from uncached")
-		}
-	}
-
-	// A seed-mismatched source must bypass the cache (its data differs
-	// from what the spec would synthesize), not serve wrong entries.
-	before := s.Counters()
-	if _, err := CorrectnessFairness(synth.German(200, 99), 5); err != nil {
-		t.Fatal(err)
-	}
-	if s.Counters().Hits != before.Hits {
-		t.Fatal("seed-mismatched source was served from the cache")
-	}
-}
-
-// TestMutatedSourceBypassesCache: a provenance-carrying source whose
-// data was modified after generation must take the direct path — the
-// cached Spec path would answer about re-synthesized pristine data the
-// caller never passed.
-func TestMutatedSourceBypassesCache(t *testing.T) {
-	s := openStore(t)
-	SetDefaultCache(s)
-	defer SetDefaultCache(nil)
-
-	// Warm the cache with the pristine grid.
-	pristine, err := CorrectnessFairness(synth.German(200, 5), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	mutated := synth.German(200, 5)
-	for i := range mutated.Data.Y {
-		mutated.Data.Y[i] = 1 - mutated.Data.Y[i] // invert every label
-	}
-	before := s.Counters()
-	rows, err := CorrectnessFairness(mutated, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := s.Counters()
-	if after.Hits != before.Hits || after.Writes != before.Writes {
-		t.Fatal("mutated source touched the cache")
-	}
-	a := canonical(t, &Output{Rows: pristine})
-	b := canonical(t, &Output{Rows: rows})
-	if bytes.Equal(a, b) {
-		t.Fatal("label-inverted source produced the pristine source's rows")
-	}
-}
-
 // TestWrongSeedLookupNeverHits: entries cached for one seed must be
 // invisible to a run with another seed — different seeds have different
 // fingerprints AND different key seeds, so this holds twice over.
@@ -232,12 +147,12 @@ func TestWrongSeedLookupNeverHits(t *testing.T) {
 	s := openStore(t)
 	spec := Spec{Experiment: "fig23", Dataset: "compas", N: 300, Seed: 1,
 		Sizes: []int{60}, Names: []string{"LR"}}
-	if _, err := RunShardCached(spec, 0, 1, s); err != nil {
+	if _, err := shardWith(spec, 0, 1, s); err != nil {
 		t.Fatal(err)
 	}
 	other := spec
 	other.Seed = 2
-	env, err := RunShardCached(other, 0, 1, s)
+	env, err := shardWith(other, 0, 1, s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,14 +13,6 @@ import (
 // and the fold average are post-passes in the serial loop's order, so the
 // aggregate floats match a serial run bit for bit.
 func CrossValidate(src *synth.Source, k int, seed int64) ([]Row, error) {
-	if k >= 2 {
-		if out, ok, err := specOutput(src, seed, Spec{Experiment: "cv", K: k}); ok {
-			if err != nil {
-				return nil, err
-			}
-			return out.Rows, nil
-		}
-	}
 	out, err := cvGrid(src, k, seed).RunAll()
 	if err != nil {
 		return nil, err
@@ -113,14 +105,6 @@ type StabilityRow struct {
 // rng.New(seed+run), exactly as the serial protocol), then the (run ×
 // approach) grid fans out across the pool.
 func Stability(src *synth.Source, runs int, seed int64) ([]StabilityRow, error) {
-	if runs >= 1 {
-		if out, ok, err := specOutput(src, seed, Spec{Experiment: "fig22", Runs: runs}); ok {
-			if err != nil {
-				return nil, err
-			}
-			return out.Stability, nil
-		}
-	}
 	out, err := stabilityGrid(src, runs, seed).RunAll()
 	if err != nil {
 		return nil, err
@@ -178,14 +162,6 @@ type EfficiencyPoint struct {
 // Samples are drawn up front (rng.New(seed+size), as in the serial
 // protocol); the (size × approach) grid fans out across the pool.
 func DataEfficiency(src *synth.Source, sizes []int, names []string, seed int64) (map[string][]EfficiencyPoint, error) {
-	if sizes != nil {
-		if out, ok, err := specOutput(src, seed, Spec{Experiment: "fig23", Sizes: sizes, Names: names}); ok {
-			if err != nil {
-				return nil, err
-			}
-			return out.Efficiency, nil
-		}
-	}
 	out, err := efficiencyGrid(src, sizes, names, seed).RunAll()
 	if err != nil {
 		return nil, err

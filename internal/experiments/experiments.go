@@ -17,8 +17,8 @@
 // shards that run in other processes or hosts and merge back bit-identical
 // (see internal/shard). Each cell constructs its own approach and RNG from
 // explicit seeds, so the rows are identical to a serial run for a fixed
-// seed; only wall time changes with runner.SetParallelism. Baseline-
-// overhead accounting (Section 4.3) is a post-pass over the collected
+// seed; only wall time changes with the pool size (Grid.SetWorkers).
+// Baseline-overhead accounting (Section 4.3) is a post-pass over the collected
 // rows, keeping the timing subtraction well-defined regardless of
 // completion order.
 package experiments
@@ -76,16 +76,8 @@ func Evaluate(a fair.Approach, train, test *dataset.Dataset, g *causal.Graph) (R
 }
 
 // CorrectnessFairness reproduces Figure 7 for one dataset: the baseline LR
-// followed by all 18 variants on a 70/30 split. With a result cache
-// configured and a stock benchmark source, the run routes through the
-// fingerprinted Spec path so cached cells are reused.
+// followed by all 18 variants on a 70/30 split.
 func CorrectnessFairness(src *synth.Source, seed int64) ([]Row, error) {
-	if out, ok, err := specOutput(src, seed, Spec{Experiment: "fig7"}); ok {
-		if err != nil {
-			return nil, err
-		}
-		return out.Rows, nil
-	}
 	out, err := fig7Grid(src, seed).RunAll()
 	if err != nil {
 		return nil, err
@@ -168,14 +160,6 @@ type scaleSlice struct {
 // ScalabilityRows reproduces Figure 8(a-c): runtime overhead as the number
 // of training points grows, on samples of the given dataset.
 func ScalabilityRows(src *synth.Source, sizes []int, names []string, seed int64) (map[string][]ScalabilityPoint, error) {
-	if sizes != nil && names != nil {
-		if out, ok, err := specOutput(src, seed, Spec{Experiment: "fig8rows", Sizes: sizes, Names: names}); ok {
-			if err != nil {
-				return nil, err
-			}
-			return out.Scalability, nil
-		}
-	}
 	out, err := scaleRowsGrid(src, sizes, names, seed).RunAll()
 	if err != nil {
 		return nil, err
@@ -197,14 +181,6 @@ func scaleRowsGrid(src *synth.Source, sizes []int, names []string, seed int64) *
 // number of attributes grows, by projecting the dataset onto attribute
 // prefixes.
 func ScalabilityAttrs(src *synth.Source, attrCounts []int, names []string, sampleSize int, seed int64) (map[string][]ScalabilityPoint, error) {
-	if attrCounts != nil && names != nil && sampleSize > 0 {
-		if out, ok, err := specOutput(src, seed, Spec{Experiment: "fig8attrs", AttrCounts: attrCounts, Names: names, SampleSize: sampleSize}); ok {
-			if err != nil {
-				return nil, err
-			}
-			return out.Scalability, nil
-		}
-	}
 	out, err := scaleAttrsGrid(src, attrCounts, names, sampleSize, seed).RunAll()
 	if err != nil {
 		return nil, err

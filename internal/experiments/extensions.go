@@ -9,12 +9,6 @@ import (
 // variants (Madras^dp, Agarwal^dp, Agarwal^eo) evaluated on one dataset
 // alongside the baseline, with the same protocol as Figure 7.
 func Extensions(src *synth.Source, seed int64) ([]Row, error) {
-	if out, ok, err := specOutput(src, seed, Spec{Experiment: "fig15"}); ok {
-		if err != nil {
-			return nil, err
-		}
-		return out.Rows, nil
-	}
 	out, err := extensionsGrid(src, seed).RunAll()
 	if err != nil {
 		return nil, err

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"fairbench/internal/runner"
 	"fairbench/internal/synth"
 )
 
@@ -113,18 +112,9 @@ func checkGolden(t *testing.T, name string, v any) {
 // TestGoldenRowsCOMPAS this pins the golden file to both execution
 // modes, not just to whichever one the test harness happens to use.
 func TestGoldenRowsStableAcrossParallelism(t *testing.T) {
-	defer runner.SetParallelism(0)
 	src := synth.COMPAS(300, 42)
-	runner.SetParallelism(1)
-	a, err := CorrectnessFairness(src, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner.SetParallelism(4)
-	b, err := CorrectnessFairness(src, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runWorkers(t, fig7Grid(src, 42), 1).Rows
+	b := runWorkers(t, fig7Grid(src, 42), 4).Rows
 	for i := range a {
 		if a[i].Correct != b[i].Correct || a[i].Fair != b[i].Fair {
 			t.Fatalf("%s: repeated run diverges", a[i].Approach)

@@ -18,36 +18,6 @@ import (
 	"fairbench/internal/synth"
 )
 
-// defaultCache is the process-wide result cache grids opened from a Spec
-// consult (see SetDefaultCache). Nil disables caching. Guarded by a
-// mutex rather than an atomic pointer because store.Backend is an
-// interface value.
-var defaultCache struct {
-	mu sync.RWMutex
-	b  store.Backend
-}
-
-// SetDefaultCache installs (or, with nil, removes) the process-wide
-// result cache — any store.Backend: on-disk, remote, or tiered. Every
-// grid subsequently materialized by Open consults it in RunRange: cells
-// whose (fingerprint, index, seed, GOARCH) key is cached are served
-// instead of recomputed, and freshly computed cells are written back.
-// Safe for concurrent use; grids opened before the call keep the cache
-// they were opened with.
-func SetDefaultCache(b store.Backend) {
-	defaultCache.mu.Lock()
-	defaultCache.b = b
-	defaultCache.mu.Unlock()
-}
-
-// DefaultCache returns the process-wide result cache, or nil when
-// caching is disabled.
-func DefaultCache() store.Backend {
-	defaultCache.mu.RLock()
-	defer defaultCache.mu.RUnlock()
-	return defaultCache.b
-}
-
 // Spec is the serializable identity of one experiment grid: enough to
 // rebuild the exact same (approach × dataset-slice) job list in any
 // process. The benchmark datasets are synthesized from seeds, so a Spec
@@ -370,8 +340,8 @@ type Grid struct {
 	// cache, when non-nil on a grid opened from a Spec, short-circuits
 	// RunRange cells through the result store (disk, remote, or tiered).
 	cache store.Backend
-	// workers overrides the runner pool size for this grid's RunRange
-	// calls; 0 uses the process default (see SetWorkers).
+	// workers sizes the runner pool of this grid's RunRange calls; 0 is
+	// one worker per CPU (see SetWorkers).
 	workers int
 }
 
@@ -424,85 +394,19 @@ func Open(spec Spec) (*Grid, error) {
 		return nil, err
 	}
 	g.spec, g.specJSON = ns, canonical
-	g.cache = DefaultCache()
 	return g, nil
 }
 
-// SetCache overrides the grid's result cache (nil disables it for this
-// grid). Open installs the process-wide default; this hook lets one run
-// use a dedicated cache directory without touching global state.
+// SetCache installs the grid's result store (nil, the state Open
+// leaves, runs every cell cold). RunRange then serves each cell the
+// store verifies and writes back each cell it computes.
 func (g *Grid) SetCache(s store.Backend) { g.cache = s }
 
 // SetWorkers pins the worker-pool size this grid's RunRange calls use
-// (n <= 0 restores the process-wide default from runner.SetParallelism).
-// It is how engine.RunOptions.Parallelism reaches the in-process pool
-// without mutating global state; the pure-timing grids ignore it and
-// always run with one worker.
-func (g *Grid) SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	g.workers = n
-}
-
-// specOutput reroutes a Source-based driver call through the Spec/Open
-// path — the only path with a grid fingerprint, and therefore the only
-// one the result cache can serve — when three conditions hold: a
-// process-wide cache is configured, the source carries stock-benchmark
-// provenance, and the source's synthesis seed equals the driver's
-// experiment seed (the Spec path uses one seed for both). The caller
-// fills the experiment-specific spec fields; dataset identity comes from
-// the source. Because the Spec path re-synthesizes the dataset, the
-// reroute also verifies the source's data still equals what its
-// provenance would generate — a caller that mutated the generated data
-// (say, to inject bias by hand) falls back to the direct, uncached path
-// instead of being answered about data it never passed. When the reroute
-// does not apply for any reason, ok=false and the caller runs its direct
-// grid exactly as before.
-func specOutput(src *synth.Source, seed int64, spec Spec) (out *Output, ok bool, err error) {
-	if DefaultCache() == nil || src.Dataset == "" || src.Seed != seed {
-		return nil, false, nil
-	}
-	spec.Dataset, spec.N, spec.Seed = src.Dataset, src.N, seed
-	regen, err := sourceFor(spec.Dataset, spec.N, seed)
-	// A source that IS the memoized materialization needs no comparison;
-	// anything else is verified value by value against the regeneration.
-	if err != nil || (regen.Data != src.Data && !sameData(regen.Data, src.Data)) {
-		return nil, false, nil
-	}
-	g, err := Open(spec)
-	if err != nil {
-		return nil, false, nil
-	}
-	out, err = g.RunAll()
-	return out, true, err
-}
-
-// sameData reports whether two datasets are bit-identical in everything
-// a grid cell can observe. Generators are deterministic, so a pristine
-// provenance-matched source compares equal; any post-generation
-// mutation — labels, features, group membership — compares unequal.
-func sameData(a, b *dataset.Dataset) bool {
-	if a.Len() != b.Len() || len(a.Attrs) != len(b.Attrs) {
-		return false
-	}
-	for i := range a.Y {
-		if a.Y[i] != b.Y[i] || a.S[i] != b.S[i] {
-			return false
-		}
-	}
-	for i := range a.X {
-		if len(a.X[i]) != len(b.X[i]) {
-			return false
-		}
-		for j := range a.X[i] {
-			if a.X[i][j] != b.X[i][j] {
-				return false
-			}
-		}
-	}
-	return true
-}
+// (n <= 0, the state Open leaves, is one worker per CPU). It is how
+// engine.RunOptions.Parallelism reaches the in-process pool; the
+// pure-timing grids ignore it and always run with one worker.
+func (g *Grid) SetWorkers(n int) { g.workers = n }
 
 // specNames resolves a spec's approach override for the scalability
 // grids, whose driver default is the full registry.
@@ -522,9 +426,8 @@ type sourceKey struct {
 }
 
 // sourceMemo caches materialized sources per process. Every fingerprinted
-// execution path — Open (and through it PlanShards, RunShard, the merge
-// validation, and every driver's Spec reroute) plus specOutput's
-// provenance check — funnels through sourceFor, so one run synthesizes
+// execution path — Open, and through it PlanShards, RunShardContext and
+// the merge validation — funnels through sourceFor, so one run synthesizes
 // each (dataset, n, seed) at most once no matter how many grids,
 // shards, or verification passes touch it. The memoized Source is shared
 // read-only: grid slices are zero-copy views into its flat backing (the
@@ -533,15 +436,12 @@ type sourceKey struct {
 var sourceMemo sync.Map // sourceKey -> *synth.Source
 
 // biasedSource applies the spec's bias-injection model to a pristine
-// benchmark source and returns a provenance-free derivative: injection
-// invalidates the (dataset, n, seed) reconstruction contract stock
-// sources carry, so the result must never be mistaken for stock data by
-// the Source-based cache reroute (specOutput). The memoized clean source
-// is shared read-only — under-representation keeps zero-copy views into
-// its backing, label bias copies only the label column — and injection
-// itself is deterministic per tuple (rng.Derive streams inside
-// internal/corrupt), so every process that Opens this spec sees
-// bit-identical biased data regardless of parallelism or sharding.
+// benchmark source. The memoized clean source is shared read-only —
+// under-representation keeps zero-copy views into its backing, label
+// bias copies only the label column — and injection itself is
+// deterministic per tuple (rng.Derive streams inside internal/corrupt),
+// so every process that Opens this spec sees bit-identical biased data
+// regardless of parallelism or sharding.
 func biasedSource(src *synth.Source, ns Spec) (*synth.Source, error) {
 	var (
 		biased *dataset.Dataset

@@ -2,13 +2,21 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
 
 	"fairbench/internal/shard"
+	"fairbench/internal/store"
 	"fairbench/internal/synth"
 )
+
+// shardWith runs shard i of a k-way split of spec against store s (nil
+// runs every cell cold) on the default worker pool.
+func shardWith(spec Spec, i, k int, s store.Backend) (*shard.Envelope, error) {
+	return RunShardContext(context.Background(), spec, i, k, s, 0)
+}
 
 // zeroTiming clears every wall-clock-derived field of an output, leaving
 // exactly the data the determinism contract covers. The scalability
@@ -86,7 +94,7 @@ func TestShardMergeMatchesSerial(t *testing.T) {
 			const k = 3
 			envs := make([]*shard.Envelope, k)
 			for i := 0; i < k; i++ {
-				env, err := RunShard(spec, i, k)
+				env, err := shardWith(spec, i, k, nil)
 				if err != nil {
 					t.Fatalf("shard %d: %v", i, err)
 				}
@@ -111,23 +119,61 @@ func TestShardMergeMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestDriverMatchesSpecPath pins the two entry points to each other: the
-// direct driver functions and the Spec/Open path must materialize the
-// same grid and produce the same rows.
+// TestDriverMatchesSpecPath pins the two entry points to each other for
+// every experiment kind: a Source driver (the library's direct, uncached
+// grid) and the Spec/Open path (the grid every CLI command, shard and
+// cache runs) must materialize the same grid and produce the same
+// output, timing fields aside.
 func TestDriverMatchesSpecPath(t *testing.T) {
-	src := synth.German(240, 7)
-	rows, err := CorrectnessFairness(src, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := mustOpen(t, Spec{Experiment: "fig7", Dataset: "german", N: 240, Seed: 7}).RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := canonical(t, &Output{Rows: rows})
-	b := canonical(t, &Output{Rows: out.Rows})
-	if !bytes.Equal(a, b) {
-		t.Fatal("Spec path diverges from direct driver call")
+	for _, c := range []struct {
+		spec   Spec
+		driver func() (*Output, error)
+	}{
+		{Spec{Experiment: "fig7", Dataset: "german", N: 240, Seed: 7}, func() (*Output, error) {
+			rows, err := CorrectnessFairness(synth.German(240, 7), 7)
+			return &Output{Rows: rows}, err
+		}},
+		{Spec{Experiment: "fig15", Dataset: "german", N: 240, Seed: 7}, func() (*Output, error) {
+			rows, err := Extensions(synth.German(240, 7), 7)
+			return &Output{Rows: rows}, err
+		}},
+		{Spec{Experiment: "cv", Dataset: "german", N: 240, Seed: 7, K: 3}, func() (*Output, error) {
+			rows, err := CrossValidate(synth.German(240, 7), 3, 7)
+			return &Output{Rows: rows}, err
+		}},
+		{Spec{Experiment: "fig9", Dataset: "compas", N: 300, Seed: 7}, func() (*Output, error) {
+			res, err := Robustness(synth.COMPAS(300, 7), 7)
+			return &Output{Robustness: res}, err
+		}},
+		{Spec{Experiment: "fig10", Dataset: "adult", N: 300, Seed: 7}, func() (*Output, error) {
+			rows, err := ModelSensitivity(synth.Adult(300, 7), nil, 7)
+			return &Output{Sensitivity: rows}, err
+		}},
+		{Spec{Experiment: "fig22", Dataset: "adult", N: 300, Seed: 7, Runs: 3}, func() (*Output, error) {
+			rows, err := Stability(synth.Adult(300, 7), 3, 7)
+			return &Output{Stability: rows}, err
+		}},
+		{Spec{Experiment: "fig23", Dataset: "adult", N: 300, Seed: 7}, func() (*Output, error) {
+			pts, err := DataEfficiency(synth.Adult(300, 7), DefaultFig23Sizes(300), nil, 7)
+			return &Output{Efficiency: pts}, err
+		}},
+	} {
+		t.Run(c.spec.Experiment, func(t *testing.T) {
+			direct, err := c.driver()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := mustOpen(t, c.spec).RunAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Only the payload is compared: the direct driver's output
+			// carries no spec.
+			out.Experiment, out.Spec = "", Spec{}
+			if !bytes.Equal(canonical(t, direct), canonical(t, out)) {
+				t.Fatal("Spec path diverges from direct driver call")
+			}
+		})
 	}
 }
 
@@ -198,15 +244,15 @@ func TestMergeShardsRejectsForeignEnvelope(t *testing.T) {
 	specA := Spec{Experiment: "fig23", Dataset: "compas", N: 300, Seed: 1, Sizes: []int{60, 120}, Names: []string{"LR"}}
 	specB := specA
 	specB.Seed = 2
-	a0, err := RunShard(specA, 0, 2)
+	a0, err := shardWith(specA, 0, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, err := RunShard(specA, 1, 2)
+	a1, err := shardWith(specA, 1, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, err := RunShard(specB, 1, 2)
+	b1, err := shardWith(specB, 1, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,11 +296,11 @@ func TestFingerprintIgnoresUnusedSpecFields(t *testing.T) {
 	if fpClean != fpNoisy {
 		t.Fatal("fingerprint depends on fields fig7 ignores")
 	}
-	a, err := RunShard(clean, 0, 2)
+	a, err := shardWith(clean, 0, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunShard(noisy, 1, 2)
+	b, err := shardWith(noisy, 1, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"fairbench/internal/runner"
 	"fairbench/internal/synth"
 )
 
@@ -18,24 +17,26 @@ func stripTiming(rows []Row) []Row {
 	return out
 }
 
+// runWorkers runs a freshly built grid on a pool of the given size.
+func runWorkers(t *testing.T, g *Grid, workers int) *Output {
+	t.Helper()
+	g.SetWorkers(workers)
+	out, err := g.RunAll()
+	if err != nil {
+		t.Fatalf("workers %d: %v", workers, err)
+	}
+	return out
+}
+
 // TestSerialParallelIdenticalRows is the tentpole's acceptance gate:
 // parallel execution must reproduce the serial rows exactly (modulo
 // timing) for a fixed seed, across seeds and worker counts.
 func TestSerialParallelIdenticalRows(t *testing.T) {
-	defer runner.SetParallelism(0)
 	for _, seed := range []int64{1, 2, 7} {
 		src := synth.German(200, seed)
-		runner.SetParallelism(1)
-		serial, err := CorrectnessFairness(src, seed)
-		if err != nil {
-			t.Fatalf("seed %d serial: %v", seed, err)
-		}
+		serial := runWorkers(t, fig7Grid(src, seed), 1).Rows
 		for _, workers := range []int{2, 4, 8} {
-			runner.SetParallelism(workers)
-			parallel, err := CorrectnessFairness(src, seed)
-			if err != nil {
-				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
-			}
+			parallel := runWorkers(t, fig7Grid(src, seed), workers).Rows
 			if !reflect.DeepEqual(stripTiming(serial), stripTiming(parallel)) {
 				t.Fatalf("seed %d: parallel rows (workers=%d) diverge from serial", seed, workers)
 			}
@@ -47,18 +48,9 @@ func TestSerialParallelIdenticalRows(t *testing.T) {
 // averages must also be bit-identical (summation order is fixed by the
 // post-pass, not by job completion order).
 func TestSerialParallelIdenticalCV(t *testing.T) {
-	defer runner.SetParallelism(0)
 	src := synth.German(300, 1)
-	runner.SetParallelism(1)
-	serial, err := CrossValidate(src, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner.SetParallelism(4)
-	parallel, err := CrossValidate(src, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := runWorkers(t, cvGrid(src, 3, 1), 1).Rows
+	parallel := runWorkers(t, cvGrid(src, 3, 1), 4).Rows
 	if !reflect.DeepEqual(stripTiming(serial), stripTiming(parallel)) {
 		t.Fatal("parallel CV rows diverge from serial")
 	}
@@ -67,19 +59,10 @@ func TestSerialParallelIdenticalCV(t *testing.T) {
 // TestSerialParallelIdenticalSensitivity covers a grid driver with a
 // non-default classifier factory per cell.
 func TestSerialParallelIdenticalSensitivity(t *testing.T) {
-	defer runner.SetParallelism(0)
 	src := synth.COMPAS(600, 1)
 	approaches := []string{"Feld-DP", "KamKar-DP"}
-	runner.SetParallelism(1)
-	serial, err := ModelSensitivity(src, approaches, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner.SetParallelism(4)
-	parallel, err := ModelSensitivity(src, approaches, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := runWorkers(t, sensitivityGrid(src, approaches, 1), 1).Sensitivity
+	parallel := runWorkers(t, sensitivityGrid(src, approaches, 1), 4).Sensitivity
 	if len(serial) != len(parallel) {
 		t.Fatalf("row counts: %d vs %d", len(serial), len(parallel))
 	}

@@ -63,7 +63,7 @@ func TestPlanCacheAwareFullyCachedAssignsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunShardCached(spec, 0, 1, st); err != nil {
+	if _, err := shardWith(spec, 0, 1, st); err != nil {
 		t.Fatal(err)
 	}
 	plan, err := PlanShardsCacheAware(spec, 3, st)
@@ -113,7 +113,7 @@ func TestPlanRunMergeRoundTripArbitrarySubsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunShardCached(spec, 0, 1, full); err != nil {
+	if _, err := shardWith(spec, 0, 1, full); err != nil {
 		t.Fatal(err)
 	}
 

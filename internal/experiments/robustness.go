@@ -22,12 +22,6 @@ type RobustnessResult struct {
 // approach) grid then fans out as one flat job list so all three templates
 // train concurrently.
 func Robustness(src *synth.Source, seed int64) ([]RobustnessResult, error) {
-	if out, ok, err := specOutput(src, seed, Spec{Experiment: "fig9"}); ok {
-		if err != nil {
-			return nil, err
-		}
-		return out.Robustness, nil
-	}
 	g, err := robustnessGrid(src, seed)
 	if err != nil {
 		return nil, err

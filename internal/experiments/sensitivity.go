@@ -29,12 +29,6 @@ type SensitivityRow struct {
 // in-processing approaches are excluded because their mechanism is welded
 // to their own learner (Section 4.5 evaluates pre and post only).
 func ModelSensitivity(src *synth.Source, approaches []string, seed int64) ([]SensitivityRow, error) {
-	if out, ok, err := specOutput(src, seed, Spec{Experiment: "fig10", Names: approaches}); ok {
-		if err != nil {
-			return nil, err
-		}
-		return out.Sensitivity, nil
-	}
 	out, err := sensitivityGrid(src, approaches, seed).RunAll()
 	if err != nil {
 		return nil, err

@@ -15,7 +15,8 @@ import (
 // and merging envelopes back into driver-native output. The invariant the
 // shard-equivalence tests pin down: for any Spec and any k,
 //
-//	MergeShards(RunShard(spec, 0, k), …, RunShard(spec, k-1, k))
+//	MergeShards(RunShardContext(ctx, spec, 0, k, nil, 0), …,
+//	            RunShardContext(ctx, spec, k-1, k, nil, 0))
 //
 // equals Open(spec).RunAll() except for the wall-time fields — whether the
 // shards ran in one process, k processes, or k hosts.
@@ -212,27 +213,15 @@ func (p *ShardPlan) ServeEnvelope(i int) (*shard.Envelope, bool) {
 	return env, true
 }
 
-// RunShard executes shard i of a k-way split of the spec's grid and
-// returns the serializable partial-result envelope. Each shard
+// RunShardContext executes shard i of a k-way split of the spec's grid
+// and returns the serializable partial-result envelope. Each shard
 // re-materializes the grid from the spec (datasets are synthesized from
-// the spec's seed), so shards share no state and can run anywhere. When
-// a process-wide result cache is configured (SetDefaultCache), cells
-// with verified cache entries are served instead of computed, and the
-// envelope's Cached field records which ones.
-func RunShard(spec Spec, i, k int) (*shard.Envelope, error) {
-	g, err := Open(spec)
-	if err != nil {
-		return nil, err
-	}
-	return runShard(context.Background(), g, i, k)
-}
-
-// RunShardContext is RunShard with an explicit result store, a
-// cancellation context, and a worker-pool size: a done ctx stops the
-// worker pool promptly (no new cells start; in-flight cells finish) and
-// the error wraps ctx.Err(). A nil store runs every cell cold, matching
-// the worker subprocess contract rather than inheriting the process
-// default; workers <= 0 uses the process-wide runner default.
+// the spec's seed), so shards share no state and can run anywhere. With
+// a result store, cells it verifies are served instead of computed and
+// the envelope's Cached field records which ones; a nil store runs every
+// cell cold. workers sizes the pool (<= 0 is one worker per CPU). A done
+// ctx stops the pool promptly (no new cells start; in-flight cells
+// finish) and the error wraps ctx.Err().
 func RunShardContext(ctx context.Context, spec Spec, i, k int, s store.Backend, workers int) (*shard.Envelope, error) {
 	g, err := Open(spec)
 	if err != nil {
@@ -241,18 +230,6 @@ func RunShardContext(ctx context.Context, spec Spec, i, k int, s store.Backend, 
 	g.SetCache(s)
 	g.SetWorkers(workers)
 	return runShard(ctx, g, i, k)
-}
-
-// RunShardCached is RunShard against an explicit result store, leaving
-// the process-wide default untouched — the worker-subprocess entry point
-// and the facade's one-shot cached path.
-func RunShardCached(spec Spec, i, k int, s store.Backend) (*shard.Envelope, error) {
-	g, err := Open(spec)
-	if err != nil {
-		return nil, err
-	}
-	g.SetCache(s)
-	return runShard(context.Background(), g, i, k)
 }
 
 // RunShardPlanned executes ranges[i] of an explicit plan of the spec's

@@ -218,55 +218,6 @@ func (v *fitView) logGradFromP(grad []float64) {
 	}
 }
 
-// logLossAndGrad accumulates the weighted logistic loss and its gradient
-// over rows x with labels y; grad must be pre-zeroed and sized len(w).
-func logLossAndGrad(w []float64, x [][]float64, y []int, grad []float64) float64 {
-	d := len(w) - 1
-	var loss float64
-	n := float64(len(x))
-	for i, row := range x {
-		z := w[d]
-		for j, v := range row {
-			z += w[j] * v
-		}
-		p := matrix.Sigmoid(z)
-		yi := float64(y[i])
-		loss += logLoss(p, yi)
-		g := (p - yi) / n
-		for j, v := range row {
-			grad[j] += g * v
-		}
-		grad[d] += g
-	}
-	return loss / n
-}
-
-// logGradOnly accumulates only the gradient of the mean logistic loss
-// (grad must be pre-zeroed). It is the variant for objectives consumed
-// exclusively by Adam, whose update and stopping rule read nothing but
-// the gradient and whose returned value the callers here discard:
-// skipping the math.Log per tuple per iteration leaves every weight
-// trajectory bit-identical while removing the dominant transcendental
-// from the in-processing fit loops. Objectives whose value is consumed
-// (Zafar^dp_Acc's loss budget and its loss constraint) keep
-// logLossAndGrad.
-func logGradOnly(w []float64, x [][]float64, y []int, grad []float64) {
-	d := len(w) - 1
-	n := float64(len(x))
-	for i, row := range x {
-		z := w[d]
-		for j, v := range row {
-			z += w[j] * v
-		}
-		p := matrix.Sigmoid(z)
-		g := (p - float64(y[i])) / n
-		for j, v := range row {
-			grad[j] += g * v
-		}
-		grad[d] += g
-	}
-}
-
 func logLoss(p, y float64) float64 {
 	const eps = 1e-12
 	p = matrix.Clamp(p, eps, 1-eps)

@@ -16,16 +16,6 @@ func Scale(alpha float64, x []float64) {
 	}
 }
 
-// AddTo computes dst[i] += src[i] in place.
-func AddTo(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic("matrix: AddTo length mismatch")
-	}
-	for i, v := range src {
-		dst[i] += v
-	}
-}
-
 // Sub returns a new vector a-b.
 func Sub(a, b []float64) []float64 {
 	if len(a) != len(b) {
@@ -44,18 +34,6 @@ func Clone(x []float64) []float64 {
 	copy(out, x)
 	return out
 }
-
-// CloneRows returns a deep copy of a row-major matrix.
-func CloneRows(m [][]float64) [][]float64 {
-	out := make([][]float64, len(m))
-	for i, row := range m {
-		out[i] = Clone(row)
-	}
-	return out
-}
-
-// Zeros returns a zero vector of length n.
-func Zeros(n int) []float64 { return make([]float64, n) }
 
 // MatVec computes m·x for a row-major matrix m.
 func MatVec(m [][]float64, x []float64) []float64 {
@@ -80,15 +58,6 @@ func TransposeMatVec(m [][]float64, x []float64) []float64 {
 		Axpy(x[i], row, out)
 	}
 	return out
-}
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // NormInf returns the maximum absolute entry of x.
@@ -143,12 +112,4 @@ func ArgMax(x []float64) int {
 		}
 	}
 	return best
-}
-
-// Mean returns the arithmetic mean of x (0 for empty input).
-func Mean(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	return Sum(x) / float64(len(x))
 }

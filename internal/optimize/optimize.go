@@ -259,13 +259,6 @@ func ProjectSimplex(w []float64) {
 	}
 }
 
-// ProjectBox clamps w in place to [lo, hi] element-wise.
-func ProjectBox(w []float64, lo, hi float64) {
-	for i := range w {
-		w[i] = matrix.Clamp(w[i], lo, hi)
-	}
-}
-
 // Bisect finds x in [lo,hi] with f(x) ~ 0 for monotone non-decreasing f.
 func Bisect(f func(float64) float64, lo, hi float64, iters int) float64 {
 	for i := 0; i < iters; i++ {

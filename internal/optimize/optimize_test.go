@@ -34,7 +34,11 @@ func TestProjectedGDStaysInBox(t *testing.T) {
 		return (w[0] - 3) * (w[0] - 3)
 	}
 	w, _ := GradientDescent(obj, []float64{0.5}, GDConfig{
-		Project: func(w []float64) { ProjectBox(w, 0, 1) },
+		Project: func(w []float64) {
+			for i := range w {
+				w[i] = math.Min(math.Max(w[i], 0), 1)
+			}
+		},
 	})
 	if math.Abs(w[0]-1) > 1e-6 {
 		t.Fatalf("projected optimum: %v", w[0])

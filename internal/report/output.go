@@ -1,8 +1,8 @@
-// output.go renders merged grid results (experiments.Output) into the
-// same tables the serial CLI commands print. Extracted from
-// cmd/fairbench so the serve daemon's /runs/{id}/table endpoint and the
-// CLI's merge/dispatch/sched paths share one renderer — the
-// byte-identical-to-serial guarantee then covers HTTP responses too.
+// output.go renders grid results (experiments.Output) into the tables
+// the CLI's figure commands print. Every path that produces an Output —
+// a figure command on the in-process engine, merge, dispatch, sched,
+// and the serve daemon's /runs/{id}/table endpoint — shares this one
+// renderer, so their tables match byte for byte.
 package report
 
 import (
@@ -11,27 +11,27 @@ import (
 	"sort"
 
 	"fairbench/internal/experiments"
+	"fairbench/internal/synth"
 )
 
-// RenderOutput writes a merged grid result as the tables the serial
-// command would print (minus the serial-only extras, like fig9's
-// clean-training deltas, which need a second grid).
+// RenderOutput writes a grid result as the tables its figure command
+// prints. fig9's "Δ vs clean training" tables need a second grid, so
+// they appear only through RenderRobustness with the clean rows.
 func RenderOutput(w io.Writer, out *experiments.Output) error {
 	spec := out.Spec
 	ds := DatasetLabel(spec)
 	switch out.Experiment {
-	case "fig7", "fig15", "cv":
-		title := fmt.Sprintf("%s — merged shards (%s, seed %d)", out.Experiment, ds, spec.Seed)
+	case "fig7":
+		title := fmt.Sprintf("Figure 7 — correctness & fairness on %s (|D|=%d)", ds, generatedSize(spec))
+		return RowsTable(title, out.Rows).Render(w)
+	case "fig15":
+		title := fmt.Sprintf("Figure 15 — appendix extensions on %s (|D|=%d)", ds, generatedSize(spec))
+		return RowsTable(title, out.Rows).Render(w)
+	case "cv":
+		title := fmt.Sprintf("Figures 16-18 — %d-fold cross validation on %s", spec.K, ds)
 		return RowsTable(title, out.Rows).Render(w)
 	case "fig9":
-		for _, res := range out.Robustness {
-			title := fmt.Sprintf("Figure 9 — robustness on %s + %s (merged shards)", ds, res.Template)
-			if err := RowsTable(title, res.Rows).Render(w); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-		}
-		return nil
+		return RenderRobustness(w, out.Robustness, ds, nil)
 	case "fig10":
 		return RenderSensitivity(w, out.Sensitivity, ds)
 	case "fig22":
@@ -39,23 +39,63 @@ func RenderOutput(w io.Writer, out *experiments.Output) error {
 	case "fig23":
 		return RenderEfficiency(w, out.Efficiency, spec.Sizes, ds)
 	case "fig8rows":
-		return ScalabilityTable(fmt.Sprintf("Figure 8(a-c) — overhead vs #data points (%s, merged shards)", ds), "points", out.Scalability).Render(w)
+		return ScalabilityTable(fmt.Sprintf("Figure 8(a-c) — runtime overhead vs #data points (%s)", ds), "points", out.Scalability).Render(w)
 	case "fig8attrs":
-		return ScalabilityTable(fmt.Sprintf("Figure 8(d-f) — overhead vs #attributes (%s, merged shards)", ds), "attrs", out.Scalability).Render(w)
+		return ScalabilityTable(fmt.Sprintf("Figure 8(d-f) — runtime overhead vs #attributes (%s)", ds), "attrs", out.Scalability).Render(w)
 	default:
 		return fmt.Errorf("render: unknown experiment %q", out.Experiment)
 	}
 }
+
+// generatedSize is the tuple count the spec's dataset is generated with
+// (its n, or the paper size for n = 0), before any bias injection.
+func generatedSize(spec experiments.Spec) int {
+	if spec.N > 0 {
+		return spec.N
+	}
+	return synth.PaperSize(spec.Dataset)
+}
+
+// RenderRobustness writes Figure 9's per-template tables. Given clean,
+// the rows of the Figure 7 grid on the same data, each template's table
+// is followed by its "Δ vs clean training" table.
+func RenderRobustness(w io.Writer, results []experiments.RobustnessResult, dataset string, clean []experiments.Row) error {
+	for _, res := range results {
+		title := fmt.Sprintf("Figure 9 — robustness on %s + %s", dataset, res.Template)
+		if err := RowsTable(title, res.Rows).Render(w); err != nil {
+			return err
+		}
+		if clean != nil {
+			dt := &Table{
+				Title:   fmt.Sprintf("Δ vs clean training (%s)", res.Template),
+				Headers: []string{"approach", "accuracy drop", "target-fairness drop"},
+			}
+			for _, d := range experiments.Deltas(clean, res) {
+				dt.Add(d.Approach, F(d.AccuracyDrop), F(d.TargetFairDrop))
+			}
+			if err := dt.Render(w); err != nil {
+				return err
+			}
+		}
+		fmt.Fprintln(w)
+	}
+	return nil
+}
+
+// datasetNames maps a spec's dataset to the name its generator gives the
+// data, the name every figure title shows.
+var datasetNames = map[string]string{"adult": "Adult", "compas": "COMPAS", "german": "German"}
 
 // DatasetLabel names the data a grid actually ran on: the stock dataset,
 // suffixed with the bias-injection setting when the spec carries one.
 // Every table title routes through this so a biased grid can never be
 // mistaken for a clean one in rendered output.
 func DatasetLabel(spec experiments.Spec) string {
+	name := datasetNames[spec.Dataset]
 	if b := spec.BiasLabelText(); b != "" {
-		return spec.Dataset + " [" + b + "]"
+		return name + " [" + b + "]"
 	}
-	return spec.Dataset
+	return name
 }
 
 // RowsTable lays out per-approach correctness/fairness rows — the

@@ -26,9 +26,6 @@ func (t *Table) Add(cells ...string) {
 // F formats a float at 3 decimal places, the paper's table precision.
 func F(v float64) string { return fmt.Sprintf("%.3f", v) }
 
-// F2 formats a float at 2 decimal places (the CV tables' precision).
-func F2(v float64) string { return fmt.Sprintf("%.2f", v) }
-
 // Render writes the table with aligned columns.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Headers))

@@ -12,7 +12,7 @@ func sample() *Table {
 		Headers: []string{"name", "value"},
 	}
 	t.Add("alpha", F(0.12345))
-	t.Add("a-much-longer-name", F2(0.678))
+	t.Add("a-much-longer-name", "0.68")
 	return t
 }
 
@@ -58,8 +58,5 @@ func TestWriteCSV(t *testing.T) {
 func TestFormatters(t *testing.T) {
 	if F(1.0/3) != "0.333" {
 		t.Fatalf("F: %q", F(1.0/3))
-	}
-	if F2(1.0/3) != "0.33" {
-		t.Fatalf("F2: %q", F2(1.0/3))
 	}
 }

@@ -44,39 +44,18 @@ func TestRunOffsetJobError(t *testing.T) {
 	}
 }
 
-// TestSetParallelismRacesWithRun hammers the process-wide worker knob from
-// many goroutines while Runs are in flight. Under -race this guards the
-// atomicity of the default; functionally it asserts that a Run started at
-// any moment still returns complete, ordered results (in-flight runs keep
-// their pool; the knob only affects pool sizing at Run entry).
-func TestSetParallelismRacesWithRun(t *testing.T) {
-	defer SetParallelism(0)
-	stop := make(chan struct{})
-	var flip sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		flip.Add(1)
-		go func(g int) {
-			defer flip.Done()
-			for n := 0; ; n++ {
-				select {
-				case <-stop:
-					return
-				default:
-					SetParallelism((g + n) % 9)
-					if Parallelism() < 1 {
-						t.Error("Parallelism() < 1 mid-race")
-						return
-					}
-				}
-			}
-		}(g)
-	}
+// TestConcurrentRuns starts many Runs at once, with pool sizes from
+// the default (0 = one worker per CPU) up to more workers than a small
+// machine has cores. Under -race this guards against state shared
+// between Runs; functionally every Run must return complete, ordered
+// results.
+func TestConcurrentRuns(t *testing.T) {
 	var runs sync.WaitGroup
 	for r := 0; r < 8; r++ {
 		runs.Add(1)
 		go func(r int) {
 			defer runs.Done()
-			got, err := Run(50, Options{}, func(i int) (int, error) { return r*1000 + i, nil })
+			got, err := Run(50, Options{Workers: r}, func(i int) (int, error) { return r*1000 + i, nil })
 			if err != nil {
 				t.Errorf("run %d: %v", r, err)
 				return
@@ -90,8 +69,6 @@ func TestSetParallelismRacesWithRun(t *testing.T) {
 		}(r)
 	}
 	runs.Wait()
-	close(stop)
-	flip.Wait()
 }
 
 // TestRunProperties is a randomized property test (fixed seed, so it is

@@ -22,35 +22,10 @@ import (
 	"sync/atomic"
 )
 
-// defaultWorkers is the process-wide worker count used when
-// Options.Workers is unset; 0 means GOMAXPROCS. It is set through
-// SetParallelism (surfaced as fairbench.SetParallelism and the CLI's
-// -parallel flag).
-var defaultWorkers atomic.Int64
-
-// SetParallelism sets the process-wide default worker count for Run.
-// n <= 0 restores the default of GOMAXPROCS. Safe for concurrent use.
-func SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	defaultWorkers.Store(int64(n))
-}
-
-// Parallelism reports the worker count Run uses when Options.Workers is
-// unset.
-func Parallelism() int {
-	if n := defaultWorkers.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Options configures one Run call.
 type Options struct {
-	// Workers is the number of concurrent workers; <= 0 uses the
-	// process-wide default (see SetParallelism). 1 degenerates to the
-	// serial loop.
+	// Workers is the number of concurrent workers; <= 0 uses one per
+	// CPU (runtime.GOMAXPROCS(0)). 1 degenerates to the serial loop.
 	Workers int
 	// FailFast stops executing further jobs after the first failure
 	// (queued jobs are still drained, but skipped) and returns that
@@ -102,7 +77,7 @@ func Run[T any](n int, opts Options, job func(i int) (T, error)) ([]T, error) {
 	}
 	workers := opts.Workers
 	if workers <= 0 {
-		workers = Parallelism()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n

@@ -151,15 +151,3 @@ func TestRunPerJobRNGConvention(t *testing.T) {
 		}
 	}
 }
-
-func TestSetParallelism(t *testing.T) {
-	defer SetParallelism(0)
-	SetParallelism(3)
-	if Parallelism() != 3 {
-		t.Fatalf("Parallelism() = %d", Parallelism())
-	}
-	SetParallelism(0)
-	if Parallelism() < 1 {
-		t.Fatalf("default Parallelism() = %d", Parallelism())
-	}
-}

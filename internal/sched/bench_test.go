@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"os"
 	"testing"
 	"time"
@@ -23,7 +24,7 @@ func BenchmarkSchedPlanCacheAware(b *testing.B) {
 	// Populate the first half of the grid so the plan sees a realistic
 	// mid-run cache: a cached prefix to skip and an uncached tail to
 	// balance.
-	if _, err := experiments.RunShardCached(spec, 0, 2, st); err != nil {
+	if _, err := experiments.RunShardContext(context.Background(), spec, 0, 2, st, 0); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

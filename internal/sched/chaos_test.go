@@ -621,6 +621,71 @@ func TestSchedShrinkThenGrow(t *testing.T) {
 	}
 }
 
+// gateTransport holds its first attempt inside Run until the test
+// releases it: it closes entered, waits for release, heartbeats, then
+// waits for joined before handing over to inner. The heartbeat lands
+// while the scheduler may be applying a pool update, with nothing
+// ordering the two, so the race detector sees any shared host field
+// the attempt reads.
+type gateTransport struct {
+	inner                    Transport
+	once                     sync.Once
+	entered, release, joined chan struct{}
+}
+
+func (g *gateTransport) Run(ctx context.Context, h Host, asn Assignment, beat func()) error {
+	first := false
+	g.once.Do(func() { first = true; close(g.entered) })
+	if first {
+		<-g.release
+		beat()
+		<-g.joined
+	}
+	return g.inner.Run(ctx, h, asn, beat)
+}
+
+// TestSchedRejoinDuringBlockedAttempt: a host rejoins (its definition
+// refreshed) while one of its attempts is blocked inside the transport.
+// The attempt must keep the host it was launched on; under -race this
+// fails every run if the attempt reads the host's live fields.
+func TestSchedRejoinDuringBlockedAttempt(t *testing.T) {
+	spec := smallSpec()
+	want := serialReference(t, spec)
+	gate := &gateTransport{
+		inner:   newInstantInner(t, spec, 1),
+		entered: make(chan struct{}), release: make(chan struct{}), joined: make(chan struct{}),
+	}
+	var joinedOnce sync.Once
+	pool := NewPoolChan()
+	go func() {
+		<-gate.entered
+		pool.Join(Host{Name: "a", Slots: 2, Transport: "gate"})
+		close(gate.release)
+	}()
+	out, rep, err := Run(spec, Options{
+		Dir:              t.TempDir(),
+		Shards:           1,
+		Hosts:            []Host{{Name: "a", Transport: "gate"}},
+		Transports:       map[string]Transport{"gate": gate},
+		PoolSource:       pool,
+		HeartbeatTimeout: 30 * time.Second,
+		OnEvent: func(ev Event) {
+			if ev.Type == EventJoined {
+				joinedOnce.Do(func() { close(gate.joined) })
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, canonical(t, out)) {
+		t.Fatal("output after a mid-attempt rejoin diverges from serial run")
+	}
+	if len(rep.Joined) != 1 || rep.Joined[0] != "a" {
+		t.Fatalf("joined %v, want [a]", rep.Joined)
+	}
+}
+
 // TestSchedAllHostsLostLocalFallback: chaos scenario 9 — every host
 // fails until excluded. With LocalFallback the coordinator computes the
 // leftovers in-process: the run COMPLETES, byte-identical to serial,

@@ -63,6 +63,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -72,7 +73,6 @@ import (
 	"fairbench/internal/dispatch"
 	"fairbench/internal/experiments"
 	"fairbench/internal/rng"
-	"fairbench/internal/runner"
 	"fairbench/internal/shard"
 	"fairbench/internal/store"
 )
@@ -83,7 +83,7 @@ type Options struct {
 	// directory holding manifest.json and part files. Required.
 	Dir string
 	// Hosts is the execution pool. Empty defaults to one local host
-	// whose slot count is the runner parallelism.
+	// with one slot per CPU (runtime.GOMAXPROCS(0)).
 	Hosts []Host
 	// Shards targets how many work ranges the cache-aware plan produces
 	// (the actual count varies with cache fragmentation). Defaults to
@@ -508,7 +508,7 @@ func poolDead(pool []*hostState) bool {
 // resolve against it mid-run).
 func buildPool(opts *Options) ([]*hostState, map[string]Transport, error) {
 	if len(opts.Hosts) == 0 {
-		opts.Hosts = []Host{{Name: "local", Slots: runner.Parallelism()}}
+		opts.Hosts = []Host{{Name: "local", Slots: runtime.GOMAXPROCS(0)}}
 	}
 	if opts.HeartbeatTimeout <= 0 {
 		opts.HeartbeatTimeout = 60 * time.Second
@@ -881,14 +881,17 @@ func schedule(ctx context.Context, pool []*hostState, transports map[string]Tran
 			suffix = ", speculative"
 		}
 		logf("sched: range %d → host %s (attempt %d%s)", pr.idx, hs.Name, pr.attempts, suffix)
-		outTmp := fl.outTmp
+		// The attempt keeps the host definition it was launched with: a
+		// rejoin rewrites hs.Host and hs.transport on this loop while the
+		// attempt runs, so the goroutine must not read them.
+		outTmp, tr, host, rangeIdx := fl.outTmp, hs.transport, hs.Host, pr.idx
 		go func() {
 			defer cancel()
-			err := hs.transport.Run(flctx, hs.Host, Assignment{
-				ManifestPath: manifestPath, Manifest: manifestBytes, Range: pr.idx, OutPath: outTmp,
+			err := tr.Run(flctx, host, Assignment{
+				ManifestPath: manifestPath, Manifest: manifestBytes, Range: rangeIdx, OutPath: outTmp,
 			}, func() {
 				fl.lastBeat.Store(time.Now().UnixNano())
-				emit(Event{Type: EventHeartbeat, Host: hs.Name, Range: pr.idx})
+				emit(Event{Type: EventHeartbeat, Host: host.Name, Range: rangeIdx})
 			})
 			if err == nil && flctx.Err() != nil {
 				// The scheduler abandoned this attempt (heartbeat lapse,

@@ -103,9 +103,6 @@ func Rank(s []float64, v float64) float64 {
 	return float64(idx) / float64(len(s))
 }
 
-// Median returns the 0.5 quantile of x.
-func Median(x []float64) float64 { return Quantile(x, 0.5) }
-
 // HoeffdingUpper returns a (1-delta)-confidence upper bound on the mean of
 // a [lo,hi]-bounded random variable given a sample mean over n points:
 //

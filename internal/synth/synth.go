@@ -49,26 +49,9 @@ func PaperSize(dataset string) int {
 // Source bundles a generated dataset with the causal graph it was sampled
 // from. The graph drives the causal fairness metrics and the causal
 // pre-processing approaches.
-//
-// The provenance fields record which generator produced the source and
-// with what arguments. They make a stock benchmark source reconstructible
-// from (Dataset, N, Seed) alone — which is what lets the experiment
-// drivers route a Source-based run through the fingerprinted Spec path
-// (and therefore the result cache) whenever the provenance matches: the
-// spec re-synthesizes bit-identical data. A Source assembled by hand
-// (e.g. from externally loaded data) leaves Dataset empty and is simply
-// never cached.
 type Source struct {
 	Data  *dataset.Dataset
 	Graph *causal.Graph
-
-	// Dataset is the generator's spec name ("adult", "compas", "german");
-	// empty for sources not produced by a package generator.
-	Dataset string
-	// N is the size cap the generator was called with (0 = paper size).
-	N int
-	// Seed is the generator's seed.
-	Seed int64
 }
 
 // calibrateIntercept finds b such that mean_i sigmoid(score[i]+b) = target
@@ -123,7 +106,6 @@ func clip(v, lo, hi float64) float64 {
 // when n <= 0). Sensitive attribute: Sex (1 = Male privileged); task:
 // Income >= $50K.
 func Adult(n int, seed int64) *Source {
-	nArg := n // provenance records the cap argument (0 = paper size)
 	if n <= 0 {
 		n = PaperSize("adult")
 	}
@@ -221,7 +203,7 @@ func Adult(n int, seed int64) *Source {
 		scores[i] = score
 	}
 	d.Y = sampleLabels(scores, d.S, 0.11, 0.32, g)
-	return &Source{Data: d, Graph: adultGraph(), Dataset: "adult", N: nArg, Seed: seed}
+	return &Source{Data: d, Graph: adultGraph()}
 }
 
 func adultGraph() *causal.Graph {
@@ -251,7 +233,6 @@ func adultGraph() *causal.Graph {
 // "does not reoffend within two years" outcome, matching the paper's
 // reading that 51% of African-Americans have Y=0 versus 39% of others.
 func COMPAS(n int, seed int64) *Source {
-	nArg := n
 	if n <= 0 {
 		n = PaperSize("compas")
 	}
@@ -283,7 +264,7 @@ func COMPAS(n int, seed int64) *Source {
 		scores[i] = -0.30*prior + 0.035*(age-30) - 0.35*float64(sex)
 	}
 	d.Y = sampleLabels(scores, d.S, 0.49, 0.61, g)
-	return &Source{Data: d, Graph: compasGraph(), Dataset: "compas", N: nArg, Seed: seed}
+	return &Source{Data: d, Graph: compasGraph()}
 }
 
 func compasGraph() *causal.Graph {
@@ -306,7 +287,6 @@ func compasGraph() *causal.Graph {
 // Credit_risk with Y=1 the favorable "low risk" outcome (70% of the
 // population; 65% of females vs 71% of males).
 func German(n int, seed int64) *Source {
-	nArg := n
 	if n <= 0 {
 		n = PaperSize("german")
 	}
@@ -364,7 +344,7 @@ func German(n int, seed int64) *Source {
 		_ = invest
 	}
 	d.Y = sampleLabels(scores, d.S, 0.65, 0.71, g)
-	return &Source{Data: d, Graph: germanGraph(), Dataset: "german", N: nArg, Seed: seed}
+	return &Source{Data: d, Graph: germanGraph()}
 }
 
 func germanGraph() *causal.Graph {
