@@ -19,7 +19,7 @@ import "fairbench/internal/matrix"
 // with the caller. Because grad arrives zeroed and every component's terms
 // are summed in ascending row order, the result is bit-identical to the
 // interleaved scalar objective it replaces.
-func logitGradFlat(dm matrix.Dense, y []int, w []float64, theta, z, gb, grad []float64) {
+func logitGradFlat(dm *matrix.Design, y []int, w []float64, theta, z, gb, grad []float64) {
 	d := dm.Cols
 	th := theta[:d+1]
 	dm.AffineInto(z, th[:d], th[d])

@@ -64,10 +64,13 @@ func (lr *LogisticRegression) Fit(x [][]float64, y []int, w []float64) error {
 	}
 	// A design matrix over one flat backing runs the blocked z-pass +
 	// scatter kernels (bit-identical fold order; see flatfit.go); the
-	// z buffer is allocated once and reused across all Adam iterations.
+	// design's column-major copy and the z buffer are built once and
+	// reused across all Adam iterations.
 	dm, flat := matrix.AsDense(x)
+	var des matrix.Design
 	var zbuf, gbuf []float64
 	if flat {
+		des = matrix.NewDesign(dm)
 		zbuf = make([]float64, len(x))
 		gbuf = make([]float64, len(x))
 	}
@@ -76,7 +79,7 @@ func (lr *LogisticRegression) Fit(x [][]float64, y []int, w []float64) error {
 			grad[j] = 0
 		}
 		if flat {
-			logitGradFlat(dm, y, w, theta, zbuf, gbuf, grad)
+			logitGradFlat(&des, y, w, theta, zbuf, gbuf, grad)
 		} else {
 			for i, row := range x {
 				wi := 1.0

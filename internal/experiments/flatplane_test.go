@@ -2,7 +2,12 @@ package experiments
 
 import (
 	"encoding/json"
+	"math"
+	"reflect"
+	"sync"
 	"testing"
+
+	"fairbench/internal/synth"
 )
 
 // TestViewSlicesMatchMaterialized proves the flat data plane's central
@@ -75,5 +80,84 @@ func TestSourceMemoReturnsSharedMaterialization(t *testing.T) {
 	}
 	if a == c {
 		t.Fatal("sourceFor conflated distinct seeds")
+	}
+}
+
+// memoLen returns how many sources the memo holds.
+func memoLen() int {
+	sourceMemo.mu.Lock()
+	defer sourceMemo.mu.Unlock()
+	return len(sourceMemo.entries)
+}
+
+// TestSourceMemoBounded: a process that opens ever more seeds keeps at
+// most sourceMemoCap sources resident.
+func TestSourceMemoBounded(t *testing.T) {
+	for seed := int64(0); seed < 100; seed++ {
+		if _, err := sourceFor("german", 60, 1000+seed); err != nil {
+			t.Fatal(err)
+		}
+		if n := memoLen(); n > sourceMemoCap {
+			t.Fatalf("after %d distinct seeds the memo holds %d sources, cap %d", seed+1, n, sourceMemoCap)
+		}
+	}
+}
+
+// TestSourceMemoConcurrentOpensShare: concurrent Opens of one spec share
+// one materialization (run under -race in CI).
+func TestSourceMemoConcurrentOpensShare(t *testing.T) {
+	const workers = 8
+	srcs := make([]*synth.Source, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			src, err := sourceFor("german", 90, 424242)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			srcs[w] = src
+		}(w)
+	}
+	wg.Wait()
+	for w, src := range srcs {
+		if src == nil || src != srcs[0] {
+			t.Fatalf("worker %d got source %p, worker 0 got %p: concurrent Opens must share one materialization", w, src, srcs[0])
+		}
+	}
+}
+
+// TestSourceMemoReopenAfterEviction: a source evicted from the memo is
+// re-synthesized bit for bit.
+func TestSourceMemoReopenAfterEviction(t *testing.T) {
+	a, err := sourceFor("compas", 120, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(0); seed < sourceMemoCap; seed++ {
+		if _, err := sourceFor("german", 60, 5000+seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b, err := sourceFor("compas", 120, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b {
+		t.Fatal("source survived sourceMemoCap newer Opens: the memo is not evicting")
+	}
+	da, db := a.Data, b.Data
+	if da.Len() != db.Len() || !reflect.DeepEqual(da.Y, db.Y) || !reflect.DeepEqual(da.S, db.S) ||
+		!reflect.DeepEqual(da.Attrs, db.Attrs) || !reflect.DeepEqual(a.Graph, b.Graph) {
+		t.Fatal("re-synthesized source differs in labels, groups, attributes or graph")
+	}
+	for i := range da.X {
+		for j, v := range da.X[i] {
+			if math.Float64bits(v) != math.Float64bits(db.X[i][j]) {
+				t.Fatalf("re-synthesized X[%d][%d] = %v, first synthesis %v", i, j, db.X[i][j], v)
+			}
+		}
 	}
 }

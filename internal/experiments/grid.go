@@ -425,15 +425,58 @@ type sourceKey struct {
 	seed    int64
 }
 
-// sourceMemo caches materialized sources per process. Every fingerprinted
-// execution path — Open, and through it PlanShards, RunShardContext and
-// the merge validation — funnels through sourceFor, so one run synthesizes
-// each (dataset, n, seed) at most once no matter how many grids,
-// shards, or verification passes touch it. The memoized Source is shared
-// read-only: grid slices are zero-copy views into its flat backing (the
-// dataset view contract), and every mutating consumer Clones first, so
-// concurrent cells and workers race-cleanly share one materialization.
-var sourceMemo sync.Map // sourceKey -> *synth.Source
+// sourceMemoCap bounds the source memo. It is at least 3, so one seed of
+// each of the three benchmark datasets stays resident across the grids
+// of a warm run; beyond it, a process that keeps receiving fresh seeds
+// (a serve daemon) holds only the most recently used sources.
+const sourceMemoCap = 8
+
+// sourceMemo caches the most recently used materialized sources per
+// process. Every fingerprinted execution path — Open, and through it
+// PlanShards, RunShardContext and the merge validation — funnels through
+// sourceFor, so one run synthesizes each (dataset, n, seed) once no
+// matter how many grids, shards, or verification passes touch it while
+// it stays resident. The memoized Source is shared read-only: grid slices
+// are zero-copy views into its flat backing (the dataset view contract),
+// and every mutating consumer Clones first, so concurrent cells and
+// workers race-cleanly share one materialization. Eviction only drops the
+// memo's reference; grids already holding the source keep it alive, and
+// a later Open re-synthesizes identical data.
+var sourceMemo struct {
+	mu      sync.Mutex
+	entries []*sourceEntry // least recently used first
+}
+
+// sourceEntry is one memoized materialization; once makes concurrent
+// Opens of its key share a single synthesis.
+type sourceEntry struct {
+	key  sourceKey
+	once sync.Once
+	src  *synth.Source
+}
+
+// memoEntry returns key's memo entry, creating it if absent, and marks it
+// most recently used, evicting the least recently used entry when the
+// memo is full.
+func memoEntry(key sourceKey) *sourceEntry {
+	sourceMemo.mu.Lock()
+	defer sourceMemo.mu.Unlock()
+	es := sourceMemo.entries
+	for i, e := range es {
+		if e.key == key {
+			copy(es[i:], es[i+1:])
+			es[len(es)-1] = e
+			return e
+		}
+	}
+	if len(es) == sourceMemoCap {
+		copy(es, es[1:])
+		es = es[:len(es)-1]
+	}
+	e := &sourceEntry{key: key}
+	sourceMemo.entries = append(es, e)
+	return e
+}
 
 // biasedSource applies the spec's bias-injection model to a pristine
 // benchmark source. The memoized clean source is shared read-only —
@@ -463,25 +506,20 @@ func biasedSource(src *synth.Source, ns Spec) (*synth.Source, error) {
 
 // sourceFor materializes (or recalls) the benchmark source a spec names.
 func sourceFor(dataset string, n int, seed int64) (*synth.Source, error) {
-	key := sourceKey{dataset: dataset, n: n, seed: seed}
-	if src, ok := sourceMemo.Load(key); ok {
-		return src.(*synth.Source), nil
-	}
-	var src *synth.Source
+	var gen func(int, int64) *synth.Source
 	switch dataset {
 	case "adult":
-		src = synth.Adult(n, seed)
+		gen = synth.Adult
 	case "compas":
-		src = synth.COMPAS(n, seed)
+		gen = synth.COMPAS
 	case "german":
-		src = synth.German(n, seed)
+		gen = synth.German
 	default:
 		return nil, fmt.Errorf("experiments: unknown dataset %q", dataset)
 	}
-	// Losing a store race is harmless: generators are deterministic, and
-	// LoadOrStore keeps exactly one winner for future calls.
-	actual, _ := sourceMemo.LoadOrStore(key, src)
-	return actual.(*synth.Source), nil
+	e := memoEntry(sourceKey{dataset: dataset, n: n, seed: seed})
+	e.once.Do(func() { e.src = gen(n, seed) })
+	return e.src, nil
 }
 
 // Spec returns the grid's normalized spec (zero value for grids built

@@ -71,7 +71,8 @@ func (b *linearBase) predictAll(d *dataset.Dataset) []int {
 
 // fitView bundles the per-fit training state the fused objectives share:
 // the design matrix in row-view and (when the rows alias one tight
-// backing, which dataset.FeatureMatrix guarantees) flat form, plus score
+// backing, which dataset.FeatureMatrix guarantees) as a matrix.Design,
+// whose column-major copy is built here once per fit, plus score
 // and probability buffers reused across every optimizer iteration. The
 // point is pass fusion: an objective built from these helpers runs one
 // blocked z-pass and one sigmoid pass per evaluation, and every consumer
@@ -82,7 +83,7 @@ func (b *linearBase) predictAll(d *dataset.Dataset) []int {
 type fitView struct {
 	x    [][]float64
 	y    []int
-	dm   matrix.Dense
+	dm   matrix.Design
 	flat bool
 	z    []float64 // affine scores of the current iterate
 	p    []float64 // sigmoid of z, filled on demand by fillP
@@ -99,7 +100,10 @@ func (v *fitView) gbuf() []float64 {
 
 func newFitView(x [][]float64, y []int) *fitView {
 	v := &fitView{x: x, y: y, z: make([]float64, len(x))}
-	v.dm, v.flat = matrix.AsDense(x)
+	var dm matrix.Dense
+	if dm, v.flat = matrix.AsDense(x); v.flat {
+		v.dm = matrix.NewDesign(dm)
+	}
 	return v
 }
 

@@ -120,6 +120,38 @@ func (d *Dense) Clone() *Dense {
 	return out
 }
 
+// Design is a read-only training design matrix prepared for repeated
+// z-passes: the row-major matrix plus, on the vector path, a column-major
+// copy of it. Build it once per fit with NewDesign; neither copy may be
+// mutated afterwards.
+type Design struct {
+	Dense
+	cols []float64 // cols[j*Rows+i] = At(i, j); nil on the scalar path
+}
+
+// NewDesign prepares d for Design.AffineInto. On the vector path it copies
+// d column-major (one allocation of d's size); elsewhere it only wraps d.
+func NewDesign(d Dense) Design {
+	out := Design{Dense: d}
+	if useVector && d.Stride == d.Cols && d.Rows > 0 && d.Cols > 0 {
+		out.cols = d.colMajor()
+	}
+	return out
+}
+
+// colMajor returns a tightly packed d's elements in column-major order:
+// element (i, j) at index j*d.Rows+i.
+func (d *Dense) colMajor() []float64 {
+	r, c := d.Rows, d.Cols
+	out := make([]float64, r*c)
+	for i := 0; i < r; i++ {
+		for j, v := range d.Data[i*c : i*c+c] {
+			out[j*r+i] = v
+		}
+	}
+	return out
+}
+
 // MatVecInto computes dst = d·x without allocating; dst must have length
 // d.Rows and x length d.Cols.
 func (d *Dense) MatVecInto(dst, x []float64) {

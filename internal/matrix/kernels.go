@@ -6,16 +6,49 @@ import (
 )
 
 // This file holds the hot training kernels: the inner loops every Adam
-// iteration of every grid cell runs. They are written so the compiler
-// proves all indexing in bounds (verified in CI by building with
+// iteration of every grid cell runs. Their scalar loops are written so the
+// compiler proves all indexing in bounds (verified in CI by building with
 // -gcflags=-d=ssa/check_bce and failing on any IsInBounds finding in
-// this file), and AffineInto additionally blocks rows in groups of four
+// this file), and AffineInto and ScatterRows block rows in groups of four
 // so the four independent accumulator chains pipeline.
 //
 // Bit-exactness contract: every kernel preserves the exact floating-point
 // fold order of the scalar loop it replaces — one accumulator per output
 // element, ascending index — because grid results must stay byte-identical
-// across the serial, batched, sharded, and served execution paths.
+// across the serial, batched, sharded, and served execution paths. NaN
+// payloads are outside the contract: which of two NaN operands survives
+// depends on how the compiler orders an addition's operands, which the
+// scalar loops themselves do not fix.
+//
+// Vector path. On amd64 CPUs with AVX2, FMA and OS-enabled YMM state
+// (checked once, by CPUID and XGETBV in kernels_amd64.s), Design.AffineInto,
+// SigmoidInto and ScatterRows run AVX2 assembly instead; every other CPU
+// and GOARCH runs the scalar loops, which stay the reference. The lane
+// rule: a vector kernel computes four outputs the scalar loop already
+// computes independently, and each lane repeats that output's scalar fold
+// operation for operation — the product and the sum rounded separately
+// (never fused), in the scalar order. The z-pass runs one row per lane
+// over a column-major copy of the design (Design, built once per fit), the
+// gradient scatter one column per lane over the row-major design, and the
+// sigmoid one element per lane. Row tails the vector loops leave run the
+// scalar loops; the scatter masks its column tail instead.
+//
+// The sigmoid carries a replica of math.Exp, because the call into Go's
+// exp assembly can be neither inlined nor vectorized. math.Exp already
+// differs between FMA and non-FMA CPUs (exp_amd64.s fuses its reduction
+// and Horner steps when the CPU has FMA), and every CPU that takes the
+// vector path also takes that FMA path, so the replica repeats its
+// instructions lane-wise: FMA appears there and nowhere else. A block of
+// four whose -|z| falls below -708 in any lane, or is NaN, runs the scalar
+// loop, so the replica needs none of exp's underflow, denormal or NaN
+// branches. CI tests on go.mod's Go and on the latest stable release, so
+// a release that changes math.Exp fails the sigmoid differential test in
+// kernels_vector_test.go: that is the intended tripwire, and the replica
+// must then follow the new code.
+
+// useVector selects the AVX2 kernels. It is fixed at start-up; tests
+// reach the scalar reference through export_test.go.
+var useVector = hasAVX2FMA()
 
 // Dot returns the inner product of a and b. It panics if lengths differ,
 // because a length mismatch is always a programming error in this codebase.
@@ -47,7 +80,8 @@ func Axpy(alpha float64, x, y []float64) {
 // as the classifiers' scalar loops accumulate it. dst must have length
 // d.Rows and w length d.Cols. Rows are processed in blocks of four with
 // one independent accumulator each, so the result is bit-identical to the
-// one-row-at-a-time fold.
+// one-row-at-a-time fold. This is the scalar z-pass; Design.AffineInto
+// runs the vector one where the CPU allows.
 func (d *Dense) AffineInto(dst, w []float64, bias float64) {
 	if len(dst) != d.Rows || len(w) != d.Cols {
 		panic(fmt.Sprintf("matrix: AffineInto dims %d×%d vs dst %d, w %d", d.Rows, d.Cols, len(dst), len(w)))
@@ -95,6 +129,24 @@ func (d *Dense) AffineInto(dst, w []float64, bias float64) {
 	}
 }
 
+// AffineInto is Dense.AffineInto, bit for bit, running the vector z-pass
+// over the column-major copy where the CPU allows.
+func (d *Design) AffineInto(dst, w []float64, bias float64) {
+	if !useVector || d.cols == nil || len(dst) != d.Rows || len(w) != d.Cols {
+		d.Dense.AffineInto(dst, w, bias) // also panics on a dims mismatch
+		return
+	}
+	affineColsAVX2(dst, d.cols, w, bias)
+	c := d.Cols
+	data := d.Data[:d.Rows*c]
+	i := len(dst) &^ 3
+	tail := dst[i:]
+	for k := range tail {
+		off := (i + k) * c
+		tail[k] = affineRow(data[off:off+c], w, bias)
+	}
+}
+
 // affineRow is the scalar fold AffineInto's block path reproduces:
 // z starts at bias, then accumulates w[j]·row[j] in ascending j with a
 // single accumulator.
@@ -118,6 +170,24 @@ func SigmoidInto(dst, src []float64) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("matrix: SigmoidInto length mismatch %d vs %d", len(dst), len(src)))
 	}
+	dst = dst[:len(src)]
+	if useVector {
+		for len(src) >= 4 {
+			k := sigmoidAVX2(dst, src)
+			dst, src = dst[k:], src[k:]
+			if len(src) < 4 {
+				break
+			}
+			// A lane of this block needs one of exp's special cases.
+			sigmoidScalar(dst[:4], src[:4])
+			dst, src = dst[4:], src[4:]
+		}
+	}
+	sigmoidScalar(dst, src)
+}
+
+// sigmoidScalar is SigmoidInto's scalar loop, the vector path's reference.
+func sigmoidScalar(dst, src []float64) {
 	dst = dst[:len(src)]
 	for i, z := range src {
 		e := math.Exp(-math.Abs(z))
@@ -144,8 +214,9 @@ func AccumulateInto(dst []float64, g float64, row []float64) {
 // component accumulates its terms in ascending row order with a single
 // chain, so the result is bit-identical to calling AccumulateInto once per
 // row; the blocked path merely loads and stores each dst element once per
-// four rows instead of once per row. dst must have length d.Cols and g
-// length d.Rows.
+// four rows instead of once per row, and the vector path keeps sixteen
+// columns' sums in registers across all rows. dst must have length d.Cols
+// and g length d.Rows.
 func (d *Dense) ScatterRows(dst, g []float64) {
 	if len(g) != d.Rows || len(dst) != d.Cols {
 		panic(fmt.Sprintf("matrix: ScatterRows dims %d×%d vs g %d, dst %d", d.Rows, d.Cols, len(g), len(dst)))
@@ -158,6 +229,10 @@ func (d *Dense) ScatterRows(dst, g []float64) {
 	}
 	c := d.Cols
 	data := d.Data[:d.Rows*c]
+	if useVector && d.Rows > 0 && c > 0 {
+		scatterAVX2(dst, g, data)
+		return
+	}
 	g = g[:d.Rows]
 	i := 0
 	for ; i+4 <= len(g); i += 4 {

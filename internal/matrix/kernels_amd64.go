@@ -1,0 +1,14 @@
+package matrix
+
+// Implemented in kernels_amd64.s; kernels.go documents the contract.
+
+func hasAVX2FMA() bool
+
+//go:noescape
+func affineColsAVX2(dst, cols, w []float64, bias float64)
+
+//go:noescape
+func sigmoidAVX2(dst, src []float64) int
+
+//go:noescape
+func scatterAVX2(dst, g, x []float64)

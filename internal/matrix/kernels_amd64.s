@@ -1,0 +1,387 @@
+#include "textflag.h"
+
+// AVX2 forms of the training kernels in kernels.go. Each lane repeats the
+// scalar loop's fold for one output: products and sums round separately
+// (VMULPD, then VADDPD) in the scalar order, so every output is
+// bit-identical to the scalar kernel. FMA appears only in the exp replica
+// of sigmoidAVX2, exactly where math.Exp's amd64 FMA path fuses.
+
+// Constants of math.Exp's amd64 implementation ($GOROOT/src/math/exp_amd64.s).
+#define LOG2E 1.4426950408889634073599246810018920
+#define LN2U 0.69314718055966295651160180568695068359375
+#define LN2L 0.28235290563031577122588448175013436025525412068e-12
+
+DATA kconst<>+0(SB)/8, $0x8000000000000000 // sign bit
+DATA kconst<>+8(SB)/8, $-708.0             // lowest -|z| the vector exp takes
+DATA kconst<>+16(SB)/8, $LOG2E
+DATA kconst<>+24(SB)/8, $LN2U
+DATA kconst<>+32(SB)/8, $LN2L
+DATA kconst<>+40(SB)/8, $0.0625
+DATA kconst<>+48(SB)/8, $2.4801587301587301587e-5 // Taylor coefficients, highest first
+DATA kconst<>+56(SB)/8, $1.9841269841269841270e-4
+DATA kconst<>+64(SB)/8, $1.3888888888888888889e-3
+DATA kconst<>+72(SB)/8, $8.3333333333333333333e-3
+DATA kconst<>+80(SB)/8, $4.1666666666666666667e-2
+DATA kconst<>+88(SB)/8, $1.6666666666666666667e-1
+DATA kconst<>+96(SB)/8, $0.5
+DATA kconst<>+104(SB)/8, $1.0
+DATA kconst<>+112(SB)/8, $2.0
+DATA kconst<>+120(SB)/8, $1023 // exponent bias
+DATA kconst<>+128(SB)/8, $0    // lane indices, for column masks
+DATA kconst<>+136(SB)/8, $1
+DATA kconst<>+144(SB)/8, $2
+DATA kconst<>+152(SB)/8, $3
+GLOBL kconst<>(SB), RODATA|NOPTR, $160
+
+// func hasAVX2FMA() bool
+//
+// Reports AVX2 and FMA with YMM state enabled by the OS (OSXSAVE, and
+// XCR0's SSE and AVX bits).
+TEXT ·hasAVX2FMA(SB), NOSPLIT, $0-1
+	XORL CX, CX
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7
+	JCS  no
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18001000, CX // FMA (bit 12), OSXSAVE (27), AVX (28)
+	CMPL CX, $0x18001000
+	JNE  no
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  no
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	BTL  $5, BX          // AVX2
+	JCC  no
+	MOVB $1, ret+0(FP)
+	RET
+
+no:
+	MOVB $0, ret+0(FP)
+	RET
+
+// func affineColsAVX2(dst, cols, w []float64, bias float64)
+//
+// dst[i] = bias + Σ_j w[j]·cols[j*n+i] for every i < n&^3, n = len(dst):
+// the z-pass over a column-major design, one row per lane. Rows run in
+// blocks of sixteen (four independent accumulators), then of four. The
+// caller guarantees len(cols) == n*len(w) and len(w) > 0.
+TEXT ·affineColsAVX2(SB), NOSPLIT, $0-80
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         cols_base+24(FP), SI
+	MOVQ         w_base+48(FP), R8
+	MOVQ         w_len+56(FP), R9
+	VBROADCASTSD bias+72(FP), Y15
+	MOVQ         CX, R10
+	SHLQ         $3, R10             // byte distance between columns
+	XORQ         AX, AX              // row
+
+affine16:
+	LEAQ    16(AX), DX
+	CMPQ    DX, CX
+	JGT     affine4
+	VMOVAPD Y15, Y0
+	VMOVAPD Y15, Y1
+	VMOVAPD Y15, Y2
+	VMOVAPD Y15, Y3
+	LEAQ    (SI)(AX*8), BX
+	MOVQ    R8, R11
+	MOVQ    R9, R12
+
+affine16col:
+	VBROADCASTSD (R11), Y4
+	VMULPD       (BX), Y4, Y5
+	VMULPD       32(BX), Y4, Y6
+	VMULPD       64(BX), Y4, Y7
+	VMULPD       96(BX), Y4, Y8
+	VADDPD       Y5, Y0, Y0
+	VADDPD       Y6, Y1, Y1
+	VADDPD       Y7, Y2, Y2
+	VADDPD       Y8, Y3, Y3
+	ADDQ         $8, R11
+	ADDQ         R10, BX
+	DECQ         R12
+	JNZ          affine16col
+	VMOVUPD      Y0, (DI)(AX*8)
+	VMOVUPD      Y1, 32(DI)(AX*8)
+	VMOVUPD      Y2, 64(DI)(AX*8)
+	VMOVUPD      Y3, 96(DI)(AX*8)
+	MOVQ         DX, AX
+	JMP          affine16
+
+affine4:
+	LEAQ    4(AX), DX
+	CMPQ    DX, CX
+	JGT     affineDone
+	VMOVAPD Y15, Y0
+	LEAQ    (SI)(AX*8), BX
+	MOVQ    R8, R11
+	MOVQ    R9, R12
+
+affine4col:
+	VBROADCASTSD (R11), Y4
+	VMULPD       (BX), Y4, Y5
+	VADDPD       Y5, Y0, Y0
+	ADDQ         $8, R11
+	ADDQ         R10, BX
+	DECQ         R12
+	JNZ          affine4col
+	VMOVUPD      Y0, (DI)(AX*8)
+	MOVQ         DX, AX
+	JMP          affine4
+
+affineDone:
+	VZEROUPPER
+	RET
+
+// func sigmoidAVX2(dst, src []float64) int
+//
+// dst[i] = Sigmoid(src[i]) in blocks of four, one element per lane, and
+// returns how many elements it wrote: it stops before the first block
+// with fewer than four elements left or with a lane whose -|z| is below
+// -708 or NaN. Every other lane takes math.Exp's normal-result path, so
+// the replica below needs none of its special cases.
+TEXT ·sigmoidAVX2(SB), NOSPLIT, $0-56
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         src_base+24(FP), SI
+	MOVQ         src_len+32(FP), CX
+	VBROADCASTSD kconst<>+0(SB), Y15
+	VBROADCASTSD kconst<>+8(SB), Y14
+	VBROADCASTSD kconst<>+16(SB), Y13
+	VBROADCASTSD kconst<>+24(SB), Y12
+	VBROADCASTSD kconst<>+32(SB), Y11
+	VBROADCASTSD kconst<>+40(SB), Y10
+	VBROADCASTSD kconst<>+48(SB), Y9
+	VBROADCASTSD kconst<>+112(SB), Y8
+	VBROADCASTSD kconst<>+104(SB), Y7
+	VPBROADCASTQ kconst<>+120(SB), Y6
+	VXORPD       Y5, Y5, Y5
+	XORQ         AX, AX
+
+sigmoid4:
+	LEAQ      4(AX), DX
+	CMPQ      DX, CX
+	JGT       sigmoidDone
+	VMOVUPD   (SI)(AX*8), Y4
+	VORPD     Y15, Y4, Y0    // x = -|z|
+	VCMPPD    $0x1d, Y14, Y0, Y1 // x >= -708, false for NaN
+	VMOVMSKPD Y1, BX
+	CMPQ      BX, $15
+	JNE       sigmoidDone
+
+	// e = exp(x), as math.Exp's avxfma path computes it for one lane.
+	VMULPD       Y13, Y0, Y1     // x·LOG2E
+	VCVTPD2DQY   Y1, X3          // k, rounded by MXCSR like CVTSD2SL
+	VCVTDQ2PD    X3, Y1
+	VFNMADD231PD Y12, Y1, Y0     // x -= k·LN2U
+	VFNMADD231PD Y11, Y1, Y0     // x -= k·LN2L
+	VMULPD       Y10, Y0, Y0     // x *= 0.0625
+	VMOVAPD      Y9, Y1
+	VBROADCASTSD kconst<>+56(SB), Y2
+	VFMADD213PD  Y2, Y0, Y1
+	VBROADCASTSD kconst<>+64(SB), Y2
+	VFMADD213PD  Y2, Y0, Y1
+	VBROADCASTSD kconst<>+72(SB), Y2
+	VFMADD213PD  Y2, Y0, Y1
+	VBROADCASTSD kconst<>+80(SB), Y2
+	VFMADD213PD  Y2, Y0, Y1
+	VBROADCASTSD kconst<>+88(SB), Y2
+	VFMADD213PD  Y2, Y0, Y1
+	VBROADCASTSD kconst<>+96(SB), Y2
+	VFMADD213PD  Y2, Y0, Y1
+	VFMADD213PD  Y7, Y0, Y1
+	VMULPD       Y1, Y0, Y0
+	VADDPD       Y8, Y0, Y1
+	VMULPD       Y1, Y0, Y0
+	VADDPD       Y8, Y0, Y1
+	VMULPD       Y1, Y0, Y0
+	VADDPD       Y8, Y0, Y1
+	VMULPD       Y1, Y0, Y0
+	VADDPD       Y8, Y0, Y1
+	VFMADD213PD  Y7, Y1, Y0
+	VPMOVSXDQ    X3, Y2          // 2^k from bits: (k+1023) << 52
+	VPADDQ       Y6, Y2, Y2
+	VPSLLQ       $52, Y2, Y2
+	VMULPD       Y2, Y0, Y0
+
+	// (z < 0 ? e : 1) / (1 + e)
+	VADDPD    Y7, Y0, Y1
+	VCMPPD    $0x11, Y5, Y4, Y2 // z < 0
+	VBLENDVPD Y2, Y0, Y7, Y2
+	VDIVPD    Y1, Y2, Y2
+	VMOVUPD   Y2, (DI)(AX*8)
+	MOVQ      DX, AX
+	JMP       sigmoid4
+
+sigmoidDone:
+	MOVQ AX, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// Steps of scatterAVX2's row loops. In those loops BX walks the chunk's
+// rows, R11 the coefficients, R12 counts rows down and R10 is the row
+// stride in bytes; Y13 holds the row's broadcast coefficient and Y14 the
+// mask of the chunk's last vector.
+#define SCATTER_LOAD(off, acc) VMOVUPD off(DI)(AX*8), acc
+#define SCATTER_STORE(off, acc) VMOVUPD acc, off(DI)(AX*8)
+#define SCATTER_TERM(off, t, acc) VMULPD off(BX), Y13, t; VADDPD t, acc, acc
+#define SCATTER_MASKED_TERM(off, t, acc) VMASKMOVPD off(BX), Y14, t; VMULPD t, Y13, t; VADDPD t, acc, acc
+
+// func scatterAVX2(dst, g, x []float64)
+//
+// dst[j] += Σ_i g[i]·x[i*c+j] for every column j < c = len(dst) and row
+// i < len(g) of the row-major x: the gradient scatter, one column per
+// lane, each lane summing its terms in ascending row order. Columns run
+// in chunks of sixteen (four accumulators, one pass over the rows each);
+// the last chunk's last vector is masked, so no column is left to a
+// scalar tail. The caller guarantees len(x) == len(g)*c, c > 0 and
+// len(g) > 0.
+TEXT ·scatterAVX2(SB), NOSPLIT, $0-72
+	MOVQ    dst_base+0(FP), DI
+	MOVQ    dst_len+8(FP), CX
+	MOVQ    g_base+24(FP), SI
+	MOVQ    g_len+32(FP), R9
+	MOVQ    x_base+48(FP), R8
+	MOVQ    CX, R10
+	SHLQ    $3, R10            // byte distance between rows
+	VMOVDQU kconst<>+128(SB), Y15 // lane indices 0..3
+	XORQ    AX, AX             // first column of the chunk
+
+scatterChunk:
+	MOVQ CX, DX
+	SUBQ AX, DX                // columns left
+	JLE  scatterDone
+	LEAQ (R8)(AX*8), BX
+	MOVQ SI, R11
+	MOVQ R9, R12
+	CMPQ DX, $16
+	JGE  scatter16
+
+	// Fewer than sixteen columns left: masked last vector over DX-4·m
+	// lanes after m whole vectors.
+	CMPQ DX, $4
+	JLE  scatterM1
+	CMPQ DX, $8
+	JLE  scatterM2
+	CMPQ DX, $12
+	JLE  scatterM3
+	SUBQ $12, DX
+	JMP  scatterM4
+
+scatterM1:
+	MOVQ         DX, X14
+	VPBROADCASTQ X14, Y14
+	VPCMPGTQ     Y15, Y14, Y14
+	VMASKMOVPD   (DI)(AX*8), Y14, Y0
+
+scatterM1row:
+	VBROADCASTSD (R11), Y13
+	SCATTER_MASKED_TERM(0, Y4, Y0)
+	ADDQ         $8, R11
+	ADDQ         R10, BX
+	DECQ         R12
+	JNZ          scatterM1row
+	VMASKMOVPD   Y0, Y14, (DI)(AX*8)
+	JMP          scatterDone
+
+scatterM2:
+	SUBQ         $4, DX
+	MOVQ         DX, X14
+	VPBROADCASTQ X14, Y14
+	VPCMPGTQ     Y15, Y14, Y14
+	SCATTER_LOAD(0, Y0)
+	VMASKMOVPD   32(DI)(AX*8), Y14, Y1
+
+scatterM2row:
+	VBROADCASTSD (R11), Y13
+	SCATTER_TERM(0, Y4, Y0)
+	SCATTER_MASKED_TERM(32, Y5, Y1)
+	ADDQ         $8, R11
+	ADDQ         R10, BX
+	DECQ         R12
+	JNZ          scatterM2row
+	SCATTER_STORE(0, Y0)
+	VMASKMOVPD   Y1, Y14, 32(DI)(AX*8)
+	JMP          scatterDone
+
+scatterM3:
+	SUBQ         $8, DX
+	MOVQ         DX, X14
+	VPBROADCASTQ X14, Y14
+	VPCMPGTQ     Y15, Y14, Y14
+	SCATTER_LOAD(0, Y0)
+	SCATTER_LOAD(32, Y1)
+	VMASKMOVPD   64(DI)(AX*8), Y14, Y2
+
+scatterM3row:
+	VBROADCASTSD (R11), Y13
+	SCATTER_TERM(0, Y4, Y0)
+	SCATTER_TERM(32, Y5, Y1)
+	SCATTER_MASKED_TERM(64, Y6, Y2)
+	ADDQ         $8, R11
+	ADDQ         R10, BX
+	DECQ         R12
+	JNZ          scatterM3row
+	SCATTER_STORE(0, Y0)
+	SCATTER_STORE(32, Y1)
+	VMASKMOVPD   Y2, Y14, 64(DI)(AX*8)
+	JMP          scatterDone
+
+scatterM4:
+	MOVQ         DX, X14
+	VPBROADCASTQ X14, Y14
+	VPCMPGTQ     Y15, Y14, Y14
+	SCATTER_LOAD(0, Y0)
+	SCATTER_LOAD(32, Y1)
+	SCATTER_LOAD(64, Y2)
+	VMASKMOVPD   96(DI)(AX*8), Y14, Y3
+
+scatterM4row:
+	VBROADCASTSD (R11), Y13
+	SCATTER_TERM(0, Y4, Y0)
+	SCATTER_TERM(32, Y5, Y1)
+	SCATTER_TERM(64, Y6, Y2)
+	SCATTER_MASKED_TERM(96, Y7, Y3)
+	ADDQ         $8, R11
+	ADDQ         R10, BX
+	DECQ         R12
+	JNZ          scatterM4row
+	SCATTER_STORE(0, Y0)
+	SCATTER_STORE(32, Y1)
+	SCATTER_STORE(64, Y2)
+	VMASKMOVPD   Y3, Y14, 96(DI)(AX*8)
+	JMP          scatterDone
+
+scatter16:
+	SCATTER_LOAD(0, Y0)
+	SCATTER_LOAD(32, Y1)
+	SCATTER_LOAD(64, Y2)
+	SCATTER_LOAD(96, Y3)
+
+scatter16row:
+	VBROADCASTSD (R11), Y13
+	SCATTER_TERM(0, Y4, Y0)
+	SCATTER_TERM(32, Y5, Y1)
+	SCATTER_TERM(64, Y6, Y2)
+	SCATTER_TERM(96, Y7, Y3)
+	ADDQ         $8, R11
+	ADDQ         R10, BX
+	DECQ         R12
+	JNZ          scatter16row
+	SCATTER_STORE(0, Y0)
+	SCATTER_STORE(32, Y1)
+	SCATTER_STORE(64, Y2)
+	SCATTER_STORE(96, Y3)
+	ADDQ         $16, AX
+	JMP          scatterChunk
+
+scatterDone:
+	VZEROUPPER
+	RET

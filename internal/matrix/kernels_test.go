@@ -139,4 +139,8 @@ func TestDotAxpyMismatchStillPanics(t *testing.T) {
 	mustPanic("Dot", func() { Dot([]float64{1}, []float64{1, 2}) })
 	mustPanic("Axpy", func() { Axpy(1, []float64{1}, []float64{1, 2}) })
 	mustPanic("AffineInto", func() { NewDense(2, 2).AffineInto(make([]float64, 2), []float64{1}, 0) })
+	mustPanic("Design.AffineInto", func() {
+		des := NewDesign(*NewDense(8, 2))
+		des.AffineInto(make([]float64, 8), []float64{1}, 0)
+	})
 }

@@ -1,0 +1,348 @@
+package matrix
+
+import (
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"os"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// These tests pin the AVX2 kernels to the scalar ones bit for bit. They
+// skip on CPUs without the vector path, where both sides would be the
+// scalar loop.
+
+func needVector(t testing.TB) {
+	t.Helper()
+	if !useVector {
+		t.Skip("no AVX2+FMA vector path on this CPU")
+	}
+}
+
+// sameFloat reports bit identity, treating any two NaNs as equal: NaN
+// payloads are outside the kernels' contract (see kernels.go).
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// TestVectorPathTaken fails when an AVX2+FMA machine runs the scalar
+// kernels, so a benchmark cannot silently measure the scalar path.
+func TestVectorPathTaken(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		if useVector {
+			t.Fatal("vector path selected off amd64")
+		}
+		t.Skip("vector path exists only on amd64")
+	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skipf("cannot read CPU flags: %v", err)
+	}
+	var flags []string
+	for _, line := range strings.Split(string(info), "\n") {
+		if strings.HasPrefix(line, "flags") {
+			flags = strings.Fields(line)
+			break
+		}
+	}
+	if !slices.Contains(flags, "avx2") || !slices.Contains(flags, "fma") {
+		t.Skip("CPU lacks AVX2 or FMA")
+	}
+	if !useVector {
+		t.Fatal("CPU has AVX2 and FMA but the kernels run the scalar path")
+	}
+	if des := NewDesign(*NewDense(8, 3)); des.cols == nil {
+		t.Fatal("NewDesign built no column-major copy on the vector path")
+	}
+}
+
+// TestSigmoidVectorFallback pins which blocks the vector sigmoid takes: a
+// block whose -|z| stays at or above -708 runs in the vector kernel, one
+// with a lane below it or NaN is left to the scalar loop.
+func TestSigmoidVectorFallback(t *testing.T) {
+	needVector(t)
+	out := make([]float64, 9)
+	for _, tc := range []struct {
+		z    []float64
+		want int
+	}{
+		{[]float64{-1, 0, 1, 708, -708, 2, 3, 4, 5}, 8},
+		{[]float64{0, 1, 2, -708.0000000000001, 4, 5, 6, 7, 8}, 0},
+		{[]float64{0, 1, 2, 3, 4, 5, math.NaN(), 7, 8}, 4},
+		{[]float64{0, 1, 2, 3, 4, 5, 6, math.Inf(1), 8}, 4},
+	} {
+		if got := sigmoidAVX2(out, tc.z); got != tc.want {
+			t.Fatalf("sigmoidAVX2(%v) wrote %d elements, want %d", tc.z, got, tc.want)
+		}
+	}
+}
+
+// edgeValue draws design entries that include signed zeros, subnormals
+// and large magnitudes alongside ordinary values.
+func edgeValue(g *rand.Rand) float64 {
+	switch g.Intn(10) {
+	case 0:
+		return 0
+	case 1:
+		return math.Copysign(0, -1)
+	case 2:
+		return math.Float64frombits(uint64(g.Int63n(1<<52))) * float64(1-2*g.Intn(2)) // subnormal
+	case 3:
+		return g.NormFloat64() * 1e300
+	case 4:
+		return g.NormFloat64() * 1e-300
+	default:
+		return g.NormFloat64()
+	}
+}
+
+func edgeSlice(g *rand.Rand, n int) []float64 {
+	s := make([]float64, n)
+	for i := range s {
+		s[i] = edgeValue(g)
+	}
+	return s
+}
+
+// kernelRows are the row counts the differential tests cover: every
+// count up to 40 (all block and tail shapes) and fig7-cold's training
+// size, with and without a tail.
+func kernelRows() []int {
+	rows := []int{3500, 3501}
+	for r := 0; r <= 40; r++ {
+		rows = append(rows, r)
+	}
+	return rows
+}
+
+func TestAffineVectorMatchesScalar(t *testing.T) {
+	needVector(t)
+	g := rand.New(rand.NewSource(17))
+	for _, r := range kernelRows() {
+		for c := 1; c <= 33; c++ {
+			d := &Dense{Data: edgeSlice(g, r*c), Rows: r, Cols: c, Stride: c}
+			w, bias := edgeSlice(g, c), edgeValue(g)
+			des := NewDesign(*d)
+			got, want := make([]float64, r), make([]float64, r)
+			des.AffineInto(got, w, bias)
+			scalarOnly(func() { d.AffineInto(want, w, bias) })
+			for i := range want {
+				if !sameFloat(got[i], want[i]) {
+					t.Fatalf("%d×%d row %d: vector %x, scalar %x", r, c, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
+func TestScatterVectorMatchesScalar(t *testing.T) {
+	needVector(t)
+	g := rand.New(rand.NewSource(19))
+	for _, r := range kernelRows() {
+		for c := 1; c <= 33; c++ {
+			d := &Dense{Data: edgeSlice(g, r*c), Rows: r, Cols: c, Stride: c}
+			coef := edgeSlice(g, r)
+			got := edgeSlice(g, c)
+			want := append([]float64(nil), got...)
+			d.ScatterRows(got, coef)
+			scalarOnly(func() { d.ScatterRows(want, coef) })
+			for j := range want {
+				if !sameFloat(got[j], want[j]) {
+					t.Fatalf("%d×%d col %d: vector %x, scalar %x", r, c, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+				}
+			}
+		}
+	}
+}
+
+// sigmoidInputs fills z with one family of the differential test's
+// inputs.
+func sigmoidInputs(g *rand.Rand, family int, z []float64) {
+	near := []float64{708, -708, 745, -745}
+	for i := range z {
+		switch family {
+		case 0:
+			z[i] = 3 * g.NormFloat64()
+		case 1:
+			z[i] = 80*g.Float64() - 40
+		case 2:
+			z[i] = 1600*g.Float64() - 800
+		case 3:
+			z[i] = math.Float64frombits(g.Uint64()) // NaN, ±Inf, subnormals
+		case 4:
+			v := near[g.Intn(len(near))]
+			switch g.Intn(3) {
+			case 0:
+				v = math.Nextafter(v, math.Inf(1))
+			case 1:
+				v = math.Nextafter(v, math.Inf(-1))
+			}
+			z[i] = v
+		}
+	}
+}
+
+// TestSigmoidVectorMatchesScalar runs 10⁷ inputs through both paths. It
+// is also the tripwire for a Go release that changes math.Exp: the vector
+// path replicates today's exp_amd64.s and must then be updated.
+func TestSigmoidVectorMatchesScalar(t *testing.T) {
+	needVector(t)
+	g := rand.New(rand.NewSource(23))
+	const chunk = 1 << 16
+	z := make([]float64, chunk)
+	got, want := make([]float64, chunk), make([]float64, chunk)
+	special := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64}
+	total := 0
+	for round := 0; total < 10_000_000; round++ {
+		sigmoidInputs(g, round%5, z)
+		for k, v := range special {
+			z[(round*31+k*977)%chunk] = v
+		}
+		n := chunk - round%7 // vary the tail
+		SigmoidInto(got[:n], z[:n])
+		scalarOnly(func() { SigmoidInto(want[:n], z[:n]) })
+		for i := 0; i < n; i++ {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("sigmoid(%v = %x): vector %x, scalar %x", z[i], math.Float64bits(z[i]),
+					math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+		total += n
+	}
+}
+
+// decodeFloats reads little-endian float64s from b.
+func decodeFloats(b []byte) []float64 {
+	out := make([]float64, len(b)/8)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return out
+}
+
+func encodeFloats(vs ...float64) []byte {
+	b := make([]byte, 8*len(vs))
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+	}
+	return b
+}
+
+func FuzzSigmoidInto(f *testing.F) {
+	f.Add(encodeFloats(0, -1, 2, 708.5, -709, math.NaN(), 3, 4, 5))
+	f.Add(encodeFloats(math.Inf(1), math.Inf(-1), 1e-310, -745.1, 37, -37, 0.5))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		needVector(t)
+		z := decodeFloats(b)
+		got, want := make([]float64, len(z)), make([]float64, len(z))
+		SigmoidInto(got, z)
+		scalarOnly(func() { SigmoidInto(want, z) })
+		for i := range z {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("sigmoid(%x): vector %x, scalar %x", math.Float64bits(z[i]), math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	})
+}
+
+// fuzzShape splits b into a column count (1..33, from the first byte) and
+// the float64s that follow.
+func fuzzShape(b []byte) (int, []float64) {
+	if len(b) == 0 {
+		return 0, nil
+	}
+	return int(b[0])%33 + 1, decodeFloats(b[1:])
+}
+
+func FuzzAffineInto(f *testing.F) {
+	f.Add(append([]byte{2}, encodeFloats(0.5, -1, 0.25, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14)...))
+	f.Add(append([]byte{0}, encodeFloats(1e300, -1e300, 1e-310, 3, 4, 5, 6)...))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		needVector(t)
+		c, vs := fuzzShape(b)
+		if len(vs) < c+1 {
+			return
+		}
+		w, bias, vs := vs[:c], vs[c], vs[c+1:]
+		r := len(vs) / c
+		d := Dense{Data: vs[:r*c], Rows: r, Cols: c, Stride: c}
+		des := NewDesign(d)
+		got, want := make([]float64, r), make([]float64, r)
+		des.AffineInto(got, w, bias)
+		scalarOnly(func() { d.AffineInto(want, w, bias) })
+		for i := range want {
+			if !sameFloat(got[i], want[i]) {
+				t.Fatalf("%d×%d row %d: vector %x, scalar %x", r, c, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	})
+}
+
+func FuzzScatterRows(f *testing.F) {
+	f.Add(append([]byte{4}, encodeFloats(1, 2, 3, 4, 5, 0.5, -2, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16)...))
+	f.Add(append([]byte{0}, encodeFloats(-0.0, 1e-310, 1e300, 2, -3, 4)...))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		needVector(t)
+		c, vs := fuzzShape(b)
+		if len(vs) < c {
+			return
+		}
+		dst, vs := vs[:c], vs[c:]
+		r := len(vs) / (c + 1)
+		coef, x := vs[:r], vs[r:r+r*c]
+		d := Dense{Data: x, Rows: r, Cols: c, Stride: c}
+		got := append([]float64(nil), dst...)
+		want := append([]float64(nil), dst...)
+		d.ScatterRows(got, coef)
+		scalarOnly(func() { d.ScatterRows(want, coef) })
+		for j := range want {
+			if !sameFloat(got[j], want[j]) {
+				t.Fatalf("%d×%d col %d: vector %x, scalar %x", r, c, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+			}
+		}
+	})
+}
+
+// BenchmarkTrainingKernels times each kernel on both paths at fig7-cold's
+// training shape: a 70% split of Adult n=5000, 3500 rows by 9 features.
+func BenchmarkTrainingKernels(b *testing.B) {
+	needVector(b)
+	g := rand.New(rand.NewSource(1))
+	const r, c = 3500, 9
+	d := NewDense(r, c)
+	for i := range d.Data {
+		d.Data[i] = g.NormFloat64()
+	}
+	des := NewDesign(*d)
+	w, z, out := make([]float64, c), make([]float64, r), make([]float64, r)
+	for i := range w {
+		w[i] = g.NormFloat64()
+	}
+	des.AffineInto(z, w, 0.5)
+	kernels := []struct {
+		name string
+		run  func()
+	}{
+		{"zpass", func() { des.AffineInto(out, w, 0.5) }},
+		{"scatter", func() { d.ScatterRows(w, z) }},
+		{"sigmoid", func() { SigmoidInto(out, z) }},
+	}
+	for _, k := range kernels {
+		b.Run(k.name+"/vector", func(b *testing.B) {
+			for b.Loop() {
+				k.run()
+			}
+		})
+		b.Run(k.name+"/scalar", func(b *testing.B) {
+			scalarOnly(func() {
+				for b.Loop() {
+					k.run()
+				}
+			})
+		})
+	}
+}

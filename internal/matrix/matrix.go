@@ -16,18 +16,6 @@ func Scale(alpha float64, x []float64) {
 	}
 }
 
-// Sub returns a new vector a-b.
-func Sub(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("matrix: Sub length mismatch")
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
 // Clone returns a deep copy of x.
 func Clone(x []float64) []float64 {
 	out := make([]float64, len(x))
@@ -98,18 +86,4 @@ func Clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// ArgMax returns the index of the largest entry of x (-1 for empty input).
-func ArgMax(x []float64) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best := 0
-	for i, v := range x {
-		if v > x[best] {
-			best = i
-		}
-	}
-	return best
 }

@@ -91,15 +91,6 @@ func TestClamp(t *testing.T) {
 	almost(t, Clamp(0.5, 0, 1), 0.5, 0, "mid")
 }
 
-func TestArgMax(t *testing.T) {
-	if got := ArgMax([]float64{1, 5, 3}); got != 1 {
-		t.Fatalf("argmax: got %d", got)
-	}
-	if got := ArgMax(nil); got != -1 {
-		t.Fatalf("argmax empty: got %d", got)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	a := []float64{1, 2}
 	b := Clone(a)
@@ -107,10 +98,4 @@ func TestCloneIndependence(t *testing.T) {
 	if a[0] != 1 {
 		t.Fatal("Clone aliases input")
 	}
-}
-
-func TestSub(t *testing.T) {
-	d := Sub([]float64{5, 3}, []float64{2, 1})
-	almost(t, d[0], 3, 0, "sub0")
-	almost(t, d[1], 2, 0, "sub1")
 }
