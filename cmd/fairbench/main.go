@@ -11,11 +11,11 @@
 //	fairbench fig22  [-runs 10] [-n N]    stability
 //	fairbench fig23  [-n N]               data efficiency
 //	fairbench merge  part0.json part1.json ...   combine shard envelopes
-//	fairbench dispatch -exp fig7 ... -dir DIR    run a grid as subprocesses
-//	fairbench resume   -dir DIR                  finish an interrupted dispatch
+//	fairbench dispatch -exp fig7 ... -dir DIR    run a grid as local subprocesses
+//	fairbench resume   -dir DIR                  finish an interrupted run
 //	fairbench sched  -exp fig7 ... -dir DIR -hosts hosts.json   multi-host run
 //	fairbench serve  -state DIR [-addr HOST:PORT]    benchmark-as-a-service daemon
-//	fairbench worker   -manifest M -shard I -out O   (spawned by dispatch/sched)
+//	fairbench worker   -manifest M -shard I -out O   (spawned by the scheduler)
 //
 // Every figure command runs its grid (one per dataset for fig7, fig15
 // and cv under -dataset all; both grids for fig8) on the engine's
@@ -31,7 +31,7 @@
 // concurrency. The pure timing experiment (fig8) always measures with
 // one worker so its overhead curves stay contention-free.
 //
-// -cache DIR (any figure command, dispatch, sched, or -shard run) names
+// -cache DIR (any figure command, dispatch, sched, serve, or -shard run) names
 // the on-disk result cache: cells already computed for the same grid
 // fingerprint, seed, and architecture are served from disk, so re-runs
 // only compute what is missing while printing byte-identical metric
@@ -74,15 +74,20 @@
 // all) or grids shard one grid at a time: pick a single dataset, and
 // for fig8 pick -grid rows or -grid attrs.
 //
-// # Dispatch and resume
+// # Scheduled runs: dispatch, sched and resume
 //
-// dispatch drives the whole shard→merge flow itself: it splits the grid
-// -shards ways, runs up to -procs worker subprocesses (each a `fairbench
-// worker` re-exec of this binary), retries failures -retries times,
-// collects the envelopes under -dir, and prints the merged tables. The
-// directory plus the -cache store make the run resumable: if dispatch is
-// interrupted — or a worker is SIGKILLed with no retries left — the
-// completed envelopes and cached cells survive, and
+// dispatch and sched are one command over one scheduler. It splits the
+// grid into -shards ranges, runs each as a worker subprocess (a
+// `fairbench worker` re-exec of this binary), collects the envelopes
+// under -dir, and prints the merged tables. dispatch is sched without
+// -hosts: one local host with -procs slots (-parallel, then one per CPU,
+// when -procs is 0). A failed range runs again only in one of -retries
+// rounds; a host that fails -max-host-failures attempts is excluded, and
+// once no host is left the run either finishes the remaining ranges in
+// process (-local-fallback, on by default; marked degraded) or fails
+// naming them. The directory plus the -cache store make the run
+// resumable: if it is interrupted — or a worker is SIGKILLed with no
+// retries left — the completed envelopes and cached cells survive, and
 //
 //	fairbench dispatch -exp fig7 -dataset german -shards 8 -procs 4 \
 //	    -dir run -cache cache
@@ -90,29 +95,29 @@
 //	fairbench resume -dir run -procs 4
 //
 // finishes only the missing work and prints tables byte-identical
-// (timing aside) to an uninterrupted serial run.
+// (timing aside) to an uninterrupted serial run. resume takes the
+// spec, range plan and cache from the directory's manifest and the
+// pool from the same flags as sched.
 //
-// # Multi-host scheduling
-//
-// sched generalizes dispatch to a pool of hosts described by a
+// sched -hosts replaces the local host with a pool described by a
 // hosts.json file (a JSON array of {name, slots, transport, cmd}
 // objects; see the README's "Multi-host execution" section). Local
 // hosts re-exec this binary's worker subcommand; remote hosts run a
 // worker binary through an arbitrary command prefix (typically ssh)
 // with the manifest streamed over stdin and the envelope back over
 // stdout — which is what `worker -manifest - -shard I -out -`
-// implements, so no shared filesystem is needed. Planning is cache-aware: with -cache,
-// ranges already fully computed are served by the coordinator and the
-// rest are balanced across hosts by uncached cell count. Failed
-// attempts move to other hosts, hosts silent past -heartbeat are
-// declared dead, and repeatedly failing hosts are excluded:
+// implements, so no shared filesystem is needed. Planning is
+// cache-aware: with -cache, ranges already fully computed are served by
+// the coordinator and the rest are balanced across hosts by uncached
+// cell count. Failed attempts move to other hosts and hosts silent past
+// -heartbeat are declared dead:
 //
 //	fairbench sched -exp fig7 -dataset german -shards 8 \
 //	    -hosts hosts.json -dir run -cache cache
 //
 // prints tables byte-identical (timing aside) to the serial run, or
-// fails naming the missing ranges with the directory resumable by
-// `sched` (same flags) or `resume -dir run`.
+// fails naming each missing range and why it failed, with the
+// directory resumable by `sched` (same flags) or `resume -dir run`.
 package main
 
 import (
@@ -175,19 +180,19 @@ func main() {
 	biasFlag := fs.String("bias", "", "bias-injection model applied to the training data: under|label (default: clean data)")
 	biasRateFlag := fs.Float64("bias-rate", 0, "bias rate: under-representation's positive-label drop rate β⁺, or label bias's flip rate ν")
 	biasRateNegFlag := fs.Float64("bias-rate-neg", 0, "under-representation's negative-label drop rate β⁻")
-	expFlag := fs.String("exp", "", "dispatch: grid experiment name (fig7|fig9|fig10|fig15|cv|fig22|fig23|fig8rows|fig8attrs)")
-	dirFlag := fs.String("dir", "", "dispatch/resume: dispatch directory holding the manifest and part files")
-	shardsFlag := fs.Int("shards", 0, "dispatch: k-way shard split (default: -procs)")
-	procsFlag := fs.Int("procs", 0, "dispatch/resume: max concurrent worker subprocesses (default: GOMAXPROCS)")
-	retriesFlag := fs.Int("retries", 1, "dispatch/resume: re-spawns per failed shard; sched: extra full rounds over the pool (negative = none)")
-	manifestFlag := fs.String("manifest", "", "worker: manifest file of the dispatch directory (- reads it from stdin)")
-	hostsFlag := fs.String("hosts", "", "sched: hosts.json pool definition (default: one local host with -procs slots)")
-	heartbeatFlag := fs.Duration("heartbeat", 60*time.Second, "sched: declare a host dead after this long without a transport heartbeat")
-	maxHostFailFlag := fs.Int("max-host-failures", 3, "sched: exclude a host after this many failed attempts")
-	speculateFlag := fs.Bool("speculate", false, "sched: re-launch straggling ranges on idle hosts; first valid part wins")
-	backoffFlag := fs.Duration("backoff", 0, "sched: base delay before retrying a failed range, doubling per attempt with jitter (0 = 100ms default, negative = retry immediately)")
-	watchHostsFlag := fs.Duration("watch-hosts", 0, "sched: re-read -hosts at this interval; added hosts join mid-run, removed hosts drain (0 = off)")
-	localFallbackFlag := fs.Bool("local-fallback", true, "sched: when every host is lost, finish the remaining ranges in-process (report marks the run degraded)")
+	expFlag := fs.String("exp", "", "dispatch/sched: grid experiment name (fig7|fig9|fig10|fig15|cv|fig22|fig23|fig8rows|fig8attrs)")
+	dirFlag := fs.String("dir", "", "dispatch/sched/resume: run directory holding the manifest and part files; cachesrv: store directory")
+	shardsFlag := fs.Int("shards", 0, "dispatch/sched/serve: target number of work ranges (default: the pool's slot count)")
+	procsFlag := fs.Int("procs", 0, "dispatch/sched/resume/serve: slots of the local host used without -hosts (default: -parallel, then GOMAXPROCS)")
+	retriesFlag := fs.Int("retries", 1, "dispatch/sched/resume/serve: extra rounds over the pool for a range every live host has failed (0 or negative = none)")
+	manifestFlag := fs.String("manifest", "", "worker: manifest file of the run directory (- reads it from stdin)")
+	hostsFlag := fs.String("hosts", "", "sched/resume/serve: hosts.json pool definition (default: one local host with -procs slots)")
+	heartbeatFlag := fs.Duration("heartbeat", 60*time.Second, "dispatch/sched/resume/serve: declare a host dead after this long without a transport heartbeat")
+	maxHostFailFlag := fs.Int("max-host-failures", 3, "dispatch/sched/resume/serve: exclude a host after this many failed attempts")
+	speculateFlag := fs.Bool("speculate", false, "dispatch/sched/resume/serve: re-launch straggling ranges on idle hosts; first valid part wins")
+	backoffFlag := fs.Duration("backoff", 0, "dispatch/sched/resume/serve: base delay before retrying a failed range, doubling per attempt with jitter (0 = 100ms default, negative = retry immediately)")
+	watchHostsFlag := fs.Duration("watch-hosts", 0, "sched/resume: re-read -hosts at this interval; added hosts join mid-run, removed hosts drain (0 = off)")
+	localFallbackFlag := fs.Bool("local-fallback", true, "dispatch/sched/resume/serve: when every host is lost, finish the remaining ranges in-process (report marks the run degraded)")
 	addrFlag := fs.String("addr", "127.0.0.1:8080", "serve: HTTP listen address")
 	stateFlag := fs.String("state", "", "serve: state directory (one resumable run directory per grid)")
 	maxRunsFlag := fs.Int("max-runs", 1, "serve: concurrently executing runs before submissions get 429")
@@ -199,8 +204,8 @@ func main() {
 	bias := biasSpec{model: *biasFlag, rate: *biasRateFlag, rateNeg: *biasRateNegFlag}
 
 	if cmd == "worker" {
-		// dispatch spawns `worker -shard I`: here -shard is the bare shard
-		// index, not the figure commands' i/K form.
+		// The scheduler spawns `worker -shard I`: here -shard is the bare
+		// shard index, not the figure commands' i/K form.
 		idx, err := strconv.Atoi(*shardFlag)
 		if err != nil {
 			exit(fmt.Errorf("worker needs -shard <index>, got %q", *shardFlag))
@@ -208,18 +213,19 @@ func main() {
 		exit(cmdWorker(*manifestFlag, idx, *outFlag))
 	}
 
-	if cmd == "sched" {
-		exit(cmdSched(*expFlag, *datasetFlag, *nFlag, *kFlag, *runsFlag, *seedFlag, bias,
-			*dirFlag, *cacheFlag, *remoteStoreFlag, *hostsFlag, *shardsFlag, *procsFlag, *retriesFlag,
-			*maxHostFailFlag, *heartbeatFlag, *speculateFlag, *backoffFlag,
-			*watchHostsFlag, *localFallbackFlag, *outFlag))
+	pool := poolFlags{
+		hostsPath: *hostsFlag, shards: *shardsFlag, procs: *procsFlag, retries: *retriesFlag,
+		maxHostFailures: *maxHostFailFlag, heartbeat: *heartbeatFlag, speculate: *speculateFlag,
+		backoff: *backoffFlag, watchHosts: *watchHostsFlag, localFallback: *localFallbackFlag,
 	}
-
-	if cmd == "serve" {
-		exit(cmdServe(*addrFlag, *stateFlag, *cacheFlag, *remoteStoreFlag, *hostsFlag,
-			*shardsFlag, *procsFlag, *retriesFlag, *maxRunsFlag,
-			*maxHostFailFlag, *heartbeatFlag, *speculateFlag, *backoffFlag,
-			*localFallbackFlag))
+	switch cmd {
+	case "dispatch", "sched":
+		exit(cmdSched(cmd, *expFlag, *datasetFlag, *nFlag, *kFlag, *runsFlag, *seedFlag, bias,
+			*dirFlag, *cacheFlag, *remoteStoreFlag, pool, *outFlag))
+	case "resume":
+		exit(cmdResume(*dirFlag, pool, *outFlag))
+	case "serve":
+		exit(cmdServe(*addrFlag, *stateFlag, *cacheFlag, *remoteStoreFlag, *maxRunsFlag, pool))
 	}
 
 	if cmd == "cachesrv" {
@@ -245,7 +251,7 @@ func main() {
 	if _, ok := shardableCommands[cmd]; ok || cmd == "fig8" {
 		exit(figure(cmd, *datasetFlag, *outFlag))
 	}
-	if bias.set() && cmd != "dispatch" {
+	if bias.set() {
 		exit(fmt.Errorf("-bias/-bias-rate/-bias-rate-neg apply to figure, dispatch, and sched commands, not %q", cmd))
 	}
 
@@ -257,11 +263,6 @@ func main() {
 		err = cmdEval(*datasetFlag, *approachFlag, *nFlag, *seedFlag)
 	case "merge":
 		err = cmdMerge(fs.Args(), *outFlag)
-	case "dispatch":
-		err = cmdDispatch(*expFlag, *datasetFlag, *nFlag, *kFlag, *runsFlag, *seedFlag, bias,
-			*dirFlag, *cacheFlag, *remoteStoreFlag, *shardsFlag, *procsFlag, *retriesFlag, *outFlag)
-	case "resume":
-		err = cmdResume(*dirFlag, *procsFlag, *retriesFlag, *outFlag)
 	case "all":
 		for _, c := range []string{"fig7", "fig8", "fig9", "fig10", "cv", "fig22", "fig23"} {
 			if err = figure(c, "all", ""); err != nil {
@@ -356,14 +357,13 @@ func usage() {
                  inject parameterized data bias (grid commands only)
        fairbench <figN|cv> ... -shard i/K [-out part.json] [-cache DIR]  run one grid shard
        fairbench merge part0.json part1.json ...                         combine shards
-       fairbench dispatch -exp <figN|cv|fig8rows|fig8attrs> [figure flags]
-                 -dir DIR [-shards K] [-procs N] [-retries R]
-                 [-cache DIR] [-remote-store URL]
-       fairbench resume -dir DIR [-procs N] [-retries R]                 finish an interrupted dispatch
        fairbench sched -exp <figN|cv|fig8rows|fig8attrs> [figure flags] -dir DIR
-                 [-hosts hosts.json] [-shards K] [-cache DIR] [-remote-store URL]
+                 [-hosts hosts.json | -procs N] [-shards K] [-cache DIR] [-remote-store URL]
                  [-retries R] [-heartbeat 60s] [-max-host-failures 3] [-speculate]
-                 [-backoff 100ms] [-watch-hosts 5s] [-local-fallback]    multi-host run
+                 [-backoff 100ms] [-watch-hosts 5s] [-local-fallback=true]
+                 run the grid as worker processes across a pool of hosts
+       fairbench dispatch ...                  sched without -hosts: one local host of -procs slots
+       fairbench resume -dir DIR [sched pool flags]                      finish an interrupted run
        fairbench serve -state DIR [-addr 127.0.0.1:8080] [-cache DIR]
                  [-remote-store URL] [-hosts hosts.json] [-shards K] [-procs N]
                  [-retries R] [-max-runs 1] [-speculate] [-backoff 100ms]
@@ -392,8 +392,8 @@ func (b biasSpec) apply(spec fairbench.GridSpec) fairbench.GridSpec {
 	return spec
 }
 
-// gridSpecFor assembles the grid spec the dispatch-style commands
-// (dispatch, sched) describe with their flags.
+// gridSpecFor assembles the grid spec the dispatch and sched commands
+// describe with their flags.
 func gridSpecFor(exp, ds string, n, k, runs int, seed int64, bias biasSpec) fairbench.GridSpec {
 	spec := fairbench.GridSpec{Experiment: exp, N: n, Seed: seed}
 	if ds != "" && !strings.EqualFold(ds, "all") {
@@ -415,86 +415,96 @@ func signalContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
 
-// cmdDispatch runs a grid as worker subprocesses and prints the merged
-// tables, exactly as the serial figure command would print them.
-func cmdDispatch(exp, ds string, n, k, runs int, seed int64, bias biasSpec,
-	dir, cache, remoteStore string, shards, procs, retries int, out string) error {
-	if exp == "" {
-		return fmt.Errorf("dispatch requires -exp (fig7|fig9|fig10|fig15|cv|fig22|fig23|fig8rows|fig8attrs)")
-	}
-	if dir == "" {
-		return fmt.Errorf("dispatch requires -dir (the resumable dispatch directory)")
-	}
-	ctx, stop := signalContext()
-	defer stop()
-	spec := gridSpecFor(exp, ds, n, k, runs, seed, bias)
-	merged, rep, err := fairbench.Run(ctx, spec, fairbench.RunOptions{
-		Backend: fairbench.BackendDispatch,
-		Dir:     dir, Shards: shards, Procs: procs, Retries: retries,
-		Parallelism: parallelism, CacheDir: cache, RemoteStore: remoteStore, Log: os.Stderr,
-	})
-	if err != nil {
-		return err
-	}
-	return renderRun(merged, rep, nil, out)
+// poolFlags are the scheduler settings the dispatch, sched, resume and
+// serve commands share.
+type poolFlags struct {
+	hostsPath                      string
+	shards, procs, retries         int
+	maxHostFailures                int
+	heartbeat, backoff, watchHosts time.Duration
+	speculate, localFallback       bool
 }
 
-func cmdResume(dir string, procs, retries int, out string) error {
-	if dir == "" {
-		return fmt.Errorf("resume requires -dir (the dispatch directory to finish)")
+// localSlots sizes the one local host used without -hosts: -procs,
+// falling back to -parallel (0 = one slot per CPU).
+func (p poolFlags) localSlots() int {
+	if p.procs > 0 {
+		return p.procs
 	}
-	ctx, stop := signalContext()
-	defer stop()
-	merged, rep, err := fairbench.ResumeRun(ctx, dir, fairbench.RunOptions{
-		Procs: procs, Retries: retries, Parallelism: parallelism, Log: os.Stderr,
-	})
-	if err != nil {
-		return err
-	}
-	return renderRun(merged, rep, nil, out)
+	return parallelism
 }
 
-// cmdSched runs a grid across a pool of hosts and prints the merged
-// tables — the serial figure command's output, fault-tolerantly.
-func cmdSched(exp, ds string, n, k, runs int, seed int64, bias biasSpec, dir, cache, remoteStore, hostsPath string,
-	shards, procs, retries, maxHostFailures int, heartbeat time.Duration,
-	speculate bool, backoff, watchHosts time.Duration, localFallback bool, out string) error {
-	if exp == "" {
-		return fmt.Errorf("sched requires -exp (fig7|fig9|fig10|fig15|cv|fig22|fig23|fig8rows|fig8attrs)")
+// runOptions turns the flags into the scheduler's run options: the
+// -hosts pool (re-read every -watch-hosts), or one local host. The
+// returned stop function closes the watcher.
+func (p poolFlags) runOptions() (fairbench.RunOptions, func(), error) {
+	opts := fairbench.RunOptions{
+		Backend: fairbench.BackendSched, Shards: p.shards, Parallelism: p.localSlots(),
+		HeartbeatTimeout: p.heartbeat, Retries: p.retries, MaxHostFailures: p.maxHostFailures,
+		Speculate: p.speculate, Backoff: p.backoff, LocalFallback: p.localFallback, Log: os.Stderr,
 	}
-	if dir == "" {
-		return fmt.Errorf("sched requires -dir (the resumable sched directory)")
-	}
-	var hosts []fairbench.SchedHost
-	if hostsPath != "" {
-		var err error
-		if hosts, err = fairbench.LoadHosts(hostsPath); err != nil {
-			return err
-		}
-	} else if procs > 0 {
-		hosts = []fairbench.SchedHost{{Name: "local", Slots: procs}}
-	}
-	var pool fairbench.PoolSource
-	if watchHosts > 0 {
-		if hostsPath == "" {
-			return fmt.Errorf("-watch-hosts requires -hosts (the file to re-read)")
-		}
-		w, err := sched.WatchHosts(hostsPath, watchHosts)
+	if p.hostsPath != "" {
+		hosts, err := fairbench.LoadHosts(p.hostsPath)
 		if err != nil {
-			return err
+			return opts, nil, err
 		}
-		defer w.Close()
-		pool = w
+		opts.Hosts = hosts
 	}
+	if p.watchHosts <= 0 {
+		return opts, func() {}, nil
+	}
+	if p.hostsPath == "" {
+		return opts, nil, fmt.Errorf("-watch-hosts requires -hosts (the file to re-read)")
+	}
+	w, err := sched.WatchHosts(p.hostsPath, p.watchHosts)
+	if err != nil {
+		return opts, nil, err
+	}
+	opts.PoolSource = w
+	return opts, func() { w.Close() }, nil
+}
+
+// cmdSched runs a grid as scheduled worker processes and prints the
+// merged tables, exactly as the serial figure command would print
+// them. dispatch and sched both land here; they differ only in whether
+// -hosts is given.
+func cmdSched(cmd, exp, ds string, n, k, runs int, seed int64, bias biasSpec, dir, cache, remoteStore string,
+	pool poolFlags, out string) error {
+	if exp == "" {
+		return fmt.Errorf("%s requires -exp (fig7|fig9|fig10|fig15|cv|fig22|fig23|fig8rows|fig8attrs)", cmd)
+	}
+	if dir == "" {
+		return fmt.Errorf("%s requires -dir (the resumable run directory)", cmd)
+	}
+	opts, stopWatch, err := pool.runOptions()
+	if err != nil {
+		return err
+	}
+	defer stopWatch()
+	opts.Dir, opts.CacheDir, opts.RemoteStore = dir, cache, remoteStore
 	ctx, stop := signalContext()
 	defer stop()
-	merged, rep, err := fairbench.Run(ctx, gridSpecFor(exp, ds, n, k, runs, seed, bias), fairbench.RunOptions{
-		Backend: fairbench.BackendSched,
-		Dir:     dir, Hosts: hosts, Shards: shards, CacheDir: cache, RemoteStore: remoteStore,
-		HeartbeatTimeout: heartbeat, Retries: retries, MaxHostFailures: maxHostFailures,
-		Speculate: speculate, Backoff: backoff, LocalFallback: localFallback, PoolSource: pool,
-		Parallelism: parallelism, Log: os.Stderr,
-	})
+	merged, rep, err := fairbench.Run(ctx, gridSpecFor(exp, ds, n, k, runs, seed, bias), opts)
+	if err != nil {
+		return err
+	}
+	return renderRun(merged, rep, nil, out)
+}
+
+// cmdResume finishes the run recorded in dir on the pool the flags
+// describe; spec, plan and cache come from the directory's manifest.
+func cmdResume(dir string, pool poolFlags, out string) error {
+	if dir == "" {
+		return fmt.Errorf("resume requires -dir (the run directory to finish)")
+	}
+	opts, stopWatch, err := pool.runOptions()
+	if err != nil {
+		return err
+	}
+	defer stopWatch()
+	ctx, stop := signalContext()
+	defer stop()
+	merged, rep, err := fairbench.ResumeRun(ctx, dir, opts)
 	if err != nil {
 		return err
 	}
@@ -502,27 +512,27 @@ func cmdSched(exp, ds string, n, k, runs int, seed int64, bias biasSpec, dir, ca
 }
 
 // cmdServe runs the benchmark-as-a-service daemon: grids submitted
-// over HTTP execute on the same engine the dispatch/sched commands
+// over HTTP execute on the same scheduler the dispatch/sched commands
 // use, deduplicated by grid fingerprint and checkpointed under -state.
 // SIGTERM/SIGINT drain gracefully; interrupted runs resume on restart.
-func cmdServe(addr, stateDir, cache, remoteStore, hostsPath string,
-	shards, procs, retries, maxRuns, maxHostFailures int, heartbeat time.Duration,
-	speculate bool, backoff time.Duration, localFallback bool) error {
+// Without -hosts every run goes to one local host of -procs slots; the
+// daemon then refuses POST /pool.
+func cmdServe(addr, stateDir, cache, remoteStore string, maxRuns int, pool poolFlags) error {
 	if stateDir == "" {
 		return fmt.Errorf("serve requires -state (the daemon's run-state directory)")
 	}
 	var hosts []fairbench.SchedHost
-	if hostsPath != "" {
+	if pool.hostsPath != "" {
 		var err error
-		if hosts, err = fairbench.LoadHosts(hostsPath); err != nil {
+		if hosts, err = fairbench.LoadHosts(pool.hostsPath); err != nil {
 			return err
 		}
 	}
 	srv, err := serve.New(serve.Config{
 		StateDir: stateDir, CacheDir: cache, RemoteStore: remoteStore, MaxConcurrent: maxRuns,
-		Shards: shards, Procs: procs, Retries: retries, Parallelism: parallelism,
-		Hosts: hosts, HeartbeatTimeout: heartbeat, MaxHostFailures: maxHostFailures,
-		Speculate: speculate, Backoff: backoff, LocalFallback: localFallback,
+		Shards: pool.shards, Retries: pool.retries, Parallelism: pool.localSlots(),
+		Hosts: hosts, HeartbeatTimeout: pool.heartbeat, MaxHostFailures: pool.maxHostFailures,
+		Speculate: pool.speculate, Backoff: pool.backoff, LocalFallback: pool.localFallback,
 		Log: os.Stderr,
 	})
 	if err != nil {
@@ -642,10 +652,6 @@ func renderRun(merged *fairbench.GridOutput, rep *fairbench.RunReport, clean []f
 	case rep.Backend == fairbench.BackendInproc:
 		fmt.Fprintf(os.Stderr, "fairbench: run complete: cells computed=%d cached=%d\n",
 			rep.CellsComputed, rep.CellsCached)
-	case rep.Dispatch != nil:
-		d := rep.Dispatch
-		fmt.Fprintf(os.Stderr, "fairbench: dispatch complete: %d shards (%d reused, %d ran), cells computed=%d cached=%d\n",
-			d.Shards, len(d.Reused), len(d.Ran), d.CellsComputed, d.CellsCached)
 	case rep.Sched != nil:
 		s := rep.Sched
 		fmt.Fprintf(os.Stderr, "fairbench: sched complete: %d range(s) (%d reused, %d served from cache), %d host(s) excluded, cells computed=%d cached=%d\n",
@@ -680,7 +686,7 @@ func renderRun(merged *fairbench.GridOutput, rep *fairbench.RunReport, clean []f
 	return nil
 }
 
-// cmdWorker is the dispatch/sched-spawned subprocess body. With
+// cmdWorker is the scheduler-spawned subprocess body. With
 // `-manifest - -shard I -out -` it speaks the remote-transport protocol instead:
 // manifest over stdin, envelope over stdout, no filesystem shared with
 // the scheduler.
@@ -695,7 +701,7 @@ func cmdWorker(manifest string, shard int, out string) error {
 		return dispatch.WorkerIO(os.Stdin, shard, os.Stdout)
 	}
 	if manifest == "" || out == "" || shard < 0 {
-		return fmt.Errorf("worker requires -manifest, -shard, and -out (it is normally spawned by dispatch or sched)")
+		return fmt.Errorf("worker requires -manifest, -shard, and -out (it is normally spawned by the scheduler)")
 	}
 	return dispatch.Worker(manifest, shard, out)
 }

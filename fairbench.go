@@ -75,14 +75,15 @@
 // `fairbench fig7 -dataset compas -shard 0/3 -out part0.json` followed by
 // `fairbench merge part0.json part1.json part2.json`.
 //
-// # Result caching and resumable dispatch
+// # Result caching and resumable runs
 //
 // RunOptions.CacheDir names an on-disk result cache keyed by (grid
 // fingerprint, cell index, seed, GOARCH); RunOptions.RemoteStore layers a
 // shared HTTP cache behind it. A Run given a cache serves verified cache
 // hits instead of recomputing cells on every backend — its own pool,
-// dispatch workers, and scheduled hosts — so re-running a grid computes
-// only the cache-miss cells while staying byte-identical to a cold run:
+// local worker subprocesses, and scheduled hosts — so re-running a grid
+// computes only the cache-miss cells while staying byte-identical to a
+// cold run:
 //
 //	opts := fairbench.RunOptions{CacheDir: ".fairbench-cache"}
 //	out, rep, _ := fairbench.Run(ctx, spec, opts) // cold: computes + caches
@@ -92,36 +93,37 @@
 // CacheDiskUsage and CacheGC inspect and reclaim a cache directory. The
 // Source-based driver functions and RunShard never consult a cache.
 //
-// Giving Run a directory makes it dispatch the grid as worker
-// subprocesses and merge their envelopes; an interrupted (crashed,
-// killed) run is resumed with ResumeRun, which reuses every completed
-// envelope and cached cell:
+// Giving Run a directory runs the grid on the scheduler (BackendSched)
+// as worker subprocesses of one local host with Parallelism slots (one
+// per CPU when zero), recording a manifest and one part file per range
+// there. An interrupted (crashed, killed, cancelled) run is resumed with
+// ResumeRun, which reuses every completed part and cached cell:
 //
 //	spec := fairbench.GridSpec{Experiment: "fig7", Dataset: "compas", Seed: 42}
 //	out, rep, err := fairbench.Run(ctx, spec, fairbench.RunOptions{
-//		Dir: "run", Shards: 8, Procs: 4, CacheDir: "cache",
+//		Dir: "run", Shards: 8, Parallelism: 4, CacheDir: "cache",
 //	})
-//	// ... a worker is SIGKILLed, err names the missing shards ...
-//	out, rep, err = fairbench.ResumeRun(ctx, "run", fairbench.RunOptions{Procs: 4})
+//	// ... a worker is SIGKILLed, err names the missing ranges ...
+//	out, rep, err = fairbench.ResumeRun(ctx, "run", fairbench.RunOptions{Parallelism: 4})
 //
 // The CLI exposes the same flow as `fairbench dispatch -exp fig7 ...`
 // and `fairbench resume -dir run`.
 //
 // # Multi-host scheduling
 //
-// Setting RunOptions.Hosts generalizes the subprocess dispatcher to a
-// pool of hosts with per-host concurrency slots, reusing the same
-// manifest/part-file protocol. Work
-// reaches a host through a pluggable transport — local subprocesses by
-// default, or a worker binary run over any command runner (ssh-shaped)
-// with the manifest streamed in and the envelope streamed back. Planning
-// is cache-aware: ranges the result cache can fully serve never reach a
-// host, and the rest are balanced by uncached cell count. Failed
-// attempts are retried on other hosts, hosts that go silent past the
-// heartbeat deadline are declared dead, and repeatedly failing hosts are
-// excluded with their ranges reassigned to survivors — under every
-// failure mode the merged output stays byte-identical (timing aside) to
-// a serial run, or the run fails resumably:
+// Setting RunOptions.Hosts replaces the one local host with a pool of
+// hosts, each with its own concurrency slots, over the same
+// manifest/part-file protocol. Work reaches a host through a pluggable
+// transport — local subprocesses by default, or a worker binary run
+// over any command runner (ssh-shaped) with the manifest streamed in and
+// the envelope streamed back. Planning is cache-aware: ranges the result
+// cache can fully serve never reach a host, and the rest are balanced by
+// uncached cell count. Failed attempts are retried on other hosts, hosts
+// that go silent past the heartbeat deadline are declared dead, and
+// repeatedly failing hosts are excluded with their ranges reassigned to
+// survivors — under every failure mode the merged output stays
+// byte-identical (timing aside) to a serial run, or the run fails
+// resumably:
 //
 //	hosts, _ := fairbench.LoadHosts("hosts.json")
 //	spec := fairbench.GridSpec{Experiment: "fig7", Dataset: "compas", Seed: 42}
@@ -135,22 +137,15 @@
 // # Unified execution engine
 //
 // Run(ctx, spec, RunOptions) is the single entry point subsuming all
-// of the above: the execution backend (in-process pool, subprocess
-// dispatch, multi-host sched) is a RunOptions field, ctx cancels the
-// run promptly with directories left resumable by ResumeRun, and a
-// fully-cached grid is served without touching a worker or host:
-//
-//	out, rep, err := fairbench.Run(ctx, spec, fairbench.RunOptions{
-//		Dir: "run", Shards: 8, Procs: 4, CacheDir: "cache",
-//	})
-//	// ... interrupted ...
-//	out, rep, err = fairbench.ResumeRun(ctx, "run", fairbench.RunOptions{Procs: 4})
-//
-// Run and ResumeRun are the only whole-grid entry points that cache,
-// dispatch or schedule; the backend option structs remain as the types
-// inside RunReport. The `fairbench serve` command exposes the same
-// engine as a persistent HTTP service (see the README's "Serving"
-// section).
+// of the above: the execution backend (in-process pool, or the
+// scheduler over one local host or a pool of hosts) is a RunOptions
+// field, ctx cancels the run promptly with directories left resumable
+// by ResumeRun, and a fully-cached grid is served without touching a
+// worker or host. Run and ResumeRun are the only whole-grid entry
+// points that cache or schedule; SchedOptions and SchedReport remain as
+// the types behind RunReport.Sched. The `fairbench serve` command
+// exposes the same engine as a persistent HTTP service (see the
+// README's "Serving" section).
 //
 // See the examples/ directory for runnable programs.
 package fairbench
@@ -162,7 +157,6 @@ import (
 	"fairbench/internal/classifier"
 	"fairbench/internal/corrupt"
 	"fairbench/internal/dataset"
-	"fairbench/internal/dispatch"
 	"fairbench/internal/engine"
 	"fairbench/internal/experiments"
 	"fairbench/internal/fair"
@@ -212,12 +206,6 @@ type (
 	ShardRange = shard.Range
 	// ShardEnvelope is the JSON-serializable partial result of one shard.
 	ShardEnvelope = shard.Envelope
-	// DispatchOptions configures a Dispatch/Resume run (shard count,
-	// worker processes, retries, cache directory).
-	DispatchOptions = dispatch.Options
-	// DispatchReport records what a dispatched run did: shards reused vs
-	// executed, per-shard attempts, and the computed/cached cell split.
-	DispatchReport = dispatch.Report
 	// CacheCounters are a result cache's in-memory hit/miss/write/reject
 	// counters (plus transport-error counts for remote-backed caches), as
 	// RunReport.CacheStats carries them for one run.
@@ -233,8 +221,8 @@ type (
 	// SchedTransport places one assigned range on a host (see
 	// sched.LocalExec and sched.RemoteExec for the built-ins).
 	SchedTransport = sched.Transport
-	// SchedOptions configures a multi-host scheduled run (pool, shard
-	// target, cache, heartbeat deadline, retry budget).
+	// SchedOptions configures a scheduled run (pool, shard target,
+	// cache, heartbeat deadline, retry budget).
 	SchedOptions = sched.Options
 	// SchedReport records what a scheduled run did: the cache-aware
 	// plan, ranges served from cache vs placed on hosts, per-host
@@ -244,13 +232,13 @@ type (
 	// annotated with their uncached cell counts.
 	ShardPlan = experiments.ShardPlan
 	// RunOptions configures a Run/ResumeRun call: one struct unifying
-	// the knobs the three execution backends understand (see Backend).
+	// the knobs the two execution backends understand (see Backend).
 	RunOptions = engine.RunOptions
 	// RunReport describes what a Run did, normalized across backends;
-	// the backend-native report rides along in its Dispatch/Sched field.
+	// the scheduler's native report rides along in its Sched field.
 	RunReport = engine.Report
-	// Backend selects how Run executes the grid: in-process pool,
-	// subprocess dispatch, or multi-host sched.
+	// Backend selects how Run executes the grid: in-process pool, or
+	// the scheduler over one local host or a pool of hosts.
 	Backend = engine.Backend
 	// Engine executes grids behind the unified API with pinned
 	// defaults; see NewEngine.
@@ -267,13 +255,12 @@ type (
 )
 
 // Execution backends for RunOptions.Backend. BackendAuto resolves from
-// the options: hosts given → sched, a directory given → dispatch,
-// otherwise in-process.
+// the options: hosts or a directory given → sched, otherwise
+// in-process.
 const (
-	BackendAuto     = engine.BackendAuto
-	BackendInproc   = engine.BackendInproc
-	BackendDispatch = engine.BackendDispatch
-	BackendSched    = engine.BackendSched
+	BackendAuto   = engine.BackendAuto
+	BackendInproc = engine.BackendInproc
+	BackendSched  = engine.BackendSched
 )
 
 // Pipeline stages.
@@ -420,12 +407,12 @@ var defaultEngine = engine.New(engine.RunOptions{})
 func NewEngine(defaults RunOptions) *Engine { return engine.New(defaults) }
 
 // Run plans, executes, and merges the spec's experiment grid on the
-// backend opts selects (in-process pool, subprocess dispatch, or
-// multi-host sched), returning output byte-identical (timing fields
-// aside) to a serial run. A cancelled ctx stops the run promptly —
-// no new cells start, worker subprocesses are killed, in-flight host
-// attempts are cancelled — with the error wrapping ctx.Err() and
-// directory-backed runs left resumable via ResumeRun. With
+// backend opts selects (in-process pool, or the scheduler over one
+// local host or a pool of hosts), returning output byte-identical
+// (timing fields aside) to a serial run. A cancelled ctx stops the run
+// promptly — no new cells start, worker subprocesses are killed,
+// in-flight host attempts are cancelled — with the error wrapping
+// ctx.Err() and directory-backed runs left resumable via ResumeRun. With
 // opts.CacheDir set, a fully-cached grid is served entirely by the
 // calling process (RunReport.ServedFromCache: computed=0, no worker or
 // host touched).
@@ -433,12 +420,11 @@ func Run(ctx context.Context, spec GridSpec, opts RunOptions) (*GridOutput, *Run
 	return defaultEngine.Run(ctx, spec, opts)
 }
 
-// ResumeRun continues the directory-backed run recorded in dir —
-// dispatch and sched directories share one manifest protocol, so either
-// resumes here. Completed envelopes are validated and reused, missing
-// work is executed (consulting the run's result cache at cell
-// granularity), and the completed set is merged. ResumeRun replaces the
-// deprecated Resume and SchedResume.
+// ResumeRun continues the directory-backed run recorded in dir on the
+// scheduler, one local host unless opts.Hosts says otherwise. Completed
+// envelopes are validated and reused, missing work is executed
+// (consulting the run's result cache at cell granularity), and the
+// completed set is merged.
 func ResumeRun(ctx context.Context, dir string, opts RunOptions) (*GridOutput, *RunReport, error) {
 	return defaultEngine.ResumeRun(ctx, dir, opts)
 }

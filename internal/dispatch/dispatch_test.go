@@ -1,4 +1,4 @@
-package dispatch
+package dispatch_test
 
 import (
 	"bytes"
@@ -7,21 +7,26 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
+	"fairbench/internal/dispatch"
 	"fairbench/internal/experiments"
+	"fairbench/internal/sched"
 	"fairbench/internal/shard"
 )
 
-// TestMain doubles as the worker subprocess body: dispatch tests re-exec
+// TestMain doubles as the worker subprocess body: these tests re-exec
 // the test binary with FAIRBENCH_TEST_HELPER set, the same pattern the
 // standard library uses for exec tests. "worker" runs a real shard via
-// dispatch.Worker; "hang" writes its pid to a file and sleeps so the
-// parent test can SIGKILL a genuinely live worker mid-run.
+// Worker; "hang" writes its pid to a file and sleeps so the parent test
+// can SIGKILL a genuinely live worker mid-run; "fail" exits non-zero
+// with a line on stderr.
 func TestMain(m *testing.M) {
 	switch os.Getenv("FAIRBENCH_TEST_HELPER") {
 	case "":
@@ -29,7 +34,7 @@ func TestMain(m *testing.M) {
 	case "worker":
 		shard, err := strconv.Atoi(os.Getenv("HELPER_SHARD"))
 		if err == nil {
-			err = Worker(os.Getenv("HELPER_MANIFEST"), shard, os.Getenv("HELPER_OUT"))
+			err = dispatch.Worker(os.Getenv("HELPER_MANIFEST"), shard, os.Getenv("HELPER_OUT"))
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -56,7 +61,7 @@ func TestMain(m *testing.M) {
 }
 
 // helperSpawn re-execs this test binary in the given helper mode.
-func helperSpawn(mode string, extraEnv ...string) SpawnFunc {
+func helperSpawn(mode string, extraEnv ...string) dispatch.SpawnFunc {
 	return func(manifestPath string, shard int, outPath string) (*exec.Cmd, error) {
 		cmd := exec.Command(os.Args[0])
 		cmd.Env = append(os.Environ(),
@@ -75,8 +80,8 @@ func smallSpec() experiments.Spec {
 		Sizes: []int{60, 120}, Names: []string{"LR", "KamCal-DP"}}
 }
 
-// canonical marshals an output with its timing fields zeroed (dispatch
-// only guarantees the metric payload).
+// canonical marshals an output with its timing fields zeroed (the
+// protocol only guarantees the metric payload).
 func canonical(t *testing.T, out *experiments.Output) []byte {
 	t.Helper()
 	for _, pts := range out.Efficiency {
@@ -107,31 +112,23 @@ func serialReference(t *testing.T, spec experiments.Spec) []byte {
 	return canonical(t, out)
 }
 
-// TestDispatchMatchesSerial: the plain happy path — K worker
-// subprocesses, merged output byte-identical to a serial run.
-func TestDispatchMatchesSerial(t *testing.T) {
-	spec := smallSpec()
-	want := serialReference(t, spec)
-	out, rep, err := Run(spec, Options{
-		Dir: t.TempDir(), Shards: 3, Procs: 2, Spawn: helperSpawn("worker"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, canonical(t, out)) {
-		t.Fatal("dispatched output diverges from serial run")
-	}
-	if len(rep.Ran) != 3 || len(rep.Reused) != 0 || rep.CellsComputed != 4 || rep.CellsCached != 0 {
-		t.Fatalf("report %+v", rep)
+// onePool runs the protocol the way `fairbench dispatch -procs 1` does:
+// the scheduler over one local host with one slot, spawning workers
+// through spawn, with no retry round unless retries says so.
+func onePool(dir string, shards, retries int, cacheDir string, spawn dispatch.SpawnFunc) sched.Options {
+	return sched.Options{
+		Dir: dir, Shards: shards, Retries: retries, CacheDir: cacheDir,
+		Hosts:      []sched.Host{{Name: "local", Slots: 1}},
+		Transports: map[string]sched.Transport{"local": &sched.LocalExec{Spawn: spawn}},
 	}
 }
 
-// TestKillResumeMatchesSerial is the PR's acceptance gate: dispatch a
-// grid, SIGKILL one worker while it is genuinely running, watch the
-// dispatch fail resumably, resume it, and require the merged metric
-// output to be byte-identical to a serial cold run. Then re-dispatch the
-// same grid warm into a fresh directory and require zero cell
-// computations, proven by the envelopes' cached provenance.
+// TestKillResumeMatchesSerial: run a grid on a one-host pool, SIGKILL
+// one worker while it is genuinely running, watch the run fail
+// resumably, resume it, and require the merged metric output to be
+// byte-identical to a serial cold run. Then re-run the same grid warm
+// into a fresh directory and require zero cell computations, proven by
+// the envelopes' cached provenance.
 func TestKillResumeMatchesSerial(t *testing.T) {
 	spec := experiments.Spec{Experiment: "fig7", Dataset: "german", N: 150, Seed: 5}
 	want := serialReference(t, spec)
@@ -158,9 +155,9 @@ func TestKillResumeMatchesSerial(t *testing.T) {
 		killed <- fmt.Errorf("no worker pid appeared to kill")
 	}()
 
-	// Shard 1's worker hangs (and gets killed); procs=1 keeps the
-	// sequence deterministic: shard 0 completes, shard 1 dies, shard 2
-	// completes, dispatch fails listing shard 1.
+	// Range 1's worker hangs (and gets killed); one slot keeps the
+	// sequence deterministic: range 0 completes, range 1 dies, range 2
+	// completes, and with no retry round the run fails listing range 1.
 	normal := helperSpawn("worker")
 	spawn := func(manifestPath string, shard int, outPath string) (*exec.Cmd, error) {
 		if shard == 1 {
@@ -168,83 +165,77 @@ func TestKillResumeMatchesSerial(t *testing.T) {
 		}
 		return normal(manifestPath, shard, outPath)
 	}
-	_, rep, err := Run(spec, Options{
-		Dir: dir, Shards: 3, Procs: 1, Retries: 0, CacheDir: cacheDir, Spawn: spawn,
-	})
+	_, rep, err := sched.Run(spec, onePool(dir, 3, 0, cacheDir, spawn))
 	if err == nil {
-		t.Fatal("dispatch succeeded despite a killed worker")
+		t.Fatal("run succeeded despite a killed worker")
 	}
 	if ke := <-killed; ke != nil {
 		t.Fatalf("failed to kill the worker: %v", ke)
 	}
-	if len(rep.Failed) != 1 || rep.Failed[0] != 1 {
-		t.Fatalf("failed shards %v, want [1]", rep.Failed)
+	if !reflect.DeepEqual(rep.Failed, []int{1}) {
+		t.Fatalf("failed ranges %v, want [1]", rep.Failed)
 	}
-	if !strings.Contains(err.Error(), "shard(s) 1 still missing") ||
+	if !strings.Contains(err.Error(), "range(s) 1 still missing") ||
 		!strings.Contains(err.Error(), "resume") {
-		t.Fatalf("error does not name the missing shard with a resume hint: %v", err)
+		t.Fatalf("error does not name the missing range with a resume hint: %v", err)
 	}
 	for _, i := range []int{0, 2} {
-		if _, err := os.Stat(filepath.Join(dir, PartName(i))); err != nil {
-			t.Fatalf("surviving shard %d left no envelope: %v", i, err)
+		if _, err := os.Stat(filepath.Join(dir, dispatch.PartName(i))); err != nil {
+			t.Fatalf("surviving range %d left no envelope: %v", i, err)
 		}
 	}
 
-	// Resume completes only the missing shard and merges.
-	out, rep, err := Resume(dir, Options{Procs: 2, Spawn: normal})
+	// Resume completes only the missing range and merges.
+	resume := onePool("", 0, 0, "", normal)
+	resume.Hosts[0].Slots = 2
+	out, rep, err := sched.Resume(dir, resume)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Reused) != 2 || len(rep.Ran) != 1 || rep.Ran[0] != 1 {
-		t.Fatalf("resume report %+v", rep)
+	if !reflect.DeepEqual(rep.Reused, []int{0, 2}) || !reflect.DeepEqual(rep.Completed["local"], []int{1}) {
+		t.Fatalf("resume reused %v and ran %v, want [0 2] and [1]", rep.Reused, rep.Completed)
 	}
 	if !bytes.Equal(want, canonical(t, out)) {
 		t.Fatal("killed-and-resumed output diverges from serial run")
 	}
 
-	// Warm re-dispatch: every cell of every shard comes from the cache.
-	out2, rep2, err := Run(spec, Options{
-		Dir: t.TempDir(), Shards: 3, Procs: 2, CacheDir: cacheDir, Spawn: normal,
-	})
+	// Warm re-run: every cell of every range comes from the cache.
+	out2, rep2, err := sched.Run(spec, onePool(t.TempDir(), 3, 0, cacheDir, normal))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep2.CellsComputed != 0 {
-		t.Fatalf("warm re-dispatch computed %d cells, want 0 (cached %d)",
+		t.Fatalf("warm re-run computed %d cells, want 0 (cached %d)",
 			rep2.CellsComputed, rep2.CellsCached)
 	}
 	if rep2.CellsCached != rep.CellsCached+rep.CellsComputed {
 		t.Fatalf("warm cached %d cells, want the full grid", rep2.CellsCached)
 	}
 	if !bytes.Equal(want, canonical(t, out2)) {
-		t.Fatal("warm re-dispatch diverges from serial run")
+		t.Fatal("warm re-run diverges from serial run")
 	}
 }
 
-// TestRetriesRecoverFlakyWorker: a shard whose first attempt exits
-// non-zero succeeds on the retry without failing the run.
+// TestRetriesRecoverFlakyWorker: with one retry round, a range whose
+// first attempt exits non-zero succeeds on its second attempt on the
+// same host without failing the run.
 func TestRetriesRecoverFlakyWorker(t *testing.T) {
 	spec := smallSpec()
 	want := serialReference(t, spec)
-	attempts := 0
+	var attempts atomic.Int32
 	normal, fail := helperSpawn("worker"), helperSpawn("fail")
 	spawn := func(manifestPath string, shard int, outPath string) (*exec.Cmd, error) {
-		if shard == 0 {
-			attempts++
-			if attempts == 1 {
-				return fail(manifestPath, shard, outPath)
-			}
+		if shard == 0 && attempts.Add(1) == 1 {
+			return fail(manifestPath, shard, outPath)
 		}
 		return normal(manifestPath, shard, outPath)
 	}
-	out, rep, err := Run(spec, Options{
-		Dir: t.TempDir(), Shards: 2, Procs: 1, Retries: 1, Spawn: spawn,
-	})
+	out, rep, err := sched.Run(spec, onePool(t.TempDir(), 2, 1, "", spawn))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Attempts[0] != 2 {
-		t.Fatalf("shard 0 took %d attempts, want 2", rep.Attempts[0])
+		t.Fatalf("range 0 took %d attempts, want 2", rep.Attempts[0])
 	}
 	if !bytes.Equal(want, canonical(t, out)) {
 		t.Fatal("retried output diverges from serial run")
@@ -252,45 +243,45 @@ func TestRetriesRecoverFlakyWorker(t *testing.T) {
 }
 
 // TestWorkerLyingAboutSuccessIsCaught: an exit-0 worker that wrote no
-// envelope must be treated as a failure, not silently merged around.
+// envelope fails its range at the acceptance gate instead of being
+// merged around.
 func TestWorkerLyingAboutSuccessIsCaught(t *testing.T) {
 	spawn := func(string, int, string) (*exec.Cmd, error) {
 		return exec.Command("true"), nil
 	}
-	_, _, err := Run(smallSpec(), Options{
-		Dir: t.TempDir(), Shards: 2, Procs: 1, Spawn: spawn,
-	})
-	if err == nil || !strings.Contains(err.Error(), "exited 0 but") {
+	_, rep, err := sched.Run(smallSpec(), onePool(t.TempDir(), 2, 0, "", spawn))
+	if err == nil || !strings.Contains(err.Error(), "produced an invalid part") {
 		t.Fatalf("want exit-0-without-envelope failure, got %v", err)
 	}
-}
-
-func TestResumeRequiresManifest(t *testing.T) {
-	if _, _, err := Resume(t.TempDir(), Options{}); err == nil ||
-		!strings.Contains(err.Error(), "nothing to resume") {
-		t.Fatalf("want nothing-to-resume error, got %v", err)
+	if !reflect.DeepEqual(rep.Failed, []int{0, 1}) {
+		t.Fatalf("failed ranges %v, want [0 1]", rep.Failed)
 	}
 }
 
-// TestDirCannotMixRuns: dispatching a different grid into a live
-// dispatch directory must be refused.
-func TestDirCannotMixRuns(t *testing.T) {
+// TestInvalidPartIsDiscardedAndRerun: a corrupt part file in the
+// directory is moved aside and its range re-executed on resume.
+func TestInvalidPartIsDiscardedAndRerun(t *testing.T) {
+	spec := smallSpec()
 	dir := t.TempDir()
-	if _, _, err := Run(smallSpec(), Options{Dir: dir, Shards: 2, Procs: 1, Spawn: helperSpawn("worker")}); err != nil {
+	if _, _, err := sched.Run(spec, onePool(dir, 2, 0, "", helperSpawn("worker"))); err != nil {
 		t.Fatal(err)
 	}
-	other := smallSpec()
-	other.Seed = 99
-	if _, _, err := Run(other, Options{Dir: dir, Shards: 2, Procs: 1, Spawn: helperSpawn("worker")}); err == nil ||
-		!strings.Contains(err.Error(), "different run") {
-		t.Fatalf("want different-run refusal, got %v", err)
+	part := filepath.Join(dir, dispatch.PartName(1))
+	if err := os.WriteFile(part, []byte("{garbage"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	// Same grid, conflicting cache directory: the manifest's cache is
-	// part of the run's identity and cannot be switched silently.
-	if _, _, err := Run(smallSpec(), Options{
-		Dir: dir, Shards: 2, Procs: 1, CacheDir: t.TempDir(), Spawn: helperSpawn("worker"),
-	}); err == nil || !strings.Contains(err.Error(), "cannot change") {
-		t.Fatalf("want cache-dir conflict refusal, got %v", err)
+	out, rep, err := sched.Resume(dir, onePool("", 0, 0, "", helperSpawn("worker")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.Reused, []int{0}) || !reflect.DeepEqual(rep.Completed["local"], []int{1}) {
+		t.Fatalf("resume reused %v and ran %v, want [0] and [1]", rep.Reused, rep.Completed)
+	}
+	if _, err := os.Stat(part + ".invalid"); err != nil {
+		t.Fatal("invalid part not preserved aside")
+	}
+	if !bytes.Equal(serialReference(t, spec), canonical(t, out)) {
+		t.Fatal("re-run output diverges from serial run")
 	}
 }
 
@@ -314,7 +305,7 @@ func TestValidatePartEnforcesPlanBoundaries(t *testing.T) {
 	n := g.Len()
 	planA := []shard.Range{{Start: 0, End: 1}, {Start: 1, End: n}}
 	planB := []shard.Range{{Start: 0, End: n - 1}, {Start: n - 1, End: n}}
-	m := &Manifest{Version: ManifestVersion, Spec: spec, Shards: 2, Fingerprint: fp, Ranges: planA}
+	m := &dispatch.Manifest{Version: dispatch.ManifestVersion, Spec: spec, Shards: 2, Fingerprint: fp, Ranges: planA}
 
 	dir := t.TempDir()
 	write := func(plan []shard.Range, i int) string {
@@ -326,7 +317,7 @@ func TestValidatePartEnforcesPlanBoundaries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(dir, PartName(i))
+		path := filepath.Join(dir, dispatch.PartName(i))
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -334,45 +325,18 @@ func TestValidatePartEnforcesPlanBoundaries(t *testing.T) {
 	}
 	// Same grid, same fingerprint, same plan position — wrong boundaries.
 	path := write(planB, 0)
-	if err := ValidatePart(path, m, 0); err == nil ||
+	if err := dispatch.ValidatePart(path, m, 0); err == nil ||
 		!strings.Contains(err.Error(), "range") {
 		t.Fatalf("foreign-boundary envelope accepted: %v", err)
 	}
 	// The genuine cut validates.
-	if err := ValidatePart(write(planA, 0), m, 0); err != nil {
+	if err := dispatch.ValidatePart(write(planA, 0), m, 0); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestInvalidPartIsDiscardedAndRerun: a corrupt part file in the
-// directory is moved aside and its shard re-executed.
-func TestInvalidPartIsDiscardedAndRerun(t *testing.T) {
-	spec := smallSpec()
-	dir := t.TempDir()
-	if _, _, err := Run(spec, Options{Dir: dir, Shards: 2, Procs: 1, Spawn: helperSpawn("worker")}); err != nil {
-		t.Fatal(err)
-	}
-	part := filepath.Join(dir, PartName(1))
-	if err := os.WriteFile(part, []byte("{garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out, rep, err := Resume(dir, Options{Procs: 1, Spawn: helperSpawn("worker")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Reused) != 1 || len(rep.Ran) != 1 || rep.Ran[0] != 1 {
-		t.Fatalf("report %+v", rep)
-	}
-	if _, err := os.Stat(part + ".invalid"); err != nil {
-		t.Fatal("invalid part not preserved aside")
-	}
-	if !bytes.Equal(serialReference(t, spec), canonical(t, out)) {
-		t.Fatal("re-run output diverges from serial run")
 	}
 }
 
 func TestBoundedBufferCapsAndMarks(t *testing.T) {
-	b := NewBoundedBuffer(128)
+	b := dispatch.NewBoundedBuffer(128)
 	line := []byte("0123456789abcdef\n")
 	var total int64
 	for i := 0; i < 100; i++ {
@@ -401,7 +365,7 @@ func TestBoundedBufferCapsAndMarks(t *testing.T) {
 }
 
 func TestBoundedBufferSmallWritesUntruncated(t *testing.T) {
-	b := NewBoundedBuffer(1024)
+	b := dispatch.NewBoundedBuffer(1024)
 	b.Write([]byte("only a few bytes"))
 	if got := b.String(); got != "only a few bytes" {
 		t.Fatalf("got %q", got)
@@ -416,11 +380,11 @@ func TestBoundedBufferSmallWritesUntruncated(t *testing.T) {
 // event that silently hid the fact that output was dropped would send
 // operators debugging the wrong thing.
 func TestStderrTailKeepsTruncationMarker(t *testing.T) {
-	b := NewBoundedBuffer(256)
+	b := dispatch.NewBoundedBuffer(256)
 	for i := 0; i < 200; i++ {
 		fmt.Fprintf(b, "noise line %d\n", i)
 	}
-	tail := StderrTail(b.String())
+	tail := dispatch.StderrTail(b.String())
 	if !strings.Contains(tail, "stderr bytes dropped") {
 		t.Fatalf("marker cut from tail: %q", tail)
 	}
@@ -447,15 +411,15 @@ func TestAcceptPartPromotesExactlyValidParts(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := []shard.Range{{Start: 0, End: 1}, {Start: 1, End: g.Len()}}
-	m := &Manifest{Version: ManifestVersion, Spec: spec, Shards: 2, Fingerprint: fp, Ranges: plan}
+	m := &dispatch.Manifest{Version: dispatch.ManifestVersion, Spec: spec, Shards: 2, Fingerprint: fp, Ranges: plan}
 	dir := t.TempDir()
-	partPath := filepath.Join(dir, PartName(0))
+	partPath := filepath.Join(dir, dispatch.PartName(0))
 
 	bad := filepath.Join(dir, "part-000.json.attempt-0")
 	if err := os.WriteFile(bad, []byte(`{"fault":"corrupt"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := AcceptPart(bad, partPath, m, 0); err == nil {
+	if err := dispatch.AcceptPart(bad, partPath, m, 0); err == nil {
 		t.Fatal("corrupt attempt accepted")
 	}
 	if _, err := os.Stat(partPath); err == nil {
@@ -474,13 +438,13 @@ func TestAcceptPartPromotesExactlyValidParts(t *testing.T) {
 	if err := os.WriteFile(good, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := AcceptPart(good, partPath, m, 0); err != nil {
+	if err := dispatch.AcceptPart(good, partPath, m, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(good); !os.IsNotExist(err) {
 		t.Fatal("accepted attempt file was copied, not renamed")
 	}
-	if err := ValidatePart(partPath, m, 0); err != nil {
+	if err := dispatch.ValidatePart(partPath, m, 0); err != nil {
 		t.Fatalf("promoted part does not validate: %v", err)
 	}
 }

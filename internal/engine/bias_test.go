@@ -22,8 +22,8 @@ func biasedSpec() experiments.Spec {
 	return s
 }
 
-// TestBiasedBackendsMatchSerial: one biased spec, three backends, all
-// byte-identical to the serial reference — and every report names the
+// TestBiasedBackendsMatchSerial: one biased spec, both backends (sched
+// with and without hosts), all byte-identical to the serial reference — and every report names the
 // coordinator's architecture (the store's cache partition).
 func TestBiasedBackendsMatchSerial(t *testing.T) {
 	spec := biasedSpec()
@@ -46,16 +46,16 @@ func TestBiasedBackendsMatchSerial(t *testing.T) {
 	}
 
 	out, rep, err = eng.Run(ctx, spec, RunOptions{
-		Dir: t.TempDir(), Shards: 2, Procs: 2, Spawn: helperSpawn(),
+		Dir: t.TempDir(), Shards: 2, Parallelism: 2, Spawn: helperSpawn(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want, canonical(t, out)) {
-		t.Fatal("dispatched biased output diverges from serial run")
+		t.Fatal("hostless sched biased output diverges from serial run")
 	}
-	if rep.Backend != BackendDispatch || rep.Arch != runtime.GOARCH {
-		t.Fatalf("dispatch report %+v", rep)
+	if rep.Backend != BackendSched || rep.Arch != runtime.GOARCH {
+		t.Fatalf("hostless sched report %+v", rep)
 	}
 
 	out, rep, err = eng.Run(ctx, spec, RunOptions{
@@ -117,7 +117,7 @@ func TestBiasedWarmGridComputesNothing(t *testing.T) {
 	}
 }
 
-// TestBiasedRunResumesAfterKilledWorker: cancel a biased dispatch run
+// TestBiasedRunResumesAfterKilledWorker: cancel a biased hostless run
 // while delayed workers genuinely execute (the engine kills them), then
 // resume the directory — the finished output must still be
 // byte-identical to serial. This is the acceptance criterion that a
@@ -132,7 +132,7 @@ func TestBiasedRunResumesAfterKilledWorker(t *testing.T) {
 		cancel()
 	}()
 	_, _, err := eng.Run(ctx, spec, RunOptions{
-		Dir: dir, Shards: 2, Procs: 2,
+		Dir: dir, Shards: 2, Parallelism: 2,
 		Spawn: helperSpawn("FAIRBENCH_WORKER_DELAY_MS=20000"),
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -140,7 +140,7 @@ func TestBiasedRunResumesAfterKilledWorker(t *testing.T) {
 	}
 
 	out, rep, err := eng.ResumeRun(context.Background(), dir, RunOptions{
-		Procs: 2, Spawn: helperSpawn(),
+		Parallelism: 2, Spawn: helperSpawn(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestBiasedRunResumesAfterKilledWorker(t *testing.T) {
 	if !bytes.Equal(serialReference(t, spec), canonical(t, out)) {
 		t.Fatal("resumed biased output diverges from serial run")
 	}
-	if rep.Backend != BackendDispatch {
+	if rep.Backend != BackendSched {
 		t.Fatalf("resume report %+v", rep)
 	}
 }

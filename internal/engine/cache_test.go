@@ -104,7 +104,7 @@ func TestRemoteStoreWarmRunSpawnsNothing(t *testing.T) {
 	}
 
 	// Second process (same engine config, but nothing local): a
-	// dispatch-backed run must short-circuit to the cache with no spawns.
+	// directory-backed run must short-circuit to the cache with no spawns.
 	var spawns atomic.Int64
 	out, rep, err := eng.Run(context.Background(), spec, RunOptions{
 		Dir: t.TempDir(), Spawn: countingSpawn(&spawns),

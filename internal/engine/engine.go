@@ -1,10 +1,11 @@
 // Package engine is the one entry point to grid execution: a single
 // Run(ctx, spec, RunOptions) call that plans, executes, and merges an
-// experiment grid on any of the three execution backends — the
-// in-process worker pool, the subprocess dispatcher, or the multi-host
-// scheduler — selected by an options field rather than by calling three
-// different APIs. It is the one coordinator every CLI figure command,
-// the dispatch and sched commands, and the serve daemon share.
+// experiment grid on either of the two execution backends — the
+// in-process worker pool, or the process-backed scheduler
+// (internal/sched) over a pool of hosts, one local host by default —
+// selected by an options field rather than by calling two different
+// APIs. It is the one coordinator every CLI figure command, the
+// dispatch, resume and sched commands, and the serve daemon share.
 //
 // Unifying guarantees, regardless of backend:
 //
@@ -38,44 +39,44 @@ import (
 type Backend string
 
 const (
-	// BackendAuto resolves from the options: hosts given → sched, a
-	// directory given → dispatch, otherwise in-process.
+	// BackendAuto resolves from the options: hosts or a directory given
+	// → sched, otherwise in-process.
 	BackendAuto Backend = ""
 	// BackendInproc runs the grid on this process's worker pool.
 	BackendInproc Backend = "inproc"
-	// BackendDispatch runs the grid as worker subprocesses coordinated
-	// through a dispatch directory (resumable).
-	BackendDispatch Backend = "dispatch"
-	// BackendSched schedules the grid across a pool of hosts (resumable,
-	// cache-aware planning, failure handling).
+	// BackendSched runs the grid as worker processes scheduled across a
+	// pool of hosts — one local host unless Hosts says otherwise —
+	// through a resumable run directory (cache-aware planning, failure
+	// handling).
 	BackendSched Backend = "sched"
+	// BackendDispatch is the old name of the subprocess backend, which
+	// is now sched over its default one-local-host pool.
+	//
+	// Deprecated: use BackendSched.
+	BackendDispatch = BackendSched
 )
 
 // RunOptions configures one engine run: the union of the knobs the
-// three backends understand, deduplicated. Fields a backend does not
-// use are ignored by it (documented per field). The zero value runs
+// two backends understand, deduplicated. Fields a backend does not use
+// are ignored by it (documented per field). The zero value runs
 // in-process with no cache.
 type RunOptions struct {
 	// Backend picks the execution backend; BackendAuto resolves from
 	// Hosts/Dir as documented on the constants.
 	Backend Backend
 	// Dir is the run directory holding the manifest and part files.
-	// Required for dispatch and sched; unused in-process.
+	// Required for sched; unused in-process.
 	Dir string
-	// Shards is the k of the k-way split (dispatch) or the targeted
-	// work-range count of the cache-aware plan (sched). Defaults to
-	// Procs (dispatch) or the pool's slot count (sched).
+	// Shards is the targeted work-range count of sched's cache-aware
+	// plan. Defaults to the pool's slot count.
 	Shards int
-	// Procs caps concurrent worker subprocesses (dispatch) and sizes
-	// the default local host's slots (sched with no Hosts).
-	Procs int
 	// Parallelism sizes the worker pool a single process uses for grid
-	// cells: the in-process backend's pool directly, the default for
-	// Procs on dispatch, and the default local host's slots on sched.
-	// Zero means one worker per CPU.
+	// cells: the in-process backend's pool directly, and on sched the
+	// slots of the default local host (used when Hosts is empty). Zero
+	// means one worker per CPU.
 	Parallelism int
-	// Retries is the per-shard re-spawn budget (dispatch) or the number
-	// of extra full rounds over the pool (sched).
+	// Retries is the number of extra full rounds sched makes over the
+	// pool for a range every live host has failed. Zero means none.
 	Retries int
 	// CacheDir, when set, is the fingerprint-keyed result store: cells
 	// already computed are served from disk on every backend, and a
@@ -86,12 +87,13 @@ type RunOptions struct {
 	// CacheDir via store.OpenBackend: cells computed by other machines
 	// or past CI runs are served instead of recomputed, and cells this
 	// run computes are written through for the rest of the fleet.
-	// Dispatch and sched record it in the manifest so workers and
-	// resumes inherit it. A remote outage degrades the run to
-	// local-only (Report.CacheDegraded) instead of failing it.
+	// Sched records it in the manifest so workers and resumes inherit
+	// it. A remote outage degrades the run to local-only
+	// (Report.CacheDegraded) instead of failing it.
 	RemoteStore string
 	// Hosts is the sched execution pool. Setting it (with BackendAuto)
-	// selects the sched backend.
+	// selects the sched backend; empty means one local host with
+	// Parallelism slots.
 	Hosts []sched.Host
 	// HeartbeatTimeout and MaxHostFailures tune sched failure handling.
 	HeartbeatTimeout time.Duration
@@ -111,9 +113,8 @@ type RunOptions struct {
 	PoolSource sched.PoolSource
 	// Transports overlays sched's built-in transport registry.
 	Transports map[string]sched.Transport
-	// Spawn overrides how worker subprocesses are launched (dispatch
-	// workers and sched's local transport). Nil re-execs this binary's
-	// `worker` subcommand.
+	// Spawn overrides how sched's local transport launches worker
+	// subprocesses. Nil re-execs this binary's `worker` subcommand.
 	Spawn dispatch.SpawnFunc
 	// OnEvent observes sched scheduling events (heartbeats,
 	// completions, failures, exclusions); see sched.Options.OnEvent.
@@ -149,18 +150,16 @@ type Report struct {
 	// CacheStats is the coordinating process's result-store counters for
 	// this run. Rejected > 0 means cache bytes (on disk or from the
 	// remote) failed verification and were recomputed instead of served
-	// — correct, but worth an operator's attention. Dispatch workers
-	// keep their own counters; for that backend this reflects only the
-	// coordinator's plan-time probes.
+	// — correct, but worth an operator's attention. Sched's worker
+	// subprocesses keep their own counters; on that backend this
+	// reflects only the coordinator's probes, serves and fallback.
 	CacheStats store.Counters
 	// CacheDegraded marks that the tiered store's remote side was
 	// declared down mid-run: the run completed on local cache and
 	// compute alone, byte-identical, without the fleet-wide cache.
 	CacheDegraded bool
-	// Dispatch and Sched carry the backend-native report when that
-	// backend ran.
-	Dispatch *dispatch.Report
-	Sched    *sched.Report
+	// Sched carries the scheduler's native report when it ran.
+	Sched *sched.Report
 }
 
 // Engine executes grids behind one API. The zero value is usable; New
@@ -187,9 +186,6 @@ func (e *Engine) merged(opts RunOptions) RunOptions {
 	}
 	if opts.Shards == 0 {
 		opts.Shards = d.Shards
-	}
-	if opts.Procs == 0 {
-		opts.Procs = d.Procs
 	}
 	if opts.Parallelism == 0 {
 		opts.Parallelism = d.Parallelism
@@ -244,10 +240,8 @@ func resolve(opts RunOptions) Backend {
 	switch {
 	case opts.Backend != BackendAuto:
 		return opts.Backend
-	case len(opts.Hosts) > 0:
+	case len(opts.Hosts) > 0, opts.Dir != "":
 		return BackendSched
-	case opts.Dir != "":
-		return BackendDispatch
 	default:
 		return BackendInproc
 	}
@@ -261,16 +255,12 @@ func (e *Engine) Run(ctx context.Context, spec experiments.Spec, opts RunOptions
 	switch backend {
 	case BackendInproc:
 		return runInproc(ctx, spec, opts)
-	case BackendDispatch, BackendSched:
+	case BackendSched:
 		if opts.Dir == "" {
 			return nil, nil, fmt.Errorf("engine: backend %q requires Dir", backend)
 		}
-		if out, rep, ok, err := serveFromCache(ctx, spec, opts, backend); ok || err != nil {
+		if out, rep, ok, err := serveFromCache(ctx, spec, opts); ok || err != nil {
 			return out, rep, err
-		}
-		if backend == BackendDispatch {
-			out, drep, err := dispatch.RunContext(ctx, spec, dispatchOptions(opts))
-			return out, fromDispatch(drep), err
 		}
 		out, srep, err := sched.RunContext(ctx, spec, schedOptions(opts))
 		return out, fromSched(srep), err
@@ -279,19 +269,15 @@ func (e *Engine) Run(ctx context.Context, spec experiments.Spec, opts RunOptions
 	}
 }
 
-// ResumeRun continues the directory-backed run recorded in dir
-// (dispatch or sched — they share the manifest protocol). The sched
-// backend is used when the resolved backend is sched; everything else
-// resumes through the dispatcher, which handles both directory layouts.
+// ResumeRun continues the directory-backed run recorded in dir on the
+// sched backend: spec, plan and cache come from the manifest, the pool
+// from opts. Manifests without a recorded range plan resume on the
+// uniform split their workers used.
 func (e *Engine) ResumeRun(ctx context.Context, dir string, opts RunOptions) (*experiments.Output, *Report, error) {
 	opts = e.merged(opts)
 	opts.Dir = dir
-	if resolve(opts) == BackendSched {
-		out, srep, err := sched.ResumeContext(ctx, dir, schedOptions(opts))
-		return out, fromSched(srep), err
-	}
-	out, drep, err := dispatch.ResumeContext(ctx, dir, dispatchOptions(opts))
-	return out, fromDispatch(drep), err
+	out, srep, err := sched.ResumeContext(ctx, dir, schedOptions(opts))
+	return out, fromSched(srep), err
 }
 
 // runInproc executes the whole grid as one in-process "shard" on the
@@ -334,16 +320,16 @@ func attachCache(rep *Report, s store.Backend) {
 }
 
 // serveFromCache is the warm-grid short-circuit for the process-backed
-// backends: when a fresh run's grid is fully served by the result
+// backend: when a fresh run's grid is fully served by the result
 // store, the coordinator materializes it directly — computed=0, no
 // subprocess spawned, no host touched. Runs that already have a
 // manifest (interrupted, being resumed by Run) fall through so the
 // directory protocol stays in charge.
-func serveFromCache(ctx context.Context, spec experiments.Spec, opts RunOptions, backend Backend) (*experiments.Output, *Report, bool, error) {
+func serveFromCache(ctx context.Context, spec experiments.Spec, opts RunOptions) (*experiments.Output, *Report, bool, error) {
 	if opts.CacheDir == "" && opts.RemoteStore == "" {
 		return nil, nil, false, nil
 	}
-	if _, err := os.Stat(filepath.Join(opts.Dir, "manifest.json")); err == nil {
+	if _, err := os.Stat(filepath.Join(opts.Dir, dispatch.ManifestName)); err == nil {
 		return nil, nil, false, nil
 	}
 	s, err := store.OpenBackend(opts.CacheDir, opts.RemoteStore)
@@ -394,7 +380,7 @@ func serveFromCache(ctx context.Context, spec experiments.Spec, opts RunOptions,
 		fmt.Fprintf(opts.Log, "engine: grid fully cached — served %d cell(s) from %s without touching a worker or host\n", cached, src)
 	}
 	rep := &Report{
-		Backend:         backend,
+		Backend:         BackendSched,
 		Arch:            runtime.GOARCH,
 		Fingerprint:     fp,
 		CellsCached:     cached,
@@ -402,25 +388,6 @@ func serveFromCache(ctx context.Context, spec experiments.Spec, opts RunOptions,
 	}
 	attachCache(rep, s)
 	return out, rep, true, nil
-}
-
-func dispatchOptions(opts RunOptions) dispatch.Options {
-	procs := opts.Procs
-	if procs == 0 {
-		// Parallelism is the cross-backend pool knob: on dispatch it
-		// bounds concurrent worker subprocesses unless Procs pins them.
-		procs = opts.Parallelism
-	}
-	return dispatch.Options{
-		Dir:         opts.Dir,
-		Shards:      opts.Shards,
-		Procs:       procs,
-		Retries:     opts.Retries,
-		CacheDir:    opts.CacheDir,
-		RemoteStore: opts.RemoteStore,
-		Spawn:       opts.Spawn,
-		Log:         opts.Log,
-	}
 }
 
 func schedOptions(opts RunOptions) sched.Options {
@@ -432,8 +399,8 @@ func schedOptions(opts RunOptions) sched.Options {
 	}
 	transports := opts.Transports
 	if opts.Spawn != nil && (transports == nil || transports["local"] == nil) {
-		// Route the spawn override through the local transport so one
-		// RunOptions field covers both process-backed backends.
+		// Route the spawn override through the local transport, the one
+		// that spawns worker subprocesses on this machine.
 		merged := map[string]sched.Transport{"local": &sched.LocalExec{Spawn: opts.Spawn}}
 		for name, t := range transports {
 			merged[name] = t
@@ -456,20 +423,6 @@ func schedOptions(opts RunOptions) sched.Options {
 		Transports:       transports,
 		OnEvent:          opts.OnEvent,
 		Log:              opts.Log,
-	}
-}
-
-func fromDispatch(rep *dispatch.Report) *Report {
-	if rep == nil {
-		return nil
-	}
-	return &Report{
-		Backend:       BackendDispatch,
-		Arch:          runtime.GOARCH,
-		Fingerprint:   rep.Fingerprint,
-		CellsComputed: rep.CellsComputed,
-		CellsCached:   rep.CellsCached,
-		Dispatch:      rep,
 	}
 }
 

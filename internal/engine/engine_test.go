@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"reflect"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -103,9 +105,9 @@ func serialReference(t *testing.T, spec experiments.Spec) []byte {
 	return canonical(t, out)
 }
 
-// TestResolveBackend pins the BackendAuto resolution rules: hosts win
-// over a directory, a directory selects dispatch, nothing selects
-// in-process, and an explicit backend always wins.
+// TestResolveBackend pins the BackendAuto resolution rules: hosts or a
+// directory select sched, nothing selects in-process, an explicit
+// backend always wins, and the deprecated BackendDispatch is sched.
 func TestResolveBackend(t *testing.T) {
 	hosts := []sched.Host{{Name: "a"}}
 	cases := []struct {
@@ -113,10 +115,10 @@ func TestResolveBackend(t *testing.T) {
 		want Backend
 	}{
 		{RunOptions{}, BackendInproc},
-		{RunOptions{Dir: "/tmp/x"}, BackendDispatch},
+		{RunOptions{Dir: "/tmp/x"}, BackendSched},
 		{RunOptions{Hosts: hosts}, BackendSched},
 		{RunOptions{Dir: "/tmp/x", Hosts: hosts}, BackendSched},
-		{RunOptions{Backend: BackendDispatch, Hosts: hosts}, BackendDispatch},
+		{RunOptions{Backend: BackendDispatch, Dir: "/tmp/x"}, BackendSched},
 		{RunOptions{Backend: BackendInproc, Dir: "/tmp/x", Hosts: hosts}, BackendInproc},
 	}
 	for _, c := range cases {
@@ -127,7 +129,8 @@ func TestResolveBackend(t *testing.T) {
 }
 
 // TestBackendsMatchSerial is the engine's core guarantee: one Run call,
-// three backends, all byte-identical to the serial reference.
+// both backends — sched over its default one-local-host pool and over
+// an explicit pool — all byte-identical to the serial reference.
 func TestBackendsMatchSerial(t *testing.T) {
 	spec := smallSpec()
 	want := serialReference(t, spec)
@@ -146,16 +149,17 @@ func TestBackendsMatchSerial(t *testing.T) {
 	}
 
 	out, rep, err = eng.Run(ctx, spec, RunOptions{
-		Dir: t.TempDir(), Shards: 2, Procs: 2, Spawn: helperSpawn(),
+		Dir: t.TempDir(), Shards: 2, Parallelism: 2, Spawn: helperSpawn(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want, canonical(t, out)) {
-		t.Fatal("dispatch output diverges from serial run")
+		t.Fatal("hostless sched output diverges from serial run")
 	}
-	if rep.Backend != BackendDispatch || rep.Dispatch == nil || rep.CellsComputed != 4 {
-		t.Fatalf("dispatch report %+v", rep)
+	if rep.Backend != BackendSched || rep.Sched == nil || rep.CellsComputed != 4 ||
+		len(rep.Sched.Completed["local"]) != 2 {
+		t.Fatalf("hostless sched report %+v", rep)
 	}
 
 	out, rep, err = eng.Run(ctx, spec, RunOptions{
@@ -174,7 +178,7 @@ func TestBackendsMatchSerial(t *testing.T) {
 	}
 }
 
-// TestCancellationStopsWorkersPromptly: cancel a dispatch-backed run
+// TestCancellationStopsWorkersPromptly: cancel a hostless sched run
 // while delayed workers are genuinely executing; Run must return quickly
 // with an error wrapping context.Canceled, and the directory must resume
 // to the serial answer afterwards.
@@ -189,7 +193,7 @@ func TestCancellationStopsWorkersPromptly(t *testing.T) {
 	}()
 	start := time.Now()
 	_, _, err := eng.Run(ctx, spec, RunOptions{
-		Dir: dir, Shards: 2, Procs: 2,
+		Dir: dir, Shards: 2, Parallelism: 2,
 		Spawn: helperSpawn("FAIRBENCH_WORKER_DELAY_MS=20000"),
 	})
 	elapsed := time.Since(start)
@@ -203,7 +207,7 @@ func TestCancellationStopsWorkersPromptly(t *testing.T) {
 	}
 
 	out, rep, err := eng.ResumeRun(context.Background(), dir, RunOptions{
-		Procs: 2, Spawn: helperSpawn(),
+		Parallelism: 2, Spawn: helperSpawn(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +215,7 @@ func TestCancellationStopsWorkersPromptly(t *testing.T) {
 	if !bytes.Equal(serialReference(t, spec), canonical(t, out)) {
 		t.Fatal("resumed output diverges from serial run")
 	}
-	if rep.Backend != BackendDispatch {
+	if rep.Backend != BackendSched {
 		t.Fatalf("resume report %+v", rep)
 	}
 }
@@ -228,7 +232,7 @@ func TestInprocCancelledBeforeStart(t *testing.T) {
 }
 
 // TestWarmGridSpawnsNothing: once the store holds every cell, a
-// dispatch- or sched-backed Run is answered by the calling process —
+// directory-backed Run, with or without hosts, is answered by the calling process —
 // ServedFromCache set, computed=0, and the spawn counter still zero.
 func TestWarmGridSpawnsNothing(t *testing.T) {
 	spec := smallSpec()
@@ -252,7 +256,7 @@ func TestWarmGridSpawnsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rep.ServedFromCache || rep.CellsComputed != 0 || rep.CellsCached != 4 {
-		t.Fatalf("warm dispatch report %+v", rep)
+		t.Fatalf("warm hostless report %+v", rep)
 	}
 	if !bytes.Equal(serialReference(t, spec), canonical(t, out)) {
 		t.Fatal("warm output diverges from serial run")
@@ -287,14 +291,14 @@ func TestDefaultsInherit(t *testing.T) {
 	spec := smallSpec()
 	var spawns atomic.Int64
 	eng := New(RunOptions{
-		CacheDir: t.TempDir(), Procs: 2, Shards: 2,
+		CacheDir: t.TempDir(), Parallelism: 2, Shards: 2,
 		Spawn: countingSpawn(&spawns),
 	})
 	out, rep, err := eng.Run(context.Background(), spec, RunOptions{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Backend != BackendDispatch || rep.CellsComputed != 4 {
+	if rep.Backend != BackendSched || rep.CellsComputed != 4 {
 		t.Fatalf("report %+v", rep)
 	}
 	if spawns.Load() == 0 {
@@ -302,5 +306,56 @@ func TestDefaultsInherit(t *testing.T) {
 	}
 	if !bytes.Equal(serialReference(t, spec), canonical(t, out)) {
 		t.Fatal("output diverges from serial run")
+	}
+}
+
+// TestResumeAdoptsUniformSplitManifest: a directory whose manifest has
+// no range plan — the layout the old subprocess dispatcher wrote, which
+// serve state directories from before it was folded into sched still
+// hold — resumes through ResumeRun on the uniform split its workers
+// used: the part already on disk is reused, only the missing one runs,
+// and the merge equals the serial run.
+func TestResumeAdoptsUniformSplitManifest(t *testing.T) {
+	spec, err := smallSpec().Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := experiments.Open(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := g.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	m := &dispatch.Manifest{Version: dispatch.ManifestVersion, Spec: spec, Shards: 2, Fingerprint: fp}
+	if err := m.Write(filepath.Join(dir, dispatch.ManifestName)); err != nil {
+		t.Fatal(err)
+	}
+	env, err := experiments.RunShardContext(context.Background(), spec, 0, 2, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := env.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, dispatch.PartName(0)), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	out, rep, err := New(RunOptions{}).ResumeRun(context.Background(), dir, RunOptions{
+		Parallelism: 2, Spawn: helperSpawn(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(serialReference(t, spec), canonical(t, out)) {
+		t.Fatal("resumed plan-less directory diverges from serial run")
+	}
+	if rep.Backend != BackendSched || !reflect.DeepEqual(rep.Sched.Reused, []int{0}) ||
+		!reflect.DeepEqual(rep.Sched.Completed["local"], []int{1}) {
+		t.Fatalf("resume report %+v, sched %+v", rep, rep.Sched)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -24,7 +25,8 @@ import (
 // pattern internal/dispatch's tests use. "worker" runs a real shard via
 // dispatch.Worker; "workerio" is the remote-transport protocol (manifest
 // on stdin, envelope on stdout); "killself" SIGKILLs itself immediately —
-// a genuinely killed host process, with no killer goroutine to race.
+// a genuinely killed host process, with no killer goroutine to race;
+// "fail" exits non-zero with a line on stderr.
 func TestMain(m *testing.M) {
 	switch os.Getenv("FAIRBENCH_TEST_HELPER") {
 	case "":
@@ -53,13 +55,15 @@ func TestMain(m *testing.M) {
 		syscall.Kill(os.Getpid(), syscall.SIGKILL)
 		time.Sleep(time.Minute) // unreachable
 		os.Exit(0)
+	case "fail":
+		fmt.Fprintln(os.Stderr, "injected worker failure")
+		os.Exit(3)
 	}
 	os.Exit(2)
 }
 
-// helperSpawn re-execs this test binary in the given helper mode; it has
-// dispatch.SpawnFunc's shape, so it drives both LocalExec and
-// dispatch.Resume.
+// helperSpawn re-execs this test binary in the given helper mode, in
+// dispatch.SpawnFunc's shape for LocalExec.
 func helperSpawn(mode string) dispatch.SpawnFunc {
 	return func(manifestPath string, shard int, outPath string) (*exec.Cmd, error) {
 		cmd := exec.Command(os.Args[0])
@@ -820,10 +824,10 @@ func (failTransport) Run(_ context.Context, _ Host, _ Assignment, _ func()) erro
 	return fmt.Errorf("injected transport failure")
 }
 
-// TestSchedFailureResumableByDispatch: when the whole pool is dead the
-// run must fail naming the missing ranges and leave a directory that
-// internal/dispatch can finish — the two schedulers share one protocol.
-func TestSchedFailureResumableByDispatch(t *testing.T) {
+// TestSchedFailureResumable: when the whole pool is dead the run must
+// fail naming the missing ranges and leave a directory that Resume, on a
+// healthy one-host pool, finishes.
+func TestSchedFailureResumable(t *testing.T) {
 	spec := smallSpec()
 	want := serialReference(t, spec)
 	dir := t.TempDir()
@@ -846,21 +850,24 @@ func TestSchedFailureResumableByDispatch(t *testing.T) {
 		}
 	}
 
-	// dispatch.Resume reads the sched manifest — including its explicit
-	// range plan — and completes the run.
-	out, drep, err := dispatch.Resume(dir, dispatch.Options{Procs: 2, Spawn: helperSpawn("worker")})
+	// Resume reads the manifest — including its explicit range plan —
+	// and completes the run on the default one-local-host pool.
+	out, rrep, err := Resume(dir, Options{
+		Hosts:      []Host{{Name: "local", Slots: 2}},
+		Transports: map[string]Transport{"local": workerTransport()},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want, canonical(t, out)) {
-		t.Fatal("dispatch-resumed sched directory diverges from serial run")
+		t.Fatal("resumed directory diverges from serial run")
 	}
-	if len(drep.Ran) != 2 {
-		t.Fatalf("dispatch resume ran %v, want both ranges", drep.Ran)
+	if len(rrep.Completed["local"]) != 2 {
+		t.Fatalf("resume ran %v, want both ranges on the local host", rrep.Completed)
 	}
 
-	// And sched itself resumes a partially-completed directory: rerunning
-	// with a healthy pool reuses the dispatch-produced envelopes whole.
+	// And a re-run of the completed directory with the same spec reuses
+	// every envelope whole.
 	out2, rep2, err := Run(spec, Options{
 		Dir:        dir,
 		Shards:     2,
@@ -875,5 +882,29 @@ func TestSchedFailureResumableByDispatch(t *testing.T) {
 	}
 	if len(rep2.Reused) != 2 || len(rep2.Completed) != 0 {
 		t.Fatalf("resume report %+v", rep2)
+	}
+}
+
+// TestSchedFailureNamesWorkerStderr: the terminal error of a run whose
+// range failed for good carries that range's last error — including the
+// worker's stderr tail — not just its index, so a caller that keeps only
+// the error (the serve daemon's run status) still learns why.
+func TestSchedFailureNamesWorkerStderr(t *testing.T) {
+	_, rep, err := Run(smallSpec(), Options{
+		Dir:        t.TempDir(),
+		Shards:     2,
+		Hosts:      []Host{{Name: "local"}},
+		Transports: map[string]Transport{"local": &LocalExec{Spawn: helperSpawn("fail")}},
+	})
+	if err == nil {
+		t.Fatal("run succeeded with a failing worker")
+	}
+	if len(rep.Failed) != 2 {
+		t.Fatalf("failed ranges %v, want both", rep.Failed)
+	}
+	for _, want := range []string{"range 0: worker: exit status 3", "range 1: worker: exit status 3", "injected worker failure"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error lacks %q:\n%v", want, err)
+		}
 	}
 }

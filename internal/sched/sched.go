@@ -1,13 +1,16 @@
-// Package sched schedules one experiment grid across a pool of hosts:
-// the multi-host layer above internal/dispatch's single-machine
-// coordinator. It reuses the dispatch directory protocol wholesale — the
-// same manifest.json (now carrying an explicit range plan), the same
-// fingerprinted part-NNN.json envelopes, the same acceptance gate
-// (dispatch.ValidatePart) — so a sched directory is resumable by either
-// scheduler and its merged output is byte-identical (timing aside) to a
-// serial run of the same spec.
+// Package sched runs one experiment grid as worker processes on a pool
+// of hosts and merges their envelopes. It is the one process-backed
+// scheduler: a run given no Hosts gets a pool of one local host with
+// one slot per CPU, which is how `fairbench dispatch`, `fairbench
+// resume`, and a serve daemon without -hosts run. It speaks
+// internal/dispatch's worker protocol — manifest.json (carrying an
+// explicit range plan), fingerprinted part-NNN.json envelopes, and the
+// acceptance gate dispatch.ValidatePart — so its merged output is
+// byte-identical (timing aside) to a serial run of the same spec, and
+// it resumes any run directory, including ones whose manifest predates
+// recorded range plans.
 //
-// What sched adds over dispatch:
+// What it provides on top of the protocol:
 //
 //   - pluggable transports: work reaches a host through the Transport
 //     interface — LocalExec re-execs this binary's worker subcommand,
@@ -46,9 +49,14 @@
 //	host leaves (PoolSource)   no new work; in-flight drains; queue replans around it
 //	host joins (PoolSource)    eligible at the next scheduling round
 //	every host failed a range  exclusions reset, next round (up to Retries rounds)
+//	one host (no Hosts given)  "elsewhere" is that same host: a failed range
+//	                           runs again only in a retry round; after
+//	                           MaxHostFailures the host is excluded, so the
+//	                           whole pool is lost (next row)
 //	whole pool lost            LocalFallback: coordinator computes the rest
 //	                           in-process, run completes Degraded; else fail resumable
-//	ranges still missing       error names them; the directory stays resumable
+//	ranges still missing       error names each with its last error (worker
+//	                           stderr tail included); the directory stays resumable
 //
 // Every path converges to the same merged bytes or fails resumably;
 // nothing is ever merged around. Chaos-test these paths through
@@ -79,8 +87,8 @@ import (
 
 // Options configures one scheduled run.
 type Options struct {
-	// Dir is the sched directory (created if missing): a dispatch-layer
-	// directory holding manifest.json and part files. Required.
+	// Dir is the run directory (created if missing) holding
+	// manifest.json and the part files. Required.
 	Dir string
 	// Hosts is the execution pool. Empty defaults to one local host
 	// with one slot per CPU (runtime.GOMAXPROCS(0)).
@@ -104,8 +112,8 @@ type Options struct {
 	HeartbeatTimeout time.Duration
 	// Retries is how many times a range's per-host exclusions are reset
 	// after every live host has failed it — full extra rounds over the
-	// pool, not per-host attempts. Default 1; negative means no extra
-	// rounds (a range every live host has failed once fails for good).
+	// pool, not per-host attempts. Zero means none: a range every live
+	// host has failed once fails for good. Negative counts as zero.
 	Retries int
 	// MaxHostFailures is the per-host failure budget: how many failed
 	// attempts a host may accumulate before it is excluded from the
@@ -248,8 +256,8 @@ type Report struct {
 // envelope set into driver-native output, byte-identical (timing aside)
 // to a serial run. An existing directory for the same grid is resumed:
 // valid envelopes are reused and only missing ranges execute. On failure
-// the error names the ranges still missing and the directory remains
-// resumable — by Run, Resume, or dispatch.Resume.
+// the error names the ranges still missing, with each one's last
+// failure, and the directory remains resumable by Run or Resume.
 func Run(spec experiments.Spec, opts Options) (*experiments.Output, *Report, error) {
 	return RunContext(context.Background(), spec, opts)
 }
@@ -405,9 +413,10 @@ func run(ctx context.Context, ns experiments.Spec, opts Options, resuming bool) 
 
 	// Schedule: place work ranges on hosts until everything is delivered
 	// or nothing eligible remains. The pool comes back because joins may
-	// have grown it mid-run.
+	// have grown it mid-run, and so does each failed range's last error.
+	var causes map[int]error
 	if len(work) > 0 {
-		pool = schedule(ctx, pool, transports, work, m, manifestPath, manifestBytes, opts, rep, logf)
+		pool, causes = schedule(ctx, pool, transports, work, m, manifestPath, manifestBytes, opts, rep, logf)
 	}
 	for name := range rep.Completed {
 		sort.Ints(rep.Completed[name])
@@ -441,9 +450,14 @@ func run(ctx context.Context, ns experiments.Spec, opts Options, resuming bool) 
 	}
 	if len(rep.Failed) > 0 {
 		sort.Ints(rep.Failed)
-		var idxs []string
+		var idxs, why []string
 		for _, i := range rep.Failed {
 			idxs = append(idxs, strconv.Itoa(i))
+			cause := "never placed: no live host was left to run it"
+			if err := causes[i]; err != nil {
+				cause = err.Error()
+			}
+			why = append(why, fmt.Sprintf("range %d: %s", i, cause))
 		}
 		// A cancelled run reports the cancellation itself (errors.Is-able)
 		// rather than a scheduling failure it never had.
@@ -451,8 +465,10 @@ func run(ctx context.Context, ns experiments.Spec, opts Options, resuming bool) 
 			return nil, rep, fmt.Errorf("sched: cancelled with range(s) %s still missing — %d of %d range(s) completed; re-run sched with the same -dir to pick up: %w",
 				strings.Join(idxs, ", "), len(ranges)-len(rep.Failed), len(ranges), err)
 		}
-		return nil, rep, fmt.Errorf("sched: range(s) %s still missing — %d of %d range(s) completed; re-run sched with the same -dir (or `fairbench resume -dir %s`) to pick up from them",
-			strings.Join(idxs, ", "), len(ranges)-len(rep.Failed), len(ranges), opts.Dir)
+		// Each cause carries the worker's bounded stderr tail, so the
+		// error alone says why every missing range failed.
+		return nil, rep, fmt.Errorf("sched: range(s) %s still missing — %d of %d range(s) completed; re-run sched with the same -dir (or `fairbench resume -dir %s`) to pick up from them\n%s",
+			strings.Join(idxs, ", "), len(ranges)-len(rep.Failed), len(ranges), opts.Dir, strings.Join(why, "\n"))
 	}
 
 	// Merge: every part re-reads through the named path so residual
@@ -515,8 +531,6 @@ func buildPool(opts *Options) ([]*hostState, map[string]Transport, error) {
 	}
 	if opts.Retries < 0 {
 		opts.Retries = 0
-	} else if opts.Retries == 0 {
-		opts.Retries = 1
 	}
 	if opts.MaxHostFailures <= 0 {
 		opts.MaxHostFailures = 3
@@ -643,8 +657,9 @@ func prepare(ns experiments.Spec, opts *Options, st store.Backend, resuming bool
 		}
 		ranges := existing.Ranges
 		if len(ranges) == 0 {
-			// A plain dispatch manifest: its workers used the uniform
-			// aligned split, so the scheduler must too.
+			// A manifest without a recorded plan (written before plans
+			// were recorded): its workers used the uniform aligned
+			// split, so the scheduler must too.
 			if ranges, err = experiments.PlanShards(existing.Spec, existing.Shards); err != nil {
 				return fail(err)
 			}
@@ -739,10 +754,11 @@ type doneEvent struct {
 // The loop returns only once every launched transport goroutine has
 // reported — abandoned attempts (heartbeat lapses, speculation losers)
 // are cancelled and then reaped, never leaked past the run. It returns
-// the final pool, which joins may have grown mid-run.
+// the final pool, which joins may have grown mid-run, and the last
+// error of every range in rep.Failed that ever failed an attempt.
 func schedule(ctx context.Context, pool []*hostState, transports map[string]Transport, work []int,
 	m *dispatch.Manifest, manifestPath string, manifestBytes []byte, opts Options, rep *Report,
-	logf func(string, ...any)) []*hostState {
+	logf func(string, ...any)) ([]*hostState, map[int]error) {
 	queue := make([]*rangeState, len(work))
 	for i, idx := range work {
 		queue[i] = &rangeState{idx: idx, excluded: map[string]bool{}}
@@ -829,11 +845,15 @@ func schedule(ctx context.Context, pool []*hostState, transports map[string]Tran
 		j := rng.Derive(m.Spec.Seed, int64(pr.idx)<<20+int64(pr.attempts)).Float64()
 		return time.Now().Add(time.Duration(float64(d) * (0.5 + j)))
 	}
+	causes := map[int]error{}
 	finalFail := func(pr *rangeState) {
 		if !pr.failed {
 			pr.failed = true
 			rep.Failed = append(rep.Failed, pr.idx)
 			rep.Attempts[pr.idx] = pr.attempts
+			if pr.lastErr != nil {
+				causes[pr.idx] = pr.lastErr
+			}
 		}
 	}
 	fail := func(hs *hostState, pr *rangeState, err error) {
@@ -1043,7 +1063,7 @@ func schedule(ctx context.Context, pool []*hostState, transports map[string]Tran
 			for _, pr := range queue {
 				finalFail(pr)
 			}
-			return pool
+			return pool, causes
 		}
 		if !earliest.IsZero() {
 			d := time.Until(earliest)

@@ -72,13 +72,17 @@ func TestBuildPoolValidation(t *testing.T) {
 	if pool[0].Slots != 1 || pool[1].Slots != 3 || opts.Shards != 4 {
 		t.Fatalf("pool %+v shards %d", pool, opts.Shards)
 	}
-	if opts.HeartbeatTimeout <= 0 || opts.Retries != 1 || opts.MaxHostFailures != 3 {
+	// Zero retries means no retry round, not a default of one.
+	if opts.HeartbeatTimeout <= 0 || opts.Retries != 0 || opts.MaxHostFailures != 3 {
 		t.Fatalf("defaults %+v", opts)
 	}
-	// A negative retry budget means zero extra rounds.
-	neg := &Options{Retries: -5}
-	if _, _, err := buildPool(neg); err != nil || neg.Retries != 0 {
-		t.Fatalf("negative retries: %v %d", err, neg.Retries)
+	// A negative retry budget means zero extra rounds; a positive one is
+	// kept as given.
+	for in, want := range map[int]int{-5: 0, 2: 2} {
+		o := &Options{Retries: in}
+		if _, _, err := buildPool(o); err != nil || o.Retries != want {
+			t.Fatalf("retries %d: %v, got %d, want %d", in, err, o.Retries, want)
+		}
 	}
 }
 

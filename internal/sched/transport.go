@@ -85,7 +85,7 @@ type Transport interface {
 const heartbeatEvery = 100 * time.Millisecond
 
 // LocalExec runs workers as subprocesses of the scheduler's own process,
-// reusing the dispatch layer's self-exec `fairbench worker` protocol.
+// using the worker protocol's self-exec `fairbench worker` command.
 // The heartbeat tracks process liveness: a SIGKILLed worker fails the
 // attempt immediately, while a long-running but live computation never
 // trips the deadline. (A worker that is alive yet wedged is indistinguishable

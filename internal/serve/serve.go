@@ -74,14 +74,15 @@ type Config struct {
 	// beyond it are rejected with 429. Default 1 (each run already
 	// parallelizes across the worker pool).
 	MaxConcurrent int
-	// Shards, Procs, Retries configure the engine per run (see
-	// engine.RunOptions).
-	Shards, Procs, Retries int
-	// Parallelism sizes each run's single-process worker pool (see
-	// engine.RunOptions.Parallelism); zero means one worker per CPU.
+	// Shards and Retries configure the scheduler per run (see
+	// engine.RunOptions); Retries zero means no retry round.
+	Shards, Retries int
+	// Parallelism sizes the one local host runs use when Hosts is empty
+	// (see engine.RunOptions.Parallelism); zero means one slot per CPU.
 	Parallelism int
-	// Hosts, when non-empty, makes runs execute on the sched backend
-	// across this pool; otherwise runs use subprocess dispatch.
+	// Hosts, when non-empty, is the pool every run is scheduled across;
+	// otherwise runs go to one local host. Only a daemon with Hosts
+	// accepts POST /pool membership changes.
 	Hosts []sched.Host
 	// HeartbeatTimeout and MaxHostFailures tune sched failure handling.
 	HeartbeatTimeout time.Duration
@@ -205,7 +206,6 @@ func New(cfg Config) (*Server, error) {
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.eng = engine.New(engine.RunOptions{
 		Shards:           cfg.Shards,
-		Procs:            cfg.Procs,
 		Parallelism:      cfg.Parallelism,
 		Retries:          cfg.Retries,
 		CacheDir:         cfg.CacheDir,
@@ -856,10 +856,12 @@ type poolRequest struct {
 }
 
 // handlePool applies a dynamic membership change to every executing
-// sched-backed run: joined hosts pick up work at the next scheduling
-// round, departing hosts drain their in-flight assignments (no strikes)
-// and receive no new work. The change is run-scoped, not persisted —
-// runs started later begin from the configured hosts file again.
+// run: joined hosts pick up work at the next scheduling round,
+// departing hosts drain their in-flight assignments (no strikes) and
+// receive no new work. The change is run-scoped, not persisted — runs
+// started later begin from the configured hosts file again. A daemon
+// without Hosts refuses every change: its runs subscribe to the same
+// pool source, and this check alone keeps joins off its local pool.
 func (s *Server) handlePool(w http.ResponseWriter, req *http.Request) {
 	var pr poolRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, 1<<20))

@@ -105,8 +105,8 @@ func newServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	if cfg.Shards == 0 {
 		cfg.Shards = 2
 	}
-	if cfg.Procs == 0 {
-		cfg.Procs = 2
+	if cfg.Parallelism == 0 {
+		cfg.Parallelism = 2
 	}
 	if cfg.StreamInterval == 0 {
 		cfg.StreamInterval = 20 * time.Millisecond
@@ -190,7 +190,7 @@ func TestSubmitPollTable(t *testing.T) {
 	}
 	if done.Status != string(stateDone) || done.CellsComputed != 4 ||
 		done.PartsDone != 2 || done.PartsTotal != 2 ||
-		done.Backend != "dispatch" || done.Fingerprint == "" {
+		done.Backend != "sched" || done.Fingerprint == "" {
 		t.Fatalf("final status %+v", done)
 	}
 
@@ -499,11 +499,11 @@ func TestWarmSubmitServedFromCache(t *testing.T) {
 // terminates with a done event holding the final status.
 func TestStreamDeliversEveryRow(t *testing.T) {
 	spec := smallSpec()
-	// One proc and a short delay stagger the two shards so the stream
+	// One slot and a short delay stagger the two shards so the stream
 	// observes them landing separately.
 	s, ts := newServer(t, Config{
-		Procs: 1,
-		Spawn: helperSpawn("FAIRBENCH_WORKER_DELAY_MS=200"),
+		Parallelism: 1,
+		Spawn:       helperSpawn("FAIRBENCH_WORKER_DELAY_MS=200"),
 	})
 	_, st, _ := postSpec(t, ts, spec)
 
@@ -678,5 +678,32 @@ func TestBiasedSubmitServedEndToEnd(t *testing.T) {
 	}
 	if done2.CellsComputed == 0 {
 		t.Fatal("different-rate run computed nothing — it was served another rate's cells")
+	}
+}
+
+// TestPoolRefusedWithoutHosts: a daemon without -hosts answers POST
+// /pool with 409 even while a run executes. Its runs subscribe to the
+// daemon's pool source like a hosted daemon's do, so this guard is what
+// keeps a join off their one local host: the run finishes on "local"
+// alone, which /metrics reports as that host's rows.
+func TestPoolRefusedWithoutHosts(t *testing.T) {
+	s, ts := newServer(t, Config{Spawn: helperSpawn("FAIRBENCH_WORKER_DELAY_MS=300")})
+	_, st, _ := postSpec(t, ts, smallSpec())
+
+	body := `{"join":[{"name":"intruder","slots":4}]}`
+	resp, err := http.Post(ts.URL+"/pool", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("POST /pool on a hostless daemon answered %d, want %d", resp.StatusCode, http.StatusConflict)
+	}
+
+	waitDone(t, s, st.ID)
+	_, metrics, _ := get(t, ts.URL+"/metrics")
+	if !strings.Contains(metrics, `fairbench_host_ranges_completed_total{host="local"} 2`) ||
+		strings.Contains(metrics, "intruder") {
+		t.Fatalf("hostless run did not finish on the local host alone:\n%s", metrics)
 	}
 }

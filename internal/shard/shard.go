@@ -375,7 +375,7 @@ func MergeNamed(envs []*Envelope, names []string) (*Merged, error) {
 		cached = append(cached, e.Cached...)
 	}
 	if missing := missingShards(envs, seen, first); missing != "" {
-		return nil, fmt.Errorf("shard: incomplete merge set: %s — run the missing shard(s) and merge again, or resume the dispatch directory", missing)
+		return nil, fmt.Errorf("shard: incomplete merge set: %s — run the missing shard(s) and merge again, or resume the run directory", missing)
 	}
 	sort.Ints(cached)
 	return &Merged{

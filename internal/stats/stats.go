@@ -39,23 +39,6 @@ func Variance(x []float64) float64 {
 // Std returns the unbiased sample standard deviation of x.
 func Std(x []float64) float64 { return math.Sqrt(Variance(x)) }
 
-// MinMax returns the smallest and largest entries of x.
-func MinMax(x []float64) (lo, hi float64) {
-	if len(x) == 0 {
-		return 0, 0
-	}
-	lo, hi = x[0], x[0]
-	for _, v := range x[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
-}
-
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) of x using linear
 // interpolation between order statistics. x need not be sorted.
 func Quantile(x []float64, q float64) float64 {

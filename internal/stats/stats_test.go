@@ -71,13 +71,6 @@ func TestRank(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 7})
-	if lo != -1 || hi != 7 {
-		t.Fatalf("minmax: %v %v", lo, hi)
-	}
-}
-
 func TestHoeffdingUpper(t *testing.T) {
 	// Bound must exceed the mean and shrink with n.
 	b1 := HoeffdingUpper(0.1, 100, 0, 1, 0.05)
