@@ -274,13 +274,12 @@ func BenchmarkRunShardWarm(b *testing.B) {
 // Adam fit of the baseline logistic regression on a standardized German
 // 70% split. BenchmarkGridCellCold and BenchmarkGridBatchCold run the
 // same whole uncached fig7 German n=300 grid (19 cold cells, no result
-// cache) through its two execution modes: GridCellCold computes every
-// cell alone via Cell — the pre-batching semantics, nothing shared —
-// while GridBatchCold runs RunAll, the batch-at-a-time product path
-// whose cells share one materialization (design, base-fit, and
-// warm-start artifacts computed once per batch). Their outputs are
-// byte-identical (TestBatchedMatchesPerCell); the ns gap is batching's
-// payoff. BenchmarkSynthMaterialize is dataset materialization alone —
+// cache) two ways: GridCellCold computes every cell in a serial Cell
+// loop, while GridBatchCold runs RunAll, the product path, on the runner
+// pool. Metric grids share nothing between cells, so the two differ only
+// in worker count; their outputs are byte-identical
+// (TestBatchedMatchesPerCell). BenchmarkSynthMaterialize is dataset
+// materialization alone —
 // the cost the per-run synthesis memo amortizes across Opens.
 // scripts/bench.sh records all of these (ns/op and allocs/op) to
 // BENCH_train.json next to the seed baselines measured before the

@@ -367,7 +367,11 @@ func usage() {
        fairbench serve -state DIR [-addr 127.0.0.1:8080] [-cache DIR]
                  [-remote-store URL] [-hosts hosts.json] [-shards K] [-procs N]
                  [-retries R] [-max-runs 1] [-speculate] [-backoff 100ms]
-                 benchmark-as-a-service daemon (also serves /cache)
+                 benchmark-as-a-service daemon (also serves /cache); it
+                 authenticates no one, so bind -addr where only trusted
+                 clients reach it. POST /pool drains hosts and re-admits
+                 -hosts entries by name (slots only): transports and
+                 commands come from the hosts file alone
        fairbench cachesrv -dir DIR [-addr 127.0.0.1:8080]                standalone shared result store
        fairbench fingerprint -exp <figN|cv|fig8rows|fig8attrs> [figure flags]
                  print the grid's store/cache fingerprint (CI cache key)`)
@@ -516,7 +520,8 @@ func cmdResume(dir string, pool poolFlags, out string) error {
 // use, deduplicated by grid fingerprint and checkpointed under -state.
 // SIGTERM/SIGINT drain gracefully; interrupted runs resume on restart.
 // Without -hosts every run goes to one local host of -procs slots; the
-// daemon then refuses POST /pool.
+// daemon then refuses POST /pool. With -hosts, POST /pool admits only
+// hosts of the file, with the file's transport and command.
 func cmdServe(addr, stateDir, cache, remoteStore string, maxRuns int, pool poolFlags) error {
 	if stateDir == "" {
 		return fmt.Errorf("serve requires -state (the daemon's run-state directory)")

@@ -21,7 +21,7 @@
 //	src := fairbench.COMPAS(0, 1)
 //	rows, err := fairbench.RunCorrectnessFairness(src, 42)
 //
-// # Parallel and batched execution
+// # Parallel execution
 //
 // Every experiment driver fans its (approach × dataset-slice) grid across
 // a worker pool sized to GOMAXPROCS by default. Results are deterministic:
@@ -44,15 +44,13 @@
 // than a GridSpec (RunCorrectnessFairness and friends) always use one
 // worker per CPU.
 //
-// Cells are executed batch-at-a-time: cells sharing one dataset
-// materialization (same dataset slice, size, seed, and bias profile) are
-// grouped, the first worker to reach a batch arms its shared read-only
-// backing (the standardized design matrix, the post-processing
-// approaches' common base fit), and every cell of the batch reads from
-// it instead of recomputing. Sharing only ever covers artifacts each
-// cell would compute bit-identically on its own, so batched output is
-// byte-identical to cell-by-cell execution — the batch boundary moves
-// work, never results.
+// Cells read their dataset slice through shared read-only views and
+// otherwise compute alone, so each row's timing is that approach's own
+// cost. The one exception is the model sweep (Figure 10), whose cells fit
+// on one training split and differ only in their model: they share each
+// pre-processing repair and each post-processing base fit. Sharing only
+// ever covers artifacts each cell would compute bit-identically on its
+// own, so it moves work, never results, and the sweep renders no timing.
 //
 // # Sharded execution
 //

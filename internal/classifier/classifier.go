@@ -27,8 +27,8 @@ type Classifier interface {
 // New returns a fresh classifier of the named model family with the
 // paper's hyper-parameters: "SVM", "kNN", "RF" or "MLP"; any other name,
 // "LR" and "" included, gives logistic regression. Approaches name their
-// model rather than carry a constructor, so the name can key the
-// artifacts batched cells share.
+// model rather than carry a constructor, so the name can key the base
+// fits a model sweep's cells share.
 func New(model string) Classifier {
 	switch model {
 	case "SVM":
@@ -80,9 +80,9 @@ func checkFitInput(x [][]float64, y []int, w []float64) error {
 	if w != nil && len(w) != len(x) {
 		return fmt.Errorf("classifier: %d rows but %d weights", len(x), len(w))
 	}
-	// Batched grid execution hands many cells the same flat design matrix;
-	// a successful AsDense certifies every row's shape by aliasing, so the
-	// per-row semantic scan — and its per-cell repetition — is skipped.
+	// A design built by dataset.FeatureMatrix arrives as views of one flat
+	// backing; a successful AsDense certifies every row's shape by
+	// aliasing, so the per-row semantic scan is skipped.
 	if _, ok := matrix.AsDense(x); ok {
 		return nil
 	}

@@ -4,8 +4,8 @@ import "fairbench/internal/matrix"
 
 // This file holds the flat-backing fast paths of the training loops. When
 // a design matrix arrives as views of one tightly packed backing array
-// (matrix.AsDense succeeds — the shape every dataset.FeatureMatrix and
-// batched grid execution produces), the per-iteration work runs as blocked
+// (matrix.AsDense succeeds — the shape every dataset.FeatureMatrix
+// produces), the per-iteration work runs as blocked
 // kernels over the flat data instead of row-pointer chasing. Like
 // internal/matrix/kernels.go, this file is held bounds-check-free by the
 // CI check_bce gate, and every loop preserves the exact scalar fold order

@@ -2,25 +2,21 @@ package dataset
 
 import "sync"
 
-// BatchCache is the arm-once memo a batch of grid cells sharing one
-// training split uses to compute a derived artifact exactly once: the
-// first cell to ask for a key pays for the build, every later cell —
-// including cells racing on other workers — receives the same value. It
-// generalizes DesignCache (which memoizes one fixed artifact, the
-// standardized design matrix) to arbitrary keys, so higher layers can
-// share whatever their cells derive identically from the split (e.g. the
-// post-processing approaches' common base fit) without this package
-// importing them.
+// BatchCache is the arm-once memo the cells of a model sweep, which share
+// one training split and differ only in their downstream model, use to
+// compute a derived artifact exactly once: the first cell to ask for a
+// key pays for the build, every later cell — including cells racing on
+// other workers — receives the same value. Keys are arbitrary, so higher
+// layers can share whatever their cells derive identically from the split
+// (a pre-processing repair, a post-processor's base fit) without this
+// package importing them.
 //
-// Correctness contract, mirrored from DesignCache: builds must be
-// deterministic functions of the dataset view and the key, and consumers
-// must treat shared values as read-only (or copy the mutable parts), so
-// arming the cache can never change grid output — only who computes it.
+// Correctness contract: builds must be deterministic functions of the
+// dataset view and the key, and consumers must treat shared values as
+// read-only (or copy the mutable parts), so arming the cache can never
+// change grid output — only who computes it.
 type BatchCache struct {
 	entries sync.Map // comparable key -> *batchEntry
-	// sweep marks a model sweep: a batch whose cells differ only in their
-	// downstream model (see EnableBatchCache).
-	sweep bool
 }
 
 type batchEntry struct {
@@ -44,28 +40,13 @@ func (c *BatchCache) Do(key any, build func() (any, error)) (any, error) {
 	return be.val, be.err
 }
 
-// EnableBatchCache arms d with a batch cache. sweep marks a model sweep,
-// a batch whose cells differ only in their downstream model: only there
-// is an artifact that does not depend on the model (a pre-processing
-// repair) worth keeping for the whole batch, since elsewhere it has one
-// consumer. Idempotent (the first arming wins) and safe to call
-// concurrently; intended for batch execution's per-batch prepare step,
-// alongside EnableDesignCache.
-func (d *Dataset) EnableBatchCache(sweep bool) {
-	d.batch.CompareAndSwap(nil, &BatchCache{sweep: sweep})
+// EnableBatchCache arms d with a batch cache. Idempotent (the first
+// arming wins) and safe to call concurrently; the model sweep's run path
+// arms its training split before its cells fan out.
+func (d *Dataset) EnableBatchCache() {
+	d.batch.CompareAndSwap(nil, &BatchCache{})
 }
 
-// Batch returns the armed batch cache, or nil when the dataset is not
-// under batched execution — callers then compute per cell, the
-// historical behavior.
+// Batch returns the armed batch cache, or nil when the dataset is not a
+// model sweep's armed split — callers then compute per cell.
 func (d *Dataset) Batch() *BatchCache { return d.batch.Load() }
-
-// SweepBatch returns the armed batch cache when it was armed for a model
-// sweep, and nil otherwise — the cache for artifacts only a model sweep
-// reuses.
-func (d *Dataset) SweepBatch() *BatchCache {
-	if c := d.batch.Load(); c != nil && c.sweep {
-		return c
-	}
-	return nil
-}

@@ -76,16 +76,11 @@ type Dataset struct {
 	// hand-built X) leave it nil; Clone always rebuilds it.
 	flat *matrix.Dense
 
-	// design, when armed via EnableDesignCache, memoizes the standardized
-	// design matrix shared by a batch of grid cells fitting on this view.
-	// Derived datasets (Clone, Subset, …) start without one: their rows
-	// are different data, so sharing would be wrong by construction.
-	design atomic.Pointer[DesignCache]
-
-	// batch, when armed via EnableBatchCache, is the generic arm-once memo
-	// batched grid cells use to share arbitrary artifacts derived
-	// deterministically from this view (see BatchCache). Like design, it
-	// never survives into derived datasets.
+	// batch, when armed via EnableBatchCache, is the arm-once memo a model
+	// sweep's cells use to share artifacts derived deterministically from
+	// this view (see BatchCache). Derived datasets (Clone, Subset, …)
+	// start without one: their rows are different data, so sharing would
+	// be wrong by construction.
 	batch atomic.Pointer[BatchCache]
 }
 

@@ -63,6 +63,17 @@ func (s *Standardizer) ApplyRow(row []float64) {
 	}
 }
 
+// StandardizedDesign returns a standardizer fitted on a clone of d and the
+// standardized feature rows (sensitive column appended when includeS).
+// The rows are views of one flat backing; callers treat them as
+// read-only.
+func (d *Dataset) StandardizedDesign(includeS bool) (*Standardizer, [][]float64) {
+	work := d.Clone()
+	std := FitStandardizer(work)
+	std.Apply(work)
+	return std, work.FeatureMatrix(includeS)
+}
+
 // Discretizer maps each attribute into a small number of integer bins so
 // that causal stratification and the Calmon optimization can treat the
 // joint distribution as a finite contingency table.

@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// batchSpecs is the batched-execution acceptance sweep: every experiment
-// driver (via equivalenceSpecs) plus the bias-injection axis, which
-// exercises batching over bias-materialized training slices — for the
-// model sweep, every shared repair and base fit of a biased split.
+// batchSpecs is the sharing acceptance sweep: every experiment driver
+// (via equivalenceSpecs) plus the bias-injection axis, which exercises
+// the model sweep's shared repairs and base fits on a biased split.
 func batchSpecs() []Spec {
 	specs := equivalenceSpecs()
 	specs = append(specs,
@@ -22,15 +21,15 @@ func batchSpecs() []Spec {
 	return specs
 }
 
-// TestBatchedMatchesPerCell is the tentpole's byte-identity gate: running
-// a grid batch-at-a-time — shared materializations armed, design and
-// base-fit artifacts computed once per batch — must produce output
-// byte-identical (timing fields aside) to computing every cell alone.
-// The per-cell reference calls Cell directly on a fresh grid, which never
-// arms a batch prepare, so each cell recomputes everything from its own
-// split exactly as the pre-batching engine did. The batched side runs on
-// four workers whatever the machine, so concurrent cells read each
-// shared artifact while others are still fitting on it.
+// TestBatchedMatchesPerCell is the byte-identity gate for the one
+// sharing rule: running a grid through RunAll — where the model sweep
+// arms its training split and its cells share each repair and base fit —
+// must produce output byte-identical (timing fields aside) to computing
+// every cell alone. The per-cell reference calls Cell directly on a fresh
+// grid, which arms nothing, so each cell recomputes everything from its
+// own split. The RunAll side runs on four workers whatever the machine,
+// so concurrent cells read each shared artifact while others are still
+// fitting on it.
 func TestBatchedMatchesPerCell(t *testing.T) {
 	for _, spec := range batchSpecs() {
 		spec := spec
@@ -66,39 +65,62 @@ func TestBatchedMatchesPerCell(t *testing.T) {
 	}
 }
 
-// TestBatchesPartitionGrid pins the planner invariant RunBatched's
-// binary search relies on: Batches() returns sorted, non-overlapping,
-// in-bounds ranges, and (for the metric grids) covers every job index, so
-// no cell silently runs without its batch's shared backing.
-func TestBatchesPartitionGrid(t *testing.T) {
+// armedSplits counts the grid's training splits armed for sharing.
+func armedSplits(g *Grid) int {
+	n := 0
+	for _, sl := range g.slices {
+		if sl.train.Batch() != nil {
+			n++
+		}
+	}
+	for _, sl := range g.scale {
+		if sl.train.Batch() != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestOnlyTheModelSweepArms pins the one sharing rule: a Cell loop arms
+// nothing, and after RunAll every metric and timing grid's training
+// splits are still unarmed — each cell paid for its own work, so each
+// row's timing is that approach's own cost — while the model sweep's one
+// split is armed.
+func TestOnlyTheModelSweepArms(t *testing.T) {
 	for _, spec := range batchSpecs() {
 		g := mustOpen(t, spec)
-		batches := g.Batches()
-		covered, prev := 0, 0
-		for i, b := range batches {
-			if b.Start < prev || b.End <= b.Start || b.End > g.Len() {
-				t.Fatalf("%s: batch %d [%d,%d) out of order for grid [0,%d)",
-					spec.Experiment, i, b.Start, b.End, g.Len())
+		for i := 0; i < g.Len(); i++ {
+			if _, err := g.Cell(i); err != nil {
+				t.Fatalf("%s: cell %d: %v", spec.Experiment, i, err)
 			}
-			covered += b.End - b.Start
-			prev = b.End
 		}
-		if covered != g.Len() {
-			t.Fatalf("%s: batches cover %d of %d jobs", spec.Experiment, covered, g.Len())
+		if n := armedSplits(g); n != 0 {
+			t.Fatalf("%s: a Cell loop armed %d split(s)", spec.Experiment, n)
+		}
+		g = mustOpen(t, spec)
+		if _, err := g.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if g.kind == kindSens {
+			want = 1
+		}
+		if n := armedSplits(g); n != want {
+			t.Fatalf("%s: RunAll armed %d split(s), want %d", spec.Experiment, n, want)
 		}
 	}
 }
 
-// TestBatchedAllocatesLess asserts the point of batching: one shared
-// materialization feeding a batch of cells must allocate strictly less
-// than every cell materializing alone. Both sides open a fresh grid per
-// run (so no armed cache survives between measurements) and run serially
-// via SetWorkers(1) to keep the counts deterministic.
+// TestBatchedAllocatesLess asserts the point of the model sweep's
+// sharing: its cells reusing each repair and base fit must allocate
+// strictly less than every cell computing alone. Both sides open a fresh
+// grid per run (so no armed cache survives between measurements) and run
+// serially via SetWorkers(1) to keep the counts deterministic.
 func TestBatchedAllocatesLess(t *testing.T) {
 	if testing.Short() {
-		t.Skip("allocation comparison runs the fig7 grid four times")
+		t.Skip("allocation comparison runs the fig10 grid four times")
 	}
-	spec := Spec{Experiment: "fig7", Dataset: "german", N: 150, Seed: 2}
+	spec := Spec{Experiment: "fig10", Dataset: "german", N: 150, Seed: 2}
 	perCell := testing.AllocsPerRun(1, func() {
 		g, err := Open(spec)
 		if err != nil {

@@ -608,88 +608,9 @@ func (g *Grid) Cell(i int) (Cell, error) {
 	}
 }
 
-// Batches enumerates the grid's batch groups: maximal runs of consecutive
-// cells that share one dataset materialization (the same training split,
-// and through it the same flat matrix backing). The grouping key is
-// positional — metric grids group by dataset slice, the sensitivity grid
-// is one batch (every cell evaluates on the same split), and the
-// pure-timing grids group by slice with no preparation at all, because a
-// shared materialization would shift measured cost from later cells onto
-// the first one.
-//
-// A batch's Prepare arms the shared split's design and batch caches, so
-// cells fitting on it share the standardized design matrix and any other
-// artifact they derive identically (see dataset.BatchCache) instead of
-// each materializing its own. The sensitivity grid's batch is a model
-// sweep, so its cells also share each approach's repair. Arming is the
-// only effect: every shared value is bit-identical to what each cell
-// would have computed alone, so a batched run's output is byte-identical
-// to the per-cell path.
-func (g *Grid) Batches() []runner.Batch {
-	switch g.kind {
-	case kindSens:
-		// Every cell fits on slices[0]'s training split.
-		if len(g.slices) == 0 {
-			return nil
-		}
-		return []runner.Batch{{Start: 0, End: g.Len(), Prepare: armSplit(g.slices[0].train, true)}}
-	case kindScale:
-		cols := len(g.names) + 1
-		batches := make([]runner.Batch, len(g.scale))
-		for si := range g.scale {
-			batches[si] = runner.Batch{Start: si * cols, End: (si + 1) * cols}
-		}
-		return batches
-	default:
-		batches := make([]runner.Batch, len(g.slices))
-		for si := range g.slices {
-			batches[si] = runner.Batch{
-				Start:   si * len(g.names),
-				End:     (si + 1) * len(g.names),
-				Prepare: armSplit(g.slices[si].train, false),
-			}
-		}
-		return batches
-	}
-}
-
-// armSplit is the batch preparation step: it arms the shared training
-// split's caches so the batch's cells share one materialization; sweep
-// marks a batch whose cells differ only in their model.
-func armSplit(train *dataset.Dataset, sweep bool) func() error {
-	return func() error {
-		train.EnableDesignCache()
-		train.EnableBatchCache(sweep)
-		return nil
-	}
-}
-
-// clipBatches intersects the grid's batches with the shard range
-// [start, end), keeping each surviving batch's Prepare (a shard that
-// holds any cell of a batch still materializes that batch's split — once).
-func clipBatches(batches []runner.Batch, start, end int) []runner.Batch {
-	var out []runner.Batch
-	for _, b := range batches {
-		if b.End <= start || b.Start >= end {
-			continue
-		}
-		if b.Start < start {
-			b.Start = start
-		}
-		if b.End > end {
-			b.End = end
-		}
-		out = append(out, b)
-	}
-	return out
-}
-
 // RunRange executes the contiguous cells [start, end) — one shard of the
-// grid — across the runner pool and returns them in index order. Cells
-// are executed batch-aware: the first worker to reach a batch runs its
-// Prepare (materializing the shared split once), then every cell of the
-// batch fans out over the shared read-only views. The pure-timing
-// scalability grids always run their cells with one worker so
+// grid — across the runner pool and returns them in index order. The
+// pure-timing scalability grids always run their cells with one worker so
 // co-scheduled cells cannot contend for cores and corrupt the measured
 // overhead; sharding is the sanctioned way to parallelize them, across
 // isolated processes or hosts.
@@ -706,6 +627,15 @@ func (g *Grid) RunRange(start, end int) ([]Cell, error) {
 func (g *Grid) RunRangeContext(ctx context.Context, start, end int) ([]Cell, error) {
 	if start < 0 || end > g.Len() || start > end {
 		return nil, fmt.Errorf("experiments: range [%d,%d) outside grid [0,%d)", start, end, g.Len())
+	}
+	// The model sweep is the one grid whose cells share work: they all fit
+	// on one training split and differ only in their model, so arming the
+	// split lets them share each approach's repair and base fit (see
+	// dataset.BatchCache). Every other grid charges each cell its own
+	// work. Arming changes who computes an artifact, never its value, so
+	// a Cell loop, which arms nothing, stays the unshared reference.
+	if g.kind == kindSens {
+		g.slices[0].train.EnableBatchCache()
 	}
 	opts := runner.Options{FailFast: true, Offset: start, Workers: g.workers}
 	if g.kind == kindScale {
@@ -727,7 +657,7 @@ func (g *Grid) RunRangeContext(ctx context.Context, start, end int) ([]Cell, err
 			return inner(i)
 		}
 	}
-	return runner.RunBatched(end-start, opts, clipBatches(g.Batches(), start, end), job)
+	return runner.Run(end-start, opts, job)
 }
 
 // cachedCell serves grid job i from the result cache when a verified

@@ -38,8 +38,8 @@ func ModelSensitivity(src *synth.Source, approaches []string, seed int64) ([]Sen
 
 // sensitivityGrid builds the (model family × approach) grid; each cell
 // builds its own approach and classifier from the model's name, so no
-// state crosses goroutines or processes except the read-only artifacts
-// its batch shares.
+// state crosses goroutines or processes except the read-only repairs and
+// base fits its armed training split shares (see Grid.RunRangeContext).
 func sensitivityGrid(src *synth.Source, approaches []string, seed int64) *Grid {
 	if approaches == nil {
 		approaches = DefaultSensitivityApproaches

@@ -121,11 +121,9 @@ func (b *Baseline) Stage() Stage { return StageNone }
 // Targets implements Approach: the baseline optimizes no fairness metric.
 func (b *Baseline) Targets() []Metric { return nil }
 
-// Fit trains the underlying classifier on standardized features. The
-// design matrix comes through StandardizedDesign so that batched grid
-// execution shares one materialization across every cell fitting on the
-// same training split; the labels and weights are read straight from
-// train (standardization never touches them).
+// Fit trains the underlying classifier on standardized features; the
+// labels and weights are read straight from train (standardization never
+// touches them).
 func (b *Baseline) Fit(train *dataset.Dataset) error {
 	std, rows := train.StandardizedDesign(b.IncludeS)
 	b.std = std
@@ -199,7 +197,7 @@ func (p *PreProcessed) Stage() Stage { return StagePre }
 // Targets implements Approach.
 func (p *PreProcessed) Targets() []Metric { return p.Target }
 
-// repairKey identifies one shareable repair within a model-sweep batch.
+// repairKey identifies one shareable repair within a model sweep.
 // A repair depends on the approach (its mechanism, configured alike in
 // every cell of a grid) and the training split, never on the downstream
 // model; IncludeS picks the design's columns.
@@ -236,14 +234,13 @@ func repairDesign(mech Repairer, train *dataset.Dataset, includeS bool) (*repair
 
 // Fit repairs the training data and trains the downstream classifier.
 //
-// When train is a model sweep's split (see dataset.EnableBatchCache), the
+// When train is a model sweep's armed split (see dataset.BatchCache), the
 // cells of one approach share one repair per (approach, IncludeS): the
 // first cell to arrive repairs with its own mechanism, and every cell
-// then fits only its own classifier on the shared design. Metric grids
-// repair per cell: each of their repairs has one consumer, so keeping it
-// for the whole batch would only cost memory.
+// then fits only its own classifier on the shared design. On an unarmed
+// split every cell repairs for itself.
 func (p *PreProcessed) Fit(train *dataset.Dataset) error {
-	v, err := train.SweepBatch().Do(repairKey{approach: p.ApproachName, includeS: p.IncludeS}, func() (any, error) {
+	v, err := train.Batch().Do(repairKey{approach: p.ApproachName, includeS: p.IncludeS}, func() (any, error) {
 		return repairDesign(p.Mechanism, train, p.IncludeS)
 	})
 	if err != nil {
@@ -341,9 +338,9 @@ func (p *PostProcessed) Stage() Stage { return StagePost }
 // Targets implements Approach.
 func (p *PostProcessed) Targets() []Metric { return p.Target }
 
-// postBaseKey identifies one shareable base fit within a batch: the base
-// model, the held-out part, and the probabilities over it are fully
-// determined by (model, seed, includeS) given the training split.
+// postBaseKey identifies one shareable base fit within a model sweep:
+// the base model, the held-out part, and the probabilities over it are
+// fully determined by (model, seed, includeS) given the training split.
 type postBaseKey struct {
 	model    string
 	seed     int64
@@ -382,10 +379,11 @@ func fitPostBase(train *dataset.Dataset, model string, includeS bool, seed int64
 // training-set confusion matrix is near-perfect and would mislead the
 // adjuster, which is exactly why post-processing methods fit on holdouts.
 //
-// Under batched grid execution (train's batch cache armed), cells share
+// On a model sweep's armed split (see dataset.BatchCache), cells share
 // one base fit per (Model, Seed, IncludeS): the split, the fitted model,
 // and the held-out probabilities are identical across them, so only the
-// adjuster differs per cell.
+// adjuster differs per cell. On an unarmed split every cell fits its own
+// base, so each approach's timing includes it.
 func (p *PostProcessed) Fit(train *dataset.Dataset) error {
 	v, err := train.Batch().Do(postBaseKey{model: p.Model, seed: p.Seed, includeS: p.IncludeS}, func() (any, error) {
 		return fitPostBase(train, p.Model, p.IncludeS, p.Seed)

@@ -106,8 +106,7 @@ func TestModelSweepSharesOneRepair(t *testing.T) {
 	}
 
 	sweep := train.Clone()
-	sweep.EnableDesignCache()
-	sweep.EnableBatchCache(true)
+	sweep.EnableBatchCache()
 	var calls atomic.Int32
 	got := fitAndPredict(t, countingCells(sweepModels, &calls), sweep, test)
 	if n := calls.Load(); n != 1 {
@@ -123,10 +122,10 @@ func TestModelSweepSharesOneRepair(t *testing.T) {
 	}
 }
 
+// TestMetricGridKeepsNoRepair: a metric grid arms nothing, so cells
+// fitting on its split at once each repair for themselves.
 func TestMetricGridKeepsNoRepair(t *testing.T) {
 	train, test := split(t)
-	train.EnableDesignCache()
-	train.EnableBatchCache(false)
 	var calls atomic.Int32
 	fitAndPredict(t, countingCells([]string{"LR", "SVM"}, &calls), train, test)
 	if n := calls.Load(); n != 2 {

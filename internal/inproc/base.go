@@ -23,8 +23,7 @@ type linearBase struct {
 }
 
 // designMatrix returns the standardized feature rows used for
-// optimization, fitting (or sharing, under batched execution's design
-// cache) the standardizer along the way.
+// optimization, fitting the standardizer along the way.
 func (b *linearBase) designMatrix(train *dataset.Dataset) [][]float64 {
 	std, rows := train.StandardizedDesign(b.includeS)
 	b.std = std

@@ -54,70 +54,6 @@ type Zafar struct {
 // it to trace the fairness/accuracy trade-off curve.
 func (z *Zafar) SetCovBound(b float64) { z.CovBound = b }
 
-// zafarWarmKey identifies the shared unconstrained warm start in a
-// training slice's batch cache.
-type zafarWarmKey struct{ includeS bool }
-
-// zafarWarm is the unconstrained-logistic Adam trajectory two Zafar
-// variants consume different prefixes of: Zafar^eo_Fair warm-starts its
-// DCCP rounds from the 300-step iterate, Zafar^dp_Acc fixes its loss
-// budget at the 400-step optimum. Both run Adam from zeros over the same
-// standardized design with bit-identical gradient folds (logGradFromZ and
-// logLossGradFromZ differ only in the value, which Adam's update and
-// stopping rule never read), so the shorter run IS a prefix of the longer
-// one and one shared trajectory reproduces both results exactly. Slices
-// are read-only to consumers; Fit copies before handing them on.
-type zafarWarm struct {
-	w300  []float64
-	wStar []float64
-	lStar float64
-}
-
-// fitZafarWarm runs the shared 400-step unconstrained fit, snapshotting
-// the 300-step iterate along the way. If the gradient converges before
-// step 300, both run lengths halt at the same iterate.
-func fitZafarWarm(x [][]float64, y []int) *zafarWarm {
-	view := newFitView(x, y)
-	uncon := func(w, grad []float64) float64 {
-		for j := range grad {
-			grad[j] = 0
-		}
-		view.fillZ(w)
-		return view.logLossGradFromZ(grad)
-	}
-	var w300 []float64
-	w0 := make([]float64, len(x[0])+1)
-	wStar, lStar := optimize.Adam(uncon, w0, optimize.AdamConfig{
-		MaxIter: 400,
-		Track: func(t int, w []float64) {
-			if t == 300 {
-				w300 = append([]float64(nil), w...)
-			}
-		},
-	})
-	if w300 == nil {
-		w300 = wStar
-	}
-	return &zafarWarm{w300: w300, wStar: wStar, lStar: lStar}
-}
-
-// warmStart returns the shared trajectory when train is batch-armed, or
-// nil on the per-cell path (the caller then runs its own fit, computing
-// the identical floats from its own buffers).
-func (z *Zafar) warmStart(train *dataset.Dataset, x [][]float64, y []int) *zafarWarm {
-	bc := train.Batch()
-	if bc == nil {
-		return nil
-	}
-	v, err := bc.Do(zafarWarmKey{includeS: z.base.includeS}, func() (any, error) {
-		return fitZafarWarm(x, y), nil
-	})
-	if err != nil {
-		return nil
-	}
-	return v.(*zafarWarm)
-}
-
 // Name implements fair.Approach.
 func (z *Zafar) Name() string {
 	switch z.Mode {
@@ -230,23 +166,15 @@ func (z *Zafar) Fit(train *dataset.Dataset) error {
 			optimize.PenaltyConfig{Rho0: 10, Inner: optimize.AdamConfig{MaxIter: 400}})
 
 	case ZafarDPAcc:
-		// Phase 1: unconstrained optimum fixes the loss budget — taken
-		// from the batch-shared trajectory when one is armed.
-		var wStar []float64
-		var lStar float64
-		if sh := z.warmStart(train, x, y); sh != nil {
-			wStar = append([]float64(nil), sh.wStar...)
-			lStar = sh.lStar
-		} else {
-			uncon := func(w, grad []float64) float64 {
-				for j := range grad {
-					grad[j] = 0
-				}
-				view.fillZ(w)
-				return view.logLossGradFromZ(grad)
+		// Phase 1: unconstrained optimum fixes the loss budget.
+		uncon := func(w, grad []float64) float64 {
+			for j := range grad {
+				grad[j] = 0
 			}
-			wStar, lStar = optimize.Adam(uncon, w0, optimize.AdamConfig{MaxIter: 400})
+			view.fillZ(w)
+			return view.logLossGradFromZ(grad)
 		}
+		wStar, lStar := optimize.Adam(uncon, w0, optimize.AdamConfig{MaxIter: 400})
 		budget := (1 + z.Gamma) * lStar
 		// Phase 2: minimize cov^2 subject to loss <= budget. The objective
 		// runs the z-pass; the loss constraint reuses its scores.
@@ -282,15 +210,7 @@ func (z *Zafar) Fit(train *dataset.Dataset) error {
 			view.logGradFromZ(grad)
 			return 0
 		}
-		var w []float64
-		if sh := z.warmStart(train, x, y); sh != nil {
-			// The shared trajectory's 300-step iterate is exactly this
-			// Adam run's result (identical gradient folds from the same
-			// zero start).
-			w = append([]float64(nil), sh.w300...)
-		} else {
-			w, _ = optimize.Adam(uncon, w0, optimize.AdamConfig{MaxIter: 300})
-		}
+		w, _ := optimize.Adam(uncon, w0, optimize.AdamConfig{MaxIter: 300})
 		for round := 0; round < 4; round++ {
 			mask := make([]bool, len(x))
 			view.fillZ(w)

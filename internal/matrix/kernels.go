@@ -15,7 +15,7 @@ import (
 // Bit-exactness contract: every kernel preserves the exact floating-point
 // fold order of the scalar loop it replaces — one accumulator per output
 // element, ascending index — because grid results must stay byte-identical
-// across the serial, batched, sharded, and served execution paths. NaN
+// across the serial, pooled, sharded, and served execution paths. NaN
 // payloads are outside the contract: which of two NaN operands survives
 // depends on how the compiler orders an addition's operands, which the
 // scalar loops themselves do not fix.

@@ -94,15 +94,6 @@ type AdamConfig struct {
 	Beta1, Beta2 float64 // defaults 0.9, 0.999
 	MaxIter      int     // default 800
 	Tol          float64 // default 1e-7 on gradient infinity norm
-
-	// Track, when non-nil, observes the iterate after each completed
-	// update (so after iteration t the slice equals what a MaxIter=t run
-	// would return, early stopping aside). It must not retain or mutate
-	// the slice; callers snapshotting an intermediate iterate — the
-	// batched Zafar warm start shares one trajectory between two
-	// different-length fits this way — copy it. Observation only: the
-	// update rule and stopping test never read anything Track does.
-	Track func(t int, w []float64)
 }
 
 func (c *AdamConfig) defaults() {
@@ -144,9 +135,6 @@ func Adam(f Objective, w0 []float64, cfg AdamConfig) ([]float64, float64) {
 			m[i] = cfg.Beta1*m[i] + (1-cfg.Beta1)*grad[i]
 			v[i] = cfg.Beta2*v[i] + (1-cfg.Beta2)*grad[i]*grad[i]
 			w[i] -= cfg.Step * (m[i] / b1t) / (math.Sqrt(v[i]/b2t) + 1e-8)
-		}
-		if cfg.Track != nil {
-			cfg.Track(t, w)
 		}
 	}
 	return w, val
@@ -257,38 +245,4 @@ func ProjectSimplex(w []float64) {
 			w[i] = 0
 		}
 	}
-}
-
-// Bisect finds x in [lo,hi] with f(x) ~ 0 for monotone non-decreasing f.
-func Bisect(f func(float64) float64, lo, hi float64, iters int) float64 {
-	for i := 0; i < iters; i++ {
-		mid := (lo + hi) / 2
-		if f(mid) < 0 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
-// GoldenSection minimizes a unimodal scalar function on [lo,hi].
-func GoldenSection(f func(float64) float64, lo, hi float64, iters int) float64 {
-	const phi = 0.6180339887498949
-	a, b := lo, hi
-	c := b - phi*(b-a)
-	d := a + phi*(b-a)
-	fc, fd := f(c), f(d)
-	for i := 0; i < iters; i++ {
-		if fc < fd {
-			b, d, fd = d, c, fc
-			c = b - phi*(b-a)
-			fc = f(c)
-		} else {
-			a, c, fc = c, d, fd
-			d = a + phi*(b-a)
-			fd = f(d)
-		}
-	}
-	return (a + b) / 2
 }

@@ -100,17 +100,3 @@ func TestProjectSimplexKnown(t *testing.T) {
 		t.Fatalf("projection of (2,0): %v", w)
 	}
 }
-
-func TestBisect(t *testing.T) {
-	root := Bisect(func(x float64) float64 { return x*x*x - 8 }, 0, 10, 60)
-	if math.Abs(root-2) > 1e-9 {
-		t.Fatalf("bisect root: %v", root)
-	}
-}
-
-func TestGoldenSection(t *testing.T) {
-	min := GoldenSection(func(x float64) float64 { return (x - 1.5) * (x - 1.5) }, 0, 10, 80)
-	if math.Abs(min-1.5) > 1e-6 {
-		t.Fatalf("golden-section minimum: %v", min)
-	}
-}

@@ -40,6 +40,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -849,10 +850,20 @@ func (s *Server) handleTable(w http.ResponseWriter, req *http.Request) {
 }
 
 // poolRequest is the wire shape of a POST /pool membership change:
-// hosts to add (full definitions) and host names to drain.
+// hosts to (re)admit and host names to drain.
 type poolRequest struct {
-	Join  []sched.Host `json:"join,omitempty"`
-	Leave []string     `json:"leave,omitempty"`
+	Join  []poolJoin `json:"join,omitempty"`
+	Leave []string   `json:"leave,omitempty"`
+}
+
+// poolJoin asks to (re)admit one host of the daemon's configured pool.
+// The body names the host and may resize it; its transport and command
+// always come from the configured definition, so a client of the admin
+// endpoint can never make the daemon run a command the operator did not
+// put in the hosts file.
+type poolJoin struct {
+	Name  string `json:"name"`
+	Slots int    `json:"slots,omitempty"`
 }
 
 // handlePool applies a dynamic membership change to every executing
@@ -874,18 +885,45 @@ func (s *Server) handlePool(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, "pool update joins or leaves no hosts")
 		return
 	}
-	for _, h := range pr.Join {
-		if h.Name == "" {
-			writeError(w, http.StatusBadRequest, "joining host has no name")
-			return
-		}
-	}
 	if len(s.cfg.Hosts) == 0 {
 		writeError(w, http.StatusConflict, "daemon runs without a host pool; pool updates need -hosts")
 		return
 	}
-	s.pool.Update(sched.PoolUpdate{Join: pr.Join, Leave: pr.Leave})
-	writeJSON(w, http.StatusOK, map[string]int{"joined": len(pr.Join), "left": len(pr.Leave)})
+	join, err := s.configuredJoins(pr.Join)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	s.pool.Update(sched.PoolUpdate{Join: join, Leave: pr.Leave})
+	writeJSON(w, http.StatusOK, map[string]int{"joined": len(join), "left": len(pr.Leave)})
+}
+
+// configuredJoins resolves each requested join to the configured host
+// of that name, with the requested slot count when one is given. A name
+// outside the configured hosts, a name requested twice or a negative
+// slot count rejects the whole request.
+func (s *Server) configuredJoins(req []poolJoin) ([]sched.Host, error) {
+	join := make([]sched.Host, 0, len(req))
+	seen := map[string]bool{}
+	for _, j := range req {
+		if seen[j.Name] {
+			return nil, fmt.Errorf("host %q joins twice", j.Name)
+		}
+		seen[j.Name] = true
+		if j.Slots < 0 {
+			return nil, fmt.Errorf("host %q: negative slots %d", j.Name, j.Slots)
+		}
+		i := slices.IndexFunc(s.cfg.Hosts, func(h sched.Host) bool { return h.Name == j.Name })
+		if i < 0 {
+			return nil, fmt.Errorf("host %q is not in the daemon's hosts file", j.Name)
+		}
+		h := s.cfg.Hosts[i]
+		if j.Slots > 0 {
+			h.Slots = j.Slots
+		}
+		join = append(join, h)
+	}
+	return join, nil
 }
 
 // handleMetrics hand-rolls the Prometheus text exposition format: run

@@ -136,14 +136,15 @@ EOF
 fi
 
 # Training-kernel trajectory: ns/op and allocs/op for the baseline LR fit
-# pipeline, the whole cold (uncached) fig7 German n=300 grid in both of
-# its execution modes — grid_cell_cold computes every cell alone via
-# Cell, grid_batch_cold runs the batch-at-a-time RunAll product path over
-# one shared materialization — and dataset materialization. The seed_*
+# pipeline, the whole cold (uncached) fig7 German n=300 grid two ways —
+# grid_cell_cold computes every cell in a serial Cell loop,
+# grid_batch_cold runs the RunAll product path on the runner pool; fig7
+# shares nothing between cells, so the two differ only in worker count —
+# and dataset materialization. The seed_*
 # constants are the same benchmarks measured at the pre-flat-layout
 # commit (PR 3 head, go1.24 amd64) — the "before" column of the
 # flat-matrix data plane refactor; the ratios quantify its payoff per
-# commit. Both grid modes share one seed: before batching existed the
+# commit. Both grid modes share one seed: at the seed commit the
 # per-cell loop WAS the grid execution path.
 seed_fit_ns=10181391
 seed_fit_allocs=1415
@@ -173,7 +174,7 @@ else
     fit_alloc_ratio="$(awk -v a="$seed_fit_allocs" -v b="$fit_allocs" 'BEGIN { if (b > 0) printf "%.1f", a / b; else printf "0" }')"
     cat > "$train_out" <<EOF
 {
-  "benchmark": "training kernels: baseline LR fit (German n=1000, 70% split), cold uncached fig7 German n=300 grid (19 cells; per-cell and batched modes), Adult n=5000 materialization",
+  "benchmark": "training kernels: baseline LR fit (German n=1000, 70% split), cold uncached fig7 German n=300 grid (19 cells; serial Cell loop and pooled RunAll), Adult n=5000 materialization",
   "go": "$(go env GOVERSION)",
   "cpus": $(nproc),
   "benchtime": "$benchtime",
@@ -188,7 +189,7 @@ else
   "fit_logreg_allocs_reduction_vs_seed": $fit_alloc_ratio
 }
 EOF
-    echo "bench.sh: wrote $train_out (batched cold grid ${cold_speedup}x vs seed, ${batch_speedup}x vs per-cell, logreg allocs ÷${fit_alloc_ratio})"
+    echo "bench.sh: wrote $train_out (cold RunAll grid ${cold_speedup}x vs seed, ${batch_speedup}x vs Cell loop, logreg allocs ÷${fit_alloc_ratio})"
 fi
 
 # Multi-host scheduler overhead: the coordinator's cache-aware plan over

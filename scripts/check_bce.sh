@@ -9,7 +9,7 @@
 # SigmoidInto loops, the dispatch to their AVX2 forms in
 # kernels_amd64.s, and the row and fallback tails the vector kernels
 # leave to Go) and classifier/flatfit.go (the flat logreg/SVM/MLP fit
-# path). These are the inner loops every batched grid cell runs millions
+# path). These are the inner loops every grid cell runs millions
 # of times; their 4-wide blocked form was shaped so the prologue
 # re-slicing proves every element access in range, and this gate keeps
 # refactors from silently reintroducing per-element checks.
