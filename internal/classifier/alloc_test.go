@@ -130,6 +130,36 @@ func TestFitAllocationBounds(t *testing.T) {
 	}
 }
 
+// TestEpochFitAllocationBounds pins the MLP and SVM training loops: each
+// fit allocates its weights and scratch once, so its allocation count is
+// the same at 1, 8 and 64 epochs and stays under a fixed bound.
+func TestEpochFitAllocationBounds(t *testing.T) {
+	x, y := linearlySeparable(200, 3)
+	for _, tc := range []struct {
+		name  string
+		model func(epochs int) Classifier
+		bound float64
+	}{
+		{"mlp", func(e int) Classifier { return &MLP{Epochs: e} }, 16},
+		{"svm", func(e int) Classifier { return &LinearSVM{Epochs: e} }, 8},
+	} {
+		var counts []float64
+		for _, epochs := range []int{1, 8, 64} {
+			counts = append(counts, testing.AllocsPerRun(3, func() {
+				if err := tc.model(epochs).Fit(x, y, nil); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		if counts[0] != counts[1] || counts[1] != counts[2] {
+			t.Fatalf("%s fit allocates per epoch: %v allocs at 1, 8 and 64 epochs", tc.name, counts)
+		}
+		if counts[0] > tc.bound {
+			t.Fatalf("%s fit allocates %v times, want <= %v", tc.name, counts[0], tc.bound)
+		}
+	}
+}
+
 // TestForestFitAllocationBounds pins the presorted grower's allocations:
 // a forest fit allocates its per-forest buffers (columns, presorted
 // lists, scratch) once, and per tree only the tree's generator and its
