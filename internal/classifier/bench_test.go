@@ -1,0 +1,25 @@
+package classifier
+
+import (
+	"testing"
+
+	"fairbench/internal/rng"
+	"fairbench/internal/synth"
+)
+
+// BenchmarkMLPFit times one MLP fit at the paper's configuration on
+// fig10-cold's training split: Adult n=1000, seed 7, the 70% split,
+// standardized as the sensitivity grid's cells fit it (700 rows by 9
+// features).
+func BenchmarkMLPFit(b *testing.B) {
+	train, _ := synth.Adult(1000, 7).Data.Split(0.7, rng.New(7))
+	_, x := train.StandardizedDesign(false)
+	if len(x) != 700 || len(x[0]) != 9 {
+		b.Fatalf("training split is %d × %d, want 700 × 9", len(x), len(x[0]))
+	}
+	for b.Loop() {
+		if err := NewMLP().Fit(x, train.Y, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -266,3 +266,99 @@ func TestKNNMatchesReference(t *testing.T) {
 	}
 	t.Logf("%d kNN queries match the reference", checked)
 }
+
+// mlpRows is tieHeavy's rows, or n empty rows with alternating labels
+// when d is 0.
+func mlpRows(n, d int, seed int64) ([][]float64, []int) {
+	if d > 0 {
+		return tieHeavy(n, d, seed)
+	}
+	x, y := make([][]float64, n), make([]int, n)
+	for i := range x {
+		x[i], y[i] = []float64{}, i%2
+	}
+	return x, y
+}
+
+// sameMLP reports the first weight or prediction in which the batched
+// MLP differs from the row-at-a-time reference. Empty means equal.
+func sameMLP(ref *refMLP, got *MLP, queries [][]float64) string {
+	hn := ref.hidden
+	for h, row := range ref.w1 {
+		for j, v := range row {
+			if a := got.w1[j*hn+h]; math.Float64bits(a) != math.Float64bits(v) {
+				return fmt.Sprintf("w1[%d][%d] = %v, reference %v", h, j, a, v)
+			}
+		}
+	}
+	for h, v := range ref.w2 {
+		if math.Float64bits(got.w2[h]) != math.Float64bits(v) {
+			return fmt.Sprintf("w2[%d] = %v, reference %v", h, got.w2[h], v)
+		}
+	}
+	for _, q := range queries {
+		if a, b := ref.PredictProba(q), got.PredictProba(q); math.Float64bits(a) != math.Float64bits(b) {
+			return fmt.Sprintf("proba(%v) = %v, reference %v", q, b, a)
+		}
+	}
+	return ""
+}
+
+// TestMLPMatchesReference holds the MLP's batch passes to the
+// row-at-a-time loop they replaced, bit for bit, across the batch and
+// tail shapes of n, every feature count up to 12 (and 33), batch sizes
+// from one row to the whole set, hidden widths around the vector
+// kernels' lane count, and unit, dyadic, general and batch-zeroing
+// weights. The sparse weights leave most batches with zero total weight
+// (the update skip), the zero weights every batch.
+func TestMLPMatchesReference(t *testing.T) {
+	hiddens := []int{1, 3, 4, 20, 21}
+	ds := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 33}
+	checked := 0
+	for _, n := range []int{1, 31, 32, 33, 700} {
+		for di, d := range ds {
+			x, y := mlpRows(n, d, int64(n*37+d))
+			sparse := make([]float64, n)
+			for i := range sparse {
+				if i%97 == 5 {
+					sparse[i] = 1.5
+				}
+			}
+			ws := append(weightings(n, int64(d+11)), weighting{"sparse", sparse}, weighting{"zero", make([]float64, n)})
+			queries := probes(x)
+			for bi, batch := range []int{1, 3, 32, n + 1} {
+				hn := hiddens[(di+bi)%len(hiddens)]
+				wg := ws[(di+bi)%len(ws)]
+				ref := &refMLP{Hidden: hn, Alpha: 0.01, Epochs: 2, Batch: batch, Seed: int64(di*4 + bi)}
+				got := &MLP{Hidden: hn, Alpha: 0.01, Epochs: 2, Batch: batch, Seed: int64(di*4 + bi)}
+				if err := ref.Fit(x, y, wg.w); err != nil {
+					t.Fatal(err)
+				}
+				if err := got.Fit(x, y, wg.w); err != nil {
+					t.Fatal(err)
+				}
+				if diff := sameMLP(ref, got, queries); diff != "" {
+					t.Fatalf("n=%d d=%d batch=%d hidden=%d %s weights: %s", n, d, batch, hn, wg.name, diff)
+				}
+				checked++
+			}
+		}
+	}
+	// The paper's configuration, at fig10's training shape.
+	x, y := tieHeavy(700, 9, 5)
+	for _, wg := range weightings(len(x), 6) {
+		got := NewMLP()
+		ref := &refMLP{Hidden: got.Hidden, Alpha: got.Alpha, Epochs: got.Epochs, Step: got.Step, Batch: got.Batch, Seed: got.Seed}
+		if err := ref.Fit(x, y, wg.w); err != nil {
+			t.Fatal(err)
+		}
+		if err := got.Fit(x, y, wg.w); err != nil {
+			t.Fatal(err)
+		}
+		if diff := sameMLP(ref, got, probes(x)); diff != "" {
+			t.Fatalf("default MLP, %s weights: %s", wg.name, diff)
+		}
+		checked++
+	}
+	t.Logf("%d MLP fits match the reference", checked)
+}

@@ -12,10 +12,14 @@ import (
 // L2 regularization — the paper's fifth model family (20 hidden neurons,
 // alpha = 0.01, Appendix F).
 //
-// The hidden-layer weights and their gradient accumulator live in flat
-// matrix.Dense backings (w1 rows are views into one allocation), and the
-// per-batch gradient buffers are allocated once per Fit and zeroed
-// between batches — the training loop allocates nothing per batch or per
+// The weights do not change until a mini-batch's update, so each batch
+// runs as batch passes over a flat workspace (mlpBatch, flatfit.go)
+// instead of row by row: the hidden z-pass, one TanhInto over the
+// batch × hidden block, the output fold, SigmoidInto and the backward
+// accumulations, on the matrix package's vector kernels where the CPU
+// has them. Every accumulator keeps the per-row loop's fold order, so
+// the weights are bit-identical to it. The workspace is allocated once
+// per Fit, so the training loop allocates nothing per batch or per
 // epoch. Defaults resolve into locals, so a zero-value model is reusable
 // and race-free across cells.
 type MLP struct {
@@ -32,10 +36,12 @@ type MLP struct {
 	// Seed drives initialization and shuffling.
 	Seed int64
 
-	hidden int         // resolved width the fitted weights use
-	w1     [][]float64 // hidden x (d+1), last column bias; views into w1m
-	w1m    *matrix.Dense
-	w2     []float64 // hidden+1, last entry bias
+	hidden int // resolved width the fitted weights use
+	// w1 is the hidden layer, stored transposed: (d+1) × hidden, row j
+	// holding feature j's weight into every hidden unit and row d the
+	// biases, so the batch passes run one hidden unit per lane.
+	w1 []float64
+	w2 []float64 // hidden+1, last entry bias
 }
 
 // NewMLP returns an MLP with the paper's defaults.
@@ -65,11 +71,10 @@ func (m *MLP) Fit(x [][]float64, y []int, w []float64) error {
 	g := rng.New(m.Seed)
 	scale := 1 / math.Sqrt(float64(d)+1)
 	m.hidden = hidden
-	m.w1m = matrix.NewDense(hidden, d+1)
-	m.w1 = m.w1m.RowsView()
-	for h := range m.w1 {
-		for j := range m.w1[h] {
-			m.w1[h][j] = g.Normal(0, scale)
+	m.w1 = make([]float64, (d+1)*hidden)
+	for h := 0; h < hidden; h++ {
+		for j := 0; j <= d; j++ {
+			m.w1[j*hidden+h] = g.Normal(0, scale)
 		}
 	}
 	m.w2 = make([]float64, hidden+1)
@@ -81,73 +86,44 @@ func (m *MLP) Fit(x [][]float64, y []int, w []float64) error {
 	for i := range order {
 		order[i] = i
 	}
-	hid := make([]float64, hidden)
-	// Per-batch gradient accumulators, allocated once and zeroed between
-	// batches.
-	g1m := matrix.NewDense(hidden, d+1)
-	g1 := g1m.RowsView()
-	g2 := make([]float64, hidden+1)
+	b := newMLPBatch(min(batch, n), d, hidden)
 	for epoch := 0; epoch < epochs; epoch++ {
 		g.Shuffle(n, func(a, b int) { order[a], order[b] = order[b], order[a] })
 		for start := 0; start < n; start += batch {
-			end := start + batch
-			if end > n {
-				end = n
+			end := min(start+batch, n)
+			// A batch of zero total weight updates nothing.
+			if bw := b.load(x, y, w, order[start:end]); bw != 0 {
+				b.grad(m.w1, m.w2)
+				b.update(m.w1, m.w2, step, m.Alpha, bw)
 			}
-			for i := range g1m.Data {
-				g1m.Data[i] = 0
-			}
-			for i := range g2 {
-				g2[i] = 0
-			}
-			var bw float64
-			for _, i := range order[start:end] {
-				wi := weightOf(w, i)
-				bw += wi
-				xi := x[i]
-				// Forward. Reslicing each weight row to the input length
-				// proves the inner indexing in bounds.
-				for h, w1h := range m.w1 {
-					z := w1h[d]
-					wz := w1h[:len(xi)]
-					for j, v := range xi {
-						z += wz[j] * v
-					}
-					hid[h] = math.Tanh(z)
-				}
-				out := m.w2[hidden]
-				for h, hv := range hid {
-					out += m.w2[h] * hv
-				}
-				p := matrix.Sigmoid(out)
-				// Backward.
-				dOut := wi * (p - float64(y[i]))
-				for h, hv := range hid {
-					g2[h] += dOut * hv
-					dHid := dOut * m.w2[h] * (1 - hv*hv)
-					g1h := g1[h]
-					gz := g1h[:len(xi)]
-					for j, v := range xi {
-						gz[j] += dHid * v
-					}
-					g1h[d] += dHid
-				}
-				g2[hidden] += dOut
-			}
-			if bw == 0 {
-				continue
-			}
-			lr := step
-			for h := 0; h < hidden; h++ {
-				for j := 0; j <= d; j++ {
-					m.w1[h][j] -= lr * (g1[h][j]/bw + m.Alpha*m.w1[h][j])
-				}
-				m.w2[h] -= lr * (g2[h]/bw + m.Alpha*m.w2[h])
-			}
-			m.w2[hidden] -= lr * g2[hidden] / bw
 		}
 	}
 	return nil
+}
+
+// load gathers the batch rows into the workspace, in batch order, and
+// returns their total weight.
+func (b *mlpBatch) load(x [][]float64, y []int, w []float64, rows []int) float64 {
+	nb, d := len(rows), b.d
+	b.rows = nb
+	xt := b.xt[:(d+1)*nb]
+	var bw float64
+	for k, i := range rows {
+		xi := x[i]
+		copy(b.xb[k*d:(k+1)*d], xi)
+		for j, v := range xi {
+			xt[j*nb+k] = v
+		}
+		b.t[k] = float64(y[i])
+		wi := weightOf(w, i)
+		b.wt[k] = wi
+		bw += wi
+	}
+	ones := xt[d*nb:]
+	for k := range ones {
+		ones[k] = 1
+	}
+	return bw
 }
 
 // PredictProba runs the forward pass.
@@ -155,12 +131,13 @@ func (m *MLP) PredictProba(x []float64) float64 {
 	if m.w1 == nil {
 		return 0.5
 	}
-	d := len(m.w1[0]) - 1
-	out := m.w2[m.hidden]
-	for h := 0; h < m.hidden; h++ {
-		z := m.w1[h][d]
+	hidden := m.hidden
+	d := len(m.w1)/hidden - 1
+	out := m.w2[hidden]
+	for h := 0; h < hidden; h++ {
+		z := m.w1[d*hidden+h]
 		for j := 0; j < d && j < len(x); j++ {
-			z += m.w1[h][j] * x[j]
+			z += m.w1[j*hidden+h] * x[j]
 		}
 		out += m.w2[h] * math.Tanh(z)
 	}

@@ -5,12 +5,14 @@ import (
 	"math"
 	"sort"
 
+	"fairbench/internal/matrix"
 	"fairbench/internal/rng"
 )
 
-// This file keeps the per-node-sorting tree grower and the
-// container/heap kNN that the presorted grower and the typed heap
-// replaced, verbatim apart from their names. The differential tests in
+// This file keeps the per-node-sorting tree grower, the container/heap
+// kNN and the row-at-a-time MLP that the presorted grower, the typed
+// heap and the MLP's batch passes replaced, verbatim apart from their
+// names. The differential tests in
 // differential_test.go hold the production kernels to these references
 // bit for bit.
 
@@ -306,4 +308,146 @@ func refSqDist(a, b []float64) float64 {
 		s += d * d
 	}
 	return s
+}
+
+type refMLP struct {
+	// Hidden is the hidden-layer width (default 20).
+	Hidden int
+	// Alpha is the L2 penalty (default 0.01).
+	Alpha float64
+	// Epochs is the number of training passes (default 60).
+	Epochs int
+	// Step is the SGD learning rate (default 0.05).
+	Step float64
+	// Batch is the mini-batch size (default 32).
+	Batch int
+	// Seed drives initialization and shuffling.
+	Seed int64
+
+	hidden int         // resolved width the fitted weights use
+	w1     [][]float64 // hidden x (d+1), last column bias; views into w1m
+	w1m    *matrix.Dense
+	w2     []float64 // hidden+1, last entry bias
+}
+
+func (m *refMLP) Fit(x [][]float64, y []int, w []float64) error {
+	if err := checkFitInput(x, y, w); err != nil {
+		return err
+	}
+	hidden, epochs, step, batch := m.Hidden, m.Epochs, m.Step, m.Batch
+	if hidden == 0 {
+		hidden = 20
+	}
+	if epochs == 0 {
+		epochs = 60
+	}
+	if step == 0 {
+		step = 0.05
+	}
+	if batch == 0 {
+		batch = 32
+	}
+	n, d := len(x), len(x[0])
+	g := rng.New(m.Seed)
+	scale := 1 / math.Sqrt(float64(d)+1)
+	m.hidden = hidden
+	m.w1m = matrix.NewDense(hidden, d+1)
+	m.w1 = m.w1m.RowsView()
+	for h := range m.w1 {
+		for j := range m.w1[h] {
+			m.w1[h][j] = g.Normal(0, scale)
+		}
+	}
+	m.w2 = make([]float64, hidden+1)
+	for h := range m.w2 {
+		m.w2[h] = g.Normal(0, 1/math.Sqrt(float64(hidden)+1))
+	}
+
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	hid := make([]float64, hidden)
+	// Per-batch gradient accumulators, allocated once and zeroed between
+	// batches.
+	g1m := matrix.NewDense(hidden, d+1)
+	g1 := g1m.RowsView()
+	g2 := make([]float64, hidden+1)
+	for epoch := 0; epoch < epochs; epoch++ {
+		g.Shuffle(n, func(a, b int) { order[a], order[b] = order[b], order[a] })
+		for start := 0; start < n; start += batch {
+			end := start + batch
+			if end > n {
+				end = n
+			}
+			for i := range g1m.Data {
+				g1m.Data[i] = 0
+			}
+			for i := range g2 {
+				g2[i] = 0
+			}
+			var bw float64
+			for _, i := range order[start:end] {
+				wi := weightOf(w, i)
+				bw += wi
+				xi := x[i]
+				// Forward. Reslicing each weight row to the input length
+				// proves the inner indexing in bounds.
+				for h, w1h := range m.w1 {
+					z := w1h[d]
+					wz := w1h[:len(xi)]
+					for j, v := range xi {
+						z += wz[j] * v
+					}
+					hid[h] = math.Tanh(z)
+				}
+				out := m.w2[hidden]
+				for h, hv := range hid {
+					out += m.w2[h] * hv
+				}
+				p := matrix.Sigmoid(out)
+				// Backward.
+				dOut := wi * (p - float64(y[i]))
+				for h, hv := range hid {
+					g2[h] += dOut * hv
+					dHid := dOut * m.w2[h] * (1 - hv*hv)
+					g1h := g1[h]
+					gz := g1h[:len(xi)]
+					for j, v := range xi {
+						gz[j] += dHid * v
+					}
+					g1h[d] += dHid
+				}
+				g2[hidden] += dOut
+			}
+			if bw == 0 {
+				continue
+			}
+			lr := step
+			for h := 0; h < hidden; h++ {
+				for j := 0; j <= d; j++ {
+					m.w1[h][j] -= lr * (g1[h][j]/bw + m.Alpha*m.w1[h][j])
+				}
+				m.w2[h] -= lr * (g2[h]/bw + m.Alpha*m.w2[h])
+			}
+			m.w2[hidden] -= lr * g2[hidden] / bw
+		}
+	}
+	return nil
+}
+
+func (m *refMLP) PredictProba(x []float64) float64 {
+	if m.w1 == nil {
+		return 0.5
+	}
+	d := len(m.w1[0]) - 1
+	out := m.w2[m.hidden]
+	for h := 0; h < m.hidden; h++ {
+		z := m.w1[h][d]
+		for j := 0; j < d && j < len(x); j++ {
+			z += m.w1[h][j] * x[j]
+		}
+		out += m.w2[h] * math.Tanh(z)
+	}
+	return matrix.Sigmoid(out)
 }

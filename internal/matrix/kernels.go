@@ -199,6 +199,30 @@ func sigmoidScalar(dst, src []float64) {
 	}
 }
 
+// TanhInto computes dst[i] = math.Tanh(src[i]) for every element, bit for
+// bit on both paths; dst may alias src. It is the MLP's hidden-layer
+// activation, run once over each mini-batch's batch × hidden block.
+func TanhInto(dst, src []float64) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("matrix: TanhInto length mismatch %d vs %d", len(dst), len(src)))
+	}
+	dst = dst[:len(src)]
+	if useVector && len(src) >= 4 {
+		tanhAVX2(dst, src)
+		k := len(src) &^ 3
+		dst, src = dst[k:], src[k:]
+	}
+	tanhScalar(dst, src)
+}
+
+// tanhScalar is TanhInto's scalar loop, the vector path's reference.
+func tanhScalar(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = math.Tanh(v)
+	}
+}
+
 // AccumulateInto computes dst[j] += g·row[j] — the per-row gradient
 // scatter of a linear model. Unlike Axpy it tolerates len(dst) > len(row)
 // (the intercept slot rides at the end of the gradient vector).

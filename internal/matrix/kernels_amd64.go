@@ -12,3 +12,6 @@ func sigmoidAVX2(dst, src []float64) int
 
 //go:noescape
 func scatterAVX2(dst, g, x []float64)
+
+//go:noescape
+func tanhAVX2(dst, src []float64)

@@ -4,7 +4,8 @@
 // scalar loop's fold for one output: products and sums round separately
 // (VMULPD, then VADDPD) in the scalar order, so every output is
 // bit-identical to the scalar kernel. FMA appears only in the exp replica
-// of sigmoidAVX2, exactly where math.Exp's amd64 FMA path fuses.
+// (EXP_FMA, used by sigmoidAVX2 and tanhAVX2), exactly where math.Exp's
+// amd64 FMA path fuses.
 
 // Constants of math.Exp's amd64 implementation ($GOROOT/src/math/exp_amd64.s).
 #define LOG2E 1.4426950408889634073599246810018920
@@ -31,7 +32,67 @@ DATA kconst<>+128(SB)/8, $0    // lane indices, for column masks
 DATA kconst<>+136(SB)/8, $1
 DATA kconst<>+144(SB)/8, $2
 DATA kconst<>+152(SB)/8, $3
-GLOBL kconst<>(SB), RODATA|NOPTR, $160
+DATA kconst<>+160(SB)/8, $-9.64399179425052238628e-1 // math.tanh's P, highest first
+DATA kconst<>+168(SB)/8, $-9.92877231001918586564e1
+DATA kconst<>+176(SB)/8, $-1.61468768441708447952e3
+DATA kconst<>+184(SB)/8, $1.12811678491632931402e2 // and its Q
+DATA kconst<>+192(SB)/8, $2.23548839060100448583e3
+DATA kconst<>+200(SB)/8, $4.84406305325125486048e3
+DATA kconst<>+208(SB)/8, $0.625                   // tanh's exp-branch threshold
+DATA kconst<>+216(SB)/8, $4.4014845965556527147994e+01 // MAXLOG/2
+DATA kconst<>+224(SB)/8, $-2.0
+GLOBL kconst<>(SB), RODATA|NOPTR, $232
+
+// EXP_FMA(x, acc, tmp, k) sets each lane of x to exp(x) as math.Exp's
+// avxfma path computes it, for arguments whose result is a normal
+// number; acc and tmp are YMM and k an XMM scratch register. It expects
+// Y13 = LOG2E, Y12 = LN2U, Y11 = LN2L, Y10 = 0.0625, Y9 = the first
+// Taylor coefficient, Y8 = 2, Y7 = 1 and Y6 = the exponent bias.
+#define EXP_FMA(x, acc, tmp, k) \
+	VMULPD       Y13, x, acc; \
+	VCVTPD2DQY   acc, k; \
+	VCVTDQ2PD    k, acc; \
+	VFNMADD231PD Y12, acc, x; \
+	VFNMADD231PD Y11, acc, x; \
+	VMULPD       Y10, x, x; \
+	VMOVAPD      Y9, acc; \
+	VBROADCASTSD kconst<>+56(SB), tmp; \
+	VFMADD213PD  tmp, x, acc; \
+	VBROADCASTSD kconst<>+64(SB), tmp; \
+	VFMADD213PD  tmp, x, acc; \
+	VBROADCASTSD kconst<>+72(SB), tmp; \
+	VFMADD213PD  tmp, x, acc; \
+	VBROADCASTSD kconst<>+80(SB), tmp; \
+	VFMADD213PD  tmp, x, acc; \
+	VBROADCASTSD kconst<>+88(SB), tmp; \
+	VFMADD213PD  tmp, x, acc; \
+	VBROADCASTSD kconst<>+96(SB), tmp; \
+	VFMADD213PD  tmp, x, acc; \
+	VFMADD213PD  Y7, x, acc; \
+	VMULPD       acc, x, x; \
+	VADDPD       Y8, x, acc; \
+	VMULPD       acc, x, x; \
+	VADDPD       Y8, x, acc; \
+	VMULPD       acc, x, x; \
+	VADDPD       Y8, x, acc; \
+	VMULPD       acc, x, x; \
+	VADDPD       Y8, x, acc; \
+	VFMADD213PD  Y7, acc, x; \
+	VPMOVSXDQ    k, tmp; \
+	VPADDQ       Y6, tmp, tmp; \
+	VPSLLQ       $52, tmp, tmp; \
+	VMULPD       tmp, x, x
+
+// EXP_CONSTS loads the registers EXP_FMA reads.
+#define EXP_CONSTS \
+	VBROADCASTSD kconst<>+16(SB), Y13; \
+	VBROADCASTSD kconst<>+24(SB), Y12; \
+	VBROADCASTSD kconst<>+32(SB), Y11; \
+	VBROADCASTSD kconst<>+40(SB), Y10; \
+	VBROADCASTSD kconst<>+48(SB), Y9; \
+	VBROADCASTSD kconst<>+112(SB), Y8; \
+	VBROADCASTSD kconst<>+104(SB), Y7; \
+	VPBROADCASTQ kconst<>+120(SB), Y6
 
 // func hasAVX2FMA() bool
 //
@@ -154,14 +215,7 @@ TEXT ·sigmoidAVX2(SB), NOSPLIT, $0-56
 	MOVQ         src_len+32(FP), CX
 	VBROADCASTSD kconst<>+0(SB), Y15
 	VBROADCASTSD kconst<>+8(SB), Y14
-	VBROADCASTSD kconst<>+16(SB), Y13
-	VBROADCASTSD kconst<>+24(SB), Y12
-	VBROADCASTSD kconst<>+32(SB), Y11
-	VBROADCASTSD kconst<>+40(SB), Y10
-	VBROADCASTSD kconst<>+48(SB), Y9
-	VBROADCASTSD kconst<>+112(SB), Y8
-	VBROADCASTSD kconst<>+104(SB), Y7
-	VPBROADCASTQ kconst<>+120(SB), Y6
+	EXP_CONSTS
 	VXORPD       Y5, Y5, Y5
 	XORQ         AX, AX
 
@@ -176,40 +230,7 @@ sigmoid4:
 	CMPQ      BX, $15
 	JNE       sigmoidDone
 
-	// e = exp(x), as math.Exp's avxfma path computes it for one lane.
-	VMULPD       Y13, Y0, Y1     // x·LOG2E
-	VCVTPD2DQY   Y1, X3          // k, rounded by MXCSR like CVTSD2SL
-	VCVTDQ2PD    X3, Y1
-	VFNMADD231PD Y12, Y1, Y0     // x -= k·LN2U
-	VFNMADD231PD Y11, Y1, Y0     // x -= k·LN2L
-	VMULPD       Y10, Y0, Y0     // x *= 0.0625
-	VMOVAPD      Y9, Y1
-	VBROADCASTSD kconst<>+56(SB), Y2
-	VFMADD213PD  Y2, Y0, Y1
-	VBROADCASTSD kconst<>+64(SB), Y2
-	VFMADD213PD  Y2, Y0, Y1
-	VBROADCASTSD kconst<>+72(SB), Y2
-	VFMADD213PD  Y2, Y0, Y1
-	VBROADCASTSD kconst<>+80(SB), Y2
-	VFMADD213PD  Y2, Y0, Y1
-	VBROADCASTSD kconst<>+88(SB), Y2
-	VFMADD213PD  Y2, Y0, Y1
-	VBROADCASTSD kconst<>+96(SB), Y2
-	VFMADD213PD  Y2, Y0, Y1
-	VFMADD213PD  Y7, Y0, Y1
-	VMULPD       Y1, Y0, Y0
-	VADDPD       Y8, Y0, Y1
-	VMULPD       Y1, Y0, Y0
-	VADDPD       Y8, Y0, Y1
-	VMULPD       Y1, Y0, Y0
-	VADDPD       Y8, Y0, Y1
-	VMULPD       Y1, Y0, Y0
-	VADDPD       Y8, Y0, Y1
-	VFMADD213PD  Y7, Y1, Y0
-	VPMOVSXDQ    X3, Y2          // 2^k from bits: (k+1023) << 52
-	VPADDQ       Y6, Y2, Y2
-	VPSLLQ       $52, Y2, Y2
-	VMULPD       Y2, Y0, Y0
+	EXP_FMA(Y0, Y1, Y2, X3) // e = exp(x)
 
 	// (z < 0 ? e : 1) / (1 + e)
 	VADDPD    Y7, Y0, Y1
@@ -222,6 +243,85 @@ sigmoid4:
 
 sigmoidDone:
 	MOVQ AX, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// func tanhAVX2(dst, src []float64)
+//
+// dst[i] = math.Tanh(src[i]) for every i < len(src)&^3, one element per
+// lane. Each lane evaluates both of math.tanh's formulas and keeps the
+// one its z = |x| selects, then overrides x == 0 (x itself) and
+// z > MAXLOG/2 (±1):
+//
+//   - z >= 0.625: 1 - 2/(exp(2z)+1), negated for x < 0, with exp from
+//     EXP_FMA (2z is at most MAXLOG, so exp takes its normal-result path);
+//   - below: x + x·s·P(s)/Q(s), s = x², every product and sum rounded on
+//     its own, in the scalar order.
+//
+// The two share one divide: 1 - 2/d is 1 + (-2)/d exactly. A lane
+// outside a formula's range computes garbage there, never a trap (MXCSR
+// masks every exception), and the blend discards it.
+TEXT ·tanhAVX2(SB), NOSPLIT, $0-48
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         src_base+24(FP), SI
+	MOVQ         src_len+32(FP), CX
+	VBROADCASTSD kconst<>+0(SB), Y15
+	EXP_CONSTS
+	XORQ         AX, AX
+
+tanh4:
+	LEAQ    4(AX), DX
+	CMPQ    DX, CX
+	JGT     tanhDone
+	VMOVUPD (SI)(AX*8), Y0     // x
+	VANDNPD Y0, Y15, Y1        // z = |x|
+	VADDPD  Y1, Y1, Y2         // 2z
+	EXP_FMA(Y2, Y3, Y4, X5)
+	VADDPD  Y7, Y2, Y2         // exp(2z) + 1
+
+	VMULPD       Y0, Y0, Y3    // s = x·x
+	VBROADCASTSD kconst<>+160(SB), Y4
+	VMULPD       Y3, Y4, Y4
+	VBROADCASTSD kconst<>+168(SB), Y14
+	VADDPD       Y14, Y4, Y4
+	VMULPD       Y3, Y4, Y4
+	VBROADCASTSD kconst<>+176(SB), Y14
+	VADDPD       Y14, Y4, Y4   // P(s)
+	VMULPD       Y3, Y0, Y5
+	VMULPD       Y4, Y5, Y4    // x·s·P(s)
+	VBROADCASTSD kconst<>+184(SB), Y5
+	VADDPD       Y3, Y5, Y5
+	VMULPD       Y3, Y5, Y5
+	VBROADCASTSD kconst<>+192(SB), Y14
+	VADDPD       Y14, Y5, Y5
+	VMULPD       Y3, Y5, Y5
+	VBROADCASTSD kconst<>+200(SB), Y14
+	VADDPD       Y14, Y5, Y5   // Q(s)
+
+	VBROADCASTSD kconst<>+208(SB), Y14
+	VCMPPD       $0x1d, Y14, Y1, Y3 // z >= 0.625
+	VBLENDVPD    Y3, Y2, Y5, Y5     // divisor
+	VBROADCASTSD kconst<>+224(SB), Y14
+	VBLENDVPD    Y3, Y14, Y4, Y4    // dividend
+	VBLENDVPD    Y3, Y7, Y0, Y2     // addend
+	VDIVPD       Y5, Y4, Y4
+	VADDPD       Y4, Y2, Y4
+	VANDPD       Y15, Y0, Y5        // sign of x
+	VANDPD       Y5, Y3, Y3
+	VXORPD       Y3, Y4, Y4         // negate the exp formula for x < 0
+
+	VXORPD       Y14, Y14, Y14
+	VCMPPD       $0x00, Y14, Y0, Y2 // x == 0
+	VBLENDVPD    Y2, Y0, Y4, Y4
+	VBROADCASTSD kconst<>+216(SB), Y14
+	VCMPPD       $0x1e, Y14, Y1, Y2 // z > MAXLOG/2, false for NaN
+	VORPD        Y7, Y5, Y5         // ±1
+	VBLENDVPD    Y2, Y5, Y4, Y4
+	VMOVUPD      Y4, (DI)(AX*8)
+	MOVQ         DX, AX
+	JMP          tanh4
+
+tanhDone:
 	VZEROUPPER
 	RET
 
@@ -276,7 +376,7 @@ scatterChunk:
 	JMP  scatterM4
 
 scatterM1:
-	MOVQ         DX, X14
+	VMOVQ        DX, X14
 	VPBROADCASTQ X14, Y14
 	VPCMPGTQ     Y15, Y14, Y14
 	VMASKMOVPD   (DI)(AX*8), Y14, Y0
@@ -293,7 +393,7 @@ scatterM1row:
 
 scatterM2:
 	SUBQ         $4, DX
-	MOVQ         DX, X14
+	VMOVQ        DX, X14
 	VPBROADCASTQ X14, Y14
 	VPCMPGTQ     Y15, Y14, Y14
 	SCATTER_LOAD(0, Y0)
@@ -313,7 +413,7 @@ scatterM2row:
 
 scatterM3:
 	SUBQ         $8, DX
-	MOVQ         DX, X14
+	VMOVQ        DX, X14
 	VPBROADCASTQ X14, Y14
 	VPCMPGTQ     Y15, Y14, Y14
 	SCATTER_LOAD(0, Y0)
@@ -335,7 +435,7 @@ scatterM3row:
 	JMP          scatterDone
 
 scatterM4:
-	MOVQ         DX, X14
+	VMOVQ        DX, X14
 	VPBROADCASTQ X14, Y14
 	VPCMPGTQ     Y15, Y14, Y14
 	SCATTER_LOAD(0, Y0)

@@ -12,3 +12,5 @@ func affineColsAVX2(dst, cols, w []float64, bias float64) { panic("matrix: no ve
 func sigmoidAVX2(dst, src []float64) int { panic("matrix: no vector kernels") }
 
 func scatterAVX2(dst, g, x []float64) { panic("matrix: no vector kernels") }
+
+func tanhAVX2(dst, src []float64) { panic("matrix: no vector kernels") }

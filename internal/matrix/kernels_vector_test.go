@@ -57,6 +57,23 @@ func TestVectorPathTaken(t *testing.T) {
 	if des := NewDesign(*NewDense(8, 3)); des.cols == nil {
 		t.Fatal("NewDesign built no column-major copy on the vector path")
 	}
+	// tanhAVX2 writes every whole block of four and leaves the tail to
+	// TanhInto's scalar loop.
+	src := []float64{0.3, -1, 30, 0, 0.7, 2, -3}
+	dst := make([]float64, len(src))
+	for i := range dst {
+		dst[i] = -7
+	}
+	tanhAVX2(dst, src)
+	for i, v := range src {
+		want := math.Tanh(v)
+		if i >= 4 {
+			want = -7
+		}
+		if dst[i] != want {
+			t.Fatalf("tanhAVX2 wrote %v at %d of %v, want %v", dst[i], i, src, want)
+		}
+	}
 }
 
 // TestSigmoidVectorFallback pins which blocks the vector sigmoid takes: a
@@ -215,6 +232,69 @@ func TestSigmoidVectorMatchesScalar(t *testing.T) {
 	}
 }
 
+// maxLogHalf is math.tanh's saturation threshold, MAXLOG/2.
+const maxLogHalf = 0.5 * 8.8029691931113054295988e+01
+
+// tanhInputs fills x with one family of the tanh differential test's
+// inputs.
+func tanhInputs(g *rand.Rand, family int, x []float64) {
+	edges := []float64{0.625, maxLogHalf}
+	for i := range x {
+		switch family {
+		case 0:
+			x[i] = g.NormFloat64()
+		case 1:
+			x[i] = 5 * g.NormFloat64()
+		case 2:
+			x[i] = 100*g.Float64() - 50
+		case 3:
+			x[i] = 2.6*g.Float64() - 1.3
+		case 4:
+			x[i] = math.Float64frombits(g.Uint64()) // NaN, ±Inf, subnormals
+		case 5:
+			v := edges[g.Intn(len(edges))]
+			switch g.Intn(3) {
+			case 0:
+				v = math.Nextafter(v, math.Inf(1))
+			case 1:
+				v = math.Nextafter(v, math.Inf(-1))
+			}
+			x[i] = v * float64(1-2*g.Intn(2))
+		}
+	}
+}
+
+// TestTanhVectorMatchesScalar runs 10⁷ inputs through both paths. Like
+// the sigmoid test, it is the tripwire for a Go release that changes
+// math.Tanh or math.Exp, or starts fusing tanh's polynomial.
+func TestTanhVectorMatchesScalar(t *testing.T) {
+	needVector(t)
+	g := rand.New(rand.NewSource(29))
+	const chunk = 1 << 16
+	x := make([]float64, chunk)
+	got, want := make([]float64, chunk), make([]float64, chunk)
+	special := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1022, -0x1p-1023,
+		math.MaxFloat64, -math.MaxFloat64}
+	total := 0
+	for round := 0; total < 10_000_000; round++ {
+		tanhInputs(g, round%6, x)
+		for k, v := range special {
+			x[(round*31+k*977)%chunk] = v
+		}
+		n := chunk - round%7 // vary the tail
+		TanhInto(got[:n], x[:n])
+		scalarOnly(func() { TanhInto(want[:n], x[:n]) })
+		for i := 0; i < n; i++ {
+			if !sameFloat(got[i], want[i]) {
+				t.Fatalf("tanh(%v = %x): vector %x, scalar %x", x[i], math.Float64bits(x[i]),
+					math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+		total += n
+	}
+}
+
 // decodeFloats reads little-endian float64s from b.
 func decodeFloats(b []byte) []float64 {
 	out := make([]float64, len(b)/8)
@@ -244,6 +324,23 @@ func FuzzSigmoidInto(f *testing.F) {
 		for i := range z {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("sigmoid(%x): vector %x, scalar %x", math.Float64bits(z[i]), math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	})
+}
+
+func FuzzTanhInto(f *testing.F) {
+	f.Add(encodeFloats(0, -0.0, 0.625, -0.6249999999999999, 22.007422982778263, -44.01484596555653, math.NaN(), 1e-310))
+	f.Add(encodeFloats(math.Inf(1), math.Inf(-1), 44.01484596555653, 0.3, -2, 7, 1e300))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		needVector(t)
+		x := decodeFloats(b)
+		got, want := make([]float64, len(x)), make([]float64, len(x))
+		TanhInto(got, x)
+		scalarOnly(func() { TanhInto(want, x) })
+		for i := range x {
+			if !sameFloat(got[i], want[i]) {
+				t.Fatalf("tanh(%x): vector %x, scalar %x", math.Float64bits(x[i]), math.Float64bits(got[i]), math.Float64bits(want[i]))
 			}
 		}
 	})
@@ -309,6 +406,7 @@ func FuzzScatterRows(f *testing.F) {
 
 // BenchmarkTrainingKernels times each kernel on both paths at fig7-cold's
 // training shape: a 70% split of Adult n=5000, 3500 rows by 9 features.
+// tanh runs on the MLP's block instead: 20 hidden units by a 32-row batch.
 func BenchmarkTrainingKernels(b *testing.B) {
 	needVector(b)
 	g := rand.New(rand.NewSource(1))
@@ -323,6 +421,11 @@ func BenchmarkTrainingKernels(b *testing.B) {
 		w[i] = g.NormFloat64()
 	}
 	des.AffineInto(z, w, 0.5)
+	act := make([]float64, 20*32)
+	for i := range act {
+		act[i] = g.NormFloat64()
+	}
+	hid := make([]float64, len(act))
 	kernels := []struct {
 		name string
 		run  func()
@@ -330,6 +433,7 @@ func BenchmarkTrainingKernels(b *testing.B) {
 		{"zpass", func() { des.AffineInto(out, w, 0.5) }},
 		{"scatter", func() { d.ScatterRows(w, z) }},
 		{"sigmoid", func() { SigmoidInto(out, z) }},
+		{"tanh", func() { TanhInto(hid, act) }},
 	}
 	for _, k := range kernels {
 		b.Run(k.name+"/vector", func(b *testing.B) {
