@@ -176,40 +176,6 @@ func MissingImputed(d *dataset.Dataset, rates Rates, seed int64) (*dataset.Datas
 	return out, nil
 }
 
-// ImputeNumericMean replaces affected tuples' value of attr with the mean
-// of the unaffected tuples — a building block for additional missing-value
-// templates beyond the paper's three.
-func ImputeNumericMean(d *dataset.Dataset, attr string, rates Rates, seed int64) (*dataset.Dataset, error) {
-	j, err := findAttr(d, attr)
-	if err != nil {
-		return nil, err
-	}
-	g := rng.New(seed)
-	out := d.Clone()
-	affected := make([]bool, out.Len())
-	var sum, n float64
-	for i := range out.X {
-		var err error
-		if affected[i], err = rates.hit(out.S[i], g); err != nil {
-			return nil, err
-		}
-		if !affected[i] {
-			sum += out.X[i][j]
-			n++
-		}
-	}
-	mean := 0.0
-	if n > 0 {
-		mean = sum / n
-	}
-	for i := range out.X {
-		if affected[i] {
-			out.X[i][j] = mean
-		}
-	}
-	return out, nil
-}
-
 // Template identifies one of the paper's three COMPAS error templates.
 type Template int
 

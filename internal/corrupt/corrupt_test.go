@@ -120,24 +120,6 @@ func TestApplyCOMPASTemplates(t *testing.T) {
 	}
 }
 
-func TestImputeNumericMean(t *testing.T) {
-	src := synth.COMPAS(2000, 5)
-	out, err := ImputeNumericMean(src.Data, "Age", PaperRates, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All affected tuples share one imputed value.
-	vals := map[float64]int{}
-	for i := range out.X {
-		if out.X[i][0] != src.Data.X[i][0] {
-			vals[out.X[i][0]]++
-		}
-	}
-	if len(vals) != 1 {
-		t.Fatalf("mean imputation must write a single value, got %d", len(vals))
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	src := synth.COMPAS(500, 6)
 	a, _ := ApplyCOMPAS(src.Data, T1, 21)

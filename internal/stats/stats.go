@@ -1,7 +1,7 @@
 // Package stats provides the summary statistics and high-confidence bounds
 // the benchmark relies on: means, variances, quantiles for the repair
-// algorithms and stability analysis, plus the Hoeffding and Student-t
-// concentration bounds that back the Thomas (Seldonian) safety test.
+// algorithms and stability analysis, plus the Hoeffding concentration
+// bound that backs the Thomas (Seldonian) safety test.
 package stats
 
 import (
@@ -98,56 +98,6 @@ func HoeffdingUpper(mean float64, n int, lo, hi, delta float64) float64 {
 		return math.Inf(1)
 	}
 	return mean + (hi-lo)*math.Sqrt(math.Log(1/delta)/(2*float64(n)))
-}
-
-// TTestUpper returns an approximate (1-delta)-confidence upper bound on the
-// mean using the Student-t inflation 'mean + t·s/sqrt(n)'. The t quantile is
-// approximated by the normal quantile with a small-sample correction, which
-// is accurate enough for the safety-test sizes used in the benchmark.
-func TTestUpper(mean, std float64, n int, delta float64) float64 {
-	if n <= 1 {
-		return math.Inf(1)
-	}
-	z := NormalQuantile(1 - delta)
-	// Cornish-Fisher style first-order correction toward the t distribution.
-	t := z * (1 + (z*z+1)/(4*float64(n-1)))
-	return mean + t*std/math.Sqrt(float64(n))
-}
-
-// NormalQuantile returns the p-th quantile of the standard normal
-// distribution using the Acklam rational approximation (|err| < 1.15e-9).
-func NormalQuantile(p float64) float64 {
-	if p <= 0 {
-		return math.Inf(-1)
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	// Coefficients for the Acklam approximation.
-	a := [6]float64{-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-		1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00}
-	b := [5]float64{-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-		6.680131188771972e+01, -1.328068155288572e+01}
-	c := [6]float64{-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-		-2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00}
-	d := [4]float64{7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-		3.754408661907416e+00}
-	const plow = 0.02425
-	switch {
-	case p < plow:
-		q := math.Sqrt(-2 * math.Log(p))
-		return (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case p > 1-plow:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		return -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	default:
-		q := p - 0.5
-		r := q * q
-		return (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	}
 }
 
 // Confusion holds the four cells of a binary-classification confusion

@@ -86,29 +86,6 @@ func TestHoeffdingUpper(t *testing.T) {
 	}
 }
 
-func TestNormalQuantile(t *testing.T) {
-	cases := []struct{ p, want float64 }{
-		{0.5, 0}, {0.975, 1.959964}, {0.025, -1.959964}, {0.95, 1.644854},
-	}
-	for _, c := range cases {
-		if got := NormalQuantile(c.p); math.Abs(got-c.want) > 1e-4 {
-			t.Fatalf("quantile(%v): got %v want %v", c.p, got, c.want)
-		}
-	}
-	if !math.IsInf(NormalQuantile(0), -1) || !math.IsInf(NormalQuantile(1), 1) {
-		t.Fatal("boundary quantiles must be infinite")
-	}
-}
-
-func TestTTestUpperExceedsMean(t *testing.T) {
-	if TTestUpper(0.2, 0.1, 50, 0.05) <= 0.2 {
-		t.Fatal("t bound must exceed the mean")
-	}
-	if !math.IsInf(TTestUpper(0, 1, 1, 0.05), 1) {
-		t.Fatal("n=1 must give +Inf")
-	}
-}
-
 func TestConfusion(t *testing.T) {
 	y := []int{1, 1, 0, 0, 1}
 	yhat := []int{1, 0, 0, 1, 1}
