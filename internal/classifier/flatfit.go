@@ -129,10 +129,8 @@ func (b *mlpBatch) grad(w1, w2 []float64) {
 	for k, g := range dout {
 		ak := act[k*hn : (k+1)*hn]
 		dk := dh[k*hn : (k+1)*hn]
-		dk = dk[:len(ak)]
-		wk := w2h[:len(ak)]
 		for h, hv := range ak {
-			dk[h] = g * wk[h] * (1 - hv*hv)
+			dk[h] = g * w2h[h] * (1 - hv*hv)
 		}
 	}
 	dd := matrix.Dense{Data: dh, Rows: nb, Cols: hn, Stride: hn}

@@ -6,13 +6,13 @@
 # diagnostic (-gcflags=-d=ssa/check_bce) and fails if any per-element
 # bounds check ("Found IsInBounds") survives in the named hot-kernel
 # files — matrix/kernels.go (the scalar AffineInto / ScatterRows /
-# SigmoidInto loops, the dispatch to their AVX2 forms in
+# SigmoidInto / TanhInto loops, the dispatch to their AVX2 forms in
 # kernels_amd64.s, and the row and fallback tails the vector kernels
-# leave to Go) and classifier/flatfit.go (the flat logreg/SVM/MLP fit
-# path). These are the inner loops every grid cell runs millions
-# of times; their 4-wide blocked form was shaped so the prologue
-# re-slicing proves every element access in range, and this gate keeps
-# refactors from silently reintroducing per-element checks.
+# leave to Go) and classifier/flatfit.go (logistic regression's flat
+# gradient and the MLP's batch passes). These are the inner loops every
+# grid cell runs millions of times; their prologue re-slicing proves
+# every element access in range, and this gate keeps refactors from
+# silently reintroducing per-element checks.
 #
 # Slice-header checks ("Found IsSliceInBounds") are expected and allowed:
 # they are the one-time prologue bounds proofs the blocked form hoists
