@@ -6,7 +6,7 @@ import (
 )
 
 // This file holds the hot training kernels: the inner loops every Adam
-// iteration of every grid cell runs. Their scalar loops are written so the
+// iteration and every MLP mini-batch of every grid cell runs. Their scalar loops are written so the
 // compiler proves all indexing in bounds (verified in CI by building with
 // -gcflags=-d=ssa/check_bce and failing on any IsInBounds finding in
 // this file), and AffineInto and ScatterRows block rows in groups of four
@@ -22,16 +22,17 @@ import (
 //
 // Vector path. On amd64 CPUs with AVX2, FMA and OS-enabled YMM state
 // (checked once, by CPUID and XGETBV in kernels_amd64.s), Design.AffineInto,
-// SigmoidInto and ScatterRows run AVX2 assembly instead; every other CPU
-// and GOARCH runs the scalar loops, which stay the reference. The lane
-// rule: a vector kernel computes four outputs the scalar loop already
-// computes independently, and each lane repeats that output's scalar fold
-// operation for operation — the product and the sum rounded separately
-// (never fused), in the scalar order. The z-pass runs one row per lane
-// over a column-major copy of the design (Design, built once per fit), the
-// gradient scatter one column per lane over the row-major design, and the
-// sigmoid one element per lane. Row tails the vector loops leave run the
-// scalar loops; the scatter masks its column tail instead.
+// SigmoidInto, TanhInto and ScatterRows run AVX2 assembly instead; every
+// other CPU and GOARCH runs the scalar loops, which stay the reference.
+// The lane rule: a vector kernel computes four outputs the scalar loop
+// already computes independently, and each lane repeats that output's
+// scalar fold operation for operation — the product and the sum rounded
+// separately (never fused), in the scalar order. The z-pass runs one row
+// per lane over a column-major copy of the design (Design, built once per
+// fit), the gradient scatter one column per lane over the row-major
+// design, and the sigmoid and tanh one element per lane. Row tails the
+// vector loops leave run the scalar loops; the scatter masks its column
+// tail instead.
 //
 // The sigmoid carries a replica of math.Exp, because the call into Go's
 // exp assembly can be neither inlined nor vectorized. math.Exp already
@@ -45,6 +46,16 @@ import (
 // a release that changes math.Exp fails the sigmoid differential test in
 // kernels_vector_test.go: that is the intended tripwire, and the replica
 // must then follow the new code.
+//
+// The tanh kernel replicates math.tanh (pure Go on amd64) lane by lane:
+// ±1 above MAXLOG/2, 1 - 2/(exp(2|x|)+1) with x's sign from |x| >= 0.625
+// (exp from the sigmoid's replica), and below that the rational
+// polynomial x + x·s·P(s)/Q(s), each lane computing both formulas and
+// blending, with x == 0 returning x. Go 1.24's amd64 compiler leaves
+// that polynomial unfused even at GOAMD64=v3 (checked by disassembling
+// math.tanh), so the replica rounds every product and sum on its own. A
+// release that starts fusing it, or changes math.Tanh, fails the tanh
+// differential test the same way.
 
 // useVector selects the AVX2 kernels. It is fixed at start-up; tests
 // reach the scalar reference through export_test.go.

@@ -341,8 +341,10 @@ tanhDone:
 // lane, each lane summing its terms in ascending row order. Columns run
 // in chunks of sixteen (four accumulators, one pass over the rows each);
 // the last chunk's last vector is masked, so no column is left to a
-// scalar tail. The caller guarantees len(x) == len(g)*c, c > 0 and
-// len(g) > 0.
+// scalar tail. The masks are built with VEX instructions only: a
+// legacy-SSE MOVQ while the YMM upper halves are live costs an SSE/AVX
+// transition on every call. The caller guarantees len(x) == len(g)*c,
+// c > 0 and len(g) > 0.
 TEXT ·scatterAVX2(SB), NOSPLIT, $0-72
 	MOVQ    dst_base+0(FP), DI
 	MOVQ    dst_len+8(FP), CX

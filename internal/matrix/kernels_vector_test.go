@@ -330,7 +330,7 @@ func FuzzSigmoidInto(f *testing.F) {
 }
 
 func FuzzTanhInto(f *testing.F) {
-	f.Add(encodeFloats(0, -0.0, 0.625, -0.6249999999999999, 22.007422982778263, -44.01484596555653, math.NaN(), 1e-310))
+	f.Add(encodeFloats(0, math.Copysign(0, -1), 0.625, -0.6249999999999999, 44.01484596555653, -44.01484596555654, math.NaN(), 1e-310))
 	f.Add(encodeFloats(math.Inf(1), math.Inf(-1), 44.01484596555653, 0.3, -2, 7, 1e300))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		needVector(t)

@@ -177,7 +177,15 @@ func values(rs []run, name string) []float64 {
 }
 
 func spread(xs []float64) string {
-	return fmt.Sprintf("%.4g [%.4g, %.4g]", quantile(xs, 0.5), quantile(xs, 0.25), quantile(xs, 0.75))
+	return fmt.Sprintf("%s [%s, %s]", num(quantile(xs, 0.5)), num(quantile(xs, 0.25)), num(quantile(xs, 0.75)))
+}
+
+// num prints four significant digits, without an exponent up to 10⁶.
+func num(v float64) string {
+	if math.Abs(v) >= 1e4 && math.Abs(v) < 1e6 {
+		return fmt.Sprintf("%.0f", v)
+	}
+	return fmt.Sprintf("%.4g", v)
 }
 
 // quantile is the linearly interpolated q-quantile of xs.
