@@ -105,9 +105,9 @@ func (b *mlpBatch) grad(w1, w2 []float64) {
 	// Output fold from w2's bias, then the sigmoid and the weighted
 	// residuals dOut.
 	hd := matrix.Dense{Data: act, Rows: nb, Cols: hn, Stride: hn}
-	w2h := w2[:hn]
+	w2h, w2b := w2[:hn], w2[hn:hn+1]
 	out, dout := b.out[:nb], b.dout[:nb]
-	hd.AffineInto(out, w2h, w2[hn:hn+1][0])
+	hd.AffineInto(out, w2h, w2b[0])
 	matrix.SigmoidInto(dout, out)
 	t, wt := b.t[:len(dout)], b.wt[:len(dout)]
 	b.g2b = 0
@@ -150,10 +150,11 @@ func (b *mlpBatch) update(w1, w2 []float64, lr, alpha, bw float64) {
 	for k, gk := range g1 {
 		w1[k] -= lr * (gk/bw + alpha*w1[k])
 	}
-	g2 := b.g2[:b.hidden]
-	w2h := w2[:len(g2)]
+	hn := b.hidden
+	g2 := b.g2[:hn]
+	w2h, w2b := w2[:len(g2)], w2[hn:hn+1]
 	for h, gh := range g2 {
 		w2h[h] -= lr * (gh/bw + alpha*w2h[h])
 	}
-	w2[len(g2) : len(g2)+1][0] -= lr * b.g2b / bw
+	w2b[0] -= lr * b.g2b / bw
 }

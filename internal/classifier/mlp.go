@@ -86,15 +86,15 @@ func (m *MLP) Fit(x [][]float64, y []int, w []float64) error {
 	for i := range order {
 		order[i] = i
 	}
-	b := newMLPBatch(min(batch, n), d, hidden)
+	work := newMLPBatch(min(batch, n), d, hidden)
 	for epoch := 0; epoch < epochs; epoch++ {
 		g.Shuffle(n, func(a, b int) { order[a], order[b] = order[b], order[a] })
 		for start := 0; start < n; start += batch {
 			end := min(start+batch, n)
 			// A batch of zero total weight updates nothing.
-			if bw := b.load(x, y, w, order[start:end]); bw != 0 {
-				b.grad(m.w1, m.w2)
-				b.update(m.w1, m.w2, step, m.Alpha, bw)
+			if bw := work.load(x, y, w, order[start:end]); bw != 0 {
+				work.grad(m.w1, m.w2)
+				work.update(m.w1, m.w2, step, m.Alpha, bw)
 			}
 		}
 	}
