@@ -6,11 +6,12 @@ import (
 )
 
 // This file holds the hot training kernels: the inner loops every Adam
-// iteration and every MLP mini-batch of every grid cell runs. Their scalar loops are written so the
-// compiler proves all indexing in bounds (verified in CI by building with
-// -gcflags=-d=ssa/check_bce and failing on any IsInBounds finding in
-// this file), and AffineInto and ScatterRows block rows in groups of four
-// so the four independent accumulator chains pipeline.
+// iteration and every MLP mini-batch of every grid cell runs. Their
+// scalar loops are written so the compiler proves all indexing in bounds
+// (verified in CI by building with -gcflags=-d=ssa/check_bce and failing
+// on any IsInBounds finding in this file), and AffineInto and ScatterRows
+// block rows in groups of four so the four independent accumulator
+// chains pipeline.
 //
 // Bit-exactness contract: every kernel preserves the exact floating-point
 // fold order of the scalar loop it replaces — one accumulator per output
@@ -217,17 +218,11 @@ func TanhInto(dst, src []float64) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("matrix: TanhInto length mismatch %d vs %d", len(dst), len(src)))
 	}
-	dst = dst[:len(src)]
-	if useVector && len(src) >= 4 {
+	if useVector {
 		tanhAVX2(dst, src)
 		k := len(src) &^ 3
 		dst, src = dst[k:], src[k:]
 	}
-	tanhScalar(dst, src)
-}
-
-// tanhScalar is TanhInto's scalar loop, the vector path's reference.
-func tanhScalar(dst, src []float64) {
 	dst = dst[:len(src)]
 	for i, v := range src {
 		dst[i] = math.Tanh(v)
