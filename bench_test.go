@@ -431,14 +431,12 @@ func BenchmarkAblation_ZafarPenalty(b *testing.B) {
 func BenchmarkAblation_HardtLPvsGrid(b *testing.B) {
 	src := synth.COMPAS(benchCompasN, 1)
 	train, _ := src.Data.Split(0.7, rng.New(1))
-	base := fair.NewBaseline()
-	if err := base.Fit(train); err != nil {
+	_, design := train.StandardizedDesign(true)
+	base := classifier.NewLogistic()
+	if err := base.Fit(design, train.Y, nil); err != nil {
 		b.Fatal(err)
 	}
-	proba := make([]float64, train.Len())
-	for i := range proba {
-		proba[i] = base.Proba(train.X[i], train.S[i])
-	}
+	proba := classifier.ProbaAll(base, design)
 	b.Run("LP", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			h := &postproc.Hardt{}

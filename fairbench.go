@@ -455,14 +455,15 @@ func Evaluate(a Approach, train, test *Dataset, g *Graph) (Row, error) {
 }
 
 // MeasureFairness computes the raw fairness metrics of predictions yhat on
-// d. The predictor p enables the ID metric and may be nil; the graph
-// enables the causal metrics and may be nil.
+// d. The approach p enables the ID metric and may be nil; when it is
+// set, yhat must be p.Predict(d)'s labels. The graph enables the causal
+// metrics and may be nil.
 func MeasureFairness(d *Dataset, yhat []int, p Approach, g *Graph) Fairness {
-	var pred metrics.Predictor
+	var flipper metrics.Flipper
 	if p != nil {
-		pred = p
+		flipper = p
 	}
-	return metrics.ComputeFairness(d, yhat, pred, g)
+	return metrics.ComputeFairness(d, yhat, flipper, g)
 }
 
 // MeasureCorrectness computes the Figure 2 metrics.

@@ -3,6 +3,8 @@ package classifier
 import (
 	"sync"
 	"testing"
+
+	"fairbench/internal/matrix"
 )
 
 // TestFitLeavesReceiverConfigUntouched pins the defaults-into-locals
@@ -194,5 +196,24 @@ func TestKNNPredictAllocatesNothing(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, func() { k.PredictProba(x[7]) }); allocs != 0 {
 		t.Fatalf("kNN PredictProba allocates %v times per query, want 0", allocs)
+	}
+}
+
+// TestKNNBlockAllocationsConstant: a block query allocates its distance
+// buffer and its heap once, whatever its row count.
+func TestKNNBlockAllocationsConstant(t *testing.T) {
+	x, y := linearlySeparable(500, 3)
+	k := NewKNN()
+	if err := k.Fit(x, y, nil); err != nil {
+		t.Fatal(err)
+	}
+	block := func(rows int) float64 {
+		q := matrix.FromRows(x[:rows])
+		dst := make([]float64, rows)
+		return testing.AllocsPerRun(5, func() { k.PredictProbaInto(dst, *q) })
+	}
+	one, many := block(1), block(300)
+	if one != many || many > 2 {
+		t.Fatalf("kNN block allocates %v times for 1 row and %v for 300, want the same count, at most 2", one, many)
 	}
 }

@@ -23,3 +23,29 @@ func BenchmarkMLPFit(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkKNNQueries answers fig10-cold's 300 test queries against its
+// 700 × 10 training split at the paper's k = 33, one row at a time and
+// as one block.
+func BenchmarkKNNQueries(b *testing.B) {
+	train, test := synth.Adult(1000, 7).Data.Split(0.7, rng.New(7))
+	std, x := train.StandardizedDesign(true)
+	q := std.Inputs(test, true, false, nil)
+	k := NewKNN()
+	if err := k.Fit(x, train.Y, nil); err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]float64, q.Rows)
+	b.Run("rows", func(b *testing.B) {
+		for b.Loop() {
+			for i := range dst {
+				dst[i] = k.PredictProba(q.Row(i))
+			}
+		}
+	})
+	b.Run("block", func(b *testing.B) {
+		for b.Loop() {
+			k.PredictProbaInto(dst, q)
+		}
+	})
+}

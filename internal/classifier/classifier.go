@@ -22,6 +22,11 @@ type Classifier interface {
 	Fit(x [][]float64, y []int, w []float64) error
 	// PredictProba returns P(Y=1 | x).
 	PredictProba(x []float64) float64
+	// PredictProbaInto sets dst[i] to PredictProba(x.Row(i)), bit for
+	// bit, for every row of x; dst must have length x.Rows. It is the
+	// block form the fair approaches score a test split with, and it is
+	// safe for concurrent use on one fitted model.
+	PredictProbaInto(dst []float64, x matrix.Dense)
 }
 
 // New returns a fresh classifier of the named model family with the
@@ -54,20 +59,44 @@ func Predict(c Classifier, x []float64) int {
 
 // PredictAll applies c to every row of x.
 func PredictAll(c Classifier, x [][]float64) []int {
-	out := make([]int, len(x))
-	for i, row := range x {
-		out[i] = Predict(c, row)
-	}
-	return out
+	return Labels(ProbaAll(c, x))
 }
 
-// ProbaAll returns P(Y=1|x) for every row of x.
+// ProbaAll returns P(Y=1|x) for every row of x, scoring in one block
+// when x is a view of one flat backing (as dataset.FeatureMatrix builds
+// it).
 func ProbaAll(c Classifier, x [][]float64) []float64 {
 	out := make([]float64, len(x))
+	if dm, ok := matrix.AsDense(x); ok {
+		c.PredictProbaInto(out, dm)
+		return out
+	}
 	for i, row := range x {
 		out[i] = c.PredictProba(row)
 	}
 	return out
+}
+
+// Labels thresholds probabilities at 0.5, as Predict does.
+func Labels(proba []float64) []int {
+	out := make([]int, len(proba))
+	for i, p := range proba {
+		if p >= 0.5 {
+			out[i] = 1
+		}
+	}
+	return out
+}
+
+// predictRows is PredictProbaInto for the families that score one row at
+// a time.
+func predictRows(c Classifier, dst []float64, x matrix.Dense) {
+	if len(dst) != x.Rows {
+		panic(fmt.Sprintf("classifier: PredictProbaInto into %d outputs for %d rows", len(dst), x.Rows))
+	}
+	for i := range dst {
+		dst[i] = c.PredictProba(x.Row(i))
+	}
 }
 
 func checkFitInput(x [][]float64, y []int, w []float64) error {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"fairbench/internal/matrix"
 	"fairbench/internal/rng"
 )
 
@@ -231,19 +232,7 @@ func TestForestMatchesReference(t *testing.T) {
 // keeps the same neighbours in the same slots, so even general weights
 // are summed in the same order.
 func TestKNNMatchesReference(t *testing.T) {
-	g := rng.New(3)
-	x := make([][]float64, 240)
-	y := make([]int, len(x))
-	for i := range x {
-		x[i] = []float64{float64(g.Intn(5)), float64(g.Intn(5)), float64(g.Intn(2))}
-		y[i] = g.Intn(2)
-	}
-	var queries [][]float64
-	for a := -1.0; a <= 5; a += 0.5 {
-		for b := -1.0; b <= 5; b++ {
-			queries = append(queries, []float64{a, b, 0.5})
-		}
-	}
+	x, y, queries := knnGrid(240)
 	checked := 0
 	for _, wg := range weightings(len(x), 4) {
 		for _, k := range []int{0, 1, 2, 5, 33, 64, 65, 100, len(x), len(x) + 3} {
@@ -265,6 +254,85 @@ func TestKNNMatchesReference(t *testing.T) {
 		}
 	}
 	t.Logf("%d kNN queries match the reference", checked)
+}
+
+// knnGrid returns n training rows on a small integer grid, where many
+// points sit at exactly the same distance from a query, their labels,
+// and queries on and between the grid's levels.
+func knnGrid(n int) (x [][]float64, y []int, queries [][]float64) {
+	g := rng.New(3)
+	x = make([][]float64, n)
+	y = make([]int, n)
+	for i := range x {
+		x[i] = []float64{float64(g.Intn(5)), float64(g.Intn(5)), float64(g.Intn(2))}
+		y[i] = g.Intn(2)
+	}
+	for a := -1.0; a <= 5; a += 0.5 {
+		for b := -1.0; b <= 5; b++ {
+			queries = append(queries, []float64{a, b, 0.5})
+		}
+	}
+	return x, y, queries
+}
+
+// TestPredictProbaIntoMatchesRows holds every family's block scoring to
+// its row scoring, bit for bit, on kNN's tie-heavy grid under each
+// weighting, fitted on flat and on row-built input. kNN runs at every
+// training size whose distance scan leaves a row tail of 0 to 3 and at
+// K = 0, 1, 33, n and n+3; the block holds every query and every
+// training row.
+func TestPredictProbaIntoMatchesRows(t *testing.T) {
+	check := func(name string, c Classifier, x [][]float64, y []int, w []float64, queries [][]float64) {
+		t.Helper()
+		for _, layout := range []string{"flat", "rows"} {
+			fitX := x
+			if layout == "flat" {
+				fitX = matrix.FromRows(x).RowsView()
+			}
+			if err := c.Fit(fitX, y, w); err != nil {
+				t.Fatal(err)
+			}
+			block := matrix.FromRows(queries)
+			got := make([]float64, block.Rows)
+			c.PredictProbaInto(got, *block)
+			for i, q := range queries {
+				if want := c.PredictProba(q); math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("%s, %s fit: block row %d scored %v, row query %v", name, layout, i, got[i], want)
+				}
+			}
+		}
+	}
+	for _, wg := range weightings(243, 4) {
+		for n := 240; n <= 243; n++ {
+			x, y, queries := knnGrid(n)
+			queries = append(queries, x...)
+			w := wg.w
+			if w != nil {
+				w = w[:n]
+			}
+			for _, k := range []int{0, 1, 33, n, n + 3} {
+				check(fmt.Sprintf("kNN K=%d n=%d %s weights", k, n, wg.name), &KNN{K: k}, x, y, w, queries)
+			}
+		}
+		x, y, queries := knnGrid(240)
+		queries = append(queries, x...)
+		w := wg.w
+		if w != nil {
+			w = w[:240]
+		}
+		for _, m := range []struct {
+			name string
+			c    Classifier
+		}{
+			{"LR", NewLogistic()},
+			{"SVM", NewSVM()},
+			{"RF", &RandomForest{Trees: 8}},
+			{"MLP", &MLP{Epochs: 5}},
+			{"tree", NewTree()},
+		} {
+			check(m.name+" "+wg.name+" weights", m.c, x, y, w, queries)
+		}
+	}
 }
 
 // mlpRows is tieHeavy's rows, or n empty rows with alternating labels

@@ -1,12 +1,18 @@
 package classifier
 
+import (
+	"fmt"
+
+	"fairbench/internal/matrix"
+)
+
 // KNN is a k-nearest-neighbors classifier using Euclidean distance. The
 // paper's model-sensitivity experiment uses k = 33 (Appendix F).
 type KNN struct {
 	// K is the neighborhood size (default 33).
 	K int
 
-	x [][]float64
+	x matrix.Design
 	y []int
 	w []float64
 }
@@ -14,14 +20,20 @@ type KNN struct {
 // NewKNN returns a kNN classifier with the paper's default k.
 func NewKNN() *KNN { return &KNN{K: 33} }
 
-// Fit memorizes the training data. The receiver's K is left untouched;
-// PredictProba resolves the default, so a zero-value model is reusable
-// and race-free across cells.
+// Fit memorizes the training data as a matrix.Design: a flat view of x
+// (a row-built x is copied into one) plus, on the vector path, its
+// column-major copy, which PredictProbaInto's distance scan reads. The
+// receiver's K is left untouched; queries resolve the default, so a
+// zero-value model is reusable and race-free across cells.
 func (k *KNN) Fit(x [][]float64, y []int, w []float64) error {
 	if err := checkFitInput(x, y, w); err != nil {
 		return err
 	}
-	k.x, k.y, k.w = x, y, w
+	dm, ok := matrix.AsDense(x)
+	if !ok {
+		dm = *matrix.FromRows(x)
+	}
+	k.x, k.y, k.w = matrix.NewDesign(dm), y, w
 	return nil
 }
 
@@ -49,7 +61,7 @@ func (h neighborHeap) up(j int) {
 }
 
 // down is container/heap's down over the whole heap from the root, the
-// only position PredictProba replaces (heap.Fix's up from the root is a
+// only position a query replaces (heap.Fix's up from the root is a
 // no-op).
 func (h neighborHeap) down() {
 	i, n := 0, len(h)
@@ -74,26 +86,31 @@ func (h neighborHeap) down() {
 // larger K allocates the heap once per query.
 const stackNeighbors = 64
 
-// PredictProba returns the (weighted) fraction of positive labels among
-// the k nearest training points. It allocates nothing for K <= 64.
-func (k *KNN) PredictProba(q []float64) float64 {
-	if len(k.x) == 0 {
-		return 0.5
-	}
+// size resolves the neighbourhood size: K, 33 when K is 0, and at most
+// the training size.
+func (k *KNN) size() int {
 	kk := k.K
 	if kk == 0 {
 		kk = 33
 	}
-	if kk > len(k.x) {
-		kk = len(k.x)
+	return min(kk, k.x.Rows)
+}
+
+// PredictProba returns the (weighted) fraction of positive labels among
+// the k nearest training points. It allocates nothing for K <= 64.
+func (k *KNN) PredictProba(q []float64) float64 {
+	n, c := k.x.Rows, k.x.Cols
+	if n == 0 {
+		return 0.5
 	}
+	kk := k.size()
 	var buf [stackNeighbors]neighbor
 	h := neighborHeap(buf[:0])
 	if kk > len(buf) {
 		h = make(neighborHeap, 0, kk)
 	}
-	for i, row := range k.x {
-		d := sqDist(row, q)
+	for i := range n {
+		d := sqDist(k.x.Data[i*c:i*c+c], q)
 		if len(h) < kk {
 			h = append(h, neighbor{d, i})
 			h.up(len(h) - 1)
@@ -102,6 +119,44 @@ func (k *KNN) PredictProba(q []float64) float64 {
 			h.down()
 		}
 	}
+	return k.vote(h)
+}
+
+// PredictProbaInto implements Classifier. Each row is PredictProba's
+// query, with its distances to every training row computed by one
+// matrix.Design.SqDistInto scan and then offered to the heap in training
+// order, so the heap sees PredictProba's sequence of distances. The
+// distance buffer and the heap are allocated once per block.
+func (k *KNN) PredictProbaInto(dst []float64, x matrix.Dense) {
+	if x.Cols != k.x.Cols {
+		predictRows(k, dst, x) // row queries fold over the shorter width
+		return
+	}
+	if len(dst) != x.Rows {
+		panic(fmt.Sprintf("classifier: PredictProbaInto into %d outputs for %d rows", len(dst), x.Rows))
+	}
+	kk := k.size()
+	dist := make([]float64, k.x.Rows)
+	h := make(neighborHeap, kk)
+	for i := range dst {
+		k.x.SqDistInto(dist, x.Row(i))
+		for j, d := range dist[:kk] {
+			h[j] = neighbor{d, j}
+			h[:j+1].up(j)
+		}
+		for j, d := range dist[kk:] {
+			if d < h[0].dist {
+				h[0] = neighbor{d, kk + j}
+				h.down()
+			}
+		}
+		dst[i] = k.vote(h)
+	}
+}
+
+// vote returns the weighted fraction of positive labels among h, summed
+// in heap order.
+func (k *KNN) vote(h neighborHeap) float64 {
 	var pos, tot float64
 	for _, nb := range h {
 		wi := 1.0

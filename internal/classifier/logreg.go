@@ -126,3 +126,8 @@ func (lr *LogisticRegression) Score(x []float64) float64 {
 func (lr *LogisticRegression) PredictProba(x []float64) float64 {
 	return matrix.Sigmoid(lr.Score(x))
 }
+
+// PredictProbaInto implements Classifier.
+func (lr *LogisticRegression) PredictProbaInto(dst []float64, x matrix.Dense) {
+	predictRows(lr, dst, x)
+}

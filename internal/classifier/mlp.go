@@ -143,3 +143,8 @@ func (m *MLP) PredictProba(x []float64) float64 {
 	}
 	return matrix.Sigmoid(out)
 }
+
+// PredictProbaInto implements Classifier.
+func (m *MLP) PredictProbaInto(dst []float64, x matrix.Dense) {
+	predictRows(m, dst, x)
+}

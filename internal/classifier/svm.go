@@ -121,3 +121,8 @@ func (s *LinearSVM) Score(x []float64) float64 {
 func (s *LinearSVM) PredictProba(x []float64) float64 {
 	return matrix.Sigmoid(s.plattA*s.Score(x) + s.plattB)
 }
+
+// PredictProbaInto implements Classifier.
+func (s *LinearSVM) PredictProbaInto(dst []float64, x matrix.Dense) {
+	predictRows(s, dst, x)
+}

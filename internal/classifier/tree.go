@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"fairbench/internal/matrix"
 	"fairbench/internal/rng"
 )
 
@@ -100,6 +101,11 @@ func (t *DecisionTree) PredictProba(x []float64) float64 {
 	return n.prob
 }
 
+// PredictProbaInto implements Classifier.
+func (t *DecisionTree) PredictProbaInto(dst []float64, x matrix.Dense) {
+	predictRows(t, dst, x)
+}
+
 // Depth returns the depth of the fitted tree (0 for a stump/leaf).
 func (t *DecisionTree) Depth() int {
 	if len(t.nodes) == 0 {
@@ -177,6 +183,11 @@ func (rf *RandomForest) PredictProba(x []float64) float64 {
 		s += rf.ensemble[i].PredictProba(x)
 	}
 	return s / float64(len(rf.ensemble))
+}
+
+// PredictProbaInto implements Classifier.
+func (rf *RandomForest) PredictProbaInto(dst []float64, x matrix.Dense) {
+	predictRows(rf, dst, x)
 }
 
 // grower grows trees on one training set. A tree's rows are the

@@ -365,27 +365,3 @@ func (d *Dataset) FeatureMatrix(includeS bool) [][]float64 {
 	}
 	return out
 }
-
-// FeatureRow builds a single classifier input row from features x and
-// sensitive value s, matching FeatureMatrix's layout.
-func FeatureRow(x []float64, s int, includeS bool) []float64 {
-	if !includeS {
-		return x
-	}
-	r := make([]float64, len(x)+1)
-	copy(r, x)
-	r[len(x)] = float64(s)
-	return r
-}
-
-// AppendFeatureRow appends the classifier input row for (x, s) to dst and
-// returns the extended slice — the allocation-free FeatureRow used by
-// per-tuple prediction hot loops (dst is typically a scratch buffer
-// reused across calls, truncated to dst[:0] by the caller).
-func AppendFeatureRow(dst, x []float64, s int, includeS bool) []float64 {
-	dst = append(dst, x...)
-	if includeS {
-		dst = append(dst, float64(s))
-	}
-	return dst
-}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"testing"
-	"testing/quick"
 
 	"fairbench/internal/rng"
 )
@@ -97,19 +96,6 @@ func TestNewFlatBacking(t *testing.T) {
 	}
 }
 
-func TestAppendFeatureRow(t *testing.T) {
-	x := []float64{1, 2}
-	buf := make([]float64, 0, 8)
-	r := AppendFeatureRow(buf[:0], x, 1, true)
-	if len(r) != 3 || r[2] != 1 {
-		t.Fatalf("AppendFeatureRow with S: %v", r)
-	}
-	r = AppendFeatureRow(buf[:0], x, 1, false)
-	if len(r) != 2 || r[1] != 2 {
-		t.Fatalf("AppendFeatureRow without S: %v", r)
-	}
-}
-
 func TestSplitPartition(t *testing.T) {
 	d := toy(100)
 	train, test := d.Split(0.7, rng.New(1))
@@ -176,17 +162,42 @@ func TestFeatureMatrix(t *testing.T) {
 	if len(noS[0]) != 2 {
 		t.Fatalf("unexpected width: %v", noS[0])
 	}
-	// FeatureRow mirrors FeatureMatrix layout.
-	f := func(x [3]float64, s bool) bool {
-		si := 0
-		if s {
-			si = 1
+}
+
+// TestInputsMirrorStandardizedDesign: a standardizer's Inputs over the
+// data it was fitted on equals StandardizedDesign's rows bit for bit,
+// with and without S; flipS flips only the S column; a transform sees
+// the tuple's true group even when S is flipped.
+func TestInputsMirrorStandardizedDesign(t *testing.T) {
+	d := toy(9)
+	for _, includeS := range []bool{false, true} {
+		std, want := d.StandardizedDesign(includeS)
+		got := std.Inputs(d, includeS, false, nil)
+		flipped := std.Inputs(d, includeS, true, nil)
+		for i, w := range want {
+			for j, v := range w {
+				if math.Float64bits(got.At(i, j)) != math.Float64bits(v) {
+					t.Fatalf("includeS=%v: Inputs[%d][%d] = %v, design %v", includeS, i, j, got.At(i, j), v)
+				}
+				fv := v
+				if includeS && j == len(w)-1 {
+					fv = 1 - v
+				}
+				if flipped.At(i, j) != fv {
+					t.Fatalf("includeS=%v: flipped Inputs[%d][%d] = %v, want %v", includeS, i, j, flipped.At(i, j), fv)
+				}
+			}
 		}
-		r := FeatureRow(x[:], si, true)
-		return len(r) == 4 && r[3] == float64(si)
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	std := FitStandardizer(d)
+	shift := func(x []float64, s int) []float64 { return []float64{x[0] + 100*float64(s), x[1]} }
+	x := std.Inputs(d, true, true, shift)
+	for i := range d.X {
+		r := shift(d.X[i], d.S[i])
+		std.ApplyRow(r)
+		if x.At(i, 0) != r[0] || x.At(i, 2) != float64(1-d.S[i]) {
+			t.Fatalf("row %d: %v, want transform at the true group %v with S flipped", i, x.Row(i), r)
+		}
 	}
 }
 

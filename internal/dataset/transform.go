@@ -3,6 +3,8 @@ package dataset
 import (
 	"math"
 	"sort"
+
+	"fairbench/internal/matrix"
 )
 
 // Standardizer rescales numeric attributes to zero mean and unit variance.
@@ -72,6 +74,51 @@ func (d *Dataset) StandardizedDesign(includeS bool) (*Standardizer, [][]float64)
 	std := FitStandardizer(work)
 	std.Apply(work)
 	return std, work.FeatureMatrix(includeS)
+}
+
+// Inputs returns the classifier input of every tuple of d as one tightly
+// packed matrix in StandardizedDesign's layout: the tuple's features
+// standardized by s, then, when includeS, its sensitive value, or 1−S
+// when flipS (the intervention the Individual Discrimination metric
+// makes). When transform is non-nil, row i starts from
+// transform(d.X[i], d.S[i]) instead of d.X[i]: a group-dependent test
+// transform always sees the tuple's true group. Its rows must share one
+// width, and it may reuse its result's storage between calls.
+func (s *Standardizer) Inputs(d *Dataset, includeS, flipS bool, transform func(x []float64, s int) []float64) matrix.Dense {
+	n := d.Len()
+	if n == 0 {
+		return matrix.Dense{}
+	}
+	row := func(i int) []float64 {
+		if transform == nil {
+			return d.X[i]
+		}
+		return transform(d.X[i], d.S[i])
+	}
+	first := row(0)
+	width := len(first)
+	cols := width
+	if includeS {
+		cols++
+	}
+	out := matrix.NewDense(n, cols)
+	for i := range n {
+		r := first
+		if i > 0 {
+			r = row(i)
+		}
+		o := out.Row(i)
+		copy(o, r[:width])
+		s.ApplyRow(o[:width])
+		if includeS {
+			si := d.S[i]
+			if flipS {
+				si = 1 - si
+			}
+			o[width] = float64(si)
+		}
+	}
+	return *out
 }
 
 // Discretizer maps each attribute into a small number of integer bins so

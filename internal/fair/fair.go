@@ -57,9 +57,9 @@ const (
 )
 
 // Approach is a complete fair classification pipeline: Fit consumes
-// training data; Predict labels a test set; PredictOne labels a single
-// tuple with an explicit sensitive value (the hook the Individual
-// Discrimination metric uses to flip S).
+// training data; Predict labels a test set; PredictFlipped labels it
+// again with S flipped, the intervention the Individual Discrimination
+// metric makes.
 type Approach interface {
 	Name() string
 	Stage() Stage
@@ -67,7 +67,14 @@ type Approach interface {
 	Targets() []Metric
 	Fit(train *dataset.Dataset) error
 	Predict(test *dataset.Dataset) ([]int, error)
-	PredictOne(x []float64, s int) int
+	// PredictFlipped returns the two label vectors the ID metric
+	// compares, given yhat, Predict's labels on test. factual labels each
+	// tuple at its own S; it is yhat itself wherever Predict is
+	// deterministic. flipped labels each tuple with its classifier-input
+	// S flipped; group-dependent test transforms keep the true group.
+	// When S is no classifier input, flipped is factual and no pass runs.
+	// Call it only on a fitted approach whose Predict succeeded on test.
+	PredictFlipped(test *dataset.Dataset, yhat []int) (factual, flipped []int)
 }
 
 // Repairer is a pre-processing mechanism: it repairs the training data so
@@ -78,10 +85,10 @@ type Repairer interface {
 }
 
 // TestTransformer is implemented by repairers that also transform test
-// data (Feld and Calmon in the benchmark). The returned slice may be
-// scratch storage reused by the transformer's next TransformRow call:
-// callers consume or copy it before transforming another row (the
-// per-tuple prediction loops do), and must not mutate it.
+// data (Feld, Calmon and Madras in the benchmark). The returned slice may
+// be scratch storage reused by the transformer's next TransformRow call:
+// callers consume or copy it before transforming another row (as
+// dataset.Standardizer.Inputs does), and must not mutate it.
 type TestTransformer interface {
 	TransformRow(x []float64, s int) []float64
 	// Fork returns a transformer that shares the receiver's fitted state,
@@ -93,20 +100,14 @@ type TestTransformer interface {
 
 // Baseline is the fairness-unaware logistic regression the paper overlays
 // on every plot. The sensitive attribute is part of the feature vector.
-//
-// Prediction methods reuse a per-instance row buffer, so a Baseline is not
-// safe for concurrent prediction on a shared instance; every grid cell
-// constructs its own approach (the runner's determinism contract), and
-// prediction loops within a cell are sequential.
 type Baseline struct {
 	// Model names the classifier family (see classifier.New; "" is
 	// logistic regression).
 	Model    string
 	IncludeS bool
 
-	clf    classifier.Classifier
-	std    *dataset.Standardizer
-	rowBuf []float64
+	clf classifier.Classifier
+	std *dataset.Standardizer
 }
 
 // NewBaseline returns the default LR baseline with S included.
@@ -136,34 +137,24 @@ func (b *Baseline) Predict(test *dataset.Dataset) ([]int, error) {
 	if b.clf == nil {
 		return nil, fmt.Errorf("fair: baseline not fitted")
 	}
-	out := make([]int, test.Len())
-	for i := range out {
-		out[i] = b.PredictOne(test.X[i], test.S[i])
+	return classifier.Labels(b.proba(test, false)), nil
+}
+
+// PredictFlipped implements Approach.
+func (b *Baseline) PredictFlipped(test *dataset.Dataset, yhat []int) (factual, flipped []int) {
+	if !b.IncludeS {
+		return yhat, yhat
 	}
-	return out, nil
+	return yhat, classifier.Labels(b.proba(test, true))
 }
 
-// featureRow builds the standardized classifier input for (x, s) in the
-// instance's scratch buffer — zero allocations per prediction once the
-// buffer has grown to row size.
-func (b *Baseline) featureRow(x []float64, s int) []float64 {
-	row := append(b.rowBuf[:0], x...)
-	b.std.ApplyRow(row)
-	if b.IncludeS {
-		row = append(row, float64(s))
-	}
-	b.rowBuf = row[:0]
-	return row
-}
-
-// PredictOne labels a single tuple.
-func (b *Baseline) PredictOne(x []float64, s int) int {
-	return classifier.Predict(b.clf, b.featureRow(x, s))
-}
-
-// Proba returns the baseline's positive probability for one tuple.
-func (b *Baseline) Proba(x []float64, s int) float64 {
-	return b.clf.PredictProba(b.featureRow(x, s))
+// proba returns the positive probability of every tuple of test, scored
+// in one block, with each tuple's S flipped when flipS.
+func (b *Baseline) proba(test *dataset.Dataset, flipS bool) []float64 {
+	x := b.std.Inputs(test, b.IncludeS, flipS, nil)
+	out := make([]float64, x.Rows)
+	b.clf.PredictProbaInto(out, x)
+	return out
 }
 
 // PreProcessed wraps a Repairer and a downstream classifier into a
@@ -185,7 +176,6 @@ type PreProcessed struct {
 	// transform is this cell's fork of the fitted mechanism's test
 	// transform (nil when the mechanism has none).
 	transform TestTransformer
-	rowBuf    []float64
 }
 
 // Name implements Approach.
@@ -265,37 +255,31 @@ func (p *PreProcessed) Predict(test *dataset.Dataset) ([]int, error) {
 	if p.clf == nil {
 		return nil, fmt.Errorf("%s: not fitted", p.ApproachName)
 	}
-	out := make([]int, test.Len())
-	for i := range out {
-		out[i] = p.PredictOne(test.X[i], test.S[i])
-	}
-	return out, nil
+	return p.labels(test, false), nil
 }
 
-// PredictOne labels one tuple.
-func (p *PreProcessed) PredictOne(x []float64, s int) int {
-	return p.PredictIntervened(x, s, s)
-}
-
-// PredictIntervened labels one tuple whose true group is sTrue while the
-// classifier is shown sInput as the sensitive value. Group-dependent test
-// transforms (Feld, Calmon) always use the true group, so approaches that
-// drop S from the features trivially satisfy the ID metric, as the paper
+// PredictFlipped implements Approach. Group-dependent test transforms
+// (Feld, Calmon) always use the true group, so approaches that drop S
+// from the features trivially satisfy the ID metric, as the paper
 // observes (Section 4.2).
-func (p *PreProcessed) PredictIntervened(x []float64, sTrue, sInput int) int {
-	row := x
+func (p *PreProcessed) PredictFlipped(test *dataset.Dataset, yhat []int) (factual, flipped []int) {
+	if !p.IncludeS {
+		return yhat, yhat
+	}
+	return yhat, p.labels(test, true)
+}
+
+// labels labels every tuple of test in one block, with each tuple's
+// classifier-input S flipped when flipS.
+func (p *PreProcessed) labels(test *dataset.Dataset, flipS bool) []int {
+	var transform func([]float64, int) []float64
 	if p.transform != nil {
-		row = p.transform.TransformRow(x, sTrue)
+		transform = p.transform.TransformRow
 	}
-	// Copy into the instance scratch before standardizing: row may be the
-	// transformer's reusable buffer, and x itself must stay untouched.
-	row = append(p.rowBuf[:0], row...)
-	p.std.ApplyRow(row)
-	if p.IncludeS {
-		row = append(row, float64(sInput))
-	}
-	p.rowBuf = row[:0]
-	return classifier.Predict(p.clf, row)
+	x := p.std.Inputs(test, p.IncludeS, flipS, transform)
+	proba := make([]float64, x.Rows)
+	p.clf.PredictProbaInto(proba, x)
+	return classifier.Labels(proba)
 }
 
 // Adjuster is a post-processing mechanism: given a trained base model's
@@ -313,9 +297,13 @@ type Adjuster interface {
 
 // PostProcessed wraps a base classifier and an Adjuster into a complete
 // post-processing approach. Randomized adjusters (Hardt, Pleiss) realize
-// their mixing probabilities by seeded sampling in Predict; PredictOne
-// thresholds the adjusted probability, exposing the deterministic
-// group-dependent decision rule to the ID metric.
+// their mixing probabilities by seeded sampling in Predict; the ID
+// metric's labels threshold the adjusted probability instead, exposing
+// the deterministic group-dependent decision rule.
+//
+// The base scores each test tuple at its own S and at 1−S at most once
+// per cell: Predict, the ID metric's factual labels and its flipped
+// labels all derive from those two probability vectors.
 type PostProcessed struct {
 	ApproachName string
 	Target       []Metric
@@ -327,6 +315,13 @@ type PostProcessed struct {
 	Seed     int64
 
 	base *Baseline
+	// batch is the armed training split's cache (nil when unarmed), which
+	// also shares the base's test scores.
+	batch *dataset.BatchCache
+	// scored and scores are the test split Predict last scored and the
+	// base's probabilities on it.
+	scored *dataset.Dataset
+	scores *testScores
 }
 
 // Name implements Approach.
@@ -347,13 +342,26 @@ type postBaseKey struct {
 	includeS bool
 }
 
-// postBase is the shared artifact of one base fit: the fitted Baseline
-// (taken by value by each consumer), the held-out 30% part, and the
-// base's probabilities over it. All three are read-only once built.
+// postScoresKey identifies the shared base's scores on one test split.
+type postScoresKey struct {
+	postBaseKey
+	test *dataset.Dataset
+}
+
+// postBase is the shared artifact of one base fit: the fitted Baseline,
+// the held-out 30% part, and the base's probabilities over it. All three
+// are read-only once built.
 type postBase struct {
-	base    Baseline
+	base    *Baseline
 	valPart *dataset.Dataset
 	proba   []float64
+}
+
+// testScores are a base's probabilities on one test split: own at each
+// tuple's S, flip at 1−S (nil until the ID pass needs it, unless the
+// scores are shared). Read-only once built.
+type testScores struct {
+	own, flip []float64
 }
 
 // fitPostBase performs the base-fit half of PostProcessed.Fit — exactly
@@ -365,11 +373,7 @@ func fitPostBase(train *dataset.Dataset, model string, includeS bool, seed int64
 	if err := b.Fit(fitPart); err != nil {
 		return nil, err
 	}
-	proba := make([]float64, valPart.Len())
-	for i := range proba {
-		proba[i] = b.Proba(valPart.X[i], valPart.S[i])
-	}
-	return &postBase{base: *b, valPart: valPart, proba: proba}, nil
+	return &postBase{base: b, valPart: valPart, proba: b.proba(valPart, false)}, nil
 }
 
 // Fit trains the base model on 70% of the training data and fits the
@@ -385,44 +389,87 @@ func fitPostBase(train *dataset.Dataset, model string, includeS bool, seed int64
 // adjuster differs per cell. On an unarmed split every cell fits its own
 // base, so each approach's timing includes it.
 func (p *PostProcessed) Fit(train *dataset.Dataset) error {
-	v, err := train.Batch().Do(postBaseKey{model: p.Model, seed: p.Seed, includeS: p.IncludeS}, func() (any, error) {
+	p.batch = train.Batch()
+	v, err := p.batch.Do(p.baseKey(), func() (any, error) {
 		return fitPostBase(train, p.Model, p.IncludeS, p.Seed)
 	})
 	if err != nil {
 		return fmt.Errorf("%s: base fit: %w", p.ApproachName, err)
 	}
 	sh := v.(*postBase)
-	// Private Baseline copy per cell: the classifier and standardizer are
-	// read-only after fitting, but the prediction row buffer is
-	// per-instance scratch and must not be shared across cells.
-	b := sh.base
-	b.rowBuf = nil
-	p.base = &b
+	p.base, p.scored, p.scores = sh.base, nil, nil
 	if err := p.Mechanism.FitAdjust(sh.valPart, sh.proba); err != nil {
 		return fmt.Errorf("%s: adjust fit: %w", p.ApproachName, err)
 	}
 	return nil
 }
 
+func (p *PostProcessed) baseKey() postBaseKey {
+	return postBaseKey{model: p.Model, seed: p.Seed, includeS: p.IncludeS}
+}
+
 // Predict labels the test set, sampling randomized adjustments with a
 // seeded generator so runs are reproducible.
+//
+// On a model sweep's armed split the cells that share a base fit also
+// share its scores on test, at S and at 1−S, built by the first cell to
+// predict and so charged to its timing like the shared base fit.
+// Elsewhere Predict scores at S only, and the ID pass scores at 1−S
+// after the timed part of the cell.
 func (p *PostProcessed) Predict(test *dataset.Dataset) ([]int, error) {
 	if p.base == nil {
 		return nil, fmt.Errorf("%s: not fitted", p.ApproachName)
 	}
+	v, _ := p.batch.Do(postScoresKey{p.baseKey(), test}, func() (any, error) {
+		sc := &testScores{own: p.base.proba(test, false)}
+		if p.batch != nil {
+			sc.flip = p.flipScores(test, sc.own)
+		}
+		return sc, nil
+	})
+	p.scored, p.scores = test, v.(*testScores)
 	g := rng.New(p.Seed + 1)
 	out := make([]int, test.Len())
-	for i := range out {
-		ap := p.Mechanism.AdjustedProba(p.base.Proba(test.X[i], test.S[i]), test.S[i])
-		out[i] = g.Bernoulli(ap)
+	for i, pr := range p.scores.own {
+		out[i] = g.Bernoulli(p.Mechanism.AdjustedProba(pr, test.S[i]))
 	}
 	return out, nil
 }
 
-// PredictOne thresholds the adjusted probability at 0.5.
-func (p *PostProcessed) PredictOne(x []float64, s int) int {
-	ap := p.Mechanism.AdjustedProba(p.base.Proba(x, s), s)
-	if ap >= 0.5 {
+// PredictFlipped implements Approach: both label vectors threshold the
+// adjusted probability at 0.5, the flipped one adjusting the base's
+// score at 1−S for group 1−S.
+func (p *PostProcessed) PredictFlipped(test *dataset.Dataset, _ []int) (factual, flipped []int) {
+	sc := p.scores
+	if p.scored != test {
+		sc = &testScores{own: p.base.proba(test, false)}
+	}
+	flip := sc.flip
+	if flip == nil {
+		flip = p.flipScores(test, sc.own)
+	}
+	factual = make([]int, len(sc.own))
+	flipped = make([]int, len(sc.own))
+	for i, s := range test.S {
+		factual[i] = p.threshold(sc.own[i], s)
+		flipped[i] = p.threshold(flip[i], 1-s)
+	}
+	return factual, flipped
+}
+
+// flipScores returns the base's scores on test at 1−S: own itself when
+// the base does not see S.
+func (p *PostProcessed) flipScores(test *dataset.Dataset, own []float64) []float64 {
+	if !p.IncludeS {
+		return own
+	}
+	return p.base.proba(test, true)
+}
+
+// threshold labels base probability pr for group s by thresholding the
+// adjusted probability at 0.5.
+func (p *PostProcessed) threshold(pr float64, s int) int {
+	if p.Mechanism.AdjustedProba(pr, s) >= 0.5 {
 		return 1
 	}
 	return 0

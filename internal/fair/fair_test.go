@@ -1,6 +1,7 @@
 package fair
 
 import (
+	"slices"
 	"testing"
 
 	"fairbench/internal/dataset"
@@ -39,9 +40,10 @@ func TestBaselineFitPredict(t *testing.T) {
 	if acc := float64(correct) / float64(test.Len()); acc < 0.55 {
 		t.Fatalf("baseline accuracy %v below chance band", acc)
 	}
-	p := b.Proba(test.X[0], test.S[0])
-	if p < 0 || p > 1 {
-		t.Fatalf("probability %v", p)
+	for _, p := range b.proba(test, false) {
+		if p < 0 || p > 1 {
+			t.Fatalf("probability %v", p)
+		}
 	}
 }
 
@@ -96,8 +98,9 @@ func TestPreProcessedWrapper(t *testing.T) {
 	}
 }
 
-// sTransformer marks transformed rows so the test can verify the sTrue /
-// sInput split of PredictIntervened.
+// sTransformer marks transformed rows so the test can verify that the
+// flip pass transforms at the true group and flips only the classifier's
+// S input.
 type sTransformer struct{ identityRepairer }
 
 func (sTransformer) TransformRow(x []float64, s int) []float64 {
@@ -108,27 +111,56 @@ func (sTransformer) TransformRow(x []float64, s int) []float64 {
 
 func (t sTransformer) Fork() TestTransformer { return t }
 
-func TestPredictIntervenedUsesTrueGroupForTransform(t *testing.T) {
+func TestPredictFlippedUsesTrueGroupForTransform(t *testing.T) {
 	train, test := split(t)
-	p := &PreProcessed{
-		ApproachName: "STrans",
-		Mechanism:    sTransformer{},
-		IncludeS:     false, // classifier never sees S
+	// With S excluded from the features and the transform pinned to the
+	// true group, flipping S must never change a label.
+	blind := &PreProcessed{ApproachName: "STrans", Mechanism: sTransformer{}}
+	if err := blind.Fit(train); err != nil {
+		t.Fatal(err)
 	}
+	if blind.transform == nil {
+		t.Fatal("fitted pipeline dropped the mechanism's test transform")
+	}
+	yhat, err := blind.Predict(test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if factual, flipped := blind.PredictFlipped(test, yhat); !slices.Equal(factual, yhat) || !slices.Equal(flipped, yhat) {
+		t.Fatal("flipping S changed an S-blind pipeline's labels")
+	}
+	// With S a classifier input, each flipped label is the row query at
+	// (transform at the true group, S input flipped).
+	p := &PreProcessed{ApproachName: "STrans", Mechanism: sTransformer{}, IncludeS: true}
 	if err := p.Fit(train); err != nil {
 		t.Fatal(err)
 	}
-	if p.transform == nil {
-		t.Fatal("fitted pipeline dropped the mechanism's test transform")
+	if yhat, err = p.Predict(test); err != nil {
+		t.Fatal(err)
 	}
-	// With S excluded from features and the transform pinned to sTrue,
-	// flipping sInput must never change the prediction.
-	for i := 0; i < 50; i++ {
-		a := p.PredictIntervened(test.X[i], test.S[i], test.S[i])
-		b := p.PredictIntervened(test.X[i], test.S[i], 1-test.S[i])
-		if a != b {
-			t.Fatal("flip of sInput changed an S-blind pipeline's prediction")
+	factual, flipped := p.PredictFlipped(test, yhat)
+	if !slices.Equal(factual, yhat) {
+		t.Fatal("factual labels differ from Predict's")
+	}
+	rowLabel := func(x []float64, sTransform, sInput int) int {
+		label, _ := RowLabel(p, x, sTransform, sInput)
+		return label
+	}
+	transformedAtFlip := 0
+	for i := range test.X {
+		x, s := test.X[i], test.S[i]
+		if want := rowLabel(x, s, s); yhat[i] != want {
+			t.Fatalf("tuple %d: Predict %d, row query %d", i, yhat[i], want)
 		}
+		if want := rowLabel(x, s, 1-s); flipped[i] != want {
+			t.Fatalf("tuple %d: flipped label %d, row query at the true group %d", i, flipped[i], want)
+		}
+		if rowLabel(x, 1-s, 1-s) != flipped[i] {
+			transformedAtFlip++
+		}
+	}
+	if transformedAtFlip == 0 {
+		t.Fatal("transforming at the flipped group changes no label: the test cannot tell the groups apart")
 	}
 }
 
@@ -166,9 +198,13 @@ func TestPostProcessedWrapper(t *testing.T) {
 			t.Fatalf("tuple %d: got %d want %d", i, yhat[i], want)
 		}
 	}
-	// PredictOne thresholds the adjusted probability.
-	if p.PredictOne(test.X[0], 0) != 1 || p.PredictOne(test.X[0], 1) != 0 {
-		t.Fatal("PredictOne thresholding")
+	// The ID labels threshold the adjusted probability, the flipped ones
+	// at the flipped group.
+	factual, flipped := p.PredictFlipped(test, yhat)
+	for i, s := range test.S {
+		if factual[i] != 1-s || flipped[i] != s {
+			t.Fatalf("tuple %d (S=%d): factual %d, flipped %d", i, s, factual[i], flipped[i])
+		}
 	}
 }
 

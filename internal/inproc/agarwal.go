@@ -190,7 +190,7 @@ func (a *Agarwal) Fit(train *dataset.Dataset) error {
 
 		// Exponentiated-gradient step on the averaged classifier's
 		// violations.
-		preds := a.averagePreds(x)
+		preds := averageLabels(a.models, x)
 		viols := a.constraintViolations(preds, y, s)
 		converged := true
 		for c, v := range viols {
@@ -207,56 +207,19 @@ func (a *Agarwal) Fit(train *dataset.Dataset) error {
 	return nil
 }
 
-func (a *Agarwal) averagePreds(x [][]float64) []int {
-	out := make([]int, len(x))
-	for i, row := range x {
-		var sum float64
-		for _, w := range a.models {
-			d := len(w) - 1
-			z := w[d]
-			for j, v := range row {
-				z += w[j] * v
-			}
-			sum += sigmoid(z)
-		}
-		if sum/float64(len(a.models)) >= 0.5 {
-			out[i] = 1
-		}
-	}
-	return out
-}
-
 // Predict implements fair.Approach.
 func (a *Agarwal) Predict(test *dataset.Dataset) ([]int, error) {
 	if len(a.models) == 0 {
 		return nil, fmt.Errorf("%s: not fitted", a.Name())
 	}
-	out := make([]int, test.Len())
-	for i := range out {
-		out[i] = a.PredictOne(test.X[i], test.S[i])
-	}
-	return out, nil
+	x := a.base.inputs(test, false)
+	return averageLabels(a.models, x.RowsView()), nil
 }
 
-// PredictOne implements fair.Approach; S is not a feature, so Agarwal
+// PredictFlipped implements fair.Approach; S is not a feature, so Agarwal
 // trivially satisfies the ID metric.
-func (a *Agarwal) PredictOne(x []float64, s int) int {
-	row := a.base.row(x, s)
-	var sum float64
-	for _, w := range a.models {
-		d := len(w) - 1
-		z := w[d]
-		for j, v := range row {
-			if j < d {
-				z += w[j] * v
-			}
-		}
-		sum += sigmoid(z)
-	}
-	if sum/float64(len(a.models)) >= 0.5 {
-		return 1
-	}
-	return 0
+func (a *Agarwal) PredictFlipped(_ *dataset.Dataset, yhat []int) (factual, flipped []int) {
+	return yhat, yhat
 }
 
 // NewAgarwalDP returns the appendix's Agarwal^dp approach.

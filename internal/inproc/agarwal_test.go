@@ -17,7 +17,7 @@ func TestAgarwalDPImprovesDI(t *testing.T) {
 	if di < base {
 		t.Fatalf("Agarwal-DP DI* %v not above baseline %v", di, base)
 	}
-	if id := metrics.IndividualDiscrimination(test, a); id != 0 {
+	if id := metrics.IndividualDiscrimination(a.PredictFlipped(test, yhat)); id != 0 {
 		t.Fatalf("Agarwal drops S, ID must be 0: %v", id)
 	}
 }

@@ -30,12 +30,10 @@ func (b *linearBase) designMatrix(train *dataset.Dataset) [][]float64 {
 	return rows
 }
 
-// row builds a standardized prediction row for raw features x and
-// sensitive value s.
-func (b *linearBase) row(x []float64, s int) []float64 {
-	r := append([]float64(nil), x...)
-	b.std.ApplyRow(r)
-	return dataset.FeatureRow(r, s, b.includeS)
+// inputs returns the standardized classifier input of every tuple of d
+// (see dataset.Standardizer.Inputs), with S flipped when flipS.
+func (b *linearBase) inputs(d *dataset.Dataset, flipS bool) matrix.Dense {
+	return b.std.Inputs(d, b.includeS, flipS, nil)
 }
 
 // score returns the signed distance proxy wᵀx + intercept.
@@ -48,22 +46,15 @@ func (b *linearBase) score(row []float64) float64 {
 	return z
 }
 
-// predictOne thresholds the linear score at zero.
-func (b *linearBase) predictOne(x []float64, s int) int {
-	if b.w == nil {
-		return 0
-	}
-	if b.score(b.row(x, s)) >= 0 {
-		return 1
-	}
-	return 0
-}
-
-// predictAll labels a full dataset.
+// predictAll labels every tuple of d by thresholding the linear score at
+// zero.
 func (b *linearBase) predictAll(d *dataset.Dataset) []int {
+	x := b.inputs(d, false)
 	out := make([]int, d.Len())
 	for i := range out {
-		out[i] = b.predictOne(d.X[i], d.S[i])
+		if b.score(x.Row(i)) >= 0 {
+			out[i] = 1
+		}
 	}
 	return out
 }

@@ -130,20 +130,31 @@ func (c *Celis) Predict(test *dataset.Dataset) ([]int, error) {
 	if c.clf == nil {
 		return nil, fmt.Errorf("%s: not fitted", c.Name())
 	}
-	out := make([]int, test.Len())
-	for i := range out {
-		out[i] = c.PredictOne(test.X[i], test.S[i])
-	}
-	return out, nil
+	return c.labels(test, false), nil
 }
 
-// PredictOne implements fair.Approach.
-func (c *Celis) PredictOne(x []float64, s int) int {
-	p := c.clf.PredictProba(c.base.row(x, s))
-	if p >= c.threshold[s] {
-		return 1
+// PredictFlipped implements fair.Approach: a flipped tuple is scored with
+// S flipped and thresholded at its flipped group's threshold.
+func (c *Celis) PredictFlipped(test *dataset.Dataset, yhat []int) (factual, flipped []int) {
+	return yhat, c.labels(test, true)
+}
+
+// labels thresholds every tuple's probability at its classifier-input
+// group's threshold, with S flipped when flipS.
+func (c *Celis) labels(test *dataset.Dataset, flipS bool) []int {
+	x := c.base.inputs(test, flipS)
+	p := make([]float64, x.Rows)
+	c.clf.PredictProbaInto(p, x)
+	out := make([]int, len(p))
+	for i, s := range test.S {
+		if flipS {
+			s = 1 - s
+		}
+		if p[i] >= c.threshold[s] {
+			out[i] = 1
+		}
 	}
-	return 0
+	return out
 }
 
 // Thresholds exposes the learned per-group decision thresholds (used by

@@ -288,31 +288,37 @@ func (k *Kearns) Predict(test *dataset.Dataset) ([]int, error) {
 	if len(k.models) == 0 {
 		return nil, fmt.Errorf("%s: not fitted", k.Name())
 	}
-	out := make([]int, test.Len())
-	for i := range out {
-		out[i] = k.PredictOne(test.X[i], test.S[i])
-	}
-	return out, nil
+	x := k.base.inputs(test, false)
+	return averageLabels(k.models, x.RowsView()), nil
 }
 
-// PredictOne implements fair.Approach.
-func (k *Kearns) PredictOne(x []float64, s int) int {
-	row := k.base.row(x, s)
-	var sum float64
-	for _, w := range k.models {
-		d := len(w) - 1
-		z := w[d]
-		for j, v := range row {
-			if j < d {
-				z += w[j] * v
+// PredictFlipped implements fair.Approach.
+func (k *Kearns) PredictFlipped(test *dataset.Dataset, yhat []int) (factual, flipped []int) {
+	x := k.base.inputs(test, true)
+	return yhat, averageLabels(k.models, x.RowsView())
+}
+
+// averageLabels labels every row of x by thresholding the models' mean
+// probability at 0.5, the randomized ensemble's expected prediction.
+func averageLabels(models, x [][]float64) []int {
+	out := make([]int, len(x))
+	for i, row := range x {
+		var sum float64
+		for _, w := range models {
+			d := len(w) - 1
+			z := w[d]
+			for j, v := range row {
+				if j < d {
+					z += w[j] * v
+				}
 			}
+			sum += sigmoid(z)
 		}
-		sum += sigmoid(z)
+		if sum/float64(len(models)) >= 0.5 {
+			out[i] = 1
+		}
 	}
-	if sum/float64(len(k.models)) >= 0.5 {
-		return 1
-	}
-	return 0
+	return out
 }
 
 func sigmoid(z float64) float64 {

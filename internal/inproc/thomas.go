@@ -317,8 +317,10 @@ func (t *Thomas) Predict(test *dataset.Dataset) ([]int, error) {
 	return t.base.predictAll(test), nil
 }
 
-// PredictOne implements fair.Approach.
-func (t *Thomas) PredictOne(x []float64, s int) int { return t.base.predictOne(x, s) }
+// PredictFlipped implements fair.Approach: S is no classifier input.
+func (t *Thomas) PredictFlipped(_ *dataset.Dataset, yhat []int) (factual, flipped []int) {
+	return yhat, yhat
+}
 
 // NewThomasDP returns the evaluated Thomas^dp approach.
 func NewThomasDP(seed int64) fair.Approach { return &Thomas{Notion: ThomasDP, Seed: seed} }

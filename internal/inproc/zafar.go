@@ -252,9 +252,11 @@ func (z *Zafar) Predict(test *dataset.Dataset) ([]int, error) {
 	return z.base.predictAll(test), nil
 }
 
-// PredictOne implements fair.Approach. Zafar never uses S at prediction
-// time, so it trivially satisfies the ID metric (Section 4.2).
-func (z *Zafar) PredictOne(x []float64, s int) int { return z.base.predictOne(x, s) }
+// PredictFlipped implements fair.Approach. Zafar never uses S at
+// prediction time, so it trivially satisfies the ID metric (Section 4.2).
+func (z *Zafar) PredictFlipped(_ *dataset.Dataset, yhat []int) (factual, flipped []int) {
+	return yhat, yhat
+}
 
 // NewZafarDPFair returns the evaluated Zafar^dp_Fair variant.
 func NewZafarDPFair() fair.Approach { return &Zafar{Mode: ZafarDPFair} }

@@ -121,8 +121,10 @@ func (z *ZhaLe) Predict(test *dataset.Dataset) ([]int, error) {
 	return z.base.predictAll(test), nil
 }
 
-// PredictOne implements fair.Approach.
-func (z *ZhaLe) PredictOne(x []float64, s int) int { return z.base.predictOne(x, s) }
+// PredictFlipped implements fair.Approach: S is no classifier input.
+func (z *ZhaLe) PredictFlipped(_ *dataset.Dataset, yhat []int) (factual, flipped []int) {
+	return yhat, yhat
+}
 
 // AdversaryAccuracy reports how well the trained adversary recovers S on a
 // dataset — a diagnostic: near 50% means the classifier leaks no group
@@ -132,9 +134,9 @@ func (z *ZhaLe) AdversaryAccuracy(d *dataset.Dataset) float64 {
 		return 0
 	}
 	correct := 0
+	x := z.base.inputs(d, false)
 	for i := range d.X {
-		row := z.base.row(d.X[i], d.S[i])
-		p := matrix.Sigmoid(z.base.score(row))
+		p := matrix.Sigmoid(z.base.score(x.Row(i)))
 		yi := float64(d.Y[i])
 		za := z.adv[3] + z.adv[0]*p + z.adv[1]*yi + z.adv[2]*p*yi
 		pred := 0

@@ -6,12 +6,12 @@ import (
 )
 
 // This file holds the hot training kernels: the inner loops every Adam
-// iteration and every MLP mini-batch of every grid cell runs. Their
-// scalar loops are written so the compiler proves all indexing in bounds
-// (verified in CI by building with -gcflags=-d=ssa/check_bce and failing
-// on any IsInBounds finding in this file), and AffineInto and ScatterRows
-// block rows in groups of four so the four independent accumulator
-// chains pipeline.
+// iteration and every MLP mini-batch of every grid cell runs, and the
+// distance scan of every kNN query. Their scalar loops are written so
+// the compiler proves all indexing in bounds (verified in CI by building
+// with -gcflags=-d=ssa/check_bce and failing on any IsInBounds finding
+// in this file), and AffineInto and ScatterRows block rows in groups of
+// four so the four independent accumulator chains pipeline.
 //
 // Bit-exactness contract: every kernel preserves the exact floating-point
 // fold order of the scalar loop it replaces — one accumulator per output
@@ -22,16 +22,21 @@ import (
 // scalar loops themselves do not fix.
 //
 // Vector path. On amd64 CPUs with AVX2, FMA and OS-enabled YMM state
-// (checked once, by CPUID and XGETBV in kernels_amd64.s), Design.AffineInto,
-// SigmoidInto, TanhInto and ScatterRows run AVX2 assembly instead; every
-// other CPU and GOARCH runs the scalar loops, which stay the reference.
-// The lane rule: a vector kernel computes four outputs the scalar loop
-// already computes independently, and each lane repeats that output's
-// scalar fold operation for operation — the product and the sum rounded
-// separately (never fused), in the scalar order. The z-pass runs one row
-// per lane over a column-major copy of the design (Design, built once per
-// fit), the gradient scatter one column per lane over the row-major
-// design, and the sigmoid and tanh one element per lane. Row tails the
+// (checked once, by CPUID and XGETBV in kernels_amd64.s),
+// Design.AffineInto, Design.SqDistInto, SigmoidInto, TanhInto and
+// ScatterRows run AVX2 assembly instead; every other CPU and GOARCH runs
+// the scalar loops, which stay the reference. The lane rule: a vector
+// kernel computes four outputs the scalar loop already computes
+// independently, and each lane repeats that output's scalar fold
+// operation for operation — the product and the sum rounded separately
+// (never fused), in the scalar order. The z-pass runs one row per lane
+// over a column-major copy of the design (Design, built once per fit),
+// the gradient scatter one column per lane over the row-major design, and
+// the sigmoid and tanh one element per lane. The kNN distance scan
+// (Design.SqDistInto) runs one training row per lane over the same
+// column-major copy: each lane subtracts the query's column value,
+// squares the difference and adds it to a sum that starts at 0, each step
+// rounded on its own, column by column in ascending order. Row tails the
 // vector loops leave run the scalar loops; the scatter masks its column
 // tail instead.
 //
@@ -157,6 +162,50 @@ func (d *Design) AffineInto(dst, w []float64, bias float64) {
 		off := (i + k) * c
 		tail[k] = affineRow(data[off:off+c], w, bias)
 	}
+}
+
+// SqDistInto computes dst[i] = Σ_j (d[i][j] − q[j])² for every row: one
+// kNN query's squared Euclidean distances to all training rows. Each
+// term's difference, square and sum round on their own, in ascending j
+// with one accumulator starting at 0. This is the scalar scan;
+// Design.SqDistInto runs the vector one where the CPU allows. dst must
+// have length d.Rows and q length d.Cols.
+func (d *Dense) SqDistInto(dst, q []float64) {
+	if len(dst) != d.Rows || len(q) != d.Cols {
+		panic(fmt.Sprintf("matrix: SqDistInto dims %d×%d vs dst %d, q %d", d.Rows, d.Cols, len(dst), len(q)))
+	}
+	for i := range dst {
+		dst[i] = sqDistRow(d.Row(i), q)
+	}
+}
+
+// SqDistInto is Dense.SqDistInto, bit for bit, running the vector scan
+// over the column-major copy where the CPU allows.
+func (d *Design) SqDistInto(dst, q []float64) {
+	if !useVector || d.cols == nil || len(dst) != d.Rows || len(q) != d.Cols {
+		d.Dense.SqDistInto(dst, q) // also panics on a dims mismatch
+		return
+	}
+	sqDistColsAVX2(dst, d.cols, q)
+	c := d.Cols
+	data := d.Data[:d.Rows*c]
+	i := len(dst) &^ 3
+	tail := dst[i:]
+	for k := range tail {
+		off := (i + k) * c
+		tail[k] = sqDistRow(data[off:off+c], q)
+	}
+}
+
+// sqDistRow is the scalar fold SqDistInto's vector path reproduces.
+func sqDistRow(row, q []float64) float64 {
+	var s float64
+	row = row[:len(q)]
+	for j, v := range q {
+		t := row[j] - v
+		s += t * t
+	}
+	return s
 }
 
 // affineRow is the scalar fold AffineInto's block path reproduces:

@@ -8,6 +8,9 @@ func hasAVX2FMA() bool
 func affineColsAVX2(dst, cols, w []float64, bias float64)
 
 //go:noescape
+func sqDistColsAVX2(dst, cols, q []float64)
+
+//go:noescape
 func sigmoidAVX2(dst, src []float64) int
 
 //go:noescape

@@ -1,6 +1,7 @@
 #include "textflag.h"
 
-// AVX2 forms of the training kernels in kernels.go. Each lane repeats the
+// AVX2 forms of the training kernels and the kNN distance scan in
+// kernels.go. Each lane repeats the
 // scalar loop's fold for one output: products and sums round separately
 // (VMULPD, then VADDPD) in the scalar order, so every output is
 // bit-identical to the scalar kernel. FMA appears only in the exp replica
@@ -199,6 +200,93 @@ affine4col:
 	JMP          affine4
 
 affineDone:
+	VZEROUPPER
+	RET
+
+// func sqDistColsAVX2(dst, cols, q []float64)
+//
+// dst[i] = Σ_j (cols[j*n+i] - q[j])² for every i < n&^3, n = len(dst):
+// one kNN query's distance scan over a column-major design, one training
+// row per lane. Each lane subtracts, squares and adds with a separate
+// rounding per step (VSUBPD, VMULPD, VADDPD), in ascending j, from a sum
+// of +0. Rows run in blocks of sixteen (four independent accumulators),
+// then of four. The caller guarantees len(cols) == n*len(q) and
+// len(q) > 0.
+TEXT ·sqDistColsAVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ cols_base+24(FP), SI
+	MOVQ q_base+48(FP), R8
+	MOVQ q_len+56(FP), R9
+	MOVQ CX, R10
+	SHLQ $3, R10                 // byte distance between columns
+	XORQ AX, AX                  // row
+
+dist16:
+	LEAQ   16(AX), DX
+	CMPQ   DX, CX
+	JGT    dist4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	LEAQ   (SI)(AX*8), BX
+	MOVQ   R8, R11
+	MOVQ   R9, R12
+
+dist16col:
+	VBROADCASTSD (R11), Y4
+	VMOVUPD      (BX), Y5
+	VMOVUPD      32(BX), Y6
+	VMOVUPD      64(BX), Y7
+	VMOVUPD      96(BX), Y8
+	VSUBPD       Y4, Y5, Y5
+	VSUBPD       Y4, Y6, Y6
+	VSUBPD       Y4, Y7, Y7
+	VSUBPD       Y4, Y8, Y8
+	VMULPD       Y5, Y5, Y5
+	VMULPD       Y6, Y6, Y6
+	VMULPD       Y7, Y7, Y7
+	VMULPD       Y8, Y8, Y8
+	VADDPD       Y5, Y0, Y0
+	VADDPD       Y6, Y1, Y1
+	VADDPD       Y7, Y2, Y2
+	VADDPD       Y8, Y3, Y3
+	ADDQ         $8, R11
+	ADDQ         R10, BX
+	DECQ         R12
+	JNZ          dist16col
+	VMOVUPD      Y0, (DI)(AX*8)
+	VMOVUPD      Y1, 32(DI)(AX*8)
+	VMOVUPD      Y2, 64(DI)(AX*8)
+	VMOVUPD      Y3, 96(DI)(AX*8)
+	MOVQ         DX, AX
+	JMP          dist16
+
+dist4:
+	LEAQ   4(AX), DX
+	CMPQ   DX, CX
+	JGT    distDone
+	VXORPD Y0, Y0, Y0
+	LEAQ   (SI)(AX*8), BX
+	MOVQ   R8, R11
+	MOVQ   R9, R12
+
+dist4col:
+	VBROADCASTSD (R11), Y4
+	VMOVUPD      (BX), Y5
+	VSUBPD       Y4, Y5, Y5
+	VMULPD       Y5, Y5, Y5
+	VADDPD       Y5, Y0, Y0
+	ADDQ         $8, R11
+	ADDQ         R10, BX
+	DECQ         R12
+	JNZ          dist4col
+	VMOVUPD      Y0, (DI)(AX*8)
+	MOVQ         DX, AX
+	JMP          dist4
+
+distDone:
 	VZEROUPPER
 	RET
 

@@ -9,6 +9,8 @@ func hasAVX2FMA() bool { return false }
 
 func affineColsAVX2(dst, cols, w []float64, bias float64) { panic("matrix: no vector kernels") }
 
+func sqDistColsAVX2(dst, cols, q []float64) { panic("matrix: no vector kernels") }
+
 func sigmoidAVX2(dst, src []float64) int { panic("matrix: no vector kernels") }
 
 func scatterAVX2(dst, g, x []float64) { panic("matrix: no vector kernels") }

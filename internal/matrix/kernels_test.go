@@ -44,6 +44,34 @@ func TestAffineIntoBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSqDistIntoMatchesNaiveLoop holds the scalar distance scan, strided
+// rows included, to the plain per-row loop kNN queries have always run.
+func TestSqDistIntoMatchesNaiveLoop(t *testing.T) {
+	g := rand.New(rand.NewSource(11))
+	backing := make([]float64, 9*5)
+	for i := range backing {
+		backing[i] = g.NormFloat64()
+	}
+	q := []float64{0.5, -1.25, 2}
+	for _, d := range []*Dense{
+		{Data: backing, Rows: 9, Cols: 3, Stride: 5},
+		{Data: backing[:27], Rows: 9, Cols: 3, Stride: 3},
+	} {
+		got := make([]float64, d.Rows)
+		d.SqDistInto(got, q)
+		for i := range got {
+			var want float64
+			for j, v := range d.Row(i) {
+				e := v - q[j]
+				want += e * e
+			}
+			if got[i] != want {
+				t.Fatalf("stride %d row %d: %v != %v", d.Stride, i, got[i], want)
+			}
+		}
+	}
+}
+
 func TestAffineIntoStridedFallback(t *testing.T) {
 	// A non-tight stride must fall back to the per-row path and still match.
 	backing := make([]float64, 3*5)

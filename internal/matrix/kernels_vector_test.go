@@ -57,6 +57,30 @@ func TestVectorPathTaken(t *testing.T) {
 	if des := NewDesign(*NewDense(8, 3)); des.cols == nil {
 		t.Fatal("NewDesign built no column-major copy on the vector path")
 	}
+	// sqDistColsAVX2 writes every whole block of four rows, through both
+	// its sixteen-row and its four-row loop, and leaves the row tail to
+	// Design.SqDistInto's scalar loop.
+	for _, r := range []int{7, 23} {
+		d := NewDense(r, 2)
+		for i := range d.Data {
+			d.Data[i] = float64(i % 5)
+		}
+		q := []float64{1, -2}
+		got := make([]float64, r)
+		for i := range got {
+			got[i] = -7
+		}
+		sqDistColsAVX2(got, NewDesign(*d).cols, q)
+		for i := range got {
+			want := -7.0
+			if i < r&^3 {
+				want = sqDistRow(d.Row(i), q)
+			}
+			if got[i] != want {
+				t.Fatalf("sqDistColsAVX2 over %d rows wrote %v at row %d, want %v", r, got[i], i, want)
+			}
+		}
+	}
 	// tanhAVX2 writes every whole block of four and leaves the tail to
 	// TanhInto's scalar loop.
 	src := []float64{0.3, -1, 30, 0, 0.7, 2, -3}
@@ -149,6 +173,38 @@ func TestAffineVectorMatchesScalar(t *testing.T) {
 			for i := range want {
 				if !sameFloat(got[i], want[i]) {
 					t.Fatalf("%d×%d row %d: vector %x, scalar %x", r, c, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
+// tieValue draws from a small integer grid, so many rows sit at exactly
+// the same distance from a query, as kNN's tie-heavy inputs do.
+func tieValue(g *rand.Rand) float64 { return float64(g.Intn(5)) - 2 }
+
+func TestSqDistVectorMatchesScalar(t *testing.T) {
+	needVector(t)
+	g := rand.New(rand.NewSource(23))
+	for _, draw := range []func(*rand.Rand) float64{edgeValue, tieValue} {
+		for _, r := range kernelRows() {
+			for c := 1; c <= 33; c++ {
+				d := &Dense{Data: make([]float64, r*c), Rows: r, Cols: c, Stride: c}
+				q := make([]float64, c)
+				for i := range d.Data {
+					d.Data[i] = draw(g)
+				}
+				for j := range q {
+					q[j] = draw(g)
+				}
+				des := NewDesign(*d)
+				got, want := make([]float64, r), make([]float64, r)
+				des.SqDistInto(got, q)
+				scalarOnly(func() { des.SqDistInto(want, q) })
+				for i := range want {
+					if !sameFloat(got[i], want[i]) {
+						t.Fatalf("%d×%d row %d: vector %x, scalar %x", r, c, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+					}
 				}
 			}
 		}
@@ -379,6 +435,30 @@ func FuzzAffineInto(f *testing.F) {
 	})
 }
 
+func FuzzSqDistInto(f *testing.F) {
+	f.Add(append([]byte{2}, encodeFloats(0.5, -1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14)...))
+	f.Add(append([]byte{0}, encodeFloats(1e300, -1e300, 1e-310, 3, 4, 5, 6)...))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		needVector(t)
+		c, vs := fuzzShape(b)
+		if c == 0 || len(vs) < c {
+			return
+		}
+		q, vs := vs[:c], vs[c:]
+		r := len(vs) / c
+		d := Dense{Data: vs[:r*c], Rows: r, Cols: c, Stride: c}
+		des := NewDesign(d)
+		got, want := make([]float64, r), make([]float64, r)
+		des.SqDistInto(got, q)
+		scalarOnly(func() { des.SqDistInto(want, q) })
+		for i := range want {
+			if !sameFloat(got[i], want[i]) {
+				t.Fatalf("%d×%d row %d: vector %x, scalar %x", r, c, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	})
+}
+
 func FuzzScatterRows(f *testing.F) {
 	f.Add(append([]byte{4}, encodeFloats(1, 2, 3, 4, 5, 0.5, -2, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16)...))
 	f.Add(append([]byte{0}, encodeFloats(-0.0, 1e-310, 1e300, 2, -3, 4)...))
@@ -432,6 +512,7 @@ func BenchmarkTrainingKernels(b *testing.B) {
 	}{
 		{"zpass", func() { des.AffineInto(out, w, 0.5) }},
 		{"scatter", func() { d.ScatterRows(w, z) }},
+		{"sqdist", func() { des.SqDistInto(out, w) }},
 		{"sigmoid", func() { SigmoidInto(out, z) }},
 		{"tanh", func() { TanhInto(hid, act) }},
 	}

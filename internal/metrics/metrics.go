@@ -130,43 +130,28 @@ func TNRBalance(d *dataset.Dataset, yhat []int) float64 {
 	return gr.TNR[1] - gr.TNR[0]
 }
 
-// Predictor exposes a single-tuple prediction with an explicit sensitive
-// value, enabling the ID metric's S-flip intervention.
-type Predictor interface {
-	PredictOne(x []float64, s int) int
+// Flipper labels a dataset for the ID metric: given yhat, the model's
+// labels on d, it returns the labels at each tuple's own S (factual) and
+// with each tuple's S flipped, all other attributes held fixed
+// (flipped). Every fair.Approach is a Flipper.
+type Flipper interface {
+	PredictFlipped(d *dataset.Dataset, yhat []int) (factual, flipped []int)
 }
 
-// InterventionPredictor is implemented by approaches whose pipeline uses S
-// in two roles: as a classifier input and inside group-dependent
-// transforms fitted on training data. The ID intervention flips only the
-// classifier-input role (sInput); the transform keeps the tuple's true
-// group (sTrue), matching the metric's definition of comparing otherwise
-// identical individuals.
-type InterventionPredictor interface {
-	PredictIntervened(x []float64, sTrue, sInput int) int
-}
-
-// IndividualDiscrimination returns the fraction of tuples whose prediction
+// IndividualDiscrimination returns the fraction of tuples whose label
 // changes when the sensitive attribute is flipped with all other
 // attributes held fixed (Figure 4 row 4; Galhotra et al.'s causal
-// discrimination score evaluated on the dataset of interest).
-func IndividualDiscrimination(d *dataset.Dataset, p Predictor) float64 {
-	n := d.Len()
+// discrimination score evaluated on the dataset of interest): the
+// fraction of positions where factual and flipped differ.
+func IndividualDiscrimination(factual, flipped []int) float64 {
+	n := len(factual)
 	if n == 0 {
 		return 0
 	}
-	ip, hasIP := p.(InterventionPredictor)
+	flipped = flipped[:n]
 	changed := 0
-	for i := 0; i < n; i++ {
-		var a, b int
-		if hasIP {
-			a = ip.PredictIntervened(d.X[i], d.S[i], d.S[i])
-			b = ip.PredictIntervened(d.X[i], d.S[i], 1-d.S[i])
-		} else {
-			a = p.PredictOne(d.X[i], d.S[i])
-			b = p.PredictOne(d.X[i], 1-d.S[i])
-		}
-		if a != b {
+	for i, a := range factual {
+		if a != flipped[i] {
 			changed++
 		}
 	}
@@ -181,13 +166,14 @@ func TotalEffect(d *dataset.Dataset, g *causal.Graph, yhat []int, bins int) caus
 	return est.Estimate(d, yhat)
 }
 
-// ComputeFairness evaluates every fairness metric at once. p may be nil,
-// in which case ID is reported as 0 (e.g. for precomputed prediction
-// vectors with no model handle). g may be nil, in which case the causal
-// metrics are 0. The group-rate tallies behind DI, TPRB, and TNRB are
-// computed in one pass over the predictions instead of one per metric;
-// the derived values are bit-identical to the per-metric functions.
-func ComputeFairness(d *dataset.Dataset, yhat []int, p Predictor, g *causal.Graph) Fairness {
+// ComputeFairness evaluates every fairness metric at once. yhat must be
+// p's labels on d. p may be nil, in which case ID is reported as 0 (e.g.
+// for precomputed prediction vectors with no model handle). g may be nil,
+// in which case the causal metrics are 0. The group-rate tallies behind
+// DI, TPRB, and TNRB are computed in one pass over the predictions
+// instead of one per metric; the derived values are bit-identical to the
+// per-metric functions.
+func ComputeFairness(d *dataset.Dataset, yhat []int, p Flipper, g *causal.Graph) Fairness {
 	gr := ComputeGroupRates(d, yhat)
 	f := Fairness{
 		DI:   gr.DI(),
@@ -195,7 +181,7 @@ func ComputeFairness(d *dataset.Dataset, yhat []int, p Predictor, g *causal.Grap
 		TNRB: gr.TNR[1] - gr.TNR[0],
 	}
 	if p != nil {
-		f.ID = IndividualDiscrimination(d, p)
+		f.ID = IndividualDiscrimination(p.PredictFlipped(d, yhat))
 	}
 	if g != nil {
 		eff := TotalEffect(d, g, yhat, 4)

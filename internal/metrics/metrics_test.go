@@ -213,53 +213,63 @@ func TestFairnessDegeneratePredictions(t *testing.T) {
 	}
 }
 
-// flipPredictor predicts the sensitive value itself: maximal individual
-// discrimination.
-type flipPredictor struct{}
-
-func (flipPredictor) PredictOne(_ []float64, s int) int { return s }
-
-// blindPredictor ignores S entirely.
-type blindPredictor struct{}
-
-func (blindPredictor) PredictOne(x []float64, _ int) int {
-	if x[0] > 0 {
-		return 1
+// flipLabels is the labels an S-echo model gives with S flipped.
+func flipLabels(s []int) []int {
+	out := make([]int, len(s))
+	for i, v := range s {
+		out[i] = 1 - v
 	}
-	return 0
+	return out
 }
 
 func TestIndividualDiscrimination(t *testing.T) {
-	d, _ := example2()
-	if got := IndividualDiscrimination(d, flipPredictor{}); got != 1 {
-		t.Fatalf("S-echo predictor must have ID=1, got %v", got)
+	d, yhat := example2()
+	// A model that predicts S itself changes every label when S flips.
+	if got := IndividualDiscrimination(d.S, flipLabels(d.S)); got != 1 {
+		t.Fatalf("S-echo labels must have ID=1, got %v", got)
 	}
-	if got := IndividualDiscrimination(d, blindPredictor{}); got != 0 {
-		t.Fatalf("S-blind predictor must have ID=0, got %v", got)
+	// An S-blind model changes none.
+	if got := IndividualDiscrimination(yhat, yhat); got != 0 {
+		t.Fatalf("S-blind labels must have ID=0, got %v", got)
+	}
+	if got := IndividualDiscrimination([]int{1, 0, 1, 1}, []int{1, 1, 0, 1}); got != 0.5 {
+		t.Fatalf("2 of 4 labels change: ID %v, want 0.5", got)
+	}
+	if got := IndividualDiscrimination(nil, nil); got != 0 {
+		t.Fatalf("empty labels: ID %v, want 0", got)
 	}
 }
 
-// intervenedPredictor distinguishes the transform role (sTrue) from the
-// classifier input role (sInput): only sInput affects the output.
-type intervenedPredictor struct{ usedTrue *bool }
-
-func (p intervenedPredictor) PredictOne(x []float64, s int) int { return s }
-func (p intervenedPredictor) PredictIntervened(_ []float64, sTrue, sInput int) int {
-	if sTrue != sInput {
-		*p.usedTrue = true
-	}
-	return 0 // constant in sInput: no individual discrimination
+// recordingFlipper returns fixed label vectors and records the labels
+// ComputeFairness passes it.
+type recordingFlipper struct {
+	factual, flipped []int
+	gotD             *dataset.Dataset
+	gotYhat          []int
 }
 
-func TestIDUsesInterventionPredictor(t *testing.T) {
-	d, _ := example2()
-	used := false
-	got := IndividualDiscrimination(d, intervenedPredictor{usedTrue: &used})
-	if got != 0 {
-		t.Fatalf("intervened predictor is constant, ID must be 0: %v", got)
+func (f *recordingFlipper) PredictFlipped(d *dataset.Dataset, yhat []int) ([]int, []int) {
+	f.gotD, f.gotYhat = d, yhat
+	return f.factual, f.flipped
+}
+
+// TestComputeFairnessUsesFlipper: ComputeFairness hands the flipper its
+// dataset and labels, and scores ID on the two vectors the flipper
+// returns — the factual ones included, which for a randomized model need
+// not be yhat.
+func TestComputeFairnessUsesFlipper(t *testing.T) {
+	d, yhat := example2()
+	f := &recordingFlipper{factual: flipLabels(d.S), flipped: d.S}
+	got := ComputeFairness(d, yhat, f, nil)
+	if f.gotD != d || &f.gotYhat[0] != &yhat[0] {
+		t.Fatal("ComputeFairness must pass its dataset and labels to the flipper")
 	}
-	if !used {
-		t.Fatal("ID must call PredictIntervened with flipped sInput")
+	if got.ID != 1 {
+		t.Fatalf("every returned label pair differs, ID must be 1: %v", got.ID)
+	}
+	f.factual = d.S
+	if got := ComputeFairness(d, yhat, f, nil); got.ID != 0 {
+		t.Fatalf("identical returned vectors must give ID 0: %v", got.ID)
 	}
 }
 

@@ -99,8 +99,8 @@ func TestPostProcessingViolatesID(t *testing.T) {
 	// that drop S.
 	train, test := trainTest(t, 3000)
 	a := NewKamKar("", 3)
-	fitPredict(t, a, train, test)
-	id := metrics.IndividualDiscrimination(test, a.(*fair.PostProcessed))
+	yhat := fitPredict(t, a, train, test)
+	id := metrics.IndividualDiscrimination(a.PredictFlipped(test, yhat))
 	if id < 0.05 {
 		t.Fatalf("KamKar should show individual discrimination, ID=%v", id)
 	}

@@ -62,7 +62,7 @@ func TestMadrasImprovesDI(t *testing.T) {
 		t.Fatalf("Madras DI* %v below baseline %v", di, baseDI)
 	}
 	// The representation drops S entirely: ID must be 0.
-	if id := metrics.IndividualDiscrimination(test, a.(*fair.PreProcessed)); id != 0 {
+	if id := metrics.IndividualDiscrimination(a.PredictFlipped(test, yhat)); id != 0 {
 		t.Fatalf("Madras is S-blind, ID must be 0: %v", id)
 	}
 }

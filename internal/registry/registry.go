@@ -97,19 +97,6 @@ func New(name string, cfg Config) (fair.Approach, error) {
 	}
 }
 
-// All constructs every evaluated variant.
-func All(cfg Config) ([]fair.Approach, error) {
-	out := make([]fair.Approach, 0, len(Names))
-	for _, n := range Names {
-		a, err := New(n, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
 // ByStage returns the evaluated variant names grouped by stage, each group
 // in presentation order.
 func ByStage() map[fair.Stage][]string {

@@ -72,17 +72,6 @@ func TestUnknownName(t *testing.T) {
 	}
 }
 
-func TestAll(t *testing.T) {
-	src := synth.COMPAS(200, 1)
-	as, err := All(Config{Graph: src.Graph, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(as) != len(Names) {
-		t.Fatalf("All returned %d approaches", len(as))
-	}
-}
-
 func TestEveryTargetIsAKnownMetric(t *testing.T) {
 	known := map[fair.Metric]bool{
 		fair.MetricDI: true, fair.MetricTPRB: true, fair.MetricTNRB: true,

@@ -57,19 +57,30 @@ func TestRunFailFastReportsSerialError(t *testing.T) {
 }
 
 func TestRunFailFastSkipsRemainingJobs(t *testing.T) {
+	// Every job but 0 waits until the first Progress call. With them all
+	// blocked, that call is job 0's, made after its failure is recorded,
+	// so a job still queued behind the one the second worker holds is
+	// skipped however the two workers are scheduled.
 	var ran atomic.Int64
-	_, err := Run(100, Options{Workers: 2, FailFast: true}, func(i int) (int, error) {
+	failed := make(chan struct{})
+	var once sync.Once
+	_, err := Run(100, Options{
+		Workers:  2,
+		FailFast: true,
+		Progress: func(int, int) { once.Do(func() { close(failed) }) },
+	}, func(i int) (int, error) {
 		ran.Add(1)
 		if i == 0 {
 			return 0, errors.New("first job fails")
 		}
+		<-failed
 		return i, nil
 	})
 	if err == nil {
 		t.Fatal("expected error")
 	}
-	if n := ran.Load(); n == 100 {
-		t.Fatal("fail-fast ran every job")
+	if n := ran.Load(); n > 2 {
+		t.Fatalf("fail-fast ran %d jobs, want at most jobs 0 and 1", n)
 	}
 }
 

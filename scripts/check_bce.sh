@@ -5,10 +5,10 @@
 # Builds internal/matrix and internal/classifier with the compiler's BCE
 # diagnostic (-gcflags=-d=ssa/check_bce) and fails if any per-element
 # bounds check ("Found IsInBounds") survives in the named hot-kernel
-# files — matrix/kernels.go (the scalar AffineInto / ScatterRows /
-# SigmoidInto / TanhInto loops, the dispatch to their AVX2 forms in
-# kernels_amd64.s, and the row and fallback tails the vector kernels
-# leave to Go) and classifier/flatfit.go (logistic regression's flat
+# files — matrix/kernels.go (the scalar AffineInto / SqDistInto /
+# ScatterRows / SigmoidInto / TanhInto loops, the dispatch to their AVX2
+# forms in kernels_amd64.s, and the row and fallback tails the vector
+# kernels leave to Go) and classifier/flatfit.go (logistic regression's flat
 # gradient and the MLP's batch passes). These are the inner loops every
 # grid cell runs millions of times; their prologue re-slicing proves
 # every element access in range, and this gate keeps refactors from
