@@ -7,6 +7,8 @@
 package inproc
 
 import (
+	"math"
+
 	"fairbench/internal/dataset"
 	"fairbench/internal/matrix"
 )
@@ -78,6 +80,7 @@ type fitView struct {
 	z    []float64 // affine scores of the current iterate
 	p    []float64 // sigmoid of z, filled on demand by fillP
 	g    []float64 // per-tuple gradient coefficients, scratch for ScatterRows
+	l    []float64 // per-tuple loss terms, scratch for LogInto
 }
 
 // gbuf returns the per-tuple coefficient scratch, allocating it on first use.
@@ -154,7 +157,10 @@ func (v *fitView) logGradFromZ(grad []float64) {
 }
 
 // logLossGradFromZ is logGradFromZ also returning the mean logistic loss
-// (the logLossAndGrad fold with the z-pass hoisted out).
+// (the logLossAndGrad fold with the z-pass hoisted out). On a flat view
+// each tuple's clamped p or 1-p is staged in the l scratch and logged in
+// one LogInto pass; the loss then folds -log in ascending tuple order, so
+// it equals the per-tuple logLoss fold bit for bit.
 func (v *fitView) logLossGradFromZ(grad []float64) float64 {
 	d := len(grad) - 1
 	n := float64(len(v.x))
@@ -163,16 +169,24 @@ func (v *fitView) logLossGradFromZ(grad []float64) float64 {
 	if v.flat {
 		v.fillP()
 		g := v.gbuf()
+		if v.l == nil {
+			v.l = make([]float64, len(v.z))
+		}
+		l := v.l[:len(v.p)]
 		var gInt float64
 		for i, p := range v.p {
 			yi := float64(v.y[i])
-			loss += logLoss(p, yi)
+			l[i] = clampedLikelihood(p, yi)
 			gi := (p - yi) / n
 			g[i] = gi
 			gInt += gi
 		}
 		v.dm.ScatterRows(gd, g)
 		grad[d] += gInt
+		matrix.LogInto(l, l)
+		for _, li := range l {
+			loss += -li
+		}
 		return loss / n
 	}
 	for i, zi := range v.z {
@@ -212,11 +226,18 @@ func (v *fitView) logGradFromP(grad []float64) {
 	}
 }
 
+// logLoss is one tuple's logistic loss, -log of clampedLikelihood.
 func logLoss(p, y float64) float64 {
+	return -math.Log(clampedLikelihood(p, y))
+}
+
+// clampedLikelihood is the probability the model gives label y, with p
+// clamped to [1e-12, 1-1e-12] first so its log stays finite.
+func clampedLikelihood(p, y float64) float64 {
 	const eps = 1e-12
 	p = matrix.Clamp(p, eps, 1-eps)
 	if y >= 0.5 {
-		return -ln(p)
+		return p
 	}
-	return -ln(1 - p)
+	return 1 - p
 }

@@ -57,52 +57,67 @@ func (c *Celis) Fit(train *dataset.Dataset) error {
 		return err
 	}
 	proba := classifier.ProbaAll(c.clf, x)
+	c.threshold = searchThresholds(proba, train.S, train.Y, c.GridSteps, c.Tau)
+	return nil
+}
 
-	// Exact grid search over per-group thresholds: pick the feasible pair
-	// minimizing training error; fall back to the fairest pair if no pair
-	// meets Tau.
-	steps := c.GridSteps
+// groupTally holds one group's training errors, predicted positives and
+// false discoveries at one grid threshold: exact integer counts, held in
+// float64 as the ratios consume them.
+type groupTally struct{ errs, pos, fd float64 }
+
+// searchThresholds is Celis's exact grid search over per-group thresholds
+// t_s = k/steps, 0 < k < steps: among the pairs that give both groups at
+// least 5 predicted positives, it keeps the first, in (t0, t1) order, with
+// the lowest training error whose FDR ratio meets tau, and falls back to
+// the first pair with the highest ratio if none does. A tuple's prediction
+// depends only on its own group's threshold, so each group's counts are
+// tallied once per threshold and a pair's counts are the two groups'
+// sums, equal to a per-pair scan of the tuples because every count is an
+// integer: O(steps·n + steps²) instead of O(steps²·n).
+func searchThresholds(proba []float64, s, y []int, steps int, tau float64) [2]float64 {
+	var tally [2][]groupTally
+	tally[0] = make([]groupTally, max(steps, 1))
+	tally[1] = make([]groupTally, max(steps, 1))
+	for k := 1; k < steps; k++ {
+		t := float64(k) / float64(steps)
+		for i, p := range proba {
+			g := &tally[0][k]
+			if s[i] == 1 {
+				g = &tally[1][k]
+			}
+			pred := 0
+			if p >= t {
+				pred = 1
+			}
+			if pred != y[i] {
+				g.errs++
+			}
+			if pred == 1 {
+				g.pos++
+				if y[i] == 0 {
+					g.fd++
+				}
+			}
+		}
+	}
+
 	bestErr := math.Inf(1)
 	bestRatio := -1.0
 	var best, fairest [2]float64
 	best = [2]float64{0.5, 0.5}
 	fairest = best
-	n := float64(len(x))
+	n := float64(len(proba))
 	for a := 1; a < steps; a++ {
 		t0 := float64(a) / float64(steps)
+		g0 := tally[0][a]
 		for b := 1; b < steps; b++ {
 			t1 := float64(b) / float64(steps)
-			var errs, pos0, pos1, fd0, fd1 float64
-			for i := range x {
-				t := t0
-				if train.S[i] == 1 {
-					t = t1
-				}
-				pred := 0
-				if proba[i] >= t {
-					pred = 1
-				}
-				if pred != train.Y[i] {
-					errs++
-				}
-				if pred == 1 {
-					if train.S[i] == 1 {
-						pos1++
-						if train.Y[i] == 0 {
-							fd1++
-						}
-					} else {
-						pos0++
-						if train.Y[i] == 0 {
-							fd0++
-						}
-					}
-				}
-			}
-			if pos0 < 5 || pos1 < 5 {
+			g1 := tally[1][b]
+			if g0.pos < 5 || g1.pos < 5 {
 				continue
 			}
-			q0, q1 := fd0/pos0, fd1/pos1
+			q0, q1 := g0.fd/g0.pos, g1.fd/g1.pos
 			lo, hi := math.Min(q0, q1), math.Max(q0, q1)
 			ratio := 1.0
 			if hi > 0 {
@@ -112,7 +127,8 @@ func (c *Celis) Fit(train *dataset.Dataset) error {
 				bestRatio = ratio
 				fairest = [2]float64{t0, t1}
 			}
-			if ratio >= c.Tau && errs/n < bestErr {
+			errs := g0.errs + g1.errs
+			if ratio >= tau && errs/n < bestErr {
 				bestErr = errs / n
 				best = [2]float64{t0, t1}
 			}
@@ -121,8 +137,7 @@ func (c *Celis) Fit(train *dataset.Dataset) error {
 	if math.IsInf(bestErr, 1) {
 		best = fairest
 	}
-	c.threshold = best
-	return nil
+	return best
 }
 
 // Predict implements fair.Approach.

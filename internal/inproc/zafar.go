@@ -2,16 +2,12 @@ package inproc
 
 import (
 	"fmt"
-	"math"
 
 	"fairbench/internal/dataset"
 	"fairbench/internal/fair"
 	"fairbench/internal/matrix"
 	"fairbench/internal/optimize"
 )
-
-// ln aliases math.Log for compact loss expressions.
-func ln(v float64) float64 { return math.Log(v) }
 
 // ZafarMode selects among the three evaluated Zafar variants.
 type ZafarMode int

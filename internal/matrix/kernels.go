@@ -278,6 +278,37 @@ func TanhInto(dst, src []float64) {
 	}
 }
 
+// LogInto computes dst[i] = math.Log(src[i]) for every element, bit for
+// bit on both paths; dst may alias src. It is the log of a logistic
+// loss pass, run once over the clamped probabilities of every tuple.
+func LogInto(dst, src []float64) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("matrix: LogInto length mismatch %d vs %d", len(dst), len(src)))
+	}
+	dst = dst[:len(src)]
+	if useVector {
+		for len(src) >= 4 {
+			k := logAVX2(dst, src)
+			dst, src = dst[k:], src[k:]
+			if len(src) < 4 {
+				break
+			}
+			// A lane of this block is not a positive finite normal number.
+			logScalar(dst[:4], src[:4])
+			dst, src = dst[4:], src[4:]
+		}
+	}
+	logScalar(dst, src)
+}
+
+// logScalar is LogInto's scalar loop, the vector path's reference.
+func logScalar(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = math.Log(v)
+	}
+}
+
 // AccumulateInto computes dst[j] += g·row[j] — the per-row gradient
 // scatter of a linear model. Unlike Axpy it tolerates len(dst) > len(row)
 // (the intercept slot rides at the end of the gradient vector).

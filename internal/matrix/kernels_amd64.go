@@ -18,3 +18,6 @@ func scatterAVX2(dst, g, x []float64)
 
 //go:noescape
 func tanhAVX2(dst, src []float64)
+
+//go:noescape
+func logAVX2(dst, src []float64) int

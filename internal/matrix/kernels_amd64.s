@@ -1,17 +1,30 @@
 #include "textflag.h"
 
-// AVX2 forms of the training kernels and the kNN distance scan in
-// kernels.go. Each lane repeats the
+// AVX2 forms of the training kernels, the kNN distance scan and the
+// loss pass's logarithm in kernels.go. Each lane repeats the
 // scalar loop's fold for one output: products and sums round separately
 // (VMULPD, then VADDPD) in the scalar order, so every output is
 // bit-identical to the scalar kernel. FMA appears only in the exp replica
 // (EXP_FMA, used by sigmoidAVX2 and tanhAVX2), exactly where math.Exp's
-// amd64 FMA path fuses.
+// amd64 FMA path fuses; the log replica (logAVX2) fuses nothing, because
+// log_amd64.s has no FMA path.
 
 // Constants of math.Exp's amd64 implementation ($GOROOT/src/math/exp_amd64.s).
 #define LOG2E 1.4426950408889634073599246810018920
 #define LN2U 0.69314718055966295651160180568695068359375
 #define LN2L 0.28235290563031577122588448175013436025525412068e-12
+
+// Constants of math.Log's amd64 implementation ($GOROOT/src/math/log_amd64.s).
+#define HSqrt2 7.07106781186547524401e-01 // sqrt(2)/2
+#define Ln2Hi  6.93147180369123816490e-01 // 0x3fe62e42fee00000
+#define Ln2Lo  1.90821492927058770002e-10 // 0x3dea39ef35793c76
+#define L1     6.666666666666735130e-01   // 0x3FE5555555555593
+#define L2     3.999999999940941908e-01   // 0x3FD999999997FA04
+#define L3     2.857142874366239149e-01   // 0x3FD2492494229359
+#define L4     2.222219843214978396e-01   // 0x3FCC71C51D8E78AF
+#define L5     1.818357216161805012e-01   // 0x3FC7466496CB03DE
+#define L6     1.531383769920937332e-01   // 0x3FC39A09D078C69F
+#define L7     1.479819860511658591e-01   // 0x3FC2F112DF3E5244
 
 DATA kconst<>+0(SB)/8, $0x8000000000000000 // sign bit
 DATA kconst<>+8(SB)/8, $-708.0             // lowest -|z| the vector exp takes
@@ -42,7 +55,21 @@ DATA kconst<>+200(SB)/8, $4.84406305325125486048e3
 DATA kconst<>+208(SB)/8, $0.625                   // tanh's exp-branch threshold
 DATA kconst<>+216(SB)/8, $4.4014845965556527147994e+01 // MAXLOG/2
 DATA kconst<>+224(SB)/8, $-2.0
-GLOBL kconst<>(SB), RODATA|NOPTR, $232
+DATA kconst<>+232(SB)/8, $0x000FFFFFFFFFFFFF // mantissa mask, the largest subnormal's bits
+DATA kconst<>+240(SB)/8, $0x7FF0000000000000 // +Inf's bits
+DATA kconst<>+248(SB)/8, $0x4330000000000000 // 2^52's bits
+DATA kconst<>+256(SB)/8, $4503599627371518.0 // 2^52 + 1022
+DATA kconst<>+264(SB)/8, $HSqrt2
+DATA kconst<>+272(SB)/8, $L1
+DATA kconst<>+280(SB)/8, $L2
+DATA kconst<>+288(SB)/8, $L3
+DATA kconst<>+296(SB)/8, $L4
+DATA kconst<>+304(SB)/8, $L5
+DATA kconst<>+312(SB)/8, $L6
+DATA kconst<>+320(SB)/8, $L7
+DATA kconst<>+328(SB)/8, $Ln2Hi
+DATA kconst<>+336(SB)/8, $Ln2Lo
+GLOBL kconst<>(SB), RODATA|NOPTR, $344
 
 // EXP_FMA(x, acc, tmp, k) sets each lane of x to exp(x) as math.Exp's
 // avxfma path computes it, for arguments whose result is a normal
@@ -410,6 +437,111 @@ tanh4:
 	JMP          tanh4
 
 tanhDone:
+	VZEROUPPER
+	RET
+
+// func logAVX2(dst, src []float64) int
+//
+// dst[i] = math.Log(src[i]) in blocks of four, one element per lane, and
+// returns how many elements it wrote: it stops before the first block
+// with fewer than four elements left or with a lane that is not a
+// positive finite normal number (checked on the bits: above the largest
+// subnormal's and below +Inf's as signed integers, so the sign bit, ±0,
+// subnormals, ±Inf and NaN all fail). Every other lane repeats
+// log_amd64.s instruction for instruction:
+//
+//   - f1 is the mantissa under 0.5's exponent and k the biased exponent
+//     minus 1022, converted exactly (2^52's bits OR the exponent, less
+//     2^52 + 1022) where the scalar code uses CVTSL2SD;
+//   - the reduction test is the assembly's CMPSD NLT, !(√2/2 < f1), so an
+//     f1 of exactly √2/2 is reduced too: k -= t and f1 *= 1 + t for t 0
+//     or 1;
+//   - then s = f/(2+f), the two polynomials and the final combination,
+//     every product, sum and the one divide rounded on its own, in the
+//     scalar order.
+//
+// dst may alias src: each block is loaded before it is stored.
+TEXT ·logAVX2(SB), NOSPLIT, $0-56
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         src_base+24(FP), SI
+	MOVQ         src_len+32(FP), CX
+	VPBROADCASTQ kconst<>+232(SB), Y15 // mantissa mask
+	VPBROADCASTQ kconst<>+240(SB), Y14 // +Inf's bits
+	VBROADCASTSD kconst<>+96(SB), Y13  // 0.5
+	VBROADCASTSD kconst<>+104(SB), Y12 // 1
+	VBROADCASTSD kconst<>+112(SB), Y11 // 2
+	VPBROADCASTQ kconst<>+248(SB), Y10 // 2^52's bits
+	VBROADCASTSD kconst<>+256(SB), Y9  // 2^52 + 1022
+	VBROADCASTSD kconst<>+264(SB), Y8  // √2/2
+	XORQ         AX, AX
+
+log4:
+	LEAQ      4(AX), DX
+	CMPQ      DX, CX
+	JGT       logDone
+	VMOVUPD   (SI)(AX*8), Y0
+	VPCMPGTQ  Y15, Y0, Y1 // x's bits above the largest subnormal's
+	VPCMPGTQ  Y0, Y14, Y2 // and below +Inf's
+	VPAND     Y2, Y1, Y1
+	VMOVMSKPD Y1, BX
+	CMPQ      BX, $15
+	JNE       logDone
+
+	VANDPD Y15, Y0, Y1      // mantissa
+	VORPD  Y13, Y1, Y1      // f1
+	VPSRLQ $52, Y0, Y2      // biased exponent
+	VPOR   Y10, Y2, Y2
+	VSUBPD Y9, Y2, Y2       // k
+	VCMPPD $5, Y1, Y8, Y3   // √2/2 NLT f1
+	VANDPD Y12, Y3, Y3      // t = 0 or 1
+	VSUBPD Y3, Y2, Y2       // k -= t
+	VADDPD Y12, Y3, Y3
+	VMULPD Y3, Y1, Y1       // f1 *= 1 + t
+	VSUBPD Y12, Y1, Y1      // f = f1 - 1
+	VADDPD Y11, Y1, Y3
+	VDIVPD Y3, Y1, Y3       // s = f/(2+f)
+	VMULPD Y3, Y3, Y4       // s2
+	VMULPD Y4, Y4, Y5       // s4
+
+	VBROADCASTSD kconst<>+320(SB), Y6
+	VMULPD       Y5, Y6, Y6
+	VBROADCASTSD kconst<>+304(SB), Y7
+	VADDPD       Y7, Y6, Y6
+	VMULPD       Y5, Y6, Y6
+	VBROADCASTSD kconst<>+288(SB), Y7
+	VADDPD       Y7, Y6, Y6
+	VMULPD       Y5, Y6, Y6
+	VBROADCASTSD kconst<>+272(SB), Y7
+	VADDPD       Y7, Y6, Y6
+	VMULPD       Y6, Y4, Y4 // t1 = s2·(L1 + s4·(L3 + s4·(L5 + s4·L7)))
+	VBROADCASTSD kconst<>+312(SB), Y6
+	VMULPD       Y5, Y6, Y6
+	VBROADCASTSD kconst<>+296(SB), Y7
+	VADDPD       Y7, Y6, Y6
+	VMULPD       Y5, Y6, Y6
+	VBROADCASTSD kconst<>+280(SB), Y7
+	VADDPD       Y7, Y6, Y6
+	VMULPD       Y6, Y5, Y5 // t2 = s4·(L2 + s4·(L4 + s4·L6))
+	VADDPD       Y5, Y4, Y4 // R = t1 + t2
+
+	VMULPD       Y1, Y13, Y5
+	VMULPD       Y1, Y5, Y5 // hfsq = 0.5·f·f
+	VADDPD       Y5, Y4, Y4
+	VMULPD       Y4, Y3, Y3 // s·(hfsq + R)
+	VBROADCASTSD kconst<>+336(SB), Y6
+	VMULPD       Y2, Y6, Y6
+	VADDPD       Y6, Y3, Y3 // s·(hfsq + R) + k·Ln2Lo
+	VSUBPD       Y3, Y5, Y5
+	VSUBPD       Y1, Y5, Y5
+	VBROADCASTSD kconst<>+328(SB), Y6
+	VMULPD       Y6, Y2, Y2
+	VSUBPD       Y5, Y2, Y2 // k·Ln2Hi - ((hfsq - (s·(hfsq + R) + k·Ln2Lo)) - f)
+	VMOVUPD      Y2, (DI)(AX*8)
+	MOVQ         DX, AX
+	JMP          log4
+
+logDone:
+	MOVQ AX, ret+48(FP)
 	VZEROUPPER
 	RET
 

@@ -16,3 +16,5 @@ func sigmoidAVX2(dst, src []float64) int { panic("matrix: no vector kernels") }
 func scatterAVX2(dst, g, x []float64) { panic("matrix: no vector kernels") }
 
 func tanhAVX2(dst, src []float64) { panic("matrix: no vector kernels") }
+
+func logAVX2(dst, src []float64) int { panic("matrix: no vector kernels") }

@@ -98,6 +98,32 @@ func TestVectorPathTaken(t *testing.T) {
 			t.Fatalf("tanhAVX2 wrote %v at %d of %v, want %v", dst[i], i, src, want)
 		}
 	}
+	// logAVX2 writes whole blocks of four up to the first block with a
+	// lane it does not take, here the third, whose 0 LogInto's scalar
+	// fallback logs, and leaves the tail after that to the same loop.
+	src = []float64{0.3, 1, 7, 1e-5, 2, 3, 4, 5, 9, 0, 10, 11, 12, 13}
+	dst = make([]float64, len(src))
+	for i := range dst {
+		dst[i] = -7
+	}
+	if k := logAVX2(dst, src); k != 8 {
+		t.Fatalf("logAVX2(%v) wrote %d elements, want 8", src, k)
+	}
+	for i, v := range src {
+		want := math.Log(v)
+		if i >= 8 {
+			want = -7
+		}
+		if dst[i] != want {
+			t.Fatalf("logAVX2 wrote %v at %d of %v, want %v", dst[i], i, src, want)
+		}
+	}
+	LogInto(dst, src)
+	for i, v := range src {
+		if dst[i] != math.Log(v) {
+			t.Fatalf("LogInto wrote %v at %d of %v, want %v", dst[i], i, src, math.Log(v))
+		}
+	}
 }
 
 // TestSigmoidVectorFallback pins which blocks the vector sigmoid takes: a
@@ -351,6 +377,78 @@ func TestTanhVectorMatchesScalar(t *testing.T) {
 	}
 }
 
+// logSpecials are the inputs the log replica leaves to math.Log, and
+// the normal numbers next to them.
+var logSpecials = []float64{0, math.Copysign(0, -1), -1, -math.MaxFloat64, math.Inf(1), math.Inf(-1),
+	math.NaN(), -math.NaN(), math.SmallestNonzeroFloat64, 0x1p-1022, math.Nextafter(0x1p-1022, 0),
+	math.MaxFloat64, -0x1p-1030}
+
+// logInputs fills x with one family of the log differential test's
+// inputs.
+func logInputs(g *rand.Rand, family int, x []float64) {
+	const eps = 1e-12 // the logistic loss's clamp
+	for i := range x {
+		switch family {
+		case 0:
+			x[i] = g.Float64()
+		case 1:
+			switch g.Intn(8) {
+			case 0:
+				x[i] = eps
+			case 1:
+				x[i] = 1 - eps
+			default:
+				x[i] = eps + (1-2*eps)*g.Float64()
+			}
+		case 2:
+			// √2/2·2^k, the reduction test's edge, and one ulp either side.
+			v := math.Ldexp(math.Sqrt2/2, g.Intn(2045)-1021)
+			switch g.Intn(3) {
+			case 0:
+				v = math.Nextafter(v, math.Inf(1))
+			case 1:
+				v = math.Nextafter(v, 0)
+			}
+			x[i] = v
+		case 3:
+			x[i] = math.Float64frombits(g.Uint64()) // NaN, ±Inf, subnormals, negatives
+		case 4:
+			x[i] = math.Float64frombits(g.Uint64() >> 1) // positive, every exponent
+		case 5:
+			x[i] = math.Ldexp(1, g.Intn(2098)-1074) // powers of two, subnormal ones too
+		}
+	}
+}
+
+// TestLogVectorMatchesScalar runs 10⁷ inputs through LogInto and holds
+// each output to math.Log bit for bit, with every special value in every
+// lane of a block. It is the tripwire for a Go release that changes
+// math.Log: the vector path replicates today's log_amd64.s and must then
+// be updated.
+func TestLogVectorMatchesScalar(t *testing.T) {
+	needVector(t)
+	g := rand.New(rand.NewSource(31))
+	const chunk = 1 << 16
+	x := make([]float64, chunk)
+	got := make([]float64, chunk)
+	total := 0
+	for round := 0; total < 10_000_000; round++ {
+		logInputs(g, round%6, x)
+		for k, v := range logSpecials {
+			x[k*4*97+(round+k)%4] = v
+		}
+		n := chunk - round%7 // vary the tail
+		LogInto(got[:n], x[:n])
+		for i, v := range x[:n] {
+			if want := math.Log(v); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("log(%v = %x): vector %x, math.Log %x", v, math.Float64bits(v),
+					math.Float64bits(got[i]), math.Float64bits(want))
+			}
+		}
+		total += n
+	}
+}
+
 // decodeFloats reads little-endian float64s from b.
 func decodeFloats(b []byte) []float64 {
 	out := make([]float64, len(b)/8)
@@ -397,6 +495,22 @@ func FuzzTanhInto(f *testing.F) {
 		for i := range x {
 			if !sameFloat(got[i], want[i]) {
 				t.Fatalf("tanh(%x): vector %x, scalar %x", math.Float64bits(x[i]), math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	})
+}
+
+func FuzzLogInto(f *testing.F) {
+	f.Add(encodeFloats(0.5, 1e-12, 1-1e-12, 0.7071067811865476, 2, 0, 3, 4, 5))
+	f.Add(encodeFloats(math.Inf(1), -1, 1e-310, math.NaN(), 0x1p-1022, math.MaxFloat64, 0.25))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		needVector(t)
+		x := decodeFloats(b)
+		got := make([]float64, len(x))
+		LogInto(got, x)
+		for i, v := range x {
+			if want := math.Log(v); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("log(%x): vector %x, math.Log %x", math.Float64bits(v), math.Float64bits(got[i]), math.Float64bits(want))
 			}
 		}
 	})
@@ -486,7 +600,9 @@ func FuzzScatterRows(f *testing.F) {
 
 // BenchmarkTrainingKernels times each kernel on both paths at fig7-cold's
 // training shape: a 70% split of Adult n=5000, 3500 rows by 9 features.
-// tanh runs on the MLP's block instead: 20 hidden units by a 32-row batch.
+// log takes one loss pass's 3500 probabilities, inside the loss's clamp
+// range [1e-12, 1-1e-12]. tanh runs on the MLP's block instead: 20
+// hidden units by a 32-row batch.
 func BenchmarkTrainingKernels(b *testing.B) {
 	needVector(b)
 	g := rand.New(rand.NewSource(1))
@@ -506,6 +622,10 @@ func BenchmarkTrainingKernels(b *testing.B) {
 		act[i] = g.NormFloat64()
 	}
 	hid := make([]float64, len(act))
+	prob := make([]float64, r)
+	for i := range prob {
+		prob[i] = 1e-12 + (1-2e-12)*g.Float64()
+	}
 	kernels := []struct {
 		name string
 		run  func()
@@ -515,6 +635,7 @@ func BenchmarkTrainingKernels(b *testing.B) {
 		{"sqdist", func() { des.SqDistInto(out, w) }},
 		{"sigmoid", func() { SigmoidInto(out, z) }},
 		{"tanh", func() { TanhInto(hid, act) }},
+		{"log", func() { LogInto(out, prob) }},
 	}
 	for _, k := range kernels {
 		b.Run(k.name+"/vector", func(b *testing.B) {
