@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -264,30 +263,6 @@ func TestDiscretizer(t *testing.T) {
 	code, total := disc.Code(d.X[10], []int{0, 1})
 	if code < 0 || code >= total {
 		t.Fatalf("code %d outside [0,%d)", code, total)
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	d := toy(7)
-	var buf bytes.Buffer
-	if err := d.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV(&buf, "toy", d.Attrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != d.Len() || back.SName != "S" || back.YName != "Y" {
-		t.Fatalf("roundtrip header: %+v", back)
-	}
-	for i := range d.X {
-		if back.X[i][0] != d.X[i][0] || back.S[i] != d.S[i] || back.Y[i] != d.Y[i] {
-			t.Fatalf("roundtrip row %d", i)
-		}
-	}
-	// Malformed input errors.
-	if _, err := ReadCSV(bytes.NewBufferString("a,S,Y\nx,0,1\n"), "bad", nil); err == nil {
-		t.Fatal("non-numeric attribute must error")
 	}
 }
 

@@ -39,18 +39,8 @@ func Variance(x []float64) float64 {
 // Std returns the unbiased sample standard deviation of x.
 func Std(x []float64) float64 { return math.Sqrt(Variance(x)) }
 
-// Quantile returns the q-th quantile (0 ≤ q ≤ 1) of x using linear
-// interpolation between order statistics. x need not be sorted.
-func Quantile(x []float64, q float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), x...)
-	sort.Float64s(s)
-	return QuantileSorted(s, q)
-}
-
-// QuantileSorted is Quantile for pre-sorted input, avoiding the copy.
+// QuantileSorted returns the q-th quantile (0 ≤ q ≤ 1) of the ascending
+// s using linear interpolation between order statistics (0 for empty s).
 func QuantileSorted(s []float64, q float64) float64 {
 	n := len(s)
 	if n == 0 {

@@ -26,11 +26,11 @@ func TestQuantile(t *testing.T) {
 		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5},
 	}
 	for _, c := range cases {
-		if got := Quantile(x, c.q); math.Abs(got-c.want) > 1e-12 {
+		if got := QuantileSorted(x, c.q); math.Abs(got-c.want) > 1e-12 {
 			t.Fatalf("quantile %v: got %v want %v", c.q, got, c.want)
 		}
 	}
-	if Quantile(nil, 0.5) != 0 {
+	if QuantileSorted(nil, 0.5) != 0 {
 		t.Fatal("empty quantile must be 0")
 	}
 }
@@ -51,7 +51,8 @@ func TestQuantileMonotone(t *testing.T) {
 				return true
 			}
 		}
-		return Quantile(x, qa) <= Quantile(x, qb)+1e-9
+		sort.Float64s(x)
+		return QuantileSorted(x, qa) <= QuantileSorted(x, qb)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -111,16 +112,5 @@ func TestConfusion(t *testing.T) {
 	var empty Confusion
 	if empty.TPR() != 0 || empty.FPR() != 0 {
 		t.Fatal("empty confusion rates must be 0")
-	}
-}
-
-func TestQuantileSortedAgainstUnsorted(t *testing.T) {
-	x := []float64{9, 1, 4, 4, 2, 8}
-	s := append([]float64(nil), x...)
-	sort.Float64s(s)
-	for _, q := range []float64{0, 0.3, 0.5, 0.9, 1} {
-		if Quantile(x, q) != QuantileSorted(s, q) {
-			t.Fatalf("sorted/unsorted mismatch at q=%v", q)
-		}
 	}
 }
