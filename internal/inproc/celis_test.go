@@ -7,22 +7,7 @@ import (
 
 	"fairbench/internal/classifier"
 	"fairbench/internal/dataset"
-	"fairbench/internal/rng"
-	"fairbench/internal/synth"
 )
-
-// sources are the three benchmark datasets the approach tests fit on.
-var sources = []struct {
-	name string
-	gen  func(n int, seed int64) *synth.Source
-}{{"adult", synth.Adult}, {"compas", synth.COMPAS}, {"german", synth.German}}
-
-// celisSplit is the 70% training split of name at n and seed, as the
-// metric grids draw it.
-func celisSplit(gen func(int, int64) *synth.Source, n int, seed int64) *dataset.Dataset {
-	train, _ := gen(n, seed).Data.Split(0.7, rng.New(seed))
-	return train
-}
 
 // nestedThresholdSearch is the per-pair scan searchThresholds replaced,
 // kept as its reference: for every (t0, t1) it relabels every tuple and
@@ -123,7 +108,7 @@ func TestThresholdSearchMatchesNestedLoop(t *testing.T) {
 	}
 	for _, src := range sources {
 		for seed := int64(1); seed <= 3; seed++ {
-			train := celisSplit(src.gen, 1000, seed)
+			train := trainingSplit(src.gen, 1000, seed)
 			check(src.name, celisProba(t, train), train.S, train.Y)
 		}
 	}
@@ -178,7 +163,7 @@ func fdrRatio(pos, fd [2]float64) float64 {
 func TestCelisContract(t *testing.T) {
 	for _, src := range sources {
 		for seed := int64(1); seed <= 3; seed++ {
-			train := celisSplit(src.gen, 1000, seed)
+			train := trainingSplit(src.gen, 1000, seed)
 			c := NewCelis().(*Celis)
 			yhat := fitPredict(t, c, train, train)
 			pos, fd := fdrCounts(train, yhat)

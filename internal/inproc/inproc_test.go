@@ -17,6 +17,19 @@ func trainTest(t *testing.T, n int) (*dataset.Dataset, *dataset.Dataset) {
 	return src.Data.Split(0.7, rng.New(11))
 }
 
+// sources are the three benchmark datasets.
+var sources = []struct {
+	name string
+	gen  func(n int, seed int64) *synth.Source
+}{{"adult", synth.Adult}, {"compas", synth.COMPAS}, {"german", synth.German}}
+
+// trainingSplit is the 70% training split of gen's dataset at n and
+// seed, drawn as the metric grids draw it.
+func trainingSplit(gen func(int, int64) *synth.Source, n int, seed int64) *dataset.Dataset {
+	train, _ := gen(n, seed).Data.Split(0.7, rng.New(seed))
+	return train
+}
+
 func fitPredict(t *testing.T, a fair.Approach, train, test *dataset.Dataset) []int {
 	t.Helper()
 	if err := a.Fit(train); err != nil {

@@ -29,7 +29,7 @@ func TestZafarLossMatchesPerTupleFold(t *testing.T) {
 	g := rand.New(rand.NewSource(3))
 	for _, src := range sources {
 		for seed := int64(1); seed <= 2; seed++ {
-			train := celisSplit(src.gen, 1000, seed)
+			train := trainingSplit(src.gen, 1000, seed)
 			b := linearBase{}
 			x := b.designMatrix(train)
 			view := newFitView(x, train.Y)

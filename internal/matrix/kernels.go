@@ -6,8 +6,9 @@ import (
 )
 
 // This file holds the hot training kernels: the inner loops every Adam
-// iteration and every MLP mini-batch of every grid cell runs, and the
-// distance scan of every kNN query. Their scalar loops are written so
+// iteration and every MLP mini-batch of every grid cell runs, the log of
+// every logistic-loss evaluation, and the distance scan of every kNN
+// query. Their scalar loops are written so
 // the compiler proves all indexing in bounds (verified in CI by building
 // with -gcflags=-d=ssa/check_bce and failing on any IsInBounds finding
 // in this file), and AffineInto and ScatterRows block rows in groups of
@@ -23,8 +24,8 @@ import (
 //
 // Vector path. On amd64 CPUs with AVX2, FMA and OS-enabled YMM state
 // (checked once, by CPUID and XGETBV in kernels_amd64.s),
-// Design.AffineInto, Design.SqDistInto, SigmoidInto, TanhInto and
-// ScatterRows run AVX2 assembly instead; every other CPU and GOARCH runs
+// Design.AffineInto, Design.SqDistInto, SigmoidInto, TanhInto, LogInto
+// and ScatterRows run AVX2 assembly instead; every other CPU and GOARCH runs
 // the scalar loops, which stay the reference. The lane rule: a vector
 // kernel computes four outputs the scalar loop already computes
 // independently, and each lane repeats that output's scalar fold
@@ -62,6 +63,17 @@ import (
 // math.tanh), so the replica rounds every product and sum on its own. A
 // release that starts fusing it, or changes math.Tanh, fails the tanh
 // differential test the same way.
+//
+// The log kernel replicates log_amd64.s, the assembly math.Log runs on
+// every amd64 CPU, one element per lane. That file has no FMA branch, so
+// the replica fuses nothing: every product, sum and its one divide round
+// on their own, in its order. Only a block whose four lanes are positive
+// finite normal numbers takes the vector path (the test reads the bits);
+// a block with ±0, a negative, a subnormal, ±Inf or NaN in any lane runs
+// math.Log. The argument reduction copies the assembly's comparison,
+// CMPSD NLT, which halves the mantissa's range at f1 <= √2/2 where
+// log.go writes f1 < √2/2. A Go release that changes math.Log fails the
+// log differential test, the same tripwire as exp's and tanh's.
 
 // useVector selects the AVX2 kernels. It is fixed at start-up; tests
 // reach the scalar reference through export_test.go.

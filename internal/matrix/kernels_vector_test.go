@@ -377,12 +377,6 @@ func TestTanhVectorMatchesScalar(t *testing.T) {
 	}
 }
 
-// logSpecials are the inputs the log replica leaves to math.Log, and
-// the normal numbers next to them.
-var logSpecials = []float64{0, math.Copysign(0, -1), -1, -math.MaxFloat64, math.Inf(1), math.Inf(-1),
-	math.NaN(), -math.NaN(), math.SmallestNonzeroFloat64, 0x1p-1022, math.Nextafter(0x1p-1022, 0),
-	math.MaxFloat64, -0x1p-1030}
-
 // logInputs fills x with one family of the log differential test's
 // inputs.
 func logInputs(g *rand.Rand, family int, x []float64) {
@@ -431,10 +425,15 @@ func TestLogVectorMatchesScalar(t *testing.T) {
 	const chunk = 1 << 16
 	x := make([]float64, chunk)
 	got := make([]float64, chunk)
+	// The inputs the replica leaves to math.Log, and the normal numbers
+	// next to them.
+	special := []float64{0, math.Copysign(0, -1), -1, -math.MaxFloat64, math.Inf(1), math.Inf(-1),
+		math.NaN(), -math.NaN(), math.SmallestNonzeroFloat64, 0x1p-1022, math.Nextafter(0x1p-1022, 0),
+		math.MaxFloat64, -0x1p-1030}
 	total := 0
 	for round := 0; total < 10_000_000; round++ {
 		logInputs(g, round%6, x)
-		for k, v := range logSpecials {
+		for k, v := range special {
 			x[k*4*97+(round+k)%4] = v
 		}
 		n := chunk - round%7 // vary the tail

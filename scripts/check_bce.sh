@@ -6,7 +6,7 @@
 # diagnostic (-gcflags=-d=ssa/check_bce) and fails if any per-element
 # bounds check ("Found IsInBounds") survives in the named hot-kernel
 # files — matrix/kernels.go (the scalar AffineInto / SqDistInto /
-# ScatterRows / SigmoidInto / TanhInto loops, the dispatch to their AVX2
+# ScatterRows / SigmoidInto / TanhInto / LogInto loops, the dispatch to their AVX2
 # forms in kernels_amd64.s, and the row and fallback tails the vector
 # kernels leave to Go) and classifier/flatfit.go (logistic regression's flat
 # gradient and the MLP's batch passes). These are the inner loops every
