@@ -98,10 +98,11 @@ func TestVectorPathTaken(t *testing.T) {
 			t.Fatalf("tanhAVX2 wrote %v at %d of %v, want %v", dst[i], i, src, want)
 		}
 	}
-	// logAVX2 writes whole blocks of four up to the first block with a
-	// lane it does not take, here the third, whose 0 LogInto's scalar
-	// fallback logs, and leaves the tail after that to the same loop.
-	src = []float64{0.3, 1, 7, 1e-5, 2, 3, 4, 5, 9, 0, 10, 11, 12, 13}
+	// logAVX2 writes whole blocks of four and stops at the first block
+	// with a lane it does not take, here the third (its 0). LogInto logs
+	// that block with the scalar loop, the fourth with logAVX2 again and
+	// the one-element tail with the scalar loop.
+	src = []float64{0.3, 1, 7, 1e-5, 2, 3, 4, 5, 9, 0, 10, 11, 12, 13, 14, 15, 16}
 	dst = make([]float64, len(src))
 	for i := range dst {
 		dst[i] = -7
