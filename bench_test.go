@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"fairbench/internal/classifier"
-	"fairbench/internal/dataset"
 	"fairbench/internal/experiments"
 	"fairbench/internal/fair"
 	"fairbench/internal/postproc"
@@ -305,15 +304,13 @@ func BenchmarkFitLogreg(b *testing.B) {
 func BenchmarkAdamStepLogreg(b *testing.B) {
 	src := synth.German(1000, 1)
 	train, _ := src.Data.Split(0.7, rng.New(1))
-	work := train.Clone()
-	dataset.FitStandardizer(work).Apply(work)
-	x := work.FeatureMatrix(true)
+	_, x := train.StandardizedDesign(true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lr := classifier.NewLogistic()
 		lr.MaxIter = 1
-		if err := lr.Fit(x, work.Y, work.Weights); err != nil {
+		if err := lr.Fit(x, train.Y, train.Weights); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -182,7 +182,9 @@ type (
 	Approach = fair.Approach
 	// Stage is the fairness-enforcing pipeline stage.
 	Stage = fair.Stage
-	// Classifier is a binary probabilistic classifier.
+	// Classifier is a binary probabilistic classifier. Its Fit takes a
+	// design matrix as Dataset.FeatureMatrix or Dataset.StandardizedDesign
+	// builds one.
 	Classifier = classifier.Classifier
 	// Correctness holds the Figure 2 metrics.
 	Correctness = metrics.Correctness

@@ -39,7 +39,7 @@ func TestFitLeavesReceiverConfigUntouched(t *testing.T) {
 	if mlp.Hidden != 0 || mlp.Epochs != 0 || mlp.Step != 0 || mlp.Batch != 0 {
 		t.Fatalf("MLP.Fit mutated config: %+v", mlp)
 	}
-	if mlp.PredictProba(xor[0]) == 0.5 && mlp.PredictProba(xor[1]) == 0.5 {
+	if mlp.PredictProba(xor.Row(0)) == 0.5 && mlp.PredictProba(xor.Row(1)) == 0.5 {
 		t.Fatal("zero-value MLP must still predict with resolved defaults")
 	}
 
@@ -50,7 +50,7 @@ func TestFitLeavesReceiverConfigUntouched(t *testing.T) {
 	if knn.K != 0 {
 		t.Fatalf("KNN.Fit mutated config: %+v", knn)
 	}
-	if p := knn.PredictProba(x[0]); p < 0 || p > 1 {
+	if p := knn.PredictProba(x.Row(0)); p < 0 || p > 1 {
 		t.Fatalf("zero-value kNN prediction out of range: %v", p)
 	}
 
@@ -82,7 +82,7 @@ func TestConcurrentFitSharedBacking(t *testing.T) {
 		func() Classifier { return NewLogistic() },
 		func() Classifier { return NewSVM() },
 		func() Classifier { return NewKNN() },
-		func() Classifier { return NewTree() },
+		func() Classifier { return &DecisionTree{} },
 		func() Classifier { return NewMLP() },
 	}
 	var wg sync.WaitGroup
@@ -96,7 +96,7 @@ func TestConcurrentFitSharedBacking(t *testing.T) {
 				errs[k] = err
 				return
 			}
-			c.PredictProba(x[0])
+			c.PredictProba(x.Row(0))
 		}(k)
 	}
 	wg.Wait()
@@ -194,7 +194,7 @@ func TestKNNPredictAllocatesNothing(t *testing.T) {
 	if err := k.Fit(x, y, nil); err != nil {
 		t.Fatal(err)
 	}
-	if allocs := testing.AllocsPerRun(20, func() { k.PredictProba(x[7]) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(20, func() { k.PredictProba(x.Row(7)) }); allocs != 0 {
 		t.Fatalf("kNN PredictProba allocates %v times per query, want 0", allocs)
 	}
 }
@@ -208,9 +208,9 @@ func TestKNNBlockAllocationsConstant(t *testing.T) {
 		t.Fatal(err)
 	}
 	block := func(rows int) float64 {
-		q := matrix.FromRows(x[:rows])
+		q := matrix.Dense{Data: x.Data[:rows*x.Cols], Rows: rows, Cols: x.Cols, Stride: x.Cols}
 		dst := make([]float64, rows)
-		return testing.AllocsPerRun(5, func() { k.PredictProbaInto(dst, *q) })
+		return testing.AllocsPerRun(5, func() { k.PredictProbaInto(dst, q) })
 	}
 	one, many := block(1), block(300)
 	if one != many || many > 2 {

@@ -14,8 +14,8 @@ import (
 func BenchmarkMLPFit(b *testing.B) {
 	train, _ := synth.Adult(1000, 7).Data.Split(0.7, rng.New(7))
 	_, x := train.StandardizedDesign(false)
-	if len(x) != 700 || len(x[0]) != 9 {
-		b.Fatalf("training split is %d × %d, want 700 × 9", len(x), len(x[0]))
+	if x.Rows != 700 || x.Cols != 9 {
+		b.Fatalf("training split is %d × %d, want 700 × 9", x.Rows, x.Cols)
 	}
 	for b.Loop() {
 		if err := NewMLP().Fit(x, train.Y, nil); err != nil {

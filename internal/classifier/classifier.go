@@ -4,9 +4,9 @@
 // forest, and a one-hidden-layer MLP — the five model families of the
 // model-sensitivity experiment (Section 4.5, Appendix F).
 //
-// All models share the Classifier interface over plain feature matrices;
-// whether the sensitive attribute is part of the features is decided by
-// the caller (the fair-approach layer).
+// All models share the Classifier interface over one design layout,
+// matrix.Dense; whether the sensitive attribute is part of the features
+// is decided by the caller (the fair-approach layer).
 package classifier
 
 import (
@@ -16,10 +16,10 @@ import (
 )
 
 // Classifier is a binary probabilistic classifier. Fit trains on the
-// design matrix x (row-major), labels y in {0,1}, and optional per-row
-// weights w (nil = uniform).
+// design matrix x, labels y in {0,1}, and optional per-row weights w
+// (nil = uniform); it only reads x, y and w.
 type Classifier interface {
-	Fit(x [][]float64, y []int, w []float64) error
+	Fit(x matrix.Dense, y []int, w []float64) error
 	// PredictProba returns P(Y=1 | x).
 	PredictProba(x []float64) float64
 	// PredictProbaInto sets dst[i] to PredictProba(x.Row(i)), bit for
@@ -49,35 +49,19 @@ func New(model string) Classifier {
 	}
 }
 
-// Predict thresholds PredictProba at 0.5.
-func Predict(c Classifier, x []float64) int {
-	if c.PredictProba(x) >= 0.5 {
-		return 1
-	}
-	return 0
-}
-
-// PredictAll applies c to every row of x.
-func PredictAll(c Classifier, x [][]float64) []int {
+// PredictAll labels every row of x.
+func PredictAll(c Classifier, x matrix.Dense) []int {
 	return Labels(ProbaAll(c, x))
 }
 
-// ProbaAll returns P(Y=1|x) for every row of x, scoring in one block
-// when x is a view of one flat backing (as dataset.FeatureMatrix builds
-// it).
-func ProbaAll(c Classifier, x [][]float64) []float64 {
-	out := make([]float64, len(x))
-	if dm, ok := matrix.AsDense(x); ok {
-		c.PredictProbaInto(out, dm)
-		return out
-	}
-	for i, row := range x {
-		out[i] = c.PredictProba(row)
-	}
+// ProbaAll returns P(Y=1|x) for every row of x, scored in one block.
+func ProbaAll(c Classifier, x matrix.Dense) []float64 {
+	out := make([]float64, x.Rows)
+	c.PredictProbaInto(out, x)
 	return out
 }
 
-// Labels thresholds probabilities at 0.5, as Predict does.
+// Labels thresholds probabilities at 0.5.
 func Labels(proba []float64) []int {
 	out := make([]int, len(proba))
 	for i, p := range proba {
@@ -99,27 +83,17 @@ func predictRows(c Classifier, dst []float64, x matrix.Dense) {
 	}
 }
 
-func checkFitInput(x [][]float64, y []int, w []float64) error {
-	if len(x) == 0 {
+// checkFitInput rejects an empty design and label or weight counts that
+// differ from its row count.
+func checkFitInput(x matrix.Dense, y []int, w []float64) error {
+	if x.Rows == 0 {
 		return fmt.Errorf("classifier: empty training set")
 	}
-	if len(y) != len(x) {
-		return fmt.Errorf("classifier: %d rows but %d labels", len(x), len(y))
+	if len(y) != x.Rows {
+		return fmt.Errorf("classifier: %d rows but %d labels", x.Rows, len(y))
 	}
-	if w != nil && len(w) != len(x) {
-		return fmt.Errorf("classifier: %d rows but %d weights", len(x), len(w))
-	}
-	// A design built by dataset.FeatureMatrix arrives as views of one flat
-	// backing; a successful AsDense certifies every row's shape by
-	// aliasing, so the per-row semantic scan is skipped.
-	if _, ok := matrix.AsDense(x); ok {
-		return nil
-	}
-	d := len(x[0])
-	for i, row := range x {
-		if len(row) != d {
-			return fmt.Errorf("classifier: row %d has %d features, want %d", i, len(row), d)
-		}
+	if w != nil && len(w) != x.Rows {
+		return fmt.Errorf("classifier: %d rows but %d weights", x.Rows, len(w))
 	}
 	return nil
 }

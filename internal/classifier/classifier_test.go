@@ -5,47 +5,50 @@ import (
 	"testing"
 	"testing/quick"
 
+	"fairbench/internal/matrix"
 	"fairbench/internal/rng"
 )
 
 // linearlySeparable generates a 2-D dataset split by the line x0 + x1 = 0.
-func linearlySeparable(n int, seed int64) ([][]float64, []int) {
+func linearlySeparable(n int, seed int64) (matrix.Dense, []int) {
 	g := rng.New(seed)
-	x := make([][]float64, n)
+	x := matrix.NewDense(n, 2)
 	y := make([]int, n)
-	for i := range x {
+	for i := range y {
 		a, b := g.Normal(0, 1), g.Normal(0, 1)
-		x[i] = []float64{a, b}
+		x.Set(i, 0, a)
+		x.Set(i, 1, b)
 		if a+b > 0 {
 			y[i] = 1
 		}
 	}
-	return x, y
+	return *x, y
 }
 
 // xorData generates the canonical non-linear XOR problem.
-func xorData(n int, seed int64) ([][]float64, []int) {
+func xorData(n int, seed int64) (matrix.Dense, []int) {
 	g := rng.New(seed)
-	x := make([][]float64, n)
+	x := matrix.NewDense(n, 2)
 	y := make([]int, n)
-	for i := range x {
+	for i := range y {
 		a, b := g.Normal(0, 1), g.Normal(0, 1)
-		x[i] = []float64{a, b}
+		x.Set(i, 0, a)
+		x.Set(i, 1, b)
 		if (a > 0) != (b > 0) {
 			y[i] = 1
 		}
 	}
-	return x, y
+	return *x, y
 }
 
-func accuracy(c Classifier, x [][]float64, y []int) float64 {
+func accuracy(c Classifier, x matrix.Dense, y []int) float64 {
 	correct := 0
-	for i := range x {
-		if Predict(c, x[i]) == y[i] {
+	for i, label := range PredictAll(c, x) {
+		if label == y[i] {
 			correct++
 		}
 	}
-	return float64(correct) / float64(len(x))
+	return float64(correct) / float64(x.Rows)
 }
 
 func TestLogisticSeparable(t *testing.T) {
@@ -62,7 +65,7 @@ func TestLogisticSeparable(t *testing.T) {
 func TestLogisticWeightsShiftDecision(t *testing.T) {
 	// All-weight-on-positives must push predictions positive.
 	x, y := linearlySeparable(300, 2)
-	w := make([]float64, len(x))
+	w := make([]float64, x.Rows)
 	for i := range w {
 		if y[i] == 1 {
 			w[i] = 10
@@ -75,24 +78,25 @@ func TestLogisticWeightsShiftDecision(t *testing.T) {
 		t.Fatal(err)
 	}
 	pos := 0
-	for i := range x {
-		pos += Predict(lr, x[i])
+	for _, label := range PredictAll(lr, x) {
+		pos += label
 	}
-	if float64(pos)/float64(len(x)) < 0.5 {
+	if float64(pos)/float64(x.Rows) < 0.5 {
 		t.Fatal("positive-weighted LR should predict mostly positive")
 	}
 }
 
 func TestLogisticErrors(t *testing.T) {
 	lr := NewLogistic()
-	if err := lr.Fit(nil, nil, nil); err == nil {
+	if err := lr.Fit(matrix.Dense{}, nil, nil); err == nil {
 		t.Fatal("empty fit must error")
 	}
-	if err := lr.Fit([][]float64{{1}}, []int{1, 0}, nil); err == nil {
+	one := *matrix.NewDense(1, 1)
+	if err := lr.Fit(one, []int{1, 0}, nil); err == nil {
 		t.Fatal("label mismatch must error")
 	}
-	if err := lr.Fit([][]float64{{1}, {1, 2}}, []int{1, 0}, nil); err == nil {
-		t.Fatal("ragged rows must error")
+	if err := lr.Fit(one, []int{1}, []float64{1, 2}); err == nil {
+		t.Fatal("weight mismatch must error")
 	}
 }
 
@@ -108,7 +112,7 @@ func TestSVMSeparable(t *testing.T) {
 }
 
 func TestKNN(t *testing.T) {
-	x := [][]float64{{0, 0}, {0, 1}, {10, 10}, {10, 11}}
+	x := *matrix.FromRows([][]float64{{0, 0}, {0, 1}, {10, 10}, {10, 11}})
 	y := []int{0, 0, 1, 1}
 	k := &KNN{K: 2}
 	if err := k.Fit(x, y, nil); err != nil {
@@ -124,7 +128,7 @@ func TestKNN(t *testing.T) {
 
 func TestTreeXOR(t *testing.T) {
 	x, y := xorData(600, 4)
-	tree := NewTree()
+	tree := &DecisionTree{}
 	if err := tree.Fit(x, y, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -137,9 +141,9 @@ func TestTreeXOR(t *testing.T) {
 }
 
 func TestTreePureLeaf(t *testing.T) {
-	x := [][]float64{{1}, {2}, {3}}
+	x := *matrix.FromRows([][]float64{{1}, {2}, {3}})
 	y := []int{1, 1, 1}
-	tree := NewTree()
+	tree := &DecisionTree{}
 	if err := tree.Fit(x, y, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +178,7 @@ func TestMLPXOR(t *testing.T) {
 
 func TestProbaRange(t *testing.T) {
 	x, y := linearlySeparable(200, 7)
-	models := []Classifier{NewLogistic(), NewSVM(), &KNN{K: 5}, NewTree(), NewMLP()}
+	models := []Classifier{NewLogistic(), NewSVM(), &KNN{K: 5}, &DecisionTree{}, NewMLP()}
 	for _, m := range models {
 		if err := m.Fit(x, y, nil); err != nil {
 			t.Fatalf("%T: %v", m, err)
@@ -206,7 +210,7 @@ func TestPredictAllProbaAll(t *testing.T) {
 	}
 	preds := PredictAll(lr, x)
 	probs := ProbaAll(lr, x)
-	for i := range x {
+	for i := range preds {
 		want := 0
 		if probs[i] >= 0.5 {
 			want = 1

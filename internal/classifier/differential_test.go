@@ -12,17 +12,18 @@ import (
 // tieHeavy generates n rows of d features built to stress tie handling:
 // low-cardinality categorical columns, a coarsely rounded continuous
 // column, and every fourth row a duplicate of an earlier one.
-func tieHeavy(n, d int, seed int64) ([][]float64, []int) {
+func tieHeavy(n, d int, seed int64) (matrix.Dense, []int) {
 	g := rng.New(seed)
-	x := make([][]float64, n)
+	x := matrix.NewDense(n, d)
 	y := make([]int, n)
-	for i := range x {
+	for i := range y {
+		row := x.Row(i)
 		if i >= 4 && i%4 == 0 {
 			j := g.Intn(i)
-			x[i], y[i] = x[j], y[j]
+			copy(row, x.Row(j))
+			y[i] = y[j]
 			continue
 		}
-		row := make([]float64, d)
 		for f := range row {
 			switch f % 3 {
 			case 0:
@@ -37,9 +38,8 @@ func tieHeavy(n, d int, seed int64) ([][]float64, []int) {
 		if score > 0.5 {
 			y[i] = 1
 		}
-		x[i] = row
 	}
-	return x, y
+	return *x, y
 }
 
 // weighting is one weight vector the differential tests fit with.
@@ -77,7 +77,7 @@ func probes(x [][]float64) [][]float64 {
 
 type diffSet struct {
 	name string
-	x    [][]float64
+	x    matrix.Dense
 	y    []int
 }
 
@@ -99,7 +99,7 @@ func diffSets() []diffSet {
 		edges = append(edges, []float64{[]float64{1, one}[i%2], []float64{1.5e308, huge}[i/2%2], []float64{0, math.Copysign(0, -1), -1}[i%3]})
 		edgeY = append(edgeY, (i/2+i)%2)
 	}
-	sets = append(sets, diffSet{"edges24", edges, edgeY})
+	sets = append(sets, diffSet{"edges24", *matrix.FromRows(edges), edgeY})
 	// All rows identical: no split exists on any feature.
 	same := make([][]float64, 12)
 	sameY := make([]int, 12)
@@ -107,7 +107,7 @@ func diffSets() []diffSet {
 		same[i] = []float64{1, 2}
 		sameY[i] = i % 2
 	}
-	return append(sets, diffSet{"identical12", same, sameY})
+	return append(sets, diffSet{"identical12", *matrix.FromRows(same), sameY})
 }
 
 // sameTree reports where the production tree's node i first differs from
@@ -140,15 +140,15 @@ func sameTree(ref *refNode, t *DecisionTree, i int32) string {
 func TestTreeMatchesReference(t *testing.T) {
 	fits, generalFits, generalDiffs := 0, 0, 0
 	for _, set := range diffSets() {
-		d := len(set.x[0])
-		for _, wg := range weightings(len(set.x), 5) {
+		d, rows := set.x.Cols, set.x.RowsView()
+		for _, wg := range weightings(set.x.Rows, 5) {
 			for _, subset := range []int{0, 1, 2, d - 1, d, d + 1} {
 				for _, minLeaf := range []float64{0, 0.5, 1, 3, 7.5} {
 					for _, maxDepth := range []int{0, -1, 1, 3} {
 						cfg := DecisionTree{MaxDepth: maxDepth, MinLeaf: minLeaf, FeatureSubset: subset, Seed: int64(fits)}
 						ref := &refTree{MaxDepth: maxDepth, MinLeaf: minLeaf, FeatureSubset: subset, Seed: cfg.Seed}
 						got := cfg
-						if err := ref.Fit(set.x, set.y, wg.w); err != nil {
+						if err := ref.Fit(rows, set.y, wg.w); err != nil {
 							t.Fatal(err)
 						}
 						if err := got.Fit(set.x, set.y, wg.w); err != nil {
@@ -180,16 +180,17 @@ func TestTreeMatchesReference(t *testing.T) {
 func TestForestMatchesReference(t *testing.T) {
 	preds, generalPreds, generalDiffs := 0, 0, 0
 	for _, set := range diffSets() {
-		for _, wg := range weightings(len(set.x), 9) {
+		rows := set.x.RowsView()
+		for _, wg := range weightings(set.x.Rows, 9) {
 			for _, trees := range []int{0, 1, 3} {
 				for _, maxDepth := range []int{0, 1, 4} {
-					if trees == 0 && len(set.x) > 100 {
+					if trees == 0 && set.x.Rows > 100 {
 						continue // the 40-tree default is covered on the small sets
 					}
 					cfg := RandomForest{Trees: trees, MaxDepth: maxDepth, Seed: int64(preds)}
 					ref := &refForest{Trees: trees, MaxDepth: maxDepth, Seed: cfg.Seed}
 					got := cfg
-					if err := ref.Fit(set.x, set.y, wg.w); err != nil {
+					if err := ref.Fit(rows, set.y, wg.w); err != nil {
 						t.Fatal(err)
 					}
 					if err := got.Fit(set.x, set.y, wg.w); err != nil {
@@ -205,7 +206,7 @@ func TestForestMatchesReference(t *testing.T) {
 							}
 						}
 					}
-					for _, q := range probes(set.x) {
+					for _, q := range probes(rows) {
 						a, b := ref.PredictProba(q), got.PredictProba(q)
 						preds++
 						same := math.Float64bits(a) == math.Float64bits(b)
@@ -233,12 +234,13 @@ func TestForestMatchesReference(t *testing.T) {
 // are summed in the same order.
 func TestKNNMatchesReference(t *testing.T) {
 	x, y, queries := knnGrid(240)
+	rows := x.RowsView()
 	checked := 0
-	for _, wg := range weightings(len(x), 4) {
-		for _, k := range []int{0, 1, 2, 5, 33, 64, 65, 100, len(x), len(x) + 3} {
+	for _, wg := range weightings(x.Rows, 4) {
+		for _, k := range []int{0, 1, 2, 5, 33, 64, 65, 100, x.Rows, x.Rows + 3} {
 			ref := &refKNN{K: k}
 			got := &KNN{K: k}
-			if err := ref.Fit(x, y, wg.w); err != nil {
+			if err := ref.Fit(rows, y, wg.w); err != nil {
 				t.Fatal(err)
 			}
 			if err := got.Fit(x, y, wg.w); err != nil {
@@ -259,12 +261,12 @@ func TestKNNMatchesReference(t *testing.T) {
 // knnGrid returns n training rows on a small integer grid, where many
 // points sit at exactly the same distance from a query, their labels,
 // and queries on and between the grid's levels.
-func knnGrid(n int) (x [][]float64, y []int, queries [][]float64) {
+func knnGrid(n int) (x matrix.Dense, y []int, queries [][]float64) {
 	g := rng.New(3)
-	x = make([][]float64, n)
+	x = *matrix.NewDense(n, 3)
 	y = make([]int, n)
-	for i := range x {
-		x[i] = []float64{float64(g.Intn(5)), float64(g.Intn(5)), float64(g.Intn(2))}
+	for i := range y {
+		copy(x.Row(i), []float64{float64(g.Intn(5)), float64(g.Intn(5)), float64(g.Intn(2))})
 		y[i] = g.Intn(2)
 	}
 	for a := -1.0; a <= 5; a += 0.5 {
@@ -277,35 +279,28 @@ func knnGrid(n int) (x [][]float64, y []int, queries [][]float64) {
 
 // TestPredictProbaIntoMatchesRows holds every family's block scoring to
 // its row scoring, bit for bit, on kNN's tie-heavy grid under each
-// weighting, fitted on flat and on row-built input. kNN runs at every
-// training size whose distance scan leaves a row tail of 0 to 3 and at
-// K = 0, 1, 33, n and n+3; the block holds every query and every
-// training row.
+// weighting. kNN runs at every training size whose distance scan leaves
+// a row tail of 0 to 3 and at K = 0, 1, 33, n and n+3; the block holds
+// every query and every training row.
 func TestPredictProbaIntoMatchesRows(t *testing.T) {
-	check := func(name string, c Classifier, x [][]float64, y []int, w []float64, queries [][]float64) {
+	check := func(name string, c Classifier, x matrix.Dense, y []int, w []float64, queries [][]float64) {
 		t.Helper()
-		for _, layout := range []string{"flat", "rows"} {
-			fitX := x
-			if layout == "flat" {
-				fitX = matrix.FromRows(x).RowsView()
-			}
-			if err := c.Fit(fitX, y, w); err != nil {
-				t.Fatal(err)
-			}
-			block := matrix.FromRows(queries)
-			got := make([]float64, block.Rows)
-			c.PredictProbaInto(got, *block)
-			for i, q := range queries {
-				if want := c.PredictProba(q); math.Float64bits(got[i]) != math.Float64bits(want) {
-					t.Fatalf("%s, %s fit: block row %d scored %v, row query %v", name, layout, i, got[i], want)
-				}
+		if err := c.Fit(x, y, w); err != nil {
+			t.Fatal(err)
+		}
+		block := matrix.FromRows(queries)
+		got := make([]float64, block.Rows)
+		c.PredictProbaInto(got, *block)
+		for i, q := range queries {
+			if want := c.PredictProba(q); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("%s: block row %d scored %v, row query %v", name, i, got[i], want)
 			}
 		}
 	}
 	for _, wg := range weightings(243, 4) {
 		for n := 240; n <= 243; n++ {
 			x, y, queries := knnGrid(n)
-			queries = append(queries, x...)
+			queries = append(queries, x.RowsView()...)
 			w := wg.w
 			if w != nil {
 				w = w[:n]
@@ -315,7 +310,7 @@ func TestPredictProbaIntoMatchesRows(t *testing.T) {
 			}
 		}
 		x, y, queries := knnGrid(240)
-		queries = append(queries, x...)
+		queries = append(queries, x.RowsView()...)
 		w := wg.w
 		if w != nil {
 			w = w[:240]
@@ -328,7 +323,7 @@ func TestPredictProbaIntoMatchesRows(t *testing.T) {
 			{"SVM", NewSVM()},
 			{"RF", &RandomForest{Trees: 8}},
 			{"MLP", &MLP{Epochs: 5}},
-			{"tree", NewTree()},
+			{"tree", &DecisionTree{}},
 		} {
 			check(m.name+" "+wg.name+" weights", m.c, x, y, w, queries)
 		}
@@ -337,15 +332,15 @@ func TestPredictProbaIntoMatchesRows(t *testing.T) {
 
 // mlpRows is tieHeavy's rows, or n empty rows with alternating labels
 // when d is 0.
-func mlpRows(n, d int, seed int64) ([][]float64, []int) {
+func mlpRows(n, d int, seed int64) (matrix.Dense, []int) {
 	if d > 0 {
 		return tieHeavy(n, d, seed)
 	}
-	x, y := make([][]float64, n), make([]int, n)
-	for i := range x {
-		x[i], y[i] = []float64{}, i%2
+	y := make([]int, n)
+	for i := range y {
+		y[i] = i % 2
 	}
-	return x, y
+	return *matrix.NewDense(n, 0), y
 }
 
 // sameMLP reports the first weight or prediction in which the batched
@@ -386,6 +381,7 @@ func TestMLPMatchesReference(t *testing.T) {
 	for _, n := range []int{1, 31, 32, 33, 700} {
 		for di, d := range ds {
 			x, y := mlpRows(n, d, int64(n*37+d))
+			rows := x.RowsView()
 			sparse := make([]float64, n)
 			for i := range sparse {
 				if i%97 == 5 {
@@ -393,13 +389,13 @@ func TestMLPMatchesReference(t *testing.T) {
 				}
 			}
 			ws := append(weightings(n, int64(d+11)), weighting{"sparse", sparse}, weighting{"zero", make([]float64, n)})
-			queries := probes(x)
+			queries := probes(rows)
 			for bi, batch := range []int{1, 3, 32, n + 1} {
 				hn := hiddens[(di+bi)%len(hiddens)]
 				wg := ws[(di+bi)%len(ws)]
 				ref := &refMLP{Hidden: hn, Alpha: 0.01, Epochs: 2, Batch: batch, Seed: int64(di*4 + bi)}
 				got := &MLP{Hidden: hn, Alpha: 0.01, Epochs: 2, Batch: batch, Seed: int64(di*4 + bi)}
-				if err := ref.Fit(x, y, wg.w); err != nil {
+				if err := ref.Fit(rows, y, wg.w); err != nil {
 					t.Fatal(err)
 				}
 				if err := got.Fit(x, y, wg.w); err != nil {
@@ -414,16 +410,17 @@ func TestMLPMatchesReference(t *testing.T) {
 	}
 	// The paper's configuration, at fig10's training shape.
 	x, y := tieHeavy(700, 9, 5)
-	for _, wg := range weightings(len(x), 6) {
+	rows := x.RowsView()
+	for _, wg := range weightings(x.Rows, 6) {
 		got := NewMLP()
 		ref := &refMLP{Hidden: got.Hidden, Alpha: got.Alpha, Epochs: got.Epochs, Step: got.Step, Batch: got.Batch, Seed: got.Seed}
-		if err := ref.Fit(x, y, wg.w); err != nil {
+		if err := ref.Fit(rows, y, wg.w); err != nil {
 			t.Fatal(err)
 		}
 		if err := got.Fit(x, y, wg.w); err != nil {
 			t.Fatal(err)
 		}
-		if diff := sameMLP(ref, got, probes(x)); diff != "" {
+		if diff := sameMLP(ref, got, probes(rows)); diff != "" {
 			t.Fatalf("default MLP, %s weights: %s", wg.name, diff)
 		}
 		checked++

@@ -2,24 +2,23 @@ package classifier
 
 import "fairbench/internal/matrix"
 
-// This file holds the flat-backing fast paths of the training loops:
-// logistic regression's gradient over a design matrix that arrives as
-// views of one tightly packed backing array (matrix.AsDense succeeds —
-// the shape every dataset.FeatureMatrix produces), and the MLP's batch
+// This file holds the blocked passes of the training loops: logistic
+// regression's gradient over its matrix.Design, and the MLP's batch
 // passes over its mini-batch workspace. Both run the matrix package's
-// blocked kernels over flat data instead of row-pointer chasing. Like
-// internal/matrix/kernels.go, this file is held bounds-check-free by the
-// CI check_bce gate, and every loop preserves the exact fold order of
-// the per-row loop it replaces, so both produce bit-identical weights.
+// blocked kernels over flat data. Like internal/matrix/kernels.go, this
+// file is held bounds-check-free by the CI check_bce gate, and every loop
+// preserves the exact fold order of the per-row loop it replaced, so the
+// weights are bit-identical to it (the MLP's row loop is kept as
+// reference_test.go's refMLP).
 
-// logitGradFlat accumulates the weighted logistic-loss gradient over a
-// flat design matrix into grad: one blocked z-pass (AffineInto), a sigmoid
+// logitGradFlat accumulates the weighted logistic-loss gradient over the
+// design matrix into grad: one blocked z-pass (AffineInto), a sigmoid
 // pass staging the per-tuple coefficients into gb, then one blocked scatter
 // (ScatterRows). grad[:cols] and the intercept slot grad[cols] are
 // accumulated into (not overwritten), and normalization/regularization stay
 // with the caller. Because grad arrives zeroed and every component's terms
-// are summed in ascending row order, the result is bit-identical to the
-// interleaved scalar objective it replaces.
+// are summed in ascending row order, the result is bit-identical to an
+// interleaved per-row objective.
 func logitGradFlat(dm *matrix.Design, y []int, w []float64, theta, z, gb, grad []float64) {
 	d := dm.Cols
 	th := theta[:d+1]

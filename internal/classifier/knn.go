@@ -20,20 +20,16 @@ type KNN struct {
 // NewKNN returns a kNN classifier with the paper's default k.
 func NewKNN() *KNN { return &KNN{K: 33} }
 
-// Fit memorizes the training data as a matrix.Design: a flat view of x
-// (a row-built x is copied into one) plus, on the vector path, its
-// column-major copy, which PredictProbaInto's distance scan reads. The
-// receiver's K is left untouched; queries resolve the default, so a
-// zero-value model is reusable and race-free across cells.
-func (k *KNN) Fit(x [][]float64, y []int, w []float64) error {
+// Fit memorizes the training data as a matrix.Design: x itself plus, on
+// the vector path, its column-major copy, which PredictProbaInto's
+// distance scan reads. The receiver's K is left untouched; queries
+// resolve the default, so a zero-value model is reusable and race-free
+// across cells.
+func (k *KNN) Fit(x matrix.Dense, y []int, w []float64) error {
 	if err := checkFitInput(x, y, w); err != nil {
 		return err
 	}
-	dm, ok := matrix.AsDense(x)
-	if !ok {
-		dm = *matrix.FromRows(x)
-	}
-	k.x, k.y, k.w = matrix.NewDesign(dm), y, w
+	k.x, k.y, k.w = matrix.NewDesign(x), y, w
 	return nil
 }
 
@@ -99,7 +95,7 @@ func (k *KNN) size() int {
 // PredictProba returns the (weighted) fraction of positive labels among
 // the k nearest training points. It allocates nothing for K <= 64.
 func (k *KNN) PredictProba(q []float64) float64 {
-	n, c := k.x.Rows, k.x.Cols
+	n := k.x.Rows
 	if n == 0 {
 		return 0.5
 	}
@@ -110,7 +106,7 @@ func (k *KNN) PredictProba(q []float64) float64 {
 		h = make(neighborHeap, 0, kk)
 	}
 	for i := range n {
-		d := sqDist(k.x.Data[i*c:i*c+c], q)
+		d := sqDist(k.x.Row(i), q)
 		if len(h) < kk {
 			h = append(h, neighbor{d, i})
 			h.up(len(h) - 1)

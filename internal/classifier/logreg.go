@@ -37,11 +37,13 @@ func NewLogistic() *LogisticRegression {
 // weighted log loss. Adam's update and stopping rule read nothing but the
 // gradient, and the callers discard the final objective value, so
 // skipping the two math.Log calls per tuple per iteration leaves the
-// weight trajectory bit-identical while nearly halving fit time. The
-// gradient buffer is owned by Adam and reused across all MaxIter
-// iterations; the loop itself allocates nothing (pinned by
-// TestFitAllocationBounds).
-func (lr *LogisticRegression) Fit(x [][]float64, y []int, w []float64) error {
+// weight trajectory bit-identical while nearly halving fit time. Each
+// evaluation runs the blocked z-pass and scatter kernels (flatfit.go);
+// the design's column-major copy and the score and coefficient buffers
+// are built once per fit and reused across all Adam iterations, whose
+// gradient buffer Adam owns, so the loop itself allocates nothing
+// (pinned by TestFitAllocationBounds).
+func (lr *LogisticRegression) Fit(x matrix.Dense, y []int, w []float64) error {
 	if err := checkFitInput(x, y, w); err != nil {
 		return err
 	}
@@ -52,52 +54,23 @@ func (lr *LogisticRegression) Fit(x [][]float64, y []int, w []float64) error {
 	if step == 0 {
 		step = 0.1
 	}
-	d := len(x[0])
+	n, d := x.Rows, x.Cols
 	var totalW float64
 	if w == nil {
-		totalW = float64(len(x))
+		totalW = float64(n)
 	} else {
 		totalW = matrix.Sum(w)
 	}
 	if totalW <= 0 {
 		totalW = 1
 	}
-	// A design matrix over one flat backing runs the blocked z-pass +
-	// scatter kernels (bit-identical fold order; see flatfit.go); the
-	// design's column-major copy and the z buffer are built once and
-	// reused across all Adam iterations.
-	dm, flat := matrix.AsDense(x)
-	var des matrix.Design
-	var zbuf, gbuf []float64
-	if flat {
-		des = matrix.NewDesign(dm)
-		zbuf = make([]float64, len(x))
-		gbuf = make([]float64, len(x))
-	}
+	des := matrix.NewDesign(x)
+	zbuf, gbuf := make([]float64, n), make([]float64, n)
 	obj := func(theta []float64, grad []float64) float64 {
 		for j := range grad {
 			grad[j] = 0
 		}
-		if flat {
-			logitGradFlat(&des, y, w, theta, zbuf, gbuf, grad)
-		} else {
-			for i, row := range x {
-				wi := 1.0
-				if w != nil {
-					wi = w[i]
-				}
-				z := theta[d]
-				for j, v := range row {
-					z += theta[j] * v
-				}
-				p := matrix.Sigmoid(z)
-				g := wi * (p - float64(y[i]))
-				for j, v := range row {
-					grad[j] += g * v
-				}
-				grad[d] += g
-			}
-		}
+		logitGradFlat(&des, y, w, theta, zbuf, gbuf, grad)
 		for j := range grad {
 			grad[j] /= totalW
 		}

@@ -50,7 +50,7 @@ func NewMLP() *MLP {
 }
 
 // Fit trains the network.
-func (m *MLP) Fit(x [][]float64, y []int, w []float64) error {
+func (m *MLP) Fit(x matrix.Dense, y []int, w []float64) error {
 	if err := checkFitInput(x, y, w); err != nil {
 		return err
 	}
@@ -67,7 +67,7 @@ func (m *MLP) Fit(x [][]float64, y []int, w []float64) error {
 	if batch == 0 {
 		batch = 32
 	}
-	n, d := len(x), len(x[0])
+	n, d := x.Rows, x.Cols
 	g := rng.New(m.Seed)
 	scale := 1 / math.Sqrt(float64(d)+1)
 	m.hidden = hidden
@@ -103,13 +103,13 @@ func (m *MLP) Fit(x [][]float64, y []int, w []float64) error {
 
 // load gathers the batch rows into the workspace, in batch order, and
 // returns their total weight.
-func (b *mlpBatch) load(x [][]float64, y []int, w []float64, rows []int) float64 {
+func (b *mlpBatch) load(x matrix.Dense, y []int, w []float64, rows []int) float64 {
 	nb, d := len(rows), b.d
 	b.rows = nb
 	xt := b.xt[:(d+1)*nb]
 	var bw float64
 	for k, i := range rows {
-		xi := x[i]
+		xi := x.Row(i)
 		copy(b.xb[k*d:(k+1)*d], xi)
 		for j, v := range xi {
 			xt[j*nb+k] = v

@@ -34,9 +34,6 @@ type refNode struct {
 }
 
 func (t *refTree) Fit(x [][]float64, y []int, w []float64) error {
-	if err := checkFitInput(x, y, w); err != nil {
-		return err
-	}
 	work := *t
 	if work.MaxDepth == 0 {
 		work.MaxDepth = 100
@@ -175,9 +172,6 @@ type refForest struct {
 }
 
 func (rf *refForest) Fit(x [][]float64, y []int, w []float64) error {
-	if err := checkFitInput(x, y, w); err != nil {
-		return err
-	}
 	trees, maxDepth := rf.Trees, rf.MaxDepth
 	if trees == 0 {
 		trees = 40
@@ -233,9 +227,6 @@ type refKNN struct {
 }
 
 func (k *refKNN) Fit(x [][]float64, y []int, w []float64) error {
-	if err := checkFitInput(x, y, w); err != nil {
-		return err
-	}
 	k.x, k.y, k.w = x, y, w
 	return nil
 }
@@ -331,9 +322,6 @@ type refMLP struct {
 }
 
 func (m *refMLP) Fit(x [][]float64, y []int, w []float64) error {
-	if err := checkFitInput(x, y, w); err != nil {
-		return err
-	}
 	hidden, epochs, step, batch := m.Hidden, m.Epochs, m.Step, m.Batch
 	if hidden == 0 {
 		hidden = 20

@@ -28,7 +28,7 @@ func NewSVM() *LinearSVM { return &LinearSVM{Lambda: 1e-3, Epochs: 40, Seed: 7} 
 // Fit trains the SVM; w may be nil for uniform weights. Defaults resolve
 // into locals (the receiver's configuration fields are never written), so
 // a zero-value model is reusable and race-free across cells.
-func (s *LinearSVM) Fit(x [][]float64, y []int, w []float64) error {
+func (s *LinearSVM) Fit(x matrix.Dense, y []int, w []float64) error {
 	if err := checkFitInput(x, y, w); err != nil {
 		return err
 	}
@@ -39,7 +39,7 @@ func (s *LinearSVM) Fit(x [][]float64, y []int, w []float64) error {
 	if epochs == 0 {
 		epochs = 40
 	}
-	n, d := len(x), len(x[0])
+	n, d := x.Rows, x.Cols
 	g := rng.New(s.Seed)
 	theta := make([]float64, d+1)
 	t := 1
@@ -56,7 +56,7 @@ func (s *LinearSVM) Fit(x [][]float64, y []int, w []float64) error {
 			// Pegasos is inherently sequential (theta changes every sampled
 			// tuple), so the win here is bounds-check-free inner loops: the
 			// reslice proves theta and the row share a length.
-			xi := x[i]
+			xi := x.Row(i)
 			th := theta[:len(xi)]
 			margin := theta[d]
 			for j, v := range xi {
@@ -86,13 +86,13 @@ func (s *LinearSVM) Fit(x [][]float64, y []int, w []float64) error {
 // are fixed once the weights are — computing them once into a reused
 // buffer instead of redoing every dot product in all 200 iterations cuts
 // the calibration from O(iters·n·d) to O(n·d + iters·n), bit-identically.
-func (s *LinearSVM) fitPlatt(x [][]float64, y []int) {
-	margins := make([]float64, len(x))
-	for i, row := range x {
-		margins[i] = s.Score(row)
+func (s *LinearSVM) fitPlatt(x matrix.Dense, y []int) {
+	margins := make([]float64, x.Rows)
+	for i := range margins {
+		margins[i] = s.Score(x.Row(i))
 	}
 	a, b := 1.0, 0.0
-	n := float64(len(x))
+	n := float64(x.Rows)
 	for iter := 0; iter < 200; iter++ {
 		var ga, gb float64
 		for i, m := range margins {

@@ -45,13 +45,10 @@ type treeNode struct {
 	leaf        bool
 }
 
-// NewTree returns a decision tree with benchmark defaults.
-func NewTree() *DecisionTree { return &DecisionTree{MaxDepth: 100, MinLeaf: 2} }
-
 // Fit builds the tree. Defaults resolve into locals (the caller's fields
 // are never written), so a zero-value tree is reusable and race-free
 // across cells.
-func (t *DecisionTree) Fit(x [][]float64, y []int, w []float64) error {
+func (t *DecisionTree) Fit(x matrix.Dense, y []int, w []float64) error {
 	if err := checkFitInput(x, y, w); err != nil {
 		return err
 	}
@@ -146,7 +143,7 @@ func NewForest() *RandomForest { return &RandomForest{Trees: 40, MaxDepth: 100, 
 
 // Fit trains the ensemble on bootstrap resamples. Defaults resolve into
 // locals; the receiver's configuration fields are never written.
-func (rf *RandomForest) Fit(x [][]float64, y []int, w []float64) error {
+func (rf *RandomForest) Fit(x matrix.Dense, y []int, w []float64) error {
 	if err := checkFitInput(x, y, w); err != nil {
 		return err
 	}
@@ -157,8 +154,8 @@ func (rf *RandomForest) Fit(x [][]float64, y []int, w []float64) error {
 	if maxDepth == 0 {
 		maxDepth = 100
 	}
-	n := len(x)
-	sub := int(math.Ceil(math.Sqrt(float64(len(x[0])))))
+	n := x.Rows
+	sub := int(math.Ceil(math.Sqrt(float64(x.Cols))))
 	gr := newGrower(x, y, w, maxDepth, 2, sub)
 	g := rng.New(rf.Seed)
 	rf.ensemble = make([]DecisionTree, trees)
@@ -230,8 +227,8 @@ type grower struct {
 }
 
 // newGrower copies x into columns and presorts every column once.
-func newGrower(x [][]float64, y []int, w []float64, maxDepth int, minLeaf float64, subset int) *grower {
-	n, d := len(x), len(x[0])
+func newGrower(x matrix.Dense, y []int, w []float64, maxDepth int, minLeaf float64, subset int) *grower {
+	n, d := x.Rows, x.Cols
 	gr := &grower{
 		n: n, d: d, maxDepth: maxDepth, minLeaf: minLeaf, subset: subset, y: y, w: w,
 		xcol:   make([]float64, n*d),
@@ -248,8 +245,8 @@ func newGrower(x [][]float64, y []int, w []float64, maxDepth int, minLeaf float6
 		feats:  make([]int, d),
 	}
 	gr.shuffle = func(a, b int) { gr.feats[a], gr.feats[b] = gr.feats[b], gr.feats[a] }
-	for j, row := range x {
-		for f, v := range row[:d] {
+	for j := range n {
+		for f, v := range x.Row(j) {
 			gr.xcol[f*n+j] = v
 		}
 	}

@@ -5,8 +5,7 @@
 //
 // The package also provides the data-management plumbing every fair
 // approach needs: train/test splitting, k-fold cross validation, weighted
-// resampling, per-attribute standardization and discretization, and CSV
-// import/export.
+// resampling, and per-attribute standardization and discretization.
 //
 // # Flat layout and the view contract
 //
@@ -21,6 +20,10 @@
 // (every repairer and corruption template does). This is what lets one
 // synthesized dataset back an entire experiment grid across worker
 // goroutines without a byte of row copying.
+//
+// Classifiers never read X's rows: every fit and every block score takes
+// a design as one tightly packed matrix.Dense, which FeatureMatrix,
+// StandardizedDesign and Standardizer.Inputs build fresh from the rows.
 package dataset
 
 import (
@@ -71,11 +74,6 @@ type Dataset struct {
 	// reporting (e.g. "Sex" and "Income>=50K" for Adult).
 	SName, YName string
 
-	// flat, when non-nil, is the matrix backing every X row contiguously
-	// (X[i] == flat.Row(i)). Datasets assembled from scattered rows (views,
-	// hand-built X) leave it nil; Clone always rebuilds it.
-	flat *matrix.Dense
-
 	// batch, when armed via EnableBatchCache, is the arm-once memo a model
 	// sweep's cells use to share artifacts derived deterministically from
 	// this view (see BatchCache). Derived datasets (Clone, Subset, …)
@@ -88,21 +86,14 @@ type Dataset struct {
 // flat backing array: X[i] is a view into it. Generators fill rows in
 // place via X[i] (or Row).
 func NewFlat(name string, attrs []Attr, n int) *Dataset {
-	d := &Dataset{
+	return &Dataset{
 		Name:  name,
 		Attrs: attrs,
+		X:     matrix.NewDense(n, len(attrs)).RowsView(),
 		S:     make([]int, n),
 		Y:     make([]int, n),
-		flat:  matrix.NewDense(n, len(attrs)),
 	}
-	d.X = d.flat.RowsView()
-	return d
 }
-
-// Flat returns the contiguous backing matrix when the dataset has one
-// (built by NewFlat or Clone), or nil for datasets assembled from
-// scattered rows. Kernels use it to stream X without per-row indirection.
-func (d *Dataset) Flat() *matrix.Dense { return d.flat }
 
 // Row returns the feature vector of tuple i (a view; do not mutate
 // without Clone).
@@ -151,8 +142,7 @@ func (d *Dataset) Clone() *Dataset {
 		SName: d.SName,
 		YName: d.YName,
 	}
-	out.flat = matrix.NewDense(len(d.X), len(d.Attrs))
-	out.X = out.flat.RowsView()
+	out.X = matrix.NewDense(len(d.X), len(d.Attrs)).RowsView()
 	for i, row := range d.X {
 		copy(out.X[i], row)
 	}
@@ -282,8 +272,7 @@ func (d *Dataset) ProjectAttrs(cols []int) *Dataset {
 	for j, c := range cols {
 		out.Attrs[j] = d.Attrs[c]
 	}
-	out.flat = matrix.NewDense(d.Len(), len(cols))
-	out.X = out.flat.RowsView()
+	out.X = matrix.NewDense(d.Len(), len(cols)).RowsView()
 	for i, row := range d.X {
 		nr := out.X[i]
 		for j, c := range cols {
@@ -344,24 +333,22 @@ func (d *Dataset) BaseRates() (unpriv, priv float64) {
 	return unpriv, priv
 }
 
-// FeatureMatrix returns the design matrix used by the classifiers: each
-// row is X_i with S appended as the final column when includeS is true.
-// The rows live in one flat backing array (a single allocation), so
-// training kernels stream them sequentially. Like the slicing operations,
-// the result follows the view contract: classifiers read it, they do not
-// write it.
-func (d *Dataset) FeatureMatrix(includeS bool) [][]float64 {
+// FeatureMatrix returns the design matrix used by the classifiers: row i
+// is X_i with S appended as the final column when includeS is true. It is
+// a fresh, tightly packed matrix (one allocation), so training kernels
+// stream it sequentially and writing it never reaches d.
+func (d *Dataset) FeatureMatrix(includeS bool) matrix.Dense {
 	cols := len(d.Attrs)
 	if includeS {
 		cols++
 	}
 	m := matrix.NewDense(d.Len(), cols)
-	out := m.RowsView()
 	for i, row := range d.X {
-		copy(out[i], row)
+		o := m.Row(i)
+		copy(o, row)
 		if includeS {
-			out[i][len(row)] = float64(d.S[i])
+			o[len(row)] = float64(d.S[i])
 		}
 	}
-	return out
+	return *m
 }

@@ -3,6 +3,7 @@ package dataset
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"fairbench/internal/rng"
 )
@@ -75,23 +76,31 @@ func TestSubsetIsView(t *testing.T) {
 	}
 }
 
+// contiguous reports whether every row of d's X starts where the
+// previous row ends, in one backing array.
+func contiguous(d *Dataset) bool {
+	for i := 1; i < d.Len(); i++ {
+		prev := d.X[i-1]
+		if unsafe.Pointer(&d.X[i][0]) != unsafe.Add(unsafe.Pointer(&prev[0]), len(prev)*8) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestNewFlatBacking(t *testing.T) {
 	attrs := []Attr{{Name: "a", Kind: Numeric}, {Name: "b", Kind: Numeric}}
 	d := NewFlat("flat", attrs, 4)
-	if d.Flat() == nil || d.Flat().Rows != 4 || d.Flat().Cols != 2 {
-		t.Fatalf("flat backing missing: %+v", d.Flat())
+	if d.Len() != 4 || len(d.X[3]) != 2 || !contiguous(d) {
+		t.Fatal("NewFlat rows must be contiguous views of one backing array")
 	}
 	d.X[2][1] = 7
-	if d.Flat().At(2, 1) != 7 {
-		t.Fatal("X rows must view the flat backing")
-	}
 	if d.Row(2)[1] != 7 {
 		t.Fatal("Row must return the same view")
 	}
 	// Clone rebuilds a contiguous backing even from scattered rows.
-	c := toy(3).Clone()
-	if c.Flat() == nil {
-		t.Fatal("Clone must materialize a flat backing")
+	if !contiguous(toy(3).Clone()) {
+		t.Fatal("Clone must materialize a contiguous backing")
 	}
 }
 
@@ -154,12 +163,16 @@ func TestProjectAttrs(t *testing.T) {
 func TestFeatureMatrix(t *testing.T) {
 	d := toy(3)
 	withS := d.FeatureMatrix(true)
-	if len(withS[0]) != 3 || withS[1][2] != 1 {
-		t.Fatalf("S column missing: %v", withS[1])
+	if withS.Rows != 3 || withS.Cols != 3 || withS.At(1, 2) != 1 || withS.At(2, 0) != 2 {
+		t.Fatalf("S column missing: %v", withS.Row(1))
 	}
 	noS := d.FeatureMatrix(false)
-	if len(noS[0]) != 2 {
-		t.Fatalf("unexpected width: %v", noS[0])
+	if noS.Cols != 2 || noS.Stride != 2 {
+		t.Fatalf("unexpected shape: %d cols, stride %d", noS.Cols, noS.Stride)
+	}
+	noS.Set(2, 0, 99)
+	if d.X[2][0] == 99 {
+		t.Fatal("FeatureMatrix must copy, not alias, the rows")
 	}
 }
 
@@ -173,7 +186,8 @@ func TestInputsMirrorStandardizedDesign(t *testing.T) {
 		std, want := d.StandardizedDesign(includeS)
 		got := std.Inputs(d, includeS, false, nil)
 		flipped := std.Inputs(d, includeS, true, nil)
-		for i, w := range want {
+		for i := range want.Rows {
+			w := want.Row(i)
 			for j, v := range w {
 				if math.Float64bits(got.At(i, j)) != math.Float64bits(v) {
 					t.Fatalf("includeS=%v: Inputs[%d][%d] = %v, design %v", includeS, i, j, got.At(i, j), v)
@@ -214,10 +228,11 @@ func TestResampleWeighted(t *testing.T) {
 
 func TestStandardizer(t *testing.T) {
 	d := toy(50)
-	std := FitStandardizer(d)
-	c := d.Clone()
-	std.Apply(c)
-	col := c.Column(0)
+	std, x := d.StandardizedDesign(false)
+	col := make([]float64, x.Rows)
+	for i := range col {
+		col[i] = x.At(i, 0)
+	}
 	var mean, sq float64
 	for _, v := range col {
 		mean += v
@@ -230,15 +245,15 @@ func TestStandardizer(t *testing.T) {
 	if math.Abs(mean) > 1e-9 || math.Abs(sd-1) > 1e-9 {
 		t.Fatalf("standardized column: mean %v std %v", mean, sd)
 	}
-	// Categorical column untouched.
-	if c.X[4][1] != d.X[4][1] {
-		t.Fatal("categorical column must not be standardized")
+	// Categorical column untouched, and d itself too.
+	if x.At(4, 1) != d.X[4][1] || d.X[4][0] != 4 {
+		t.Fatal("categorical column and the dataset must not be standardized")
 	}
-	// ApplyRow matches Apply.
+	// ApplyRow matches the design.
 	row := append([]float64(nil), d.X[7]...)
 	std.ApplyRow(row)
-	if math.Abs(row[0]-c.X[7][0]) > 1e-12 {
-		t.Fatal("ApplyRow disagrees with Apply")
+	if math.Abs(row[0]-x.At(7, 0)) > 1e-12 {
+		t.Fatal("ApplyRow disagrees with StandardizedDesign")
 	}
 }
 

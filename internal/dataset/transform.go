@@ -45,17 +45,6 @@ func FitStandardizer(d *Dataset) *Standardizer {
 	return s
 }
 
-// Apply standardizes numeric columns of d in place.
-func (s *Standardizer) Apply(d *Dataset) {
-	for _, row := range d.X {
-		for j := range row {
-			if s.kinds[j] == Numeric {
-				row[j] = (row[j] - s.mean[j]) / s.std[j]
-			}
-		}
-	}
-}
-
 // ApplyRow standardizes a single feature row (without S) in place.
 func (s *Standardizer) ApplyRow(row []float64) {
 	for j := range row {
@@ -65,15 +54,12 @@ func (s *Standardizer) ApplyRow(row []float64) {
 	}
 }
 
-// StandardizedDesign returns a standardizer fitted on a clone of d and the
-// standardized feature rows (sensitive column appended when includeS).
-// The rows are views of one flat backing; callers treat them as
-// read-only.
-func (d *Dataset) StandardizedDesign(includeS bool) (*Standardizer, [][]float64) {
-	work := d.Clone()
-	std := FitStandardizer(work)
-	std.Apply(work)
-	return std, work.FeatureMatrix(includeS)
+// StandardizedDesign returns a standardizer fitted on d and d's design
+// matrix standardized by it (sensitive column appended when includeS):
+// Inputs over the data the standardizer was fitted on. d is not modified.
+func (d *Dataset) StandardizedDesign(includeS bool) (*Standardizer, matrix.Dense) {
+	std := FitStandardizer(d)
+	return std, std.Inputs(d, includeS, false, nil)
 }
 
 // Inputs returns the classifier input of every tuple of d as one tightly

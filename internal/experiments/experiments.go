@@ -55,15 +55,10 @@ type Row struct {
 
 // Evaluate fits a on train, predicts test, and computes every metric.
 func Evaluate(a fair.Approach, train, test *dataset.Dataset, g *causal.Graph) (Row, error) {
-	start := time.Now()
-	if err := a.Fit(train); err != nil {
-		return Row{}, fmt.Errorf("%s: %w", a.Name(), err)
-	}
-	yhat, err := a.Predict(test)
+	yhat, elapsed, err := fitPredict(a, train, test)
 	if err != nil {
-		return Row{}, fmt.Errorf("%s: %w", a.Name(), err)
+		return Row{}, err
 	}
-	elapsed := time.Since(start).Seconds()
 	raw := metrics.ComputeFairness(test, yhat, a, g)
 	return Row{
 		Approach: a.Name(),
@@ -89,6 +84,13 @@ func CorrectnessFairness(src *synth.Source, seed int64) ([]Row, error) {
 // variants).
 func fig7Grid(src *synth.Source, seed int64) *Grid {
 	return baselineRowsGrid(src, append([]string{"LR"}, registry.Names...), seed)
+}
+
+// extensionsGrid builds the appendix's Figure 15 grid: the three
+// additional variants (Madras^dp, Agarwal^dp, Agarwal^eo) beside the
+// baseline, with Figure 7's protocol.
+func extensionsGrid(src *synth.Source, seed int64) *Grid {
+	return baselineRowsGrid(src, append([]string{"LR"}, registry.ExtendedNames...), seed)
 }
 
 // splitPair is one dataset slice of an experiment grid: the train/test
@@ -240,17 +242,34 @@ func scaleGrid(slices []scaleSlice, names []string, g *causal.Graph, seed int64)
 	}
 }
 
+// timeOne is the wall time of fitting and applying the named approach.
 func timeOne(name string, train, test *dataset.Dataset, g *causal.Graph, seed int64) (float64, error) {
 	a, err := registry.New(name, registry.Config{Graph: g, Seed: seed})
 	if err != nil {
 		return 0, err
 	}
+	_, secs, err := fitPredict(a, train, test)
+	return secs, err
+}
+
+// fitPredict fits a on train and labels test, returning the labels and
+// the wall time of both steps. An empty split fails here, before a sees
+// it: no approach is defined on zero training tuples, and no metric on
+// zero test tuples.
+func fitPredict(a fair.Approach, train, test *dataset.Dataset) ([]int, float64, error) {
+	if train.Len() == 0 {
+		return nil, 0, fmt.Errorf("%s: empty training split", a.Name())
+	}
+	if test.Len() == 0 {
+		return nil, 0, fmt.Errorf("%s: empty test split", a.Name())
+	}
 	start := time.Now()
 	if err := a.Fit(train); err != nil {
-		return 0, fmt.Errorf("%s: %w", name, err)
+		return nil, 0, fmt.Errorf("%s: %w", a.Name(), err)
 	}
-	if _, err := a.Predict(test); err != nil {
-		return 0, fmt.Errorf("%s: %w", name, err)
+	yhat, err := a.Predict(test)
+	if err != nil {
+		return nil, 0, fmt.Errorf("%s: %w", a.Name(), err)
 	}
-	return time.Since(start).Seconds(), nil
+	return yhat, time.Since(start).Seconds(), nil
 }

@@ -2,9 +2,13 @@ package experiments
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"fairbench/internal/corrupt"
+	"fairbench/internal/dataset"
+	"fairbench/internal/registry"
+	"fairbench/internal/rng"
 	"fairbench/internal/synth"
 )
 
@@ -182,11 +186,11 @@ func TestDataEfficiency(t *testing.T) {
 }
 
 func TestExtensions(t *testing.T) {
-	src := synth.COMPAS(1200, 1)
-	rows, err := Extensions(src, 1)
+	out, err := mustOpen(t, Spec{Experiment: "fig15", Dataset: "compas", N: 1200, Seed: 1}).RunAll()
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := out.Rows
 	if len(rows) != 4 { // LR + 3 appendix variants
 		t.Fatalf("rows: %d", len(rows))
 	}
@@ -219,5 +223,38 @@ func TestEvaluateDeterministic(t *testing.T) {
 			r1[i].Fair.DIStar != r2[i].Fair.DIStar {
 			t.Fatalf("%s: non-deterministic metrics", r1[i].Approach)
 		}
+	}
+}
+
+// TestEvaluateRejectsEmptySplits: every approach of Figures 7 and 15
+// fails with an error naming the empty split, on an empty training split
+// and on an empty test split, and so do a timing cell and a cv grid with
+// more folds than tuples, whose first test fold is empty.
+func TestEvaluateRejectsEmptySplits(t *testing.T) {
+	src := synth.German(100, 1)
+	train, test := src.Data.Split(0.7, rng.New(1))
+	empty := src.Data.Subset(nil)
+	names := append(append([]string{"LR"}, registry.Names...), registry.ExtendedNames...)
+	for _, name := range names {
+		for _, c := range []struct {
+			split       string
+			train, test *dataset.Dataset
+		}{{"training", empty, test}, {"test", train, empty}} {
+			a, err := registry.New(name, registry.Config{Graph: src.Graph, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := "empty " + c.split + " split"
+			if _, err := Evaluate(a, c.train, c.test, src.Graph); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: Evaluate error %v, want %q", name, err, want)
+			}
+		}
+	}
+	if _, err := timeOne("Zafar-DP-Fair", empty, test, src.Graph, 1); err == nil || !strings.Contains(err.Error(), "empty training split") {
+		t.Fatalf("timeOne error %v, want an empty training split", err)
+	}
+	_, err := mustOpen(t, Spec{Experiment: "cv", Dataset: "german", N: 4, Seed: 1}).RunAll()
+	if err == nil || !strings.Contains(err.Error(), "empty test split") {
+		t.Fatalf("cv over 4 tuples in 5 folds: error %v, want an empty test split", err)
 	}
 }

@@ -133,10 +133,6 @@ func TestDriverMatchesSpecPath(t *testing.T) {
 			rows, err := CorrectnessFairness(synth.German(240, 7), 7)
 			return &Output{Rows: rows}, err
 		}},
-		{Spec{Experiment: "fig15", Dataset: "german", N: 240, Seed: 7}, func() (*Output, error) {
-			rows, err := Extensions(synth.German(240, 7), 7)
-			return &Output{Rows: rows}, err
-		}},
 		{Spec{Experiment: "cv", Dataset: "german", N: 240, Seed: 7, K: 3}, func() (*Output, error) {
 			rows, err := CrossValidate(synth.German(240, 7), 3, 7)
 			return &Output{Rows: rows}, err

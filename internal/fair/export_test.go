@@ -19,13 +19,13 @@ func OwnScores(p *PostProcessed) []float64 { return p.scores.own }
 func RowLabel(a Approach, x []float64, sTrue, sInput int) (label int, ok bool) {
 	switch p := a.(type) {
 	case *Baseline:
-		return classifier.Predict(p.clf, featureRow(p.std, x, p.IncludeS, sInput)), true
+		return classifier.Labels([]float64{p.clf.PredictProba(featureRow(p.std, x, p.IncludeS, sInput))})[0], true
 	case *PreProcessed:
 		row := x
 		if p.transform != nil {
 			row = p.transform.TransformRow(x, sTrue)
 		}
-		return classifier.Predict(p.clf, featureRow(p.std, row, p.IncludeS, sInput)), true
+		return classifier.Labels([]float64{p.clf.PredictProba(featureRow(p.std, row, p.IncludeS, sInput))})[0], true
 	case *PostProcessed:
 		pr := p.base.clf.PredictProba(featureRow(p.base.std, x, p.base.IncludeS, sInput))
 		return p.threshold(pr, sInput), true

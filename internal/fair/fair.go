@@ -12,6 +12,7 @@ import (
 
 	"fairbench/internal/classifier"
 	"fairbench/internal/dataset"
+	"fairbench/internal/matrix"
 	"fairbench/internal/rng"
 )
 
@@ -126,10 +127,10 @@ func (b *Baseline) Targets() []Metric { return nil }
 // labels and weights are read straight from train (standardization never
 // touches them).
 func (b *Baseline) Fit(train *dataset.Dataset) error {
-	std, rows := train.StandardizedDesign(b.IncludeS)
+	std, x := train.StandardizedDesign(b.IncludeS)
 	b.std = std
 	b.clf = classifier.New(b.Model)
-	return b.clf.Fit(rows, train.Y, train.Weights)
+	return b.clf.Fit(x, train.Y, train.Weights)
 }
 
 // Predict labels every tuple of test.
@@ -203,7 +204,7 @@ type repairKey struct {
 type repairedDesign struct {
 	mech Repairer
 	std  *dataset.Standardizer
-	x    [][]float64
+	x    matrix.Dense
 	y    []int
 	w    []float64
 }
@@ -216,10 +217,8 @@ func repairDesign(mech Repairer, train *dataset.Dataset, includeS bool) (*repair
 	if err != nil {
 		return nil, err
 	}
-	std := dataset.FitStandardizer(repaired)
-	work := repaired.Clone()
-	std.Apply(work)
-	return &repairedDesign{mech: mech, std: std, x: work.FeatureMatrix(includeS), y: work.Y, w: work.Weights}, nil
+	std, x := repaired.StandardizedDesign(includeS)
+	return &repairedDesign{mech: mech, std: std, x: x, y: repaired.Y, w: repaired.Weights}, nil
 }
 
 // Fit repairs the training data and trains the downstream classifier.

@@ -112,8 +112,8 @@ func (a *Agarwal) Fit(train *dataset.Dataset) error {
 	a.base.includeS = false
 	x := a.base.designMatrix(train)
 	y, s := train.Y, train.S
-	n := len(x)
-	dim := len(x[0])
+	n, dim := x.Rows, x.Cols
+	view := newFitView(x, y)
 
 	nCons := 1
 	if a.Notion == AgarwalEO {
@@ -156,36 +156,7 @@ func (a *Agarwal) Fit(train *dataset.Dataset) error {
 			}
 			weights[i] = math.Min(8, math.Max(1.0/8, weights[i]))
 		}
-		// Gradient-only weighted logistic objective: Adam discards the
-		// value, so the per-tuple log-loss terms are never computed.
-		obj := func(wv, grad []float64) float64 {
-			for j := range grad {
-				grad[j] = 0
-			}
-			var tw float64
-			d := len(wv) - 1
-			for i, row := range x {
-				z := wv[d]
-				for j, v := range row {
-					z += wv[j] * v
-				}
-				p := sigmoid(z)
-				yi := float64(y[i])
-				gval := weights[i] * (p - yi)
-				for j, v := range row {
-					grad[j] += gval * v
-				}
-				grad[d] += gval
-				tw += weights[i]
-			}
-			if tw > 0 {
-				for j := range grad {
-					grad[j] /= tw
-				}
-			}
-			return 0
-		}
-		w, _ = optimize.Adam(obj, w, optimize.AdamConfig{MaxIter: 250})
+		w, _ = optimize.Adam(view.weightedLogitGrad(weights), w, optimize.AdamConfig{MaxIter: 250})
 		a.models = append(a.models, append([]float64(nil), w...))
 
 		// Exponentiated-gradient step on the averaged classifier's
@@ -212,8 +183,7 @@ func (a *Agarwal) Predict(test *dataset.Dataset) ([]int, error) {
 	if len(a.models) == 0 {
 		return nil, fmt.Errorf("%s: not fitted", a.Name())
 	}
-	x := a.base.inputs(test, false)
-	return averageLabels(a.models, x.RowsView()), nil
+	return averageLabels(a.models, a.base.inputs(test, false)), nil
 }
 
 // PredictFlipped implements fair.Approach; S is not a feature, so Agarwal

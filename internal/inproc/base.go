@@ -7,10 +7,9 @@
 package inproc
 
 import (
-	"math"
-
 	"fairbench/internal/dataset"
 	"fairbench/internal/matrix"
+	"fairbench/internal/optimize"
 )
 
 // linearBase holds the shared state of the linear in-processing models:
@@ -24,12 +23,12 @@ type linearBase struct {
 	includeS bool
 }
 
-// designMatrix returns the standardized feature rows used for
-// optimization, fitting the standardizer along the way.
-func (b *linearBase) designMatrix(train *dataset.Dataset) [][]float64 {
-	std, rows := train.StandardizedDesign(b.includeS)
+// designMatrix returns the standardized design used for optimization,
+// fitting the standardizer along the way.
+func (b *linearBase) designMatrix(train *dataset.Dataset) matrix.Dense {
+	std, x := train.StandardizedDesign(b.includeS)
 	b.std = std
-	return rows
+	return x
 }
 
 // inputs returns the standardized classifier input of every tuple of d
@@ -62,25 +61,22 @@ func (b *linearBase) predictAll(d *dataset.Dataset) []int {
 }
 
 // fitView bundles the per-fit training state the fused objectives share:
-// the design matrix in row-view and (when the rows alias one tight
-// backing, which dataset.FeatureMatrix guarantees) as a matrix.Design,
-// whose column-major copy is built here once per fit, plus score
-// and probability buffers reused across every optimizer iteration. The
-// point is pass fusion: an objective built from these helpers runs one
-// blocked z-pass and one sigmoid pass per evaluation, and every consumer
-// of the scores (loss gradient, constraint values, constraint gradients)
-// reads the shared buffers instead of recomputing the affine map — with
-// each helper preserving the exact scalar fold order of the loop it
-// replaces, so the optimizer trajectory stays bit-identical.
+// the design as a matrix.Design, whose column-major copy is built here
+// once per fit, plus score and probability buffers reused across every
+// optimizer iteration. The point is pass fusion: an objective built from
+// these helpers runs one blocked z-pass and one sigmoid pass per
+// evaluation, and every consumer of the scores (loss gradient,
+// constraint values, constraint gradients) reads the shared buffers
+// instead of recomputing the affine map — with each helper preserving
+// the exact scalar fold order of a per-row loop, so the optimizer
+// trajectory is bit-identical to one.
 type fitView struct {
-	x    [][]float64
-	y    []int
-	dm   matrix.Design
-	flat bool
-	z    []float64 // affine scores of the current iterate
-	p    []float64 // sigmoid of z, filled on demand by fillP
-	g    []float64 // per-tuple gradient coefficients, scratch for ScatterRows
-	l    []float64 // per-tuple loss terms, scratch for LogInto
+	y  []int
+	dm matrix.Design
+	z  []float64 // affine scores of the current iterate
+	p  []float64 // sigmoid of z, filled on demand by fillP
+	g  []float64 // per-tuple gradient coefficients, scratch for ScatterRows
+	l  []float64 // per-tuple loss terms, scratch for LogInto
 }
 
 // gbuf returns the per-tuple coefficient scratch, allocating it on first use.
@@ -91,30 +87,15 @@ func (v *fitView) gbuf() []float64 {
 	return v.g
 }
 
-func newFitView(x [][]float64, y []int) *fitView {
-	v := &fitView{x: x, y: y, z: make([]float64, len(x))}
-	var dm matrix.Dense
-	if dm, v.flat = matrix.AsDense(x); v.flat {
-		v.dm = matrix.NewDesign(dm)
-	}
-	return v
+func newFitView(x matrix.Dense, y []int) *fitView {
+	return &fitView{y: y, dm: matrix.NewDesign(x), z: make([]float64, x.Rows)}
 }
 
 // fillZ computes the affine scores of w over every row into v.z with the
 // bias-first fold the scalar loops use.
 func (v *fitView) fillZ(w []float64) {
 	d := len(w) - 1
-	if v.flat {
-		v.dm.AffineInto(v.z, w[:d], w[d])
-		return
-	}
-	for i, row := range v.x {
-		z := w[d]
-		for j, xv := range row {
-			z += w[j] * xv
-		}
-		v.z[i] = z
-	}
+	v.dm.AffineInto(v.z, w[:d], w[d])
 }
 
 // fillP computes p[i] = sigmoid(z[i]) from the current scores.
@@ -126,109 +107,96 @@ func (v *fitView) fillP() {
 }
 
 // logGradFromZ accumulates the mean-logistic-loss gradient from the
-// scores already in v.z (grad pre-zeroed) — logGradOnly with the z-pass
-// hoisted out. On a flat view the per-tuple coefficients are staged into
-// the g scratch and scattered with the blocked kernel; because grad is
-// pre-zeroed, summing the intercept terms apart from the scatter leaves
-// every component's fold identical to the interleaved per-row loop.
+// scores already in v.z (grad pre-zeroed): fillP, then logGradFromP.
 func (v *fitView) logGradFromZ(grad []float64) {
-	d := len(grad) - 1
-	n := float64(len(v.x))
-	gd := grad[:d]
-	if v.flat {
-		v.fillP()
-		g := v.gbuf()
-		var gInt float64
-		for i, p := range v.p {
-			gi := (p - float64(v.y[i])) / n
-			g[i] = gi
-			gInt += gi
-		}
-		v.dm.ScatterRows(gd, g)
-		grad[d] += gInt
-		return
-	}
-	for i, zi := range v.z {
-		p := matrix.Sigmoid(zi)
-		g := (p - float64(v.y[i])) / n
-		matrix.AccumulateInto(gd, g, v.x[i])
-		grad[d] += g
-	}
+	v.fillP()
+	v.logGradFromP(grad)
 }
 
-// logLossGradFromZ is logGradFromZ also returning the mean logistic loss
-// (the logLossAndGrad fold with the z-pass hoisted out). On a flat view
-// each tuple's clamped p or 1-p is staged in the l scratch and logged in
+// logLossGradFromZ is logGradFromZ also returning the mean logistic loss.
+// Each tuple's clamped p or 1-p is staged in the l scratch and logged in
 // one LogInto pass; the loss then folds -log in ascending tuple order, so
-// it equals the per-tuple logLoss fold bit for bit.
+// it equals a per-tuple fold of -log(clampedLikelihood) bit for bit.
 func (v *fitView) logLossGradFromZ(grad []float64) float64 {
 	d := len(grad) - 1
-	n := float64(len(v.x))
-	gd := grad[:d]
-	var loss float64
-	if v.flat {
-		v.fillP()
-		g := v.gbuf()
-		if v.l == nil {
-			v.l = make([]float64, len(v.z))
-		}
-		l := v.l[:len(v.p)]
-		var gInt float64
-		for i, p := range v.p {
-			yi := float64(v.y[i])
-			l[i] = clampedLikelihood(p, yi)
-			gi := (p - yi) / n
-			g[i] = gi
-			gInt += gi
-		}
-		v.dm.ScatterRows(gd, g)
-		grad[d] += gInt
-		matrix.LogInto(l, l)
-		for _, li := range l {
-			loss += -li
-		}
-		return loss / n
+	n := float64(len(v.z))
+	v.fillP()
+	g := v.gbuf()
+	if v.l == nil {
+		v.l = make([]float64, len(v.z))
 	}
-	for i, zi := range v.z {
-		p := matrix.Sigmoid(zi)
+	l := v.l[:len(v.p)]
+	var gInt float64
+	for i, p := range v.p {
 		yi := float64(v.y[i])
-		loss += logLoss(p, yi)
-		g := (p - yi) / n
-		matrix.AccumulateInto(gd, g, v.x[i])
-		grad[d] += g
+		l[i] = clampedLikelihood(p, yi)
+		gi := (p - yi) / n
+		g[i] = gi
+		gInt += gi
+	}
+	v.dm.ScatterRows(grad[:d], g)
+	grad[d] += gInt
+	matrix.LogInto(l, l)
+	var loss float64
+	for _, li := range l {
+		loss += -li
 	}
 	return loss / n
 }
 
 // logGradFromP accumulates the mean-logistic-loss gradient from the
 // probabilities already in v.p (grad pre-zeroed); for objectives whose
-// other terms also consume the sigmoid pass.
+// other terms also consume the sigmoid pass. The per-tuple coefficients
+// are staged into the g scratch and scattered with the blocked kernel;
+// because grad is pre-zeroed, summing the intercept terms apart from the
+// scatter leaves every component's fold identical to the interleaved
+// per-row loop.
 func (v *fitView) logGradFromP(grad []float64) {
 	d := len(grad) - 1
-	n := float64(len(v.x))
-	gd := grad[:d]
-	if v.flat {
+	n := float64(len(v.z))
+	g := v.gbuf()
+	var gInt float64
+	for i, p := range v.p {
+		gi := (p - float64(v.y[i])) / n
+		g[i] = gi
+		gInt += gi
+	}
+	v.dm.ScatterRows(grad[:d], g)
+	grad[d] += gInt
+}
+
+// weightedLogitGrad returns the gradient-only objective of the weighted
+// mean logistic loss, the cost-sensitive learner of Agarwal's and Kearns'
+// rounds: with c_i = weights[i], grad = Σ_i c_i·(p_i − y_i)·[x_i, 1] / Σ_i c_i
+// (no division when Σ_i c_i is not positive), and the value returned is 0,
+// since Adam reads only the gradient. The weights must not change while
+// the objective is in use: their total is summed once, in ascending order.
+func (v *fitView) weightedLogitGrad(weights []float64) optimize.Objective {
+	var tw float64
+	for _, wi := range weights {
+		tw += wi
+	}
+	return func(w, grad []float64) float64 {
+		clear(grad)
+		v.fillZ(w)
+		v.fillP()
+		d := len(w) - 1
 		g := v.gbuf()
 		var gInt float64
 		for i, p := range v.p {
-			gi := (p - float64(v.y[i])) / n
+			gi := weights[i] * (p - float64(v.y[i]))
 			g[i] = gi
 			gInt += gi
 		}
-		v.dm.ScatterRows(gd, g)
+		v.dm.ScatterRows(grad[:d], g)
 		grad[d] += gInt
-		return
+		if tw > 0 {
+			for j := range grad {
+				grad[j] /= tw
+			}
+		}
+		return 0
 	}
-	for i, p := range v.p {
-		g := (p - float64(v.y[i])) / n
-		matrix.AccumulateInto(gd, g, v.x[i])
-		grad[d] += g
-	}
-}
-
-// logLoss is one tuple's logistic loss, -log of clampedLikelihood.
-func logLoss(p, y float64) float64 {
-	return -math.Log(clampedLikelihood(p, y))
 }
 
 // clampedLikelihood is the probability the model gives label y, with p

@@ -115,8 +115,7 @@ func (k *Kearns) Fit(train *dataset.Dataset) error {
 	k.base.includeS = true
 	x := k.base.designMatrix(train)
 	y := train.Y
-	n := len(x)
-	dim := len(x[0])
+	n, dim := x.Rows, x.Cols
 	k.subDefs = k.buildSubgroups(train)
 
 	weights := make([]float64, n)
@@ -144,47 +143,9 @@ func (k *Kearns) Fit(train *dataset.Dataset) error {
 	scoreSum := make([]float64, n)
 	preds := make([]int, n)
 	for round := 0; round < k.Rounds; round++ {
-		// Learner best response: weighted logistic regression.
-		// Gradient-only weighted logistic objective: Adam discards the
-		// value, so the per-tuple log-loss terms are never computed. The
-		// tuple weights are fixed within a round, so their total is summed
-		// once here (same ascending fold the per-iteration loop used).
-		var tw float64
-		for _, wi := range weights {
-			tw += wi
-		}
-		obj := func(wv, grad []float64) float64 {
-			for j := range grad {
-				grad[j] = 0
-			}
-			view.fillZ(wv)
-			view.fillP()
-			d := len(wv) - 1
-			gd := grad[:d]
-			gb := view.gbuf()
-			var gInt float64
-			for i, p := range view.p {
-				yi := float64(y[i])
-				g := weights[i] * (p - yi)
-				gb[i] = g
-				gInt += g
-			}
-			if view.flat {
-				view.dm.ScatterRows(gd, gb)
-			} else {
-				for i, g := range gb {
-					matrix.AccumulateInto(gd, g, x[i])
-				}
-			}
-			grad[d] += gInt
-			if tw > 0 {
-				for j := range grad {
-					grad[j] /= tw
-				}
-			}
-			return 0
-		}
-		w, _ = optimize.Adam(obj, w, optimize.AdamConfig{MaxIter: 250})
+		// Learner best response: weighted logistic regression. The tuple
+		// weights are fixed within a round.
+		w, _ = optimize.Adam(view.weightedLogitGrad(weights), w, optimize.AdamConfig{MaxIter: 250})
 		k.models = append(k.models, append([]float64(nil), w...))
 
 		// Auditor: find the subgroup with the largest alpha-weighted FPR
@@ -203,7 +164,7 @@ func (k *Kearns) Fit(train *dataset.Dataset) error {
 			}
 		}
 		popFP, popN := 0.0, 0.0
-		for i := range x {
+		for i := range y {
 			if y[i] == 0 {
 				popN++
 				if preds[i] == 1 {
@@ -221,7 +182,7 @@ func (k *Kearns) Fit(train *dataset.Dataset) error {
 		for gi := range k.subDefs {
 			mask := masks[gi]
 			var fp, neg, size float64
-			for i := range x {
+			for i := range y {
 				if !mask[i] {
 					continue
 				}
@@ -251,7 +212,7 @@ func (k *Kearns) Fit(train *dataset.Dataset) error {
 		// Reweight: raise the cost of negatives in the violating subgroup
 		// (to push its FPR down) or lower it (to let it rise).
 		mask := masks[worst]
-		for i := range x {
+		for i := range y {
 			if y[i] == 0 && mask[i] {
 				if worstDir > 0 {
 					weights[i] *= k.Eta
@@ -265,7 +226,7 @@ func (k *Kearns) Fit(train *dataset.Dataset) error {
 		// subgroups without shifting the global class prior (unchecked
 		// prior drift collapses the learner to a constant classifier).
 		var negSum, negN float64
-		for i := range x {
+		for i := range y {
 			if y[i] == 0 {
 				negSum += weights[i]
 				negN++
@@ -273,7 +234,7 @@ func (k *Kearns) Fit(train *dataset.Dataset) error {
 		}
 		if negSum > 0 {
 			scale := negN / negSum
-			for i := range x {
+			for i := range y {
 				if y[i] == 0 {
 					weights[i] = math.Min(8, math.Max(1.0/8, weights[i]*scale))
 				}
@@ -288,21 +249,20 @@ func (k *Kearns) Predict(test *dataset.Dataset) ([]int, error) {
 	if len(k.models) == 0 {
 		return nil, fmt.Errorf("%s: not fitted", k.Name())
 	}
-	x := k.base.inputs(test, false)
-	return averageLabels(k.models, x.RowsView()), nil
+	return averageLabels(k.models, k.base.inputs(test, false)), nil
 }
 
 // PredictFlipped implements fair.Approach.
 func (k *Kearns) PredictFlipped(test *dataset.Dataset, yhat []int) (factual, flipped []int) {
-	x := k.base.inputs(test, true)
-	return yhat, averageLabels(k.models, x.RowsView())
+	return yhat, averageLabels(k.models, k.base.inputs(test, true))
 }
 
 // averageLabels labels every row of x by thresholding the models' mean
 // probability at 0.5, the randomized ensemble's expected prediction.
-func averageLabels(models, x [][]float64) []int {
-	out := make([]int, len(x))
-	for i, row := range x {
+func averageLabels(models [][]float64, x matrix.Dense) []int {
+	out := make([]int, x.Rows)
+	for i := range out {
+		row := x.Row(i)
 		var sum float64
 		for _, w := range models {
 			d := len(w) - 1
@@ -312,21 +272,13 @@ func averageLabels(models, x [][]float64) []int {
 					z += w[j] * v
 				}
 			}
-			sum += sigmoid(z)
+			sum += matrix.Sigmoid(z)
 		}
 		if sum/float64(len(models)) >= 0.5 {
 			out[i] = 1
 		}
 	}
 	return out
-}
-
-func sigmoid(z float64) float64 {
-	if z >= 0 {
-		return 1 / (1 + math.Exp(-z))
-	}
-	e := math.Exp(z)
-	return e / (1 + e)
 }
 
 // NewKearns returns the evaluated Kearns^pe approach.

@@ -70,16 +70,16 @@ func (t *Thomas) Targets() []fair.Metric {
 // violations returns the smooth per-notion violation terms of weights w on
 // rows x: probability-scale group gaps whose absolute values the barrier
 // penalizes and the safety test bounds.
-func (t *Thomas) violations(w []float64, x [][]float64, y, s []int) []float64 {
+func (t *Thomas) violations(w []float64, x matrix.Dense, y, s []int) []float64 {
 	d := len(w) - 1
 	var pos, tot [2]float64
 	var tpSum, tpN, tnSum, tnN [2]float64
-	for i, row := range x {
+	for i := range x.Rows {
 		z := w[d]
-		for j, v := range row {
+		for j, v := range x.Row(i) {
 			z += w[j] * v
 		}
-		p := sigmoid(z)
+		p := matrix.Sigmoid(z)
 		g := s[i]
 		pos[g] += p
 		tot[g]++
@@ -110,7 +110,7 @@ func (t *Thomas) violations(w []float64, x [][]float64, y, s []int) []float64 {
 // safetyTest computes Hoeffding (1-delta) upper bounds on each violation's
 // absolute value over the safety set and reports whether all stay below
 // the threshold.
-func (t *Thomas) safetyTest(w []float64, x [][]float64, y, s []int) bool {
+func (t *Thomas) safetyTest(w []float64, x matrix.Dense, y, s []int) bool {
 	viols := t.violations(w, x, y, s)
 	// Conservative per-group counts for the bound width.
 	n0, n1 := 0, 0
@@ -156,33 +156,29 @@ func (t *Thomas) Fit(train *dataset.Dataset) error {
 	t.base.includeS = false
 	x := t.base.designMatrix(train)
 	y, s := train.Y, train.S
-	n := len(x)
-	dim := len(x[0])
+	n, dim := x.Rows, x.Cols
 
-	// Candidate/safety split (60/40).
+	// Candidate/safety split (60/40). sel copies the tuples at idx, in
+	// idx's order: their rows into one tightly packed matrix, their labels
+	// and groups into slices. On the candidate set, the loss gradient, the
+	// violation terms and the barrier gradient all read one affine/sigmoid
+	// pass per Adam iteration.
 	g := rng.New(t.Seed)
 	perm := g.Perm(n)
 	cut := n * 3 / 5
 	candIdx, safeIdx := perm[:cut], perm[cut:]
-	sel := func(idx []int) ([][]float64, []int, []int) {
-		xs := make([][]float64, len(idx))
+	sel := func(idx []int) (matrix.Dense, []int, []int) {
+		xs := matrix.NewDense(len(idx), dim)
 		ys := make([]int, len(idx))
 		ss := make([]int, len(idx))
 		for k, i := range idx {
-			xs[k], ys[k], ss[k] = x[i], y[i], s[i]
+			copy(xs.Row(k), x.Row(i))
+			ys[k], ss[k] = y[i], s[i]
 		}
-		return xs, ys, ss
+		return *xs, ys, ss
 	}
 	cx, cy, cs := sel(candIdx)
 	sx, sy, ssv := sel(safeIdx)
-
-	// The candidate rows out of sel are permuted aliases into the design
-	// matrix, so they share no contiguous backing. Copy them into one
-	// (values bit-identical) so the fitView's blocked z-pass engages; the
-	// loss gradient, the violation terms, and the barrier gradient then all
-	// read a single affine/sigmoid pass per Adam iteration instead of
-	// recomputing the scores three times.
-	cx = matrix.FromRows(cx).RowsView()
 	view := newFitView(cx, cy)
 
 	barrier := 5.0
@@ -267,12 +263,12 @@ func (t *Thomas) violationsFromP(p []float64, y, s []int) []float64 {
 // addViolationGradFromP adds the analytic gradient of barrier * sum(v^2)
 // where each v is a difference of group-mean sigmoid terms; the per-tuple
 // sigmoids are read from p rather than recomputed from the weights.
-func (t *Thomas) addViolationGradFromP(p []float64, x [][]float64, y, s []int, viols []float64, barrier float64, grad []float64) {
+func (t *Thomas) addViolationGradFromP(p []float64, x matrix.Dense, y, s []int, viols []float64, barrier float64, grad []float64) {
 	d := len(grad) - 1
 	gd := grad[:d]
 	var tot [2]float64
 	var tpN, tnN [2]float64
-	for i := range x {
+	for i := range x.Rows {
 		tot[s[i]]++
 		if y[i] == 1 {
 			tpN[s[i]]++
@@ -280,7 +276,7 @@ func (t *Thomas) addViolationGradFromP(p []float64, x [][]float64, y, s []int, v
 			tnN[s[i]]++
 		}
 	}
-	for i, row := range x {
+	for i := range x.Rows {
 		pi := p[i]
 		dp := pi * (1 - pi)
 		g := s[i]
@@ -304,7 +300,7 @@ func (t *Thomas) addViolationGradFromP(p []float64, x [][]float64, y, s []int, v
 		if coef == 0 {
 			continue
 		}
-		matrix.AccumulateInto(gd, coef, row)
+		matrix.AccumulateInto(gd, coef, x.Row(i))
 		grad[d] += coef
 	}
 }

@@ -84,8 +84,8 @@ func (z *Zafar) Fit(train *dataset.Dataset) error {
 	z.base.includeS = false
 	x := z.base.designMatrix(train)
 	y := train.Y
-	n := float64(len(x))
-	dim := len(x[0])
+	n := float64(x.Rows)
+	dim := x.Cols
 	view := newFitView(x, y)
 
 	sBar := 0.0
@@ -93,7 +93,7 @@ func (z *Zafar) Fit(train *dataset.Dataset) error {
 		sBar += float64(s)
 	}
 	sBar /= n
-	sCent := make([]float64, len(x))
+	sCent := make([]float64, x.Rows)
 	for i, s := range train.S {
 		sCent[i] = float64(s) - sBar
 	}
@@ -108,12 +108,12 @@ func (z *Zafar) Fit(train *dataset.Dataset) error {
 	// first, then every constraint at the same iterate.
 	covGradFor := func(mask []bool) []float64 {
 		grad := make([]float64, dim+1)
-		for i, row := range x {
+		for i := range x.Rows {
 			if mask != nil && !mask[i] {
 				continue
 			}
 			si := sCent[i]
-			for j, v := range row {
+			for j, v := range x.Row(i) {
 				grad[j] += si * v / n
 			}
 			grad[dim] += si / n
@@ -208,7 +208,7 @@ func (z *Zafar) Fit(train *dataset.Dataset) error {
 		}
 		w, _ := optimize.Adam(uncon, w0, optimize.AdamConfig{MaxIter: 300})
 		for round := 0; round < 4; round++ {
-			mask := make([]bool, len(x))
+			mask := make([]bool, x.Rows)
 			view.fillZ(w)
 			for i, zv := range view.z {
 				pred := 0

@@ -9,9 +9,14 @@ import (
 	"fairbench/internal/optimize"
 )
 
-// perTupleLogLoss is the loss fold logLossGradFromZ's flat path replaced,
-// kept as its reference: logLoss of each tuple's sigmoid score, summed in
-// ascending tuple order, over n.
+// logLoss is one tuple's logistic loss, -log of clampedLikelihood.
+func logLoss(p, y float64) float64 {
+	return -math.Log(clampedLikelihood(p, y))
+}
+
+// perTupleLogLoss is the loss fold logLossGradFromZ's staged pass
+// replaced, kept as its reference: logLoss of each tuple's sigmoid score,
+// summed in ascending tuple order, over n.
 func perTupleLogLoss(z []float64, y []int) float64 {
 	var loss float64
 	for i, zi := range z {
@@ -33,10 +38,7 @@ func TestZafarLossMatchesPerTupleFold(t *testing.T) {
 			b := linearBase{}
 			x := b.designMatrix(train)
 			view := newFitView(x, train.Y)
-			if !view.flat {
-				t.Fatalf("%s: design rows are not flat", src.name)
-			}
-			grad := make([]float64, len(x[0])+1)
+			grad := make([]float64, x.Cols+1)
 			check := func(w []float64) float64 {
 				clear(grad)
 				view.fillZ(w)

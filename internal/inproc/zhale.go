@@ -55,8 +55,7 @@ func (z *ZhaLe) Fit(train *dataset.Dataset) error {
 	z.base.includeS = false
 	x := z.base.designMatrix(train)
 	y, s := train.Y, train.S
-	n := len(x)
-	dim := len(x[0])
+	n, dim := x.Rows, x.Cols
 	w := make([]float64, dim+1)
 	var phi [4]float64
 	g := rng.New(z.Seed)
@@ -70,7 +69,7 @@ func (z *ZhaLe) Fit(train *dataset.Dataset) error {
 		// Decay both steps mildly for stability.
 		lr := z.Step / (1 + 0.02*float64(epoch))
 		for _, i := range order {
-			row := x[i]
+			row := x.Row(i)
 			// Classifier forward.
 			zc := w[dim]
 			for j, v := range row {

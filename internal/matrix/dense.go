@@ -61,50 +61,14 @@ func (d *Dense) Set(i, j int, v float64) { d.Data[i*d.Stride+j] = v }
 
 // RowsView returns the matrix as a []-of-rows header whose rows alias the
 // backing array — the bridge to [][]float64 APIs. The header slice is a
-// fresh allocation; the row data is shared. When the matrix is tightly
-// packed (Stride == Cols) each row's capacity extends to the end of the
-// backing array, so AsDense can later recover the flat layout from the
-// header alone; do not append to a row view.
+// fresh allocation; the row data is shared, and each row view is
+// capacity-capped to its row as Row's is.
 func (d *Dense) RowsView() [][]float64 {
 	out := make([][]float64, d.Rows)
-	if d.Stride == d.Cols {
-		for i := range out {
-			off := i * d.Stride
-			out[i] = d.Data[off : off+d.Cols]
-		}
-		return out
-	}
 	for i := range out {
 		out[i] = d.Row(i)
 	}
 	return out
-}
-
-// AsDense reports whether rows is a view of one tightly packed row-major
-// backing array — the header shape Dense.RowsView and the dataset layer's
-// FeatureMatrix produce — and if so returns a Dense sharing that backing,
-// with no copying and no allocation. The reconstruction is pure safe Go:
-// it requires rows[0]'s capacity to reach the end of the backing array and
-// every subsequent row to alias the expected offset of that same array, so
-// a [][]float64 assembled from unrelated allocations can never satisfy it.
-// A successful AsDense also certifies the shape: every row has the same
-// length, verified by aliasing rather than a per-row semantic scan.
-func AsDense(rows [][]float64) (Dense, bool) {
-	n := len(rows)
-	if n == 0 || len(rows[0]) == 0 {
-		return Dense{}, false
-	}
-	c := len(rows[0])
-	if cap(rows[0]) < n*c {
-		return Dense{}, false
-	}
-	data := rows[0][:n*c]
-	for i, r := range rows {
-		if len(r) != c || &r[0] != &data[i*c] {
-			return Dense{}, false
-		}
-	}
-	return Dense{Data: data, Rows: n, Cols: c, Stride: c}, true
 }
 
 // Clone returns a deep copy with a tightly packed backing array.

@@ -103,57 +103,6 @@ func TestAccumulateInto(t *testing.T) {
 	}
 }
 
-func TestAsDenseRecoversRowsView(t *testing.T) {
-	d := NewDense(6, 4)
-	for i := range d.Data {
-		d.Data[i] = float64(i)
-	}
-	got, ok := AsDense(d.RowsView())
-	if !ok {
-		t.Fatal("AsDense rejected a tight RowsView")
-	}
-	if got.Rows != 6 || got.Cols != 4 || got.Stride != 4 {
-		t.Fatalf("AsDense shape %dx%d stride %d", got.Rows, got.Cols, got.Stride)
-	}
-	if &got.Data[0] != &d.Data[0] || len(got.Data) != len(d.Data) {
-		t.Fatal("AsDense must share the original backing, not copy")
-	}
-}
-
-func TestAsDenseRejects(t *testing.T) {
-	d := NewDense(4, 3)
-	rows := d.RowsView()
-
-	ragged := [][]float64{{1, 2}, {3, 4, 5}}
-	if _, ok := AsDense(ragged); ok {
-		t.Fatal("accepted ragged rows")
-	}
-	separate := [][]float64{make([]float64, 3), make([]float64, 3)}
-	if _, ok := AsDense(separate); ok {
-		t.Fatal("accepted rows from separate allocations")
-	}
-	reordered := [][]float64{rows[1], rows[0], rows[2], rows[3]}
-	if _, ok := AsDense(reordered); ok {
-		t.Fatal("accepted out-of-order views")
-	}
-	capped := make([][]float64, d.Rows)
-	for i := range capped {
-		capped[i] = d.Row(i) // three-index views: capacity stops at the row
-	}
-	if _, ok := AsDense(capped); ok {
-		t.Fatal("accepted capacity-limited row views (cannot prove one backing)")
-	}
-	if _, ok := AsDense(nil); ok {
-		t.Fatal("accepted nil")
-	}
-	if _, ok := AsDense([][]float64{{}}); ok {
-		t.Fatal("accepted empty row")
-	}
-	if got, ok := AsDense(rows); !ok || got.Rows != 4 {
-		t.Fatal("sanity: the unmodified RowsView must still be accepted")
-	}
-}
-
 func TestDotAxpyMismatchStillPanics(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()

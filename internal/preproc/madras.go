@@ -50,11 +50,9 @@ func (m *Madras) Repair(train *dataset.Dataset) (*dataset.Dataset, error) {
 	if m.Step == 0 {
 		m.Step = 0.05
 	}
-	work := train.Clone()
-	m.std = dataset.FitStandardizer(work)
-	m.std.Apply(work)
-	x := work.FeatureMatrix(false)
-	n, d := len(x), len(x[0])
+	std, x := train.StandardizedDesign(false)
+	m.std = std
+	n, d := x.Rows, x.Cols
 	g := rng.New(m.Seed)
 
 	// Encoder, label head, adversary head (both heads read z).
@@ -77,7 +75,7 @@ func (m *Madras) Repair(train *dataset.Dataset) (*dataset.Dataset, error) {
 		g.Shuffle(n, func(a, b int) { order[a], order[b] = order[b], order[a] })
 		lr := m.Step / (1 + 0.02*float64(epoch))
 		for _, i := range order {
-			row := x[i]
+			row := x.Row(i)
 			// Forward: z = tanh(enc·x).
 			for h := 0; h < m.Dim; h++ {
 				s := m.enc[h][d]
@@ -128,7 +126,7 @@ func (m *Madras) Repair(train *dataset.Dataset) (*dataset.Dataset, error) {
 	for h := 0; h < m.Dim; h++ {
 		out.Attrs[h] = dataset.Attr{Name: "z" + string(rune('0'+h)), Kind: dataset.Numeric}
 	}
-	for i := range x {
+	for i := range out.X {
 		out.X[i] = m.encode(train.X[i])
 	}
 	return out, nil
