@@ -24,29 +24,11 @@ const (
 	benchGermanN = 1000
 )
 
-// ---- Figure 7: correctness & fairness, one bench per dataset ----
-
-func benchFig7(b *testing.B, src *synth.Source) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.CorrectnessFairness(src, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig7_Adult(b *testing.B)  { benchFig7(b, synth.Adult(benchAdultN, 1)) }
-func BenchmarkFig7_COMPAS(b *testing.B) { benchFig7(b, synth.COMPAS(benchCompasN, 1)) }
-func BenchmarkFig7_German(b *testing.B) { benchFig7(b, synth.German(benchGermanN, 1)) }
-
-// ---- Runner: serial vs parallel evalAll (the perf-trajectory pair) ----
-//
-// The same 19-approach Figure 7 grid, forced serial vs on the default
-// worker pool. scripts/bench.sh records both ns/op (and their ratio) to
-// BENCH_parallel.json.
-
-func benchEvalAllWorkers(b *testing.B, workers int) {
-	spec := GridSpec{Experiment: "fig7", Dataset: "compas", N: benchCompasN, Seed: 1}
+// benchGrid times opening and running spec's grid uncached, on a worker
+// pool of the given size (0 = one worker per CPU). The dataset is
+// synthesized once before the timer starts; each iteration re-opens the
+// grid from the process's memoized source, as every Run does.
+func benchGrid(b *testing.B, spec GridSpec, workers int) {
 	if _, err := experiments.Open(spec); err != nil { // synthesize outside the timer
 		b.Fatal(err)
 	}
@@ -64,29 +46,39 @@ func benchEvalAllWorkers(b *testing.B, workers int) {
 	}
 }
 
+// ---- Figure 7: correctness & fairness, one bench per dataset ----
+
+func benchFig7(b *testing.B, dataset string, n int) {
+	benchGrid(b, GridSpec{Experiment: "fig7", Dataset: dataset, N: n, Seed: 1}, 0)
+}
+
+func BenchmarkFig7_Adult(b *testing.B)  { benchFig7(b, "adult", benchAdultN) }
+func BenchmarkFig7_COMPAS(b *testing.B) { benchFig7(b, "compas", benchCompasN) }
+func BenchmarkFig7_German(b *testing.B) { benchFig7(b, "german", benchGermanN) }
+
+// ---- Runner: serial vs parallel evalAll (the perf-trajectory pair) ----
+//
+// The same 19-approach Figure 7 grid, forced serial vs on the default
+// worker pool. scripts/bench.sh records both ns/op (and their ratio) to
+// BENCH_parallel.json.
+
+func benchEvalAllWorkers(b *testing.B, workers int) {
+	benchGrid(b, GridSpec{Experiment: "fig7", Dataset: "compas", N: benchCompasN, Seed: 1}, workers)
+}
+
 func BenchmarkEvalAllSerial(b *testing.B)   { benchEvalAllWorkers(b, 1) }
 func BenchmarkEvalAllParallel(b *testing.B) { benchEvalAllWorkers(b, 0) }
 
 // ---- Figure 8: efficiency & scalability sweeps ----
 
 func BenchmarkFig8_Rows(b *testing.B) {
-	src := synth.Adult(4000, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ScalabilityRows(src, []int{500, 1000, 2000}, registry.Names, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchGrid(b, GridSpec{Experiment: "fig8rows", Dataset: "adult", N: 4000, Seed: 1,
+		Sizes: []int{500, 1000, 2000}}, 0)
 }
 
 func BenchmarkFig8_Attrs(b *testing.B) {
-	src := synth.Adult(3000, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ScalabilityAttrs(src, []int{2, 5, 9}, registry.Names, 2000, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchGrid(b, GridSpec{Experiment: "fig8attrs", Dataset: "adult", N: 3000, Seed: 1,
+		AttrCounts: []int{2, 5, 9}, SampleSize: 2000}, 0)
 }
 
 // Per-approach training scaling: the raw series behind Figure 8(a-c).
@@ -115,64 +107,34 @@ func BenchmarkFig8_PerApproach(b *testing.B) {
 // ---- Figure 9: robustness to data errors ----
 
 func BenchmarkFig9_Robustness(b *testing.B) {
-	src := synth.COMPAS(benchCompasN, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Robustness(src, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchGrid(b, GridSpec{Experiment: "fig9", Dataset: "compas", N: benchCompasN, Seed: 1}, 0)
 }
 
 // ---- Figure 10/21: model sensitivity ----
 
 func BenchmarkFig10_ModelSensitivity(b *testing.B) {
-	src := synth.Adult(benchAdultN, 1)
 	// Three representative approaches x five models keeps iterations short.
-	approaches := []string{"Feld-DP", "KamCal-DP", "KamKar-DP"}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ModelSensitivity(src, approaches, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchGrid(b, GridSpec{Experiment: "fig10", Dataset: "adult", N: benchAdultN, Seed: 1,
+		Names: []string{"Feld-DP", "KamCal-DP", "KamKar-DP"}}, 0)
 }
 
 // ---- Figures 16-18: cross-validation tables ----
 
 func BenchmarkCVTables(b *testing.B) {
-	src := synth.German(benchGermanN, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.CrossValidate(src, 5, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchGrid(b, GridSpec{Experiment: "cv", Dataset: "german", N: benchGermanN, Seed: 1, K: 5}, 0)
 }
 
 // ---- Figure 22: stability ----
 
 func BenchmarkFig22_Stability(b *testing.B) {
-	src := synth.COMPAS(benchCompasN, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Stability(src, 3, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchGrid(b, GridSpec{Experiment: "fig22", Dataset: "compas", N: benchCompasN, Seed: 1, Runs: 3}, 0)
 }
 
 // ---- Figure 23: data efficiency ----
 
 func BenchmarkFig23_DataEfficiency(b *testing.B) {
-	src := synth.Adult(benchAdultN, 1)
-	names := []string{"LR", "KamCal-DP", "Hardt-EO", "Pleiss-EOP"}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.DataEfficiency(src, []int{100, 500, 1000}, names, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchGrid(b, GridSpec{Experiment: "fig23", Dataset: "adult", N: benchAdultN, Seed: 1,
+		Sizes: []int{100, 500, 1000}, Names: []string{"LR", "KamCal-DP", "Hardt-EO", "Pleiss-EOP"}}, 0)
 }
 
 // ---- Sharding: plan + merge overhead (the BENCH_shard.json pair) ----

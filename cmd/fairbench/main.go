@@ -145,6 +145,7 @@ import (
 	"fairbench/internal/sched"
 	"fairbench/internal/serve"
 	"fairbench/internal/store"
+	"fairbench/internal/synth"
 )
 
 // shardableCommands maps figure commands to their grid experiment names
@@ -191,7 +192,7 @@ func main() {
 	maxHostFailFlag := fs.Int("max-host-failures", 3, "dispatch/sched/resume/serve: exclude a host after this many failed attempts")
 	speculateFlag := fs.Bool("speculate", false, "dispatch/sched/resume/serve: re-launch straggling ranges on idle hosts; first valid part wins")
 	backoffFlag := fs.Duration("backoff", 0, "dispatch/sched/resume/serve: base delay before retrying a failed range, doubling per attempt with jitter (0 = 100ms default, negative = retry immediately)")
-	watchHostsFlag := fs.Duration("watch-hosts", 0, "sched/resume: re-read -hosts at this interval; added hosts join mid-run, removed hosts drain (0 = off)")
+	watchHostsFlag := fs.Duration("watch-hosts", 0, "sched/resume only (serve changes its pool through POST /pool): re-read -hosts at this interval; added hosts join mid-run, removed hosts drain (0 = off)")
 	localFallbackFlag := fs.Bool("local-fallback", true, "dispatch/sched/resume/serve: when every host is lost, finish the remaining ranges in-process (report marks the run degraded)")
 	addrFlag := fs.String("addr", "127.0.0.1:8080", "serve: HTTP listen address")
 	stateFlag := fs.String("state", "", "serve: state directory (one resumable run directory per grid)")
@@ -362,6 +363,7 @@ func usage() {
                  [-retries R] [-heartbeat 60s] [-max-host-failures 3] [-speculate]
                  [-backoff 100ms] [-watch-hosts 5s] [-local-fallback=true]
                  run the grid as worker processes across a pool of hosts
+                 (-watch-hosts is for sched and resume only)
        fairbench dispatch ...                  sched without -hosts: one local host of -procs slots
        fairbench resume -dir DIR [sched pool flags]                      finish an interrupted run
        fairbench serve -state DIR [-addr 127.0.0.1:8080] [-cache DIR]
@@ -420,7 +422,7 @@ func signalContext() (context.Context, context.CancelFunc) {
 }
 
 // poolFlags are the scheduler settings the dispatch, sched, resume and
-// serve commands share.
+// serve commands share (serve refuses -watch-hosts).
 type poolFlags struct {
 	hostsPath                      string
 	shards, procs, retries         int
@@ -521,25 +523,22 @@ func cmdResume(dir string, pool poolFlags, out string) error {
 // SIGTERM/SIGINT drain gracefully; interrupted runs resume on restart.
 // Without -hosts every run goes to one local host of -procs slots; the
 // daemon then refuses POST /pool. With -hosts, POST /pool admits only
-// hosts of the file, with the file's transport and command.
+// hosts of the file, with the file's transport and command; it is the
+// daemon's one membership source, so serve refuses -watch-hosts.
 func cmdServe(addr, stateDir, cache, remoteStore string, maxRuns int, pool poolFlags) error {
 	if stateDir == "" {
 		return fmt.Errorf("serve requires -state (the daemon's run-state directory)")
 	}
-	var hosts []fairbench.SchedHost
-	if pool.hostsPath != "" {
-		var err error
-		if hosts, err = fairbench.LoadHosts(pool.hostsPath); err != nil {
-			return err
-		}
+	if pool.watchHosts > 0 {
+		return fmt.Errorf("serve does not take -watch-hosts: POST /pool changes the daemon's pool")
 	}
-	srv, err := serve.New(serve.Config{
-		StateDir: stateDir, CacheDir: cache, RemoteStore: remoteStore, MaxConcurrent: maxRuns,
-		Shards: pool.shards, Retries: pool.retries, Parallelism: pool.localSlots(),
-		Hosts: hosts, HeartbeatTimeout: pool.heartbeat, MaxHostFailures: pool.maxHostFailures,
-		Speculate: pool.speculate, Backoff: pool.backoff, LocalFallback: pool.localFallback,
-		Log: os.Stderr,
-	})
+	opts, stopWatch, err := pool.runOptions()
+	if err != nil {
+		return err
+	}
+	defer stopWatch()
+	opts.CacheDir, opts.RemoteStore = cache, remoteStore
+	srv, err := serve.New(serve.Config{StateDir: stateDir, MaxConcurrent: maxRuns, Run: opts})
 	if err != nil {
 		return err
 	}
@@ -894,21 +893,24 @@ func renderOutput(out *fairbench.GridOutput) error {
 	return report.RenderOutput(os.Stdout, out)
 }
 
+// sources generates the named benchmark, or all three for "all", each
+// with n checked against its paper size as a grid spec's n is.
 func sources(name string, n int, seed int64) ([]*fairbench.Source, error) {
-	switch strings.ToLower(name) {
-	case "adult":
-		return []*fairbench.Source{fairbench.Adult(n, seed)}, nil
-	case "compas":
-		return []*fairbench.Source{fairbench.COMPAS(n, seed)}, nil
-	case "german":
-		return []*fairbench.Source{fairbench.German(n, seed)}, nil
-	case "all", "":
-		return []*fairbench.Source{
-			fairbench.Adult(n, seed), fairbench.COMPAS(n, seed), fairbench.German(n, seed),
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown dataset %q", name)
+	names := []string{strings.ToLower(name)}
+	if names[0] == "all" || names[0] == "" {
+		names = []string{"adult", "compas", "german"}
 	}
+	gen := map[string]func(int, int64) *fairbench.Source{
+		"adult": fairbench.Adult, "compas": fairbench.COMPAS, "german": fairbench.German,
+	}
+	srcs := make([]*fairbench.Source, len(names))
+	for i, ds := range names {
+		if err := synth.CheckSize(ds, n); err != nil {
+			return nil, err
+		}
+		srcs[i] = gen[ds](n, seed)
+	}
+	return srcs, nil
 }
 
 func cmdList() error {

@@ -16,33 +16,35 @@
 //   - the full experiment harness regenerating every figure and table of
 //     the paper's evaluation section.
 //
-// Quick start:
+// Quick start: a GridSpec names one figure's grid completely, and Run
+// computes it.
 //
-//	src := fairbench.COMPAS(0, 1)
-//	rows, err := fairbench.RunCorrectnessFairness(src, 42)
+//	spec := fairbench.GridSpec{Experiment: "fig7", Dataset: "compas", Seed: 42}
+//	out, rep, err := fairbench.Run(ctx, spec, fairbench.RunOptions{})
+//	// out.Rows holds the Figure 7 rows for COMPAS
+//
+// A caller with its own data builds an approach with NewApproach, splits
+// with Split, and scores one fit with Evaluate.
 //
 // # Parallel execution
 //
-// Every experiment driver fans its (approach × dataset-slice) grid across
-// a worker pool sized to GOMAXPROCS by default. Results are deterministic:
-// for a fixed seed, a parallel run returns exactly the rows a serial run
-// would, because each grid cell constructs its own approach and random
-// stream from explicit seeds and cells share no mutable state. Only the
-// timing fields (Seconds, Overhead) vary — under a parallel pool they
-// are measured with the other cells competing for cores. The pure timing
-// experiment (RunScalabilityRows/RunScalabilityAttrs, Figure 8) therefore
-// always measures with one worker. Size the pool per run with
-// RunOptions.Parallelism (zero means one worker per CPU, 1 forces serial
-// execution):
+// Run fans each grid's (approach × dataset-slice) cells across a worker
+// pool sized to GOMAXPROCS by default. Results are deterministic: for a
+// fixed seed, a parallel run returns exactly the rows a serial run would,
+// because each grid cell constructs its own approach and random stream
+// from explicit seeds and cells share no mutable state. Only the timing
+// fields (Seconds, Overhead) vary — under a parallel pool they are
+// measured with the other cells competing for cores. The pure timing
+// grids (fig8rows and fig8attrs, Figure 8) therefore always measure with
+// one worker. Size the pool per run with RunOptions.Parallelism (zero
+// means one worker per CPU, 1 forces serial execution):
 //
 //	out, rep, err := fairbench.Run(ctx, spec, fairbench.RunOptions{Parallelism: 8})
 //
 // The fairbench CLI exposes the same knob as -parallel N, and the
 // benchmark suite tracks the speedup (BenchmarkEvalAllSerial vs
 // BenchmarkEvalAllParallel; see scripts/bench.sh, which records both to
-// BENCH_parallel.json). The driver functions that take a Source rather
-// than a GridSpec (RunCorrectnessFairness and friends) always use one
-// worker per CPU.
+// BENCH_parallel.json).
 //
 // Cells read their dataset slice through shared read-only views and
 // otherwise compute alone, so each row's timing is that approach's own
@@ -88,8 +90,8 @@
 //	out, rep, _ = fairbench.Run(ctx, spec, opts)  // warm: rep.CellsComputed == 0
 //
 // RunReport.CacheStats carries the run's hit/miss/write counters;
-// CacheDiskUsage and CacheGC inspect and reclaim a cache directory. The
-// Source-based driver functions and RunShard never consult a cache.
+// CacheDiskUsage and CacheGC inspect and reclaim a cache directory.
+// RunShard and Evaluate never consult a cache.
 //
 // Giving Run a directory runs the grid on the scheduler (BackendSched)
 // as worker subprocesses of one local host with Parallelism slots (one
@@ -480,44 +482,4 @@ func Normalize(f Fairness) NormalizedFairness { return metrics.Normalize(f) }
 // with the paper's 50%/10% disproportionate rates.
 func Corrupt(d *Dataset, t ErrorTemplate, seed int64) (*Dataset, error) {
 	return corrupt.ApplyCOMPAS(d, t, seed)
-}
-
-// RunCorrectnessFairness regenerates Figure 7 for one dataset.
-func RunCorrectnessFairness(src *Source, seed int64) ([]Row, error) {
-	return experiments.CorrectnessFairness(src, seed)
-}
-
-// RunRobustness regenerates Figure 9 (T1-T3 on a COMPAS-schema source).
-func RunRobustness(src *Source, seed int64) ([]experiments.RobustnessResult, error) {
-	return experiments.Robustness(src, seed)
-}
-
-// RunModelSensitivity regenerates Figure 10 / Figure 21.
-func RunModelSensitivity(src *Source, seed int64) ([]experiments.SensitivityRow, error) {
-	return experiments.ModelSensitivity(src, nil, seed)
-}
-
-// RunCrossValidation regenerates the Figures 16-18 k-fold tables.
-func RunCrossValidation(src *Source, k int, seed int64) ([]Row, error) {
-	return experiments.CrossValidate(src, k, seed)
-}
-
-// RunStability regenerates Figure 22.
-func RunStability(src *Source, runs int, seed int64) ([]experiments.StabilityRow, error) {
-	return experiments.Stability(src, runs, seed)
-}
-
-// RunDataEfficiency regenerates Figure 23.
-func RunDataEfficiency(src *Source, sizes []int, seed int64) (map[string][]experiments.EfficiencyPoint, error) {
-	return experiments.DataEfficiency(src, sizes, nil, seed)
-}
-
-// RunScalabilityRows regenerates Figure 8(a-c).
-func RunScalabilityRows(src *Source, sizes []int, seed int64) (map[string][]experiments.ScalabilityPoint, error) {
-	return experiments.ScalabilityRows(src, sizes, registry.Names, seed)
-}
-
-// RunScalabilityAttrs regenerates Figure 8(d-f).
-func RunScalabilityAttrs(src *Source, attrCounts []int, sampleSize int, seed int64) (map[string][]experiments.ScalabilityPoint, error) {
-	return experiments.ScalabilityAttrs(src, attrCounts, registry.Names, sampleSize, seed)
 }

@@ -114,7 +114,7 @@ func TestFacadeModelSwap(t *testing.T) {
 func TestFacadeSharding(t *testing.T) {
 	// The facade's cross-process story end to end: plan, run the three
 	// shards (round-tripping each envelope through its wire encoding),
-	// merge, and compare against the plain driver on the same data.
+	// merge, and compare against an in-process Run of the same spec.
 	spec := GridSpec{Experiment: "fig7", Dataset: "german", N: 200, Seed: 5}
 	ranges, err := PlanShards(spec, 3)
 	if err != nil {
@@ -141,17 +141,18 @@ func TestFacadeSharding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := RunCorrectnessFairness(German(200, 5), 5)
+	out, _, err := Run(context.Background(), spec, RunOptions{Backend: BackendInproc})
 	if err != nil {
 		t.Fatal(err)
 	}
+	serial := out.Rows
 	if len(merged.Rows) != len(serial) {
 		t.Fatalf("row counts: %d vs %d", len(merged.Rows), len(serial))
 	}
 	for i := range serial {
 		m, s := merged.Rows[i], serial[i]
 		if m.Approach != s.Approach || m.Correct != s.Correct || m.Fair != s.Fair {
-			t.Fatalf("%s: sharded run diverges from serial driver", s.Approach)
+			t.Fatalf("%s: sharded run diverges from the in-process run", s.Approach)
 		}
 	}
 	// A shard set from a different seed must not merge.

@@ -95,10 +95,6 @@ func NewFlat(name string, attrs []Attr, n int) *Dataset {
 	}
 }
 
-// Row returns the feature vector of tuple i (a view; do not mutate
-// without Clone).
-func (d *Dataset) Row(i int) []float64 { return d.X[i] }
-
 // Len returns the number of tuples |D|.
 func (d *Dataset) Len() int { return len(d.X) }
 

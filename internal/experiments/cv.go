@@ -7,19 +7,11 @@ import (
 	"fairbench/internal/synth"
 )
 
-// CrossValidate reproduces the 5-fold cross-validation tables (Figures
+// cvGrid builds the k-fold cross-validation tables' grid (Figures
 // 16-18): every approach's metrics averaged over k folds. The (fold ×
 // approach) grid runs as one flat job list; per-fold baseline subtraction
 // and the fold average are post-passes in the serial loop's order, so the
 // aggregate floats match a serial run bit for bit.
-func CrossValidate(src *synth.Source, k int, seed int64) ([]Row, error) {
-	out, err := cvGrid(src, k, seed).RunAll()
-	if err != nil {
-		return nil, err
-	}
-	return out.Rows, nil
-}
-
 func cvGrid(src *synth.Source, k int, seed int64) *Grid {
 	folds := src.Data.KFold(k, rng.New(seed))
 	names := append([]string{"LR"}, registry.Names...)
@@ -100,18 +92,10 @@ type StabilityRow struct {
 	F1Mean, F1Std     float64
 }
 
-// Stability reproduces Figure 22: runs random 2/3-1/3 folds and reports
-// per-metric variance. Folds are drawn up front (each from its own
-// rng.New(seed+run), exactly as the serial protocol), then the (run ×
-// approach) grid fans out across the pool.
-func Stability(src *synth.Source, runs int, seed int64) ([]StabilityRow, error) {
-	out, err := stabilityGrid(src, runs, seed).RunAll()
-	if err != nil {
-		return nil, err
-	}
-	return out.Stability, nil
-}
-
+// stabilityGrid builds the Figure 22 grid: random 2/3-1/3 folds, with
+// per-metric variance reported over them. Folds are drawn up front (each
+// from its own rng.New(seed+run), exactly as the serial protocol), then
+// the (run × approach) grid fans out across the pool.
 func stabilityGrid(src *synth.Source, runs int, seed int64) *Grid {
 	names := append([]string{"LR"}, registry.Names...)
 	slices := make([]splitPair, runs)
@@ -157,18 +141,10 @@ type EfficiencyPoint struct {
 	Row  Row
 }
 
-// DataEfficiency reproduces Figure 23: every approach is retrained on
-// growing training samples and evaluated on a fixed held-out test set.
+// efficiencyGrid builds the Figure 23 grid: every approach is retrained
+// on growing training samples and evaluated on a fixed held-out test set.
 // Samples are drawn up front (rng.New(seed+size), as in the serial
 // protocol); the (size × approach) grid fans out across the pool.
-func DataEfficiency(src *synth.Source, sizes []int, names []string, seed int64) (map[string][]EfficiencyPoint, error) {
-	out, err := efficiencyGrid(src, sizes, names, seed).RunAll()
-	if err != nil {
-		return nil, err
-	}
-	return out.Efficiency, nil
-}
-
 func efficiencyGrid(src *synth.Source, sizes []int, names []string, seed int64) *Grid {
 	if names == nil {
 		names = append([]string{"LR"}, registry.Names...)

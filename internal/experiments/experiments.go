@@ -1,26 +1,29 @@
-// Package experiments implements one driver per artifact of the paper's
-// evaluation (Section 4 and the appendix):
+// Package experiments builds one job grid per artifact of the paper's
+// evaluation (Section 4 and the appendix), named by a Spec's Experiment:
 //
-//	Figure 7    — correctness & fairness of all approaches × 3 datasets
-//	Figure 8    — efficiency & scalability vs data size and #attributes
-//	Figure 9    — robustness to the T1/T2/T3 data-error templates
-//	Figure 10   — sensitivity of pre/post approaches to the ML model
-//	Figures 16-18 — 5-fold cross-validation metric tables
-//	Figure 22   — stability over random train/test folds
-//	Figure 23   — data efficiency vs training-set size
+//	fig7      Figure 7    — correctness & fairness of all approaches × 3 datasets
+//	fig8rows  Figure 8a-c — efficiency & scalability vs data size
+//	fig8attrs Figure 8d-f — efficiency & scalability vs #attributes
+//	fig9      Figure 9    — robustness to the T1/T2/T3 data-error templates
+//	fig10     Figure 10   — sensitivity of pre/post approaches to the ML model
+//	fig15     Figure 15   — the appendix's three additional variants
+//	cv        Figures 16-18 — k-fold cross-validation metric tables
+//	fig22     Figure 22   — stability over random train/test folds
+//	fig23     Figure 23   — data efficiency vs training-set size
 //
-// Every driver is deterministic given its seed and returns structured rows
-// the report package renders. Every driver's (approach × dataset-slice)
-// job list is a first-class Grid (see grid.go): an enumerable, indexable
-// cell set that fans across a runner worker pool in process, and — because
-// a Spec fully determines every cell — can also be split into contiguous
-// shards that run in other processes or hosts and merge back bit-identical
-// (see internal/shard). Each cell constructs its own approach and RNG from
-// explicit seeds, so the rows are identical to a serial run for a fixed
-// seed; only wall time changes with the pool size (Grid.SetWorkers).
-// Baseline-overhead accounting (Section 4.3) is a post-pass over the collected
-// rows, keeping the timing subtraction well-defined regardless of
-// completion order.
+// Open materializes the Grid a Spec names (see grid.go): an enumerable,
+// indexable (approach × dataset-slice) cell set that fans across a runner
+// worker pool in process (RunAll), and — because a Spec fully determines
+// every cell — can also be split into contiguous shards that run in other
+// processes or hosts and merge back bit-identical (see internal/shard).
+// Every grid is deterministic given its seed and assembles structured
+// rows the report package renders. Each cell constructs its own approach
+// and RNG from explicit seeds, so the rows are identical to a serial run
+// for a fixed seed; only wall time changes with the pool size
+// (Grid.SetWorkers). Baseline-overhead accounting (Section 4.3) is a
+// post-pass over the collected rows, keeping the timing subtraction
+// well-defined regardless of completion order. A caller with its own
+// data evaluates one approach on one split with Evaluate.
 package experiments
 
 import (
@@ -70,18 +73,8 @@ func Evaluate(a fair.Approach, train, test *dataset.Dataset, g *causal.Graph) (R
 	}, nil
 }
 
-// CorrectnessFairness reproduces Figure 7 for one dataset: the baseline LR
-// followed by all 18 variants on a 70/30 split.
-func CorrectnessFairness(src *synth.Source, seed int64) ([]Row, error) {
-	out, err := fig7Grid(src, seed).RunAll()
-	if err != nil {
-		return nil, err
-	}
-	return out.Rows, nil
-}
-
-// fig7Grid builds the Figure 7 grid: one 70/30 split × (baseline + all 18
-// variants).
+// fig7Grid builds the Figure 7 grid for one dataset: one 70/30 split ×
+// (the baseline LR followed by all 18 variants).
 func fig7Grid(src *synth.Source, seed int64) *Grid {
 	return baselineRowsGrid(src, append([]string{"LR"}, registry.Names...), seed)
 }
@@ -159,16 +152,8 @@ type scaleSlice struct {
 	train, test *dataset.Dataset
 }
 
-// ScalabilityRows reproduces Figure 8(a-c): runtime overhead as the number
-// of training points grows, on samples of the given dataset.
-func ScalabilityRows(src *synth.Source, sizes []int, names []string, seed int64) (map[string][]ScalabilityPoint, error) {
-	out, err := scaleRowsGrid(src, sizes, names, seed).RunAll()
-	if err != nil {
-		return nil, err
-	}
-	return out.Scalability, nil
-}
-
+// scaleRowsGrid builds the Figure 8(a-c) grid: runtime overhead as the
+// number of training points grows, on samples of the given dataset.
 func scaleRowsGrid(src *synth.Source, sizes []int, names []string, seed int64) *Grid {
 	slices := make([]scaleSlice, len(sizes))
 	for i, n := range sizes {
@@ -179,17 +164,9 @@ func scaleRowsGrid(src *synth.Source, sizes []int, names []string, seed int64) *
 	return scaleGrid(slices, names, src.Graph, seed)
 }
 
-// ScalabilityAttrs reproduces Figure 8(d-f): runtime overhead as the
-// number of attributes grows, by projecting the dataset onto attribute
-// prefixes.
-func ScalabilityAttrs(src *synth.Source, attrCounts []int, names []string, sampleSize int, seed int64) (map[string][]ScalabilityPoint, error) {
-	out, err := scaleAttrsGrid(src, attrCounts, names, sampleSize, seed).RunAll()
-	if err != nil {
-		return nil, err
-	}
-	return out.Scalability, nil
-}
-
+// scaleAttrsGrid builds the Figure 8(d-f) grid: runtime overhead as the
+// number of attributes grows, by projecting a sample of the dataset onto
+// attribute prefixes.
 func scaleAttrsGrid(src *synth.Source, attrCounts []int, names []string, sampleSize int, seed int64) *Grid {
 	sample := src.Data.Sample(sampleSize, rng.New(seed))
 	slices := make([]scaleSlice, len(attrCounts))

@@ -13,11 +13,11 @@ import (
 )
 
 func TestCorrectnessFairnessShape(t *testing.T) {
-	src := synth.COMPAS(1200, 1)
-	rows, err := CorrectnessFairness(src, 1)
+	out, err := fig7Grid(synth.COMPAS(1200, 1), 1).RunAll()
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := out.Rows
 	if len(rows) != 19 { // LR + 18 variants
 		t.Fatalf("rows: %d", len(rows))
 	}
@@ -40,11 +40,11 @@ func TestEveryApproachImprovesItsTarget(t *testing.T) {
 	// The paper's core Figure 7 claim: every approach improves the metric
 	// it targets relative to the fairness-unaware baseline (allowing a
 	// small sampling slack).
-	src := synth.COMPAS(3000, 2)
-	rows, err := CorrectnessFairness(src, 3)
+	out, err := fig7Grid(synth.COMPAS(3000, 2), 3).RunAll()
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := out.Rows
 	base := rows[0]
 	for _, r := range rows[1:] {
 		if len(r.Targets) == 0 {
@@ -62,12 +62,11 @@ func TestEveryApproachImprovesItsTarget(t *testing.T) {
 }
 
 func TestScalabilityRows(t *testing.T) {
-	src := synth.COMPAS(1500, 1)
-	series, err := ScalabilityRows(src, []int{300, 800}, []string{"KamCal-DP", "Hardt-EO"}, 1)
+	out, err := scaleRowsGrid(synth.COMPAS(1500, 1), []int{300, 800}, []string{"KamCal-DP", "Hardt-EO"}, 1).RunAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, pts := range series {
+	for name, pts := range out.Scalability {
 		if len(pts) != 2 {
 			t.Fatalf("%s: %d points", name, len(pts))
 		}
@@ -80,34 +79,37 @@ func TestScalabilityRows(t *testing.T) {
 }
 
 func TestScalabilityAttrs(t *testing.T) {
-	src := synth.Adult(1200, 1)
-	series, err := ScalabilityAttrs(src, []int{2, 5}, []string{"Feld-DP"}, 1000, 1)
+	out, err := scaleAttrsGrid(synth.Adult(1200, 1), []int{2, 5}, []string{"Feld-DP"}, 1000, 1).RunAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series["Feld-DP"]) != 2 {
-		t.Fatalf("points: %d", len(series["Feld-DP"]))
+	if pts := out.Scalability["Feld-DP"]; len(pts) != 2 {
+		t.Fatalf("points: %d", len(pts))
 	}
 }
 
 func TestRobustness(t *testing.T) {
 	src := synth.COMPAS(1500, 1)
-	results, err := Robustness(src, 1)
+	g, err := robustnessGrid(src, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 3 {
-		t.Fatalf("templates: %d", len(results))
-	}
-	clean, err := CorrectnessFairness(src, 1)
+	dirty, err := g.RunAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, res := range results {
+	if len(dirty.Robustness) != 3 {
+		t.Fatalf("templates: %d", len(dirty.Robustness))
+	}
+	clean, err := fig7Grid(src, 1).RunAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range dirty.Robustness {
 		if res.Template < corrupt.T1 || res.Template > corrupt.T3 {
 			t.Fatalf("template: %v", res.Template)
 		}
-		deltas := Deltas(clean, res)
+		deltas := Deltas(clean.Rows, res)
 		if len(deltas) != len(res.Rows) {
 			t.Fatalf("deltas: %d vs %d rows", len(deltas), len(res.Rows))
 		}
@@ -115,11 +117,11 @@ func TestRobustness(t *testing.T) {
 }
 
 func TestModelSensitivitySpreads(t *testing.T) {
-	src := synth.Adult(1200, 1)
-	rows, err := ModelSensitivity(src, []string{"Feld-DP", "KamKar-DP"}, 1)
+	out, err := sensitivityGrid(synth.Adult(1200, 1), []string{"Feld-DP", "KamKar-DP"}, 1).RunAll()
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := out.Sensitivity
 	if len(rows) != 2*len(ModelNames) {
 		t.Fatalf("rows: %d", len(rows))
 	}
@@ -138,15 +140,14 @@ func TestModelSensitivitySpreads(t *testing.T) {
 }
 
 func TestCrossValidate(t *testing.T) {
-	src := synth.German(600, 1)
-	rows, err := CrossValidate(src, 3, 1)
+	out, err := cvGrid(synth.German(600, 1), 3, 1).RunAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 19 {
-		t.Fatalf("rows: %d", len(rows))
+	if len(out.Rows) != 19 {
+		t.Fatalf("rows: %d", len(out.Rows))
 	}
-	for _, r := range rows {
+	for _, r := range out.Rows {
 		if r.Correct.Accuracy <= 0 || r.Correct.Accuracy > 1 {
 			t.Fatalf("%s: CV accuracy %v", r.Approach, r.Correct.Accuracy)
 		}
@@ -154,15 +155,14 @@ func TestCrossValidate(t *testing.T) {
 }
 
 func TestStability(t *testing.T) {
-	src := synth.COMPAS(900, 1)
-	rows, err := Stability(src, 3, 1)
+	out, err := stabilityGrid(synth.COMPAS(900, 1), 3, 1).RunAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 19 {
-		t.Fatalf("rows: %d", len(rows))
+	if len(out.Stability) != 19 {
+		t.Fatalf("rows: %d", len(out.Stability))
 	}
-	for _, r := range rows {
+	for _, r := range out.Stability {
 		if r.AccStd < 0 || math.IsNaN(r.AccStd) {
 			t.Fatalf("%s: std %v", r.Approach, r.AccStd)
 		}
@@ -170,12 +170,11 @@ func TestStability(t *testing.T) {
 }
 
 func TestDataEfficiency(t *testing.T) {
-	src := synth.COMPAS(1500, 1)
-	series, err := DataEfficiency(src, []int{100, 400}, []string{"LR", "KamCal-DP"}, 1)
+	out, err := efficiencyGrid(synth.COMPAS(1500, 1), []int{100, 400}, []string{"LR", "KamCal-DP"}, 1).RunAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, pts := range series {
+	for name, pts := range out.Efficiency {
 		if len(pts) != 2 {
 			t.Fatalf("%s: %d points", name, len(pts))
 		}
@@ -210,14 +209,15 @@ func TestExtensions(t *testing.T) {
 
 func TestEvaluateDeterministic(t *testing.T) {
 	src := synth.COMPAS(800, 1)
-	r1, err := CorrectnessFairness(src, 5)
+	out1, err := fig7Grid(src, 5).RunAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := CorrectnessFairness(src, 5)
+	out2, err := fig7Grid(src, 5).RunAll()
 	if err != nil {
 		t.Fatal(err)
 	}
+	r1, r2 := out1.Rows, out2.Rows
 	for i := range r1 {
 		if r1[i].Correct.Accuracy != r2[i].Correct.Accuracy ||
 			r1[i].Fair.DIStar != r2[i].Fair.DIStar {

@@ -30,11 +30,11 @@ var update = flag.Bool("update", false, "rewrite golden testdata files")
 // semantics on the CI architecture (amd64, no FMA contraction); if CI
 // ever changes architecture, regenerate with -update and review the diff.
 func TestGoldenRowsCOMPAS(t *testing.T) {
-	src := synth.COMPAS(300, 42)
-	rows, err := CorrectnessFairness(src, 42)
+	out, err := fig7Grid(synth.COMPAS(300, 42), 42).RunAll()
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := out.Rows
 	for i := range rows {
 		rows[i].Seconds, rows[i].Overhead = 0, 0
 	}

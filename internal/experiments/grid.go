@@ -175,14 +175,10 @@ func (s Spec) Normalize() (Spec, error) {
 	default:
 		return s, fmt.Errorf("experiments: unknown experiment %q", s.Experiment)
 	}
-	paper := synth.PaperSize(s.Dataset)
-	if paper == 0 {
-		return s, fmt.Errorf("experiments: unknown dataset %q", s.Dataset)
-	}
 	// Bounded before anything is synthesized: a spec may arrive from an
-	// untrusted request, and n alone sets how much data Open generates.
-	if s.N < 0 || s.N > paper {
-		return s, fmt.Errorf("experiments: n=%d outside [0,%d], the %s paper size (0 selects it)", s.N, paper, s.Dataset)
+	// untrusted request.
+	if err := synth.CheckSize(s.Dataset, s.N); err != nil {
+		return s, fmt.Errorf("experiments: %w", err)
 	}
 	s.Bias = strings.ToLower(strings.TrimSpace(s.Bias))
 	switch s.Bias {
@@ -293,9 +289,8 @@ type Cell struct {
 }
 
 // Output is a fully assembled grid result; exactly one payload field is
-// populated, matching the experiment. It is what every driver function
-// returns (unwrapped to its native type) and what MergeShards rebuilds
-// from a shard set.
+// populated, matching the experiment. It is what RunAll and Assemble
+// return and what MergeShards rebuilds from a shard set.
 type Output struct {
 	Experiment  string                        `json:"experiment,omitempty"`
 	Spec        Spec                          `json:"spec"`
@@ -711,8 +706,7 @@ func (g *Grid) Assemble(cells []Cell) (*Output, error) {
 }
 
 // RunAll executes the whole grid in this process and assembles it — the
-// single-process path every driver function uses, and the reference a
-// sharded run must reproduce.
+// single-process reference a sharded run must reproduce.
 func (g *Grid) RunAll() (*Output, error) {
 	cells, err := g.RunRange(0, g.Len())
 	if err != nil {

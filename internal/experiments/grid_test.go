@@ -119,43 +119,50 @@ func TestShardMergeMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestDriverMatchesSpecPath pins the two entry points to each other for
-// every experiment kind: a Source driver (the library's direct, uncached
-// grid) and the Spec/Open path (the grid every CLI command, shard and
-// cache runs) must materialize the same grid and produce the same
-// output, timing fields aside.
+// TestDriverMatchesSpecPath pins the grids this package's tests build to
+// the grids production opens: for every experiment kind, the builder
+// called on a Source (how the tests make their grids) and Open on the
+// matching Spec (how every CLI command, shard, cache and serve run makes
+// it) must produce the same output, timing fields aside.
 func TestDriverMatchesSpecPath(t *testing.T) {
 	for _, c := range []struct {
-		spec   Spec
-		driver func() (*Output, error)
+		spec  Spec
+		build func() (*Grid, error)
 	}{
-		{Spec{Experiment: "fig7", Dataset: "german", N: 240, Seed: 7}, func() (*Output, error) {
-			rows, err := CorrectnessFairness(synth.German(240, 7), 7)
-			return &Output{Rows: rows}, err
+		{Spec{Experiment: "fig7", Dataset: "german", N: 240, Seed: 7}, func() (*Grid, error) {
+			return fig7Grid(synth.German(240, 7), 7), nil
 		}},
-		{Spec{Experiment: "cv", Dataset: "german", N: 240, Seed: 7, K: 3}, func() (*Output, error) {
-			rows, err := CrossValidate(synth.German(240, 7), 3, 7)
-			return &Output{Rows: rows}, err
+		{Spec{Experiment: "fig15", Dataset: "german", N: 240, Seed: 7}, func() (*Grid, error) {
+			return extensionsGrid(synth.German(240, 7), 7), nil
 		}},
-		{Spec{Experiment: "fig9", Dataset: "compas", N: 300, Seed: 7}, func() (*Output, error) {
-			res, err := Robustness(synth.COMPAS(300, 7), 7)
-			return &Output{Robustness: res}, err
+		{Spec{Experiment: "cv", Dataset: "german", N: 240, Seed: 7, K: 3}, func() (*Grid, error) {
+			return cvGrid(synth.German(240, 7), 3, 7), nil
 		}},
-		{Spec{Experiment: "fig10", Dataset: "adult", N: 300, Seed: 7}, func() (*Output, error) {
-			rows, err := ModelSensitivity(synth.Adult(300, 7), nil, 7)
-			return &Output{Sensitivity: rows}, err
+		{Spec{Experiment: "fig9", Dataset: "compas", N: 300, Seed: 7}, func() (*Grid, error) {
+			return robustnessGrid(synth.COMPAS(300, 7), 7)
 		}},
-		{Spec{Experiment: "fig22", Dataset: "adult", N: 300, Seed: 7, Runs: 3}, func() (*Output, error) {
-			rows, err := Stability(synth.Adult(300, 7), 3, 7)
-			return &Output{Stability: rows}, err
+		{Spec{Experiment: "fig10", Dataset: "adult", N: 300, Seed: 7}, func() (*Grid, error) {
+			return sensitivityGrid(synth.Adult(300, 7), nil, 7), nil
 		}},
-		{Spec{Experiment: "fig23", Dataset: "adult", N: 300, Seed: 7}, func() (*Output, error) {
-			pts, err := DataEfficiency(synth.Adult(300, 7), DefaultFig23Sizes(300), nil, 7)
-			return &Output{Efficiency: pts}, err
+		{Spec{Experiment: "fig22", Dataset: "adult", N: 300, Seed: 7, Runs: 3}, func() (*Grid, error) {
+			return stabilityGrid(synth.Adult(300, 7), 3, 7), nil
+		}},
+		{Spec{Experiment: "fig23", Dataset: "adult", N: 300, Seed: 7}, func() (*Grid, error) {
+			return efficiencyGrid(synth.Adult(300, 7), DefaultFig23Sizes(300), nil, 7), nil
+		}},
+		{Spec{Experiment: "fig8rows", Dataset: "compas", N: 400, Seed: 7, Sizes: []int{100, 200}, Names: []string{"KamCal-DP"}}, func() (*Grid, error) {
+			return scaleRowsGrid(synth.COMPAS(400, 7), []int{100, 200}, []string{"KamCal-DP"}, 7), nil
+		}},
+		{Spec{Experiment: "fig8attrs", Dataset: "adult", N: 300, Seed: 7, AttrCounts: []int{2, 4}, SampleSize: 250, Names: []string{"Feld-DP"}}, func() (*Grid, error) {
+			return scaleAttrsGrid(synth.Adult(300, 7), []int{2, 4}, []string{"Feld-DP"}, 250, 7), nil
 		}},
 	} {
 		t.Run(c.spec.Experiment, func(t *testing.T) {
-			direct, err := c.driver()
+			g, err := c.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := g.RunAll()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,11 +170,10 @@ func TestDriverMatchesSpecPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Only the payload is compared: the direct driver's output
-			// carries no spec.
+			// Only the payload is compared: a built grid carries no spec.
 			out.Experiment, out.Spec = "", Spec{}
 			if !bytes.Equal(canonical(t, direct), canonical(t, out)) {
-				t.Fatal("Spec path diverges from direct driver call")
+				t.Fatal("Spec path diverges from the grid built directly")
 			}
 		})
 	}

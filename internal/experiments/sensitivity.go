@@ -24,22 +24,14 @@ type SensitivityRow struct {
 	Row             Row
 }
 
-// ModelSensitivity reproduces Figure 10 / Figure 21: each pre- and
-// post-processing approach is paired with each of the five model families;
-// in-processing approaches are excluded because their mechanism is welded
-// to their own learner (Section 4.5 evaluates pre and post only).
-func ModelSensitivity(src *synth.Source, approaches []string, seed int64) ([]SensitivityRow, error) {
-	out, err := sensitivityGrid(src, approaches, seed).RunAll()
-	if err != nil {
-		return nil, err
-	}
-	return out.Sensitivity, nil
-}
-
-// sensitivityGrid builds the (model family × approach) grid; each cell
-// builds its own approach and classifier from the model's name, so no
-// state crosses goroutines or processes except the read-only repairs and
-// base fits its armed training split shares (see Grid.RunRangeContext).
+// sensitivityGrid builds the Figure 10 / Figure 21 grid: each pre- and
+// post-processing approach is paired with each of the five model
+// families; in-processing approaches are excluded because their mechanism
+// is welded to their own learner (Section 4.5 evaluates pre and post
+// only). Each (model family × approach) cell builds its own approach and
+// classifier from the model's name, so no state crosses goroutines or
+// processes except the read-only repairs and base fits its armed training
+// split shares (see Grid.RunRangeContext).
 func sensitivityGrid(src *synth.Source, approaches []string, seed int64) *Grid {
 	if approaches == nil {
 		approaches = DefaultSensitivityApproaches
@@ -72,7 +64,7 @@ type SensitivitySpread struct {
 	AccByModel, DIByModel map[string]float64
 }
 
-// Spreads aggregates ModelSensitivity rows.
+// Spreads aggregates the Figure 10 grid's rows.
 func Spreads(rows []SensitivityRow) []SensitivitySpread {
 	order := []string{}
 	agg := map[string]*SensitivitySpread{}

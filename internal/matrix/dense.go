@@ -10,7 +10,7 @@ import "fmt"
 // after construction.
 //
 // The zero value is an empty matrix. Row views returned by Row alias the
-// backing array; callers that need an independent copy use Clone.
+// backing array.
 type Dense struct {
 	// Data is the flat backing array, row-major: element (i, j) lives at
 	// Data[i*Stride+j]. Exposed for kernels that stream the whole matrix.
@@ -71,19 +71,6 @@ func (d *Dense) RowsView() [][]float64 {
 	return out
 }
 
-// Clone returns a deep copy with a tightly packed backing array.
-func (d *Dense) Clone() *Dense {
-	out := NewDense(d.Rows, d.Cols)
-	if d.Stride == d.Cols {
-		copy(out.Data, d.Data[:d.Rows*d.Cols])
-		return out
-	}
-	for i := 0; i < d.Rows; i++ {
-		copy(out.Row(i), d.Row(i))
-	}
-	return out
-}
-
 // Design is a read-only training design matrix prepared for repeated
 // z-passes: the row-major matrix plus, on the vector path, a column-major
 // copy of it. Build it once per fit with NewDesign; neither copy may be
@@ -114,30 +101,4 @@ func (d *Dense) colMajor() []float64 {
 		}
 	}
 	return out
-}
-
-// MatVecInto computes dst = d·x without allocating; dst must have length
-// d.Rows and x length d.Cols.
-func (d *Dense) MatVecInto(dst, x []float64) {
-	if len(dst) != d.Rows || len(x) != d.Cols {
-		panic(fmt.Sprintf("matrix: MatVecInto dims %d×%d vs dst %d, x %d", d.Rows, d.Cols, len(dst), len(x)))
-	}
-	for i := 0; i < d.Rows; i++ {
-		dst[i] = Dot(d.Row(i), x)
-	}
-}
-
-// TransposeMatVecInto computes dst = dᵀ·x without allocating: dst[j] =
-// Σ_i d[i][j]·x[i]. dst must have length d.Cols and x length d.Rows. dst
-// is fully overwritten.
-func (d *Dense) TransposeMatVecInto(dst, x []float64) {
-	if len(dst) != d.Cols || len(x) != d.Rows {
-		panic(fmt.Sprintf("matrix: TransposeMatVecInto dims %d×%d vs dst %d, x %d", d.Rows, d.Cols, len(dst), len(x)))
-	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i := 0; i < d.Rows; i++ {
-		Axpy(x[i], d.Row(i), dst)
-	}
 }

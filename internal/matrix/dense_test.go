@@ -33,47 +33,20 @@ func TestDenseFromRowsClone(t *testing.T) {
 	if d.At(0, 0) != 1 {
 		t.Fatal("FromRows must copy")
 	}
-	c := d.Clone()
-	c.Set(0, 0, 42)
-	if d.At(0, 0) != 1 {
-		t.Fatal("Clone must not alias")
-	}
-}
-
-func TestDenseMatVecInto(t *testing.T) {
-	d := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	x := []float64{1, -1}
-	dst := make([]float64, 3)
-	d.MatVecInto(dst, x)
-	want := []float64{-1, -1, -1}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("MatVecInto[%d] = %v, want %v", i, dst[i], want[i])
-		}
-	}
-	// Matches the [][]float64 kernel bit for bit.
-	ref := MatVec(d.RowsView(), x)
-	for i := range ref {
-		if ref[i] != dst[i] {
-			t.Fatalf("MatVecInto diverges from MatVec at %d", i)
-		}
-	}
-	tdst := make([]float64, 2)
-	tx := []float64{1, 0, -1}
-	d.TransposeMatVecInto(tdst, tx)
-	tref := TransposeMatVec(d.RowsView(), tx)
-	for i := range tref {
-		if tref[i] != tdst[i] {
-			t.Fatalf("TransposeMatVecInto diverges at %d", i)
-		}
-	}
 }
 
 func TestDensePanicsOnBadDims(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MatVecInto must panic on a dimension mismatch")
-		}
-	}()
-	NewDense(2, 2).MatVecInto(make([]float64, 3), []float64{1, 2})
+	for name, build := range map[string]func(){
+		"negative dimension": func() { NewDense(-1, 2) },
+		"ragged rows":        func() { FromRows([][]float64{{1, 2}, {3}}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: want a panic", name)
+				}
+			}()
+			build()
+		}()
+	}
 }

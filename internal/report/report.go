@@ -1,10 +1,8 @@
 // Package report renders experiment results as aligned text tables (the
-// terminal counterpart of the paper's figures) and as CSV for downstream
-// plotting.
+// terminal counterpart of the paper's figures).
 package report
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
@@ -63,19 +61,4 @@ func (t *Table) Render(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// WriteCSV writes headers and rows as CSV.
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.Headers); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

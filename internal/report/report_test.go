@@ -41,20 +41,6 @@ func TestRender(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sample().WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("csv lines: %d", len(lines))
-	}
-	if lines[0] != "name,value" {
-		t.Fatalf("csv header: %q", lines[0])
-	}
-}
-
 func TestFormatters(t *testing.T) {
 	if F(1.0/3) != "0.333" {
 		t.Fatalf("F: %q", F(1.0/3))

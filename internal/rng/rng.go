@@ -13,8 +13,7 @@ import (
 // RNG wraps math/rand.Rand with the distribution helpers the benchmark
 // needs. It is NOT safe for concurrent use: concurrent jobs must never
 // share an instance. A runner job that needs a generator derives its own
-// private one from its job index with Derive; sequential call trees can
-// split per-callee instances with Split.
+// private one from its job index with Derive.
 type RNG struct {
 	r *rand.Rand
 }
@@ -39,13 +38,6 @@ func Derive(seed, id int64) *RNG {
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	z ^= z >> 31
 	return New(int64(z >> 1))
-}
-
-// Split derives an independent child RNG from this one. The child's stream
-// is a pure function of the parent's state at the point of the call, so a
-// fixed call sequence yields fixed substreams.
-func (g *RNG) Split() *RNG {
-	return New(g.r.Int63())
 }
 
 // Float64 returns a uniform value in [0,1).

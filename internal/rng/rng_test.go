@@ -14,21 +14,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(1)
-	c1 := parent.Split()
-	c2 := parent.Split()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if c1.Float64() == c2.Float64() {
-			same++
-		}
-	}
-	if same > 5 {
-		t.Fatalf("split children look correlated: %d identical draws", same)
-	}
-}
-
 func TestDeriveDeterminism(t *testing.T) {
 	a, b := Derive(42, 7), Derive(42, 7)
 	for i := 0; i < 100; i++ {

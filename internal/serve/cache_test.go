@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"fairbench/internal/engine"
 	"fairbench/internal/store"
 )
 
@@ -14,7 +15,7 @@ import (
 // a forged key miss and a corrupt upload bounce, and find the protocol
 // counters in /metrics.
 func TestServeCacheEndpointRoundTrip(t *testing.T) {
-	_, ts := newServer(t, Config{CacheDir: t.TempDir()})
+	_, ts := newServer(t, Config{Run: engine.RunOptions{CacheDir: t.TempDir()}})
 	k := store.Key{Fingerprint: strings.Repeat("ab", 32), Index: 3, Seed: 42, Arch: "amd64"}
 	payload := []byte(`{"index":3,"row":{"acc":0.9}}`)
 	entry, err := store.EncodeEntry(k, payload)
@@ -74,8 +75,10 @@ func TestServeCacheEndpointRoundTrip(t *testing.T) {
 		t.Fatalf("corrupt PUT: %d, want 422", code)
 	}
 	// Malformed keys are a 400, not a guess.
-	if code := do(http.MethodGet, ts.URL+"/cache/UPPER/amd64/1/1", nil); code != http.StatusBadRequest {
-		t.Fatalf("malformed-key GET: %d, want 400", code)
+	for _, method := range []string{http.MethodGet, http.MethodHead} {
+		if code := do(method, ts.URL+"/cache/UPPER/amd64/1/1", nil); code != http.StatusBadRequest {
+			t.Fatalf("malformed-key %s: %d, want 400", method, code)
+		}
 	}
 
 	code, metrics, _ := get(t, ts.URL+"/metrics")

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"fairbench/internal/engine"
 	"fairbench/internal/sched"
 )
 
@@ -54,7 +55,7 @@ func pending(ups <-chan sched.PoolUpdate) (sched.PoolUpdate, bool) {
 // other join is a 400 that reaches no scheduler; a drained host
 // re-admitted by name joins with its configured transport and command.
 func TestPoolJoinsOnlyConfiguredHosts(t *testing.T) {
-	s, _ := newServer(t, Config{Hosts: poolHosts})
+	s, _ := newServer(t, Config{Run: engine.RunOptions{Hosts: poolHosts}})
 	h := s.Handler()
 	ups, cancel := s.pool.Subscribe()
 	defer cancel()
@@ -96,7 +97,7 @@ func FuzzPoolRequest(f *testing.F) {
 	}
 	f.Add([]byte(`{"join":[{"name":"h1"},{"name":"h2","slots":5}],"leave":["h1"]}`))
 	f.Add([]byte(`{"join":[{"NAME":"h2","Slots":2}]}`))
-	s, err := New(Config{StateDir: f.TempDir(), Hosts: poolHosts})
+	s, err := New(Config{StateDir: f.TempDir(), Run: engine.RunOptions{Hosts: poolHosts}})
 	if err != nil {
 		f.Fatal(err)
 	}

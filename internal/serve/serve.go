@@ -61,49 +61,27 @@ type Config struct {
 	// StateDir is the daemon's root: each run gets a resumable
 	// manifest-backed subdirectory StateDir/<id>. Created if missing.
 	StateDir string
-	// CacheDir, when set, is the shared result store: runs serve
-	// already-computed cells from it and fully-cached grids never
-	// reach a worker. It is also exported to the fleet: the daemon
-	// mounts the content-addressed cache protocol at /cache/, so other
-	// machines point -remote-store at this daemon and share its cells.
-	CacheDir string
-	// RemoteStore, when set, layers an upstream shared cache URL behind
-	// CacheDir for this daemon's own runs (see engine.RunOptions) —
-	// daemons can chain to a central `fairbench cachesrv`.
-	RemoteStore string
 	// MaxConcurrent caps concurrently executing runs; submissions
 	// beyond it are rejected with 429. Default 1 (each run already
 	// parallelizes across the worker pool).
 	MaxConcurrent int
-	// Shards and Retries configure the scheduler per run (see
-	// engine.RunOptions); Retries zero means no retry round.
-	Shards, Retries int
-	// Parallelism sizes the one local host runs use when Hosts is empty
-	// (see engine.RunOptions.Parallelism); zero means one slot per CPU.
-	Parallelism int
-	// Hosts, when non-empty, is the pool every run is scheduled across;
-	// otherwise runs go to one local host. Only a daemon with Hosts
-	// accepts POST /pool membership changes.
-	Hosts []sched.Host
-	// HeartbeatTimeout and MaxHostFailures tune sched failure handling.
-	HeartbeatTimeout time.Duration
-	MaxHostFailures  int
-	// Speculate enables sched speculative execution for every run.
-	Speculate bool
-	// Backoff is sched's retry backoff base (negative disables).
-	Backoff time.Duration
-	// LocalFallback lets sched runs complete in-process (Degraded) when
-	// the whole pool is lost.
-	LocalFallback bool
-	// Transports overlays sched's transport registry (tests).
-	Transports map[string]sched.Transport
-	// Spawn overrides worker subprocess creation (tests).
+	// Run holds the engine options every run inherits. The server
+	// always schedules (Backend sched), sets Dir per run, and feeds
+	// PoolSource and OnEvent itself. Run.CacheDir, when set, is the
+	// shared result store: runs serve already-computed cells from it,
+	// fully-cached grids never reach a worker, and the daemon mounts it
+	// at /cache/ so other machines point -remote-store at this daemon
+	// and share its cells. Run.Hosts, when non-empty, is the pool every
+	// run is scheduled across; otherwise runs go to one local host of
+	// Run.Parallelism slots. Only a daemon with Hosts accepts POST /pool
+	// membership changes.
+	Run engine.RunOptions
+	// Spawn, when set, replaces Run.Spawn: it overrides how worker
+	// subprocesses are created.
 	Spawn dispatch.SpawnFunc
 	// StreamInterval is how often /runs/{id}/stream polls for newly
 	// landed shards. Default 100ms.
 	StreamInterval time.Duration
-	// Log receives progress lines; nil discards them.
-	Log io.Writer
 }
 
 // runState is the lifecycle of one run.
@@ -165,7 +143,7 @@ type Server struct {
 		storeRejected, cacheDegraded                   int64
 	}
 
-	// cacheStore is the daemon's handle on CacheDir, opened once: it
+	// cacheStore is the daemon's handle on Run.CacheDir, opened once: it
 	// backs the /cache/ protocol mount and the store gauges/counters in
 	// /metrics. Nil when no CacheDir is configured.
 	cacheStore *store.DiskStore
@@ -197,38 +175,26 @@ func New(cfg Config) (*Server, error) {
 		pool: sched.NewPoolChan(),
 	}
 	s.hosts = map[string]*hostHealth{}
-	if cfg.CacheDir != "" {
-		st, err := store.Open(cfg.CacheDir)
+	if cfg.Run.CacheDir != "" {
+		st, err := store.Open(cfg.Run.CacheDir)
 		if err != nil {
 			return nil, err
 		}
 		s.cacheStore = st
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	s.eng = engine.New(engine.RunOptions{
-		Shards:           cfg.Shards,
-		Parallelism:      cfg.Parallelism,
-		Retries:          cfg.Retries,
-		CacheDir:         cfg.CacheDir,
-		RemoteStore:      cfg.RemoteStore,
-		Hosts:            cfg.Hosts,
-		HeartbeatTimeout: cfg.HeartbeatTimeout,
-		MaxHostFailures:  cfg.MaxHostFailures,
-		Speculate:        cfg.Speculate,
-		Backoff:          cfg.Backoff,
-		LocalFallback:    cfg.LocalFallback,
-		PoolSource:       s.pool,
-		Transports:       cfg.Transports,
-		Spawn:            cfg.Spawn,
-		OnEvent:          s.onSchedEvent,
-		Log:              cfg.Log,
-	})
+	opts := cfg.Run
+	opts.Backend, opts.PoolSource, opts.OnEvent = engine.BackendSched, s.pool, s.onSchedEvent
+	if cfg.Spawn != nil {
+		opts.Spawn = cfg.Spawn
+	}
+	s.eng = engine.New(opts)
 	return s, nil
 }
 
 func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Log != nil {
-		fmt.Fprintf(s.cfg.Log, format+"\n", args...)
+	if s.cfg.Run.Log != nil {
+		fmt.Fprintf(s.cfg.Run.Log, format+"\n", args...)
 	}
 }
 
@@ -885,7 +851,7 @@ func (s *Server) handlePool(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, "pool update joins or leaves no hosts")
 		return
 	}
-	if len(s.cfg.Hosts) == 0 {
+	if len(s.cfg.Run.Hosts) == 0 {
 		writeError(w, http.StatusConflict, "daemon runs without a host pool; pool updates need -hosts")
 		return
 	}
@@ -913,11 +879,11 @@ func (s *Server) configuredJoins(req []poolJoin) ([]sched.Host, error) {
 		if j.Slots < 0 {
 			return nil, fmt.Errorf("host %q: negative slots %d", j.Name, j.Slots)
 		}
-		i := slices.IndexFunc(s.cfg.Hosts, func(h sched.Host) bool { return h.Name == j.Name })
+		i := slices.IndexFunc(s.cfg.Run.Hosts, func(h sched.Host) bool { return h.Name == j.Name })
 		if i < 0 {
 			return nil, fmt.Errorf("host %q is not in the daemon's hosts file", j.Name)
 		}
-		h := s.cfg.Hosts[i]
+		h := s.cfg.Run.Hosts[i]
 		if j.Slots > 0 {
 			h.Slots = j.Slots
 		}

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"fairbench/internal/dispatch"
+	"fairbench/internal/engine"
 	"fairbench/internal/experiments"
 	"fairbench/internal/report"
 )
@@ -102,11 +103,11 @@ func newServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	if cfg.StateDir == "" {
 		cfg.StateDir = t.TempDir()
 	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 2
+	if cfg.Run.Shards == 0 {
+		cfg.Run.Shards = 2
 	}
-	if cfg.Parallelism == 0 {
-		cfg.Parallelism = 2
+	if cfg.Run.Parallelism == 0 {
+		cfg.Run.Parallelism = 2
 	}
 	if cfg.StreamInterval == 0 {
 		cfg.StreamInterval = 20 * time.Millisecond
@@ -172,7 +173,7 @@ func waitDone(t *testing.T, s *Server, id string) {
 func TestSubmitPollTable(t *testing.T) {
 	spec := smallSpec()
 	want := serialTable(t, spec)
-	s, ts := newServer(t, Config{CacheDir: t.TempDir()})
+	s, ts := newServer(t, Config{Run: engine.RunOptions{CacheDir: t.TempDir()}})
 
 	code, st, _ := postSpec(t, ts, spec)
 	if code != http.StatusAccepted || st.Status != string(stateRunning) || st.Deduped {
@@ -460,13 +461,13 @@ func TestRestartServesCompletedRunWithoutRecompute(t *testing.T) {
 func TestWarmSubmitServedFromCache(t *testing.T) {
 	spec := smallSpec()
 	cache := t.TempDir()
-	s1, ts1 := newServer(t, Config{CacheDir: cache})
+	s1, ts1 := newServer(t, Config{Run: engine.RunOptions{CacheDir: cache}})
 	_, st, _ := postSpec(t, ts1, spec)
 	waitDone(t, s1, st.ID)
 	ts1.Close()
 
 	var spawns atomic.Int64
-	s2, ts2 := newServer(t, Config{CacheDir: cache, Spawn: countingSpawn(&spawns)})
+	s2, ts2 := newServer(t, Config{Run: engine.RunOptions{CacheDir: cache}, Spawn: countingSpawn(&spawns)})
 	code, st2, _ := postSpec(t, ts2, spec)
 	if code != http.StatusAccepted {
 		t.Fatalf("warm submit: code %d", code)
@@ -502,8 +503,8 @@ func TestStreamDeliversEveryRow(t *testing.T) {
 	// One slot and a short delay stagger the two shards so the stream
 	// observes them landing separately.
 	s, ts := newServer(t, Config{
-		Parallelism: 1,
-		Spawn:       helperSpawn("FAIRBENCH_WORKER_DELAY_MS=200"),
+		Run:   engine.RunOptions{Parallelism: 1},
+		Spawn: helperSpawn("FAIRBENCH_WORKER_DELAY_MS=200"),
 	})
 	_, st, _ := postSpec(t, ts, spec)
 

@@ -128,15 +128,6 @@ func (c Confusion) TPR() float64 { return ratio(c.TP, c.TP+c.FN) }
 // TNR returns the true-negative rate TN/(TN+FP); 0 when undefined.
 func (c Confusion) TNR() float64 { return ratio(c.TN, c.TN+c.FP) }
 
-// FPR returns the false-positive rate FP/(FP+TN); 0 when undefined.
-func (c Confusion) FPR() float64 { return ratio(c.FP, c.FP+c.TN) }
-
-// FNR returns the false-negative rate FN/(FN+TP); 0 when undefined.
-func (c Confusion) FNR() float64 { return ratio(c.FN, c.FN+c.TP) }
-
-// PositiveRate returns the fraction of positive predictions.
-func (c Confusion) PositiveRate() float64 { return ratio(c.TP+c.FP, c.N()) }
-
 func ratio(num, den int) float64 {
 	if den == 0 {
 		return 0

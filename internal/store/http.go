@@ -6,7 +6,9 @@ import (
 )
 
 // Handler serves the content-addressed cache protocol over b (normally
-// a DiskStore): GET, HEAD, and PUT on /{fingerprint}/{arch}/{seed}/{index}.
+// a DiskStore): GET and PUT on /{fingerprint}/{arch}/{seed}/{index}, and
+// HEAD, which net/http answers through the GET route with the body
+// dropped.
 // Mount it under a prefix with http.StripPrefix — the serve daemon
 // exposes it at /cache/, and `fairbench cachesrv` is a standalone
 // process that is nothing but this handler plus /healthz and /metrics.
@@ -20,8 +22,8 @@ import (
 //
 // Protocol:
 //
-//	GET    200 entry JSON | 404 miss (or stored-but-unverifiable)
-//	HEAD   200 | 404, no body
+//	GET    200 entry JSON | 400 bad key | 404 miss (or stored-but-unverifiable)
+//	HEAD   GET's status, no body
 //	PUT    204 stored | 400 bad key | 422 entry fails verification
 func Handler(b Backend) http.Handler {
 	mux := http.NewServeMux()
@@ -30,22 +32,6 @@ func Handler(b Backend) http.Handler {
 			r.PathValue("seed"), r.PathValue("index"))
 		return k, k != Key{}
 	}
-	// A single pattern serves GET and HEAD: net/http answers HEAD via the
-	// GET handler with the body elided, which matches the protocol —
-	// except that eliding the body would still pay the entry read, so
-	// HEAD is routed explicitly to the cheap Has probe.
-	mux.HandleFunc("HEAD /{fp}/{arch}/{seed}/{index}", func(w http.ResponseWriter, r *http.Request) {
-		k, ok := key(r)
-		if !ok {
-			http.Error(w, "store: malformed cache key", http.StatusBadRequest)
-			return
-		}
-		if !b.Has(k) {
-			w.WriteHeader(http.StatusNotFound)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-	})
 	mux.HandleFunc("GET /{fp}/{arch}/{seed}/{index}", func(w http.ResponseWriter, r *http.Request) {
 		k, ok := key(r)
 		if !ok {

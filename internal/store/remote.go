@@ -18,7 +18,7 @@ import (
 const maxEntryBytes = 64 << 20
 
 // RemoteStore is a Backend over the HTTP cache protocol served by
-// Handler: GET/PUT/HEAD <base>/<fingerprint>/<arch>/<seed>/<index>,
+// Handler: GET/PUT <base>/<fingerprint>/<arch>/<seed>/<index>,
 // carrying the same entry encoding the on-disk store uses. It never
 // trusts the wire: every GET body passes DecodeEntry's full
 // verification (schema version, exact key-field match, payload SHA-256)
@@ -118,37 +118,6 @@ func (r *RemoteStore) getChecked(k Key) ([]byte, bool, error) {
 func (r *RemoteStore) Get(k Key) ([]byte, bool) {
 	payload, ok, _ := r.getChecked(k)
 	return payload, ok
-}
-
-func (r *RemoteStore) hasChecked(k Key) (bool, error) {
-	u, err := r.keyURL(k)
-	if err != nil {
-		return false, nil
-	}
-	resp, err := r.client.Head(u)
-	if err != nil {
-		r.errors.Add(1)
-		return false, err
-	}
-	resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return true, nil
-	case http.StatusNotFound:
-		return false, nil
-	}
-	r.errors.Add(1)
-	return false, fmt.Errorf("store: remote HEAD %s: status %d", u, resp.StatusCode)
-}
-
-// Has reports whether the remote holds an entry under k, via a HEAD
-// request (the server verifies the stored entry before answering 200).
-// The wire bytes themselves are only verified on Get — plan-time probes
-// that capture payloads use Get, so a lying server still can't sneak an
-// unverified payload into a run.
-func (r *RemoteStore) Has(k Key) bool {
-	ok, _ := r.hasChecked(k)
-	return ok
 }
 
 func (r *RemoteStore) putChecked(k Key, payload []byte) error {

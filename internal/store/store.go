@@ -246,11 +246,11 @@ func (c Counters) add(o Counters) Counters {
 
 // Backend is a verified result cache: the contract shared by DiskStore,
 // RemoteStore, and TieredStore, and the type the execution layers
-// (experiments, dispatch, sched, engine) plan and serve against. Every
+// (experiments, dispatch, sched, engine) plan and serve against. Get is
+// its one read: cache-aware planning probes cells with it too. Every
 // implementation guarantees that Get returns only payloads that passed
-// DecodeEntry's full verification for exactly the requested key, that
-// Has mirrors Get's answer, and that all methods are safe for concurrent
-// use.
+// DecodeEntry's full verification for exactly the requested key, and
+// that all methods are safe for concurrent use.
 //
 // Callers hold a nil Backend (untyped nil interface) to mean "caching
 // disabled"; construct backends with Open/NewRemote/NewTiered or the
@@ -261,9 +261,6 @@ type Backend interface {
 	// miss. Entries that fail verification read as misses (and count as
 	// Rejected), so the caller recomputes instead of trusting them.
 	Get(k Key) ([]byte, bool)
-	// Has reports whether a verified entry exists under k, with Get's
-	// verification semantics.
-	Has(k Key) bool
 	// Put caches payload under k.
 	Put(k Key, payload []byte) error
 	// Counters returns the handle's in-memory access statistics.
@@ -374,16 +371,6 @@ func (s *DiskStore) Get(k Key) ([]byte, bool) {
 	}
 	s.hits.Add(1)
 	return payload, true
-}
-
-// Has reports whether a verified entry exists under k, with Get's full
-// verification and counter semantics (a probe is an access, and a
-// corrupt entry is rejected and removed). Cache-aware shard planning
-// uses it to cost cells at plan time: a cell Has reports true for is one
-// the run's workers will be served, not recompute.
-func (s *DiskStore) Has(k Key) bool {
-	_, ok := s.Get(k)
-	return ok
 }
 
 // Put caches payload under k, atomically: the entry is fully written to a

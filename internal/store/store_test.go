@@ -205,37 +205,6 @@ func TestGCRespectsInUseFingerprints(t *testing.T) {
 	}
 }
 
-// TestHasMirrorsGet: the plan-time probe shares Get's verification — a
-// present verified entry reports true, a missing one false, and a
-// corrupt one is rejected (and removed) exactly as a read would.
-func TestHasMirrorsGet(t *testing.T) {
-	s := mustOpen(t)
-	k := key(fpA, 1, 7)
-	if s.Has(k) {
-		t.Fatal("Has reports an entry on an empty store")
-	}
-	if err := s.Put(k, []byte(`{"index":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Has(k) {
-		t.Fatal("Has misses a written entry")
-	}
-	// Corrupt the entry on disk: Has must reject it and read as absent.
-	path := s.path(k)
-	if err := os.WriteFile(path, []byte("{broken"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if s.Has(k) {
-		t.Fatal("Has served a corrupt entry")
-	}
-	if _, err := os.Stat(path); err == nil {
-		t.Fatal("corrupt entry not removed by the probe")
-	}
-	if c := s.Counters(); c.Rejected != 1 {
-		t.Fatalf("counters %+v", c)
-	}
-}
-
 func TestKeyValidation(t *testing.T) {
 	s := mustOpen(t)
 	for _, bad := range []Key{

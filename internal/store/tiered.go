@@ -2,10 +2,10 @@ package store
 
 import "sync/atomic"
 
-// DefaultFailThreshold is how many consecutive remote transport failures
-// a TieredStore tolerates before declaring the remote down and running
+// failThreshold is how many consecutive remote transport failures a
+// TieredStore tolerates before declaring the remote down and running
 // local-only for the rest of the handle's life.
-const DefaultFailThreshold = 3
+const failThreshold = 3
 
 // TieredStore layers a local Backend (normally a DiskStore) in front of
 // a shared RemoteStore:
@@ -16,9 +16,8 @@ const DefaultFailThreshold = 3
 //   - Put writes through: the cell lands locally first (that write's
 //     error, if any, is the caller's), then best-effort on the remote so
 //     other machines see it.
-//   - Has mirrors Get's answer without transferring a payload.
 //
-// Remote outages never fail a run: after FailThreshold consecutive
+// Remote outages never fail a run: after failThreshold consecutive
 // transport failures the handle latches Degraded and stops calling the
 // remote entirely — every cell is still served or recomputed locally,
 // byte-identical to a run that never had a remote. The latch is
@@ -27,11 +26,6 @@ const DefaultFailThreshold = 3
 type TieredStore struct {
 	local  Backend
 	remote *RemoteStore
-
-	// FailThreshold is the consecutive-transport-failure count that trips
-	// the degradation latch. Set before first use; NewTiered initializes
-	// it to DefaultFailThreshold.
-	FailThreshold int64
 
 	consecFails atomic.Int64
 	degraded    atomic.Bool
@@ -44,7 +38,7 @@ var _ Backend = (*TieredStore)(nil)
 // NewTiered returns a TieredStore reading and writing through local to
 // remote. Both must be non-nil.
 func NewTiered(local Backend, remote *RemoteStore) *TieredStore {
-	return &TieredStore{local: local, remote: remote, FailThreshold: DefaultFailThreshold}
+	return &TieredStore{local: local, remote: remote}
 }
 
 // Local returns the front (local) tier.
@@ -66,7 +60,7 @@ func (t *TieredStore) note(err error) {
 		t.consecFails.Store(0)
 		return
 	}
-	if t.consecFails.Add(1) >= t.FailThreshold {
+	if t.consecFails.Add(1) >= failThreshold {
 		t.degraded.Store(true)
 	}
 }
@@ -94,24 +88,6 @@ func (t *TieredStore) Get(k Key) ([]byte, bool) {
 	}
 	t.misses.Add(1)
 	return nil, false
-}
-
-// Has reports whether either tier holds a verified entry under k.
-func (t *TieredStore) Has(k Key) bool {
-	if t.local.Has(k) {
-		t.hits.Add(1)
-		return true
-	}
-	if !t.remoteDown() {
-		ok, err := t.remote.hasChecked(k)
-		t.note(err)
-		if ok {
-			t.hits.Add(1)
-			return true
-		}
-	}
-	t.misses.Add(1)
-	return false
 }
 
 // Put writes through: locally first (returning that error), then

@@ -22,6 +22,7 @@
 package synth
 
 import (
+	"fmt"
 	"math"
 
 	"fairbench/internal/causal"
@@ -44,6 +45,21 @@ func PaperSize(dataset string) int {
 		return 1000
 	}
 	return 0
+}
+
+// CheckSize rejects a size cap n outside [0, PaperSize(dataset)] (0
+// selects the paper size) and any name other than the three benchmarks.
+// Every path that synthesizes a benchmark from a request checks n here
+// first, since n alone sets how much data the generator produces.
+func CheckSize(dataset string, n int) error {
+	paper := PaperSize(dataset)
+	if paper == 0 {
+		return fmt.Errorf("unknown dataset %q", dataset)
+	}
+	if n < 0 || n > paper {
+		return fmt.Errorf("n=%d outside [0,%d], the %s paper size (0 selects it)", n, paper, dataset)
+	}
+	return nil
 }
 
 // Source bundles a generated dataset with the causal graph it was sampled
