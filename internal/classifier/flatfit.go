@@ -13,38 +13,18 @@ import "fairbench/internal/matrix"
 
 // logitGradFlat accumulates the weighted logistic-loss gradient over the
 // design matrix into grad: one blocked z-pass (AffineInto), a sigmoid
-// pass staging the per-tuple coefficients into gb, then one blocked scatter
-// (ScatterRows). grad[:cols] and the intercept slot grad[cols] are
-// accumulated into (not overwritten), and normalization/regularization stay
-// with the caller. Because grad arrives zeroed and every component's terms
-// are summed in ascending row order, the result is bit-identical to an
-// interleaved per-row objective.
-func logitGradFlat(dm *matrix.Design, y []int, w []float64, theta, z, gb, grad []float64) {
+// pass into gb, then the fused residual pass and scatter
+// (ResidualScatter), which overwrites gb with the per-tuple coefficients
+// w_i·(p_i − y_i) and adds their scatter, intercept slot grad[cols]
+// last. y holds the labels as 0 or 1. Because grad arrives zeroed and
+// every component's terms are summed in ascending row order, the result
+// is bit-identical to an interleaved per-row objective.
+func logitGradFlat(dm *matrix.Design, y, w, theta, z, gb, grad []float64) {
 	d := dm.Cols
 	th := theta[:d+1]
 	dm.AffineInto(z, th[:d], th[d])
 	matrix.SigmoidInto(gb, z)
-	gfull := grad[:d+1]
-	gd := gfull[:d]
-	y = y[:len(z)]
-	gb = gb[:len(z)]
-	gInt := 0.0
-	if w == nil {
-		for i, p := range gb {
-			g := p - float64(y[i])
-			gb[i] = g
-			gInt += g
-		}
-	} else {
-		w = w[:len(z)]
-		for i, p := range gb {
-			g := w[i] * (p - float64(y[i]))
-			gb[i] = g
-			gInt += g
-		}
-	}
-	dm.ScatterRows(gd, gb)
-	gfull[d] += gInt
+	dm.ResidualScatter(grad[:d+1], gb, w, gb, y, 1)
 }
 
 // mlpBatch is the MLP's mini-batch workspace: one slab allocated per fit,

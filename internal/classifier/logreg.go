@@ -65,12 +65,15 @@ func (lr *LogisticRegression) Fit(x matrix.Dense, y []int, w []float64) error {
 		totalW = 1
 	}
 	des := matrix.NewDesign(x)
-	zbuf, gbuf := make([]float64, n), make([]float64, n)
+	zbuf, gbuf, yf := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i, yi := range y {
+		yf[i] = float64(yi)
+	}
 	obj := func(theta []float64, grad []float64) float64 {
 		for j := range grad {
 			grad[j] = 0
 		}
-		logitGradFlat(&des, y, w, theta, zbuf, gbuf, grad)
+		logitGradFlat(&des, yf, w, theta, zbuf, gbuf, grad)
 		for j := range grad {
 			grad[j] /= totalW
 		}

@@ -7,6 +7,8 @@
 package inproc
 
 import (
+	"math"
+
 	"fairbench/internal/dataset"
 	"fairbench/internal/matrix"
 	"fairbench/internal/optimize"
@@ -61,21 +63,22 @@ func (b *linearBase) predictAll(d *dataset.Dataset) []int {
 }
 
 // fitView bundles the per-fit training state the fused objectives share:
-// the design as a matrix.Design, whose column-major copy is built here
-// once per fit, plus score and probability buffers reused across every
-// optimizer iteration. The point is pass fusion: an objective built from
-// these helpers runs one blocked z-pass and one sigmoid pass per
-// evaluation, and every consumer of the scores (loss gradient,
-// constraint values, constraint gradients) reads the shared buffers
-// instead of recomputing the affine map — with each helper preserving
-// the exact scalar fold order of a per-row loop, so the optimizer
-// trajectory is bit-identical to one.
+// the design as a matrix.Design, whose column-major and augmented copies
+// are built here once per fit, plus score and probability buffers reused
+// across every optimizer iteration. The point is pass fusion: an
+// objective built from these helpers runs one blocked z-pass and one
+// sigmoid pass per evaluation, and every consumer of the scores (loss
+// gradient, constraint values, constraint gradients) reads the shared
+// buffers instead of recomputing the affine map — with each helper
+// preserving the exact scalar fold order of a per-row loop, so the
+// optimizer trajectory is bit-identical to one.
 type fitView struct {
 	y  []int
+	yf []float64 // y as 0 or 1, for the residual pass
 	dm matrix.Design
 	z  []float64 // affine scores of the current iterate
 	p  []float64 // sigmoid of z, filled on demand by fillP
-	g  []float64 // per-tuple gradient coefficients, scratch for ScatterRows
+	g  []float64 // per-tuple gradient coefficients, scratch for ResidualScatter
 	l  []float64 // per-tuple loss terms, scratch for LogInto
 }
 
@@ -88,7 +91,11 @@ func (v *fitView) gbuf() []float64 {
 }
 
 func newFitView(x matrix.Dense, y []int) *fitView {
-	return &fitView{y: y, dm: matrix.NewDesign(x), z: make([]float64, x.Rows)}
+	yf := make([]float64, len(y))
+	for i, yi := range y {
+		yf[i] = float64(yi)
+	}
+	return &fitView{y: y, yf: yf, dm: matrix.NewDesign(x), z: make([]float64, x.Rows)}
 }
 
 // fillZ computes the affine scores of w over every row into v.z with the
@@ -114,55 +121,41 @@ func (v *fitView) logGradFromZ(grad []float64) {
 }
 
 // logLossGradFromZ is logGradFromZ also returning the mean logistic loss.
-// Each tuple's clamped p or 1-p is staged in the l scratch and logged in
-// one LogInto pass; the loss then folds -log in ascending tuple order, so
-// it equals a per-tuple fold of -log(clampedLikelihood) bit for bit.
+// Each tuple's likelihood — the probability the model gives its label,
+// with p clamped to [1e-12, 1-1e-12] first so its log stays finite — is
+// staged in the l scratch and logged in one LogInto pass; the loss then
+// folds -log in ascending tuple order. The likelihood is selected by a
+// bit mask of the label, not branched on: labels do not predict.
 func (v *fitView) logLossGradFromZ(grad []float64) float64 {
-	d := len(grad) - 1
-	n := float64(len(v.z))
+	const eps = 1e-12
 	v.fillP()
-	g := v.gbuf()
 	if v.l == nil {
 		v.l = make([]float64, len(v.z))
 	}
 	l := v.l[:len(v.p)]
-	var gInt float64
+	y := v.y[:len(l)]
 	for i, p := range v.p {
-		yi := float64(v.y[i])
-		l[i] = clampedLikelihood(p, yi)
-		gi := (p - yi) / n
-		g[i] = gi
-		gInt += gi
+		c := matrix.Clamp(p, eps, 1-eps)
+		m := -uint64(y[i] & 1) // all ones for label 1
+		l[i] = math.Float64frombits(math.Float64bits(c)&m | math.Float64bits(1-c)&^m)
 	}
-	v.dm.ScatterRows(grad[:d], g)
-	grad[d] += gInt
+	v.logGradFromP(grad)
 	matrix.LogInto(l, l)
 	var loss float64
 	for _, li := range l {
 		loss += -li
 	}
-	return loss / n
+	return loss / float64(len(v.z))
 }
 
 // logGradFromP accumulates the mean-logistic-loss gradient from the
 // probabilities already in v.p (grad pre-zeroed); for objectives whose
 // other terms also consume the sigmoid pass. The per-tuple coefficients
-// are staged into the g scratch and scattered with the blocked kernel;
-// because grad is pre-zeroed, summing the intercept terms apart from the
-// scatter leaves every component's fold identical to the interleaved
-// per-row loop.
+// (p_i − y_i)/n are staged into the g scratch and scattered, intercept
+// last, by one fused pass; because grad is pre-zeroed, every component's
+// fold is identical to the interleaved per-row loop.
 func (v *fitView) logGradFromP(grad []float64) {
-	d := len(grad) - 1
-	n := float64(len(v.z))
-	g := v.gbuf()
-	var gInt float64
-	for i, p := range v.p {
-		gi := (p - float64(v.y[i])) / n
-		g[i] = gi
-		gInt += gi
-	}
-	v.dm.ScatterRows(grad[:d], g)
-	grad[d] += gInt
+	v.dm.ResidualScatter(grad, v.gbuf(), nil, v.p, v.yf, float64(len(v.z)))
 }
 
 // weightedLogitGrad returns the gradient-only objective of the weighted
@@ -180,16 +173,7 @@ func (v *fitView) weightedLogitGrad(weights []float64) optimize.Objective {
 		clear(grad)
 		v.fillZ(w)
 		v.fillP()
-		d := len(w) - 1
-		g := v.gbuf()
-		var gInt float64
-		for i, p := range v.p {
-			gi := weights[i] * (p - float64(v.y[i]))
-			g[i] = gi
-			gInt += gi
-		}
-		v.dm.ScatterRows(grad[:d], g)
-		grad[d] += gInt
+		v.dm.ResidualScatter(grad, v.gbuf(), weights, v.p, v.yf, 1)
 		if tw > 0 {
 			for j := range grad {
 				grad[j] /= tw
@@ -197,15 +181,4 @@ func (v *fitView) weightedLogitGrad(weights []float64) optimize.Objective {
 		}
 		return 0
 	}
-}
-
-// clampedLikelihood is the probability the model gives label y, with p
-// clamped to [1e-12, 1-1e-12] first so its log stays finite.
-func clampedLikelihood(p, y float64) float64 {
-	const eps = 1e-12
-	p = matrix.Clamp(p, eps, 1-eps)
-	if y >= 0.5 {
-		return p
-	}
-	return 1 - p
 }

@@ -19,7 +19,14 @@ func BenchmarkInprocFit(b *testing.B) {
 	for _, a := range []struct {
 		name string
 		new  func() fair.Approach
-	}{{"Zafar-DP-Acc", NewZafarDPAcc}, {"Celis-PP", NewCelis}} {
+	}{
+		{"Zafar-DP-Fair", NewZafarDPFair},
+		{"Zafar-DP-Acc", NewZafarDPAcc},
+		{"Zafar-EO-Fair", NewZafarEOFair},
+		{"Kearns-PE", NewKearns},
+		{"Celis-PP", NewCelis},
+		{"Thomas-EO", func() fair.Approach { return NewThomasEO(7) }},
+	} {
 		b.Run(a.name, func(b *testing.B) {
 			for b.Loop() {
 				if err := a.new().Fit(train); err != nil {

@@ -180,6 +180,8 @@ func (t *Thomas) Fit(train *dataset.Dataset) error {
 	cx, cy, cs := sel(candIdx)
 	sx, sy, ssv := sel(safeIdx)
 	view := newFitView(cx, cy)
+	counts := barrierCounts(cy, cs)
+	coef := make([]float64, len(cy))
 
 	barrier := 5.0
 	var wBest []float64
@@ -200,7 +202,7 @@ func (t *Thomas) Fit(train *dataset.Dataset) error {
 			// Barrier on the squared smooth violations, with the analytic
 			// chain-rule gradient through the per-sample sigmoids.
 			viols := t.violationsFromP(view.p, cy, cs)
-			t.addViolationGradFromP(view.p, cx, cy, cs, viols, barrier, grad)
+			t.addViolationGradFromP(view.p, &view.dm, cy, cs, counts, viols, barrier, coef, grad)
 			return 0
 		}
 		w, _ = optimize.Adam(obj, w, optimize.AdamConfig{MaxIter: 400})
@@ -260,49 +262,55 @@ func (t *Thomas) violationsFromP(p []float64, y, s []int) []float64 {
 	return []float64{rate(tpSum, tpN), rate(tnSum, tnN)}
 }
 
-// addViolationGradFromP adds the analytic gradient of barrier * sum(v^2)
-// where each v is a difference of group-mean sigmoid terms; the per-tuple
-// sigmoids are read from p rather than recomputed from the weights.
-func (t *Thomas) addViolationGradFromP(p []float64, x matrix.Dense, y, s []int, viols []float64, barrier float64, grad []float64) {
-	d := len(grad) - 1
-	gd := grad[:d]
-	var tot [2]float64
-	var tpN, tnN [2]float64
-	for i := range x.Rows {
-		tot[s[i]]++
+// barrierCounts returns the candidate set's per-group tuple counts: all
+// tuples, positives and negatives, the group means' denominators.
+func barrierCounts(y, s []int) (counts [3][2]float64) {
+	for i, g := range s {
+		counts[0][g]++
 		if y[i] == 1 {
-			tpN[s[i]]++
+			counts[1][g]++
 		} else {
-			tnN[s[i]]++
+			counts[2][g]++
 		}
 	}
-	for i := range x.Rows {
-		pi := p[i]
+	return counts
+}
+
+// addViolationGradFromP adds the analytic gradient of barrier * sum(v^2)
+// where each v is a difference of group-mean sigmoid terms; the per-tuple
+// sigmoids are read from p rather than recomputed from the weights, and
+// counts are barrierCounts of y and s. Each tuple's coefficient is staged
+// in coef and all of them are scattered in one pass, intercept last.
+//
+// The scatter also adds the zero coefficients the row-by-row loop it
+// replaced skipped, which changes no bit: grad's components are sums that
+// started at +0, so none is -0, and adding 0·x (±0, for the finite
+// standardized design) to a value that is not -0 returns that value.
+func (t *Thomas) addViolationGradFromP(p []float64, dm *matrix.Design, y, s []int, counts [3][2]float64, viols []float64, barrier float64, coef, grad []float64) {
+	tot, tpN, tnN := counts[0], counts[1], counts[2]
+	for i, pi := range p {
 		dp := pi * (1 - pi)
 		g := s[i]
 		sign := 1.0
 		if g == 0 {
 			sign = -1
 		}
-		var coef float64
+		var c float64
 		if t.Notion == ThomasDP {
 			if tot[g] > 0 {
-				coef = 2 * barrier * viols[0] * sign * dp / tot[g]
+				c = 2 * barrier * viols[0] * sign * dp / tot[g]
 			}
 		} else {
 			if y[i] == 1 && tpN[g] > 0 {
-				coef = 2 * barrier * viols[0] * sign * dp / tpN[g]
+				c = 2 * barrier * viols[0] * sign * dp / tpN[g]
 			} else if y[i] == 0 && tnN[g] > 0 {
 				// TNR term uses 1-p, flipping the derivative sign.
-				coef = -2 * barrier * viols[1] * sign * dp / tnN[g]
+				c = -2 * barrier * viols[1] * sign * dp / tnN[g]
 			}
 		}
-		if coef == 0 {
-			continue
-		}
-		matrix.AccumulateInto(gd, coef, x.Row(i))
-		grad[d] += coef
+		coef[i] = c
 	}
+	dm.ScatterAffine(grad, coef)
 }
 
 // Predict implements fair.Approach.

@@ -98,20 +98,17 @@ func (z *Zafar) Fit(train *dataset.Dataset) error {
 		sCent[i] = float64(s) - sBar
 	}
 
-	// The covariance proxy factors cleanly at a fixed mask: its value
-	// needs only the affine scores (cov = Σ sCent[i]·z_i / n over
-	// contributing tuples), and its gradient is CONSTANT in w —
-	// grad[j] = Σ sCent[i]·x_ij/n. So the fused objectives below compute
-	// the gradient once per mask (original fold order preserved) and per
-	// iteration share one z-pass between the loss and both constraint
-	// closures, relying on MinimizePenalty's documented call order: f
-	// first, then every constraint at the same iterate.
-	covGradFor := func(mask []bool) []float64 {
+	// The covariance proxy factors cleanly over a fixed set of
+	// contributing tuples: its value needs only the affine scores
+	// (cov = Σ sCent[i]·z_i / n over the set), and its gradient is
+	// CONSTANT in w — grad[j] = Σ sCent[i]·x_ij/n. So the fused objectives
+	// below compute the gradient once per set (original fold order
+	// preserved) and per iteration share one z-pass between the loss and
+	// both constraint closures, relying on MinimizePenalty's documented
+	// call order: f first, then every constraint at the same iterate.
+	covGradFor := func(idx []int) []float64 {
 		grad := make([]float64, dim+1)
-		for i := range x.Rows {
-			if mask != nil && !mask[i] {
-				continue
-			}
+		for _, i := range idx {
 			si := sCent[i]
 			for j, v := range x.Row(i) {
 				grad[j] += si * v / n
@@ -120,13 +117,23 @@ func (z *Zafar) Fit(train *dataset.Dataset) error {
 		}
 		return grad
 	}
-	covFromZ := func(mask []bool) float64 {
+	all := make([]int, x.Rows)
+	for i := range all {
+		all[i] = i
+	}
+	covFromZ := func() float64 {
 		var c float64
 		for i, zi := range view.z {
-			if mask != nil && !mask[i] {
-				continue
-			}
 			c += sCent[i] * zi
+		}
+		return c / n
+	}
+	// covOver is covFromZ over the tuples idx lists, in its (ascending)
+	// order: the eo variant's misclassified set, fixed for a whole round.
+	covOver := func(idx []int) float64 {
+		var c float64
+		for _, i := range idx {
+			c += sCent[i] * view.z[i]
 		}
 		return c / n
 	}
@@ -134,7 +141,7 @@ func (z *Zafar) Fit(train *dataset.Dataset) error {
 	w0 := make([]float64, dim+1)
 	switch z.Mode {
 	case ZafarDPFair:
-		covGrad := covGradFor(nil)
+		covGrad := covGradFor(all)
 		negCovGrad := matrix.Clone(covGrad)
 		matrix.Scale(-1, negCovGrad)
 		// Gradient-only: the penalty method's inner Adam never reads the
@@ -150,7 +157,7 @@ func (z *Zafar) Fit(train *dataset.Dataset) error {
 		}
 		var covVal float64
 		cpos := func(w, grad []float64) float64 {
-			covVal = covFromZ(nil)
+			covVal = covFromZ()
 			copy(grad, covGrad)
 			return covVal - z.CovBound
 		}
@@ -174,10 +181,10 @@ func (z *Zafar) Fit(train *dataset.Dataset) error {
 		budget := (1 + z.Gamma) * lStar
 		// Phase 2: minimize cov^2 subject to loss <= budget. The objective
 		// runs the z-pass; the loss constraint reuses its scores.
-		covGrad := covGradFor(nil)
+		covGrad := covGradFor(all)
 		obj := func(w, grad []float64) float64 {
 			view.fillZ(w)
-			c := covFromZ(nil)
+			c := covFromZ()
 			for j := range grad {
 				grad[j] = 2 * c * covGrad[j]
 			}
@@ -208,21 +215,23 @@ func (z *Zafar) Fit(train *dataset.Dataset) error {
 		}
 		w, _ := optimize.Adam(uncon, w0, optimize.AdamConfig{MaxIter: 300})
 		for round := 0; round < 4; round++ {
-			mask := make([]bool, x.Rows)
+			mis := make([]int, 0, x.Rows)
 			view.fillZ(w)
 			for i, zv := range view.z {
 				pred := 0
 				if zv >= 0 {
 					pred = 1
 				}
-				mask[i] = pred != y[i]
+				if pred != y[i] {
+					mis = append(mis, i)
+				}
 			}
-			covGrad := covGradFor(mask)
+			covGrad := covGradFor(mis)
 			negCovGrad := matrix.Clone(covGrad)
 			matrix.Scale(-1, negCovGrad)
 			var covVal float64
 			cpos := func(wv, grad []float64) float64 {
-				covVal = covFromZ(mask)
+				covVal = covOver(mis)
 				copy(grad, covGrad)
 				return covVal - z.CovBound
 			}

@@ -9,6 +9,17 @@ import (
 	"fairbench/internal/optimize"
 )
 
+// clampedLikelihood is the probability the model gives label y, with p
+// clamped to [1e-12, 1-1e-12] first so its log stays finite.
+func clampedLikelihood(p, y float64) float64 {
+	const eps = 1e-12
+	p = matrix.Clamp(p, eps, 1-eps)
+	if y >= 0.5 {
+		return p
+	}
+	return 1 - p
+}
+
 // logLoss is one tuple's logistic loss, -log of clampedLikelihood.
 func logLoss(p, y float64) float64 {
 	return -math.Log(clampedLikelihood(p, y))

@@ -72,20 +72,44 @@ func (d *Dense) RowsView() [][]float64 {
 }
 
 // Design is a read-only training design matrix prepared for repeated
-// z-passes: the row-major matrix plus, on the vector path, a column-major
-// copy of it. Build it once per fit with NewDesign; neither copy may be
-// mutated afterwards.
+// z-passes and gradient scatters: the row-major matrix plus, on the
+// vector path, a column-major copy of it (for AffineInto and SqDistInto)
+// and an augmented row-major copy (for ScatterAffine). Build it once per
+// fit with NewDesign; none of the copies may be mutated afterwards.
 type Design struct {
 	Dense
 	cols []float64 // cols[j*Rows+i] = At(i, j); nil on the scalar path
+	// aug holds row i at aug[i*w:], w = augWidth(Cols): the row's
+	// features, a 1, then zeros to a whole number of vectors of four; nil
+	// on the scalar path.
+	aug []float64
 }
 
-// NewDesign prepares d for Design.AffineInto. On the vector path it copies
-// d column-major (one allocation of d's size); elsewhere it only wraps d.
+// NewDesign prepares d for Design.AffineInto and ScatterAffine. On the
+// vector path it makes the column-major and the augmented copies of d;
+// elsewhere it only wraps d.
 func NewDesign(d Dense) Design {
 	out := Design{Dense: d}
 	if useVector && d.Stride == d.Cols && d.Rows > 0 && d.Cols > 0 {
 		out.cols = d.colMajor()
+		out.aug = d.augmented()
+	}
+	return out
+}
+
+// augWidth is the row length of the augmented copy of a design with c
+// columns: c features and the ones column, rounded up to whole vectors.
+func augWidth(c int) int { return (c + 4) &^ 3 }
+
+// augmented returns a tightly packed d's rows each followed by a 1 and
+// zero padding, augWidth(d.Cols) elements per row.
+func (d *Dense) augmented() []float64 {
+	c, w := d.Cols, augWidth(d.Cols)
+	out := make([]float64, d.Rows*w)
+	for i := 0; i < d.Rows; i++ {
+		row := out[i*w : i*w+w]
+		copy(row, d.Data[i*c:i*c+c])
+		row[c] = 1
 	}
 	return out
 }

@@ -351,36 +351,148 @@ func (d *Dense) ScatterRows(dst, g []float64) {
 	}
 	c := d.Cols
 	data := d.Data[:d.Rows*c]
-	if useVector && d.Rows > 0 && c > 0 {
-		scatterAVX2(dst, g, data)
-		return
-	}
 	g = g[:d.Rows]
 	i := 0
-	for ; i+4 <= len(g); i += 4 {
-		off := i * c
-		r0 := data[off+0*c : off+1*c]
-		r1 := data[off+1*c : off+2*c]
-		r2 := data[off+2*c : off+3*c]
-		r3 := data[off+3*c : off+4*c]
-		r0 = r0[:len(dst)]
-		r1 = r1[:len(dst)]
-		r2 = r2[:len(dst)]
-		r3 = r3[:len(dst)]
-		gs := g[i : i+4 : i+4]
-		g0, g1, g2, g3 := gs[0], gs[1], gs[2], gs[3]
-		for j := range dst {
-			a := dst[j]
-			a += g0 * r0[j]
-			a += g1 * r1[j]
-			a += g2 * r2[j]
-			a += g3 * r3[j]
-			dst[j] = a
+	if useVector && c > 0 {
+		i = vectorRows(len(g), c)
+		if i > 0 {
+			scatterAVX2(dst, g[:i], data, c)
+		}
+	} else {
+		for ; i+4 <= len(g); i += 4 {
+			off := i * c
+			r0 := data[off+0*c : off+1*c]
+			r1 := data[off+1*c : off+2*c]
+			r2 := data[off+2*c : off+3*c]
+			r3 := data[off+3*c : off+4*c]
+			r0 = r0[:len(dst)]
+			r1 = r1[:len(dst)]
+			r2 = r2[:len(dst)]
+			r3 = r3[:len(dst)]
+			gs := g[i : i+4 : i+4]
+			g0, g1, g2, g3 := gs[0], gs[1], gs[2], gs[3]
+			for j := range dst {
+				a := dst[j]
+				a += g0 * r0[j]
+				a += g1 * r1[j]
+				a += g2 * r2[j]
+				a += g3 * r3[j]
+				dst[j] = a
+			}
 		}
 	}
 	tail := g[i:]
 	for k, gi := range tail {
 		off := (i + k) * c
 		AccumulateInto(dst, gi, data[off:off+c])
+	}
+}
+
+// vectorRows returns how many leading rows of a packed n×c matrix
+// scatterAVX2 may take. It loads each row's last vector whole, reading up
+// to three values past the row, so the rows where that read would pass
+// the end of the matrix are left to ScatterRows's scalar tail.
+func vectorRows(n, c int) int {
+	end := (c + 3) &^ 3 // where a row's last vector ends
+	switch {
+	case end == c:
+		return n
+	case n*c < end:
+		return 0
+	}
+	return (n*c-end)/c + 1
+}
+
+// ScatterAffine computes ScatterRows's sums into dst[:d.Cols] and
+// dst[d.Cols] += Σ_i g[i] in ascending row order: the gradient scatter of
+// a linear model whose intercept rides last, the adjoint of AffineInto.
+// The intercept is the scatter of an implicit ones column, since 1·g[i]
+// is g[i] exactly, and the vector path runs it as one: a lane of the
+// augmented copy, whose rows hold a 1 after the features. dst must have
+// length d.Cols+1 and g length d.Rows.
+func (d *Design) ScatterAffine(dst, g []float64) {
+	if len(g) != d.Rows || len(dst) != d.Cols+1 {
+		panic(fmt.Sprintf("matrix: ScatterAffine dims %d×%d vs g %d, dst %d", d.Rows, d.Cols, len(g), len(dst)))
+	}
+	if d.aug != nil {
+		scatterAVX2(dst, g, d.aug, augWidth(d.Cols))
+		return
+	}
+	c := d.Cols
+	d.Dense.ScatterRows(dst[:c], g)
+	one := dst[c:][:1] // the intercept slot
+	s := one[0]
+	for _, gi := range g {
+		s += gi
+	}
+	one[0] = s
+}
+
+// ResidualScatter computes each tuple's residual coefficient
+// g[i] = w[i]·(p[i] − y[i]) / n — the difference, the product and the
+// quotient rounded on their own, in that order; a nil w takes no product
+// and an n of 1 no quotient, both of which would be exact — and then
+// scatters them as ScatterAffine(dst, g) does: the residual pass and the
+// gradient scatter every step of a gradient-based linear fit runs, with
+// p the sigmoid of its z-pass. On the vector path the two passes run as
+// one, four rows at a time: a block's residuals are computed and stored,
+// then scattered, so the divides overlap the scatter's adds. p, y and a
+// non-nil w must have g's length d.Rows, and dst length d.Cols+1.
+func (d *Design) ResidualScatter(dst, g, w, p, y []float64, n float64) {
+	if len(g) != d.Rows || len(dst) != d.Cols+1 {
+		panic(fmt.Sprintf("matrix: ResidualScatter dims %d×%d vs g %d, dst %d", d.Rows, d.Cols, len(g), len(dst)))
+	}
+	if len(p) != len(g) || len(y) != len(g) || (w != nil && len(w) != len(g)) {
+		panic(fmt.Sprintf("matrix: ResidualScatter lengths g %d, w %d, p %d, y %d", len(g), len(w), len(p), len(y)))
+	}
+	if d.aug == nil {
+		residualScalar(g, w, p, y, n)
+		d.ScatterAffine(dst, g)
+		return
+	}
+	aw := augWidth(d.Cols)
+	first := dst[:min(len(dst), 16)]
+	k := len(g) &^ 3
+	if k > 0 {
+		residualScatterAVX2(first, g[:k], w, p, y, d.aug, n, aw, n != 1)
+	}
+	if k < len(g) {
+		var wt []float64
+		if w != nil {
+			wt = w[k:]
+		}
+		residualScalar(g[k:], wt, p[k:], y[k:], n)
+		scatterAVX2(first, g[k:], d.aug[k*aw:], aw)
+	}
+	if len(dst) > 16 {
+		scatterAVX2(dst[16:], g, d.aug[16:], aw)
+	}
+}
+
+// residualScalar computes g[i] = w[i]·(p[i] − y[i]) / n for every tuple,
+// ResidualScatter's residual pass: the difference, the product and the
+// quotient round on their own, in that order. A nil w takes no product,
+// and an n of 1 no quotient (both would be exact).
+func residualScalar(g, w, p, y []float64, n float64) {
+	p = p[:len(g)]
+	y = y[:len(g)]
+	switch {
+	case w != nil:
+		w = w[:len(g)]
+		for i, wi := range w {
+			r := wi * (p[i] - y[i])
+			if n != 1 {
+				r /= n
+			}
+			g[i] = r
+		}
+	case n != 1:
+		for i, pi := range p {
+			g[i] = (pi - y[i]) / n
+		}
+	default:
+		for i, pi := range p {
+			g[i] = pi - y[i]
+		}
 	}
 }

@@ -14,10 +14,13 @@ func sqDistColsAVX2(dst, cols, q []float64)
 func sigmoidAVX2(dst, src []float64) int
 
 //go:noescape
-func scatterAVX2(dst, g, x []float64)
+func scatterAVX2(dst, g, x []float64, stride int)
 
 //go:noescape
 func tanhAVX2(dst, src []float64)
 
 //go:noescape
 func logAVX2(dst, src []float64) int
+
+//go:noescape
+func residualScatterAVX2(dst, g, w, p, y, x []float64, n float64, stride int, div bool)

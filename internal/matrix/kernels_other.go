@@ -13,8 +13,12 @@ func sqDistColsAVX2(dst, cols, q []float64) { panic("matrix: no vector kernels")
 
 func sigmoidAVX2(dst, src []float64) int { panic("matrix: no vector kernels") }
 
-func scatterAVX2(dst, g, x []float64) { panic("matrix: no vector kernels") }
+func scatterAVX2(dst, g, x []float64, stride int) { panic("matrix: no vector kernels") }
 
 func tanhAVX2(dst, src []float64) { panic("matrix: no vector kernels") }
 
 func logAVX2(dst, src []float64) int { panic("matrix: no vector kernels") }
+
+func residualScatterAVX2(dst, g, w, p, y, x []float64, n float64, stride int, div bool) {
+	panic("matrix: no vector kernels")
+}

@@ -81,9 +81,9 @@ func TestVectorPathTaken(t *testing.T) {
 			}
 		}
 	}
-	// tanhAVX2 writes every whole block of four and leaves the tail to
-	// TanhInto's scalar loop.
-	src := []float64{0.3, -1, 30, 0, 0.7, 2, -3}
+	// tanhAVX2 writes every whole block of four, here one pair and one
+	// single block, and leaves the tail to TanhInto's scalar loop.
+	src := []float64{0.3, -1, 30, 0, 0.7, 2, -3, 0.625, -50, 1e-300, 0.1, -0.6, 5, 6, 7}
 	dst := make([]float64, len(src))
 	for i := range dst {
 		dst[i] = -7
@@ -91,7 +91,7 @@ func TestVectorPathTaken(t *testing.T) {
 	tanhAVX2(dst, src)
 	for i, v := range src {
 		want := math.Tanh(v)
-		if i >= 4 {
+		if i >= 12 {
 			want = -7
 		}
 		if dst[i] != want {
@@ -132,7 +132,7 @@ func TestVectorPathTaken(t *testing.T) {
 // with a lane below it or NaN is left to the scalar loop.
 func TestSigmoidVectorFallback(t *testing.T) {
 	needVector(t)
-	out := make([]float64, 9)
+	out := make([]float64, 17)
 	for _, tc := range []struct {
 		z    []float64
 		want int
@@ -141,8 +141,11 @@ func TestSigmoidVectorFallback(t *testing.T) {
 		{[]float64{0, 1, 2, -708.0000000000001, 4, 5, 6, 7, 8}, 0},
 		{[]float64{0, 1, 2, 3, 4, 5, math.NaN(), 7, 8}, 4},
 		{[]float64{0, 1, 2, 3, 4, 5, 6, math.Inf(1), 8}, 4},
+		// A pair whose second block fails runs its first block alone.
+		{[]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, -800, 14, 15, 16}, 12},
+		{[]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, -800, 10, 11, 12, 13, 14, 15, 16}, 8},
 	} {
-		if got := sigmoidAVX2(out, tc.z); got != tc.want {
+		if got := sigmoidAVX2(out[:len(tc.z)], tc.z); got != tc.want {
 			t.Fatalf("sigmoidAVX2(%v) wrote %d elements, want %d", tc.z, got, tc.want)
 		}
 	}
@@ -238,6 +241,20 @@ func TestSqDistVectorMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestVectorRows checks that scatterAVX2 is given every row whose last
+// vector ends inside the matrix, and no other.
+func TestVectorRows(t *testing.T) {
+	for c := 1; c <= 33; c++ {
+		end := (c + 3) &^ 3
+		for n := 0; n <= 40; n++ {
+			k := vectorRows(n, c)
+			if k < 0 || k > n || (k > 0 && (k-1)*c+end > n*c) || (k < n && k*c+end <= n*c) {
+				t.Fatalf("vectorRows(%d, %d) = %d", n, c, k)
+			}
+		}
+	}
+}
+
 func TestScatterVectorMatchesScalar(t *testing.T) {
 	needVector(t)
 	g := rand.New(rand.NewSource(19))
@@ -252,6 +269,87 @@ func TestScatterVectorMatchesScalar(t *testing.T) {
 			for j := range want {
 				if !sameFloat(got[j], want[j]) {
 					t.Fatalf("%d×%d col %d: vector %x, scalar %x", r, c, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+				}
+			}
+		}
+	}
+}
+
+// scatterAffineRef is the per-row loop ScatterAffine replaced: each row's
+// terms added to every column, then its coefficient to the intercept.
+func scatterAffineRef(d *Dense, dst, g []float64) {
+	c := d.Cols
+	for i, gi := range g {
+		AccumulateInto(dst[:c], gi, d.Row(i))
+		dst[c] += gi
+	}
+}
+
+// residualRef is the coefficient the per-row loops computed: (p − y)/n
+// for the mean loss, w·(p − y) for the weighted one, p − y for the
+// weighted one without weights, and (w·(p − y))/n otherwise.
+func residualRef(w, p, y []float64, n float64, i int) float64 {
+	r := p[i] - y[i]
+	if w != nil {
+		r = w[i] * r
+	}
+	if n != 1 {
+		r /= n
+	}
+	return r
+}
+
+// TestScatterAffineMatchesPerRow holds ScatterAffine and ResidualScatter,
+// on both paths, to the per-row loops they replaced, over every width
+// from 1 to 33 (so every lane position of the intercept and every chunk
+// shape) and every row count up to 40 plus fig7-cold's, with and without
+// a tail of rows that ends mid-block.
+func TestScatterAffineMatchesPerRow(t *testing.T) {
+	g := rand.New(rand.NewSource(37))
+	for _, r := range kernelRows() {
+		for c := 1; c <= 33; c++ {
+			d := &Dense{Data: edgeSlice(g, r*c), Rows: r, Cols: c, Stride: c}
+			coef, p, y, wt := edgeSlice(g, r), edgeSlice(g, r), edgeSlice(g, r), edgeSlice(g, r)
+			dst := edgeSlice(g, c+1)
+			want := append([]float64(nil), dst...)
+			scatterAffineRef(d, want, coef)
+			check := func(what string, got []float64) {
+				t.Helper()
+				for j := range want {
+					if !sameFloat(got[j], want[j]) {
+						t.Fatalf("%s %d×%d col %d: got %x, per-row %x", what, r, c, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+					}
+				}
+			}
+			for _, path := range []func(func()){func(f func()) { f() }, scalarOnly} {
+				path(func() {
+					des := NewDesign(*d)
+					got := append([]float64(nil), dst...)
+					des.ScatterAffine(got, coef)
+					check("ScatterAffine", got)
+				})
+			}
+			for _, w := range [][]float64{nil, wt} {
+				for _, n := range []float64{1, float64(r)} {
+					res := make([]float64, r)
+					for i := range res {
+						res[i] = residualRef(w, p, y, n, i)
+					}
+					want = append(want[:0], dst...)
+					scatterAffineRef(d, want, res)
+					for _, path := range []func(func()){func(f func()) { f() }, scalarOnly} {
+						path(func() {
+							des := NewDesign(*d)
+							got, gs := append([]float64(nil), dst...), make([]float64, r)
+							des.ResidualScatter(got, gs, w, p, y, n)
+							check("ResidualScatter", got)
+							for i := range res {
+								if !sameFloat(gs[i], res[i]) {
+									t.Fatalf("ResidualScatter %d×%d residual %d: got %x, per-row %x", r, c, i, math.Float64bits(gs[i]), math.Float64bits(res[i]))
+								}
+							}
+						})
+					}
 				}
 			}
 		}
@@ -469,6 +567,9 @@ func encodeFloats(vs ...float64) []byte {
 func FuzzSigmoidInto(f *testing.F) {
 	f.Add(encodeFloats(0, -1, 2, 708.5, -709, math.NaN(), 3, 4, 5))
 	f.Add(encodeFloats(math.Inf(1), math.Inf(-1), 1e-310, -745.1, 37, -37, 0.5))
+	// Special lanes only in the second block of a pair, then in a third.
+	f.Add(encodeFloats(0, 1, 2, 3, 4, math.NaN(), 6, 7, 8, 9, 10, 11))
+	f.Add(encodeFloats(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, -709, 11, 12))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		needVector(t)
 		z := decodeFloats(b)
@@ -486,6 +587,8 @@ func FuzzSigmoidInto(f *testing.F) {
 func FuzzTanhInto(f *testing.F) {
 	f.Add(encodeFloats(0, math.Copysign(0, -1), 0.625, -0.6249999999999999, 44.01484596555653, -44.01484596555654, math.NaN(), 1e-310))
 	f.Add(encodeFloats(math.Inf(1), math.Inf(-1), 44.01484596555653, 0.3, -2, 7, 1e300))
+	f.Add(encodeFloats(0.1, 0.2, 0.3, 0.4, 0.5, math.NaN(), 0.7, 0.8, 0.9, 1, 1.1))
+	f.Add(encodeFloats(1, 2, 3, 4, 5, 6, 7, 8, 0.625, math.Copysign(0, -1), math.Inf(-1), 45, 0.1))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		needVector(t)
 		x := decodeFloats(b)
@@ -503,6 +606,8 @@ func FuzzTanhInto(f *testing.F) {
 func FuzzLogInto(f *testing.F) {
 	f.Add(encodeFloats(0.5, 1e-12, 1-1e-12, 0.7071067811865476, 2, 0, 3, 4, 5))
 	f.Add(encodeFloats(math.Inf(1), -1, 1e-310, math.NaN(), 0x1p-1022, math.MaxFloat64, 0.25))
+	f.Add(encodeFloats(0.5, 0.25, 2, 3, 4, 0, 6, 7, 8, 9, 10))
+	f.Add(encodeFloats(0.5, 0.25, 2, 3, 4, 5, 6, 7, 8, 1e-310, 10, math.NaN(), 12))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		needVector(t)
 		x := decodeFloats(b)
@@ -576,6 +681,10 @@ func FuzzSqDistInto(f *testing.F) {
 func FuzzScatterRows(f *testing.F) {
 	f.Add(append([]byte{4}, encodeFloats(1, 2, 3, 4, 5, 0.5, -2, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16)...))
 	f.Add(append([]byte{0}, encodeFloats(-0.0, 1e-310, 1e300, 2, -3, 4)...))
+	// Whole vectors only, a one-column tail, and a tail after three vectors.
+	for _, c := range []int{8, 9, 13} {
+		f.Add(scatterSeed(c, 7))
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		needVector(t)
 		c, vs := fuzzShape(b)
@@ -598,11 +707,79 @@ func FuzzScatterRows(f *testing.F) {
 	})
 }
 
+// scatterSeed returns a fuzzShape input of c columns (c at most 33)
+// followed by enough values for rows rows of FuzzScatterRows and
+// FuzzResidualScatter.
+func scatterSeed(c, rows int) []byte {
+	vs := make([]float64, c+1+rows*(c+3))
+	for i := range vs {
+		vs[i] = float64(i%7) - 2.5
+	}
+	return append([]byte{byte(c - 1)}, encodeFloats(vs...)...)
+}
+
+// FuzzResidualScatter holds the fused residual pass and scatter to the
+// scalar path. The first byte says whether tuples are weighted (bit 0)
+// and whether the residuals are divided by the row count (bit 1); the
+// rest is a fuzzShape input whose values are dst (columns+1), then the
+// rows' features, then per row its p, y and weight.
+func FuzzResidualScatter(f *testing.F) {
+	for _, c := range []int{8, 9, 13} {
+		for flags := byte(0); flags < 4; flags++ {
+			f.Add(append([]byte{flags}, scatterSeed(c, 9)...))
+		}
+	}
+	f.Add(append([]byte{3, 2}, encodeFloats(1, 2, 3, 4, 5, 0.5, 1, 2, -0.0, 0, 1e-310, 3, 7, 0.25, 1)...))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		needVector(t)
+		if len(b) == 0 {
+			return
+		}
+		flags := b[0]
+		c, vs := fuzzShape(b[1:])
+		if len(vs) < c+1 {
+			return
+		}
+		dst, vs := vs[:c+1], vs[c+1:]
+		r := len(vs) / (c + 3)
+		x, vs := vs[:r*c], vs[r*c:]
+		p, y, wt := vs[:r], vs[r:2*r], vs[2*r:3*r]
+		var w []float64
+		if flags&1 != 0 {
+			w = wt
+		}
+		n := 1.0
+		if flags&2 != 0 {
+			n = float64(r)
+		}
+		d := Dense{Data: x, Rows: r, Cols: c, Stride: c}
+		got, want := append([]float64(nil), dst...), append([]float64(nil), dst...)
+		gg, gw := make([]float64, r), make([]float64, r)
+		des := NewDesign(d)
+		des.ResidualScatter(got, gg, w, p, y, n)
+		scalarOnly(func() {
+			des := NewDesign(d)
+			des.ResidualScatter(want, gw, w, p, y, n)
+		})
+		for j := range want {
+			if !sameFloat(got[j], want[j]) {
+				t.Fatalf("%d×%d col %d: vector %x, scalar %x", r, c, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+			}
+		}
+		for i := range gw {
+			if !sameFloat(gg[i], gw[i]) {
+				t.Fatalf("%d×%d residual %d: vector %x, scalar %x", r, c, i, math.Float64bits(gg[i]), math.Float64bits(gw[i]))
+			}
+		}
+	})
+}
+
 // BenchmarkTrainingKernels times each kernel on both paths at fig7-cold's
 // training shape: a 70% split of Adult n=5000, 3500 rows by 9 features.
 // log takes one loss pass's 3500 probabilities, inside the loss's clamp
-// range [1e-12, 1-1e-12]. tanh runs on the MLP's block instead: 20
-// hidden units by a 32-row batch.
+// range [1e-12, 1-1e-12], and fused the residual pass and scatter of the
+// mean logistic loss's gradient over them, intercept included. tanh runs
+// on the MLP's block instead: 20 hidden units by a 32-row batch.
 func BenchmarkTrainingKernels(b *testing.B) {
 	needVector(b)
 	g := rand.New(rand.NewSource(1))
@@ -622,9 +799,10 @@ func BenchmarkTrainingKernels(b *testing.B) {
 		act[i] = g.NormFloat64()
 	}
 	hid := make([]float64, len(act))
-	prob := make([]float64, r)
+	prob, labels, coef, grad := make([]float64, r), make([]float64, r), make([]float64, r), make([]float64, c+1)
 	for i := range prob {
 		prob[i] = 1e-12 + (1-2e-12)*g.Float64()
+		labels[i] = float64(g.Intn(2))
 	}
 	kernels := []struct {
 		name string
@@ -636,6 +814,7 @@ func BenchmarkTrainingKernels(b *testing.B) {
 		{"sigmoid", func() { SigmoidInto(out, z) }},
 		{"tanh", func() { TanhInto(hid, act) }},
 		{"log", func() { LogInto(out, prob) }},
+		{"fused", func() { des.ResidualScatter(grad, coef, nil, prob, labels, r) }},
 	}
 	for _, k := range kernels {
 		b.Run(k.name+"/vector", func(b *testing.B) {
