@@ -7,8 +7,6 @@
 package inproc
 
 import (
-	"math"
-
 	"fairbench/internal/dataset"
 	"fairbench/internal/matrix"
 	"fairbench/internal/optimize"
@@ -121,24 +119,17 @@ func (v *fitView) logGradFromZ(grad []float64) {
 }
 
 // logLossGradFromZ is logGradFromZ also returning the mean logistic loss.
-// Each tuple's likelihood — the probability the model gives its label,
-// with p clamped to [1e-12, 1-1e-12] first so its log stays finite — is
-// staged in the l scratch and logged in one LogInto pass; the loss then
-// folds -log in ascending tuple order. The likelihood is selected by a
-// bit mask of the label, not branched on: labels do not predict.
+// Each tuple's likelihood (matrix.LikelihoodInto) is staged in the l
+// scratch and logged in one LogInto pass; the loss then folds -log in
+// ascending tuple order, so it equals a per-tuple fold of -log of the
+// clamped likelihood bit for bit.
 func (v *fitView) logLossGradFromZ(grad []float64) float64 {
-	const eps = 1e-12
 	v.fillP()
 	if v.l == nil {
 		v.l = make([]float64, len(v.z))
 	}
 	l := v.l[:len(v.p)]
-	y := v.y[:len(l)]
-	for i, p := range v.p {
-		c := matrix.Clamp(p, eps, 1-eps)
-		m := -uint64(y[i] & 1) // all ones for label 1
-		l[i] = math.Float64frombits(math.Float64bits(c)&m | math.Float64bits(1-c)&^m)
-	}
+	matrix.LikelihoodInto(l, v.p, v.yf)
 	v.logGradFromP(grad)
 	matrix.LogInto(l, l)
 	var loss float64

@@ -24,22 +24,58 @@ import (
 //
 // Vector path. On amd64 CPUs with AVX2, FMA and OS-enabled YMM state
 // (checked once, by CPUID and XGETBV in kernels_amd64.s),
-// Design.AffineInto, Design.SqDistInto, SigmoidInto, TanhInto, LogInto
-// and ScatterRows run AVX2 assembly instead; every other CPU and GOARCH runs
-// the scalar loops, which stay the reference. The lane rule: a vector
-// kernel computes four outputs the scalar loop already computes
-// independently, and each lane repeats that output's scalar fold
-// operation for operation — the product and the sum rounded separately
-// (never fused), in the scalar order. The z-pass runs one row per lane
-// over a column-major copy of the design (Design, built once per fit),
-// the gradient scatter one column per lane over the row-major design, and
+// Design.AffineInto, Design.SqDistInto, Design.ScatterAffine,
+// Design.ResidualScatter, SigmoidInto, TanhInto, LogInto and ScatterRows
+// run AVX2 assembly instead; every other CPU and GOARCH runs the scalar
+// loops, which stay the reference. The lane rule: a vector kernel
+// computes four outputs the scalar loop already computes independently,
+// and each lane repeats that output's scalar fold operation for
+// operation — the product and the sum rounded separately (never fused),
+// in the scalar order. The z-pass runs one row per lane over a
+// column-major copy of the design (Design, built once per fit), the
+// gradient scatter one column per lane over the row-major design, and
 // the sigmoid and tanh one element per lane. The kNN distance scan
 // (Design.SqDistInto) runs one training row per lane over the same
 // column-major copy: each lane subtracts the query's column value,
 // squares the difference and adds it to a sum that starts at 0, each step
 // rounded on its own, column by column in ascending order. Row tails the
-// vector loops leave run the scalar loops; the scatter masks its column
-// tail instead.
+// vector loops leave run the scalar loops.
+//
+// The scatter's column tail: a row's last vector is loaded whole,
+// unmasked, even when it holds fewer than four columns; the lanes past
+// the last column read the next row's first values, accumulate terms
+// nobody reads, and are never stored. Only dst's load and store are
+// masked, once per call. The rows whose last vector would read past the
+// end of the matrix (vectorRows) run the scalar loop after the vector
+// rows, which keeps each column's ascending row order.
+//
+// The fused pass (Design.ResidualScatter) is the residual pass and the
+// scatter of a linear fit's gradient in one loop. For each block of four
+// rows it computes the residuals g_i = w_i·(p_i − y_i)/n one tuple per
+// lane, each step rounded on its own as residualScalar rounds it, and
+// stores them; the scatter then broadcasts each row's g_i from there, so
+// the divides run beside the scatter's chains of adds instead of before
+// them. It scatters over the augmented copy of the design (Design.aug):
+// each row's features, a 1, then zeros up to a whole number of vectors.
+// The intercept is the lane that holds that 1, the lane right after the
+// last feature: the spare lane of the last vector, or lane 0 of one more
+// vector when the feature count is a multiple of four. Its accumulator
+// adds g_i·1, which is g_i exactly, in ascending row order: the fold the
+// scalar loops ran apart from the scatter. The padding lanes add
+// g_i·0 and are never stored, so the augmented rows need no tail at all.
+// Rows left over after the last block of four take residualScalar and
+// the plain scatter, and columns past the first sixteen a second plain
+// scatter over the stored residuals.
+//
+// Blocks interleave. The exp replica and the log replica are each one
+// chain of some thirty dependent instructions per block of four, so one
+// block in flight leaves most of the vector units idle. sigmoidAVX2,
+// tanhAVX2 and logAVX2 therefore run two independent blocks per loop
+// iteration, their instructions interleaved, and take a lone block when
+// fewer than eight elements are left or when a lane of the pair needs the
+// scalar fallback; so the fallback covers exactly the block it covered
+// before. Their constants come from memory, each replicated to a full
+// vector, which frees the registers the second block needs.
 //
 // The sigmoid carries a replica of math.Exp, because the call into Go's
 // exp assembly can be neither inlined nor vectorized. math.Exp already
@@ -321,6 +357,39 @@ func logScalar(dst, src []float64) {
 	}
 }
 
+// LikelihoodInto computes l[i], the probability a logistic model that
+// gives p[i] assigns to label y[i]: c = Clamp(p[i], 1e-12, 1-1e-12), so
+// that its log stays finite, for a label of 1 (y[i] >= 0.5) and 1 - c
+// otherwise. It stages a logistic loss's terms for LogInto, one tuple
+// per lane on the vector path. l may alias p or y.
+func LikelihoodInto(l, p, y []float64) {
+	if len(p) != len(l) || len(y) != len(l) {
+		panic(fmt.Sprintf("matrix: LikelihoodInto lengths l %d, p %d, y %d", len(l), len(p), len(y)))
+	}
+	if useVector {
+		k := len(l) &^ 3
+		likelihoodAVX2(l[:k], p, y)
+		l, p, y = l[k:], p[k:], y[k:]
+	}
+	likelihoodScalar(l, p, y)
+}
+
+// likelihoodScalar is LikelihoodInto's scalar loop, the vector path's
+// reference.
+func likelihoodScalar(l, p, y []float64) {
+	const eps = 1e-12
+	p = p[:len(l)]
+	y = y[:len(l)]
+	for i, pi := range p {
+		c := Clamp(pi, eps, 1-eps)
+		if y[i] >= 0.5 {
+			l[i] = c
+		} else {
+			l[i] = 1 - c
+		}
+	}
+}
+
 // AccumulateInto computes dst[j] += g·row[j] — the per-row gradient
 // scatter of a linear model. Unlike Axpy it tolerates len(dst) > len(row)
 // (the intercept slot rides at the end of the gradient vector).
@@ -437,7 +506,8 @@ func (d *Design) ScatterAffine(dst, g []float64) {
 // p the sigmoid of its z-pass. On the vector path the two passes run as
 // one, four rows at a time: a block's residuals are computed and stored,
 // then scattered, so the divides overlap the scatter's adds. p, y and a
-// non-nil w must have g's length d.Rows, and dst length d.Cols+1.
+// non-nil w must have g's length d.Rows, and dst length d.Cols+1; g may
+// alias p.
 func (d *Design) ResidualScatter(dst, g, w, p, y []float64, n float64) {
 	if len(g) != d.Rows || len(dst) != d.Cols+1 {
 		panic(fmt.Sprintf("matrix: ResidualScatter dims %d×%d vs g %d, dst %d", d.Rows, d.Cols, len(g), len(dst)))

@@ -23,4 +23,7 @@ func tanhAVX2(dst, src []float64)
 func logAVX2(dst, src []float64) int
 
 //go:noescape
+func likelihoodAVX2(l, p, y []float64)
+
+//go:noescape
 func residualScatterAVX2(dst, g, w, p, y, x []float64, n float64, stride int, div bool)

@@ -76,6 +76,8 @@
 #define K_L7 1184
 #define K_LN2HI 1216
 #define K_LN2LO 1248
+#define K_EPS 1280      // the logistic loss's clamp, 1e-12
+#define K_ONEMEPS 1312  // and 1 - 1e-12
 
 KVEC(K_SIGN, $0x8000000000000000)
 KVEC(K_EXPMIN, $-708.0)
@@ -120,7 +122,9 @@ KVEC(K_L6, $L6)
 KVEC(K_L7, $L7)
 KVEC(K_LN2HI, $Ln2Hi)
 KVEC(K_LN2LO, $Ln2Lo)
-GLOBL kvec<>(SB), RODATA|NOPTR, $1280
+KVEC(K_EPS, $1e-12)
+KVEC(K_ONEMEPS, $0.999999999999)
+GLOBL kvec<>(SB), RODATA|NOPTR, $1344
 
 // EXP_FMA(x, acc, k, kx) sets each lane of x to exp(x) as math.Exp's
 // avxfma path computes it, for arguments whose result is a normal
@@ -713,6 +717,44 @@ log4:
 
 logDone:
 	MOVQ AX, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// func likelihoodAVX2(l, p, y []float64)
+//
+// l[i] = y[i] >= 0.5 ? c : 1 - c, c = p[i] clamped to [1e-12, 1-1e-12],
+// for every i < len(l)&^3, one tuple per lane: the logistic likelihood
+// LikelihoodInto stages for the loss's logs. The clamp repeats Clamp's
+// two tests: VMAXPD returns its second source when the first is not
+// greater, so max(1e-12, p) is p unless p < 1e-12, NaN included, and
+// VMINPD likewise returns 1-1e-12 only when it is less than the value.
+// The caller guarantees p and y at least as long as l.
+TEXT ·likelihoodAVX2(SB), NOSPLIT, $0-72
+	MOVQ    l_base+0(FP), DI
+	MOVQ    l_len+8(FP), CX
+	MOVQ    p_base+24(FP), SI
+	MOVQ    y_base+48(FP), DX
+	VMOVUPD kvec<>+K_EPS(SB), Y15
+	VMOVUPD kvec<>+K_ONEMEPS(SB), Y14
+	VMOVUPD kvec<>+K_ONE(SB), Y13
+	VMOVUPD kvec<>+K_HALF(SB), Y12
+	XORQ    AX, AX
+
+likelihood4:
+	LEAQ      4(AX), BX
+	CMPQ      BX, CX
+	JGT       likelihoodDone
+	VMAXPD    (SI)(AX*8), Y15, Y0 // p < 1e-12 ? 1e-12 : p
+	VMINPD    Y0, Y14, Y0         // c > 1-1e-12 ? 1-1e-12 : c
+	VSUBPD    Y0, Y13, Y1         // 1 - c
+	VMOVUPD   (DX)(AX*8), Y2
+	VCMPPD    $0x1d, Y12, Y2, Y2  // y >= 0.5, false for NaN
+	VBLENDVPD Y2, Y0, Y1, Y1
+	VMOVUPD   Y1, (DI)(AX*8)
+	MOVQ      BX, AX
+	JMP       likelihood4
+
+likelihoodDone:
 	VZEROUPPER
 	RET
 

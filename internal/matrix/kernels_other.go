@@ -19,6 +19,8 @@ func tanhAVX2(dst, src []float64) { panic("matrix: no vector kernels") }
 
 func logAVX2(dst, src []float64) int { panic("matrix: no vector kernels") }
 
+func likelihoodAVX2(l, p, y []float64) { panic("matrix: no vector kernels") }
+
 func residualScatterAVX2(dst, g, w, p, y, x []float64, n float64, stride int, div bool) {
 	panic("matrix: no vector kernels")
 }

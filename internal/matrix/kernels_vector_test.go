@@ -299,12 +299,12 @@ func residualRef(w, p, y []float64, n float64, i int) float64 {
 	return r
 }
 
-// TestScatterAffineMatchesPerRow holds ScatterAffine and ResidualScatter,
+// TestScatterAffineVectorMatchesPerRow holds ScatterAffine and ResidualScatter,
 // on both paths, to the per-row loops they replaced, over every width
 // from 1 to 33 (so every lane position of the intercept and every chunk
 // shape) and every row count up to 40 plus fig7-cold's, with and without
 // a tail of rows that ends mid-block.
-func TestScatterAffineMatchesPerRow(t *testing.T) {
+func TestScatterAffineVectorMatchesPerRow(t *testing.T) {
 	g := rand.New(rand.NewSource(37))
 	for _, r := range kernelRows() {
 		for c := 1; c <= 33; c++ {
@@ -547,6 +547,42 @@ func TestLogVectorMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestLikelihoodVectorMatchesScalar holds LikelihoodInto's two paths to
+// each other bit for bit over every length up to 40 and fig7-cold's
+// training size, with probabilities at and one ulp either side of both
+// clamp bounds, outside [0, 1], ±0, subnormal, ±Inf and NaN, and labels
+// 0 and 1 as well as 0.5 one ulp either side, and NaN.
+func TestLikelihoodVectorMatchesScalar(t *testing.T) {
+	needVector(t)
+	g := rand.New(rand.NewSource(41))
+	const lo, hi = 1e-12, 1 - 1e-12
+	edges := []float64{lo, math.Nextafter(lo, 0), math.Nextafter(lo, 1), hi, math.Nextafter(hi, 0), math.Nextafter(hi, 1),
+		0, math.Copysign(0, -1), 1, -0.5, 1.5, 0x1p-1074, math.Inf(1), math.Inf(-1), math.NaN()}
+	labels := []float64{0, 1, 0.5, math.Nextafter(0.5, 0), math.Nextafter(0.5, 1), math.NaN()}
+	for _, r := range kernelRows() {
+		p, y := make([]float64, r), make([]float64, r)
+		for i := range p {
+			p[i] = g.Float64()
+			if g.Intn(3) == 0 {
+				p[i] = edges[g.Intn(len(edges))]
+			}
+			y[i] = float64(g.Intn(2))
+			if g.Intn(5) == 0 {
+				y[i] = labels[g.Intn(len(labels))]
+			}
+		}
+		got, want := make([]float64, r), make([]float64, r)
+		LikelihoodInto(got, p, y)
+		scalarOnly(func() { LikelihoodInto(want, p, y) })
+		for i := range want {
+			if !sameFloat(got[i], want[i]) {
+				t.Fatalf("%d tuples, tuple %d (p %x, y %v): vector %x, scalar %x", r, i, math.Float64bits(p[i]), y[i],
+					math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+}
+
 // decodeFloats reads little-endian float64s from b.
 func decodeFloats(b []byte) []float64 {
 	out := make([]float64, len(b)/8)
@@ -616,6 +652,27 @@ func FuzzLogInto(f *testing.F) {
 		for i, v := range x {
 			if want := math.Log(v); math.Float64bits(got[i]) != math.Float64bits(want) {
 				t.Fatalf("log(%x): vector %x, math.Log %x", math.Float64bits(v), math.Float64bits(got[i]), math.Float64bits(want))
+			}
+		}
+	})
+}
+
+// FuzzLikelihoodInto holds LikelihoodInto's vector path to its scalar
+// loop; the values are the probabilities, then as many labels.
+func FuzzLikelihoodInto(f *testing.F) {
+	f.Add(encodeFloats(0.5, 1e-13, 1, 0.999999999999, 0, 1, 1, 0))
+	f.Add(encodeFloats(math.NaN(), -0.0, math.Inf(1), 2, 1e-310, 0.3, 0.7, 0.2, 0.5, 1, math.NaN(), 0, 0.49999999999999994, 1, 0, 1))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		needVector(t)
+		vs := decodeFloats(b)
+		r := len(vs) / 2
+		p, y := vs[:r], vs[r:2*r]
+		got, want := make([]float64, r), make([]float64, r)
+		LikelihoodInto(got, p, y)
+		scalarOnly(func() { LikelihoodInto(want, p, y) })
+		for i := range want {
+			if !sameFloat(got[i], want[i]) {
+				t.Fatalf("p %x, y %x: vector %x, scalar %x", math.Float64bits(p[i]), math.Float64bits(y[i]), math.Float64bits(got[i]), math.Float64bits(want[i]))
 			}
 		}
 	})
@@ -777,9 +834,10 @@ func FuzzResidualScatter(f *testing.F) {
 // BenchmarkTrainingKernels times each kernel on both paths at fig7-cold's
 // training shape: a 70% split of Adult n=5000, 3500 rows by 9 features.
 // log takes one loss pass's 3500 probabilities, inside the loss's clamp
-// range [1e-12, 1-1e-12], and fused the residual pass and scatter of the
-// mean logistic loss's gradient over them, intercept included. tanh runs
-// on the MLP's block instead: 20 hidden units by a 32-row batch.
+// range [1e-12, 1-1e-12], likelihood stages their terms, and fused runs
+// the residual pass and scatter of the mean logistic loss's gradient over
+// them, intercept included. tanh runs on the MLP's block instead: 20
+// hidden units by a 32-row batch.
 func BenchmarkTrainingKernels(b *testing.B) {
 	needVector(b)
 	g := rand.New(rand.NewSource(1))
@@ -815,6 +873,7 @@ func BenchmarkTrainingKernels(b *testing.B) {
 		{"tanh", func() { TanhInto(hid, act) }},
 		{"log", func() { LogInto(out, prob) }},
 		{"fused", func() { des.ResidualScatter(grad, coef, nil, prob, labels, r) }},
+		{"likelihood", func() { LikelihoodInto(out, prob, labels) }},
 	}
 	for _, k := range kernels {
 		b.Run(k.name+"/vector", func(b *testing.B) {
