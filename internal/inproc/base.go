@@ -71,8 +71,7 @@ func (b *linearBase) predictAll(d *dataset.Dataset) []int {
 // preserving the exact scalar fold order of a per-row loop, so the
 // optimizer trajectory is bit-identical to one.
 type fitView struct {
-	y  []int
-	yf []float64 // y as 0 or 1, for the residual pass
+	y  []float64 // the labels, 0 or 1
 	dm matrix.Design
 	z  []float64 // affine scores of the current iterate
 	p  []float64 // sigmoid of z, filled on demand by fillP
@@ -93,7 +92,7 @@ func newFitView(x matrix.Dense, y []int) *fitView {
 	for i, yi := range y {
 		yf[i] = float64(yi)
 	}
-	return &fitView{y: y, yf: yf, dm: matrix.NewDesign(x), z: make([]float64, x.Rows)}
+	return &fitView{y: yf, dm: matrix.NewDesign(x), z: make([]float64, x.Rows)}
 }
 
 // fillZ computes the affine scores of w over every row into v.z with the
@@ -129,7 +128,7 @@ func (v *fitView) logLossGradFromZ(grad []float64) float64 {
 		v.l = make([]float64, len(v.z))
 	}
 	l := v.l[:len(v.p)]
-	matrix.LikelihoodInto(l, v.p, v.yf)
+	matrix.LikelihoodInto(l, v.p, v.y)
 	v.logGradFromP(grad)
 	matrix.LogInto(l, l)
 	var loss float64
@@ -146,7 +145,7 @@ func (v *fitView) logLossGradFromZ(grad []float64) float64 {
 // last, by one fused pass; because grad is pre-zeroed, every component's
 // fold is identical to the interleaved per-row loop.
 func (v *fitView) logGradFromP(grad []float64) {
-	v.dm.ResidualScatter(grad, v.gbuf(), nil, v.p, v.yf, float64(len(v.z)))
+	v.dm.ResidualScatter(grad, v.gbuf(), nil, v.p, v.y, float64(len(v.z)))
 }
 
 // weightedLogitGrad returns the gradient-only objective of the weighted
@@ -164,7 +163,7 @@ func (v *fitView) weightedLogitGrad(weights []float64) optimize.Objective {
 		clear(grad)
 		v.fillZ(w)
 		v.fillP()
-		v.dm.ResidualScatter(grad, v.gbuf(), weights, v.p, v.yf, 1)
+		v.dm.ResidualScatter(grad, v.gbuf(), weights, v.p, v.y, 1)
 		if tw > 0 {
 			for j := range grad {
 				grad[j] /= tw

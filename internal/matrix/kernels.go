@@ -25,16 +25,16 @@ import (
 // Vector path. On amd64 CPUs with AVX2, FMA and OS-enabled YMM state
 // (checked once, by CPUID and XGETBV in kernels_amd64.s),
 // Design.AffineInto, Design.SqDistInto, Design.ScatterAffine,
-// Design.ResidualScatter, SigmoidInto, TanhInto, LogInto and ScatterRows
-// run AVX2 assembly instead; every other CPU and GOARCH runs the scalar
-// loops, which stay the reference. The lane rule: a vector kernel
+// Design.ResidualScatter, SigmoidInto, TanhInto, LogInto, LikelihoodInto
+// and ScatterRows run AVX2 assembly instead; every other CPU and GOARCH
+// runs the scalar loops, which stay the reference. The lane rule: a vector kernel
 // computes four outputs the scalar loop already computes independently,
 // and each lane repeats that output's scalar fold operation for
 // operation — the product and the sum rounded separately (never fused),
 // in the scalar order. The z-pass runs one row per lane over a
 // column-major copy of the design (Design, built once per fit), the
 // gradient scatter one column per lane over the row-major design, and
-// the sigmoid and tanh one element per lane. The kNN distance scan
+// the sigmoid, tanh and likelihood one element per lane. The kNN distance scan
 // (Design.SqDistInto) runs one training row per lane over the same
 // column-major copy: each lane subtracts the query's column value,
 // squares the difference and adds it to a sum that starts at 0, each step
@@ -71,11 +71,11 @@ import (
 // chain of some thirty dependent instructions per block of four, so one
 // block in flight leaves most of the vector units idle. sigmoidAVX2,
 // tanhAVX2 and logAVX2 therefore run two independent blocks per loop
-// iteration, their instructions interleaved, and take a lone block when
+// iteration, their steps interleaved, and take a lone block when
 // fewer than eight elements are left or when a lane of the pair needs the
 // scalar fallback; so the fallback covers exactly the block it covered
-// before. Their constants come from memory, each replicated to a full
-// vector, which frees the registers the second block needs.
+// before. Most of their constants come from memory, each replicated to
+// a full vector, which frees the registers the second block needs.
 //
 // The sigmoid carries a replica of math.Exp, because the call into Go's
 // exp assembly can be neither inlined nor vectorized. math.Exp already

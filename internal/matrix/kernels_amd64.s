@@ -10,10 +10,11 @@
 // log_amd64.s has no FMA path.
 //
 // The sigmoid, tanh and log kernels run two blocks of four per loop
-// iteration, interleaved instruction by instruction: each block is one
+// iteration, interleaved (the exp replica instruction by instruction,
+// their other steps a few instructions at a time): each block is one
 // long dependency chain, and two independent chains keep more of the
-// vector units busy than one. Their constants are read from memory
-// (kvec, each replicated to a full vector) rather than held in
+// vector units busy than one. Most of their constants are read from
+// memory (kvec, each replicated to a full vector) rather than held in
 // registers, which leaves registers for the second block.
 
 // Constants of math.Exp's amd64 implementation ($GOROOT/src/math/exp_amd64.s).

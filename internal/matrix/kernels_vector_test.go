@@ -299,11 +299,11 @@ func residualRef(w, p, y []float64, n float64, i int) float64 {
 	return r
 }
 
-// TestScatterAffineVectorMatchesPerRow holds ScatterAffine and ResidualScatter,
-// on both paths, to the per-row loops they replaced, over every width
-// from 1 to 33 (so every lane position of the intercept and every chunk
-// shape) and every row count up to 40 plus fig7-cold's, with and without
-// a tail of rows that ends mid-block.
+// TestScatterAffineVectorMatchesPerRow holds ScatterAffine and
+// ResidualScatter, on both paths, to the per-row loops they replaced,
+// over every width from 1 to 33 (so every lane position of the intercept
+// and every chunk shape) and every row count up to 40 plus fig7-cold's,
+// with and without a tail of rows that ends mid-block.
 func TestScatterAffineVectorMatchesPerRow(t *testing.T) {
 	g := rand.New(rand.NewSource(37))
 	for _, r := range kernelRows() {
