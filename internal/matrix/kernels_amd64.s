@@ -912,7 +912,7 @@ scatterDone:
 // Steps of residualScatterAVX2. RESIDUAL4 stores the next four rows'
 // residuals at R11, where the row loop then broadcasts them from: SI,
 // R13 and R8 walk p, y and w, R9 is w's step (0 without weights) and
-// CX is div, whether to divide by the n in Y15. Its labels must be
+// CX is div, whether to divide by the n in Y12. Its labels must be
 // unique per use. FUSED_ROW adds one row's terms to the accumulators its
 // TERMS name.
 #define RESIDUAL4(noW, noDiv) \
@@ -924,7 +924,7 @@ scatterDone:
 noW: \
 	TESTQ   CX, CX; \
 	JZ      noDiv; \
-	VDIVPD  Y15, Y8, Y8; \
+	VDIVPD  Y12, Y8, Y8; \
 noDiv: \
 	VMOVUPD Y8, (R11); \
 	ADDQ    $32, SI; \
@@ -937,9 +937,6 @@ noDiv: \
 #define TERMS3 TERMS2; SCATTER_TERM(64, Y6, Y2)
 #define TERMS4 TERMS3; SCATTER_TERM(96, Y7, Y3)
 #define FUSED_BLOCK(TERMS) FUSED_ROW(TERMS); FUSED_ROW(TERMS); FUSED_ROW(TERMS); FUSED_ROW(TERMS); SUBQ $4, R12
-
-// FUSED_MASK sets Y14 to the mask of the first DX lanes.
-#define FUSED_MASK VMOVQ DX, X9; VPBROADCASTQ X9, Y9; VPCMPGTQ Y14, Y9, Y14
 
 // func residualScatterAVX2(dst, g, w, p, y, x []float64, n float64, stride int, div bool)
 //
@@ -963,7 +960,7 @@ TEXT ·residualScatterAVX2(SB), NOSPLIT, $0-161
 	MOVQ         p_base+72(FP), SI
 	MOVQ         y_base+96(FP), R13
 	MOVQ         x_base+120(FP), BX
-	VBROADCASTSD n+144(FP), Y15
+	VBROADCASTSD n+144(FP), Y12
 	MOVQ         stride+152(FP), R10
 	SHLQ         $3, R10           // byte distance between rows
 	MOVBQZX      div+160(FP), CX
@@ -972,7 +969,7 @@ TEXT ·residualScatterAVX2(SB), NOSPLIT, $0-161
 	CMOVQEQ      R9, AX            // no weights: w's step is 0
 	MOVQ         AX, R9
 	XORQ         AX, AX
-	VMOVDQU      kvec<>+K_LANES(SB), Y14
+	VMOVDQU      kvec<>+K_LANES(SB), Y15
 	CMPQ         DX, $4
 	JLE          fusedM1
 	CMPQ         DX, $8
@@ -981,7 +978,7 @@ TEXT ·residualScatterAVX2(SB), NOSPLIT, $0-161
 	JLE          fusedM3
 
 	SUBQ       $12, DX
-	FUSED_MASK
+	SCATTER_MASK
 	SCATTER_LOAD(0, Y0)
 	SCATTER_LOAD(32, Y1)
 	SCATTER_LOAD(64, Y2)
@@ -999,7 +996,7 @@ fusedM4block:
 
 fusedM3:
 	SUBQ       $8, DX
-	FUSED_MASK
+	SCATTER_MASK
 	SCATTER_LOAD(0, Y0)
 	SCATTER_LOAD(32, Y1)
 	VMASKMOVPD 64(DI), Y14, Y2
@@ -1015,7 +1012,7 @@ fusedM3block:
 
 fusedM2:
 	SUBQ       $4, DX
-	FUSED_MASK
+	SCATTER_MASK
 	SCATTER_LOAD(0, Y0)
 	VMASKMOVPD 32(DI), Y14, Y1
 
@@ -1028,7 +1025,7 @@ fusedM2block:
 	JMP        fusedDone
 
 fusedM1:
-	FUSED_MASK
+	SCATTER_MASK
 	VMASKMOVPD (DI), Y14, Y0
 
 fusedM1block:
