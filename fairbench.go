@@ -142,8 +142,8 @@
 // field, ctx cancels the run promptly with directories left resumable
 // by ResumeRun, and a fully-cached grid is served without touching a
 // worker or host. Run and ResumeRun are the only whole-grid entry
-// points that cache or schedule; SchedOptions and SchedReport remain as
-// the types behind RunReport.Sched. The `fairbench serve` command
+// points that cache or schedule; SchedReport remains as the type behind
+// RunReport.Sched. The `fairbench serve` command
 // exposes the same engine as a persistent HTTP service (see the
 // README's "Serving" section).
 //
@@ -416,8 +416,9 @@ func NewEngine(defaults RunOptions) *Engine { return engine.New(defaults) }
 // in-flight host attempts are cancelled — with the error wrapping
 // ctx.Err() and directory-backed runs left resumable via ResumeRun. With
 // opts.CacheDir set, a fully-cached grid is served entirely by the
-// calling process (RunReport.ServedFromCache: computed=0, no worker or
-// host touched).
+// calling process: computed=0, and on the scheduler, whose cache-aware
+// plan finds the grid warm, no manifest is written and no worker or host
+// is touched (RunReport.ServedFromCache).
 func Run(ctx context.Context, spec GridSpec, opts RunOptions) (*GridOutput, *RunReport, error) {
 	return defaultEngine.Run(ctx, spec, opts)
 }
@@ -435,7 +436,7 @@ func ResumeRun(ctx context.Context, dir string, opts RunOptions) (*GridOutput, *
 // ranges with the result cache at cacheDir consulted cell by cell:
 // fully-cached stretches become skippable zero-work ranges and the rest
 // is balanced by uncached cell count. An empty cacheDir plans every cell
-// as work. Over a fully-cached grid the plan's Assigned() is empty.
+// as work. Over a fully-cached grid the plan's TotalUncached() is 0.
 func PlanShardsCacheAware(spec GridSpec, k int, cacheDir string) (*ShardPlan, error) {
 	s, err := store.OpenBackend(cacheDir, "")
 	if err != nil {

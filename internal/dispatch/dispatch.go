@@ -197,13 +197,6 @@ func (b *BoundedBuffer) String() string {
 	return string(b.head) + "\n" + truncationMarker(b.dropped) + "\n" + string(b.tail)
 }
 
-// Truncated reports how many bytes the budget squeezed out so far.
-func (b *BoundedBuffer) Truncated() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dropped
-}
-
 func truncationMarker(n int64) string {
 	return fmt.Sprintf("... [%d stderr bytes dropped] ...", n)
 }

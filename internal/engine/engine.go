@@ -1,11 +1,12 @@
 // Package engine is the one entry point to grid execution: a single
-// Run(ctx, spec, RunOptions) call that plans, executes, and merges an
-// experiment grid on either of the two execution backends — the
-// in-process worker pool, or the process-backed scheduler
-// (internal/sched) over a pool of hosts, one local host by default —
-// selected by an options field rather than by calling two different
-// APIs. It is the one coordinator every CLI figure command, the
-// dispatch, resume and sched commands, and the serve daemon share.
+// Run(ctx, spec, RunOptions) call that picks one of the two execution
+// backends — the in-process worker pool, or the process-backed
+// scheduler (internal/sched) over a pool of hosts, one local host by
+// default — from an options field rather than from which API is
+// called, and hands the grid to it. It is the one coordinator every CLI
+// figure command, the dispatch, resume and sched commands, and the
+// serve daemon share. Each run makes one plan against one store
+// handle, so its report carries one set of cache counters.
 //
 // Unifying guarantees, regardless of backend:
 //
@@ -16,22 +17,21 @@
 //     ctx.Err(); directory-backed runs stay resumable via ResumeRun;
 //   - with a result cache, a fully-cached grid is served entirely by
 //     the calling process — computed=0 and no worker subprocess or
-//     host is ever touched (Report.ServedFromCache).
+//     host is ever touched. On sched, its own cache-aware plan finds
+//     the grid warm and serves it in memory, writing no manifest
+//     (Report.ServedFromCache).
 package engine
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
 	"fairbench/internal/dispatch"
 	"fairbench/internal/experiments"
 	"fairbench/internal/sched"
-	"fairbench/internal/shard"
 	"fairbench/internal/store"
 )
 
@@ -79,8 +79,9 @@ type RunOptions struct {
 	// pool for a range every live host has failed. Zero means none.
 	Retries int
 	// CacheDir, when set, is the fingerprint-keyed result store: cells
-	// already computed are served from disk on every backend, and a
-	// fully-cached grid short-circuits to ServedFromCache.
+	// already computed are served from disk on every backend, and sched
+	// serves a grid its plan finds fully cached in memory
+	// (Report.ServedFromCache).
 	CacheDir string
 	// RemoteStore, when set, is a shared HTTP cache URL (a `fairbench
 	// cachesrv` or a serve daemon's /cache mount) layered behind
@@ -140,9 +141,11 @@ type Report struct {
 	// CellsComputed and CellsCached split the grid's cells by who did
 	// the work.
 	CellsComputed, CellsCached int
-	// ServedFromCache reports that the whole grid was materialized from
-	// the result store by the calling process: no worker subprocess was
-	// spawned and no host was touched.
+	// ServedFromCache reports that sched's plan found every cell cached
+	// and the calling process materialized the whole grid from the
+	// result store: no manifest or part was written, no worker
+	// subprocess was spawned and no host was touched. In-process runs
+	// leave it false; their served cells count in CellsCached.
 	ServedFromCache bool
 	// Degraded marks a sched run that completed only through the
 	// coordinator's local fallback after the whole pool was lost.
@@ -259,9 +262,6 @@ func (e *Engine) Run(ctx context.Context, spec experiments.Spec, opts RunOptions
 		if opts.Dir == "" {
 			return nil, nil, fmt.Errorf("engine: backend %q requires Dir", backend)
 		}
-		if out, rep, ok, err := serveFromCache(ctx, spec, opts); ok || err != nil {
-			return out, rep, err
-		}
 		out, srep, err := sched.RunContext(ctx, spec, schedOptions(opts))
 		return out, fromSched(srep), err
 	default:
@@ -280,114 +280,47 @@ func (e *Engine) ResumeRun(ctx context.Context, dir string, opts RunOptions) (*e
 	return out, fromSched(srep), err
 }
 
-// runInproc executes the whole grid as one in-process "shard" on the
-// runner pool — the path serial CLI commands and library callers take.
+// runInproc executes the whole grid on this process's runner pool — the
+// path serial CLI commands and library callers take. Cells the store
+// verifies are served instead of computed; each served cell is marked
+// Cached.
 func runInproc(ctx context.Context, spec experiments.Spec, opts RunOptions) (*experiments.Output, *Report, error) {
 	s, err := store.OpenBackend(opts.CacheDir, opts.RemoteStore)
 	if err != nil {
 		return nil, nil, err
 	}
-	env, err := experiments.RunShardContext(ctx, spec, 0, 1, s, opts.Parallelism)
+	g, err := experiments.Open(spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	out, err := experiments.MergeShards([]*shard.Envelope{env})
+	fp, err := g.Fingerprint()
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := &Report{
-		Backend:       BackendInproc,
-		Arch:          runtime.GOARCH,
-		Fingerprint:   env.Fingerprint,
-		CellsComputed: len(env.Indices) - len(env.Cached),
-		CellsCached:   len(env.Cached),
+	g.SetCache(s)
+	g.SetWorkers(opts.Parallelism)
+	cells, err := g.RunRangeContext(ctx, 0, g.Len())
+	if err != nil {
+		return nil, nil, err
 	}
-	attachCache(rep, s)
+	out, err := g.Assemble(cells)
+	if err != nil {
+		return nil, nil, err
+	}
+	rep := &Report{Backend: BackendInproc, Arch: runtime.GOARCH, Fingerprint: fp}
+	for _, c := range cells {
+		if c.Cached {
+			rep.CellsCached++
+		}
+	}
+	rep.CellsComputed = len(cells) - rep.CellsCached
+	if s != nil {
+		rep.CacheStats = s.Counters()
+		if td, ok := s.(*store.TieredStore); ok && td.Degraded() {
+			rep.CacheDegraded = true
+		}
+	}
 	return out, rep, nil
-}
-
-// attachCache copies a store handle's counters (and, for tiered stores,
-// the remote-outage latch) onto the report — the one place every
-// backend's cache observability goes through.
-func attachCache(rep *Report, s store.Backend) {
-	if rep == nil || s == nil {
-		return
-	}
-	rep.CacheStats = s.Counters()
-	if td, ok := s.(*store.TieredStore); ok && td.Degraded() {
-		rep.CacheDegraded = true
-	}
-}
-
-// serveFromCache is the warm-grid short-circuit for the process-backed
-// backend: when a fresh run's grid is fully served by the result
-// store, the coordinator materializes it directly — computed=0, no
-// subprocess spawned, no host touched. Runs that already have a
-// manifest (interrupted, being resumed by Run) fall through so the
-// directory protocol stays in charge.
-func serveFromCache(ctx context.Context, spec experiments.Spec, opts RunOptions) (*experiments.Output, *Report, bool, error) {
-	if opts.CacheDir == "" && opts.RemoteStore == "" {
-		return nil, nil, false, nil
-	}
-	if _, err := os.Stat(filepath.Join(opts.Dir, dispatch.ManifestName)); err == nil {
-		return nil, nil, false, nil
-	}
-	s, err := store.OpenBackend(opts.CacheDir, opts.RemoteStore)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	plan, err := experiments.PlanShardsCacheAware(spec, 1, s)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	if plan.TotalUncached() > 0 {
-		return nil, nil, false, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, false, fmt.Errorf("engine: cancelled before serving cached grid: %w", err)
-	}
-	envs := make([]*shard.Envelope, len(plan.Ranges))
-	for i := range plan.Ranges {
-		// Single-pass plan+serve: planning already read and verified every
-		// cached payload, so materialize the envelopes from those bytes.
-		// The fallback covers entries that went bad between probe and
-		// serve — RunShardPlanned then recomputes them like any cache miss.
-		if env, ok := plan.ServeEnvelope(i); ok {
-			envs[i] = env
-			continue
-		}
-		if envs[i], err = experiments.RunShardPlanned(spec, plan.Ranges, i, s); err != nil {
-			return nil, nil, false, err
-		}
-	}
-	out, err := experiments.MergeShards(envs)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	cached := 0
-	for _, env := range envs {
-		cached += len(env.Cached)
-	}
-	fp := ""
-	if len(envs) > 0 {
-		fp = envs[0].Fingerprint
-	}
-	if opts.Log != nil {
-		src := opts.CacheDir
-		if src == "" {
-			src = opts.RemoteStore
-		}
-		fmt.Fprintf(opts.Log, "engine: grid fully cached — served %d cell(s) from %s without touching a worker or host\n", cached, src)
-	}
-	rep := &Report{
-		Backend:         BackendSched,
-		Arch:            runtime.GOARCH,
-		Fingerprint:     fp,
-		CellsCached:     cached,
-		ServedFromCache: true,
-	}
-	attachCache(rep, s)
-	return out, rep, true, nil
 }
 
 func schedOptions(opts RunOptions) sched.Options {
@@ -431,14 +364,15 @@ func fromSched(rep *sched.Report) *Report {
 		return nil
 	}
 	return &Report{
-		Backend:       BackendSched,
-		Arch:          runtime.GOARCH,
-		Fingerprint:   rep.Fingerprint,
-		CellsComputed: rep.CellsComputed,
-		CellsCached:   rep.CellsCached,
-		Degraded:      rep.Degraded,
-		CacheStats:    rep.Cache,
-		CacheDegraded: rep.CacheDegraded,
-		Sched:         rep,
+		Backend:         BackendSched,
+		Arch:            runtime.GOARCH,
+		Fingerprint:     rep.Fingerprint,
+		CellsComputed:   rep.CellsComputed,
+		CellsCached:     rep.CellsCached,
+		ServedFromCache: rep.ServedFromCache,
+		Degraded:        rep.Degraded,
+		CacheStats:      rep.Cache,
+		CacheDegraded:   rep.CacheDegraded,
+		Sched:           rep,
 	}
 }

@@ -632,7 +632,7 @@ func (g *Grid) RunRangeContext(ctx context.Context, start, end int) ([]Cell, err
 	if g.kind == kindSens {
 		g.slices[0].train.EnableBatchCache()
 	}
-	opts := runner.Options{FailFast: true, Offset: start, Workers: g.workers}
+	opts := runner.Options{Offset: start, Workers: g.workers}
 	if g.kind == kindScale {
 		opts.Workers = 1
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -54,8 +55,8 @@ func populateSubset(t *testing.T, full, dst *store.DiskStore, fp string, seed in
 }
 
 // TestPlanCacheAwareFullyCachedAssignsNothing pins the headline planning
-// contract: over a fully-cached grid the plan is one skippable range and
-// Assigned() is empty — a scheduler has nothing to place on hosts.
+// contract: over a fully-cached grid the plan is one skippable range
+// with no uncached cell — a scheduler has nothing to place on hosts.
 func TestPlanCacheAwareFullyCachedAssignsNothing(t *testing.T) {
 	spec := planSpec()
 	dir := t.TempDir()
@@ -70,10 +71,7 @@ func TestPlanCacheAwareFullyCachedAssignsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := plan.Assigned(); len(got) != 0 {
-		t.Fatalf("fully-cached grid assigned ranges %v", got)
-	}
-	if len(plan.Ranges) != 1 || plan.TotalUncached() != 0 {
+	if len(plan.Ranges) != 1 || !reflect.DeepEqual(plan.Uncached, []int{0}) {
 		t.Fatalf("fully-cached plan: %+v", plan)
 	}
 
@@ -83,7 +81,7 @@ func TestPlanCacheAwareFullyCachedAssignsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cold.Assigned()) != 2 || cold.TotalUncached() != cold.Total {
+	if len(cold.Uncached) != 2 || cold.Uncached[0] == 0 || cold.Uncached[1] == 0 || cold.TotalUncached() != cold.Total {
 		t.Fatalf("storeless plan: %+v", cold)
 	}
 }

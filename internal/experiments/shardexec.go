@@ -66,20 +66,6 @@ type ShardPlan struct {
 	payloads map[int][]byte
 }
 
-// Assigned returns the plan positions that still hold uncached work —
-// the ranges a scheduler must place on hosts. Positions absent here are
-// fully cached and are served by the coordinator without spawning
-// anything; over a fully-cached grid Assigned is empty.
-func (p *ShardPlan) Assigned() []int {
-	var idx []int
-	for i, u := range p.Uncached {
-		if u > 0 {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
 // TotalUncached sums the uncached cells across the plan.
 func (p *ShardPlan) TotalUncached() int {
 	total := 0

@@ -15,7 +15,6 @@
 package runner
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -27,17 +26,9 @@ type Options struct {
 	// Workers is the number of concurrent workers; <= 0 uses one per
 	// CPU (runtime.GOMAXPROCS(0)). 1 degenerates to the serial loop.
 	Workers int
-	// FailFast stops executing further jobs after the first failure
-	// (queued jobs are still drained, but skipped) and returns that
-	// failure alone. A job is only skipped when a lower-index job has
-	// already failed, so the reported error is exactly the one the
-	// serial loop would have hit first. When false (collect-all), every
-	// job runs and all failures are returned joined, alongside the
-	// successful results.
-	FailFast bool
 	// Progress, when non-nil, is called after each job finishes with the
 	// completed count and the total. Calls are serialized; done is
-	// strictly increasing and reaches total unless FailFast skips jobs.
+	// strictly increasing and reaches total unless a failure skips jobs.
 	Progress func(done, total int)
 	// Offset shifts the job index space: the n jobs are invoked with
 	// indices [Offset, Offset+n), and JobError reports the shifted index.
@@ -65,11 +56,10 @@ func (e *JobError) Unwrap() error { return e.Err }
 // from i (and its own captured seeds), never from state shared with other
 // jobs.
 //
-// In fail-fast mode a failure returns (nil, err) where err wraps the
-// lowest-index failure — the one the equivalent serial loop would have
-// returned. In collect-all mode Run always returns the full result slice
-// (zero values at failed indices) plus all failures joined in index order,
-// or a nil error when every job succeeded.
+// A failure stops the run: no job starts once a lower-index job has
+// failed (queued jobs are drained, but skipped), and Run returns
+// (nil, err) where err is a *JobError wrapping the lowest-index failure —
+// the one the equivalent serial loop would have returned.
 func Run[T any](n int, opts Options, job func(i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	if n == 0 {
@@ -88,7 +78,12 @@ func Run[T any](n int, opts Options, job func(i int) (T, error)) ([]T, error) {
 	} else {
 		runPool(n, workers, opts, job, results, errs)
 	}
-	return collect(results, errs, opts)
+	for i, err := range errs {
+		if err != nil {
+			return nil, &JobError{Index: opts.Offset + i, Err: err}
+		}
+	}
+	return results, nil
 }
 
 func runSerial[T any](n int, opts Options, job func(int) (T, error), results []T, errs []error) {
@@ -97,7 +92,7 @@ func runSerial[T any](n int, opts Options, job func(int) (T, error), results []T
 		if opts.Progress != nil {
 			opts.Progress(i+1, n)
 		}
-		if errs[i] != nil && opts.FailFast {
+		if errs[i] != nil {
 			return
 		}
 	}
@@ -111,9 +106,9 @@ func runPool[T any](n, workers int, opts Options, job func(int) (T, error), resu
 		done int
 	)
 	// firstFail is the lowest job index known to have failed (n = none
-	// yet). Fail-fast skips job i only when firstFail < i, so every job
-	// below the eventual minimum failure is guaranteed to execute — which
-	// is what makes the reported error exactly the serial loop's, not
+	// yet). Job i is skipped only when firstFail < i, so every job below
+	// the eventual minimum failure is guaranteed to execute — which is
+	// what makes the reported error exactly the serial loop's, not
 	// merely the first failure some worker happened to observe.
 	var firstFail atomic.Int64
 	firstFail.Store(int64(n))
@@ -123,7 +118,7 @@ func runPool[T any](n, workers int, opts Options, job func(int) (T, error), resu
 			defer wg.Done()
 			for i := range jobs {
 				// A stale read only delays the skip by one job.
-				if opts.FailFast && firstFail.Load() < int64(i) {
+				if firstFail.Load() < int64(i) {
 					continue
 				}
 				results[i], errs[i] = job(opts.Offset + i)
@@ -149,19 +144,4 @@ func runPool[T any](n, workers int, opts Options, job func(int) (T, error), resu
 	}
 	close(jobs)
 	wg.Wait()
-}
-
-func collect[T any](results []T, errs []error, opts Options) ([]T, error) {
-	var joined []error
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		wrapped := &JobError{Index: opts.Offset + i, Err: err}
-		if opts.FailFast {
-			return nil, wrapped
-		}
-		joined = append(joined, wrapped)
-	}
-	return results, errors.Join(joined...)
 }

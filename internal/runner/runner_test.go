@@ -40,7 +40,7 @@ func TestRunFailFastReportsSerialError(t *testing.T) {
 	// Jobs 3 and 7 fail; fail-fast must report job 3 — the failure the
 	// serial loop would have hit first — regardless of worker count.
 	for _, workers := range []int{1, 2, 8} {
-		_, err := Run(10, Options{Workers: workers, FailFast: true}, func(i int) (string, error) {
+		_, err := Run(10, Options{Workers: workers}, func(i int) (string, error) {
 			if i == 3 || i == 7 {
 				return "", fmt.Errorf("boom %d", i)
 			}
@@ -66,7 +66,6 @@ func TestRunFailFastSkipsRemainingJobs(t *testing.T) {
 	var once sync.Once
 	_, err := Run(100, Options{
 		Workers:  2,
-		FailFast: true,
 		Progress: func(int, int) { once.Do(func() { close(failed) }) },
 	}, func(i int) (int, error) {
 		ran.Add(1)
@@ -81,34 +80,6 @@ func TestRunFailFastSkipsRemainingJobs(t *testing.T) {
 	}
 	if n := ran.Load(); n > 2 {
 		t.Fatalf("fail-fast ran %d jobs, want at most jobs 0 and 1", n)
-	}
-}
-
-func TestRunCollectAllKeepsResultsAndJoinsErrors(t *testing.T) {
-	sentinel := errors.New("bad job")
-	for _, workers := range []int{1, 4} {
-		got, err := Run(6, Options{Workers: workers}, func(i int) (int, error) {
-			if i%2 == 1 {
-				return 0, fmt.Errorf("job %d: %w", i, sentinel)
-			}
-			return i + 100, nil
-		})
-		if !errors.Is(err, sentinel) {
-			t.Fatalf("workers=%d: joined error %v does not wrap sentinel", workers, err)
-		}
-		var je *JobError
-		if !errors.As(err, &je) || je.Index != 1 {
-			t.Fatalf("workers=%d: first JobError %+v, want index 1", workers, je)
-		}
-		for i, v := range got {
-			want := 0
-			if i%2 == 0 {
-				want = i + 100
-			}
-			if v != want {
-				t.Fatalf("workers=%d: result %d = %d, want %d", workers, i, v, want)
-			}
-		}
 	}
 }
 

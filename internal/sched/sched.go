@@ -36,6 +36,10 @@
 //     plan time, so fully-cached ranges never reach a host (the
 //     coordinator materializes them from the store) and the remaining
 //     ranges are balanced by uncached cell count, not raw cell count.
+//     A fresh directory whose plan finds every cell cached is served
+//     in memory, with no manifest or part written
+//     (Report.ServedFromCache). This plan is the only one a run makes,
+//     so its store counters are the run's.
 //
 // Failure semantics, in one table:
 //
@@ -215,6 +219,11 @@ type Report struct {
 	// Skipped lists fully-cached positions the coordinator materialized
 	// from the store without assigning any host.
 	Skipped []int
+	// ServedFromCache marks a fresh run whose plan found every cell
+	// cached: the coordinator served every range in memory and wrote
+	// neither manifest nor part, so the directory holds nothing to
+	// resume.
+	ServedFromCache bool
 	// Completed maps each host to the positions it delivered.
 	Completed map[string][]int
 	// Attempts maps each executed position to how many placements it
@@ -315,16 +324,7 @@ func run(ctx context.Context, ns experiments.Spec, opts Options, resuming bool) 
 	if err != nil {
 		return nil, nil, err
 	}
-	manifestBytes, err := os.ReadFile(manifestPath)
-	if err != nil {
-		return nil, nil, fmt.Errorf("sched: %w", err)
-	}
-	rep := &Report{
-		Fingerprint: m.Fingerprint,
-		Ranges:      ranges,
-		Completed:   map[string][]int{},
-		Attempts:    map[int]int{},
-	}
+	rep := &Report{Completed: map[string][]int{}, Attempts: map[int]int{}}
 	// Snapshot the coordinator's store view on every exit path: counters
 	// (including verification rejects) and, for tiered stores, whether
 	// the remote side was declared down mid-run.
@@ -337,6 +337,14 @@ func run(ctx context.Context, ns experiments.Spec, opts Options, resuming bool) 
 			rep.CacheDegraded = true
 		}
 	}()
+	if m == nil {
+		return serveCached(ctx, plan, st, opts, rep, logf)
+	}
+	rep.Fingerprint, rep.Ranges = m.Fingerprint, ranges
+	manifestBytes, err := os.ReadFile(manifestPath)
+	if err != nil {
+		return nil, rep, fmt.Errorf("sched: %w", err)
+	}
 
 	// Scan: reuse every envelope that still validates; anything else is
 	// moved aside and its range re-enters the plan.
@@ -389,14 +397,9 @@ func run(ctx context.Context, ns experiments.Spec, opts Options, resuming bool) 
 			work = append(work, i)
 			continue
 		}
-		// Fresh plans carry the payloads the cache-aware probe verified,
-		// so serving needs no second store pass; adopted manifests (nil
-		// plan) and entries gone bad since probing take the store path.
-		env, ok := plan.ServeEnvelope(i)
-		if !ok {
-			if env, err = experiments.RunShardPlanned(m.Spec, ranges, i, st); err != nil {
-				return nil, rep, err
-			}
+		env, err := serveRange(plan, m.Spec, ranges, i, st)
+		if err != nil {
+			return nil, rep, err
 		}
 		data, err := env.Encode()
 		if err != nil {
@@ -495,6 +498,52 @@ func run(ctx context.Context, ns experiments.Spec, opts Options, resuming bool) 
 	logf("sched: merged %d range(s) (cells computed=%d cached=%d)",
 		len(ranges), rep.CellsComputed, rep.CellsCached)
 	return out, rep, nil
+}
+
+// serveCached answers a fresh run whose plan found every cell cached:
+// the coordinator materializes each range and merges the envelopes in
+// memory. It writes neither manifest nor part, so the directory is left
+// as it was found and no host is touched.
+func serveCached(ctx context.Context, plan *experiments.ShardPlan, st store.Backend, opts Options,
+	rep *Report, logf func(string, ...any)) (*experiments.Output, *Report, error) {
+	rep.Fingerprint, rep.Ranges, rep.Uncached = plan.Fingerprint, plan.Ranges, plan.Uncached
+	envs := make([]*shard.Envelope, len(plan.Ranges))
+	for i := range plan.Ranges {
+		if err := ctx.Err(); err != nil {
+			return nil, rep, fmt.Errorf("sched: cancelled before serving the cached grid: %w", err)
+		}
+		env, err := serveRange(plan, plan.Spec, plan.Ranges, i, st)
+		if err != nil {
+			return nil, rep, err
+		}
+		envs[i] = env
+		rep.Skipped = append(rep.Skipped, i)
+		rep.CellsCached += len(env.Cached)
+		rep.CellsComputed += len(env.Indices) - len(env.Cached)
+	}
+	out, err := experiments.MergeShards(envs)
+	if err != nil {
+		return nil, rep, err
+	}
+	rep.ServedFromCache = true
+	src := opts.CacheDir
+	if src == "" {
+		src = opts.RemoteStore
+	}
+	logf("sched: grid fully cached — served %d cell(s) from the result store at %s; wrote no manifest and touched no host", rep.CellsCached, src)
+	return out, rep, nil
+}
+
+// serveRange materializes plan position i on the coordinator. A fresh
+// plan carries the payloads its cache-aware probe verified, so serving
+// needs no second store pass; an adopted manifest (nil plan) and
+// entries gone bad since probing take the store path, which recomputes
+// a bad entry like any cache miss.
+func serveRange(plan *experiments.ShardPlan, spec experiments.Spec, ranges []shard.Range, i int, st store.Backend) (*shard.Envelope, error) {
+	if env, ok := plan.ServeEnvelope(i); ok {
+		return env, nil
+	}
+	return experiments.RunShardPlanned(spec, ranges, i, st)
 }
 
 // hostState is one pool member's scheduling state.
@@ -602,13 +651,12 @@ func buildPool(opts *Options) ([]*hostState, map[string]Transport, error) {
 // A fresh directory's plan also rides back whole (nil when adopting an
 // existing manifest): it carries the payloads the cache-aware probe
 // already verified, letting the serve step materialize fully-cached
-// ranges without a second pass over the store.
+// ranges without a second pass over the store. When that plan finds
+// every cell cached, prepare creates nothing and returns a nil
+// manifest with the plan: run serves the grid in memory.
 func prepare(ns experiments.Spec, opts *Options, st store.Backend, resuming bool) (*dispatch.Manifest, string, []shard.Range, []int, *experiments.ShardPlan, store.Backend, error) {
 	fail := func(err error) (*dispatch.Manifest, string, []shard.Range, []int, *experiments.ShardPlan, store.Backend, error) {
 		return nil, "", nil, nil, nil, nil, err
-	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return fail(fmt.Errorf("sched: %w", err))
 	}
 	manifestPath := filepath.Join(opts.Dir, dispatch.ManifestName)
 	existing, err := dispatch.ReadManifest(manifestPath)
@@ -674,6 +722,12 @@ func prepare(ns experiments.Spec, opts *Options, st store.Backend, resuming bool
 		plan, err := experiments.PlanShardsCacheAware(ns, opts.Shards, st)
 		if err != nil {
 			return fail(err)
+		}
+		if plan.TotalUncached() == 0 {
+			return nil, "", plan.Ranges, plan.Uncached, plan, st, nil
+		}
+		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+			return fail(fmt.Errorf("sched: %w", err))
 		}
 		m := &dispatch.Manifest{
 			Version:     dispatch.ManifestVersion,

@@ -79,10 +79,12 @@ type Config struct {
 	// Spawn, when set, replaces Run.Spawn: it overrides how worker
 	// subprocesses are created.
 	Spawn dispatch.SpawnFunc
-	// StreamInterval is how often /runs/{id}/stream polls for newly
-	// landed shards. Default 100ms.
-	StreamInterval time.Duration
 }
+
+// streamInterval is how often /runs/{id}/stream polls the run directory
+// for newly landed shards; a run's end is signalled at once, whatever
+// the interval.
+const streamInterval = 100 * time.Millisecond
 
 // runState is the lifecycle of one run.
 type runState string
@@ -165,9 +167,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 1
-	}
-	if cfg.StreamInterval <= 0 {
-		cfg.StreamInterval = 100 * time.Millisecond
 	}
 	s := &Server{
 		cfg:  cfg,
@@ -763,7 +762,7 @@ func (s *Server) handleStream(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 
-	ticker := time.NewTicker(s.cfg.StreamInterval)
+	ticker := time.NewTicker(streamInterval)
 	defer ticker.Stop()
 	for {
 		emitLanded()

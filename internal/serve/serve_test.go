@@ -109,9 +109,6 @@ func newServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	if cfg.Run.Parallelism == 0 {
 		cfg.Run.Parallelism = 2
 	}
-	if cfg.StreamInterval == 0 {
-		cfg.StreamInterval = 20 * time.Millisecond
-	}
 	if cfg.Spawn == nil {
 		cfg.Spawn = helperSpawn()
 	}

@@ -11,7 +11,7 @@ import (
 // dropped.
 // Mount it under a prefix with http.StripPrefix — the serve daemon
 // exposes it at /cache/, and `fairbench cachesrv` is a standalone
-// process that is nothing but this handler plus /healthz and /metrics.
+// process that is nothing but this handler plus /healthz.
 //
 // The server is as paranoid as the client: a PUT body is decoded and
 // fully verified against the key in the URL before it is stored (422 on

@@ -233,17 +233,6 @@ type Counters struct {
 	Errors int64
 }
 
-// add returns field-wise c + o.
-func (c Counters) add(o Counters) Counters {
-	return Counters{
-		Hits:     c.Hits + o.Hits,
-		Misses:   c.Misses + o.Misses,
-		Writes:   c.Writes + o.Writes,
-		Rejected: c.Rejected + o.Rejected,
-		Errors:   c.Errors + o.Errors,
-	}
-}
-
 // Backend is a verified result cache: the contract shared by DiskStore,
 // RemoteStore, and TieredStore, and the type the execution layers
 // (experiments, dispatch, sched, engine) plan and serve against. Get is
