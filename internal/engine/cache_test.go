@@ -129,8 +129,7 @@ func TestRemoteStoreWarmRunSpawnsNothing(t *testing.T) {
 // TestSchedCorruptCacheEntryRejectedOnce is the sched-backed twin of
 // TestCorruptCacheEntryRejectedOnce: the run's one cache-aware plan is
 // the probe that meets the corrupted entry, so its rejection reaches
-// Report.CacheStats instead of being counted on a handle nobody reads,
-// and a worker recomputes exactly that cell.
+// Report.CacheStats, and a worker recomputes exactly that cell.
 func TestSchedCorruptCacheEntryRejectedOnce(t *testing.T) {
 	spec := smallSpec()
 	want := serialReference(t, spec)
