@@ -80,8 +80,8 @@
 // grid into -shards ranges, runs each as a worker subprocess (a
 // `fairbench worker` re-exec of this binary), collects the envelopes
 // under -dir, and prints the merged tables. dispatch is sched without
-// -hosts: one local host with -procs slots (-parallel, then one per CPU,
-// when -procs is 0). A failed range runs again only in one of -retries
+// -hosts: one local host with -parallel slots (one per CPU when
+// -parallel is 0). A failed range runs again only in one of -retries
 // rounds; a host that fails -max-host-failures attempts is excluded, and
 // once no host is left the run either finishes the remaining ranges in
 // process (-local-fallback, on by default; marked degraded) or fails
@@ -89,10 +89,10 @@
 // resumable: if it is interrupted — or a worker is SIGKILLed with no
 // retries left — the completed envelopes and cached cells survive, and
 //
-//	fairbench dispatch -exp fig7 -dataset german -shards 8 -procs 4 \
+//	fairbench dispatch -exp fig7 -dataset german -shards 8 -parallel 4 \
 //	    -dir run -cache cache
 //	# ... interrupted ...
-//	fairbench resume -dir run -procs 4
+//	fairbench resume -dir run -parallel 4
 //
 // finishes only the missing work and prints tables byte-identical
 // (timing aside) to an uninterrupted serial run. resume takes the
@@ -172,7 +172,7 @@ func main() {
 	kFlag := fs.Int("k", 5, "cross-validation folds")
 	runsFlag := fs.Int("runs", 10, "stability runs")
 	seedFlag := fs.Int64("seed", 1, "global seed")
-	parallelFlag := fs.Int("parallel", 0, "experiment worker goroutines (0 = GOMAXPROCS; 1 = serial, for contention-free timing)")
+	parallelFlag := fs.Int("parallel", 0, "experiment worker goroutines (0 = GOMAXPROCS; 1 = serial, for contention-free timing); dispatch/sched/resume/serve: slots of the local host used without -hosts")
 	shardFlag := fs.String("shard", "", "run one shard i/K (0-based) of the command's job grid and emit a JSON envelope instead of tables")
 	outFlag := fs.String("out", "", "file for the -shard envelope or the merged-output JSON (default: envelope to stdout; merge prints tables only)")
 	gridFlag := fs.String("grid", "rows", "which fig8 grid to shard: rows|attrs")
@@ -183,17 +183,17 @@ func main() {
 	biasRateNegFlag := fs.Float64("bias-rate-neg", 0, "under-representation's negative-label drop rate β⁻")
 	expFlag := fs.String("exp", "", "dispatch/sched: grid experiment name (fig7|fig9|fig10|fig15|cv|fig22|fig23|fig8rows|fig8attrs)")
 	dirFlag := fs.String("dir", "", "dispatch/sched/resume: run directory holding the manifest and part files; cachesrv: store directory")
-	shardsFlag := fs.Int("shards", 0, "dispatch/sched/serve: target number of work ranges (default: the pool's slot count)")
-	procsFlag := fs.Int("procs", 0, "dispatch/sched/resume/serve: slots of the local host used without -hosts (default: -parallel, then GOMAXPROCS)")
-	retriesFlag := fs.Int("retries", 1, "dispatch/sched/resume/serve: extra rounds over the pool for a range every live host has failed (0 or negative = none)")
+	var schedOpts fairbench.SchedOptions
+	fs.IntVar(&schedOpts.Shards, "shards", 0, "dispatch/sched/serve: target number of work ranges (default: the pool's slot count)")
+	fs.IntVar(&schedOpts.Retries, "retries", 1, "dispatch/sched/resume/serve: extra rounds over the pool for a range every live host has failed (0 or negative = none)")
 	manifestFlag := fs.String("manifest", "", "worker: manifest file of the run directory (- reads it from stdin)")
-	hostsFlag := fs.String("hosts", "", "sched/resume/serve: hosts.json pool definition (default: one local host with -procs slots)")
-	heartbeatFlag := fs.Duration("heartbeat", 60*time.Second, "dispatch/sched/resume/serve: declare a host dead after this long without a transport heartbeat")
-	maxHostFailFlag := fs.Int("max-host-failures", 3, "dispatch/sched/resume/serve: exclude a host after this many failed attempts")
-	speculateFlag := fs.Bool("speculate", false, "dispatch/sched/resume/serve: re-launch straggling ranges on idle hosts; first valid part wins")
-	backoffFlag := fs.Duration("backoff", 0, "dispatch/sched/resume/serve: base delay before retrying a failed range, doubling per attempt with jitter (0 = 100ms default, negative = retry immediately)")
+	hostsFlag := fs.String("hosts", "", "sched/resume/serve: hosts.json pool definition (default: one local host with -parallel slots)")
+	fs.DurationVar(&schedOpts.HeartbeatTimeout, "heartbeat", 60*time.Second, "dispatch/sched/resume/serve: declare a host dead after this long without a transport heartbeat")
+	fs.IntVar(&schedOpts.MaxHostFailures, "max-host-failures", 3, "dispatch/sched/resume/serve: exclude a host after this many failed attempts")
+	fs.BoolVar(&schedOpts.Speculate, "speculate", false, "dispatch/sched/resume/serve: re-launch straggling ranges on idle hosts; first valid part wins")
+	fs.DurationVar(&schedOpts.Backoff, "backoff", 0, "dispatch/sched/resume/serve: base delay before retrying a failed range, doubling per attempt with jitter (0 = 100ms default, negative = retry immediately)")
 	watchHostsFlag := fs.Duration("watch-hosts", 0, "sched/resume only (serve changes its pool through POST /pool): re-read -hosts at this interval; added hosts join mid-run, removed hosts drain (0 = off)")
-	localFallbackFlag := fs.Bool("local-fallback", true, "dispatch/sched/resume/serve: when every host is lost, finish the remaining ranges in-process (report marks the run degraded)")
+	fs.BoolVar(&schedOpts.LocalFallback, "local-fallback", true, "dispatch/sched/resume/serve: when every host is lost, finish the remaining ranges in-process (report marks the run degraded)")
 	addrFlag := fs.String("addr", "127.0.0.1:8080", "serve: HTTP listen address")
 	stateFlag := fs.String("state", "", "serve: state directory (one resumable run directory per grid)")
 	maxRunsFlag := fs.Int("max-runs", 1, "serve: concurrently executing runs before submissions get 429")
@@ -214,11 +214,7 @@ func main() {
 		exit(cmdWorker(*manifestFlag, idx, *outFlag))
 	}
 
-	pool := poolFlags{
-		hostsPath: *hostsFlag, shards: *shardsFlag, procs: *procsFlag, retries: *retriesFlag,
-		maxHostFailures: *maxHostFailFlag, heartbeat: *heartbeatFlag, speculate: *speculateFlag,
-		backoff: *backoffFlag, watchHosts: *watchHostsFlag, localFallback: *localFallbackFlag,
-	}
+	pool := poolFlags{hostsPath: *hostsFlag, watchHosts: *watchHostsFlag, sched: schedOpts}
 	switch cmd {
 	case "dispatch", "sched":
 		exit(cmdSched(cmd, *expFlag, *datasetFlag, *nFlag, *kFlag, *runsFlag, *seedFlag, bias,
@@ -359,15 +355,15 @@ func usage() {
        fairbench <figN|cv> ... -shard i/K [-out part.json] [-cache DIR]  run one grid shard
        fairbench merge part0.json part1.json ...                         combine shards
        fairbench sched -exp <figN|cv|fig8rows|fig8attrs> [figure flags] -dir DIR
-                 [-hosts hosts.json | -procs N] [-shards K] [-cache DIR] [-remote-store URL]
+                 [-hosts hosts.json | -parallel N] [-shards K] [-cache DIR] [-remote-store URL]
                  [-retries R] [-heartbeat 60s] [-max-host-failures 3] [-speculate]
                  [-backoff 100ms] [-watch-hosts 5s] [-local-fallback=true]
                  run the grid as worker processes across a pool of hosts
                  (-watch-hosts is for sched and resume only)
-       fairbench dispatch ...                  sched without -hosts: one local host of -procs slots
+       fairbench dispatch ...                  sched without -hosts: one local host of -parallel slots
        fairbench resume -dir DIR [sched pool flags]                      finish an interrupted run
        fairbench serve -state DIR [-addr 127.0.0.1:8080] [-cache DIR]
-                 [-remote-store URL] [-hosts hosts.json] [-shards K] [-procs N]
+                 [-remote-store URL] [-hosts hosts.json] [-shards K] [-parallel N]
                  [-retries R] [-max-runs 1] [-speculate] [-backoff 100ms]
                  benchmark-as-a-service daemon (also serves /cache); it
                  authenticates no one, so bind -addr where only trusted
@@ -422,39 +418,27 @@ func signalContext() (context.Context, context.CancelFunc) {
 }
 
 // poolFlags are the scheduler settings the dispatch, sched, resume and
-// serve commands share (serve refuses -watch-hosts).
+// serve commands share: the flags parsed straight into sched, plus the
+// hosts file and its re-read interval (serve refuses -watch-hosts).
 type poolFlags struct {
-	hostsPath                      string
-	shards, procs, retries         int
-	maxHostFailures                int
-	heartbeat, backoff, watchHosts time.Duration
-	speculate, localFallback       bool
-}
-
-// localSlots sizes the one local host used without -hosts: -procs,
-// falling back to -parallel (0 = one slot per CPU).
-func (p poolFlags) localSlots() int {
-	if p.procs > 0 {
-		return p.procs
-	}
-	return parallelism
+	hostsPath  string
+	watchHosts time.Duration
+	sched      fairbench.SchedOptions
 }
 
 // runOptions turns the flags into the scheduler's run options: the
-// -hosts pool (re-read every -watch-hosts), or one local host. The
-// returned stop function closes the watcher.
+// -hosts pool (re-read every -watch-hosts), or one local host of
+// -parallel slots. The returned stop function closes the watcher.
 func (p poolFlags) runOptions() (fairbench.RunOptions, func(), error) {
 	opts := fairbench.RunOptions{
-		Backend: fairbench.BackendSched, Shards: p.shards, Parallelism: p.localSlots(),
-		HeartbeatTimeout: p.heartbeat, Retries: p.retries, MaxHostFailures: p.maxHostFailures,
-		Speculate: p.speculate, Backoff: p.backoff, LocalFallback: p.localFallback, Log: os.Stderr,
+		Backend: fairbench.BackendSched, Parallelism: parallelism, Sched: &p.sched, Log: os.Stderr,
 	}
 	if p.hostsPath != "" {
 		hosts, err := fairbench.LoadHosts(p.hostsPath)
 		if err != nil {
 			return opts, nil, err
 		}
-		opts.Hosts = hosts
+		p.sched.Hosts = hosts
 	}
 	if p.watchHosts <= 0 {
 		return opts, func() {}, nil
@@ -466,7 +450,7 @@ func (p poolFlags) runOptions() (fairbench.RunOptions, func(), error) {
 	if err != nil {
 		return opts, nil, err
 	}
-	opts.PoolSource = w
+	p.sched.PoolSource = w
 	return opts, func() { w.Close() }, nil
 }
 
@@ -521,7 +505,7 @@ func cmdResume(dir string, pool poolFlags, out string) error {
 // over HTTP execute on the same scheduler the dispatch/sched commands
 // use, deduplicated by grid fingerprint and checkpointed under -state.
 // SIGTERM/SIGINT drain gracefully; interrupted runs resume on restart.
-// Without -hosts every run goes to one local host of -procs slots; the
+// Without -hosts every run goes to one local host of -parallel slots; the
 // daemon then refuses POST /pool. With -hosts, POST /pool admits only
 // hosts of the file, with the file's transport and command; it is the
 // daemon's one membership source, so serve refuses -watch-hosts.

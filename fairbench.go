@@ -101,7 +101,8 @@
 //
 //	spec := fairbench.GridSpec{Experiment: "fig7", Dataset: "compas", Seed: 42}
 //	out, rep, err := fairbench.Run(ctx, spec, fairbench.RunOptions{
-//		Dir: "run", Shards: 8, Parallelism: 4, CacheDir: "cache",
+//		Dir: "run", Parallelism: 4, CacheDir: "cache",
+//		Sched: &fairbench.SchedOptions{Shards: 8},
 //	})
 //	// ... a worker is SIGKILLed, err names the missing ranges ...
 //	out, rep, err = fairbench.ResumeRun(ctx, "run", fairbench.RunOptions{Parallelism: 4})
@@ -111,8 +112,8 @@
 //
 // # Multi-host scheduling
 //
-// Setting RunOptions.Hosts replaces the one local host with a pool of
-// hosts, each with its own concurrency slots, over the same
+// Setting RunOptions.Sched's Hosts replaces the one local host with a
+// pool of hosts, each with its own concurrency slots, over the same
 // manifest/part-file protocol. Work reaches a host through a pluggable
 // transport — local subprocesses by default, or a worker binary run
 // over any command runner (ssh-shaped) with the manifest streamed in and
@@ -128,7 +129,8 @@
 //	hosts, _ := fairbench.LoadHosts("hosts.json")
 //	spec := fairbench.GridSpec{Experiment: "fig7", Dataset: "compas", Seed: 42}
 //	out, rep, err := fairbench.Run(ctx, spec, fairbench.RunOptions{
-//		Dir: "run", Hosts: hosts, CacheDir: "cache",
+//		Dir: "run", CacheDir: "cache",
+//		Sched: &fairbench.SchedOptions{Hosts: hosts},
 //	})
 //
 // The CLI exposes the same flow as `fairbench sched -exp fig7 -hosts
@@ -223,8 +225,12 @@ type (
 	// SchedTransport places one assigned range on a host (see
 	// sched.LocalExec and sched.RemoteExec for the built-ins).
 	SchedTransport = sched.Transport
-	// SchedOptions configures a scheduled run (pool, shard target,
-	// cache, heartbeat deadline, retry budget).
+	// SchedOptions holds a scheduled run's own settings (pool, shard
+	// target, heartbeat deadline, retry and failure budgets,
+	// speculation, backoff, local fallback, pool source, transports,
+	// event observer), set as RunOptions.Sched. Its Dir, CacheDir,
+	// RemoteStore and Log come from RunOptions; Run fails a SchedOptions
+	// that sets them.
 	SchedOptions = sched.Options
 	// SchedReport records what a scheduled run did: the cache-aware
 	// plan, ranges served from cache vs placed on hosts, per-host
@@ -246,11 +252,11 @@ type (
 	// defaults; see NewEngine.
 	Engine = engine.Engine
 	// SchedEvent is one observed scheduling transition (heartbeat,
-	// completion, failure, exclusion); see RunOptions.OnEvent.
+	// completion, failure, exclusion); see SchedOptions.OnEvent.
 	SchedEvent = sched.Event
 	// PoolSource feeds dynamic pool-membership changes (joins and
 	// graceful leaves) into a running scheduled execution; see
-	// RunOptions.PoolSource and sched.NewPoolChan / sched.WatchHosts.
+	// SchedOptions.PoolSource and sched.NewPoolChan / sched.WatchHosts.
 	PoolSource = sched.PoolSource
 	// PoolUpdate is one membership change a PoolSource delivers.
 	PoolUpdate = sched.PoolUpdate
@@ -424,7 +430,7 @@ func Run(ctx context.Context, spec GridSpec, opts RunOptions) (*GridOutput, *Run
 }
 
 // ResumeRun continues the directory-backed run recorded in dir on the
-// scheduler, one local host unless opts.Hosts says otherwise. Completed
+// scheduler, one local host unless opts.Sched names Hosts. Completed
 // envelopes are validated and reused, missing work is executed
 // (consulting the run's result cache at cell granularity), and the
 // completed set is merged.
@@ -446,7 +452,7 @@ func PlanShardsCacheAware(spec GridSpec, k int, cacheDir string) (*ShardPlan, er
 }
 
 // LoadHosts reads a hosts.json pool definition (a JSON array of
-// SchedHost objects) for RunOptions.Hosts.
+// SchedHost objects) for SchedOptions.Hosts.
 func LoadHosts(path string) ([]SchedHost, error) { return sched.LoadHosts(path) }
 
 // Split partitions a dataset with the paper's random hold-out protocol.

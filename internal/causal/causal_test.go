@@ -62,51 +62,6 @@ func TestMediators(t *testing.T) {
 	}
 }
 
-func TestTopoOrder(t *testing.T) {
-	g := universityGraph()
-	order := g.TopoOrder()
-	pos := map[string]int{}
-	for i, n := range order {
-		pos[n] = i
-	}
-	if pos["gender"] > pos["dept_choice"] || pos["dept_choice"] > pos["admitted"] {
-		t.Fatalf("topo order violates edges: %v", order)
-	}
-}
-
-func TestDSeparation(t *testing.T) {
-	// Chain a -> b -> c: a and c are d-connected, but separated given b.
-	chain := NewGraph()
-	chain.MustEdge("a", "b")
-	chain.MustEdge("b", "c")
-	if chain.DSeparated("a", "c", nil) {
-		t.Fatal("chain endpoints must be connected unconditionally")
-	}
-	if !chain.DSeparated("a", "c", []string{"b"}) {
-		t.Fatal("conditioning on the chain middle must separate")
-	}
-	// Collider a -> c <- b: a and b are separated, but connected given c.
-	col := NewGraph()
-	col.MustEdge("a", "c")
-	col.MustEdge("b", "c")
-	if !col.DSeparated("a", "b", nil) {
-		t.Fatal("collider parents must be separated unconditionally")
-	}
-	if col.DSeparated("a", "b", []string{"c"}) {
-		t.Fatal("conditioning on a collider must connect its parents")
-	}
-	// Fork a <- b -> c: connected, separated given b.
-	fork := NewGraph()
-	fork.MustEdge("b", "a")
-	fork.MustEdge("b", "c")
-	if fork.DSeparated("a", "c", nil) {
-		t.Fatal("fork endpoints must be connected unconditionally")
-	}
-	if !fork.DSeparated("a", "c", []string{"b"}) {
-		t.Fatal("conditioning on the fork root must separate")
-	}
-}
-
 // universityData builds the 12-tuple Figure 12 table with the predictions
 // listed there (admitted column). Attributes: SAT (0=Average, 1=High) and
 // dept_choice (0=Mathematics, 1=Physics); S: gender (1=Male).

@@ -1,7 +1,7 @@
 // Package causal implements the causal-inference substrate the paper's
 // causal fairness metrics and causal pre-processing approaches rely on: a
-// DAG type over dataset attributes, reachability and d-separation queries,
-// mediator discovery, and empirical adjustment-formula estimators for the
+// DAG type over dataset attributes, reachability queries, mediator
+// discovery, and empirical adjustment-formula estimators for the
 // Total Effect (TE), Natural Direct Effect (NDE), and Natural Indirect
 // Effect (NIE) of the sensitive attribute on a prediction (Pearl 2009;
 // Zhang et al. Theorems 4-5 as quoted in the paper's appendix).
@@ -66,9 +66,6 @@ func (g *Graph) MustEdge(from, to string) {
 		panic(err)
 	}
 }
-
-// Nodes returns the node names in insertion order.
-func (g *Graph) Nodes() []string { return append([]string(nil), g.nodes...) }
 
 // Has reports whether a node exists.
 func (g *Graph) Has(name string) bool { _, ok := g.index[name]; return ok }
@@ -193,119 +190,4 @@ func (g *Graph) HasDirectedPath(from, to string) bool {
 		return false
 	}
 	return g.reach(u, v)
-}
-
-// TopoOrder returns a topological order of the node names. It panics if the
-// graph somehow contains a cycle (AddEdge forbids them).
-func (g *Graph) TopoOrder() []string {
-	indeg := make([]int, len(g.nodes))
-	for v := range g.parents {
-		indeg[v] = len(g.parents[v])
-	}
-	var queue []int
-	for i, d := range indeg {
-		if d == 0 {
-			queue = append(queue, i)
-		}
-	}
-	var order []string
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		order = append(order, g.nodes[x])
-		for _, c := range g.kids[x] {
-			indeg[c]--
-			if indeg[c] == 0 {
-				queue = append(queue, c)
-			}
-		}
-	}
-	if len(order) != len(g.nodes) {
-		panic("causal: cycle detected in TopoOrder")
-	}
-	return order
-}
-
-// DSeparated reports whether x and y are d-separated given the
-// conditioning set z, using the standard reachability formulation over the
-// moralized ancestral "Bayes-ball" rules.
-func (g *Graph) DSeparated(x, y string, z []string) bool {
-	xi, ok := g.index[x]
-	if !ok {
-		return true
-	}
-	yi, ok := g.index[y]
-	if !ok {
-		return true
-	}
-	inZ := make([]bool, len(g.nodes))
-	for _, n := range z {
-		if id, ok := g.index[n]; ok {
-			inZ[id] = true
-		}
-	}
-	// ancestor-of-Z flags enable colliders
-	ancZ := make([]bool, len(g.nodes))
-	var mark func(int)
-	mark = func(v int) {
-		if ancZ[v] {
-			return
-		}
-		ancZ[v] = true
-		for _, p := range g.parents[v] {
-			mark(p)
-		}
-	}
-	for i, in := range inZ {
-		if in {
-			mark(i)
-		}
-	}
-	// Bayes-ball: states are (node, direction) with direction up (from
-	// child) or down (from parent).
-	type state struct {
-		node int
-		up   bool
-	}
-	seen := map[state]bool{}
-	queue := []state{{xi, true}} // leaving x travelling "up" covers both
-	queue = append(queue, state{xi, false})
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
-		if seen[s] {
-			continue
-		}
-		seen[s] = true
-		if s.node == yi && s.node != xi {
-			return false
-		}
-		if s.up {
-			// arrived from a child: if not in Z, can go to parents (up)
-			// and children (down).
-			if !inZ[s.node] {
-				for _, p := range g.parents[s.node] {
-					queue = append(queue, state{p, true})
-				}
-				for _, c := range g.kids[s.node] {
-					queue = append(queue, state{c, false})
-				}
-			}
-		} else {
-			// arrived from a parent: if not in Z, pass through to
-			// children; if an ancestor of Z (collider opened), bounce to
-			// parents.
-			if !inZ[s.node] {
-				for _, c := range g.kids[s.node] {
-					queue = append(queue, state{c, false})
-				}
-			}
-			if ancZ[s.node] {
-				for _, p := range g.parents[s.node] {
-					queue = append(queue, state{p, true})
-				}
-			}
-		}
-	}
-	return true
 }

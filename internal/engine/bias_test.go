@@ -46,7 +46,7 @@ func TestBiasedBackendsMatchSerial(t *testing.T) {
 	}
 
 	out, rep, err = eng.Run(ctx, spec, RunOptions{
-		Dir: t.TempDir(), Shards: 2, Parallelism: 2, Spawn: helperSpawn(),
+		Dir: t.TempDir(), Parallelism: 2, Sched: &sched.Options{Shards: 2}, Spawn: helperSpawn(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestBiasedBackendsMatchSerial(t *testing.T) {
 
 	out, rep, err = eng.Run(ctx, spec, RunOptions{
 		Dir:   t.TempDir(),
-		Hosts: []sched.Host{{Name: "h1", Slots: 2}},
+		Sched: &sched.Options{Hosts: []sched.Host{{Name: "h1", Slots: 2}}},
 		Spawn: helperSpawn(),
 	})
 	if err != nil {
@@ -132,7 +132,7 @@ func TestBiasedRunResumesAfterKilledWorker(t *testing.T) {
 		cancel()
 	}()
 	_, _, err := eng.Run(ctx, spec, RunOptions{
-		Dir: dir, Shards: 2, Parallelism: 2,
+		Dir: dir, Parallelism: 2, Sched: &sched.Options{Shards: 2},
 		Spawn: helperSpawn("FAIRBENCH_WORKER_DELAY_MS=20000"),
 	})
 	if !errors.Is(err, context.Canceled) {

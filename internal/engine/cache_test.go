@@ -140,7 +140,7 @@ func TestSchedCorruptCacheEntryRejectedOnce(t *testing.T) {
 	}
 	corruptOneCacheEntry(t, cache)
 
-	out, rep, err := eng.Run(context.Background(), spec, RunOptions{Dir: t.TempDir(), Shards: 2, Parallelism: 2})
+	out, rep, err := eng.Run(context.Background(), spec, RunOptions{Dir: t.TempDir(), Parallelism: 2, Sched: &sched.Options{Shards: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestSchedColdRunProbesEachCellOnce(t *testing.T) {
 	defer srv.Close()
 
 	_, rep, err := New(RunOptions{}).Run(context.Background(), spec, RunOptions{
-		Dir: t.TempDir(), Shards: 2, Parallelism: 2, RemoteStore: srv.URL, Spawn: helperSpawn(),
+		Dir: t.TempDir(), Parallelism: 2, Sched: &sched.Options{Shards: 2}, RemoteStore: srv.URL, Spawn: helperSpawn(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +224,7 @@ func TestWarmFreshRunWritesNothing(t *testing.T) {
 	}
 
 	_, _, err = eng.Run(context.Background(), spec, RunOptions{
-		Dir: t.TempDir(), Hosts: []sched.Host{{Name: "h"}, {Name: "h"}},
+		Dir: t.TempDir(), Sched: &sched.Options{Hosts: []sched.Host{{Name: "h"}, {Name: "h"}}},
 	})
 	if err == nil || !strings.Contains(err.Error(), "duplicate host name") {
 		t.Fatalf("warm grid on an invalid pool: err = %v, want the pool's validation error", err)

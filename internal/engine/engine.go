@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"time"
 
 	"fairbench/internal/dispatch"
 	"fairbench/internal/experiments"
@@ -45,7 +44,7 @@ const (
 	// BackendInproc runs the grid on this process's worker pool.
 	BackendInproc Backend = "inproc"
 	// BackendSched runs the grid as worker processes scheduled across a
-	// pool of hosts — one local host unless Hosts says otherwise —
+	// pool of hosts — one local host unless Sched.Hosts says otherwise —
 	// through a resumable run directory (cache-aware planning, failure
 	// handling).
 	BackendSched Backend = "sched"
@@ -56,28 +55,22 @@ const (
 	BackendDispatch = BackendSched
 )
 
-// RunOptions configures one engine run: the union of the knobs the
-// two backends understand, deduplicated. Fields a backend does not use
-// are ignored by it (documented per field). The zero value runs
+// RunOptions configures one engine run: the settings both backends
+// share, plus the scheduler's own in Sched. Fields a backend does not
+// use are ignored by it (documented per field). The zero value runs
 // in-process with no cache.
 type RunOptions struct {
 	// Backend picks the execution backend; BackendAuto resolves from
-	// Hosts/Dir as documented on the constants.
+	// Sched.Hosts/Dir as documented on the constants.
 	Backend Backend
 	// Dir is the run directory holding the manifest and part files.
 	// Required for sched; unused in-process.
 	Dir string
-	// Shards is the targeted work-range count of sched's cache-aware
-	// plan. Defaults to the pool's slot count.
-	Shards int
 	// Parallelism sizes the worker pool a single process uses for grid
 	// cells: the in-process backend's pool directly, and on sched the
-	// slots of the default local host (used when Hosts is empty). Zero
-	// means one worker per CPU.
+	// slots of the default local host (used when Sched names no Hosts).
+	// Zero means one worker per CPU.
 	Parallelism int
-	// Retries is the number of extra full rounds sched makes over the
-	// pool for a range every live host has failed. Zero means none.
-	Retries int
 	// CacheDir, when set, is the fingerprint-keyed result store: cells
 	// already computed are served from disk on every backend, and sched
 	// serves a grid its plan finds fully cached in memory
@@ -92,34 +85,17 @@ type RunOptions struct {
 	// it. A remote outage degrades the run to local-only
 	// (Report.CacheDegraded) instead of failing it.
 	RemoteStore string
-	// Hosts is the sched execution pool. Setting it (with BackendAuto)
-	// selects the sched backend; empty means one local host with
-	// Parallelism slots.
-	Hosts []sched.Host
-	// HeartbeatTimeout and MaxHostFailures tune sched failure handling.
-	HeartbeatTimeout time.Duration
-	MaxHostFailures  int
-	// Speculate enables sched's speculative execution: straggling
-	// ranges are re-launched on an idle host, first valid part wins.
-	Speculate bool
-	// Backoff is sched's retry backoff base delay (exponential with
-	// deterministic jitter); zero keeps sched's default, negative
-	// disables backoff.
-	Backoff time.Duration
-	// LocalFallback lets a sched run whose whole pool is lost complete
-	// in-process on the coordinator, marked Report.Degraded.
-	LocalFallback bool
-	// PoolSource feeds sched dynamic pool membership (joins/leaves
-	// mid-run); see sched.PoolChan and sched.WatchHosts.
-	PoolSource sched.PoolSource
-	// Transports overlays sched's built-in transport registry.
-	Transports map[string]sched.Transport
+	// Sched holds the scheduler's settings (pool, shard target, retry
+	// and failure budgets, speculation, backoff, local fallback, pool
+	// source, transports, event observer); the in-process backend
+	// ignores it. The engine fills its Dir, CacheDir, RemoteStore and
+	// Log from the fields above, so a Sched that sets any of them fails
+	// the run. Nil takes sched's defaults on one local host of
+	// Parallelism slots. Hosts given here select the sched backend.
+	Sched *sched.Options
 	// Spawn overrides how sched's local transport launches worker
 	// subprocesses. Nil re-execs this binary's `worker` subcommand.
 	Spawn dispatch.SpawnFunc
-	// OnEvent observes sched scheduling events (heartbeats,
-	// completions, failures, exclusions); see sched.Options.OnEvent.
-	OnEvent func(sched.Event)
 	// Log receives progress lines; nil discards them.
 	Log io.Writer
 }
@@ -174,11 +150,13 @@ type Engine struct {
 
 // New returns an Engine whose per-call options default to defaults:
 // any zero field of a Run/ResumeRun call's options is filled from
-// here. This is how a daemon pins its state dir, pool, cache, and
-// spawn function once while requests carry only per-run knobs.
+// here, and a nil Sched takes the defaults' Sched whole. This is how a
+// daemon pins its state dir, pool, cache, and spawn function once while
+// requests carry only per-run knobs.
 func New(defaults RunOptions) *Engine { return &Engine{defaults: defaults} }
 
-// merged overlays per-call options on the engine defaults.
+// merged overlays per-call options on the engine defaults. A call's
+// non-nil Sched replaces the defaults' Sched as a whole.
 func (e *Engine) merged(opts RunOptions) RunOptions {
 	d := e.defaults
 	if opts.Backend == BackendAuto {
@@ -187,14 +165,8 @@ func (e *Engine) merged(opts RunOptions) RunOptions {
 	if opts.Dir == "" {
 		opts.Dir = d.Dir
 	}
-	if opts.Shards == 0 {
-		opts.Shards = d.Shards
-	}
 	if opts.Parallelism == 0 {
 		opts.Parallelism = d.Parallelism
-	}
-	if opts.Retries == 0 {
-		opts.Retries = d.Retries
 	}
 	if opts.CacheDir == "" {
 		opts.CacheDir = d.CacheDir
@@ -202,35 +174,11 @@ func (e *Engine) merged(opts RunOptions) RunOptions {
 	if opts.RemoteStore == "" {
 		opts.RemoteStore = d.RemoteStore
 	}
-	if opts.Hosts == nil {
-		opts.Hosts = d.Hosts
-	}
-	if opts.HeartbeatTimeout == 0 {
-		opts.HeartbeatTimeout = d.HeartbeatTimeout
-	}
-	if opts.MaxHostFailures == 0 {
-		opts.MaxHostFailures = d.MaxHostFailures
-	}
-	if !opts.Speculate {
-		opts.Speculate = d.Speculate
-	}
-	if opts.Backoff == 0 {
-		opts.Backoff = d.Backoff
-	}
-	if !opts.LocalFallback {
-		opts.LocalFallback = d.LocalFallback
-	}
-	if opts.PoolSource == nil {
-		opts.PoolSource = d.PoolSource
-	}
-	if opts.Transports == nil {
-		opts.Transports = d.Transports
+	if opts.Sched == nil {
+		opts.Sched = d.Sched
 	}
 	if opts.Spawn == nil {
 		opts.Spawn = d.Spawn
-	}
-	if opts.OnEvent == nil {
-		opts.OnEvent = d.OnEvent
 	}
 	if opts.Log == nil {
 		opts.Log = d.Log
@@ -243,7 +191,7 @@ func resolve(opts RunOptions) Backend {
 	switch {
 	case opts.Backend != BackendAuto:
 		return opts.Backend
-	case len(opts.Hosts) > 0, opts.Dir != "":
+	case opts.Sched != nil && len(opts.Sched.Hosts) > 0, opts.Dir != "":
 		return BackendSched
 	default:
 		return BackendInproc
@@ -262,7 +210,11 @@ func (e *Engine) Run(ctx context.Context, spec experiments.Spec, opts RunOptions
 		if opts.Dir == "" {
 			return nil, nil, fmt.Errorf("engine: backend %q requires Dir", backend)
 		}
-		out, srep, err := sched.RunContext(ctx, spec, schedOptions(opts))
+		so, err := schedOptions(opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		out, srep, err := sched.RunContext(ctx, spec, so)
 		return out, fromSched(srep), err
 	default:
 		return nil, nil, fmt.Errorf("engine: unknown backend %q", backend)
@@ -276,7 +228,11 @@ func (e *Engine) Run(ctx context.Context, spec experiments.Spec, opts RunOptions
 func (e *Engine) ResumeRun(ctx context.Context, dir string, opts RunOptions) (*experiments.Output, *Report, error) {
 	opts = e.merged(opts)
 	opts.Dir = dir
-	out, srep, err := sched.ResumeContext(ctx, dir, schedOptions(opts))
+	so, err := schedOptions(opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	out, srep, err := sched.ResumeContext(ctx, dir, so)
 	return out, fromSched(srep), err
 }
 
@@ -323,40 +279,32 @@ func runInproc(ctx context.Context, spec experiments.Spec, opts RunOptions) (*ex
 	return out, rep, nil
 }
 
-func schedOptions(opts RunOptions) sched.Options {
-	hosts := opts.Hosts
-	if len(hosts) == 0 && opts.Parallelism > 0 {
+// schedOptions copies opts.Sched and fills what the engine owns: the
+// directory, store, log, the default local host and the spawn override.
+func schedOptions(opts RunOptions) (sched.Options, error) {
+	var so sched.Options
+	if opts.Sched != nil {
+		so = *opts.Sched
+	}
+	if so.Dir != "" || so.CacheDir != "" || so.RemoteStore != "" || so.Log != nil {
+		return so, fmt.Errorf("engine: RunOptions.Sched sets Dir, CacheDir, RemoteStore or Log; set them on RunOptions")
+	}
+	so.Dir, so.CacheDir, so.RemoteStore, so.Log = opts.Dir, opts.CacheDir, opts.RemoteStore, opts.Log
+	if len(so.Hosts) == 0 && opts.Parallelism > 0 {
 		// No explicit pool: Parallelism sizes the default local host, so
 		// the cross-backend pool knob reaches sched too.
-		hosts = []sched.Host{{Name: "local", Slots: opts.Parallelism}}
+		so.Hosts = []sched.Host{{Name: "local", Slots: opts.Parallelism}}
 	}
-	transports := opts.Transports
-	if opts.Spawn != nil && (transports == nil || transports["local"] == nil) {
+	if opts.Spawn != nil && so.Transports["local"] == nil {
 		// Route the spawn override through the local transport, the one
 		// that spawns worker subprocesses on this machine.
-		merged := map[string]sched.Transport{"local": &sched.LocalExec{Spawn: opts.Spawn}}
-		for name, t := range transports {
-			merged[name] = t
+		transports := map[string]sched.Transport{"local": &sched.LocalExec{Spawn: opts.Spawn}}
+		for name, t := range so.Transports {
+			transports[name] = t
 		}
-		transports = merged
+		so.Transports = transports
 	}
-	return sched.Options{
-		Dir:              opts.Dir,
-		Hosts:            hosts,
-		Shards:           opts.Shards,
-		CacheDir:         opts.CacheDir,
-		RemoteStore:      opts.RemoteStore,
-		HeartbeatTimeout: opts.HeartbeatTimeout,
-		Retries:          opts.Retries,
-		MaxHostFailures:  opts.MaxHostFailures,
-		Speculate:        opts.Speculate,
-		Backoff:          opts.Backoff,
-		LocalFallback:    opts.LocalFallback,
-		PoolSource:       opts.PoolSource,
-		Transports:       transports,
-		OnEvent:          opts.OnEvent,
-		Log:              opts.Log,
-	}
+	return so, nil
 }
 
 func fromSched(rep *sched.Report) *Report {

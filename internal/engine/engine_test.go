@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -116,10 +117,10 @@ func TestResolveBackend(t *testing.T) {
 	}{
 		{RunOptions{}, BackendInproc},
 		{RunOptions{Dir: "/tmp/x"}, BackendSched},
-		{RunOptions{Hosts: hosts}, BackendSched},
-		{RunOptions{Dir: "/tmp/x", Hosts: hosts}, BackendSched},
+		{RunOptions{Sched: &sched.Options{Hosts: hosts}}, BackendSched},
+		{RunOptions{Dir: "/tmp/x", Sched: &sched.Options{Hosts: hosts}}, BackendSched},
 		{RunOptions{Backend: BackendDispatch, Dir: "/tmp/x"}, BackendSched},
-		{RunOptions{Backend: BackendInproc, Dir: "/tmp/x", Hosts: hosts}, BackendInproc},
+		{RunOptions{Backend: BackendInproc, Dir: "/tmp/x", Sched: &sched.Options{Hosts: hosts}}, BackendInproc},
 	}
 	for _, c := range cases {
 		if got := resolve(c.opts); got != c.want {
@@ -149,7 +150,7 @@ func TestBackendsMatchSerial(t *testing.T) {
 	}
 
 	out, rep, err = eng.Run(ctx, spec, RunOptions{
-		Dir: t.TempDir(), Shards: 2, Parallelism: 2, Spawn: helperSpawn(),
+		Dir: t.TempDir(), Parallelism: 2, Sched: &sched.Options{Shards: 2}, Spawn: helperSpawn(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +165,7 @@ func TestBackendsMatchSerial(t *testing.T) {
 
 	out, rep, err = eng.Run(ctx, spec, RunOptions{
 		Dir:   t.TempDir(),
-		Hosts: []sched.Host{{Name: "h1", Slots: 2}},
+		Sched: &sched.Options{Hosts: []sched.Host{{Name: "h1", Slots: 2}}},
 		Spawn: helperSpawn(),
 	})
 	if err != nil {
@@ -193,7 +194,7 @@ func TestCancellationStopsWorkersPromptly(t *testing.T) {
 	}()
 	start := time.Now()
 	_, _, err := eng.Run(ctx, spec, RunOptions{
-		Dir: dir, Shards: 2, Parallelism: 2,
+		Dir: dir, Parallelism: 2, Sched: &sched.Options{Shards: 2},
 		Spawn: helperSpawn("FAIRBENCH_WORKER_DELAY_MS=20000"),
 	})
 	elapsed := time.Since(start)
@@ -267,7 +268,7 @@ func TestWarmGridSpawnsNothing(t *testing.T) {
 
 	out, rep, err = eng.Run(context.Background(), spec, RunOptions{
 		Dir:   t.TempDir(),
-		Hosts: []sched.Host{{Name: "h1"}},
+		Sched: &sched.Options{Hosts: []sched.Host{{Name: "h1"}}},
 		Spawn: countingSpawn(&spawns),
 	})
 	if err != nil {
@@ -291,7 +292,7 @@ func TestDefaultsInherit(t *testing.T) {
 	spec := smallSpec()
 	var spawns atomic.Int64
 	eng := New(RunOptions{
-		CacheDir: t.TempDir(), Parallelism: 2, Shards: 2,
+		CacheDir: t.TempDir(), Parallelism: 2, Sched: &sched.Options{Shards: 2},
 		Spawn: countingSpawn(&spawns),
 	})
 	out, rep, err := eng.Run(context.Background(), spec, RunOptions{Dir: t.TempDir()})
@@ -306,6 +307,98 @@ func TestDefaultsInherit(t *testing.T) {
 	}
 	if !bytes.Equal(serialReference(t, spec), canonical(t, out)) {
 		t.Fatal("output diverges from serial run")
+	}
+}
+
+// TestMergedOverlaysEveryField: a call that leaves every field zero
+// inherits each of the defaults' fields, and a call's Sched replaces
+// the defaults' Sched whole instead of being overlaid field by field.
+func TestMergedOverlaysEveryField(t *testing.T) {
+	defaults := RunOptions{
+		Backend: BackendSched, Dir: "d", Parallelism: 3, CacheDir: "c", RemoteStore: "r",
+		Sched: &sched.Options{Retries: 2, LocalFallback: true}, Spawn: helperSpawn(), Log: io.Discard,
+	}
+	eng := New(defaults)
+	got, want := reflect.ValueOf(eng.merged(RunOptions{})), reflect.ValueOf(defaults)
+	for i := 0; i < want.NumField(); i++ {
+		name := want.Type().Field(i).Name
+		if want.Field(i).IsZero() {
+			t.Fatalf("test defaults leave %s zero", name)
+		}
+		if got.Field(i).IsZero() {
+			t.Errorf("merged drops the default %s", name)
+		}
+	}
+	call := &sched.Options{}
+	if m := eng.merged(RunOptions{Sched: call}); m.Sched != call {
+		t.Fatalf("merged Sched = %+v, want the call's own", m.Sched)
+	}
+}
+
+// TestSchedReplacesDefaultsWhole: a call's Sched turns off what the
+// defaults' Sched turns on. A pool whose one host fails every attempt
+// completes degraded under the defaults' LocalFallback and fails under
+// a call Sched that leaves LocalFallback unset.
+func TestSchedReplacesDefaultsWhole(t *testing.T) {
+	spec := smallSpec()
+	eng := New(RunOptions{
+		Parallelism: 1, Spawn: helperSpawn("FAIRBENCH_TEST_HELPER=fail"),
+		Sched: &sched.Options{LocalFallback: true, MaxHostFailures: 1, Backoff: -1},
+	})
+	out, rep, err := eng.Run(context.Background(), spec, RunOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Degraded || !bytes.Equal(serialReference(t, spec), canonical(t, out)) {
+		t.Fatalf("defaults' LocalFallback: report %+v", rep)
+	}
+	_, rep, err = eng.Run(context.Background(), spec, RunOptions{
+		Dir: t.TempDir(), Sched: &sched.Options{MaxHostFailures: 1, Backoff: -1},
+	})
+	if err == nil || rep == nil || rep.Degraded {
+		t.Fatalf("call Sched without LocalFallback: err %v, report %+v", err, rep)
+	}
+}
+
+// TestSchedMayNotSetEngineFields: Dir, CacheDir, RemoteStore and Log
+// belong to RunOptions, so a Sched setting any of them fails Run and
+// ResumeRun before anything is planned or spawned.
+func TestSchedMayNotSetEngineFields(t *testing.T) {
+	for name, so := range map[string]*sched.Options{
+		"Dir": {Dir: "d"}, "CacheDir": {CacheDir: "c"},
+		"RemoteStore": {RemoteStore: "http://127.0.0.1:1"}, "Log": {Log: io.Discard},
+	} {
+		var spawns atomic.Int64
+		eng := New(RunOptions{Spawn: countingSpawn(&spawns)})
+		dir := t.TempDir()
+		if _, _, err := eng.Run(context.Background(), smallSpec(), RunOptions{Dir: dir, Sched: so}); err == nil {
+			t.Errorf("Run with Sched.%s set succeeded", name)
+		}
+		if _, _, err := eng.ResumeRun(context.Background(), dir, RunOptions{Sched: so}); err == nil {
+			t.Errorf("ResumeRun with Sched.%s set succeeded", name)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 || spawns.Load() != 0 {
+			t.Errorf("Sched.%s: run wrote %d entries and spawned %d workers", name, len(entries), spawns.Load())
+		}
+	}
+}
+
+// TestNilSchedRunsOneLocalHost: with no Sched, Parallelism N schedules
+// on one local host of N slots, whose slot count is also the shard
+// target.
+func TestNilSchedRunsOneLocalHost(t *testing.T) {
+	so, err := schedOptions(RunOptions{Dir: "d", Parallelism: 3})
+	if err != nil || !reflect.DeepEqual(so.Hosts, []sched.Host{{Name: "local", Slots: 3}}) {
+		t.Fatalf("schedOptions hosts %+v, err %v; want one local host of 3 slots", so.Hosts, err)
+	}
+	_, rep, err := New(RunOptions{}).Run(context.Background(), smallSpec(), RunOptions{
+		Dir: t.TempDir(), Parallelism: 1, Spawn: helperSpawn(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Sched.Ranges) != 1 || !reflect.DeepEqual(rep.Sched.Completed, map[string][]int{"local": {0}}) {
+		t.Fatalf("report ranges %v, completed %v; want one range on host local", rep.Sched.Ranges, rep.Sched.Completed)
 	}
 }
 

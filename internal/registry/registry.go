@@ -8,7 +8,6 @@ package registry
 
 import (
 	"fmt"
-	"sort"
 
 	"fairbench/internal/causal"
 	"fairbench/internal/fair"
@@ -98,7 +97,7 @@ func New(name string, cfg Config) (fair.Approach, error) {
 }
 
 // ByStage returns the evaluated variant names grouped by stage, each group
-// in presentation order.
+// in presentation order (the order of Names).
 func ByStage() map[fair.Stage][]string {
 	out := map[fair.Stage][]string{}
 	for _, n := range Names {
@@ -108,19 +107,5 @@ func ByStage() map[fair.Stage][]string {
 		}
 		out[a.Stage()] = append(out[a.Stage()], n)
 	}
-	for _, names := range out {
-		sort.SliceStable(names, func(i, j int) bool {
-			return indexOf(names[i]) < indexOf(names[j])
-		})
-	}
 	return out
-}
-
-func indexOf(name string) int {
-	for i, n := range Names {
-		if n == name {
-			return i
-		}
-	}
-	return len(Names)
 }

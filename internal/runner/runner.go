@@ -24,7 +24,8 @@ import (
 // Options configures one Run call.
 type Options struct {
 	// Workers is the number of concurrent workers; <= 0 uses one per
-	// CPU (runtime.GOMAXPROCS(0)). 1 degenerates to the serial loop.
+	// CPU (runtime.GOMAXPROCS(0)). One worker runs the jobs one at a
+	// time in index order.
 	Workers int
 	// Progress, when non-nil, is called after each job finishes with the
 	// completed count and the total. Calls are serialized; done is
@@ -73,29 +74,13 @@ func Run[T any](n int, opts Options, job func(i int) (T, error)) ([]T, error) {
 		workers = n
 	}
 	errs := make([]error, n)
-	if workers == 1 {
-		runSerial(n, opts, job, results, errs)
-	} else {
-		runPool(n, workers, opts, job, results, errs)
-	}
+	runPool(n, workers, opts, job, results, errs)
 	for i, err := range errs {
 		if err != nil {
 			return nil, &JobError{Index: opts.Offset + i, Err: err}
 		}
 	}
 	return results, nil
-}
-
-func runSerial[T any](n int, opts Options, job func(int) (T, error), results []T, errs []error) {
-	for i := 0; i < n; i++ {
-		results[i], errs[i] = job(opts.Offset + i)
-		if opts.Progress != nil {
-			opts.Progress(i+1, n)
-		}
-		if errs[i] != nil {
-			return
-		}
-	}
 }
 
 func runPool[T any](n, workers int, opts Options, job func(int) (T, error), results []T, errs []error) {

@@ -73,7 +73,6 @@ func stragglerRun(b *testing.B, speculate bool) {
 			Hosts:            []Host{{Name: "slow"}, {Name: "fast", Slots: 2}},
 			Transports:       map[string]Transport{"local": transport},
 			Speculate:        speculate,
-			SpeculateFactor:  2,
 			SpeculateFloor:   100 * time.Millisecond,
 			HeartbeatTimeout: 400 * time.Millisecond,
 		})

@@ -496,7 +496,6 @@ func TestSchedStragglerSpeculation(t *testing.T) {
 				"local": &FaultTransport{Inner: inner, Script: slowScript},
 			},
 			Speculate:        speculate,
-			SpeculateFactor:  2,
 			SpeculateFloor:   100 * time.Millisecond,
 			HeartbeatTimeout: 500 * time.Millisecond,
 		}

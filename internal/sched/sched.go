@@ -89,6 +89,16 @@ import (
 	"fairbench/internal/store"
 )
 
+const (
+	// speculateFactor is the straggler multiple: with Options.Speculate,
+	// an attempt running past speculateFactor× the median
+	// completed-range runtime gets a duplicate on an idle host.
+	speculateFactor = 3
+	// backoffMax caps the exponential retry backoff (see
+	// Options.Backoff).
+	backoffMax = 5 * time.Second
+)
+
 // Options configures one scheduled run.
 type Options struct {
 	// Dir is the run directory (created if missing) holding
@@ -124,24 +134,22 @@ type Options struct {
 	// pool for the rest of the run. Default 3.
 	MaxHostFailures int
 	// Speculate enables speculative execution: a range whose attempt
-	// has run longer than SpeculateFactor× the median completed-range
-	// runtime (never less than SpeculateFloor) is re-launched on an
-	// idle host. The first attempt whose part passes the acceptance
-	// gate wins; the loser is cancelled without a host strike.
+	// has run longer than speculateFactor (3)× the median
+	// completed-range runtime (never less than SpeculateFloor) is
+	// re-launched on an idle host. The first attempt whose part passes
+	// the acceptance gate wins; the loser is cancelled without a host
+	// strike.
 	Speculate bool
-	// SpeculateFactor is the straggler multiple k (default 3).
-	SpeculateFactor float64
 	// SpeculateFloor is the minimum straggler threshold, clamped to no
 	// less than the exec transports' heartbeat interval so speculation
 	// never outruns liveness evidence. Default 1s.
 	SpeculateFloor time.Duration
 	// Backoff is the base delay a failed range waits before
 	// reassignment: Backoff×2^(attempts-1) with deterministic jitter in
-	// [0.5,1.5) keyed by (seed, range, attempt), capped at BackoffMax.
-	// Default 100ms; negative disables backoff (immediate requeue).
+	// [0.5,1.5) keyed by (seed, range, attempt), capped at backoffMax
+	// (5s) or at Backoff itself when that is larger. Default 100ms;
+	// negative disables backoff (immediate requeue).
 	Backoff time.Duration
-	// BackoffMax caps the exponential backoff delay. Default 5s.
-	BackoffMax time.Duration
 	// LocalFallback is the terminal graceful-degradation path: when
 	// ranges remain but every pool member is excluded or departed, the
 	// coordinator computes the leftovers in-process instead of failing
@@ -584,9 +592,6 @@ func buildPool(opts *Options) ([]*hostState, map[string]Transport, error) {
 	if opts.MaxHostFailures <= 0 {
 		opts.MaxHostFailures = 3
 	}
-	if opts.SpeculateFactor <= 0 {
-		opts.SpeculateFactor = 3
-	}
 	if opts.SpeculateFloor <= 0 {
 		opts.SpeculateFloor = time.Second
 	}
@@ -598,12 +603,6 @@ func buildPool(opts *Options) ([]*hostState, map[string]Transport, error) {
 		opts.Backoff = 100 * time.Millisecond
 	case opts.Backoff < 0:
 		opts.Backoff = 0
-	}
-	if opts.BackoffMax <= 0 {
-		opts.BackoffMax = 5 * time.Second
-	}
-	if opts.BackoffMax < opts.Backoff {
-		opts.BackoffMax = opts.Backoff
 	}
 	transports := map[string]Transport{"local": &LocalExec{}, "remote": &RemoteExec{}}
 	for name, t := range opts.Transports {
@@ -824,7 +823,7 @@ func schedule(ctx context.Context, pool []*hostState, transports map[string]Tran
 	flights := map[int]*flight{}
 	nextID := 0
 	// durations collects accepted-attempt runtimes — the basis of the
-	// straggler estimate (median × SpeculateFactor).
+	// straggler estimate (median × speculateFactor).
 	var durations []time.Duration
 	emit := func(ev Event) {
 		if opts.OnEvent != nil {
@@ -889,9 +888,9 @@ func schedule(ctx context.Context, pool []*hostState, transports map[string]Tran
 		if shift > 20 {
 			shift = 20
 		}
-		d := opts.Backoff << uint(shift)
-		if d <= 0 || d > opts.BackoffMax {
-			d = opts.BackoffMax
+		d, limit := opts.Backoff<<uint(shift), max(backoffMax, opts.Backoff)
+		if d <= 0 || d > limit {
+			d = limit
 		}
 		// Deterministic jitter in [0.5,1.5), keyed by (seed, range,
 		// attempt): identical runs replay identical retry schedules, but
@@ -989,7 +988,7 @@ func schedule(ctx context.Context, pool []*hostState, transports map[string]Tran
 		if !opts.Speculate || len(durations) == 0 {
 			return
 		}
-		threshold := time.Duration(opts.SpeculateFactor * float64(median(durations)))
+		threshold := speculateFactor * median(durations)
 		if threshold < opts.SpeculateFloor {
 			threshold = opts.SpeculateFloor
 		}

@@ -55,7 +55,7 @@ func pending(ups <-chan sched.PoolUpdate) (sched.PoolUpdate, bool) {
 // other join is a 400 that reaches no scheduler; a drained host
 // re-admitted by name joins with its configured transport and command.
 func TestPoolJoinsOnlyConfiguredHosts(t *testing.T) {
-	s, _ := newServer(t, Config{Run: engine.RunOptions{Hosts: poolHosts}})
+	s, _ := newServer(t, Config{Run: engine.RunOptions{Sched: &sched.Options{Hosts: poolHosts}}})
 	h := s.Handler()
 	ups, cancel := s.pool.Subscribe()
 	defer cancel()
@@ -97,7 +97,7 @@ func FuzzPoolRequest(f *testing.F) {
 	}
 	f.Add([]byte(`{"join":[{"name":"h1"},{"name":"h2","slots":5}],"leave":["h1"]}`))
 	f.Add([]byte(`{"join":[{"NAME":"h2","Slots":2}]}`))
-	s, err := New(Config{StateDir: f.TempDir(), Run: engine.RunOptions{Hosts: poolHosts}})
+	s, err := New(Config{StateDir: f.TempDir(), Run: engine.RunOptions{Sched: &sched.Options{Hosts: poolHosts}}})
 	if err != nil {
 		f.Fatal(err)
 	}

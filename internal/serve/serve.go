@@ -67,14 +67,14 @@ type Config struct {
 	MaxConcurrent int
 	// Run holds the engine options every run inherits. The server
 	// always schedules (Backend sched), sets Dir per run, and feeds
-	// PoolSource and OnEvent itself. Run.CacheDir, when set, is the
-	// shared result store: runs serve already-computed cells from it,
-	// fully-cached grids never reach a worker, and the daemon mounts it
-	// at /cache/ so other machines point -remote-store at this daemon
-	// and share its cells. Run.Hosts, when non-empty, is the pool every
-	// run is scheduled across; otherwise runs go to one local host of
-	// Run.Parallelism slots. Only a daemon with Hosts accepts POST /pool
-	// membership changes.
+	// Run.Sched's PoolSource and OnEvent itself, on a copy. Run.CacheDir,
+	// when set, is the shared result store: runs serve already-computed
+	// cells from it, fully-cached grids never reach a worker, and the
+	// daemon mounts it at /cache/ so other machines point -remote-store
+	// at this daemon and share its cells. Run.Sched.Hosts, when
+	// non-empty, is the pool every run is scheduled across; otherwise
+	// runs go to one local host of Run.Parallelism slots. Only a daemon
+	// with Hosts accepts POST /pool membership changes.
 	Run engine.RunOptions
 	// Spawn, when set, replaces Run.Spawn: it overrides how worker
 	// subprocesses are created.
@@ -130,8 +130,10 @@ type Server struct {
 	eng *engine.Engine
 
 	// pool fans dynamic membership changes (the POST /pool admin
-	// endpoint) out to every running sched-backed run.
-	pool *sched.PoolChan
+	// endpoint) out to every running sched-backed run; hostsFile is the
+	// configured pool (Run.Sched.Hosts), the only hosts it may join.
+	pool      *sched.PoolChan
+	hostsFile []sched.Host
 
 	mu       sync.Mutex
 	runs     map[string]*run
@@ -182,8 +184,14 @@ func New(cfg Config) (*Server, error) {
 		s.cacheStore = st
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
+	var so sched.Options
+	if cfg.Run.Sched != nil {
+		so = *cfg.Run.Sched
+	}
+	s.hostsFile = so.Hosts
+	so.PoolSource, so.OnEvent = s.pool, s.onSchedEvent
 	opts := cfg.Run
-	opts.Backend, opts.PoolSource, opts.OnEvent = engine.BackendSched, s.pool, s.onSchedEvent
+	opts.Backend, opts.Sched = engine.BackendSched, &so
 	if cfg.Spawn != nil {
 		opts.Spawn = cfg.Spawn
 	}
@@ -719,7 +727,11 @@ type streamEvent struct {
 // envelope as it lands (validated against the manifest — forged or
 // torn parts are never streamed), then a terminal "done"/"failed"
 // event. Clients consuming partial rows see exactly the rows the merge
-// will contain, as shards complete.
+// will contain, as shards complete. A run the result store served
+// whole wrote no part: once it is done, its rows are served again from
+// the daemon's store (Run.CacheDir and Run.RemoteStore) before "done";
+// if an entry was evicted in the meantime, the stream ends with "done"
+// alone.
 func (s *Server) handleStream(w http.ResponseWriter, req *http.Request) {
 	r, ok := s.lookup(req)
 	if !ok {
@@ -769,6 +781,15 @@ func (s *Server) handleStream(w http.ResponseWriter, req *http.Request) {
 		select {
 		case <-r.done:
 			emitLanded()
+			r.mu.Lock()
+			rep := r.report
+			r.mu.Unlock()
+			if len(seen) == 0 && rep != nil && rep.ServedFromCache {
+				for i, env := range s.cachedEnvelopes(r.spec) {
+					enc.Encode(streamEvent{Type: "shard", Shard: i, Shards: env.Shards,
+						Cells: env.Indices, Rows: env.Rows})
+				}
+			}
 			st := s.statusOf(r, false)
 			typ := "done"
 			if st.Status == string(stateFailed) {
@@ -784,6 +805,29 @@ func (s *Server) handleStream(w http.ResponseWriter, req *http.Request) {
 		case <-ticker.C:
 		}
 	}
+}
+
+// cachedEnvelopes serves a cache-served run's grid again from the
+// daemon's store, through the plan sched served it with, or returns nil
+// when any cell is no longer cached.
+func (s *Server) cachedEnvelopes(spec experiments.Spec) []*shard.Envelope {
+	st, err := store.OpenBackend(s.cfg.Run.CacheDir, s.cfg.Run.RemoteStore)
+	if err != nil || st == nil {
+		return nil
+	}
+	plan, err := experiments.PlanShardsCacheAware(spec, 1, st)
+	if err != nil || plan.TotalUncached() > 0 {
+		return nil
+	}
+	envs := make([]*shard.Envelope, len(plan.Ranges))
+	for i := range plan.Ranges {
+		env, ok := plan.ServeEnvelope(i)
+		if !ok {
+			return nil
+		}
+		envs[i] = env
+	}
+	return envs
 }
 
 // handleTable renders the completed run's tables — the exact bytes the
@@ -850,7 +894,7 @@ func (s *Server) handlePool(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusBadRequest, "pool update joins or leaves no hosts")
 		return
 	}
-	if len(s.cfg.Run.Hosts) == 0 {
+	if len(s.hostsFile) == 0 {
 		writeError(w, http.StatusConflict, "daemon runs without a host pool; pool updates need -hosts")
 		return
 	}
@@ -878,11 +922,11 @@ func (s *Server) configuredJoins(req []poolJoin) ([]sched.Host, error) {
 		if j.Slots < 0 {
 			return nil, fmt.Errorf("host %q: negative slots %d", j.Name, j.Slots)
 		}
-		i := slices.IndexFunc(s.cfg.Run.Hosts, func(h sched.Host) bool { return h.Name == j.Name })
+		i := slices.IndexFunc(s.hostsFile, func(h sched.Host) bool { return h.Name == j.Name })
 		if i < 0 {
 			return nil, fmt.Errorf("host %q is not in the daemon's hosts file", j.Name)
 		}
-		h := s.cfg.Run.Hosts[i]
+		h := s.hostsFile[i]
 		if j.Slots > 0 {
 			h.Slots = j.Slots
 		}
@@ -966,22 +1010,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	io.WriteString(w, b.String())
-}
-
-// WaitRun blocks until the run with id reaches a terminal state or ctx
-// expires — a convenience for embedders and tests; HTTP clients poll
-// GET /runs/{id} or consume /stream instead.
-func (s *Server) WaitRun(ctx context.Context, id string) error {
-	s.mu.Lock()
-	r, ok := s.runs[id]
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("serve: no run %q", id)
-	}
-	select {
-	case <-r.done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }

@@ -7,10 +7,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -23,6 +25,7 @@ import (
 	"fairbench/internal/engine"
 	"fairbench/internal/experiments"
 	"fairbench/internal/report"
+	"fairbench/internal/sched"
 )
 
 // TestMain doubles as the worker subprocess body — the re-exec pattern
@@ -103,9 +106,14 @@ func newServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	if cfg.StateDir == "" {
 		cfg.StateDir = t.TempDir()
 	}
-	if cfg.Run.Shards == 0 {
-		cfg.Run.Shards = 2
+	var so sched.Options
+	if cfg.Run.Sched != nil {
+		so = *cfg.Run.Sched
 	}
+	if so.Shards == 0 {
+		so.Shards = 2
+	}
+	cfg.Run.Sched = &so
 	if cfg.Run.Parallelism == 0 {
 		cfg.Run.Parallelism = 2
 	}
@@ -157,10 +165,16 @@ func get(t *testing.T, url string) (int, string, http.Header) {
 
 func waitDone(t *testing.T, s *Server, id string) {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	if err := s.WaitRun(ctx, id); err != nil {
-		t.Fatal(err)
+	s.mu.Lock()
+	r, ok := s.runs[id]
+	s.mu.Unlock()
+	if !ok {
+		t.Fatalf("no run %q", id)
+	}
+	select {
+	case <-r.done:
+	case <-time.After(60 * time.Second):
+		t.Fatalf("run %s still executing after 60s", id)
 	}
 }
 
@@ -546,6 +560,81 @@ func TestStreamDeliversEveryRow(t *testing.T) {
 		t.Fatalf("streamed %d distinct cells over %d rows, want 4 over 4", len(cells), rows)
 	}
 	waitDone(t, s, st.ID)
+}
+
+// streamEvents reads a run's whole /stream response.
+func streamEvents(t *testing.T, url string) []streamEvent {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var evs []streamEvent
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		var ev streamEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("stream line %q: %v", sc.Text(), err)
+		}
+		evs = append(evs, ev)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return evs
+}
+
+// TestStreamServesCachedRows: a run the result store served whole wrote
+// no part, yet its stream carries every row from the daemon's store
+// before "done", also after a restart; once an entry is evicted from
+// the store the stream is "done" alone.
+func TestStreamServesCachedRows(t *testing.T) {
+	spec := smallSpec()
+	cache, state := t.TempDir(), t.TempDir()
+	s1, ts1 := newServer(t, Config{Run: engine.RunOptions{CacheDir: cache}})
+	_, st, _ := postSpec(t, ts1, spec)
+	waitDone(t, s1, st.ID)
+
+	s2, ts2 := newServer(t, Config{StateDir: state, Run: engine.RunOptions{CacheDir: cache}})
+	_, st, _ = postSpec(t, ts2, spec)
+	waitDone(t, s2, st.ID)
+	s3, ts3 := newServer(t, Config{StateDir: state, Run: engine.RunOptions{CacheDir: cache}})
+	if _, err := s3.ResumeInterrupted(); err != nil {
+		t.Fatal(err)
+	}
+	for _, ts := range []*httptest.Server{ts2, ts3} {
+		evs := streamEvents(t, ts.URL+"/runs/"+st.ID+"/stream")
+		var types []string
+		cells, rows := map[int]bool{}, 0
+		for _, ev := range evs {
+			types = append(types, ev.Type)
+			for _, c := range ev.Cells {
+				cells[c] = true
+			}
+			rows += len(ev.Rows)
+		}
+		last := evs[len(evs)-1]
+		if last.Type != "done" || !last.Status.ServedFromCache || len(cells) != 4 || rows != 4 {
+			t.Fatalf("events %v streamed %d distinct cells over %d rows, want shards of 4 over 4 then a cache-served done",
+				types, len(cells), rows)
+		}
+	}
+
+	var evicted bool
+	filepath.WalkDir(filepath.Join(cache, "cells"), func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !evicted && !d.IsDir() && strings.HasSuffix(path, ".json") {
+			evicted = os.Remove(path) == nil
+		}
+		return err
+	})
+	if !evicted {
+		t.Fatal("no cache entry to evict")
+	}
+	if evs := streamEvents(t, ts3.URL+"/runs/"+st.ID+"/stream"); len(evs) != 1 || evs[0].Type != "done" {
+		t.Fatalf("stream after an eviction: %+v, want done alone", evs)
+	}
 }
 
 // TestRequestValidation: malformed submissions and unknown runs get the

@@ -59,9 +59,6 @@ func NewRemote(baseURL string) (*RemoteStore, error) {
 	}, nil
 }
 
-// Base returns the normalized base URL this handle speaks to.
-func (r *RemoteStore) Base() string { return r.base }
-
 func (r *RemoteStore) keyURL(k Key) (string, error) {
 	p := EncodeKeyPath(k)
 	if p == "" {

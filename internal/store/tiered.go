@@ -41,12 +41,6 @@ func NewTiered(local Backend, remote *RemoteStore) *TieredStore {
 	return &TieredStore{local: local, remote: remote}
 }
 
-// Local returns the front (local) tier.
-func (t *TieredStore) Local() Backend { return t.local }
-
-// Remote returns the back (remote) tier.
-func (t *TieredStore) Remote() *RemoteStore { return t.remote }
-
 // Degraded reports whether the remote has been declared down for this
 // handle: reads and writes are local-only from that point on. Engine
 // reports surface this so an operator learns the fleet stopped sharing.
