@@ -112,7 +112,7 @@ func serialReference(t *testing.T, spec experiments.Spec) []byte {
 	return canonical(t, out)
 }
 
-// onePool runs the protocol the way `fairbench dispatch -procs 1` does:
+// onePool runs the protocol the way `fairbench dispatch -parallel 1` does:
 // the scheduler over one local host with one slot, spawning workers
 // through spawn, with no retry round unless retries says so.
 func onePool(dir string, shards, retries int, cacheDir string, spawn dispatch.SpawnFunc) sched.Options {
