@@ -816,7 +816,7 @@ func (s *Server) cachedEnvelopes(spec experiments.Spec) []*shard.Envelope {
 		return nil
 	}
 	plan, err := experiments.PlanShardsCacheAware(spec, 1, st)
-	if err != nil || plan.TotalUncached() > 0 {
+	if err != nil {
 		return nil
 	}
 	envs := make([]*shard.Envelope, len(plan.Ranges))
