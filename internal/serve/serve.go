@@ -808,8 +808,9 @@ func (s *Server) handleStream(w http.ResponseWriter, req *http.Request) {
 }
 
 // cachedEnvelopes serves a cache-served run's grid again from the
-// daemon's store, through the plan sched served it with, or returns nil
-// when any cell is no longer cached.
+// daemon's store, through the cache-aware plan and ServeEnvelope path
+// sched serves a warm grid with, or returns nil when any cell is no
+// longer cached.
 func (s *Server) cachedEnvelopes(spec experiments.Spec) []*shard.Envelope {
 	st, err := store.OpenBackend(s.cfg.Run.CacheDir, s.cfg.Run.RemoteStore)
 	if err != nil || st == nil {
