@@ -48,17 +48,6 @@ func TransposeMatVec(m [][]float64, x []float64) []float64 {
 	return out
 }
 
-// NormInf returns the maximum absolute entry of x.
-func NormInf(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Sum returns the sum of the entries of x.
 func Sum(x []float64) float64 {
 	var s float64

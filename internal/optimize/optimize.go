@@ -7,6 +7,7 @@ package optimize
 
 import (
 	"math"
+	"sync"
 
 	"fairbench/internal/matrix"
 )
@@ -56,7 +57,7 @@ func GradientDescent(f Objective, w0 []float64, cfg GDConfig) ([]float64, float6
 	cg := make([]float64, len(w))
 	step := cfg.Step
 	for iter := 0; iter < cfg.MaxIter; iter++ {
-		if matrix.NormInf(grad) < cfg.Tol {
+		if normInfBelow(grad, cfg.Tol) {
 			break
 		}
 		// Backtracking: halve the step until the objective decreases.
@@ -88,6 +89,11 @@ func GradientDescent(f Objective, w0 []float64, cfg GDConfig) ([]float64, float6
 	return w, val
 }
 
+const (
+	defaultBeta1, defaultBeta2 = 0.9, 0.999
+	defaultAdamIters           = 800
+)
+
 // AdamConfig controls the Adam optimizer.
 type AdamConfig struct {
 	Step         float64 // default 0.05
@@ -101,13 +107,13 @@ func (c *AdamConfig) defaults() {
 		c.Step = 0.05
 	}
 	if c.Beta1 == 0 {
-		c.Beta1 = 0.9
+		c.Beta1 = defaultBeta1
 	}
 	if c.Beta2 == 0 {
-		c.Beta2 = 0.999
+		c.Beta2 = defaultBeta2
 	}
 	if c.MaxIter == 0 {
-		c.MaxIter = 800
+		c.MaxIter = defaultAdamIters
 	}
 	if c.Tol == 0 {
 		c.Tol = 1e-7
@@ -124,13 +130,14 @@ func Adam(f Objective, w0 []float64, cfg AdamConfig) ([]float64, float64) {
 	v := make([]float64, len(w))
 	grad := make([]float64, len(w))
 	var val float64
+	b1tab, b2tab := biasTable(cfg.Beta1), biasTable(cfg.Beta2)
 	for t := 1; t <= cfg.MaxIter; t++ {
 		val = f(w, grad)
-		if matrix.NormInf(grad) < cfg.Tol {
+		if normInfBelow(grad, cfg.Tol) {
 			break
 		}
-		b1t := 1 - math.Pow(cfg.Beta1, float64(t))
-		b2t := 1 - math.Pow(cfg.Beta2, float64(t))
+		b1t := biasCorrection(b1tab, cfg.Beta1, t)
+		b2t := biasCorrection(b2tab, cfg.Beta2, t)
 		for i := range w {
 			m[i] = cfg.Beta1*m[i] + (1-cfg.Beta1)*grad[i]
 			v[i] = cfg.Beta2*v[i] + (1-cfg.Beta2)*grad[i]*grad[i]
@@ -138,6 +145,58 @@ func Adam(f Objective, w0 []float64, cfg AdamConfig) ([]float64, float64) {
 		}
 	}
 	return w, val
+}
+
+// normInfBelow reports whether the infinity norm of g is below tol —
+// the maximum over |g[i]|, floored at 0 and skipping NaN components,
+// compared with <. It stops at the first component that is not below
+// tol, so a gradient far from converged costs one comparison instead of
+// a scan. tol <= 0 (or NaN) reports false, as the norm's 0 floor is
+// never below it.
+func normInfBelow(g []float64, tol float64) bool {
+	if !(tol > 0) {
+		return false
+	}
+	for _, v := range g {
+		if math.Abs(v) >= tol {
+			return false
+		}
+	}
+	return true
+}
+
+// biasTables holds 1-β^t for the default β₁ and β₂ at t = 1 up to the
+// default MaxIter, which no caller exceeds: each entry is the math.Pow
+// value Adam's loop would compute at step t. Built on first use;
+// read-only after.
+var biasTables = sync.OnceValue(func() *[2][defaultAdamIters]float64 {
+	var tab [2][defaultAdamIters]float64
+	for t := 1; t <= defaultAdamIters; t++ {
+		tab[0][t-1] = 1 - math.Pow(defaultBeta1, float64(t))
+		tab[1][t-1] = 1 - math.Pow(defaultBeta2, float64(t))
+	}
+	return &tab
+})
+
+// biasTable returns the tabled corrections of beta, or nil when beta is
+// not one of Adam's defaults.
+func biasTable(beta float64) []float64 {
+	switch beta {
+	case defaultBeta1:
+		return biasTables()[0][:]
+	case defaultBeta2:
+		return biasTables()[1][:]
+	}
+	return nil
+}
+
+// biasCorrection returns 1-β^t, from tab (biasTable(beta)) when it
+// covers step t.
+func biasCorrection(tab []float64, beta float64, t int) float64 {
+	if t <= len(tab) {
+		return tab[t-1]
+	}
+	return 1 - math.Pow(beta, float64(t))
 }
 
 // Constraint is a smooth inequality constraint c(w) <= 0 with gradient.
@@ -198,10 +257,9 @@ func MinimizePenalty(f Objective, cons []Constraint, w0 []float64, cfg PenaltyCo
 }
 
 // ProjectSimplex projects w in place onto the probability simplex
-// {w : w_i >= 0, sum w_i = 1} (Duchi et al. algorithm). The hot callers
-// (Calmon's per-state transition rows) project short vectors millions of
-// times per repair, so the descending-sort scratch lives on the stack for
-// rows up to 64 entries and the projection allocates nothing.
+// {w : w_i >= 0, sum w_i = 1} (Duchi et al. algorithm). The descending-
+// sort scratch lives on the stack for rows up to 64 entries, so the
+// projection allocates nothing.
 func ProjectSimplex(w []float64) {
 	n := len(w)
 	if n == 0 {
@@ -221,6 +279,57 @@ func ProjectSimplex(w []float64) {
 			u[j], u[j-1] = u[j-1], u[j]
 		}
 	}
+	projectSorted(w, u)
+}
+
+// ProjectSimplexFrom is ProjectSimplex with its descending sort started
+// from order, a permutation of w's indices; on return order lists w's
+// indices by descending value. The hot caller (Calmon's per-state
+// transition rows, projected millions of times per repair) passes each
+// row's order from its previous projection, which gradient steps barely
+// change, so the insertion sort runs in near-linear time. The result is
+// ProjectSimplex's bit for bit: without NaN every starting order sorts
+// to the same values (the only equal values with different bits, +0 and
+// −0, add and subtract alike in the threshold pass), and a row holding a
+// NaN, which the comparisons cannot order, is projected by
+// ProjectSimplex from w's own order, leaving order as it was.
+func ProjectSimplexFrom(w []float64, order []int32) {
+	n := len(w)
+	if n == 0 {
+		return
+	}
+	var ubuf [64]float64
+	var u []float64
+	if n <= len(ubuf) {
+		u = ubuf[:n]
+	} else {
+		u = make([]float64, n)
+	}
+	order = order[:n]
+	for k, i := range order {
+		v := w[i]
+		if v != v {
+			ProjectSimplex(w)
+			return
+		}
+		u[k] = v
+	}
+	for i := 1; i < n; i++ {
+		v, o := u[i], order[i]
+		j := i
+		for ; j > 0 && v > u[j-1]; j-- {
+			u[j], order[j] = u[j-1], order[j-1]
+		}
+		u[j], order[j] = v, o
+	}
+	projectSorted(w, u)
+}
+
+// projectSorted finishes a simplex projection of w given u, w's values
+// sorted descending: it finds the threshold theta and clips w - theta at
+// zero.
+func projectSorted(w, u []float64) {
+	n := len(u)
 	var css float64
 	rho := -1
 	var theta float64

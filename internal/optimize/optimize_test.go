@@ -1,7 +1,10 @@
 package optimize
 
 import (
+	"encoding/binary"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -98,5 +101,179 @@ func TestProjectSimplexKnown(t *testing.T) {
 	ProjectSimplex(w)
 	if math.Abs(w[0]-1) > 1e-9 || math.Abs(w[1]) > 1e-9 {
 		t.Fatalf("projection of (2,0): %v", w)
+	}
+}
+
+// simplexPalette holds values rich in the cases a descending sort can
+// order in more than one way: ties, +0 and −0, and NaN.
+var simplexPalette = []float64{
+	0, math.Copysign(0, -1), 1, -1, 0.5, 0.25, 0.1, 1.0 / 3, 2, -0.5,
+	1e-300, -1e-300, 5e-324, math.NaN(),
+}
+
+// checkProjectFrom projects w from order both ways and requires
+// ProjectSimplexFrom to return ProjectSimplex's bits and leave order a
+// permutation of w's indices, sorted by descending value when w holds no
+// NaN (a NaN row keeps the order it came with).
+func checkProjectFrom(t *testing.T, w []float64, order []int32) {
+	t.Helper()
+	want := append([]float64(nil), w...)
+	ProjectSimplex(want)
+	got := append([]float64(nil), w...)
+	ord := append([]int32(nil), order...)
+	ProjectSimplexFrom(got, ord)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("row %v from order %v: entry %d is %v, ProjectSimplex gives %v", w, order, i, got[i], want[i])
+		}
+	}
+	seen := make([]bool, len(w))
+	for _, i := range ord {
+		if i < 0 || int(i) >= len(w) || seen[i] {
+			t.Fatalf("row %v: order %v is not a permutation", w, ord)
+		}
+		seen[i] = true
+	}
+	if slices.ContainsFunc(w, math.IsNaN) {
+		if !slices.Equal(ord, order) {
+			t.Fatalf("row %v with NaN: order moved from %v to %v", w, order, ord)
+		}
+		return
+	}
+	for k := 1; k < len(ord); k++ {
+		if w[ord[k]] > w[ord[k-1]] {
+			t.Fatalf("row %v: order %v is not descending", w, ord)
+		}
+	}
+}
+
+// TestProjectSimplexFromMatches holds the warm-started projection to
+// ProjectSimplex over random rows of 1–26 entries drawn from
+// simplexPalette and uniform floats, each from a random starting order,
+// and along chains of small steps that reuse each projection's order
+// the way Calmon's rows do.
+func TestProjectSimplexFromMatches(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	draw := func() float64 {
+		if r.Intn(2) == 0 {
+			return simplexPalette[r.Intn(len(simplexPalette))]
+		}
+		return 4*r.Float64() - 2
+	}
+	for trial := 0; trial < 20000; trial++ {
+		n := 1 + r.Intn(26)
+		w := make([]float64, n)
+		for i := range w {
+			w[i] = draw()
+		}
+		order := make([]int32, n)
+		for k, i := range r.Perm(n) {
+			order[k] = int32(i)
+		}
+		checkProjectFrom(t, w, order)
+	}
+	for chain := 0; chain < 200; chain++ {
+		n := 1 + r.Intn(26)
+		w := make([]float64, n)
+		order := make([]int32, n)
+		for i := range w {
+			w[i], order[i] = r.Float64(), int32(i)
+		}
+		for step := 0; step < 50; step++ {
+			for i := range w {
+				w[i] -= 0.05 * (r.Float64() - 0.5)
+			}
+			checkProjectFrom(t, w, order)
+			ProjectSimplexFrom(w, order)
+		}
+	}
+}
+
+// FuzzProjectSimplexFrom: the first byte sizes a row of 1–26 entries;
+// each entry takes a palette value or, for a byte past the palette, the
+// raw bits of the next eight bytes; the bytes left shuffle the starting
+// order.
+func FuzzProjectSimplexFrom(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 0})
+	f.Add([]byte{5, 2, 2, 2, 13, 13, 9, 4})
+	f.Add([]byte{25, 0, 1, 0, 1, 3, 3, 8, 8, 8, 1, 0, 255, 0, 0, 0, 0, 0, 0, 240, 127, 7, 7, 7})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 1 + int(data[0])%26
+		data = data[1:]
+		w := make([]float64, n)
+		for i := range w {
+			if len(data) == 0 {
+				break
+			}
+			b := int(data[0])
+			data = data[1:]
+			if b < len(simplexPalette) {
+				w[i] = simplexPalette[b]
+			} else if len(data) >= 8 {
+				w[i] = math.Float64frombits(binary.LittleEndian.Uint64(data))
+				data = data[8:]
+			}
+		}
+		order := make([]int32, n)
+		for i := range order {
+			order[i] = int32(i)
+		}
+		for i := n - 1; i > 0 && len(data) > 0; i-- {
+			j := int(data[0]) % (i + 1)
+			data = data[1:]
+			order[i], order[j] = order[j], order[i]
+		}
+		checkProjectFrom(t, w, order)
+	})
+}
+
+// TestBiasTableMatchesPow: every tabled Adam correction is the math.Pow
+// value the step would compute, past the table's end too, and a β other
+// than the defaults has no table.
+func TestBiasTableMatchesPow(t *testing.T) {
+	for _, beta := range []float64{defaultBeta1, defaultBeta2, 0.95} {
+		tab := biasTable(beta)
+		if (beta == 0.95) != (tab == nil) {
+			t.Fatalf("β %v: table of %d entries", beta, len(tab))
+		}
+		for step := 1; step <= defaultAdamIters+50; step++ {
+			want := 1 - math.Pow(beta, float64(step))
+			if got := biasCorrection(tab, beta, step); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("β %v step %d: correction %v, math.Pow gives %v", beta, step, got, want)
+			}
+		}
+	}
+}
+
+// TestNormInfBelowMatchesMaxAbs holds the early-exit check to a full
+// max-abs scan compared with <, over vectors of ±0, NaN, ±Inf and values
+// around the tolerances, and tolerances down to 0, negative and NaN.
+func TestNormInfBelowMatchesMaxAbs(t *testing.T) {
+	maxAbs := func(g []float64) float64 {
+		var m float64
+		for _, v := range g {
+			if a := math.Abs(v); a > m {
+				m = a
+			}
+		}
+		return m
+	}
+	palette := []float64{0, math.Copysign(0, -1), 1e-8, -1e-8, 1e-7, -1e-7, 5e-7, 1e-6, -1e-6,
+		2e-6, 1, -3, math.Inf(1), math.Inf(-1), math.NaN()}
+	tols := []float64{1e-6, 1e-7, 2e-6, 1, 0, math.Copysign(0, -1), -1e-6, math.Inf(1), math.NaN()}
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20000; trial++ {
+		g := make([]float64, r.Intn(9))
+		for i := range g {
+			g[i] = palette[r.Intn(len(palette))]
+		}
+		for _, tol := range tols {
+			if got, want := normInfBelow(g, tol), maxAbs(g) < tol; got != want {
+				t.Fatalf("normInfBelow(%v, %v) = %v, max-abs scan says %v", g, tol, got, want)
+			}
+		}
 	}
 }
