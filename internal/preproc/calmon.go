@@ -37,13 +37,16 @@ type Calmon struct {
 	// Seed drives the randomized application of the mapping.
 	Seed int64
 
-	disc     *dataset.Discretizer
-	attrs    []int       // chosen attribute columns
-	cards    []int       // per chosen attribute bin counts
-	nCells   int         // product of cards
-	binMid   [][]float64 // representative value per (chosen attr, bin)
-	trans    [2][][]float64
-	targets  [][]target
+	disc   *dataset.Discretizer
+	attrs  []int       // chosen attribute columns
+	cards  []int       // per chosen attribute bin counts
+	nCells int         // product of cards
+	binMid [][]float64 // representative value per (chosen attr, bin)
+	trans  [2][][]float64
+	// tgt holds every state's targets in one slab: state st's are
+	// tgt[tgtOff[st]:tgtOff[st+1]] (see buildTargets).
+	tgt      []target
+	tgtOff   []int
 	fitted   bool
 	origMean [2]float64
 
@@ -134,13 +137,6 @@ func (c *Calmon) cellOf(row []float64) int {
 	return code
 }
 
-// binsOf decodes a cell code into per-chosen-attribute bin indices.
-func (c *Calmon) binsOf(cell int) []int {
-	out := make([]int, len(c.attrs))
-	c.binsInto(cell, out)
-	return out
-}
-
 // binsInto decodes cell into out without allocating (out has len(attrs)).
 func (c *Calmon) binsInto(cell int, out []int) {
 	for k := range c.attrs {
@@ -149,40 +145,55 @@ func (c *Calmon) binsInto(cell int, out []int) {
 	}
 }
 
-// neighbors returns the reachable (cell', y') targets of state (cell, y):
-// the cell itself and every cell differing by ±1 bin in one attribute,
+// buildTargets lays out the reachable (cell', y') targets of every state
+// (cell, y) in one slab: the cell itself and every cell differing by ±1
+// bin in one attribute (attributes in order, the lower neighbour first),
 // crossed with both labels, with distortion = bin moves + 2·label flips.
-// Capacities are exact (1 + up to 2 moves per attribute, times 2 labels)
-// so the per-state precompute loop does not churn the allocator.
-func (c *Calmon) neighbors(cell, y int) []target {
-	bins := c.binsOf(cell)
-	cells := make([]int, 1, 2*len(c.attrs)+1)
-	cells[0] = cell
-	mult := 1
-	for k := range c.attrs {
-		if bins[k] > 0 {
-			cells = append(cells, cell-mult)
-		}
-		if bins[k] < c.cards[k]-1 {
-			cells = append(cells, cell+mult)
-		}
-		mult *= c.cards[k]
+// A state's self target is therefore its entry y. The slab is sized
+// exactly: an attribute of card bins gives a lower and an upper
+// neighbour to (card-1)/card of the cells each.
+func (c *Calmon) buildTargets() {
+	reach := c.nCells
+	for _, card := range c.cards {
+		reach += 2 * (c.nCells / card) * (card - 1)
 	}
-	out := make([]target, 0, 2*len(cells))
-	for _, cc := range cells {
-		for yy := 0; yy < 2; yy++ {
-			d := 0.0
-			if cc != cell {
-				d += 1
+	c.tgt = make([]target, 0, 4*reach)
+	c.tgtOff = make([]int, 2*c.nCells+1)
+	cells := make([]int, 0, 2*len(c.attrs)+1)
+	for cell := 0; cell < c.nCells; cell++ {
+		cells = append(cells[:0], cell)
+		rest, mult := cell, 1
+		for _, card := range c.cards {
+			b := rest % card
+			rest /= card
+			if b > 0 {
+				cells = append(cells, cell-mult)
 			}
-			if yy != y {
-				d += 2
+			if b < card-1 {
+				cells = append(cells, cell+mult)
 			}
-			out = append(out, target{cell: cc, y: yy, dist: d})
+			mult *= card
+		}
+		for y := 0; y < 2; y++ {
+			for _, cc := range cells {
+				for yy := 0; yy < 2; yy++ {
+					d := 0.0
+					if cc != cell {
+						d += 1
+					}
+					if yy != y {
+						d += 2
+					}
+					c.tgt = append(c.tgt, target{cell: cc, y: yy, dist: d})
+				}
+			}
+			c.tgtOff[2*cell+y+1] = len(c.tgt)
 		}
 	}
-	return out
 }
+
+// targets returns state st's targets (a view of the slab).
+func (c *Calmon) targets(st int) []target { return c.tgt[c.tgtOff[st]:c.tgtOff[st+1]] }
 
 // Repair implements fair.Repairer.
 func (c *Calmon) Repair(train *dataset.Dataset) (*dataset.Dataset, error) {
@@ -238,10 +249,13 @@ func (c *Calmon) Repair(train *dataset.Dataset) (*dataset.Dataset, error) {
 		c.origMean[s] = pos
 	}
 
-	// Precompute targets per state.
-	c.targets = make([][]target, nState)
-	for st := 0; st < nState; st++ {
-		c.targets[st] = c.neighbors(st/2, st%2)
+	c.buildTargets()
+	// The two identity rows, one per label, long enough for any state:
+	// all mass on the self target, entry y.
+	var ident [2][]float64
+	for y := range ident {
+		ident[y] = make([]float64, 2*(2*len(c.attrs)+1))
+		ident[y][y] = 1
 	}
 
 	for s := 0; s < 2; s++ {
@@ -263,16 +277,12 @@ func (c *Calmon) Repair(train *dataset.Dataset) (*dataset.Dataset, error) {
 		}
 		offsets := make([]int, len(active)+1)
 		for k, st := range active {
-			offsets[k+1] = offsets[k] + len(c.targets[st])
+			offsets[k+1] = offsets[k] + c.tgtOff[st+1] - c.tgtOff[st]
 		}
 		theta := make([]float64, offsets[len(active)])
-		// Initialize as identity-ish: all mass on the self target.
+		// Initialize as identity: all mass on the self target.
 		for k, st := range active {
-			for ti, t := range c.targets[st] {
-				if t.cell == st/2 && t.y == st%2 {
-					theta[offsets[k]+ti] = 1
-				}
-			}
+			theta[offsets[k]+st%2] = 1
 		}
 		sOther := 1 - s
 		// Ascending state indices where ps or the mapped q can be nonzero:
@@ -285,7 +295,7 @@ func (c *Calmon) Repair(train *dataset.Dataset) (*dataset.Dataset, error) {
 		inSupport := make([]bool, nState)
 		for _, st := range active {
 			inSupport[st] = true
-			for _, t := range c.targets[st] {
+			for _, t := range c.targets(st) {
 				inSupport[t.cell*2+t.y] = true
 			}
 		}
@@ -316,7 +326,7 @@ func (c *Calmon) Repair(train *dataset.Dataset) (*dataset.Dataset, error) {
 		tPos := make([]bool, nTheta)      // t.y == 1
 		for k, st := range active {
 			mass := ps[st]
-			for ti, t := range c.targets[st] {
+			for ti, t := range c.targets(st) {
 				gi := offsets[k] + ti
 				tState[gi] = t.cell*2 + t.y
 				tMass[gi] = mass
@@ -380,32 +390,36 @@ func (c *Calmon) Repair(train *dataset.Dataset) (*dataset.Dataset, error) {
 			}
 			return val
 		}
+		// Each row's descending order from its last projection seeds the
+		// next one's sort (see optimize.ProjectSimplexFrom).
+		order := make([]int32, nTheta)
+		for k := range active {
+			for i := offsets[k]; i < offsets[k+1]; i++ {
+				order[i] = int32(i - offsets[k])
+			}
+		}
 		project := func(w []float64) {
 			for k := range active {
-				optimize.ProjectSimplex(w[offsets[k]:offsets[k+1]])
+				lo, hi := offsets[k], offsets[k+1]
+				optimize.ProjectSimplexFrom(w[lo:hi], order[lo:hi])
 			}
 		}
 		theta, _ = optimize.GradientDescent(obj, theta, optimize.GDConfig{
 			Step: 0.5, MaxIter: c.Iters, Project: project,
 		})
-		// Store the learned per-state rows; states never observed in this
-		// group keep the identity mapping the optimizer would have left
-		// them with.
+		// Store the learned per-state rows as views of theta; states never
+		// observed in this group keep the identity mapping the optimizer
+		// would have left them with, a read-only view of the identity row
+		// of their label.
 		rows := make([][]float64, nState)
 		for k, st := range active {
-			rows[st] = append([]float64(nil), theta[offsets[k]:offsets[k+1]]...)
+			rows[st] = theta[offsets[k]:offsets[k+1]:offsets[k+1]]
 		}
 		for st := 0; st < nState; st++ {
-			if rows[st] != nil {
-				continue
+			if rows[st] == nil {
+				n := c.tgtOff[st+1] - c.tgtOff[st]
+				rows[st] = ident[st%2][:n:n]
 			}
-			r := make([]float64, len(c.targets[st]))
-			for ti, t := range c.targets[st] {
-				if t.cell == st/2 && t.y == st%2 {
-					r[ti] = 1
-				}
-			}
-			rows[st] = r
 		}
 		c.trans[s] = rows
 	}
@@ -417,7 +431,7 @@ func (c *Calmon) Repair(train *dataset.Dataset) (*dataset.Dataset, error) {
 	for i, row := range out.X {
 		s := train.S[i]
 		st := c.cellOf(train.X[i])*2 + train.Y[i]
-		tgt := c.targets[st]
+		tgt := c.targets(st)
 		ti := g.Categorical(c.trans[s][st])
 		c.applyCell(row, tgt[ti].cell)
 		out.Y[i] = tgt[ti].y
@@ -469,7 +483,7 @@ func (c *Calmon) TransformRow(x []float64, s int) []float64 {
 			wy = 1 - wy1
 		}
 		st := cell*2 + y
-		for ti, t := range c.targets[st] {
+		for ti, t := range c.targets(st) {
 			w := wy * c.trans[s][st][ti]
 			c.binsInto(t.cell, bins)
 			for k := range c.attrs {
