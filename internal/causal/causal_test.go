@@ -102,7 +102,7 @@ func TestTotalEffectWorkedExample(t *testing.T) {
 	g.MustEdge("SAT", "admitted")
 	d, yhat := universityData()
 	est := NewEstimator(d, g, 2)
-	eff := est.Estimate(d, yhat)
+	eff := est.Strata(d).Effects(yhat)
 	if math.Abs(eff.TE-1.0/6) > 1e-9 {
 		t.Fatalf("TE: got %v want %v", eff.TE, 1.0/6)
 	}
@@ -126,7 +126,7 @@ func TestEffectsNoMediator(t *testing.T) {
 	g.AddNode("dept_choice")
 	d, yhat := universityData()
 	est := NewEstimator(d, g, 2)
-	eff := est.Estimate(d, yhat)
+	eff := est.Strata(d).Effects(yhat)
 	if eff.NDE != eff.TE || eff.NIE != 0 {
 		t.Fatalf("no-mediator decomposition: %+v", eff)
 	}
@@ -141,7 +141,7 @@ func TestEffectsFairPredictor(t *testing.T) {
 		yhat[i] = 1
 	}
 	est := NewEstimator(d, g, 2)
-	eff := est.Estimate(d, yhat)
+	eff := est.Strata(d).Effects(yhat)
 	if eff.TE != 0 || math.Abs(eff.NDE) > 1e-9 || math.Abs(eff.NIE) > 1e-9 {
 		t.Fatalf("constant predictor must have zero effects: %+v", eff)
 	}
@@ -152,7 +152,7 @@ func TestEstimateEmpty(t *testing.T) {
 	d, _ := universityData()
 	est := NewEstimator(d, g, 2)
 	empty := &dataset.Dataset{Name: "e", Attrs: d.Attrs, SName: d.SName, YName: d.YName}
-	eff := est.Estimate(empty, nil)
+	eff := est.Strata(empty).Effects(nil)
 	if eff.TE != 0 {
 		t.Fatalf("empty estimate: %+v", eff)
 	}

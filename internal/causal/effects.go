@@ -26,7 +26,8 @@ type Effects struct {
 //	NIE = Σ_{w,z} P(Ŷ=1|S=0,W=w,Z=z) P(Z=z|S=1) P(W=w) - P(Ŷ=1|S=0)
 //
 // where Z are the mediators (descendants of S) and W the remaining
-// attributes.
+// attributes. e.Strata(d).Effects(yhat) estimates all three for the
+// predictions yhat on d.
 type Estimator struct {
 	graph *Graph
 	disc  *dataset.Discretizer
@@ -55,184 +56,193 @@ func NewEstimator(d *dataset.Dataset, g *Graph, bins int) *Estimator {
 // Mediators returns the attribute indices treated as mediators Z.
 func (e *Estimator) Mediators() []int { return append([]int(nil), e.med...) }
 
-// Estimate computes TE, NDE, and NIE of S on the predictions yhat over d.
-func (e *Estimator) Estimate(d *dataset.Dataset, yhat []int) Effects {
+// Strata is the prediction-independent half of the estimate on one
+// dataset: each row's sensitive group and (s, z, w) stratum, the stratum
+// totals, P(z|s), P(w), and the observed w strata of each (s, z) in
+// ascending order. It holds the discretizer passes, the hash maps and the
+// sorts, so a caller scoring many prediction vectors on one split builds
+// it once and pays only Effects per vector. A Strata is read-only once
+// built: concurrent Effects calls may share it.
+type Strata struct {
+	s      []int   // each row's sensitive group (the dataset's S)
+	n0, n1 float64 // group sizes
+	med    bool    // whether the graph has mediators
+	// The rest is set only when med is.
+	nz   int
+	cell []int32 // per row: its (s, z, w) stratum's index into tot and wi
+	sz   []int32 // per row: its (s, z) stratum, s*nz + z's sorted position
+	// The (s, z, w) strata, ordered by (s, z) and then ascending w; those
+	// of (s, z) stratum k are [off[k], off[k+1]).
+	tot   []float64 // rows per stratum
+	wi    []int32   // w's sorted position
+	off   []int32
+	szTot []float64 // rows per (s, z) stratum
+	// P(Z=z|S=0), P(Z=z|S=1) by z's sorted position, and P(W=w) by w's.
+	p0z, p1z, pw []float64
+}
+
+// Strata stratifies d's rows under the estimator's discretizer.
+func (e *Estimator) Strata(d *dataset.Dataset) *Strata {
 	n := d.Len()
+	st := &Strata{s: d.S[:n], med: len(e.med) > 0}
+	for _, s := range st.s {
+		if s == 1 {
+			st.n1++
+		} else {
+			st.n0++
+		}
+	}
+	if n == 0 || !st.med {
+		return st
+	}
+	// zKey/wKey are joint codes over the mediator and non-mediator
+	// attribute subsets; the adjustment sums range over the observed
+	// codes in ascending order.
+	zKey, wKey := make([]int, n), make([]int, n)
+	for i := 0; i < n; i++ {
+		zKey[i], _ = e.disc.Code(d.X[i], e.med)
+		wKey[i], _ = e.disc.Code(d.X[i], e.other)
+	}
+	zs, ws := sortedDistinct(zKey), sortedDistinct(wKey)
+	nz, nw := len(zs), len(ws)
+	st.nz = nz
+	// Each row's (s, z, w) stratum as one ascending key; the sorted
+	// distinct keys are the strata in (s, z, w) order.
+	key := make([]int, n)
+	szCount := make([]float64, 2*nz)
+	wCount := make([]float64, nw)
+	st.sz = make([]int32, n)
+	for i, s := range st.s {
+		zi, wi := sort.SearchInts(zs, zKey[i]), sort.SearchInts(ws, wKey[i])
+		sz := s*nz + zi
+		st.sz[i] = int32(sz)
+		szCount[sz]++
+		wCount[wi]++
+		key[i] = sz*nw + wi
+	}
+	keys := sortedDistinct(key)
+	st.cell = make([]int32, n)
+	st.tot = make([]float64, len(keys))
+	for i, k := range key {
+		c := sort.SearchInts(keys, k)
+		st.cell[i] = int32(c)
+		st.tot[c]++
+	}
+	st.wi = make([]int32, len(keys))
+	st.off = make([]int32, 2*nz+1)
+	for c, k := range keys {
+		st.wi[c] = int32(k % nw)
+		st.off[k/nw+1] = int32(c + 1)
+	}
+	for k := 1; k < len(st.off); k++ { // (s, z) strata with no row
+		st.off[k] = max(st.off[k], st.off[k-1])
+	}
+	st.szTot = szCount
+	st.p0z, st.p1z = make([]float64, nz), make([]float64, nz)
+	for zi := 0; zi < nz; zi++ {
+		if c := szCount[zi]; c > 0 {
+			st.p0z[zi] = c / st.n0
+		}
+		if c := szCount[nz+zi]; c > 0 {
+			st.p1z[zi] = c / st.n1
+		}
+	}
+	st.pw = wCount
+	for wi := range st.pw {
+		st.pw[wi] /= float64(n)
+	}
+	return st
+}
+
+// sortedDistinct returns the distinct values of xs in ascending order.
+func sortedDistinct(xs []int) []int {
+	out := append([]int(nil), xs...)
+	sort.Ints(out)
+	k := 0
+	for i, v := range out {
+		if i == 0 || v != out[k-1] {
+			out[k] = v
+			k++
+		}
+	}
+	return out[:k]
+}
+
+// Effects computes TE, NDE, and NIE of S on the predictions yhat over the
+// stratified rows (yhat[i] labels row i). It counts the positives of each
+// group and stratum in one pass over the rows, each count summed in row
+// order, and then runs the adjustment sums in ascending (z, w) order, so
+// every float is the same whichever process or goroutine calls it.
+func (st *Strata) Effects(yhat []int) Effects {
+	n := len(st.s)
 	if n == 0 {
 		return Effects{}
 	}
 
 	// Observational contrasts: P(Ŷ=1 | S=s).
-	var n0, n1, p0, p1 float64
-	for i := 0; i < n; i++ {
-		if d.S[i] == 1 {
-			n1++
+	var p0, p1 float64
+	for i, s := range st.s {
+		if s == 1 {
 			p1 += float64(yhat[i])
 		} else {
-			n0++
 			p0 += float64(yhat[i])
 		}
 	}
-	if n0 > 0 {
-		p0 /= n0
+	if st.n0 > 0 {
+		p0 /= st.n0
 	}
-	if n1 > 0 {
-		p1 /= n1
+	if st.n1 > 0 {
+		p1 /= st.n1
 	}
 	te := p1 - p0
 
-	if len(e.med) == 0 {
+	if !st.med {
 		// No mediators: the entire effect is direct.
 		return Effects{TE: te, NDE: te, NIE: 0}
 	}
 
-	// Empirical tables over strata. zKey/wKey are joint codes over the
-	// mediator and non-mediator attribute subsets.
-	type cell struct{ pos, tot float64 }
-	condSZW := map[[3]int]*cell{} // (s, zKey, wKey) -> E[Ŷ]
-	condSZ := map[[2]int]*cell{}  // (s, zKey)       -> fallback
-	zGivenS := map[[2]int]float64{}
-	zCountS := [2]float64{}
-	wMarg := map[int]float64{}
-
-	for i := 0; i < n; i++ {
-		z, _ := e.disc.Code(d.X[i], e.med)
-		w, _ := e.disc.Code(d.X[i], e.other)
-		s := d.S[i]
-		k3 := [3]int{s, z, w}
-		c := condSZW[k3]
-		if c == nil {
-			c = &cell{}
-			condSZW[k3] = c
-		}
-		c.pos += float64(yhat[i])
-		c.tot++
-		k2 := [2]int{s, z}
-		c2 := condSZ[k2]
-		if c2 == nil {
-			c2 = &cell{}
-			condSZ[k2] = c2
-		}
-		c2.pos += float64(yhat[i])
-		c2.tot++
-		zGivenS[[2]int{s, z}]++
-		zCountS[s]++
-		wMarg[w]++
-	}
-	for k := range zGivenS {
-		if zCountS[k[0]] > 0 {
-			zGivenS[k] /= zCountS[k[0]]
-		}
-	}
-	for k := range wMarg {
-		wMarg[k] /= float64(n)
+	// Positives per (s, z, w) stratum, for E[Ŷ|S,Z,W], and per (s, z),
+	// the fallback E[Ŷ|S,Z] where an (s, z, w) stratum is unobserved.
+	pos := make([]float64, len(st.tot))
+	szPos := make([]float64, len(st.szTot))
+	for i, y := range yhat[:n] {
+		pos[st.cell[i]] += float64(y)
+		szPos[st.sz[i]] += float64(y)
 	}
 
-	// Collect the observed z strata (with P(z|S=0), P(z|S=1)) and observed
-	// w strata (with P(w)); the adjustment sums range over their product.
-	type zent struct {
-		z        int
-		p0z, p1z float64
-	}
-	zset := map[int]*zent{}
-	for k, p := range zGivenS {
-		e, ok := zset[k[1]]
-		if !ok {
-			e = &zent{z: k[1]}
-			zset[k[1]] = e
-		}
-		if k[0] == 0 {
-			e.p0z = p
-		} else {
-			e.p1z = p
-		}
-	}
-
-	// Sum in sorted stratum order: map iteration order is randomized, and
-	// float addition is not associative, so an unordered sum perturbs the
-	// last bits of NDE/NIE from run to run — breaking the benchmark's
-	// bit-reproducibility contract (and the serial↔parallel equivalence
-	// the runner package tests assert).
-	zs := make([]int, 0, len(zset))
-	for z := range zset {
-		zs = append(zs, z)
-	}
-	sort.Ints(zs)
-	ws := make([]int, 0, len(wMarg))
-	for w := range wMarg {
-		ws = append(ws, w)
-	}
-	sort.Ints(ws)
-
-	// The adjustment sum visits every (s, z, w) combination, so per-lookup
-	// map hashing dominates it. Re-index the conditional tables first: the
-	// (s, z) conditionals become dense arrays over sorted-stratum position,
-	// and the (s, z, w) table becomes one wi-sorted sparse row per (s, zi)
-	// — total entries are bounded by the tuple count, never nz·nw. The sums
-	// below then merge-scan each sparse row against the ascending wi loop,
-	// reading the same pos/tot pairs the map lookups returned, with the
-	// same progressive fallback — E[Ŷ|S,Z,W], then E[Ŷ|S,Z], then the
-	// group mean — so every term is bit-identical.
-	nz := len(zs)
-	zIdx := make(map[int]int, nz)
-	for i, z := range zs {
-		zIdx[z] = i
-	}
-	wIdx := make(map[int]int, len(ws))
-	for i, w := range ws {
-		wIdx[w] = i
-	}
-	type went struct {
-		wi       int
-		pos, tot float64
-	}
-	rows := make([][]went, 2*nz)
-	for k, c := range condSZW {
-		at := k[0]*nz + zIdx[k[1]]
-		rows[at] = append(rows[at], went{wIdx[k[2]], c.pos, c.tot})
-	}
-	for _, r := range rows {
-		sort.Slice(r, func(i, j int) bool { return r[i].wi < r[j].wi })
-	}
-	ey2Pos := make([]float64, 2*nz)
-	ey2Tot := make([]float64, 2*nz)
-	for k, c := range condSZ {
-		at := k[0]*nz + zIdx[k[1]]
-		ey2Pos[at], ey2Tot[at] = c.pos, c.tot
-	}
-	pwArr := make([]float64, len(ws))
-	for wi, w := range ws {
-		pwArr[wi] = wMarg[w]
-	}
-
+	// Each (s, z) row of strata is merge-scanned against the ascending w
+	// loop with a progressive fallback — E[Ŷ|S,Z,W], then E[Ŷ|S,Z], then
+	// the group mean. The sums run in sorted stratum order: float addition
+	// is not associative, so any other order would perturb the last bits
+	// of NDE/NIE and break the benchmark's bit-reproducibility contract.
+	nz := st.nz
 	groupMean := [2]float64{p0, p1}
 	var nde, nie float64
-	for zi, z := range zs {
-		ze := zset[z]
-		r0 := rows[zi]
-		r1 := rows[nz+zi]
-		i0, i1 := 0, 0
-		for wi, pw := range pwArr {
-			for i1 < len(r1) && r1[i1].wi < wi {
+	for zi := 0; zi < nz; zi++ {
+		i0, end0 := st.off[zi], st.off[zi+1]
+		i1, end1 := st.off[nz+zi], st.off[nz+zi+1]
+		for w, pw := range st.pw {
+			wi := int32(w)
+			for i1 < end1 && st.wi[i1] < wi {
 				i1++
 			}
 			e1 := groupMean[1]
-			if i1 < len(r1) && r1[i1].wi == wi && r1[i1].tot > 0 {
-				e1 = r1[i1].pos / r1[i1].tot
-			} else if t := ey2Tot[nz+zi]; t > 0 {
-				e1 = ey2Pos[nz+zi] / t
+			if i1 < end1 && st.wi[i1] == wi && st.tot[i1] > 0 {
+				e1 = pos[i1] / st.tot[i1]
+			} else if t := st.szTot[nz+zi]; t > 0 {
+				e1 = szPos[nz+zi] / t
 			}
-			for i0 < len(r0) && r0[i0].wi < wi {
+			for i0 < end0 && st.wi[i0] < wi {
 				i0++
 			}
 			e0 := groupMean[0]
-			if i0 < len(r0) && r0[i0].wi == wi && r0[i0].tot > 0 {
-				e0 = r0[i0].pos / r0[i0].tot
-			} else if t := ey2Tot[zi]; t > 0 {
-				e0 = ey2Pos[zi] / t
+			if i0 < end0 && st.wi[i0] == wi && st.tot[i0] > 0 {
+				e0 = pos[i0] / st.tot[i0]
+			} else if t := st.szTot[zi]; t > 0 {
+				e0 = szPos[zi] / t
 			}
-			nde += e1 * ze.p0z * pw
-			nie += e0 * ze.p1z * pw
+			nde += e1 * st.p0z[zi] * pw
+			nie += e0 * st.p1z[zi] * pw
 		}
 	}
 	nde -= p0

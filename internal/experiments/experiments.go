@@ -28,6 +28,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"fairbench/internal/causal"
@@ -58,11 +59,20 @@ type Row struct {
 
 // Evaluate fits a on train, predicts test, and computes every metric.
 func Evaluate(a fair.Approach, train, test *dataset.Dataset, g *causal.Graph) (Row, error) {
+	return evaluate(a, train, &testStrata{test: test, graph: g})
+}
+
+// evaluate is Evaluate on ts's test split, reading its causal strata
+// from ts. They are fetched only after fitPredict has stopped the clock
+// and passed its empty-split checks, so building them is never charged
+// to an approach's Seconds.
+func evaluate(a fair.Approach, train *dataset.Dataset, ts *testStrata) (Row, error) {
+	test := ts.test
 	yhat, elapsed, err := fitPredict(a, train, test)
 	if err != nil {
 		return Row{}, err
 	}
-	raw := metrics.ComputeFairness(test, yhat, a, g)
+	raw := metrics.ComputeFairnessStrata(test, yhat, a, ts.strata())
 	return Row{
 		Approach: a.Name(),
 		Stage:    a.Stage().String(),
@@ -92,6 +102,39 @@ type splitPair struct {
 	train, test *dataset.Dataset
 }
 
+// testStrata is one test split's causal strata (metrics.CausalStrata),
+// built by the first caller that needs them and read by every later one.
+type testStrata struct {
+	test  *dataset.Dataset
+	graph *causal.Graph
+	once  sync.Once
+	st    *causal.Strata
+}
+
+func (t *testStrata) strata() *causal.Strata {
+	t.once.Do(func() { t.st = metrics.CausalStrata(t.test, t.graph) })
+	return t.st
+}
+
+// sliceStrata returns one testStrata per slice, slices that share a test
+// split sharing one (the robustness templates all test on the clean
+// split). Nothing is built until a cell asks; the grid holds them, so
+// they live and die with it.
+func sliceStrata(slices []splitPair, g *causal.Graph) []*testStrata {
+	out := make([]*testStrata, len(slices))
+	for si, sl := range slices {
+		for sj := 0; sj < si && out[si] == nil; sj++ {
+			if slices[sj].test == sl.test {
+				out[si] = out[sj]
+			}
+		}
+		if out[si] == nil {
+			out[si] = &testStrata{test: sl.test, graph: g}
+		}
+	}
+	return out
+}
+
 // metricGrid builds a (slice × approach) grid whose cells are evaluation
 // Rows in slice-major order (cell si*len(names)+ni is approach ni on
 // slice si). Each cell constructs its own approach from sliceSeed(si), so
@@ -103,7 +146,8 @@ func metricGrid(slices []splitPair, names []string, g *causal.Graph, seed int64,
 	sliceSeed func(si int) int64, assemble func(*Grid, []Cell) (*Output, error)) *Grid {
 	return &Grid{
 		kind: kindMetric, graph: g, seed: seed,
-		slices: slices, names: names, sliceSeed: sliceSeed,
+		slices: slices, strata: sliceStrata(slices, g),
+		names: names, sliceSeed: sliceSeed,
 		assemble: assemble,
 	}
 }

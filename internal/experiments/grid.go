@@ -324,7 +324,10 @@ type Grid struct {
 	graph    *causal.Graph
 	seed     int64
 	// kindMetric: slices × names, names[0] conventionally the baseline.
-	slices    []splitPair
+	slices []splitPair
+	// strata holds each metric or sensitivity slice's test-split causal
+	// strata, built by the slice's first cell to reach its metric pass.
+	strata    []*testStrata
 	names     []string
 	sliceSeed func(si int) int64
 	// kindSens: models × names.
@@ -573,7 +576,7 @@ func (g *Grid) Cell(i int) (Cell, error) {
 		if err != nil {
 			return Cell{}, err
 		}
-		row, err := Evaluate(a, g.slices[0].train, g.slices[0].test, g.graph)
+		row, err := evaluate(a, g.slices[0].train, g.strata[0])
 		if err != nil {
 			return Cell{}, err
 		}
@@ -595,7 +598,7 @@ func (g *Grid) Cell(i int) (Cell, error) {
 		if err != nil {
 			return Cell{}, err
 		}
-		row, err := Evaluate(a, g.slices[si].train, g.slices[si].test, g.graph)
+		row, err := evaluate(a, g.slices[si].train, g.strata[si])
 		if err != nil {
 			return Cell{}, err
 		}

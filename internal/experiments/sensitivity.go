@@ -37,9 +37,10 @@ func sensitivityGrid(src *synth.Source, approaches []string, seed int64) *Grid {
 		approaches = DefaultSensitivityApproaches
 	}
 	train, test := src.Data.Split(0.7, rng.New(seed))
+	slices := []splitPair{{train, test}}
 	return &Grid{
 		kind: kindSens, graph: src.Graph, seed: seed,
-		slices: []splitPair{{train, test}},
+		slices: slices, strata: sliceStrata(slices, src.Graph),
 		models: ModelNames, names: approaches,
 		assemble: func(g *Grid, cells []Cell) (*Output, error) {
 			rows := make([]SensitivityRow, len(cells))

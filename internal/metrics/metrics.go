@@ -158,22 +158,38 @@ func IndividualDiscrimination(factual, flipped []int) float64 {
 	return float64(changed) / float64(n)
 }
 
-// TotalEffect estimates TE via the causal estimator (all benchmark graphs
-// have a root sensitive attribute, so TE reduces to the observational
-// contrast; the estimator also produces NDE and NIE).
-func TotalEffect(d *dataset.Dataset, g *causal.Graph, yhat []int, bins int) causal.Effects {
-	est := causal.NewEstimator(d, g, bins)
-	return est.Estimate(d, yhat)
+// causalBins is the equal-frequency bin count the causal metrics
+// discretize numeric attributes into.
+const causalBins = 4
+
+// CausalStrata stratifies d for the causal metrics under graph g (nil
+// when g is nil): the prediction-independent half of TE, NDE and NIE,
+// which ComputeFairnessStrata completes for one prediction vector. All
+// benchmark graphs have a root sensitive attribute, so TE reduces to the
+// observational contrast; the strata add NDE and NIE.
+func CausalStrata(d *dataset.Dataset, g *causal.Graph) *causal.Strata {
+	if g == nil {
+		return nil
+	}
+	return causal.NewEstimator(d, g, causalBins).Strata(d)
 }
 
 // ComputeFairness evaluates every fairness metric at once. yhat must be
 // p's labels on d. p may be nil, in which case ID is reported as 0 (e.g.
 // for precomputed prediction vectors with no model handle). g may be nil,
-// in which case the causal metrics are 0. The group-rate tallies behind
-// DI, TPRB, and TNRB are computed in one pass over the predictions
-// instead of one per metric; the derived values are bit-identical to the
-// per-metric functions.
+// in which case the causal metrics are 0. It stratifies d on every call;
+// a caller scoring many prediction vectors on one split builds
+// CausalStrata once and calls ComputeFairnessStrata.
 func ComputeFairness(d *dataset.Dataset, yhat []int, p Flipper, g *causal.Graph) Fairness {
+	return ComputeFairnessStrata(d, yhat, p, CausalStrata(d, g))
+}
+
+// ComputeFairnessStrata is ComputeFairness with d's causal strata given
+// (CausalStrata(d, g); nil reports the causal metrics as 0). The
+// group-rate tallies behind DI, TPRB, and TNRB are computed in one pass
+// over the predictions instead of one per metric; the derived values are
+// bit-identical to the per-metric functions.
+func ComputeFairnessStrata(d *dataset.Dataset, yhat []int, p Flipper, st *causal.Strata) Fairness {
 	gr := ComputeGroupRates(d, yhat)
 	f := Fairness{
 		DI:   gr.DI(),
@@ -183,8 +199,8 @@ func ComputeFairness(d *dataset.Dataset, yhat []int, p Flipper, g *causal.Graph)
 	if p != nil {
 		f.ID = IndividualDiscrimination(p.PredictFlipped(d, yhat))
 	}
-	if g != nil {
-		eff := TotalEffect(d, g, yhat, 4)
+	if st != nil {
+		eff := st.Effects(yhat)
 		f.TE, f.NDE, f.NIE = eff.TE, eff.NDE, eff.NIE
 	}
 	return f
