@@ -94,7 +94,9 @@ type RunOptions struct {
 	// Parallelism slots. Hosts given here select the sched backend.
 	Sched *sched.Options
 	// Spawn overrides how sched's local transport launches worker
-	// subprocesses. Nil re-execs this binary's `worker` subcommand.
+	// subprocesses. Nil re-execs this binary's `worker` subcommand. A
+	// run whose Sched.Transports also has a "local" entry fails: both
+	// would set how local workers start.
 	Spawn dispatch.SpawnFunc
 	// Log receives progress lines; nil discards them.
 	Log io.Writer
@@ -289,13 +291,16 @@ func schedOptions(opts RunOptions) (sched.Options, error) {
 	if so.Dir != "" || so.CacheDir != "" || so.RemoteStore != "" || so.Log != nil {
 		return so, fmt.Errorf("engine: RunOptions.Sched sets Dir, CacheDir, RemoteStore or Log; set them on RunOptions")
 	}
+	if opts.Spawn != nil && so.Transports["local"] != nil {
+		return so, fmt.Errorf(`engine: RunOptions.Spawn and RunOptions.Sched.Transports["local"] both set how local workers start; set one`)
+	}
 	so.Dir, so.CacheDir, so.RemoteStore, so.Log = opts.Dir, opts.CacheDir, opts.RemoteStore, opts.Log
 	if len(so.Hosts) == 0 && opts.Parallelism > 0 {
 		// No explicit pool: Parallelism sizes the default local host, so
 		// the cross-backend pool knob reaches sched too.
 		so.Hosts = []sched.Host{{Name: "local", Slots: opts.Parallelism}}
 	}
-	if opts.Spawn != nil && so.Transports["local"] == nil {
+	if opts.Spawn != nil {
 		// Route the spawn override through the local transport, the one
 		// that spawns worker subprocesses on this machine.
 		transports := map[string]sched.Transport{"local": &sched.LocalExec{Spawn: opts.Spawn}}

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -380,6 +381,30 @@ func TestSchedMayNotSetEngineFields(t *testing.T) {
 		if entries, _ := os.ReadDir(dir); len(entries) != 0 || spawns.Load() != 0 {
 			t.Errorf("Sched.%s: run wrote %d entries and spawned %d workers", name, len(entries), spawns.Load())
 		}
+	}
+}
+
+// TestSpawnMayNotMeetLocalTransport: Spawn and Sched.Transports["local"]
+// both set how local workers start, so a run given both fails Run and
+// ResumeRun, naming both fields, before anything is written or spawned
+// through either.
+func TestSpawnMayNotMeetLocalTransport(t *testing.T) {
+	var spawns, transportSpawns atomic.Int64
+	so := &sched.Options{Transports: map[string]sched.Transport{
+		"local": &sched.LocalExec{Spawn: countingSpawn(&transportSpawns)},
+	}}
+	eng := New(RunOptions{Spawn: countingSpawn(&spawns)})
+	dir := t.TempDir()
+	_, _, runErr := eng.Run(context.Background(), smallSpec(), RunOptions{Dir: dir, Sched: so})
+	_, _, resumeErr := eng.ResumeRun(context.Background(), dir, RunOptions{Sched: so})
+	for name, err := range map[string]error{"Run": runErr, "ResumeRun": resumeErr} {
+		if err == nil || !strings.Contains(err.Error(), "Spawn") || !strings.Contains(err.Error(), `Transports["local"]`) {
+			t.Errorf("%s with Spawn and a local transport: err %v, want one naming both", name, err)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 || spawns.Load() != 0 || transportSpawns.Load() != 0 {
+		t.Errorf("run wrote %d entries and spawned %d workers through Spawn, %d through the transport",
+			len(entries), spawns.Load(), transportSpawns.Load())
 	}
 }
 
