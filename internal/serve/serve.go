@@ -108,6 +108,10 @@ type run struct {
 	report   *engine.Report
 	started  time.Time
 	finished time.Time
+	// shards is the run's plan size, read from its manifest by the first
+	// status poll that finds one (0 until then): a written plan's shard
+	// count never changes, so later polls only stat the part files.
+	shards int
 
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -544,12 +548,15 @@ func (s *Server) statusOf(r *run, deduped bool) runStatus {
 		st.CacheRejected = r.report.CacheStats.Rejected
 		st.CacheDegraded = r.report.CacheDegraded
 	}
-	if m, err := dispatch.ReadManifest(filepath.Join(r.dir, dispatch.ManifestName)); err == nil {
-		st.PartsTotal = m.Shards
-		for i := 0; i < m.Shards; i++ {
-			if _, err := os.Stat(filepath.Join(r.dir, dispatch.PartName(i))); err == nil {
-				st.PartsDone++
-			}
+	if r.shards == 0 {
+		if m, err := dispatch.ReadManifest(filepath.Join(r.dir, dispatch.ManifestName)); err == nil {
+			r.shards = m.Shards
+		}
+	}
+	st.PartsTotal = r.shards
+	for i := 0; i < r.shards; i++ {
+		if _, err := os.Stat(filepath.Join(r.dir, dispatch.PartName(i))); err == nil {
+			st.PartsDone++
 		}
 	}
 	return st

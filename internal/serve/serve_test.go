@@ -401,6 +401,9 @@ func TestDrainResumeMatchesSerial(t *testing.T) {
 		_, body, _ := get(t, ts1.URL+"/runs/"+st.ID)
 		var cur runStatus
 		if err := json.Unmarshal([]byte(body), &cur); err == nil && cur.PartsTotal > 0 {
+			if cur.Status != string(stateRunning) || cur.PartsTotal != 2 || cur.PartsDone != 0 {
+				t.Fatalf("running run's status %+v, want running with 0 of 2 parts", cur)
+			}
 			break
 		}
 		if time.Now().After(deadline) {
@@ -415,7 +418,7 @@ func TestDrainResumeMatchesSerial(t *testing.T) {
 	}
 	ts1.Close()
 
-	s2, ts2 := newServer(t, Config{StateDir: state})
+	s2, ts2 := newServer(t, Config{StateDir: state, Spawn: helperSpawn("FAIRBENCH_WORKER_DELAY_MS=1000")})
 	resumed, err := s2.ResumeInterrupted()
 	if err != nil {
 		t.Fatal(err)
@@ -423,7 +426,21 @@ func TestDrainResumeMatchesSerial(t *testing.T) {
 	if resumed != 1 {
 		t.Fatalf("resumed %d runs, want 1", resumed)
 	}
+	// The resumed run reads its plan on its first poll and stats the
+	// part files on every one: 0 of 2 while its workers wait, 2 of 2
+	// once done.
+	checkParts := func(status runState, done int) {
+		t.Helper()
+		_, body, _ := get(t, ts2.URL+"/runs/"+st.ID)
+		var cur runStatus
+		if json.Unmarshal([]byte(body), &cur) != nil || cur.Status != string(status) ||
+			cur.PartsTotal != 2 || cur.PartsDone != done {
+			t.Fatalf("resumed run's status %s, want %s with %d of 2 parts", body, status, done)
+		}
+	}
+	checkParts(stateRunning, 0)
 	waitDone(t, s2, st.ID)
+	checkParts(stateDone, 2)
 	code, table, _ := get(t, ts2.URL+"/runs/"+st.ID+"/table")
 	if code != http.StatusOK {
 		t.Fatalf("table after resume: code %d body %s", code, table)
