@@ -59,7 +59,7 @@ func (e *Estimator) Mediators() []int { return append([]int(nil), e.med...) }
 // Strata is the prediction-independent half of the estimate on one
 // dataset: each row's sensitive group and (s, z, w) stratum, the stratum
 // totals, P(z|s), P(w), and the observed w strata of each (s, z) in
-// ascending order. It holds the discretizer passes, the hash maps and the
+// ascending order. Building it costs the discretizer passes and the
 // sorts, so a caller scoring many prediction vectors on one split builds
 // it once and pays only Effects per vector. A Strata is read-only once
 // built: concurrent Effects calls may share it.
@@ -109,15 +109,14 @@ func (e *Estimator) Strata(d *dataset.Dataset) *Strata {
 	// Each row's (s, z, w) stratum as one ascending key; the sorted
 	// distinct keys are the strata in (s, z, w) order.
 	key := make([]int, n)
-	szCount := make([]float64, 2*nz)
-	wCount := make([]float64, nw)
 	st.sz = make([]int32, n)
+	st.szTot, st.pw = make([]float64, 2*nz), make([]float64, nw)
 	for i, s := range st.s {
 		zi, wi := sort.SearchInts(zs, zKey[i]), sort.SearchInts(ws, wKey[i])
 		sz := s*nz + zi
 		st.sz[i] = int32(sz)
-		szCount[sz]++
-		wCount[wi]++
+		st.szTot[sz]++
+		st.pw[wi]++
 		key[i] = sz*nw + wi
 	}
 	keys := sortedDistinct(key)
@@ -137,17 +136,15 @@ func (e *Estimator) Strata(d *dataset.Dataset) *Strata {
 	for k := 1; k < len(st.off); k++ { // (s, z) strata with no row
 		st.off[k] = max(st.off[k], st.off[k-1])
 	}
-	st.szTot = szCount
 	st.p0z, st.p1z = make([]float64, nz), make([]float64, nz)
 	for zi := 0; zi < nz; zi++ {
-		if c := szCount[zi]; c > 0 {
+		if c := st.szTot[zi]; c > 0 {
 			st.p0z[zi] = c / st.n0
 		}
-		if c := szCount[nz+zi]; c > 0 {
+		if c := st.szTot[nz+zi]; c > 0 {
 			st.p1z[zi] = c / st.n1
 		}
 	}
-	st.pw = wCount
 	for wi := range st.pw {
 		st.pw[wi] /= float64(n)
 	}

@@ -130,14 +130,13 @@ func Adam(f Objective, w0 []float64, cfg AdamConfig) ([]float64, float64) {
 	v := make([]float64, len(w))
 	grad := make([]float64, len(w))
 	var val float64
-	b1tab, b2tab := biasTable(cfg.Beta1), biasTable(cfg.Beta2)
 	for t := 1; t <= cfg.MaxIter; t++ {
 		val = f(w, grad)
 		if normInfBelow(grad, cfg.Tol) {
 			break
 		}
-		b1t := biasCorrection(b1tab, cfg.Beta1, t)
-		b2t := biasCorrection(b2tab, cfg.Beta2, t)
+		b1t := biasCorrection(cfg.Beta1, t)
+		b2t := biasCorrection(cfg.Beta2, t)
 		for i := range w {
 			m[i] = cfg.Beta1*m[i] + (1-cfg.Beta1)*grad[i]
 			v[i] = cfg.Beta2*v[i] + (1-cfg.Beta2)*grad[i]*grad[i]
@@ -178,23 +177,16 @@ var biasTables = sync.OnceValue(func() *[2][defaultAdamIters]float64 {
 	return &tab
 })
 
-// biasTable returns the tabled corrections of beta, or nil when beta is
-// not one of Adam's defaults.
-func biasTable(beta float64) []float64 {
-	switch beta {
-	case defaultBeta1:
-		return biasTables()[0][:]
-	case defaultBeta2:
-		return biasTables()[1][:]
-	}
-	return nil
-}
-
-// biasCorrection returns 1-β^t, from tab (biasTable(beta)) when it
-// covers step t.
-func biasCorrection(tab []float64, beta float64, t int) float64 {
-	if t <= len(tab) {
-		return tab[t-1]
+// biasCorrection returns Adam's 1-β^t, from biasTables when it holds
+// the value.
+func biasCorrection(beta float64, t int) float64 {
+	if t <= defaultAdamIters {
+		switch beta {
+		case defaultBeta1:
+			return biasTables()[0][t-1]
+		case defaultBeta2:
+			return biasTables()[1][t-1]
+		}
 	}
 	return 1 - math.Pow(beta, float64(t))
 }
