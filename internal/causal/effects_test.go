@@ -239,7 +239,9 @@ func effectsCases() []effectsCase {
 }
 
 // randomPredictions returns prediction vectors for n rows: constant 0
-// and 1, and random ones at several positive rates.
+// and 1, random labels at several positive rates, and random integers
+// near ±2⁵⁵, whose float sums round, so summing any count in another
+// order than the reference's shows in the low bits.
 func randomPredictions(n int, r *rand.Rand) [][]int {
 	var out [][]int
 	for _, rate := range []float64{0, 1, 0.03, 0.3, 0.5, 0.8} {
@@ -253,7 +255,11 @@ func randomPredictions(n int, r *rand.Rand) [][]int {
 			out = append(out, yhat)
 		}
 	}
-	return out
+	yhat := make([]int, n)
+	for i := range yhat {
+		yhat[i] = int(r.Int63n(1<<56) - 1<<55)
+	}
+	return append(out, yhat)
 }
 
 func sameBits(a, b causal.Effects) bool {
