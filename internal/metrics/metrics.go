@@ -162,11 +162,10 @@ func IndividualDiscrimination(factual, flipped []int) float64 {
 // discretize numeric attributes into.
 const causalBins = 4
 
-// CausalStrata stratifies d for the causal metrics under graph g (nil
-// when g is nil): the prediction-independent half of TE, NDE and NIE,
-// which ComputeFairnessStrata completes for one prediction vector. All
-// benchmark graphs have a root sensitive attribute, so TE reduces to the
-// observational contrast; the strata add NDE and NIE.
+// CausalStrata stratifies d for the causal metrics TE, NDE and NIE under
+// graph g, or returns nil when g is nil: the prediction-independent half
+// of their estimate, which ComputeFairnessStrata completes for one
+// prediction vector.
 func CausalStrata(d *dataset.Dataset, g *causal.Graph) *causal.Strata {
 	if g == nil {
 		return nil

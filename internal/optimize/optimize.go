@@ -89,6 +89,7 @@ func GradientDescent(f Objective, w0 []float64, cfg GDConfig) ([]float64, float6
 	return w, val
 }
 
+// Adam's defaults; biasTables holds the corrections they imply.
 const (
 	defaultBeta1, defaultBeta2 = 0.9, 0.999
 	defaultAdamIters           = 800
