@@ -1,7 +1,7 @@
 // Package matrix provides small dense linear-algebra primitives used by the
 // classifiers and optimizers. It is deliberately minimal: fair-classification
-// workloads in this repository only need vector arithmetic, matrix-vector
-// products, and a handful of norms, all on row-major [][]float64 data.
+// workloads in this repository only need vector arithmetic, sums and
+// matrix-vector products, on row-major [][]float64 data.
 package matrix
 
 import (
