@@ -41,6 +41,21 @@ func TestGoldenRowsCOMPAS(t *testing.T) {
 	checkGolden(t, "golden_compas_seed42.json", rows)
 }
 
+// TestGoldenRowsFig15COMPAS pins the appendix's Figure 15 grid on the
+// same COMPAS slice: Madras-DP, Agarwal-DP and Agarwal-EO run in no other
+// grid, so no other golden holds them.
+func TestGoldenRowsFig15COMPAS(t *testing.T) {
+	out, err := extensionsGrid(synth.COMPAS(300, 42), 42).RunAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := out.Rows
+	for i := range rows {
+		rows[i].Seconds, rows[i].Overhead = 0, 0
+	}
+	checkGolden(t, "golden_fig15_compas_seed42.json", rows)
+}
+
 // TestGoldenRowsFig10Adult pins the model-sensitivity grid (Figure 10:
 // every pre- and post-processing approach × LR, SVM, kNN, RF and MLP) on
 // a small Adult slice at seed 42. Figure 7 only exercises logistic
