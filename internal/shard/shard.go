@@ -253,15 +253,26 @@ func (e *Envelope) Validate() error {
 // makes arbitrary decoded bytes unmergeable: a fingerprint can only be
 // satisfied by the spec that hashes to it.
 func (e *Envelope) VerifyFingerprint() error {
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, e.Spec); err != nil {
-		return fmt.Errorf("shard: envelope spec is not valid JSON: %w", err)
+	spec, err := e.compactSpec()
+	if err != nil {
+		return err
 	}
-	if got := Fingerprint(compact.Bytes(), e.Total); got != e.Fingerprint {
+	if got := Fingerprint(spec, e.Total); got != e.Fingerprint {
 		return fmt.Errorf("shard: fingerprint mismatch: envelope records %.12s… but its own spec materializes %.12s… — corrupt or forged envelope",
 			e.Fingerprint, got)
 	}
 	return nil
+}
+
+// compactSpec returns the envelope's spec without insignificant
+// whitespace: the bytes its fingerprint hashed, whichever encoder last
+// wrote the envelope (Encode re-indents the spec).
+func (e *Envelope) compactSpec() ([]byte, error) {
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, e.Spec); err != nil {
+		return nil, fmt.Errorf("shard: envelope spec is not valid JSON: %w", err)
+	}
+	return compact.Bytes(), nil
 }
 
 // Decode parses and validates a serialized envelope.
@@ -290,13 +301,9 @@ type Merged struct {
 	Fingerprint string
 	Spec        json.RawMessage
 	Arch        string
-	Seed        int64
 	Total       int
 	// Rows[i] is the result of global job i.
 	Rows []json.RawMessage
-	// Cached is the union of the envelopes' cached-cell provenance, in
-	// job-index order: the global jobs no process had to compute.
-	Cached []int
 }
 
 // Merge reassembles shard envelopes into the full grid's rows in job
@@ -323,6 +330,7 @@ func MergeNamed(envs []*Envelope, names []string) (*Merged, error) {
 		return fmt.Sprintf("envelope %d", i)
 	}
 	first := envs[0]
+	var firstSpec []byte
 	for i, e := range envs {
 		if err := e.Validate(); err != nil {
 			return nil, fmt.Errorf("shard: %s: %w", label(i), err)
@@ -332,6 +340,13 @@ func MergeNamed(envs []*Envelope, names []string) (*Merged, error) {
 		// envelopes would otherwise merge.
 		if err := e.VerifyFingerprint(); err != nil {
 			return nil, fmt.Errorf("%s: %w", label(i), err)
+		}
+		// A decoded envelope carries its spec re-indented, so specs are
+		// compared compacted: a set mixing decoded and in-memory
+		// envelopes of one grid merges.
+		spec, _ := e.compactSpec() // VerifyFingerprint compacted it already
+		if i == 0 {
+			firstSpec = spec
 		}
 		switch {
 		case e.Fingerprint != first.Fingerprint:
@@ -346,7 +361,7 @@ func MergeNamed(envs []*Envelope, names []string) (*Merged, error) {
 			return nil, fmt.Errorf("shard: total mismatch: %s has %d, %s has %d", label(0), first.Total, label(i), e.Total)
 		case e.Shards != first.Shards:
 			return nil, fmt.Errorf("shard: plan mismatch: %s is %d-way, %s is %d-way", label(0), first.Shards, label(i), e.Shards)
-		case !bytes.Equal(e.Spec, first.Spec):
+		case !bytes.Equal(spec, firstSpec):
 			// The fingerprint hashes the spec, so envelopes that agree on
 			// the fingerprint but not the bytes are corrupt or forged.
 			return nil, fmt.Errorf("shard: spec mismatch between %s and %s", label(0), label(i))
@@ -360,7 +375,6 @@ func MergeNamed(envs []*Envelope, names []string) (*Merged, error) {
 	rows := make([]json.RawMessage, first.Total)
 	owner := make([]int, first.Total) // envelope position that delivered each job
 	seen := make([]bool, first.Total)
-	var cached []int
 	for _, ei := range order {
 		e := envs[ei]
 		for j, idx := range e.Indices {
@@ -372,20 +386,16 @@ func MergeNamed(envs []*Envelope, names []string) (*Merged, error) {
 			owner[idx] = ei
 			rows[idx] = e.Rows[j]
 		}
-		cached = append(cached, e.Cached...)
 	}
 	if missing := missingShards(envs, seen, first); missing != "" {
 		return nil, fmt.Errorf("shard: incomplete merge set: %s — run the missing shard(s) and merge again, or resume the run directory", missing)
 	}
-	sort.Ints(cached)
 	return &Merged{
 		Fingerprint: first.Fingerprint,
 		Spec:        first.Spec,
 		Arch:        first.Arch,
-		Seed:        first.Seed,
 		Total:       first.Total,
 		Rows:        rows,
-		Cached:      cached,
 	}, nil
 }
 
