@@ -29,16 +29,19 @@ const (
 // classifier in the original; thresholded mean probability here).
 type Agarwal struct {
 	Notion AgarwalNotion
-	// Eps is the allowed constraint violation (default 0.02).
-	Eps float64
 	// Rounds of exponentiated gradient (default 8).
 	Rounds int
-	// EtaEG is the multiplier learning rate (default 2.0).
-	EtaEG float64
 
 	base   linearBase
 	models [][]float64
 }
+
+// Agarwal's allowed constraint violation and the multipliers' learning
+// rate.
+const (
+	agarwalEps   float64 = 0.02
+	agarwalEtaEG float64 = 2.0
+)
 
 // Name implements fair.Approach.
 func (a *Agarwal) Name() string {
@@ -100,14 +103,8 @@ func (a *Agarwal) constraintViolations(preds []int, y, s []int) []float64 {
 
 // Fit implements fair.Approach.
 func (a *Agarwal) Fit(train *dataset.Dataset) error {
-	if a.Eps == 0 {
-		a.Eps = 0.02
-	}
 	if a.Rounds == 0 {
 		a.Rounds = 8
-	}
-	if a.EtaEG == 0 {
-		a.EtaEG = 2.0
 	}
 	a.base.includeS = false
 	x := a.base.designMatrix(train)
@@ -165,10 +162,10 @@ func (a *Agarwal) Fit(train *dataset.Dataset) error {
 		viols := a.constraintViolations(preds, y, s)
 		converged := true
 		for c, v := range viols {
-			if math.Abs(v) > a.Eps {
+			if math.Abs(v) > agarwalEps {
 				converged = false
 			}
-			lambda[c] += a.EtaEG * v
+			lambda[c] += agarwalEtaEG * v
 			lambda[c] = math.Min(10, math.Max(-10, lambda[c]))
 		}
 		if converged {

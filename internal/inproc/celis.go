@@ -12,7 +12,7 @@ import (
 // Celis implements Celis et al.'s meta-algorithm for classification with
 // fairness constraints, instantiated — as in the paper's evaluation — for
 // predictive parity (Celis^pp): the false discovery rate
-// q_s = P(Y=0 | Ŷ=1, S=s) must satisfy min_s q_s / max_s q_s >= Tau.
+// q_s = P(Y=0 | Ŷ=1, S=s) must satisfy min_s q_s / max_s q_s >= τ.
 //
 // The meta-algorithm reduces the constrained problem to group-dependent
 // shifts of the decision rule on top of a calibrated score. Solving the
@@ -20,15 +20,17 @@ import (
 // the two per-group thresholds directly, which this implementation does
 // exactly on a grid, minimizing training error subject to the constraint.
 type Celis struct {
-	// Tau is the performance-ratio tolerance (source-code default 0.8).
-	Tau float64
-	// GridSteps controls the threshold search resolution (default 40).
-	GridSteps int
-
 	base      linearBase
 	clf       *classifier.LogisticRegression
 	threshold [2]float64
 }
+
+// Celis's performance-ratio tolerance τ (the authors' source-code
+// default) and the threshold grid's resolution.
+const (
+	celisTau       float64 = 0.8
+	celisGridSteps int     = 40
+)
 
 // Name implements fair.Approach.
 func (c *Celis) Name() string { return "Celis-PP" }
@@ -44,12 +46,6 @@ func (c *Celis) Targets() []fair.Metric { return nil }
 
 // Fit implements fair.Approach.
 func (c *Celis) Fit(train *dataset.Dataset) error {
-	if c.Tau == 0 {
-		c.Tau = 0.8
-	}
-	if c.GridSteps == 0 {
-		c.GridSteps = 40
-	}
 	c.base.includeS = true
 	x := c.base.designMatrix(train)
 	c.clf = classifier.NewLogistic()
@@ -57,7 +53,7 @@ func (c *Celis) Fit(train *dataset.Dataset) error {
 		return err
 	}
 	proba := classifier.ProbaAll(c.clf, x)
-	c.threshold = searchThresholds(proba, train.S, train.Y, c.GridSteps, c.Tau)
+	c.threshold = searchThresholds(proba, train.S, train.Y, celisGridSteps, celisTau)
 	return nil
 }
 
@@ -171,10 +167,6 @@ func (c *Celis) labels(test *dataset.Dataset, flipS bool) []int {
 	}
 	return out
 }
-
-// Thresholds exposes the learned per-group decision thresholds (used by
-// tests and the ablation benches).
-func (c *Celis) Thresholds() [2]float64 { return c.threshold }
 
 // NewCelis returns the evaluated Celis^pp approach.
 func NewCelis() fair.Approach { return &Celis{} }

@@ -167,16 +167,16 @@ func TestCelisContract(t *testing.T) {
 			c := NewCelis().(*Celis)
 			yhat := fitPredict(t, c, train, train)
 			pos, fd := fdrCounts(train, yhat)
-			if pos[0] >= 5 && pos[1] >= 5 && fdrRatio(pos, fd) >= c.Tau {
+			if pos[0] >= 5 && pos[1] >= 5 && fdrRatio(pos, fd) >= celisTau {
 				continue
 			}
 			x := c.base.inputs(train, false)
 			proba := make([]float64, x.Rows)
 			c.clf.PredictProbaInto(proba, x)
 			bestRatio := -1.0
-			for a := 1; a < c.GridSteps; a++ {
-				for b := 1; b < c.GridSteps; b++ {
-					th := [2]float64{float64(a) / float64(c.GridSteps), float64(b) / float64(c.GridSteps)}
+			for a := 1; a < celisGridSteps; a++ {
+				for b := 1; b < celisGridSteps; b++ {
+					th := [2]float64{float64(a) / float64(celisGridSteps), float64(b) / float64(celisGridSteps)}
 					labels := make([]int, len(proba))
 					for i, p := range proba {
 						if p >= th[train.S[i]] {
@@ -188,16 +188,16 @@ func TestCelisContract(t *testing.T) {
 						continue
 					}
 					r := fdrRatio(gpos, gfd)
-					if r >= c.Tau {
+					if r >= celisTau {
 						t.Fatalf("%s seed %d: kept %v misses tau %v (positives %v, ratio %v), but %v meets it (ratio %v)",
-							src.name, seed, c.Thresholds(), c.Tau, pos, fdrRatio(pos, fd), th, r)
+							src.name, seed, c.threshold, celisTau, pos, fdrRatio(pos, fd), th, r)
 					}
 					bestRatio = math.Max(bestRatio, r)
 				}
 			}
 			if pos[0] < 5 || pos[1] < 5 || fdrRatio(pos, fd) != bestRatio {
 				t.Fatalf("%s seed %d: no pair meets tau %v, but kept %v (positives %v, ratio %v) is not the fairest (ratio %v)",
-					src.name, seed, c.Tau, c.Thresholds(), pos, fdrRatio(pos, fd), bestRatio)
+					src.name, seed, celisTau, c.threshold, pos, fdrRatio(pos, fd), bestRatio)
 			}
 		}
 	}

@@ -144,7 +144,7 @@ func TestCelisFDRParity(t *testing.T) {
 			t.Fatalf("FDR ratio %v too far below tau", lo/hi)
 		}
 	}
-	th := a.Thresholds()
+	th := a.threshold
 	if th[0] <= 0 || th[0] >= 1 || th[1] <= 0 || th[1] >= 1 {
 		t.Fatalf("thresholds out of range: %v", th)
 	}

@@ -21,17 +21,20 @@ import (
 // The subgroup class G contains conjunctions of up to two conditions over
 // the sensitive attribute and the (binarized) dataset attributes.
 type Kearns struct {
-	// Gamma is the violation tolerance (source-code default 0.005).
-	Gamma float64
 	// Rounds is the number of fictitious-play iterations (default 8).
 	Rounds int
-	// Eta scales the auditor's reweighting (default 2.0).
-	Eta float64
 
 	base    linearBase
 	models  [][]float64 // learner iterates (weights incl. intercept)
 	subDefs []subgroup
 }
+
+// Kearns's violation tolerance γ (the authors' source-code default) and
+// the factor by which the auditor reweights a violating subgroup.
+const (
+	kearnsGamma float64 = 0.005
+	kearnsEta   float64 = 2.0
+)
 
 type subgroup struct {
 	desc  string
@@ -103,14 +106,8 @@ func (k *Kearns) buildSubgroups(train *dataset.Dataset) []subgroup {
 
 // Fit implements fair.Approach.
 func (k *Kearns) Fit(train *dataset.Dataset) error {
-	if k.Gamma == 0 {
-		k.Gamma = 0.005
-	}
 	if k.Rounds == 0 {
 		k.Rounds = 8
-	}
-	if k.Eta == 0 {
-		k.Eta = 2.0
 	}
 	k.base.includeS = true
 	x := k.base.designMatrix(train)
@@ -177,7 +174,7 @@ func (k *Kearns) Fit(train *dataset.Dataset) error {
 			popFPR = popFP / popN
 		}
 		worst := -1
-		worstViol := k.Gamma
+		worstViol := kearnsGamma
 		var worstDir float64
 		for gi := range k.subDefs {
 			mask := masks[gi]
@@ -215,9 +212,9 @@ func (k *Kearns) Fit(train *dataset.Dataset) error {
 		for i := range y {
 			if y[i] == 0 && mask[i] {
 				if worstDir > 0 {
-					weights[i] *= k.Eta
+					weights[i] *= kearnsEta
 				} else {
-					weights[i] /= k.Eta
+					weights[i] /= kearnsEta
 				}
 			}
 		}

@@ -33,10 +33,6 @@ const (
 // candidate is returned (flagged by NoSolutionFound).
 type Thomas struct {
 	Notion ThomasNotion
-	// Delta is the confidence parameter (paper: 0.05).
-	Delta float64
-	// Threshold is the allowed violation (default 0.05).
-	Threshold float64
 	// MaxAttempts bounds the candidate search (default 5).
 	MaxAttempts int
 	// Seed drives the candidate/safety split.
@@ -47,6 +43,13 @@ type Thomas struct {
 	// and the returned model is the best-effort fallback.
 	NoSolutionFound bool
 }
+
+// Thomas's safety test: its confidence parameter δ (the paper's 0.05)
+// and the allowed violation.
+const (
+	thomasDelta     float64 = 0.05
+	thomasThreshold float64 = 0.05
+)
 
 // Name implements fair.Approach.
 func (t *Thomas) Name() string {
@@ -132,10 +135,10 @@ func (t *Thomas) safetyTest(w []float64, x matrix.Dense, y, s []int) bool {
 	// safety sets (German) no candidate could ever certify a threshold
 	// below it, so the acceptable level is the threshold or the resolution,
 	// whichever is larger.
-	width := math.Sqrt(math.Log(1/t.Delta) / (2 * float64(nMin)))
-	accept := math.Max(t.Threshold, 1.5*width)
+	width := math.Sqrt(math.Log(1/thomasDelta) / (2 * float64(nMin)))
+	accept := math.Max(thomasThreshold, 1.5*width)
 	for _, v := range viols {
-		if stats.HoeffdingUpper(math.Abs(v), nMin, 0, 1, t.Delta)-width > accept {
+		if stats.HoeffdingUpper(math.Abs(v), nMin, 0, 1, thomasDelta)-width > accept {
 			return false
 		}
 	}
@@ -144,12 +147,6 @@ func (t *Thomas) safetyTest(w []float64, x matrix.Dense, y, s []int) bool {
 
 // Fit implements fair.Approach.
 func (t *Thomas) Fit(train *dataset.Dataset) error {
-	if t.Delta == 0 {
-		t.Delta = 0.05
-	}
-	if t.Threshold == 0 {
-		t.Threshold = 0.05
-	}
 	if t.MaxAttempts == 0 {
 		t.MaxAttempts = 5
 	}

@@ -13,22 +13,24 @@ import (
 // equalized odds: a logistic classifier f(X) -> Ŷ is trained jointly with
 // a logistic adversary a(Ŷ_prob, Y) -> Ŝ. The adversary descends on its
 // own loss; the classifier descends on its prediction loss while ascending
-// on the adversary's (gradient reversal with strength Alpha), converging
-// to weights from which the adversary cannot recover S given Y — i.e.
-// equalized odds.
+// on the adversary's (gradient reversal with strength zhaLeAlpha),
+// converging to weights from which the adversary cannot recover S given
+// Y — i.e. equalized odds.
 type ZhaLe struct {
-	// Alpha is the adversarial gradient weight (default 1.0).
-	Alpha float64
 	// Epochs is the number of alternating passes (default 80).
 	Epochs int
-	// Step is the learning rate for both players (default 0.1).
-	Step float64
 	// Seed drives shuffling.
 	Seed int64
 
 	base linearBase
 	adv  [4]float64 // adversary weights over [p̂, y, p̂·y] + bias
 }
+
+// ZhaLe's adversarial gradient weight and both players' learning rate.
+const (
+	zhaLeAlpha float64 = 1.0
+	zhaLeStep  float64 = 0.1
+)
 
 // Name implements fair.Approach.
 func (z *ZhaLe) Name() string { return "ZhaLe-EO" }
@@ -43,14 +45,8 @@ func (z *ZhaLe) Targets() []fair.Metric {
 
 // Fit implements fair.Approach.
 func (z *ZhaLe) Fit(train *dataset.Dataset) error {
-	if z.Alpha == 0 {
-		z.Alpha = 1.0
-	}
 	if z.Epochs == 0 {
 		z.Epochs = 80
-	}
-	if z.Step == 0 {
-		z.Step = 0.1
 	}
 	z.base.includeS = false
 	x := z.base.designMatrix(train)
@@ -67,7 +63,7 @@ func (z *ZhaLe) Fit(train *dataset.Dataset) error {
 	for epoch := 0; epoch < z.Epochs; epoch++ {
 		g.Shuffle(n, func(a, b int) { order[a], order[b] = order[b], order[a] })
 		// Decay both steps mildly for stability.
-		lr := z.Step / (1 + 0.02*float64(epoch))
+		lr := zhaLeStep / (1 + 0.02*float64(epoch))
 		for _, i := range order {
 			row := x.Row(i)
 			// Classifier forward.
@@ -100,7 +96,7 @@ func (z *ZhaLe) Fit(train *dataset.Dataset) error {
 			dLaDp := da * (phi[0] + phi[2]*yi)
 			// The prediction-loss part uses dLf directly (logistic
 			// gradient); the adversarial part flows through sigmoid'.
-			gradScale := dLf - z.Alpha*dLaDp*p*(1-p)
+			gradScale := dLf - zhaLeAlpha*dLaDp*p*(1-p)
 			for j, v := range row {
 				w[j] -= lr * gradScale * v
 			}

@@ -22,13 +22,14 @@ type GDConfig struct {
 	Step float64
 	// MaxIter bounds the number of iterations (default 500).
 	MaxIter int
-	// Tol stops early when the gradient infinity norm falls below it
-	// (default 1e-6).
-	Tol float64
 	// Project, when non-nil, is applied to the iterate after every step
 	// (projected gradient descent).
 	Project func(w []float64)
 }
+
+// gdTol stops GradientDescent early when the gradient's infinity norm
+// falls below it.
+const gdTol float64 = 1e-6
 
 func (c *GDConfig) defaults() {
 	if c.Step == 0 {
@@ -36,9 +37,6 @@ func (c *GDConfig) defaults() {
 	}
 	if c.MaxIter == 0 {
 		c.MaxIter = 500
-	}
-	if c.Tol == 0 {
-		c.Tol = 1e-6
 	}
 }
 
@@ -57,7 +55,7 @@ func GradientDescent(f Objective, w0 []float64, cfg GDConfig) ([]float64, float6
 	cg := make([]float64, len(w))
 	step := cfg.Step
 	for iter := 0; iter < cfg.MaxIter; iter++ {
-		if normInfBelow(grad, cfg.Tol) {
+		if normInfBelow(grad, gdTol) {
 			break
 		}
 		// Backtracking: halve the step until the objective decreases.
@@ -89,35 +87,31 @@ func GradientDescent(f Objective, w0 []float64, cfg GDConfig) ([]float64, float6
 	return w, val
 }
 
-// Adam's defaults; biasTables holds the corrections they imply.
+// Adam's decay rates β₁ and β₂ (Kingma and Ba's defaults), its stopping
+// tolerance on the gradient's infinity norm, and its default MaxIter;
+// biasTables holds the corrections the rates imply. The rates are typed:
+// 1-adamBeta1 then folds to the float64 that 1 - β₁ computes at run
+// time, where an untyped 0.9 would fold to exactly 0.1 and move every
+// fit's bits.
 const (
-	defaultBeta1, defaultBeta2 = 0.9, 0.999
-	defaultAdamIters           = 800
+	adamBeta1        float64 = 0.9
+	adamBeta2        float64 = 0.999
+	adamTol          float64 = 1e-7
+	defaultAdamIters int     = 800
 )
 
 // AdamConfig controls the Adam optimizer.
 type AdamConfig struct {
-	Step         float64 // default 0.05
-	Beta1, Beta2 float64 // defaults 0.9, 0.999
-	MaxIter      int     // default 800
-	Tol          float64 // default 1e-7 on gradient infinity norm
+	Step    float64 // default 0.05
+	MaxIter int     // default 800
 }
 
 func (c *AdamConfig) defaults() {
 	if c.Step == 0 {
 		c.Step = 0.05
 	}
-	if c.Beta1 == 0 {
-		c.Beta1 = defaultBeta1
-	}
-	if c.Beta2 == 0 {
-		c.Beta2 = defaultBeta2
-	}
 	if c.MaxIter == 0 {
 		c.MaxIter = defaultAdamIters
-	}
-	if c.Tol == 0 {
-		c.Tol = 1e-7
 	}
 }
 
@@ -133,14 +127,14 @@ func Adam(f Objective, w0 []float64, cfg AdamConfig) ([]float64, float64) {
 	var val float64
 	for t := 1; t <= cfg.MaxIter; t++ {
 		val = f(w, grad)
-		if normInfBelow(grad, cfg.Tol) {
+		if normInfBelow(grad, adamTol) {
 			break
 		}
-		b1t := biasCorrection(cfg.Beta1, t)
-		b2t := biasCorrection(cfg.Beta2, t)
+		b1t := biasCorrection(adamBeta1, t)
+		b2t := biasCorrection(adamBeta2, t)
 		for i := range w {
-			m[i] = cfg.Beta1*m[i] + (1-cfg.Beta1)*grad[i]
-			v[i] = cfg.Beta2*v[i] + (1-cfg.Beta2)*grad[i]*grad[i]
+			m[i] = adamBeta1*m[i] + (1-adamBeta1)*grad[i]
+			v[i] = adamBeta2*v[i] + (1-adamBeta2)*grad[i]*grad[i]
 			w[i] -= cfg.Step * (m[i] / b1t) / (math.Sqrt(v[i]/b2t) + 1e-8)
 		}
 	}
@@ -165,31 +159,29 @@ func normInfBelow(g []float64, tol float64) bool {
 	return true
 }
 
-// biasTables holds 1-β^t for the default β₁ and β₂ at t = 1 up to the
-// default MaxIter, which no caller exceeds: each entry is the math.Pow
-// value Adam's loop would compute at step t. Built on first use;
-// read-only after.
+// biasTables holds 1-β^t for β₁ and β₂ at t = 1 up to the default
+// MaxIter, which no caller exceeds: each entry is the math.Pow value
+// Adam's loop would compute at step t. Built on first use; read-only
+// after.
 var biasTables = sync.OnceValue(func() *[2][defaultAdamIters]float64 {
 	var tab [2][defaultAdamIters]float64
 	for t := 1; t <= defaultAdamIters; t++ {
-		tab[0][t-1] = 1 - math.Pow(defaultBeta1, float64(t))
-		tab[1][t-1] = 1 - math.Pow(defaultBeta2, float64(t))
+		tab[0][t-1] = 1 - math.Pow(adamBeta1, float64(t))
+		tab[1][t-1] = 1 - math.Pow(adamBeta2, float64(t))
 	}
 	return &tab
 })
 
-// biasCorrection returns Adam's 1-β^t, from biasTables when it holds
-// the value.
+// biasCorrection returns Adam's 1-β^t for beta = adamBeta1 or adamBeta2,
+// from biasTables when it holds the value.
 func biasCorrection(beta float64, t int) float64 {
-	if t <= defaultAdamIters {
-		switch beta {
-		case defaultBeta1:
-			return biasTables()[0][t-1]
-		case defaultBeta2:
-			return biasTables()[1][t-1]
-		}
+	if t > defaultAdamIters {
+		return 1 - math.Pow(beta, float64(t))
 	}
-	return 1 - math.Pow(beta, float64(t))
+	if beta == adamBeta1 {
+		return biasTables()[0][t-1]
+	}
+	return biasTables()[1][t-1]
 }
 
 // Constraint is a smooth inequality constraint c(w) <= 0 with gradient.

@@ -232,9 +232,9 @@ func FuzzProjectSimplexFrom(f *testing.F) {
 
 // TestBiasTableMatchesPow: every Adam bias correction, tabled or not,
 // is the math.Pow value the step would compute, past the table's end
-// and at a β other than the defaults too.
+// too.
 func TestBiasTableMatchesPow(t *testing.T) {
-	for _, beta := range []float64{defaultBeta1, defaultBeta2, 0.95} {
+	for _, beta := range []float64{adamBeta1, adamBeta2} {
 		for step := 1; step <= defaultAdamIters+50; step++ {
 			want := 1 - math.Pow(beta, float64(step))
 			if got := biasCorrection(beta, step); math.Float64bits(got) != math.Float64bits(want) {

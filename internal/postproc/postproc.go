@@ -24,27 +24,22 @@ import (
 // on the training data to the smallest value whose resulting disparate
 // impact reaches the target.
 type KamKar struct {
-	// TargetDI is the disparate-impact level to reach (default 0.95).
-	TargetDI float64
-	// MaxTheta caps the critical region (default 0.95).
-	MaxTheta float64
-
 	theta float64
 }
+
+// KamKar's disparate-impact target and the cap on its critical region.
+const (
+	kamKarTargetDI float64 = 0.95
+	kamKarMaxTheta float64 = 0.95
+)
 
 // AdjustName implements fair.Adjuster.
 func (k *KamKar) AdjustName() string { return "KamKar" }
 
 // FitAdjust tunes theta on the training probabilities.
 func (k *KamKar) FitAdjust(train *dataset.Dataset, proba []float64) error {
-	if k.TargetDI == 0 {
-		k.TargetDI = 0.95
-	}
-	if k.MaxTheta == 0 {
-		k.MaxTheta = 0.95
-	}
 	best, bestScore := 0.5, -1.0
-	for theta := 0.5; theta <= k.MaxTheta+1e-9; theta += 0.01 {
+	for theta := 0.5; theta <= kamKarMaxTheta+1e-9; theta += 0.01 {
 		var pos, tot [2]float64
 		for i, p := range proba {
 			s := train.S[i]
@@ -78,7 +73,7 @@ func (k *KamKar) FitAdjust(train *dataset.Dataset, proba []float64) error {
 		if score > bestScore {
 			bestScore, best = score, theta
 		}
-		if di >= k.TargetDI && di <= 1/k.TargetDI {
+		if di >= kamKarTargetDI && di <= 1/kamKarTargetDI {
 			break
 		}
 	}
@@ -106,9 +101,6 @@ func (k *KamKar) decide(p float64, s int, theta float64) int {
 func (k *KamKar) AdjustedProba(p float64, s int) float64 {
 	return float64(k.decide(p, s, k.theta))
 }
-
-// Theta exposes the tuned critical-region boundary.
-func (k *KamKar) Theta() float64 { return k.theta }
 
 // NewKamKar returns the evaluated Kam-Kar^dp approach.
 func NewKamKar(model string, seed int64) fair.Approach {
@@ -215,9 +207,6 @@ func (h *Hardt) AdjustedProba(p float64, s int) float64 {
 	return h.alpha[s]*p + h.beta[s]*(1-p)
 }
 
-// MixingRates exposes the LP solution (α_0, α_1, β_0, β_1).
-func (h *Hardt) MixingRates() (alpha, beta [2]float64) { return h.alpha, h.beta }
-
 // NewHardt returns the evaluated Hardt^eo approach.
 func NewHardt(model string, seed int64) fair.Approach {
 	return &fair.PostProcessed{
@@ -298,9 +287,6 @@ func (pl *Pleiss) AdjustedProba(p float64, s int) float64 {
 	}
 	return (1-pl.alpha)*hard + pl.alpha*pl.baseRate[s]
 }
-
-// Alpha exposes the withholding probability.
-func (pl *Pleiss) Alpha() float64 { return pl.alpha }
 
 // NewPleiss returns the evaluated Pleiss^eop approach.
 func NewPleiss(model string, seed int64) fair.Approach {

@@ -49,8 +49,8 @@ func TestKamKarThetaTuned(t *testing.T) {
 		t.Fatal(err)
 	}
 	kk := a.(*fair.PostProcessed).Mechanism.(*KamKar)
-	if kk.Theta() < 0.5 || kk.Theta() > 0.96 {
-		t.Fatalf("theta out of range: %v", kk.Theta())
+	if kk.theta < 0.5 || kk.theta > 0.96 {
+		t.Fatalf("theta out of range: %v", kk.theta)
 	}
 }
 
@@ -68,7 +68,7 @@ func TestHardtEqualizesOdds(t *testing.T) {
 		t.Fatalf("Hardt odds: tprb %v->%v tnrb %v->%v", baseTPRB, tprb, baseTNRB, tnrb)
 	}
 	h := a.(*fair.PostProcessed).Mechanism.(*Hardt)
-	alpha, beta := h.MixingRates()
+	alpha, beta := h.alpha, h.beta
 	for s := 0; s < 2; s++ {
 		if alpha[s] < 0 || alpha[s] > 1 || beta[s] < 0 || beta[s] > 1 {
 			t.Fatalf("mixing rates out of [0,1]: %v %v", alpha, beta)
@@ -88,8 +88,8 @@ func TestPleissShrinksTPRGap(t *testing.T) {
 		t.Fatalf("Pleiss TPRB %v (baseline %v)", tprb, baseTPRB)
 	}
 	pl := a.(*fair.PostProcessed).Mechanism.(*Pleiss)
-	if pl.Alpha() < 0 || pl.Alpha() > 1 {
-		t.Fatalf("alpha out of range: %v", pl.Alpha())
+	if pl.alpha < 0 || pl.alpha > 1 {
+		t.Fatalf("alpha out of range: %v", pl.alpha)
 	}
 }
 

@@ -24,14 +24,6 @@ import (
 // number of cells (and hence runtime) grows exponentially with the number
 // of attributes included (Section 4.3's scalability finding).
 type Calmon struct {
-	// Bins is the per-attribute discretization granularity (default 3).
-	Bins int
-	// MaxAttrs caps how many attributes enter the joint distribution
-	// (default 6); the most label-correlated attributes are chosen.
-	MaxAttrs int
-	// Epsilon is the demographic-parity tolerance on the mapped labels
-	// (default 0.02).
-	Epsilon float64
 	// Iters bounds the projected-gradient optimization (default 150).
 	Iters int
 	// Seed drives the randomized application of the mapping.
@@ -63,23 +55,17 @@ type target struct {
 	dist    float64 // distortion cost of moving to this target
 }
 
+// Calmon's per-attribute discretization granularity, the number of
+// attributes entering the joint distribution (the most label-correlated
+// ones), and the demographic-parity tolerance ε on the mapped labels.
+const (
+	calmonBins     int     = 3
+	calmonMaxAttrs int     = 6
+	calmonEpsilon  float64 = 0.02
+)
+
 // RepairName implements fair.Repairer.
 func (c *Calmon) RepairName() string { return "Calmon" }
-
-func (c *Calmon) defaults() {
-	if c.Bins == 0 {
-		c.Bins = 3
-	}
-	if c.MaxAttrs == 0 {
-		c.MaxAttrs = 6
-	}
-	if c.Epsilon == 0 {
-		c.Epsilon = 0.02
-	}
-	if c.Iters == 0 {
-		c.Iters = 150
-	}
-}
 
 // chooseAttrs picks the attributes most correlated with the label.
 func (c *Calmon) chooseAttrs(d *dataset.Dataset) []int {
@@ -115,7 +101,7 @@ func (c *Calmon) chooseAttrs(d *dataset.Dataset) []int {
 		sc = append(sc, scored{j, r})
 	}
 	sort.Slice(sc, func(a, b int) bool { return sc[a].r > sc[b].r })
-	k := c.MaxAttrs
+	k := calmonMaxAttrs
 	if k > len(sc) {
 		k = len(sc)
 	}
@@ -197,8 +183,10 @@ func (c *Calmon) targets(st int) []target { return c.tgt[c.tgtOff[st]:c.tgtOff[s
 
 // Repair implements fair.Repairer.
 func (c *Calmon) Repair(train *dataset.Dataset) (*dataset.Dataset, error) {
-	c.defaults()
-	c.disc = dataset.FitDiscretizer(train, c.Bins)
+	if c.Iters == 0 {
+		c.Iters = 150
+	}
+	c.disc = dataset.FitDiscretizer(train, calmonBins)
 	c.attrs = c.chooseAttrs(train)
 	c.cards = make([]int, len(c.attrs))
 	c.nCells = 1
@@ -362,7 +350,7 @@ func (c *Calmon) Repair(train *dataset.Dataset) (*dataset.Dataset, error) {
 				qPos += q[st]
 			}
 			gap := qPos - overall
-			viol := math.Max(0, math.Abs(gap)-c.Epsilon)
+			viol := math.Max(0, math.Abs(gap)-calmonEpsilon)
 			// Closeness of mapped to original distribution.
 			var close float64
 			for _, st := range support {

@@ -13,14 +13,11 @@ import (
 // across sensitive groups. A value at quantile q within its group is
 // replaced by the "median distribution" value at q — for two groups, the
 // average of the two group quantile functions — scaled by the repair level
-// Lambda (the paper evaluates full repair, λ = 1). Both training and test
+// λ (the paper evaluates full repair, λ = 1). Both training and test
 // data are transformed; the sensitive attribute is dropped from the
 // downstream model's features, which is why Feld trivially satisfies the
 // ID metric (Section 4.2).
 type Feld struct {
-	// Lambda is the repair level in [0,1]; 1 = full repair.
-	Lambda float64
-
 	// per-attribute sorted group columns fitted on training data; nil for
 	// categorical attributes (left unrepaired, as in the reference
 	// implementation which targets ordinal features).
@@ -30,6 +27,9 @@ type Feld struct {
 	// sequential).
 	rowScratch []float64
 }
+
+// feldLambda is Feld's repair level in [0,1]; 1 = full repair.
+const feldLambda float64 = 1
 
 // RepairName implements fair.Repairer.
 func (f *Feld) RepairName() string { return "Feld" }
@@ -70,15 +70,14 @@ func (f *Feld) repairValue(j int, v float64, s int) float64 {
 	}
 	q := stats.Rank(own, v)
 	median := (stats.QuantileSorted(cols[0], q) + stats.QuantileSorted(cols[1], q)) / 2
-	return (1-f.Lambda)*v + f.Lambda*median
+	// Kept as the blend at λ = 1: the 0·v term still turns an infinite or
+	// NaN v into NaN, and a median of −0 into +0 when v ≥ 0.
+	return (1-feldLambda)*v + feldLambda*median
 }
 
 // Repair implements fair.Repairer: it fits the quantile maps on train and
 // returns the repaired training data.
 func (f *Feld) Repair(train *dataset.Dataset) (*dataset.Dataset, error) {
-	if f.Lambda == 0 {
-		f.Lambda = 1
-	}
 	f.fit(train)
 	out := train.Clone()
 	for i, row := range out.X {
@@ -121,7 +120,7 @@ func NewFeld(model string) fair.Approach {
 	return &fair.PreProcessed{
 		ApproachName: "Feld-DP",
 		Target:       []fair.Metric{fair.MetricDI},
-		Mechanism:    &Feld{Lambda: 1},
+		Mechanism:    &Feld{},
 		Model:        model,
 		IncludeS:     false, // Feld discards S when training (Section 4.2)
 	}

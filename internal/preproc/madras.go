@@ -17,20 +17,22 @@ import (
 // attributes with the learned representation, so any naively trained
 // downstream classifier inherits (approximate) demographic parity.
 type Madras struct {
-	// Dim is the representation width (default 8).
-	Dim int
-	// Alpha weighs the adversarial term (default 1.5).
-	Alpha float64
 	// Epochs of alternating SGD (default 60).
 	Epochs int
-	// Step is the learning rate (default 0.05).
-	Step float64
 	// Seed drives initialization and shuffling.
 	Seed int64
 
 	std *dataset.Standardizer
-	enc [][]float64 // Dim x (d+1), bias last
+	enc [][]float64 // madrasDim x (d+1), bias last
 }
+
+// Madras's representation width, the weight of its adversarial term and
+// its learning rate.
+const (
+	madrasDim   int     = 8
+	madrasAlpha float64 = 1.5
+	madrasStep  float64 = 0.05
+)
 
 // RepairName implements fair.Repairer.
 func (m *Madras) RepairName() string { return "Madras" }
@@ -38,17 +40,8 @@ func (m *Madras) RepairName() string { return "Madras" }
 // Repair implements fair.Repairer: it fits the encoder and returns the
 // dataset re-expressed in representation space.
 func (m *Madras) Repair(train *dataset.Dataset) (*dataset.Dataset, error) {
-	if m.Dim == 0 {
-		m.Dim = 8
-	}
-	if m.Alpha == 0 {
-		m.Alpha = 1.5
-	}
 	if m.Epochs == 0 {
 		m.Epochs = 60
-	}
-	if m.Step == 0 {
-		m.Step = 0.05
 	}
 	std, x := train.StandardizedDesign(false)
 	m.std = std
@@ -56,16 +49,16 @@ func (m *Madras) Repair(train *dataset.Dataset) (*dataset.Dataset, error) {
 	g := rng.New(m.Seed)
 
 	// Encoder, label head, adversary head (both heads read z).
-	m.enc = make([][]float64, m.Dim)
+	m.enc = make([][]float64, madrasDim)
 	for h := range m.enc {
 		m.enc[h] = make([]float64, d+1)
 		for j := range m.enc[h] {
 			m.enc[h][j] = g.Normal(0, 1/math.Sqrt(float64(d)))
 		}
 	}
-	yHead := make([]float64, m.Dim+1)
-	aHead := make([]float64, m.Dim+1)
-	z := make([]float64, m.Dim)
+	yHead := make([]float64, madrasDim+1)
+	aHead := make([]float64, madrasDim+1)
+	z := make([]float64, madrasDim)
 
 	order := make([]int, n)
 	for i := range order {
@@ -73,11 +66,11 @@ func (m *Madras) Repair(train *dataset.Dataset) (*dataset.Dataset, error) {
 	}
 	for epoch := 0; epoch < m.Epochs; epoch++ {
 		g.Shuffle(n, func(a, b int) { order[a], order[b] = order[b], order[a] })
-		lr := m.Step / (1 + 0.02*float64(epoch))
+		lr := madrasStep / (1 + 0.02*float64(epoch))
 		for _, i := range order {
 			row := x.Row(i)
 			// Forward: z = tanh(enc·x).
-			for h := 0; h < m.Dim; h++ {
+			for h := 0; h < madrasDim; h++ {
 				s := m.enc[h][d]
 				for j, v := range row {
 					s += m.enc[h][j] * v
@@ -93,17 +86,17 @@ func (m *Madras) Repair(train *dataset.Dataset) (*dataset.Dataset, error) {
 			// its own.
 			dY := py - yi
 			dA := ps - si
-			for h := 0; h < m.Dim; h++ {
+			for h := 0; h < madrasDim; h++ {
 				yHead[h] -= lr * dY * z[h]
 				aHead[h] -= lr * dA * z[h]
 			}
-			yHead[m.Dim] -= lr * dY
-			aHead[m.Dim] -= lr * dA
+			yHead[madrasDim] -= lr * dY
+			aHead[madrasDim] -= lr * dA
 
 			// Encoder: descend label loss, ascend adversary loss
 			// (gradient reversal).
-			for h := 0; h < m.Dim; h++ {
-				dz := dY*yHead[h] - m.Alpha*dA*aHead[h]
+			for h := 0; h < madrasDim; h++ {
+				dz := dY*yHead[h] - madrasAlpha*dA*aHead[h]
 				dpre := dz * (1 - z[h]*z[h])
 				for j, v := range row {
 					m.enc[h][j] -= lr * dpre * v
@@ -116,14 +109,14 @@ func (m *Madras) Repair(train *dataset.Dataset) (*dataset.Dataset, error) {
 	// Re-express the training data in representation space.
 	out := &dataset.Dataset{
 		Name:  train.Name + "+LAFTR",
-		Attrs: make([]dataset.Attr, m.Dim),
+		Attrs: make([]dataset.Attr, madrasDim),
 		X:     make([][]float64, n),
 		S:     append([]int(nil), train.S...),
 		Y:     append([]int(nil), train.Y...),
 		SName: train.SName,
 		YName: train.YName,
 	}
-	for h := 0; h < m.Dim; h++ {
+	for h := 0; h < madrasDim; h++ {
 		out.Attrs[h] = dataset.Attr{Name: "z" + string(rune('0'+h)), Kind: dataset.Numeric}
 	}
 	for i := range out.X {
@@ -145,8 +138,8 @@ func (m *Madras) encode(x []float64) []float64 {
 	row := append([]float64(nil), x...)
 	m.std.ApplyRow(row)
 	d := len(m.enc[0]) - 1
-	z := make([]float64, m.Dim)
-	for h := 0; h < m.Dim; h++ {
+	z := make([]float64, madrasDim)
+	for h := 0; h < madrasDim; h++ {
 		s := m.enc[h][d]
 		for j := 0; j < d && j < len(row); j++ {
 			s += m.enc[h][j] * row[j]

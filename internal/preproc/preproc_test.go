@@ -74,7 +74,7 @@ func TestKamCalWeights(t *testing.T) {
 
 func TestFeldMarginalEquality(t *testing.T) {
 	src := synth.Adult(4000, 3)
-	f := &Feld{Lambda: 1}
+	f := &Feld{}
 	out, err := f.Repair(src.Data)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestFeldMarginalEquality(t *testing.T) {
 
 func TestFeldTransformRowConsistency(t *testing.T) {
 	src := synth.Adult(2000, 4)
-	f := &Feld{Lambda: 1}
+	f := &Feld{}
 	out, err := f.Repair(src.Data)
 	if err != nil {
 		t.Fatal(err)

@@ -39,14 +39,17 @@ type Salimi struct {
 	Inadmissible []string
 	// UseMatFac selects the matrix-factorization variant.
 	UseMatFac bool
-	// Bins discretizes numeric admissible attributes (default 3).
-	Bins int
-	// MaxAdmissible caps the admissible attributes entering the strata to
-	// bound the blow-up (default 4, most label-correlated first).
-	MaxAdmissible int
 	// Seed drives the NMF initialization and deterministic tie-breaks.
 	Seed int64
 }
+
+// Salimi's discretization of numeric admissible attributes, and the cap on
+// the admissible attributes entering the strata (the most
+// label-correlated first), which bounds the blow-up.
+const (
+	salimiBins          int = 3
+	salimiMaxAdmissible int = 4
+)
 
 // RepairName implements fair.Repairer.
 func (sa *Salimi) RepairName() string {
@@ -62,12 +65,6 @@ var DefaultInadmissible = []string{"Race", "Sex", "Marital_status", "Relationshi
 
 // Repair implements fair.Repairer.
 func (sa *Salimi) Repair(train *dataset.Dataset) (*dataset.Dataset, error) {
-	if sa.Bins == 0 {
-		sa.Bins = 3
-	}
-	if sa.MaxAdmissible == 0 {
-		sa.MaxAdmissible = 4
-	}
 	inadm := map[string]bool{}
 	for _, n := range sa.Inadmissible {
 		inadm[n] = true
@@ -80,10 +77,10 @@ func (sa *Salimi) Repair(train *dataset.Dataset) (*dataset.Dataset, error) {
 			aCols = append(aCols, j)
 		}
 	}
-	if len(aCols) > sa.MaxAdmissible {
-		aCols = topCorrelated(train, aCols, sa.MaxAdmissible)
+	if len(aCols) > salimiMaxAdmissible {
+		aCols = topCorrelated(train, aCols, salimiMaxAdmissible)
 	}
-	disc := dataset.FitDiscretizer(train, sa.Bins)
+	disc := dataset.FitDiscretizer(train, salimiBins)
 
 	// Stratify tuples by admissible code; within a stratum, cell by
 	// (inadmissible code, S).
@@ -295,7 +292,7 @@ func (sa *Salimi) repairMaxSAT(d *dataset.Dataset, cells map[int][]int, keep []b
 		}
 		f.AddHard(v, -v) // tautology keeps every variable in the formula
 	}
-	res := sat.Solve(f, sat.Options{Seed: g.Int63()})
+	res := sat.Solve(f, g.Int63())
 	for vi, c := range iCodes {
 		useDelete := true
 		if res.Assignment != nil && vi+1 < len(res.Assignment) {

@@ -16,25 +16,27 @@ import (
 //   - direct-causal-effect mode (Zha-Wu^dce): within every stratum q of the
 //     mediator set Q (the parents of Y that block all indirect paths from S
 //     to Y), the per-group label-rate gap Δq = P(Y=1|S=1,q) - P(Y=1|S=0,q)
-//     is pushed below the threshold Tau by flipping the fewest labels;
+//     is pushed below the threshold zhaWuTau by flipping the fewest labels;
 //   - path-specific mode (Zha-Wu^psf): after the per-stratum (direct-path)
 //     repair, the residual marginal gap |P(Y=1|S=1) - P(Y=1|S=0)| — the
 //     effect transmitted through the indirect paths — is also flipped away
-//     until it falls below Epsilon, removing the causal influence of S
+//     until it falls below zhaWuEpsilon, removing the causal influence of S
 //     through every path.
 type ZhaWu struct {
 	// Graph is the dataset's causal model (Appendix C).
 	Graph *causal.Graph
 	// PathSpecific selects the psf variant; false = dce.
 	PathSpecific bool
-	// Tau is the allowable per-stratum direct effect (paper: 0.05).
-	Tau float64
-	// Epsilon is the allowable total effect for the psf variant
-	// (paper: 0.05).
-	Epsilon float64
-	// Bins discretizes numeric mediators for stratification (default 3).
-	Bins int
 }
+
+// ZhaWu's allowable per-stratum direct effect τ and allowable total
+// effect ε for the psf variant (both the paper's 0.05), and the
+// discretization of numeric mediators for stratification.
+const (
+	zhaWuTau     float64 = 0.05
+	zhaWuEpsilon float64 = 0.05
+	zhaWuBins    int     = 4
+)
 
 // RepairName implements fair.Repairer.
 func (z *ZhaWu) RepairName() string {
@@ -46,15 +48,6 @@ func (z *ZhaWu) RepairName() string {
 
 // Repair implements fair.Repairer.
 func (z *ZhaWu) Repair(train *dataset.Dataset) (*dataset.Dataset, error) {
-	if z.Tau == 0 {
-		z.Tau = 0.05
-	}
-	if z.Epsilon == 0 {
-		z.Epsilon = 0.05
-	}
-	if z.Bins == 0 {
-		z.Bins = 4
-	}
 	out := train.Clone()
 
 	// Mediator set Q: attributes on directed paths S -> ... -> Y.
@@ -70,7 +63,7 @@ func (z *ZhaWu) Repair(train *dataset.Dataset) (*dataset.Dataset, error) {
 			q = append(q, j)
 		}
 	}
-	disc := dataset.FitDiscretizer(train, z.Bins)
+	disc := dataset.FitDiscretizer(train, zhaWuBins)
 
 	// Group tuple indices by stratum code.
 	strata := map[int][]int{}
@@ -79,7 +72,7 @@ func (z *ZhaWu) Repair(train *dataset.Dataset) (*dataset.Dataset, error) {
 		strata[code] = append(strata[code], i)
 	}
 	for _, idx := range strata {
-		z.repairStratum(out, idx, z.Tau)
+		z.repairStratum(out, idx, zhaWuTau)
 	}
 
 	if z.PathSpecific {
@@ -89,7 +82,7 @@ func (z *ZhaWu) Repair(train *dataset.Dataset) (*dataset.Dataset, error) {
 		for i := range all {
 			all[i] = i
 		}
-		z.repairStratum(out, all, z.Epsilon)
+		z.repairStratum(out, all, zhaWuEpsilon)
 	}
 	return out, nil
 }

@@ -6,7 +6,7 @@
 // justifiable fairness) as such a formula.
 //
 // Two engines are provided: an exact DPLL-style branch-and-bound used for
-// formulas up to a configurable variable budget, and a WalkSAT-style
+// formulas up to a fixed variable budget, and a WalkSAT-style
 // stochastic local search fallback for larger encodings — mirroring the
 // exact/heuristic split of practical MaxSAT systems (the paper cites
 // Borchers & Furman's two-phase exact algorithm).
@@ -94,35 +94,22 @@ type Result struct {
 	Exact      bool // true when produced by the exact engine
 }
 
-// Options tunes the solver.
-type Options struct {
-	// ExactVarLimit is the largest variable count handled by the exact
-	// branch-and-bound engine (default 24).
-	ExactVarLimit int
-	// LocalSearchIters bounds the stochastic local search (default 20000).
-	LocalSearchIters int
-	// Seed seeds the local search.
-	Seed int64
-}
+// The largest variable count the exact branch-and-bound engine handles,
+// and the number of flips the stochastic local search tries.
+const (
+	exactVarLimit    int = 24
+	localSearchIters int = 20000
+)
 
-func (o *Options) defaults() {
-	if o.ExactVarLimit == 0 {
-		o.ExactVarLimit = 24
-	}
-	if o.LocalSearchIters == 0 {
-		o.LocalSearchIters = 20000
-	}
-}
-
-// Solve minimizes the violated soft weight subject to the hard clauses. It
-// returns an error-free Result with Cost = -1 only when the hard clauses
-// are unsatisfiable under both engines.
-func Solve(f *Formula, opts Options) Result {
-	opts.defaults()
-	if f.NumVars <= opts.ExactVarLimit {
+// Solve minimizes the violated soft weight subject to the hard clauses;
+// seed seeds the local search. It returns an error-free Result with
+// Cost = -1 only when the hard clauses are unsatisfiable under both
+// engines.
+func Solve(f *Formula, seed int64) Result {
+	if f.NumVars <= exactVarLimit {
 		return solveExact(f)
 	}
-	return solveLocal(f, opts)
+	return solveLocal(f, seed)
 }
 
 // solveExact enumerates assignments with branch-and-bound pruning on the
@@ -206,8 +193,8 @@ func softPrefixCost(f *Formula, assign []bool, v int) float64 {
 // random assignment repaired toward hard-feasibility, then greedily flip
 // variables that reduce (hard violations, soft cost) lexicographically,
 // with random-walk moves to escape local minima.
-func solveLocal(f *Formula, opts Options) Result {
-	g := rng.New(opts.Seed)
+func solveLocal(f *Formula, seed int64) Result {
+	g := rng.New(seed)
 	n := f.NumVars
 	assign := make([]bool, n+1)
 	for v := 1; v <= n; v++ {
@@ -235,7 +222,7 @@ func solveLocal(f *Formula, opts Options) Result {
 		}
 	}
 	record()
-	for iter := 0; iter < opts.LocalSearchIters; iter++ {
+	for iter := 0; iter < localSearchIters; iter++ {
 		v := 1 + g.Intn(n)
 		assign[v] = !assign[v]
 		h, s := score(assign)

@@ -12,7 +12,7 @@ func TestExactSimple(t *testing.T) {
 	f.AddHard(1, 2)
 	f.AddSoft(2, -1)
 	f.AddSoft(1, -2)
-	res := Solve(f, Options{})
+	res := Solve(f, 0)
 	if !res.Exact {
 		t.Fatal("small formula must use the exact engine")
 	}
@@ -28,7 +28,7 @@ func TestExactAllSoftSatisfiable(t *testing.T) {
 	f := &Formula{}
 	f.AddSoft(5, 1)
 	f.AddSoft(3, 2)
-	res := Solve(f, Options{})
+	res := Solve(f, 0)
 	if res.Cost != 0 {
 		t.Fatalf("want zero cost, got %v", res.Cost)
 	}
@@ -38,7 +38,7 @@ func TestExactHardUnsat(t *testing.T) {
 	f := &Formula{}
 	f.AddHard(1)
 	f.AddHard(-1)
-	res := Solve(f, Options{})
+	res := Solve(f, 0)
 	if res.Cost >= 0 {
 		t.Fatalf("unsat hard clauses must report cost -1, got %v", res.Cost)
 	}
@@ -50,7 +50,7 @@ func TestExactWeighedTradeoff(t *testing.T) {
 	f := &Formula{}
 	f.AddHard(1)
 	f.AddSoft(100, -1)
-	res := Solve(f, Options{})
+	res := Solve(f, 0)
 	if res.Cost != 100 || !res.Assignment[1] {
 		t.Fatalf("result: cost=%v assign=%v", res.Cost, res.Assignment)
 	}
@@ -80,7 +80,7 @@ func TestLocalSearchFindsFeasible(t *testing.T) {
 	f.AddHard(1)
 	f.AddHard(-1, 2)
 	f.AddSoft(1, -2)
-	res := Solve(f, Options{Seed: 42, LocalSearchIters: 5000})
+	res := Solve(f, 42)
 	if res.Exact {
 		t.Fatal("30-var formula should use local search")
 	}
@@ -119,7 +119,7 @@ func TestExactMatchesBruteForce(t *testing.T) {
 		for v := nv; v >= 1; v-- {
 			formula.track([]Lit{Lit(v)})
 		}
-		got := Solve(formula, Options{}).Cost
+		got := Solve(formula, 0).Cost
 		want := bruteForce(formula)
 		return got == want
 	}
