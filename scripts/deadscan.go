@@ -109,7 +109,8 @@ func main() {
 	s.std = importer.ForCompiler(s.fset, "source", nil)
 	s.rootMod = modulePath(root)
 	s.modules[s.rootMod] = root
-	if bench := filepath.Join(root, "perfbench"); fileExists(filepath.Join(bench, "go.mod")) {
+	bench := filepath.Join(root, "perfbench")
+	if _, err := os.Stat(filepath.Join(bench, "go.mod")); err == nil {
 		s.benchMod = modulePath(bench)
 		s.modules[s.benchMod] = bench
 	}
@@ -137,11 +138,6 @@ func main() {
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "deadscan:", err)
 	os.Exit(1)
-}
-
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
 }
 
 // modulePath reads the module line of dir/go.mod.
