@@ -41,10 +41,7 @@
 //
 //	out, rep, err := fairbench.Run(ctx, spec, fairbench.RunOptions{Parallelism: 8})
 //
-// The fairbench CLI exposes the same knob as -parallel N, and the
-// benchmark suite tracks the speedup (BenchmarkEvalAllSerial vs
-// BenchmarkEvalAllParallel; see scripts/bench.sh, which records both to
-// BENCH_parallel.json).
+// The fairbench CLI exposes the same knob as -parallel N.
 //
 // Cells read their dataset slice through shared read-only views and
 // otherwise compute alone, so each row's timing is that approach's own

@@ -81,7 +81,6 @@ type Approach interface {
 // Repairer is a pre-processing mechanism: it repairs the training data so
 // a downstream classifier learns the target fairness notion.
 type Repairer interface {
-	RepairName() string
 	Repair(train *dataset.Dataset) (*dataset.Dataset, error)
 }
 
@@ -285,7 +284,6 @@ func (p *PreProcessed) labels(test *dataset.Dataset, flipS bool) []int {
 // probabilities on labeled data, it fits a group-dependent adjustment of
 // predictions.
 type Adjuster interface {
-	AdjustName() string
 	// FitAdjust learns the adjustment from training labels, sensitive
 	// values, and base probabilities.
 	FitAdjust(train *dataset.Dataset, proba []float64) error

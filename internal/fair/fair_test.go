@@ -58,7 +58,6 @@ func TestBaselineUnfitted(t *testing.T) {
 // identityRepairer is a no-op pre-processing mechanism.
 type identityRepairer struct{}
 
-func (identityRepairer) RepairName() string { return "identity" }
 func (identityRepairer) Repair(d *dataset.Dataset) (*dataset.Dataset, error) {
 	return d.Clone(), nil
 }
@@ -167,7 +166,6 @@ func TestPredictFlippedUsesTrueGroupForTransform(t *testing.T) {
 // constAdjuster returns a fixed per-group probability.
 type constAdjuster struct{ p [2]float64 }
 
-func (constAdjuster) AdjustName() string { return "const" }
 func (constAdjuster) FitAdjust(*dataset.Dataset, []float64) error {
 	return nil
 }

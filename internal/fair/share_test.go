@@ -18,8 +18,6 @@ type countingRepairer struct {
 	scratch []float64
 }
 
-func (c *countingRepairer) RepairName() string { return "counting" }
-
 func (c *countingRepairer) Repair(d *dataset.Dataset) (*dataset.Dataset, error) {
 	c.calls.Add(1)
 	c.shift = 0.75

@@ -46,10 +46,6 @@ type Zafar struct {
 	base linearBase
 }
 
-// SetCovBound overrides the covariance tolerance; the ablation benches use
-// it to trace the fairness/accuracy trade-off curve.
-func (z *Zafar) SetCovBound(b float64) { z.CovBound = b }
-
 // Name implements fair.Approach.
 func (z *Zafar) Name() string {
 	switch z.Mode {

@@ -33,9 +33,6 @@ const (
 	kamKarMaxTheta float64 = 0.95
 )
 
-// AdjustName implements fair.Adjuster.
-func (k *KamKar) AdjustName() string { return "KamKar" }
-
 // FitAdjust tunes theta on the training probabilities.
 func (k *KamKar) FitAdjust(train *dataset.Dataset, proba []float64) error {
 	best, bestScore := 0.5, -1.0
@@ -124,9 +121,6 @@ func NewKamKar(model string, seed int64) fair.Approach {
 type Hardt struct {
 	alpha, beta [2]float64
 }
-
-// AdjustName implements fair.Adjuster.
-func (h *Hardt) AdjustName() string { return "Hardt" }
 
 // FitAdjust solves the equalized-odds LP on the training predictions. The
 // base rates are "soft": TPR̂_s = E[p | Y=1, S=s] and FPR̂_s = E[p | Y=0,
@@ -230,9 +224,6 @@ type Pleiss struct {
 	favored  int
 	baseRate [2]float64
 }
-
-// AdjustName implements fair.Adjuster.
-func (pl *Pleiss) AdjustName() string { return "Pleiss" }
 
 // FitAdjust computes the withholding probability from the per-group TPRs.
 func (pl *Pleiss) FitAdjust(train *dataset.Dataset, proba []float64) error {

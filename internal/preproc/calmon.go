@@ -64,9 +64,6 @@ const (
 	calmonEpsilon  float64 = 0.02
 )
 
-// RepairName implements fair.Repairer.
-func (c *Calmon) RepairName() string { return "Calmon" }
-
 // chooseAttrs picks the attributes most correlated with the label.
 func (c *Calmon) chooseAttrs(d *dataset.Dataset) []int {
 	type scored struct {

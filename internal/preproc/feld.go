@@ -31,9 +31,6 @@ type Feld struct {
 // feldLambda is Feld's repair level in [0,1]; 1 = full repair.
 const feldLambda float64 = 1
 
-// RepairName implements fair.Repairer.
-func (f *Feld) RepairName() string { return "Feld" }
-
 // fit records the sorted per-group training columns used by both Repair
 // and TransformRow.
 func (f *Feld) fit(train *dataset.Dataset) {

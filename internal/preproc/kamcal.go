@@ -30,16 +30,9 @@ var (
 // and the training set is rebuilt by weighted resampling, making S and Y
 // statistically independent in the repaired data.
 type KamCal struct {
-	// Resample selects between the paper's weighted-resampling variant
-	// (true, the evaluated Kam-Cal^dp) and pure instance weighting (false,
-	// used by the ablation bench).
-	Resample bool
 	// Seed drives the resampling.
 	Seed int64
 }
-
-// RepairName implements fair.Repairer.
-func (k *KamCal) RepairName() string { return "KamCal" }
 
 // Weights returns the reweighing weight for every tuple of d.
 func (k *KamCal) Weights(d *dataset.Dataset) []float64 {
@@ -67,14 +60,7 @@ func (k *KamCal) Weights(d *dataset.Dataset) []float64 {
 
 // Repair implements fair.Repairer.
 func (k *KamCal) Repair(train *dataset.Dataset) (*dataset.Dataset, error) {
-	w := k.Weights(train)
-	if !k.Resample {
-		out := train.Clone()
-		out.Weights = w
-		return out, nil
-	}
-	g := rng.New(k.Seed)
-	out := train.ResampleWeighted(w, train.Len(), g)
+	out := train.ResampleWeighted(k.Weights(train), train.Len(), rng.New(k.Seed))
 	out.Weights = nil
 	return out, nil
 }
@@ -85,18 +71,7 @@ func NewKamCal(model string, seed int64) fair.Approach {
 	return &fair.PreProcessed{
 		ApproachName: "KamCal-DP",
 		Target:       []fair.Metric{fair.MetricDI},
-		Mechanism:    &KamCal{Resample: true, Seed: seed},
-		Model:        model,
-		IncludeS:     true,
-	}
-}
-
-// NewKamCalWeighted returns the instance-weighting ablation variant.
-func NewKamCalWeighted(model string) fair.Approach {
-	return &fair.PreProcessed{
-		ApproachName: "KamCal-DP-Weighted",
-		Target:       []fair.Metric{fair.MetricDI},
-		Mechanism:    &KamCal{Resample: false},
+		Mechanism:    &KamCal{Seed: seed},
 		Model:        model,
 		IncludeS:     true,
 	}

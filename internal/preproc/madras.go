@@ -34,9 +34,6 @@ const (
 	madrasStep  float64 = 0.05
 )
 
-// RepairName implements fair.Repairer.
-func (m *Madras) RepairName() string { return "Madras" }
-
 // Repair implements fair.Repairer: it fits the encoder and returns the
 // dataset re-expressed in representation space.
 func (m *Madras) Repair(train *dataset.Dataset) (*dataset.Dataset, error) {

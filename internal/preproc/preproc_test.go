@@ -33,7 +33,7 @@ func independenceGap(d *dataset.Dataset) float64 {
 func TestKamCalIndependence(t *testing.T) {
 	src := synth.COMPAS(4000, 1)
 	before := independenceGap(src.Data)
-	k := &KamCal{Resample: true, Seed: 2}
+	k := &KamCal{Seed: 2}
 	out, err := k.Repair(src.Data)
 	if err != nil {
 		t.Fatal(err)
@@ -219,15 +219,6 @@ func TestSalimiRemovesConditionalDependence(t *testing.T) {
 		if after > before/2 {
 			t.Fatalf("matFac=%v: conditional dependence %v -> %v", matFac, before, after)
 		}
-	}
-}
-
-func TestSalimiRepairNames(t *testing.T) {
-	if (&Salimi{}).RepairName() != "Salimi-MaxSAT" {
-		t.Fatal("default name")
-	}
-	if (&Salimi{UseMatFac: true}).RepairName() != "Salimi-MatFac" {
-		t.Fatal("matfac name")
 	}
 }
 

@@ -51,14 +51,6 @@ const (
 	salimiMaxAdmissible int = 4
 )
 
-// RepairName implements fair.Repairer.
-func (sa *Salimi) RepairName() string {
-	if sa.UseMatFac {
-		return "Salimi-MatFac"
-	}
-	return "Salimi-MaxSAT"
-}
-
 // DefaultInadmissible is the paper's choice: race, gender, and
 // marital/relationship status whenever present.
 var DefaultInadmissible = []string{"Race", "Sex", "Marital_status", "Relationship"}

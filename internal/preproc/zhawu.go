@@ -38,14 +38,6 @@ const (
 	zhaWuBins    int     = 4
 )
 
-// RepairName implements fair.Repairer.
-func (z *ZhaWu) RepairName() string {
-	if z.PathSpecific {
-		return "ZhaWu-PSF"
-	}
-	return "ZhaWu-DCE"
-}
-
 // Repair implements fair.Repairer.
 func (z *ZhaWu) Repair(train *dataset.Dataset) (*dataset.Dataset, error) {
 	out := train.Clone()

@@ -91,7 +91,6 @@ func (f *Formula) Cost(assign []bool) float64 {
 type Result struct {
 	Assignment []bool // 1-indexed; index 0 unused
 	Cost       float64
-	Exact      bool // true when produced by the exact engine
 }
 
 // The largest variable count the exact branch-and-bound engine handles,
@@ -117,7 +116,7 @@ func Solve(f *Formula, seed int64) Result {
 func solveExact(f *Formula) Result {
 	n := f.NumVars
 	assign := make([]bool, n+1)
-	best := Result{Cost: -1, Exact: true}
+	best := Result{Cost: -1}
 	var rec func(v int, cost float64)
 	rec = func(v int, cost float64) {
 		if best.Cost >= 0 && cost >= best.Cost {

@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -13,7 +14,7 @@ func TestExactSimple(t *testing.T) {
 	f.AddSoft(2, -1)
 	f.AddSoft(1, -2)
 	res := Solve(f, 0)
-	if !res.Exact {
+	if !reflect.DeepEqual(res, solveExact(f)) {
 		t.Fatal("small formula must use the exact engine")
 	}
 	if res.Cost != 1 {
@@ -81,7 +82,7 @@ func TestLocalSearchFindsFeasible(t *testing.T) {
 	f.AddHard(-1, 2)
 	f.AddSoft(1, -2)
 	res := Solve(f, 42)
-	if res.Exact {
+	if !reflect.DeepEqual(res, solveLocal(f, 42)) {
 		t.Fatal("30-var formula should use local search")
 	}
 	if res.Cost < 0 {

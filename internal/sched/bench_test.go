@@ -13,8 +13,7 @@ import (
 // BenchmarkSchedPlanCacheAware measures the coordinator's plan-time cost
 // over a half-cached grid: materializing the grid from its spec plus one
 // verified store probe per cell. This is the fixed price every scheduled
-// run pays before the first assignment; scripts/bench.sh records it to
-// BENCH_sched.json.
+// run pays before the first assignment.
 func BenchmarkSchedPlanCacheAware(b *testing.B) {
 	spec := experiments.Spec{Experiment: "fig7", Dataset: "german", N: 300, Seed: 1}
 	st, err := store.Open(b.TempDir())
@@ -44,8 +43,8 @@ func BenchmarkSchedPlanCacheAware(b *testing.B) {
 // one host stalls every attempt by a scripted delay while the other
 // serves instantly. With speculation off the run waits out the stall;
 // with it on, the straggling range is duplicated onto the idle host and
-// the run finishes as soon as the duplicate validates. bench.sh records
-// both into BENCH_sched.json; their ratio is the speculation win.
+// the run finishes as soon as the duplicate validates. The pair's ratio
+// is the speculation win.
 func stragglerRun(b *testing.B, speculate bool) {
 	spec := smallSpec()
 	inner := newInstantInner(b, spec, 3)
