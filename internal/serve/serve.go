@@ -298,12 +298,7 @@ func (s *Server) ResumeInterrupted() (int, error) {
 				continue
 			}
 		}
-		if _, err := os.Stat(filepath.Join(dir, dispatch.ManifestName)); err != nil {
-			// Admitted but never planned (killed pre-manifest): run fresh.
-			s.launch(r, false)
-		} else {
-			s.launch(r, true)
-		}
+		s.launch(r)
 		resumed++
 		s.counters.resumed++
 		s.logf("serve: resuming interrupted run %s (%s/%s)", id, spec.Experiment, spec.Dataset)
@@ -341,11 +336,11 @@ func readReport(dir string) *engine.Report {
 
 // launch registers and starts (or resumes) a run's computation on the
 // engine. Caller must not hold s.mu.
-func (s *Server) launch(r *run, resume bool) {
+func (s *Server) launch(r *run) {
 	s.mu.Lock()
 	s.registerLocked(r)
 	s.mu.Unlock()
-	s.start(r, resume)
+	s.start(r)
 }
 
 // registerLocked publishes a run as executing and takes its admission
@@ -359,7 +354,10 @@ func (s *Server) registerLocked(r *run) {
 }
 
 // start runs a registered run's computation; pair with registerLocked.
-func (s *Server) start(r *run, resume bool) {
+// A run directory that holds a manifest was planned before, so the run
+// resumes from it and reuses its completed parts; any other run (new,
+// or killed or failed before planning) runs fresh.
+func (s *Server) start(r *run) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	r.cancel = cancel
 	s.wg.Add(1)
@@ -371,7 +369,7 @@ func (s *Server) start(r *run, resume bool) {
 			rep *engine.Report
 			err error
 		)
-		if resume {
+		if _, serr := os.Stat(filepath.Join(r.dir, dispatch.ManifestName)); serr == nil {
 			out, rep, err = s.eng.ResumeRun(ctx, r.dir, engine.RunOptions{})
 		} else {
 			out, rep, err = s.eng.Run(ctx, r.spec, engine.RunOptions{Dir: r.dir})
@@ -605,7 +603,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 			writeJSON(w, http.StatusOK, s.statusOf(r, true))
 			return
 		}
-		// A failed run: admit a retry through the resume path so
+		// A failed run: admit a retry in the same directory, so
 		// completed parts and cached cells are reused.
 		if code, retryAfter, msg := s.admitLocked(); code != 0 {
 			s.mu.Unlock()
@@ -616,7 +614,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		fresh := &run{id: id, dir: r.dir, spec: spec, done: make(chan struct{}), started: time.Now()}
 		s.registerLocked(fresh)
 		s.mu.Unlock()
-		s.start(fresh, true)
+		s.start(fresh)
 		s.logf("serve: run %s resubmitted after failure (%s/%s)", id, spec.Experiment, spec.Dataset)
 		writeJSON(w, http.StatusAccepted, s.statusOf(fresh, false))
 		return
@@ -648,7 +646,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 			s.logf("serve: run %s: persisting spec: %v", id, werr)
 		}
 	}
-	s.start(r, false)
+	s.start(r)
 	s.logf("serve: run %s admitted (%s/%s)", id, spec.Experiment, spec.Dataset)
 	writeJSON(w, http.StatusAccepted, s.statusOf(r, false))
 }

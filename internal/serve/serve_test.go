@@ -483,6 +483,56 @@ func TestRestartServesCompletedRunWithoutRecompute(t *testing.T) {
 	}
 }
 
+// TestRetryAfterPrePlanFailureRunsFresh: a run that failed before its
+// manifest was written has nothing to resume, so resubmitting its spec
+// must run it fresh rather than fail again on the missing manifest.
+func TestRetryAfterPrePlanFailureRunsFresh(t *testing.T) {
+	spec := smallSpec()
+	state := t.TempDir()
+	id, err := RunID(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A directory where the manifest belongs fails the first run while
+	// it plans.
+	blocker := filepath.Join(state, id, dispatch.ManifestName)
+	if err := os.MkdirAll(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newServer(t, Config{StateDir: state})
+	status := func() runStatus {
+		t.Helper()
+		_, body, _ := get(t, ts.URL+"/runs/"+id)
+		var st runStatus
+		if err := json.Unmarshal([]byte(body), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	if code, _, _ := postSpec(t, ts, spec); code != http.StatusAccepted {
+		t.Fatalf("submit: code %d", code)
+	}
+	waitDone(t, s, id)
+	if st := status(); st.Status != string(stateFailed) {
+		t.Fatalf("blocked run's status %+v, want failed", st)
+	}
+
+	if err := os.RemoveAll(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, _ := postSpec(t, ts, spec); code != http.StatusAccepted {
+		t.Fatalf("retry: code %d", code)
+	}
+	waitDone(t, s, id)
+	if st := status(); st.Status != string(stateDone) {
+		t.Fatalf("retried run's status %+v, want done", st)
+	}
+	code, table, _ := get(t, ts.URL+"/runs/"+id+"/table")
+	if code != http.StatusOK || table != serialTable(t, spec) {
+		t.Fatalf("retried run's table diverges from serial rendering (code %d)", code)
+	}
+}
+
 // TestWarmSubmitServedFromCache: with a shared result store already
 // holding every cell, a fresh daemon answers the grid itself —
 // servedFromCache, computed=0, zero worker spawns.
