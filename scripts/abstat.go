@@ -17,7 +17,13 @@
 //   - "gain" when the change is better, won at least 9 in 10 pairs, and
 //     its median differs from the parent's by more than the parent's
 //     interquartile range;
+//   - "unresolved" when either side's interquartile range is wider than
+//     the metric's bound times that side's median, so the runs spread
+//     too widely to tell a change of the bound's size, unless every run
+//     of the change beats every run of the parent;
 //   - "within bound" otherwise.
+//
+// An unresolved metric does not change the exit status.
 //
 // It exits 1 if any metric regresses or any run is incorrect or has
 // failed ops.
@@ -30,6 +36,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -126,6 +133,7 @@ func summarize(benchPath string, pairs int, dir string) error {
 		}
 		ma, mb := quantile(a, 0.5), quantile(b, 0.5)
 		iqr := quantile(a, 0.75) - quantile(a, 0.25)
+		iqrB := quantile(b, 0.75) - quantile(b, 0.25)
 		ratio := mb / ma
 		better := (lower && mb < ma) || (!lower && mb > ma)
 		verdict := "within bound"
@@ -135,6 +143,8 @@ func summarize(benchPath string, pairs int, dir string) error {
 			regressed = true
 		case better && 10*wins >= 9*pairs && math.Abs(mb-ma) > iqr:
 			verdict = "gain"
+		case (iqr > m.Bound*ma || iqrB > m.Bound*mb) && !beatsAll(a, b, lower):
+			verdict = "unresolved"
 		}
 		fmt.Printf("| %s (%s) | %s | %s | %d/%d | %.3f | %s |\n",
 			m.Name, m.Unit, spread(a), spread(b), wins, pairs, ratio, verdict)
@@ -143,6 +153,15 @@ func summarize(benchPath string, pairs int, dir string) error {
 		return fmt.Errorf("%d incorrect run(s); regression: %v", bad, regressed)
 	}
 	return nil
+}
+
+// beatsAll reports whether every run of the change b beats every run of
+// the parent a.
+func beatsAll(a, b []float64, lower bool) bool {
+	if lower {
+		return slices.Max(b) < slices.Min(a)
+	}
+	return slices.Min(b) > slices.Max(a)
 }
 
 // readRun parses one run's standard output.
