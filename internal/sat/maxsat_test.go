@@ -8,11 +8,15 @@ import (
 
 func TestExactSimple(t *testing.T) {
 	// Hard: (x1 or x2). Soft: ¬x1 (w=2), ¬x2 (w=1). Optimum: x2 true,
-	// violating the weight-1 clause.
+	// violating the weight-1 clause. x3..x8 are free, so the engines'
+	// optima differ in them and the comparison shows which one ran.
 	f := &Formula{}
 	f.AddHard(1, 2)
 	f.AddSoft(2, -1)
 	f.AddSoft(1, -2)
+	for v := Lit(3); v <= 8; v++ {
+		f.AddHard(v, -v)
+	}
 	res := Solve(f, 0)
 	if !reflect.DeepEqual(res, solveExact(f)) {
 		t.Fatal("small formula must use the exact engine")
