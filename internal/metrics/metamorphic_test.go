@@ -10,8 +10,8 @@ import (
 	"fairbench/internal/synth"
 )
 
-// rateMetrics is the correctness metrics and the three rate-based
-// fairness metrics (DI, TPRB, TNRB) of yhat on d, in that order.
+// rateMetrics returns the four correctness metrics and the three
+// rate-based fairness metrics (DI, TPRB, TNRB) of yhat on d, in order.
 func rateMetrics(d *dataset.Dataset, yhat []int) [7]float64 {
 	c := ComputeCorrectness(d.Y, yhat)
 	f := ComputeFairness(d, yhat, nil, nil)
