@@ -5,10 +5,9 @@
 //
 // A run directory is the unit of resumability. It holds:
 //
-//	manifest.json   the normalized spec, shard count, grid fingerprint,
-//	                optional explicit range plan, and result-cache
-//	                location — everything a worker (or a later resume)
-//	                needs, with no other state
+//	manifest.json   the normalized spec, grid fingerprint, range plan,
+//	                and result-cache location — everything a worker (or
+//	                a later resume) needs, with no other state
 //	part-NNN.json   one validated envelope per completed shard
 //
 // Both are written atomically, so a coordinator or worker killed at any
@@ -54,7 +53,6 @@ const ManifestName = "manifest.json"
 type Manifest struct {
 	Version     int              `json:"version"`
 	Spec        experiments.Spec `json:"spec"`
-	Shards      int              `json:"shards"`
 	Fingerprint string           `json:"fingerprint"`
 	// CacheDir is the result-cache directory workers consult, empty for
 	// cacheless runs. Recorded here so resume uses the same cache.
@@ -65,14 +63,11 @@ type Manifest struct {
 	// machines by transports that ship the manifest — writes its cells
 	// through to the same fleet-wide cache a resume would read.
 	RemoteStore string `json:"remoteStore,omitempty"`
-	// Ranges, when present, is an explicit shard plan: worker i executes
-	// Ranges[i] instead of slice i of the uniform aligned split. The
+	// Ranges is the run's shard plan: worker i executes Ranges[i]. The
 	// cache-aware scheduler (internal/sched) records its plan here so
 	// that workers, resumes, and the merge all agree on the boundaries
-	// it chose at plan time. Manifests written before the scheduler
-	// recorded plans have none; their workers used the uniform split.
-	// When present it must hold exactly Shards ranges.
-	Ranges []shard.Range `json:"ranges,omitempty"`
+	// it chose at plan time. Required: a manifest without one is refused.
+	Ranges []shard.Range `json:"ranges"`
 }
 
 // Write atomically persists the manifest to path.
@@ -116,11 +111,8 @@ func decodeManifest(data []byte, label string) (*Manifest, error) {
 	if m.Version != ManifestVersion {
 		return nil, fmt.Errorf("dispatch: %s has manifest version %d, want %d", label, m.Version, ManifestVersion)
 	}
-	if m.Shards < 1 {
-		return nil, fmt.Errorf("dispatch: %s records %d shards", label, m.Shards)
-	}
-	if len(m.Ranges) > 0 && len(m.Ranges) != m.Shards {
-		return nil, fmt.Errorf("dispatch: %s records %d shards but a %d-range plan", label, m.Shards, len(m.Ranges))
+	if len(m.Ranges) == 0 {
+		return nil, fmt.Errorf("dispatch: %s records no range plan (an older build wrote it); remove its directory, or schedule into a fresh one", label)
 	}
 	return &m, nil
 }
@@ -230,7 +222,7 @@ func StderrTail(s string) string {
 }
 
 // ValidatePart checks that the envelope at path is complete, decodes,
-// and belongs to shard i of the manifest's grid — the single part
+// and covers exactly range i of the manifest's plan — the single part
 // acceptance gate: no envelope counts as done, anywhere, without
 // passing it.
 func ValidatePart(path string, m *Manifest, i int) error {
@@ -245,22 +237,20 @@ func ValidatePart(path string, m *Manifest, i int) error {
 	switch {
 	case env.Fingerprint != m.Fingerprint:
 		return fmt.Errorf("%s carries fingerprint %.12s…, manifest has %.12s…", path, env.Fingerprint, m.Fingerprint)
-	case env.Shard != i || env.Shards != m.Shards:
-		return fmt.Errorf("%s is shard %d/%d, expected %d/%d", path, env.Shard, env.Shards, i, m.Shards)
+	case env.Shard != i || env.Shards != len(m.Ranges):
+		return fmt.Errorf("%s is shard %d/%d, expected %d/%d", path, env.Shard, env.Shards, i, len(m.Ranges))
 	}
-	// Under an explicit plan the envelope must cover exactly Ranges[i]:
-	// a same-grid envelope cut on different boundaries (say, copied from
-	// another run directory) would otherwise be reused here and poison
-	// the merge with duplicate or missing indices on every resume.
-	if len(m.Ranges) > 0 {
-		r := m.Ranges[i]
-		if len(env.Indices) != r.Len() {
-			return fmt.Errorf("%s covers %d cells, the manifest's range %d is [%d,%d)", path, len(env.Indices), i, r.Start, r.End)
-		}
-		for j, idx := range env.Indices {
-			if idx != r.Start+j {
-				return fmt.Errorf("%s carries cell %d where the manifest's range %d expects %d — envelope cut on different boundaries", path, idx, i, r.Start+j)
-			}
+	// The envelope must cover exactly Ranges[i]: a same-grid envelope cut
+	// on different boundaries (say, copied from another run directory)
+	// would otherwise be reused here and poison the merge with duplicate
+	// or missing indices on every resume.
+	r := m.Ranges[i]
+	if len(env.Indices) != r.Len() {
+		return fmt.Errorf("%s covers %d cells, the manifest's range %d is [%d,%d)", path, len(env.Indices), i, r.Start, r.End)
+	}
+	for j, idx := range env.Indices {
+		if idx != r.Start+j {
+			return fmt.Errorf("%s carries cell %d where the manifest's range %d expects %d — envelope cut on different boundaries", path, idx, i, r.Start+j)
 		}
 	}
 	return nil
@@ -327,8 +317,8 @@ func WorkerIO(r io.Reader, shardIdx int, w io.Writer) error {
 }
 
 // workerEnvelope is the shared worker body: honor the test-hook delay,
-// open the manifest's cache, run the shard — through the manifest's
-// explicit range plan when it has one — and return the encoded envelope.
+// open the manifest's cache, run the shard's range of the manifest's
+// plan, and return the encoded envelope.
 func workerEnvelope(m *Manifest, shardIdx int) ([]byte, error) {
 	if ms, err := strconv.Atoi(os.Getenv("FAIRBENCH_WORKER_DELAY_MS")); err == nil && ms > 0 {
 		time.Sleep(time.Duration(ms) * time.Millisecond)
@@ -337,12 +327,7 @@ func workerEnvelope(m *Manifest, shardIdx int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var env *shard.Envelope
-	if len(m.Ranges) > 0 {
-		env, err = experiments.RunShardPlanned(m.Spec, m.Ranges, shardIdx, cache)
-	} else {
-		env, err = experiments.RunShardContext(context.Background(), m.Spec, shardIdx, m.Shards, cache, 0)
-	}
+	env, err := experiments.RunShardPlanned(context.Background(), m.Spec, m.Ranges, shardIdx, cache)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package dispatch_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -305,11 +306,11 @@ func TestValidatePartEnforcesPlanBoundaries(t *testing.T) {
 	n := g.Len()
 	planA := []shard.Range{{Start: 0, End: 1}, {Start: 1, End: n}}
 	planB := []shard.Range{{Start: 0, End: n - 1}, {Start: n - 1, End: n}}
-	m := &dispatch.Manifest{Version: dispatch.ManifestVersion, Spec: spec, Shards: 2, Fingerprint: fp, Ranges: planA}
+	m := &dispatch.Manifest{Version: dispatch.ManifestVersion, Spec: spec, Fingerprint: fp, Ranges: planA}
 
 	dir := t.TempDir()
 	write := func(plan []shard.Range, i int) string {
-		env, err := experiments.RunShardPlanned(spec, plan, i, nil)
+		env, err := experiments.RunShardPlanned(context.Background(), spec, plan, i, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -416,7 +417,7 @@ func TestAcceptPartPromotesExactlyValidParts(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := []shard.Range{{Start: 0, End: 1}, {Start: 1, End: g.Len()}}
-	m := &dispatch.Manifest{Version: dispatch.ManifestVersion, Spec: spec, Shards: 2, Fingerprint: fp, Ranges: plan}
+	m := &dispatch.Manifest{Version: dispatch.ManifestVersion, Spec: spec, Fingerprint: fp, Ranges: plan}
 	dir := t.TempDir()
 	partPath := filepath.Join(dir, dispatch.PartName(0))
 
@@ -431,7 +432,7 @@ func TestAcceptPartPromotesExactlyValidParts(t *testing.T) {
 		t.Fatal("rejected attempt still materialized the part")
 	}
 
-	env, err := experiments.RunShardPlanned(spec, plan, 0, nil)
+	env, err := experiments.RunShardPlanned(context.Background(), spec, plan, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -225,8 +225,8 @@ func (e *Engine) Run(ctx context.Context, spec experiments.Spec, opts RunOptions
 
 // ResumeRun continues the directory-backed run recorded in dir on the
 // sched backend: spec, plan and cache come from the manifest, the pool
-// from opts. Manifests without a recorded range plan resume on the
-// uniform split their workers used.
+// from opts. A manifest without a range plan, which only an older build
+// wrote, is refused: remove its directory or schedule into a fresh one.
 func (e *Engine) ResumeRun(ctx context.Context, dir string, opts RunOptions) (*experiments.Output, *Report, error) {
 	opts = e.merged(opts)
 	opts.Dir = dir

@@ -427,13 +427,11 @@ func TestNilSchedRunsOneLocalHost(t *testing.T) {
 	}
 }
 
-// TestResumeAdoptsUniformSplitManifest: a directory whose manifest has
-// no range plan — the layout the old subprocess dispatcher wrote, which
-// serve state directories from before it was folded into sched still
-// hold — resumes through ResumeRun on the uniform split its workers
-// used: the part already on disk is reused, only the missing one runs,
-// and the merge equals the serial run.
-func TestResumeAdoptsUniformSplitManifest(t *testing.T) {
+// TestResumeRefusesPlanlessManifest: a manifest with a shard count and
+// no range plan — the layout the old subprocess dispatcher wrote — is
+// refused by ResumeRun and by dispatch.ReadManifest alike, with an error
+// that names the file and says what to do, not "nothing to resume".
+func TestResumeRefusesPlanlessManifest(t *testing.T) {
 	spec, err := smallSpec().Normalize()
 	if err != nil {
 		t.Fatal(err)
@@ -446,34 +444,34 @@ func TestResumeAdoptsUniformSplitManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	m := &dispatch.Manifest{Version: dispatch.ManifestVersion, Spec: spec, Shards: 2, Fingerprint: fp}
-	if err := m.Write(filepath.Join(dir, dispatch.ManifestName)); err != nil {
+	path := filepath.Join(dir, dispatch.ManifestName)
+	body := fmt.Sprintf(`{"version": %d, "spec": %s, "shards": 2, "fingerprint": %q}`, dispatch.ManifestVersion, specJSON, fp)
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	env, err := experiments.RunShardContext(context.Background(), spec, 0, 2, nil, 1)
-	if err != nil {
-		t.Fatal(err)
+	refused := func(who string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s accepted a plan-less manifest", who)
+		}
+		for _, want := range []string{path, "no range plan", "fresh"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: error %q lacks %q", who, err, want)
+			}
+		}
+		if strings.Contains(err.Error(), "nothing to resume") {
+			t.Fatalf("%s: error %q rewords the refusal", who, err)
+		}
 	}
-	data, err := env.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, dispatch.PartName(0)), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	out, rep, err := New(RunOptions{}).ResumeRun(context.Background(), dir, RunOptions{
+	_, err = dispatch.ReadManifest(path)
+	refused("ReadManifest", err)
+	_, _, err = New(RunOptions{}).ResumeRun(context.Background(), dir, RunOptions{
 		Parallelism: 2, Spawn: helperSpawn(),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serialReference(t, spec), canonical(t, out)) {
-		t.Fatal("resumed plan-less directory diverges from serial run")
-	}
-	if rep.Backend != BackendSched || !reflect.DeepEqual(rep.Sched.Reused, []int{0}) ||
-		!reflect.DeepEqual(rep.Sched.Completed["local"], []int{1}) {
-		t.Fatalf("resume report %+v, sched %+v", rep, rep.Sched)
-	}
+	refused("ResumeRun", err)
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"reflect"
@@ -141,7 +142,7 @@ func TestPlanRunMergeRoundTripArbitrarySubsets(t *testing.T) {
 		envs := make([]*shard.Envelope, len(plan.Ranges))
 		computed := 0
 		for i := range plan.Ranges {
-			if envs[i], err = RunShardPlanned(spec, plan.Ranges, i, st); err != nil {
+			if envs[i], err = RunShardPlanned(context.Background(), spec, plan.Ranges, i, st); err != nil {
 				t.Fatalf("trial %d range %d: %v", trial, i, err)
 			}
 			computed += len(envs[i].Indices) - len(envs[i].Cached)
@@ -174,12 +175,12 @@ func TestRunShardPlannedRejectsBadPlans(t *testing.T) {
 		{{Start: 0, End: 2}, {Start: 3, End: n}},     // gap
 	}
 	for i, ranges := range cases {
-		if _, err := RunShardPlanned(spec, ranges, 0, nil); err == nil {
+		if _, err := RunShardPlanned(context.Background(), spec, ranges, 0, nil); err == nil {
 			t.Fatalf("case %d: bad plan %v accepted", i, ranges)
 		}
 	}
 	ok := []shard.Range{{Start: 0, End: n}}
-	if _, err := RunShardPlanned(spec, ok, 1, nil); err == nil {
+	if _, err := RunShardPlanned(context.Background(), spec, ok, 1, nil); err == nil {
 		t.Fatal("out-of-range plan position accepted")
 	}
 	// The aligned grids additionally reject unaligned boundaries.
@@ -187,7 +188,7 @@ func TestRunShardPlannedRejectsBadPlans(t *testing.T) {
 		SampleSize: 250, AttrCounts: []int{2, 4}, Names: []string{"LR"}}
 	ag := mustOpen(t, aspec)
 	bad := []shard.Range{{Start: 0, End: 1}, {Start: 1, End: ag.Len()}}
-	if _, err := RunShardPlanned(aspec, bad, 0, nil); err == nil {
+	if _, err := RunShardPlanned(context.Background(), aspec, bad, 0, nil); err == nil {
 		t.Fatal("unaligned plan accepted for a timing grid")
 	}
 }

@@ -50,7 +50,7 @@ type ShardPlan struct {
 	Total  int
 	Ranges []shard.Range
 	// Uncached[i] is how many of Ranges[i]'s cells had no verified cache
-	// entry at plan time.
+	// entry at plan time; 0 for a position ProbePlan did not probe.
 	Uncached []int
 
 	// specJSON is the grid's canonical spec encoding, kept so envelopes
@@ -60,9 +60,6 @@ type ShardPlan struct {
 	// planning, by cell index — the plan-time probe already read and
 	// checked every cached entry end to end, so the coordinator can serve
 	// fully-cached ranges from these bytes without re-reading the store.
-	// Only populated by PlanShardsCacheAware in this process; a plan that
-	// crossed a process boundary (e.g. a decoded manifest) has none and
-	// serves through RunShardPlanned as before.
 	payloads map[int][]byte
 }
 
@@ -87,66 +84,70 @@ func (p *ShardPlan) TotalUncached() int {
 // hand fully-cached ranges to the coordinator without a second store
 // pass.
 func PlanShardsCacheAware(spec Spec, k int, s store.Backend) (*ShardPlan, error) {
-	g, err := Open(spec)
-	if err != nil {
-		return nil, err
-	}
-	fp, err := g.Fingerprint()
+	g, p, err := newPlan(spec)
 	if err != nil {
 		return nil, err
 	}
 	align := g.alignment()
-	payloads := map[int][]byte{}
 	uncached := func(block int) int {
-		r := shard.Range{Start: block * align, End: (block + 1) * align}
-		return probeRange(fp, g.spec.Seed, r, s, func(i int, payload []byte) {
-			payloads[i] = payload
-		})
+		return p.probe(shard.Range{Start: block * align, End: (block + 1) * align}, s)
 	}
-	ranges, counts, err := shard.PlanCacheAware(g.Len(), k, align, uncached)
+	if p.Ranges, p.Uncached, err = shard.PlanCacheAware(g.Len(), k, align, uncached); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// ProbePlan is the plan of a recorded split: it keeps ranges as they are
+// and probes the store, as PlanShardsCacheAware does, for the cells of
+// the given plan positions only. A position left out (its part already
+// delivered) counts 0 uncached and serves nothing. The ranges must
+// partition the grid on aligned boundaries, as RunShardPlanned requires.
+func ProbePlan(spec Spec, ranges []shard.Range, positions []int, s store.Backend) (*ShardPlan, error) {
+	g, p, err := newPlan(spec)
 	if err != nil {
 		return nil, err
 	}
-	return &ShardPlan{
-		Spec:        g.Spec(),
-		Fingerprint: fp,
-		Total:       g.Len(),
-		Ranges:      ranges,
-		Uncached:    counts,
-		specJSON:    g.specJSON,
-		payloads:    payloads,
-	}, nil
+	if err := validatePlan(g, ranges); err != nil {
+		return nil, err
+	}
+	p.Ranges, p.Uncached = ranges, make([]int, len(ranges))
+	for _, i := range positions {
+		p.Uncached[i] = p.probe(ranges[i], s)
+	}
+	return p, nil
 }
 
-// UncachedInRange counts the cells of r the store cannot serve for the
-// given grid identity — fingerprint plus seed, on this process's GOARCH.
-// A nil store serves nothing, so every cell counts. This is the single
-// probe loop behind cache-aware planning and the scheduler's
-// adopted-manifest resume path; keeping both on one helper means a
-// change to the cache key shape can never make them drift.
-func UncachedInRange(fp string, seed int64, r shard.Range, s store.Backend) int {
-	return probeRange(fp, seed, r, s, nil)
+// newPlan opens the spec's grid and returns it with an empty plan of it.
+func newPlan(spec Spec) (*Grid, *ShardPlan, error) {
+	g, err := Open(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	fp, err := g.Fingerprint()
+	if err != nil {
+		return nil, nil, err
+	}
+	return g, &ShardPlan{Spec: g.Spec(), Fingerprint: fp, Total: g.Len(), specJSON: g.specJSON, payloads: map[int][]byte{}}, nil
 }
 
-// probeRange is the shared probe loop: it counts the cells of r the
-// store cannot serve and, when hit is non-nil, hands every verified
-// payload to it. Store probing goes through Get, which checks each entry
-// end to end, so a payload passed to hit carries exactly the bytes a
-// later cache read would.
-func probeRange(fp string, seed int64, r shard.Range, s store.Backend, hit func(i int, payload []byte)) int {
+// probe is the one cache probe loop behind both plans: it counts the
+// cells of r the store cannot serve and keeps every verified payload.
+// Store probing goes through Get, which checks each entry end to end, so
+// a kept payload carries exactly the bytes a later cache read would. A
+// nil store serves nothing, so every cell counts.
+func (p *ShardPlan) probe(r shard.Range, s store.Backend) int {
 	if s == nil {
 		return r.Len()
 	}
 	n := 0
 	for i := r.Start; i < r.End; i++ {
-		payload, ok := s.Get(store.Key{Fingerprint: fp, Index: i, Seed: seed, Arch: runtime.GOARCH})
+		payload, ok := s.Get(store.Key{Fingerprint: p.Fingerprint, Index: i, Seed: p.Spec.Seed, Arch: runtime.GOARCH})
 		if !ok {
 			n++
 			continue
 		}
-		if hit != nil {
-			hit(i, payload)
-		}
+		p.payloads[i] = payload
 	}
 	return n
 }
@@ -157,14 +158,12 @@ func probeRange(fp string, seed int64, r shard.Range, s store.Backend, hit func(
 // grid) again. It reproduces RunShardPlanned's bytes exactly: each
 // payload decodes to the cell the cache path would serve, is marked
 // Cached, and is re-encoded by the same marshaller. ok is false when the
-// plan carries no payloads (crossed a process boundary), the position is
+// plan was not built by a probe (a ShardPlan literal), the position is
 // out of range, or any cell of the range is missing or fails to decode
 // to its own index — callers then fall back to RunShardPlanned, which
 // recomputes exactly as the cache path would on the same bad entry.
-// A nil plan serves nothing, so callers holding a maybe-nil plan (e.g.
-// the scheduler's adopted-manifest path) can call unconditionally.
 func (p *ShardPlan) ServeEnvelope(i int) (*shard.Envelope, bool) {
-	if p == nil || len(p.payloads) == 0 || len(p.specJSON) == 0 || i < 0 || i >= len(p.Ranges) {
+	if len(p.specJSON) == 0 || i < 0 || i >= len(p.Ranges) {
 		return nil, false
 	}
 	env := &shard.Envelope{
@@ -215,7 +214,14 @@ func RunShardContext(ctx context.Context, spec Spec, i, k int, s store.Backend, 
 	}
 	g.SetCache(s)
 	g.SetWorkers(workers)
-	return runShard(ctx, g, i, k)
+	ranges, err := shard.PlanAligned(g.Len(), k, g.alignment())
+	if err != nil {
+		return nil, err
+	}
+	if i < 0 || i >= k {
+		return nil, fmt.Errorf("experiments: shard %d of %d out of range", i, k)
+	}
+	return runPlanned(ctx, g, ranges, i)
 }
 
 // RunShardPlanned executes ranges[i] of an explicit plan of the spec's
@@ -225,8 +231,9 @@ func RunShardContext(ctx context.Context, spec Spec, i, k int, s store.Backend, 
 // [0, grid len) contiguously on aligned boundaries; the envelope records
 // plan position i of len(ranges), so a complete planned set merges
 // through MergeShards exactly like a uniform one. A nil store runs
-// every cell cold.
-func RunShardPlanned(spec Spec, ranges []shard.Range, i int, s store.Backend) (*shard.Envelope, error) {
+// every cell cold. A done ctx stops the range as it stops
+// RunShardContext's.
+func RunShardPlanned(ctx context.Context, spec Spec, ranges []shard.Range, i int, s store.Backend) (*shard.Envelope, error) {
 	g, err := Open(spec)
 	if err != nil {
 		return nil, err
@@ -238,7 +245,7 @@ func RunShardPlanned(spec Spec, ranges []shard.Range, i int, s store.Backend) (*
 	if i < 0 || i >= len(ranges) {
 		return nil, fmt.Errorf("experiments: planned range %d of %d out of range", i, len(ranges))
 	}
-	return runPlanned(context.Background(), g, ranges, i)
+	return runPlanned(ctx, g, ranges, i)
 }
 
 // validatePlan checks that ranges is a contiguous, aligned partition of
@@ -262,17 +269,6 @@ func validatePlan(g *Grid, ranges []shard.Range) error {
 		return fmt.Errorf("experiments: plan covers [0,%d) of a %d-cell grid", prev, g.Len())
 	}
 	return nil
-}
-
-func runShard(ctx context.Context, g *Grid, i, k int) (*shard.Envelope, error) {
-	ranges, err := shard.PlanAligned(g.Len(), k, g.alignment())
-	if err != nil {
-		return nil, err
-	}
-	if i < 0 || i >= k {
-		return nil, fmt.Errorf("experiments: shard %d of %d out of range", i, k)
-	}
-	return runPlanned(ctx, g, ranges, i)
 }
 
 // runPlanned executes ranges[i] into an envelope at plan position

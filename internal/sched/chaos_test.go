@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -436,7 +439,7 @@ func newInstantInner(t testing.TB, spec experiments.Spec, shards int) *instantIn
 	}
 	parts := map[int][]byte{}
 	for i := range plan.Ranges {
-		env, err := experiments.RunShardPlanned(ns, plan.Ranges, i, nil)
+		env, err := experiments.RunShardPlanned(context.Background(), ns, plan.Ranges, i, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -720,6 +723,71 @@ func TestSchedAllHostsLostLocalFallback(t *testing.T) {
 	}
 	if !bytes.Equal(want, canonical(t, out)) {
 		t.Fatal("degraded-fallback output diverges from serial run")
+	}
+}
+
+// cancelOnPut passes every request through to the store handler, and
+// cancels the run on the first PUT: the first cell a run computes and
+// writes through cancels it.
+type cancelOnPut struct {
+	inner  http.Handler
+	cancel context.CancelFunc
+}
+
+func (c cancelOnPut) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodPut {
+		c.cancel()
+	}
+	c.inner.ServeHTTP(w, r)
+}
+
+// TestSchedCancelStopsLocalFallback: a run cancelled while its local
+// fallback computes fails with the cancellation instead of completing
+// Degraded. Every part the fallback delivered stays, and Resume reuses
+// them and completes the directory byte-identical to serial.
+func TestSchedCancelStopsLocalFallback(t *testing.T) {
+	spec := smallSpec()
+	want := serialReference(t, spec)
+	serverDisk, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	srv := httptest.NewServer(cancelOnPut{inner: store.Handler(serverDisk), cancel: cancel})
+	defer srv.Close()
+
+	dir := t.TempDir()
+	_, rep, err := RunContext(ctx, spec, Options{
+		Dir:             dir,
+		Shards:          2,
+		RemoteStore:     srv.URL,
+		Hosts:           []Host{{Name: "dead"}},
+		Transports:      map[string]Transport{"local": failTransport{}},
+		MaxHostFailures: 1,
+		Retries:         -1,
+		Backoff:         -1,
+		LocalFallback:   true,
+	})
+	if !errors.Is(err, context.Canceled) || !strings.HasPrefix(err.Error(), "sched: cancelled") {
+		t.Fatalf("want sched's cancellation error, got %v", err)
+	}
+	if rep.Degraded || len(rep.Failed) == 0 {
+		t.Fatalf("cancelled fallback reports degraded=%v, failed %v", rep.Degraded, rep.Failed)
+	}
+
+	out, rrep, err := Resume(dir, Options{
+		Hosts:      []Host{{Name: "ok"}},
+		Transports: map[string]Transport{"local": workerTransport()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, canonical(t, out)) {
+		t.Fatal("resumed directory diverges from serial run")
+	}
+	if len(rrep.Reused) != len(rep.Fallback) {
+		t.Fatalf("resume reused %v, the cancelled fallback delivered %v", rrep.Reused, rep.Fallback)
 	}
 }
 

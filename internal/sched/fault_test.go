@@ -40,10 +40,10 @@ type Fault struct {
 type FaultScript func(host Host, rangeIdx, n int) Fault
 
 // FaultTransport wraps any real Transport with a deterministic fault
-// script. It is the supported chaos-testing entry point: register it
-// under a transport name (Options.Transports) around the transport the
-// pool really uses, and script delays, hangs, kills, and corrupt parts
-// per attempt. Everything the script leaves alone passes through to
+// script. It is this package's chaos-testing seam, usable only from its
+// tests: register it under a transport name (Options.Transports) around
+// the transport the pool really uses, and script delays, hangs, kills,
+// and corrupt parts per attempt. Everything the script leaves alone passes through to
 // Inner untouched, so a faulted run exercises the scheduler's recovery
 // paths while the surviving attempts compute real envelopes.
 type FaultTransport struct {

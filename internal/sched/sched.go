@@ -3,12 +3,13 @@
 // scheduler: a run given no Hosts gets a pool of one local host with
 // one slot per CPU, which is how `fairbench dispatch`, `fairbench
 // resume`, and a serve daemon without -hosts run. It speaks
-// internal/dispatch's worker protocol — manifest.json (carrying an
-// explicit range plan), fingerprinted part-NNN.json envelopes, and the
+// internal/dispatch's worker protocol — manifest.json (carrying the
+// run's range plan), fingerprinted part-NNN.json envelopes, and the
 // acceptance gate dispatch.ValidatePart — so its merged output is
 // byte-identical (timing aside) to a serial run of the same spec, and
-// it resumes any run directory, including ones whose manifest predates
-// recorded range plans.
+// it resumes any run directory this build wrote. A directory whose
+// manifest records no range plan (an older build's) is refused: remove
+// it, or schedule into a fresh one.
 //
 // What it provides on top of the protocol:
 //
@@ -32,14 +33,16 @@
 //   - graceful degradation: with Options.LocalFallback, a run whose
 //     whole pool is lost completes in-process on the coordinator,
 //     marked Degraded, instead of failing;
-//   - cache-aware planning: the shard plan consults the result store at
-//     plan time, so fully-cached ranges never reach a host (the
-//     coordinator materializes them from the store) and the remaining
-//     ranges are balanced by uncached cell count, not raw cell count.
+//   - cache-aware planning: a fresh directory's shard plan consults the
+//     result store at plan time, so fully-cached ranges never reach a
+//     host and the remaining ranges are balanced by uncached cell count,
+//     not raw cell count. An adopted directory keeps its manifest's
+//     ranges and probes only those still pending. Either way the
+//     coordinator serves fully-cached ranges from the payloads that one
+//     probe verified, so each pending cell is read from the store once.
 //     A fresh directory whose plan finds every cell cached is served
 //     in memory, with no manifest or part written
-//     (Report.ServedFromCache). This plan is the only one a run makes,
-//     so its store counters are the run's.
+//     (Report.ServedFromCache).
 //
 // Failure semantics, in one table:
 //
@@ -63,8 +66,10 @@
 //	                           stderr tail included); the directory stays resumable
 //
 // Every path converges to the same merged bytes or fails resumably;
-// nothing is ever merged around. Chaos-test these paths through
-// FaultTransport, the supported deterministic fault-injection seam.
+// nothing is ever merged around. This package's own chaos tests drive
+// these paths through FaultTransport and RandomFaults, a deterministic
+// fault-injection seam defined in fault_test.go: only those tests can
+// use it.
 package sched
 
 import (
@@ -214,13 +219,8 @@ type Event struct {
 // Report describes what a scheduled run actually did.
 type Report struct {
 	Fingerprint string
-	// Ranges is the plan the run executed (from the manifest).
+	// Ranges is the plan the run executed.
 	Ranges []shard.Range
-	// Uncached[i] is how many cells of Ranges[i] the result store could
-	// not serve when this invocation started. Ranges whose envelope was
-	// reused report 0 — their cells are already delivered, so nothing is
-	// owed and the store is not re-probed for them.
-	Uncached []int
 	// Reused lists plan positions whose envelope already existed in the
 	// directory and validated.
 	Reused []int
@@ -289,7 +289,7 @@ func RunContext(ctx context.Context, spec experiments.Spec, opts Options) (*expe
 	if err != nil {
 		return nil, nil, err
 	}
-	return run(ctx, ns, opts, false)
+	return run(ctx, ns, opts)
 }
 
 // Resume continues the run recorded in dir: the spec, plan, and cache
@@ -299,18 +299,22 @@ func Resume(dir string, opts Options) (*experiments.Output, *Report, error) {
 }
 
 // ResumeContext is Resume under a cancellation context (see RunContext
-// for the cancellation semantics).
+// for the cancellation semantics). It is RunContext with the spec and
+// cache the manifest records.
 func ResumeContext(ctx context.Context, dir string, opts Options) (*experiments.Output, *Report, error) {
 	m, err := dispatch.ReadManifest(filepath.Join(dir, dispatch.ManifestName))
-	if err != nil {
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil, fmt.Errorf("sched: %s: %w — nothing to resume (run sched first)", dir, err)
 	}
+	if err != nil {
+		return nil, nil, err
+	}
 	opts.Dir, opts.CacheDir, opts.RemoteStore = dir, m.CacheDir, m.RemoteStore
-	return run(ctx, m.Spec, opts, true)
+	return RunContext(ctx, m.Spec, opts)
 }
 
 // run is the shared plan → scan → serve/schedule → merge loop.
-func run(ctx context.Context, ns experiments.Spec, opts Options, resuming bool) (*experiments.Output, *Report, error) {
+func run(ctx context.Context, ns experiments.Spec, opts Options) (*experiments.Output, *Report, error) {
 	logf := func(format string, args ...any) {
 		if opts.Log != nil {
 			fmt.Fprintf(opts.Log, format+"\n", args...)
@@ -323,12 +327,11 @@ func run(ctx context.Context, ns experiments.Spec, opts Options, resuming bool) 
 	if opts.Dir == "" {
 		return nil, nil, fmt.Errorf("sched: no sched directory")
 	}
-	st, err := store.OpenBackend(opts.CacheDir, opts.RemoteStore)
+	m, err := adopt(ns, &opts)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	m, manifestPath, ranges, uncached, plan, st, err := prepare(ns, &opts, st, resuming)
+	st, err := store.OpenBackend(opts.CacheDir, opts.RemoteStore)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -345,76 +348,47 @@ func run(ctx context.Context, ns experiments.Spec, opts Options, resuming bool) 
 			rep.CacheDegraded = true
 		}
 	}()
-	if m == nil {
-		return serveCached(ctx, plan, st, opts, rep, logf)
-	}
-	rep.Fingerprint, rep.Ranges = m.Fingerprint, ranges
-	manifestBytes, err := os.ReadFile(manifestPath)
+	plan, m, pending, err := prepare(ns, m, opts, st, rep, logf)
 	if err != nil {
-		return nil, rep, fmt.Errorf("sched: %w", err)
+		return nil, nil, err
 	}
-
-	// Scan: reuse every envelope that still validates; anything else is
-	// moved aside and its range re-enters the plan.
-	var pending []int
-	for i := range ranges {
-		path := filepath.Join(opts.Dir, dispatch.PartName(i))
-		switch err := dispatch.ValidatePart(path, m, i); {
-		case err == nil:
-			rep.Reused = append(rep.Reused, i)
-		case errors.Is(err, fs.ErrNotExist):
-			pending = append(pending, i)
-		default:
-			bad := path + ".invalid"
-			os.Rename(path, bad)
-			logf("sched: range %d: discarding invalid envelope (%v), moved to %s", i, err, bad)
-			pending = append(pending, i)
-		}
-	}
-	// An adopted manifest's uncached counts are computed only now, and
-	// only for pending ranges: re-entering a completed directory must
-	// not pay a verified store probe per cell of the whole grid. The
-	// cache may have grown since the manifest was written, so skip
-	// decisions always reflect the store's current state.
-	if uncached == nil {
-		uncached = make([]int, len(ranges))
-		for _, i := range pending {
-			uncached[i] = experiments.UncachedInRange(m.Fingerprint, m.Spec.Seed, ranges[i], st)
-		}
-	}
-	rep.Uncached = uncached
-	totalSlots, totalCells := 0, 0
+	rep.Fingerprint, rep.Ranges = plan.Fingerprint, plan.Ranges
+	totalSlots := 0
 	for _, h := range pool {
 		totalSlots += h.Slots
 	}
-	if len(ranges) > 0 {
-		totalCells = ranges[len(ranges)-1].End
-	}
 	logf("sched: %d range(s) over %d cells (%d uncached) across %d host(s), %d slot(s)",
-		len(ranges), totalCells, sum(uncached), len(pool), totalSlots)
+		len(plan.Ranges), plan.Total, plan.TotalUncached(), len(pool), totalSlots)
 
 	// Serve: fully-cached pending ranges never reach a host — the
-	// coordinator materializes them straight from the result store
-	// (every cell a verified hit, so the envelope reports computed=0).
+	// coordinator materializes them from the payloads its probe verified
+	// (every cell a hit, so the envelope reports computed=0). Without a
+	// manifest they stay in memory for the merge; otherwise each becomes
+	// its part file.
+	envs := make([]*shard.Envelope, len(plan.Ranges))
 	var work []int
 	for _, i := range pending {
 		if err := ctx.Err(); err != nil {
 			return nil, rep, fmt.Errorf("sched: cancelled — re-run sched with the same -dir to pick up: %w", err)
 		}
-		if uncached[i] > 0 {
+		if plan.Uncached[i] > 0 {
 			work = append(work, i)
 			continue
 		}
-		env, err := serveRange(plan, m.Spec, ranges, i, st)
-		if err != nil {
-			return nil, rep, err
+		env, ok := plan.ServeEnvelope(i)
+		if !ok {
+			// A payload that does not decode to its own cell: the
+			// planned-range path reads the store again and recomputes
+			// the cell, as it would any miss.
+			var err error
+			if env, err = experiments.RunShardPlanned(ctx, plan.Spec, plan.Ranges, i, st); err != nil {
+				return nil, rep, err
+			}
 		}
-		data, err := env.Encode()
-		if err != nil {
+		if m == nil {
+			envs[i] = env
+		} else if err := writePart(opts.Dir, i, env); err != nil {
 			return nil, rep, err
-		}
-		if err := store.WriteFileAtomic(filepath.Join(opts.Dir, dispatch.PartName(i)), data); err != nil {
-			return nil, rep, fmt.Errorf("sched: %w", err)
 		}
 		rep.Skipped = append(rep.Skipped, i)
 		logf("sched: range %d fully cached (%d cells) — served by the coordinator", i, len(env.Indices))
@@ -427,6 +401,11 @@ func run(ctx context.Context, ns experiments.Spec, opts Options, resuming bool) 
 	// have grown it mid-run, and so does each failed range's last error.
 	var causes map[int]error
 	if len(work) > 0 {
+		manifestPath := filepath.Join(opts.Dir, dispatch.ManifestName)
+		manifestBytes, err := os.ReadFile(manifestPath)
+		if err != nil {
+			return nil, rep, fmt.Errorf("sched: %w", err)
+		}
 		pool, causes = schedule(ctx, pool, transports, work, m, manifestPath, manifestBytes, opts, rep, logf)
 	}
 	for name := range rep.Completed {
@@ -436,28 +415,30 @@ func run(ctx context.Context, ns experiments.Spec, opts Options, resuming bool) 
 	// member can take work any more, the coordinator finishes the job
 	// itself — in-process, at local speed — rather than failing a run
 	// that one machine can still complete. The envelopes are computed by
-	// the same planned-shard path workers use, so the merged bytes stay
-	// identical; only the Report records who did the work.
+	// the same planned-range path workers use, so the merged bytes stay
+	// identical; only the Report records who did the work. A cancellation
+	// stops it between cells, and the ranges it did not finish stay in
+	// rep.Failed for the report below.
 	if len(rep.Failed) > 0 && opts.LocalFallback && ctx.Err() == nil && poolDead(pool) {
 		sort.Ints(rep.Failed)
 		logf("sched: every host is gone — completing %d range(s) in-process (degraded)", len(rep.Failed))
-		for _, i := range rep.Failed {
-			env, err := experiments.RunShardPlanned(m.Spec, ranges, i, st)
+		for len(rep.Failed) > 0 {
+			i := rep.Failed[0]
+			env, err := experiments.RunShardPlanned(ctx, plan.Spec, plan.Ranges, i, st)
 			if err != nil {
+				if ctx.Err() != nil {
+					break
+				}
 				return nil, rep, err
 			}
-			data, err := env.Encode()
-			if err != nil {
+			if err := writePart(opts.Dir, i, env); err != nil {
 				return nil, rep, err
 			}
-			if err := store.WriteFileAtomic(filepath.Join(opts.Dir, dispatch.PartName(i)), data); err != nil {
-				return nil, rep, fmt.Errorf("sched: %w", err)
-			}
+			rep.Failed = rep.Failed[1:]
 			rep.Fallback = append(rep.Fallback, i)
 			logf("sched: range %d completed by the coordinator's local fallback", i)
 		}
-		rep.Failed = nil
-		rep.Degraded = true
+		rep.Degraded = len(rep.Failed) == 0
 	}
 	if len(rep.Failed) > 0 {
 		sort.Ints(rep.Failed)
@@ -474,28 +455,30 @@ func run(ctx context.Context, ns experiments.Spec, opts Options, resuming bool) 
 		// rather than a scheduling failure it never had.
 		if err := ctx.Err(); err != nil {
 			return nil, rep, fmt.Errorf("sched: cancelled with range(s) %s still missing — %d of %d range(s) completed; re-run sched with the same -dir to pick up: %w",
-				strings.Join(idxs, ", "), len(ranges)-len(rep.Failed), len(ranges), err)
+				strings.Join(idxs, ", "), len(plan.Ranges)-len(rep.Failed), len(plan.Ranges), err)
 		}
 		// Each cause carries the worker's bounded stderr tail, so the
 		// error alone says why every missing range failed.
 		return nil, rep, fmt.Errorf("sched: range(s) %s still missing — %d of %d range(s) completed; re-run sched with the same -dir (or `fairbench resume -dir %s`) to pick up from them\n%s",
-			strings.Join(idxs, ", "), len(ranges)-len(rep.Failed), len(ranges), opts.Dir, strings.Join(why, "\n"))
+			strings.Join(idxs, ", "), len(plan.Ranges)-len(rep.Failed), len(plan.Ranges), opts.Dir, strings.Join(why, "\n"))
 	}
 
 	// Merge: every part re-reads through the named path so residual
-	// inconsistency is attributed to its file.
-	envs := make([]*shard.Envelope, len(ranges))
-	names := make([]string, len(ranges))
-	for i := range ranges {
-		path := filepath.Join(opts.Dir, dispatch.PartName(i))
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, rep, fmt.Errorf("sched: %w", err)
+	// inconsistency is attributed to its file; a grid served whole stays
+	// in memory.
+	names := make([]string, len(plan.Ranges))
+	for i := range plan.Ranges {
+		if envs[i] == nil {
+			path := filepath.Join(opts.Dir, dispatch.PartName(i))
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return nil, rep, fmt.Errorf("sched: %w", err)
+			}
+			if envs[i], err = shard.Decode(data); err != nil {
+				return nil, rep, fmt.Errorf("sched: %s: %w", path, err)
+			}
+			names[i] = path
 		}
-		if envs[i], err = shard.Decode(data); err != nil {
-			return nil, rep, fmt.Errorf("sched: %s: %w", path, err)
-		}
-		names[i] = path
 		rep.CellsCached += len(envs[i].Cached)
 		rep.CellsComputed += len(envs[i].Indices) - len(envs[i].Cached)
 	}
@@ -504,54 +487,28 @@ func run(ctx context.Context, ns experiments.Spec, opts Options, resuming bool) 
 		return nil, rep, err
 	}
 	logf("sched: merged %d range(s) (cells computed=%d cached=%d)",
-		len(ranges), rep.CellsComputed, rep.CellsCached)
+		len(plan.Ranges), rep.CellsComputed, rep.CellsCached)
+	if m == nil {
+		rep.ServedFromCache = true
+		src := opts.CacheDir
+		if src == "" {
+			src = opts.RemoteStore
+		}
+		logf("sched: grid fully cached — served %d cell(s) from the result store at %s; wrote no manifest and touched no host", rep.CellsCached, src)
+	}
 	return out, rep, nil
 }
 
-// serveCached answers a fresh run whose plan found every cell cached:
-// the coordinator materializes each range and merges the envelopes in
-// memory. It writes neither manifest nor part, so the directory is left
-// as it was found and no host is touched.
-func serveCached(ctx context.Context, plan *experiments.ShardPlan, st store.Backend, opts Options,
-	rep *Report, logf func(string, ...any)) (*experiments.Output, *Report, error) {
-	rep.Fingerprint, rep.Ranges, rep.Uncached = plan.Fingerprint, plan.Ranges, plan.Uncached
-	envs := make([]*shard.Envelope, len(plan.Ranges))
-	for i := range plan.Ranges {
-		if err := ctx.Err(); err != nil {
-			return nil, rep, fmt.Errorf("sched: cancelled before serving the cached grid: %w", err)
-		}
-		env, err := serveRange(plan, plan.Spec, plan.Ranges, i, st)
-		if err != nil {
-			return nil, rep, err
-		}
-		envs[i] = env
-		rep.Skipped = append(rep.Skipped, i)
-		rep.CellsCached += len(env.Cached)
-		rep.CellsComputed += len(env.Indices) - len(env.Cached)
-	}
-	out, err := experiments.MergeShards(envs)
+// writePart atomically writes env as position i's part in dir.
+func writePart(dir string, i int, env *shard.Envelope) error {
+	data, err := env.Encode()
 	if err != nil {
-		return nil, rep, err
+		return err
 	}
-	rep.ServedFromCache = true
-	src := opts.CacheDir
-	if src == "" {
-		src = opts.RemoteStore
+	if err := store.WriteFileAtomic(filepath.Join(dir, dispatch.PartName(i)), data); err != nil {
+		return fmt.Errorf("sched: %w", err)
 	}
-	logf("sched: grid fully cached — served %d cell(s) from the result store at %s; wrote no manifest and touched no host", rep.CellsCached, src)
-	return out, rep, nil
-}
-
-// serveRange materializes plan position i on the coordinator. A fresh
-// plan carries the payloads its cache-aware probe verified, so serving
-// needs no second store pass; an adopted manifest (nil plan) and
-// entries gone bad since probing take the store path, which recomputes
-// a bad entry like any cache miss.
-func serveRange(plan *experiments.ShardPlan, spec experiments.Spec, ranges []shard.Range, i int, st store.Backend) (*shard.Envelope, error) {
-	if env, ok := plan.ServeEnvelope(i); ok {
-		return env, nil
-	}
-	return experiments.RunShardPlanned(spec, ranges, i, st)
+	return nil
 }
 
 // hostState is one pool member's scheduling state.
@@ -639,111 +596,116 @@ func buildPool(opts *Options) ([]*hostState, map[string]Transport, error) {
 	return pool, transports, nil
 }
 
-// prepare creates the manifest for a fresh directory — planning
-// cache-aware against the store — or adopts an existing one, keeping its
-// recorded plan so resumes and late workers agree on the boundaries the
-// original run chose. Either way the current build must materialize the
-// manifest's fingerprint. The returned store is the run's effective
-// result cache: adopting a manifest adopts its cache directory too, so a
-// re-run that omitted the cache option still plans (and serves) against
-// the cache the directory was scheduled with.
-// A fresh directory's plan also rides back whole (nil when adopting an
-// existing manifest): it carries the payloads the cache-aware probe
-// already verified, letting the serve step materialize fully-cached
-// ranges without a second pass over the store. When that plan finds
-// every cell cached, prepare creates nothing and returns a nil
-// manifest with the plan: run serves the grid in memory.
-func prepare(ns experiments.Spec, opts *Options, st store.Backend, resuming bool) (*dispatch.Manifest, string, []shard.Range, []int, *experiments.ShardPlan, store.Backend, error) {
-	fail := func(err error) (*dispatch.Manifest, string, []shard.Range, []int, *experiments.ShardPlan, store.Backend, error) {
-		return nil, "", nil, nil, nil, nil, err
+// adopt reads the manifest of opts.Dir, if it holds one, and checks that
+// this build and this spec can continue the run it records. The run then
+// takes the manifest's cache, so a re-run that omitted the cache options
+// still plans (and serves) against the cache the directory was scheduled
+// with. A directory without a manifest returns nil.
+func adopt(ns experiments.Spec, opts *Options) (*dispatch.Manifest, error) {
+	m, err := dispatch.ReadManifest(filepath.Join(opts.Dir, dispatch.ManifestName))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
 	}
-	manifestPath := filepath.Join(opts.Dir, dispatch.ManifestName)
-	existing, err := dispatch.ReadManifest(manifestPath)
+	if err != nil {
+		return nil, err
+	}
+	fp, err := fingerprint(m.Spec)
+	if err != nil {
+		return nil, err
+	}
+	if fp != m.Fingerprint {
+		return nil, fmt.Errorf("sched: manifest fingerprint %.12s… but this build materializes %.12s… — grid definition drift; schedule into a fresh directory",
+			m.Fingerprint, fp)
+	}
+	if fp, err = fingerprint(ns); err != nil {
+		return nil, err
+	}
 	switch {
-	case err == nil:
-		g, err := experiments.Open(existing.Spec)
-		if err != nil {
-			return fail(err)
-		}
-		fp, err := g.Fingerprint()
-		if err != nil {
-			return fail(err)
-		}
-		if fp != existing.Fingerprint {
-			return fail(fmt.Errorf("sched: manifest fingerprint %.12s… but this build materializes %.12s… — grid definition drift; schedule into a fresh directory",
-				existing.Fingerprint, fp))
-		}
-		if !resuming {
-			want, err := experiments.Open(ns)
-			if err != nil {
-				return fail(err)
-			}
-			wfp, err := want.Fingerprint()
-			if err != nil {
-				return fail(err)
-			}
-			if wfp != existing.Fingerprint {
-				return fail(fmt.Errorf("sched: %s already holds a different run (fingerprint %.12s…); use a fresh directory or resume that run",
-					opts.Dir, existing.Fingerprint))
-			}
-			if opts.CacheDir != "" && opts.CacheDir != existing.CacheDir {
-				return fail(fmt.Errorf("sched: %s was scheduled with cache directory %q; re-scheduling cannot change it to %q — use a fresh directory",
-					opts.Dir, existing.CacheDir, opts.CacheDir))
-			}
-			if opts.RemoteStore != "" && opts.RemoteStore != existing.RemoteStore {
-				return fail(fmt.Errorf("sched: %s was scheduled with remote store %q; re-scheduling cannot change it to %q — use a fresh directory",
-					opts.Dir, existing.RemoteStore, opts.RemoteStore))
-			}
-		}
-		adopted := opts.CacheDir != existing.CacheDir || opts.RemoteStore != existing.RemoteStore
-		opts.CacheDir, opts.RemoteStore = existing.CacheDir, existing.RemoteStore
-		if st == nil || adopted {
-			if st, err = store.OpenBackend(existing.CacheDir, existing.RemoteStore); err != nil {
-				return fail(err)
-			}
-		}
-		ranges := existing.Ranges
-		if len(ranges) == 0 {
-			// A manifest without a recorded plan (written before plans
-			// were recorded): its workers used the uniform aligned
-			// split, so the scheduler must too.
-			if ranges, err = experiments.PlanShards(existing.Spec, existing.Shards); err != nil {
-				return fail(err)
-			}
-		}
-		// Uncached counts are left nil: run() computes them after the
-		// part scan, for pending ranges only.
-		return existing, manifestPath, ranges, nil, nil, st, nil
-	case errors.Is(err, fs.ErrNotExist):
-		if resuming {
-			return fail(fmt.Errorf("sched: %s: %w — nothing to resume", opts.Dir, err))
-		}
-		plan, err := experiments.PlanShardsCacheAware(ns, opts.Shards, st)
-		if err != nil {
-			return fail(err)
+	case fp != m.Fingerprint:
+		return nil, fmt.Errorf("sched: %s already holds a different run (fingerprint %.12s…); use a fresh directory or resume that run",
+			opts.Dir, m.Fingerprint)
+	case opts.CacheDir != "" && opts.CacheDir != m.CacheDir:
+		return nil, fmt.Errorf("sched: %s was scheduled with cache directory %q; re-scheduling cannot change it to %q — use a fresh directory",
+			opts.Dir, m.CacheDir, opts.CacheDir)
+	case opts.RemoteStore != "" && opts.RemoteStore != m.RemoteStore:
+		return nil, fmt.Errorf("sched: %s was scheduled with remote store %q; re-scheduling cannot change it to %q — use a fresh directory",
+			opts.Dir, m.RemoteStore, opts.RemoteStore)
+	}
+	opts.CacheDir, opts.RemoteStore = m.CacheDir, m.RemoteStore
+	return m, nil
+}
+
+// fingerprint is the grid fingerprint the spec materializes in this
+// build.
+func fingerprint(spec experiments.Spec) (string, error) {
+	g, err := experiments.Open(spec)
+	if err != nil {
+		return "", err
+	}
+	return g.Fingerprint()
+}
+
+// prepare returns the run's plan, its manifest, and the plan positions
+// this invocation owes. A fresh directory (nil m) plans cache-aware
+// against the store and records the plan in a new manifest — unless
+// every cell is cached: then it creates nothing and returns a nil
+// manifest, and run serves the grid in memory. An adopted manifest keeps
+// its recorded ranges, so resumes and late workers agree on the
+// boundaries the original run chose. Either way every part that still
+// validates is reused (rep.Reused) and anything else is moved aside. An
+// adopted manifest's plan probes only the positions left pending, and
+// probes them now: the cache may have grown since the manifest was
+// written. Both plans keep the payloads their probe verified.
+func prepare(ns experiments.Spec, m *dispatch.Manifest, opts Options, st store.Backend,
+	rep *Report, logf func(string, ...any)) (*experiments.ShardPlan, *dispatch.Manifest, []int, error) {
+	var plan *experiments.ShardPlan
+	if m == nil {
+		var err error
+		if plan, err = experiments.PlanShardsCacheAware(ns, opts.Shards, st); err != nil {
+			return nil, nil, nil, err
 		}
 		if plan.TotalUncached() == 0 {
-			return nil, "", plan.Ranges, plan.Uncached, plan, st, nil
+			all := make([]int, len(plan.Ranges))
+			for i := range all {
+				all[i] = i
+			}
+			return plan, nil, all, nil
 		}
 		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-			return fail(fmt.Errorf("sched: %w", err))
+			return nil, nil, nil, fmt.Errorf("sched: %w", err)
 		}
-		m := &dispatch.Manifest{
+		m = &dispatch.Manifest{
 			Version:     dispatch.ManifestVersion,
 			Spec:        plan.Spec,
-			Shards:      len(plan.Ranges),
 			Fingerprint: plan.Fingerprint,
 			CacheDir:    opts.CacheDir,
 			RemoteStore: opts.RemoteStore,
 			Ranges:      plan.Ranges,
 		}
-		if err := m.Write(manifestPath); err != nil {
-			return fail(err)
+		if err := m.Write(filepath.Join(opts.Dir, dispatch.ManifestName)); err != nil {
+			return nil, nil, nil, err
 		}
-		return m, manifestPath, plan.Ranges, plan.Uncached, plan, st, nil
-	default:
-		return fail(err)
 	}
+	var pending []int
+	for i := range m.Ranges {
+		path := filepath.Join(opts.Dir, dispatch.PartName(i))
+		switch err := dispatch.ValidatePart(path, m, i); {
+		case err == nil:
+			rep.Reused = append(rep.Reused, i)
+		case errors.Is(err, fs.ErrNotExist):
+			pending = append(pending, i)
+		default:
+			bad := path + ".invalid"
+			os.Rename(path, bad)
+			logf("sched: range %d: discarding invalid envelope (%v), moved to %s", i, err, bad)
+			pending = append(pending, i)
+		}
+	}
+	if plan != nil {
+		return plan, m, pending, nil
+	}
+	plan, err := experiments.ProbePlan(m.Spec, m.Ranges, pending, st)
+	return plan, m, pending, err
 }
 
 // rangeState is one work range's scheduling state.
@@ -1225,12 +1187,4 @@ func median(ds []time.Duration) time.Duration {
 	s := append([]time.Duration(nil), ds...)
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	return s[len(s)/2]
-}
-
-func sum(xs []int) int {
-	t := 0
-	for _, x := range xs {
-		t += x
-	}
-	return t
 }

@@ -117,7 +117,8 @@ func TestSchedRejectsForeignDirectory(t *testing.T) {
 // TestSchedAdoptsManifestCache: re-running a cached directory WITHOUT
 // the cache option must adopt the manifest's cache directory for
 // planning too — a warm directory with missing parts is served entirely
-// by the coordinator, never a transport.
+// by the coordinator, never a transport, and from the payloads its one
+// probe read: each pending cell is read from the store once.
 func TestSchedAdoptsManifestCache(t *testing.T) {
 	spec := smallSpec()
 	want := serialReference(t, spec)
@@ -149,6 +150,9 @@ func TestSchedAdoptsManifestCache(t *testing.T) {
 	if rep.CellsComputed != 0 || len(rep.Skipped) != len(rep.Ranges) {
 		t.Fatalf("re-run computed %d cells, skipped %v of %d ranges",
 			rep.CellsComputed, rep.Skipped, len(rep.Ranges))
+	}
+	if rep.Cache.Hits != 4 {
+		t.Fatalf("re-run read %d cache hits for the grid's 4 cells, want one each", rep.Cache.Hits)
 	}
 }
 

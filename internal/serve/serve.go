@@ -548,7 +548,7 @@ func (s *Server) statusOf(r *run, deduped bool) runStatus {
 	}
 	if r.shards == 0 {
 		if m, err := dispatch.ReadManifest(filepath.Join(r.dir, dispatch.ManifestName)); err == nil {
-			r.shards = m.Shards
+			r.shards = len(m.Ranges)
 		}
 	}
 	st.PartsTotal = r.shards
@@ -754,7 +754,7 @@ func (s *Server) handleStream(w http.ResponseWriter, req *http.Request) {
 		if err != nil {
 			return
 		}
-		for i := 0; i < m.Shards; i++ {
+		for i := range m.Ranges {
 			if seen[i] {
 				continue
 			}
@@ -771,7 +771,7 @@ func (s *Server) handleStream(w http.ResponseWriter, req *http.Request) {
 				continue
 			}
 			seen[i] = true
-			enc.Encode(streamEvent{Type: "shard", Shard: i, Shards: m.Shards,
+			enc.Encode(streamEvent{Type: "shard", Shard: i, Shards: len(m.Ranges),
 				Cells: env.Indices, Rows: env.Rows})
 			if flusher != nil {
 				flusher.Flush()
