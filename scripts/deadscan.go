@@ -36,9 +36,10 @@
 //   - tests: used by tests only.
 //   - unused: used nowhere.
 //
-// Reflection is not seen: a field only encoding/json reads, or a method
-// only the standard library asserts for inside its own code (Unwrap),
-// is listed as unused. A deletion can leave another name without a
+// Reflection is not seen: a field only encoding/json reads is listed as
+// unused. Neither is the standard library's own code, so the interfaces
+// the errors package asserts for inside it (Unwrap, Is, As) are
+// registered by hand. A deletion can leave another name without a
 // caller, so run it again after each deletion.
 package main
 
@@ -107,6 +108,7 @@ func main() {
 		ifaces:  map[*types.Interface]string{},
 	}
 	s.std = importer.ForCompiler(s.fset, "source", nil)
+	s.addErrorsInterfaces()
 	s.rootMod = modulePath(root)
 	s.modules[s.rootMod] = root
 	bench := filepath.Join(root, "perfbench")
@@ -511,6 +513,34 @@ func (s *scanner) collectInterfaces(pkg *types.Package, info *types.Info) {
 		if tv.Type != nil {
 			s.addInterface(tv.Type, types.TypeString(tv.Type, (*types.Package).Name))
 		}
+	}
+}
+
+// addErrorsInterfaces registers, once per scan, the interface literals
+// errors.Is, errors.As and errors.Unwrap assert for inside the errors
+// package: interface{ Unwrap() error }, interface{ Unwrap() []error },
+// interface{ Is(error) bool } and interface{ As(any) bool }.
+func (s *scanner) addErrorsInterfaces() {
+	errT, anyT, boolT := types.Universe.Lookup("error").Type(), types.Universe.Lookup("any").Type(), types.Typ[types.Bool]
+	tuple := func(ts ...types.Type) *types.Tuple {
+		vars := make([]*types.Var, len(ts))
+		for i, t := range ts {
+			vars[i] = types.NewParam(token.NoPos, nil, "", t)
+		}
+		return types.NewTuple(vars...)
+	}
+	for _, m := range []struct {
+		name           string
+		params, result *types.Tuple
+	}{
+		{"Unwrap", tuple(), tuple(errT)},
+		{"Unwrap", tuple(), tuple(types.NewSlice(errT))},
+		{"Is", tuple(errT), tuple(boolT)},
+		{"As", tuple(anyT), tuple(boolT)},
+	} {
+		sig := types.NewSignatureType(nil, nil, nil, m.params, m.result, false)
+		it := types.NewInterfaceType([]*types.Func{types.NewFunc(token.NoPos, nil, m.name, sig)}, nil).Complete()
+		s.addInterface(it, types.TypeString(it, nil))
 	}
 }
 
